@@ -226,11 +226,11 @@ let reproduce_paper () =
      the bench row tracks the overload counters and p99 across commits. *)
   let sk = Experiments.Soak.run ~quick:true () in
   Experiments.Soak.print_result sk;
-  (* Lock observatory rows: per-class hold times and projected contention
-     so the regression gate catches a lock getting hotter. *)
+  (* Lock observatory rows: per-class hold times, so the regression gate
+     catches a lock getting hotter. *)
   let lk = Experiments.Lockstat.run () in
   Experiments.Lockstat.print lk;
-  (* Simulated-SMP rows: measured (not projected) contention, speedup and
+  (* Simulated-SMP rows: measured contention, speedup and
      fast-path hit rates at 4 CPUs, quick profile — the full storm is a
      CI gate of its own (uvm_sim smp). *)
   let sm = Experiments.Smp.run ~quick:true ~cpus:4 () in
@@ -349,8 +349,6 @@ let reproduce_paper () =
               ("writes", jint r.br_writes);
               ("mean_hold_us", jfloat r.br_mean_hold_us);
               ("max_hold_us", jfloat r.br_max_hold_us);
-              ("mean_wait_us", jfloat r.br_mean_wait_us);
-              ("utilization", jfloat r.br_utilization);
             ])
         (Experiments.Lockstat.bench_rows lk) );
     ( "smp",

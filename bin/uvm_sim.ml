@@ -88,13 +88,14 @@ let install_faults read_rate write_rate permanent bad fault_seed =
 
 let trace_out =
   let doc = "Write a Chrome trace-event JSON file of every traced machine \
-             to $(docv) (open in Perfetto or chrome://tracing).  Implies \
-             event collection." in
+             to $(docv) (open in Perfetto or chrome://tracing): every \
+             span, one track per subsystem.  Implies span collection." in
   Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
 
 let trace_buf =
-  let doc = "Per-subsystem event ring capacity: each traced machine keeps \
-             the most recent $(docv) events of each subsystem." in
+  let doc = "Span ring capacity: each traced machine keeps its most \
+             recent $(docv) finished spans (latency histograms cover every \
+             span regardless)." in
   Arg.(value & opt int 65536 & info [ "trace-buf" ] ~docv:"N" ~doc)
 
 let stats_flag =
@@ -103,8 +104,8 @@ let stats_flag =
   Arg.(value & flag & info [ "stats" ] ~doc)
 
 let stats_out =
-  let doc = "Write a JSON snapshot of counters and latency histograms to \
-             $(docv)." in
+  let doc = "Write a JSON snapshot (schema uvm-sim-stats/2: counters and \
+             one latency histogram per span name) to $(docv)." in
   Arg.(value & opt (some string) None & info [ "stats-out" ] ~docv:"FILE" ~doc)
 
 let report_out =
@@ -118,22 +119,22 @@ let report_out =
 let spans_out =
   let doc = "Write the causal span trees (schema uvm-sim-spans/1: every \
              finished span with its trace/parent ids, plus any still-open \
-             stack) of every traced machine to $(docv).  Implies event \
+             stack) of every traced machine to $(docv).  Implies span \
              collection." in
   Arg.(value & opt (some string) None & info [ "spans-out" ] ~docv:"FILE" ~doc)
 
 let metrics_out =
   let doc = "Write the vmstat-style time-series (schema uvm-sim-metrics/1: \
              periodic gauge/counter samples and watchdog warnings) of every \
-             traced machine to $(docv).  Implies event collection." in
+             traced machine to $(docv).  Implies span collection." in
   Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc)
 
 let lockstat_out =
-  let doc = "Write the lock observatory (schema uvm-sim-lockstat/1: \
+  let doc = "Write the lock observatory (schema uvm-sim-lockstat/2: \
              per-class hold-time histograms split by read/write mode and \
-             by holding subsystem, the observed lock-order graph with any \
-             cycles, and the would-be contention projection) of every \
-             traced machine to $(docv).  Implies event collection." in
+             by holding subsystem, and the observed lock-order graph with \
+             any cycles) of every traced machine to $(docv).  Implies span \
+             collection." in
   Arg.(value & opt (some string) None
        & info [ "lockstat-out" ] ~docv:"FILE" ~doc)
 
@@ -162,8 +163,10 @@ let run_with_observability trace_out trace_buf stats stats_out report_out
         let buf = Buffer.create 65536 in
         Sim.Trace_export.chrome_json buf sources;
         with_file file (fun oc -> Buffer.output_buffer oc buf);
-        Printf.printf "trace written to %s (%d events)\n" file
-          (List.fold_left (fun n s -> n + Sim.Hist.retained s.Sim.Trace_export.hist)
+        Printf.printf "trace written to %s (%d spans)\n" file
+          (List.fold_left
+             (fun n s ->
+               n + List.length (Sim.Span.spans s.Sim.Trace_export.spans))
              0 sources)
     | None -> ());
     (match stats_out with
@@ -317,7 +320,7 @@ let torture_cmd =
   let artifact_dir =
     Arg.(value & opt string "artifacts/torture" & info [ "artifact-dir" ]
            ~docv:"DIR"
-           ~doc:"Directory for crash artifacts (op trace, failure, event \
+           ~doc:"Directory for crash artifacts (op trace, failure, span \
                  ring, stats).")
   in
   let corrupt =
@@ -563,17 +566,13 @@ let soak_cmd =
 
 (* -- lockstat ---------------------------------------------------------- *)
 
-let run_lockstat cpus out folded_out =
-  if cpus < 1 then begin
-    Printf.eprintf "uvm_sim: --cpus must be >= 1 (got %d)\n" cpus;
-    exit 2
-  end;
+let run_lockstat out folded_out =
   let r = Experiments.Lockstat.run () in
-  Experiments.Lockstat.print ~cpus r;
+  Experiments.Lockstat.print r;
   (match out with
   | Some file ->
       let buf = Buffer.create 16384 in
-      Experiments.Lockstat.json ~cpus buf r;
+      Experiments.Lockstat.json buf r;
       with_file file (fun oc -> Buffer.output_buffer oc buf);
       Printf.printf "lockstat written to %s\n" file
   | None -> ());
@@ -585,15 +584,9 @@ let run_lockstat cpus out folded_out =
   | None -> ()
 
 let lockstat_cmd =
-  let cpus =
-    Arg.(value & opt int 4 & info [ "cpus" ] ~docv:"N"
-           ~doc:"Simulated CPU count for the would-be contention \
-                 projection (per-class hold intervals replayed against \
-                 $(docv) competing cores).")
-  in
   let out =
     Arg.(value & opt (some string) None & info [ "out" ] ~docv:"FILE"
-           ~doc:"Also write the uvm-sim-lockstat/1 JSON to $(docv).")
+           ~doc:"Also write the uvm-sim-lockstat/2 JSON to $(docv).")
   in
   let folded_out =
     Arg.(value & opt (some string) None & info [ "folded-out" ] ~docv:"FILE"
@@ -607,15 +600,16 @@ let lockstat_cmd =
        ~doc:"Lock observatory: drive one paging+IPC workload through every \
              registered lock class on both VM systems, then report \
              per-class hold-time histograms, the observed lock-order graph \
-             (with lockdep-style cycle detection), the projected contention \
-             at N CPUs, and a flamegraph-ready folded profile whose self \
-             times telescope to the measured wall time")
+             (with lockdep-style cycle detection), and a flamegraph-ready \
+             folded profile whose self times telescope to the measured \
+             wall time.  Contention on several CPUs is measured by \
+             $(b,smp --cpus) $(i,N).")
     Term.(
-      const (fun rr wr perm bad seed cpus out fout ->
+      const (fun rr wr perm bad seed out fout ->
           install_faults rr wr perm bad seed;
-          run_lockstat cpus out fout)
+          run_lockstat out fout)
       $ read_error_rate $ write_error_rate $ permanent $ bad_slots
-      $ fault_seed $ cpus $ out $ folded_out)
+      $ fault_seed $ out $ folded_out)
 
 (* -- smp --------------------------------------------------------------- *)
 
@@ -660,8 +654,8 @@ let smp_cmd =
     (Cmd.info "smp"
        ~doc:"Simulated SMP: run the same parallel fault storm through both \
              VM systems on N virtual CPUs with sharded physmem, per-CPU \
-             page caches and the lockless lookup fast path, measuring (not \
-             projecting) per-CPU lock waits, cache-line bounces, fast-path \
+             page caches and the lockless lookup fast path, measuring \
+             per-CPU lock waits, cache-line bounces, fast-path \
              hit rates and the 1-CPU-baseline speedup; mid-storm full \
              audits gate the sharding invariants")
     Term.(

@@ -52,26 +52,18 @@ let pmap_ctx t = t.mach.Machine.pmap_ctx
 let charge t us = Sim.Simclock.advance (clock t) us
 let charge_struct_alloc t = charge t (costs t).Sim.Cost_model.struct_alloc
 
-(* Observability, mirroring Uvm_sys: the same series names and event
-   taxonomy so traces from the two systems compare side by side. *)
-let hist t = t.mach.Machine.hist
-let latencies t = t.mach.Machine.latencies
-let tracing t = Sim.Hist.enabled (hist t)
-
-let trace t ~subsys ~ts ?dur ?detail name =
-  Sim.Hist.record (hist t) ~subsys ~ts ?dur ?detail name
-
-let observe t name v =
-  if tracing t then
-    Sim.Histogram.observe (Sim.Histogram.get (latencies t) name) v
-
+(* Instrumentation (see Sim.Span): each cut point opens one span and
+   closes it with a detail thunk, forced only when the collector is on,
+   so an untraced run pays one boolean check and builds no strings.
+   Both kernels use the same span names, so their traces compare side by
+   side. *)
 let spans t = t.mach.Machine.spans
 
 let span_start t ~subsys name =
   Sim.Span.start (spans t) ~subsys ~ts:(Sim.Simclock.now (clock t)) name
 
-let span_finish t sp ?detail () =
-  Sim.Span.finish (spans t) sp ~ts:(Sim.Simclock.now (clock t)) ?detail ()
+let span_finish t sp detail =
+  Sim.Span.finish_with (spans t) sp ~ts:(Sim.Simclock.now (clock t)) detail
 
 (* Same transient-retry policy as UVM's, so the error handling stays
    apples-to-apples between the two systems under a shared fault plan. *)

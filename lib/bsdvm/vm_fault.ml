@@ -71,37 +71,27 @@ let fault map ~vpn ~access ~wire =
   let sys = map.sys in
   let stats = Bsd_sys.stats sys in
   let costs = Bsd_sys.costs sys in
-  let t0 = Sim.Simclock.now (Bsd_sys.clock sys) in
+  let span = Bsd_sys.span_start sys ~subsys:"fault" "fault" in
   Bsd_sys.charge sys costs.Sim.Cost_model.fault_entry;
   stats.Sim.Stats.faults <- stats.Sim.Stats.faults + 1;
-  let span = Bsd_sys.span_start sys ~subsys:"fault" "fault" in
   Vm_map.lock map;
-  (* Every exit goes through [finish]: one place to record the fault-path
-     span, with the same event shape as UVM's so traces compare. *)
+  (* Every exit goes through [finish]: one place to close the fault-path
+     span, with the same shape as UVM's so traces compare.  It opens
+     before the entry charge so its duration is the whole fault
+     latency. *)
   let finish r =
     Vm_map.unlock map;
-    let result =
-      match r with
-      | Ok () -> "ok"
-      | Error e -> Vmtypes.string_of_fault_error e
-    in
-    Bsd_sys.span_finish sys span
-      ~detail:[ ("vpn", string_of_int vpn); ("result", result) ]
-      ();
-    if Bsd_sys.tracing sys then begin
-      let dur = Sim.Simclock.now (Bsd_sys.clock sys) -. t0 in
-      Bsd_sys.trace sys ~subsys:Sim.Hist.Fault ~ts:t0 ~dur
-        ~detail:
-          [
-            ("vpn", string_of_int vpn);
-            ( "access",
-              match access with Vmtypes.Read -> "read" | Vmtypes.Write -> "write"
-            );
-            ("result", result);
-          ]
-        "fault";
-      Bsd_sys.observe sys "fault_us" dur
-    end;
+    Bsd_sys.span_finish sys span (fun () ->
+        [
+          ("vpn", string_of_int vpn);
+          ( "access",
+            match access with Vmtypes.Read -> "read" | Vmtypes.Write -> "write"
+          );
+          ( "result",
+            match r with
+            | Ok () -> "ok"
+            | Error e -> Vmtypes.string_of_fault_error e );
+        ]);
     r
   in
   match Vm_map.lookup map ~vpn with

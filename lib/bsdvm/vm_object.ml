@@ -171,23 +171,14 @@ let rec find_in_chain sys obj ~off ~depth =
     Error Vmiface.Vmtypes.Pager_error
   in
   (* Every pagein here moves exactly one page; [pager] says which backing
-     store it came from, mirroring UVM's pagein events. *)
-  let trace_pagein ~span ~t0 ~pager ok =
-    Bsd_sys.span_finish sys span
-      ~detail:[ ("pager", pager); ("result", if ok then "ok" else "error") ]
-      ();
-    if Bsd_sys.tracing sys then begin
-      let dur = Sim.Simclock.now (Bsd_sys.clock sys) -. t0 in
-      Bsd_sys.trace sys ~subsys:Sim.Hist.Pager ~ts:t0 ~dur
-        ~detail:
-          [
-            ("pager", pager);
-            ("pages", "1");
-            ("result", if ok then "ok" else "error");
-          ]
-        "pagein";
-      Bsd_sys.observe sys "pagein_us" dur
-    end
+     store it came from, mirroring UVM's pagein spans. *)
+  let trace_pagein ~span ~pager ok =
+    Bsd_sys.span_finish sys span (fun () ->
+        [
+          ("pager", pager);
+          ("pages", "1");
+          ("result", if ok then "ok" else "error");
+        ])
   in
   match find_page obj ~pgno:off with
   | Some page -> Ok (Some (obj, off, page, depth))
@@ -209,13 +200,12 @@ let rec find_in_chain sys obj ~off ~depth =
             | None -> slot
           in
           let span = Bsd_sys.span_start sys ~subsys:"pager" "pagein" in
-          let t0 = Sim.Simclock.now (Bsd_sys.clock sys) in
           let r =
             Swap.Swaptier.read_resilient (Bsd_sys.swapdev sys)
               ~retries:sys.Bsd_sys.io_retries
               ~backoff_us:sys.Bsd_sys.io_backoff_us ~slot ~dst:page
           in
-          trace_pagein ~span ~t0 ~pager:"swap" (Result.is_ok r);
+          trace_pagein ~span ~pager:"swap" (Result.is_ok r);
           match r with
           | Ok () ->
               Physmem.note_fault_in (Bsd_sys.physmem sys) page
@@ -247,13 +237,12 @@ let rec find_in_chain sys obj ~off ~depth =
               end
               else
                 let span = Bsd_sys.span_start sys ~subsys:"pager" "pagein" in
-                let t0 = Sim.Simclock.now (Bsd_sys.clock sys) in
                 let r =
                   Bsd_sys.retry_transient sys (fun () ->
                       Vfs.read_pages (Bsd_sys.vfs sys) vn ~start_page:off
                         ~dsts:[ page ])
                 in
-                trace_pagein ~span ~t0 ~pager:"vnode" (Result.is_ok r);
+                trace_pagein ~span ~pager:"vnode" (Result.is_ok r);
                 match r with
                 | Ok () ->
                     Physmem.note_fault_in (Bsd_sys.physmem sys) page

@@ -28,22 +28,11 @@ let pageout_one sys (obj : Vm_object.t) (page : Physmem.Page.t) =
      size-1 distribution Figure 5 contrasts with UVM's. *)
   Physmem.note_cluster (Bsd_sys.physmem sys) ~pages:[ page ] ~runs:1;
   let span = Bsd_sys.span_start sys ~subsys:"pdaemon" "pageout" in
-  let t0 = Sim.Simclock.now (Bsd_sys.clock sys) in
+  (* Always one page per I/O here — the contrast with UVM's clustered
+     pageout is exactly what the trace should show. *)
   let trace_pageout cleaned =
-    Bsd_sys.span_finish sys span
-      ~detail:
-        [ ("pages", "1"); ("result", if cleaned then "ok" else "error") ]
-      ();
-    if Bsd_sys.tracing sys then begin
-      let dur = Sim.Simclock.now (Bsd_sys.clock sys) -. t0 in
-      (* Always one page per I/O here — the contrast with UVM's clustered
-         pageout is exactly what the trace should show. *)
-      Bsd_sys.trace sys ~subsys:Sim.Hist.Pdaemon ~ts:t0 ~dur
-        ~detail:
-          [ ("pages", "1"); ("result", if cleaned then "ok" else "error") ]
-        "pageout_cluster";
-      Bsd_sys.observe sys "pageout_cluster_io_us" dur
-    end;
+    Bsd_sys.span_finish sys span (fun () ->
+        [ ("pages", "1"); ("result", if cleaned then "ok" else "error") ]);
     cleaned
   in
   trace_pageout
@@ -118,7 +107,6 @@ let run sys =
   Swap.Swaptier.run_drain (Bsd_sys.swapdev sys);
   let physmem = Bsd_sys.physmem sys in
   let target = Physmem.freetarg physmem in
-  let t0 = Sim.Simclock.now (Bsd_sys.clock sys) in
   let free0 = Physmem.free_count physmem in
   let scan (page : Physmem.Page.t) =
     if Physmem.free_count physmem < target then
@@ -173,22 +161,11 @@ let run sys =
         end)
       (Physmem.active_pages physmem)
   end;
-  Bsd_sys.span_finish sys scan_span
-    ~detail:
+  Bsd_sys.span_finish sys scan_span (fun () ->
       [
         ("free_before", string_of_int free0);
         ("free_after", string_of_int (Physmem.free_count physmem));
-      ]
-    ();
-  if Bsd_sys.tracing sys then
-    Bsd_sys.trace sys ~subsys:Sim.Hist.Pdaemon ~ts:t0
-      ~dur:(Sim.Simclock.now (Bsd_sys.clock sys) -. t0)
-      ~detail:
-        [
-          ("free_before", string_of_int free0);
-          ("free_after", string_of_int (Physmem.free_count physmem));
-          ("target", string_of_int target);
-        ]
-      "scan"
+        ("target", string_of_int target);
+      ])
 
 let install sys = Physmem.set_pagedaemon (Bsd_sys.physmem sys) (fun () -> run sys)

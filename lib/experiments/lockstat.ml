@@ -9,10 +9,10 @@
     exactly, the same construction serve.ml uses for its p99 breakdown.
 
     Exports:
-    - [uvm-sim-lockstat/1] JSON — per-class hold histograms (total and
-      per-mode), per-subsystem attribution, the observed lock-order
-      graph with any cycles, and the would-be contention projection at
-      [cpus] simulated CPUs;
+    - [uvm-sim-lockstat/2] JSON — per-class hold histograms (total and
+      per-mode), per-subsystem attribution, and the observed lock-order
+      graph with any cycles (contention is measured by the smp
+      experiment, not projected here);
     - a folded-stack profile ("UVM;request;fault;lock:amap 12.5" lines,
       self-time weighted) ready for [flamegraph.pl]. *)
 
@@ -152,18 +152,18 @@ let folded_string r =
     r.lk_folded;
   Buffer.contents buf
 
-(* uvm-sim-lockstat/1 with the profile's reconciliation totals on top:
+(* uvm-sim-lockstat/2 with the profile's reconciliation totals on top:
    consumers can assert folded_total_us ~ wall_us without re-summing. *)
-let json ?(cpus = 4) ?(seed = 42) buf r =
+let json buf r =
   Buffer.add_string buf
     (Printf.sprintf
-       "{\"schema\":\"uvm-sim-lockstat/1\",\"cpus\":%d,\"requests\":%d,\"wall_us\":%.3f,\"folded_total_us\":%.3f,\"systems\":"
-       cpus r.lk_requests r.lk_wall_us r.lk_folded_us);
-  Sim.Trace_export.lockstat_systems buf ~cpus ~seed r.lk_sources;
+       "{\"schema\":\"uvm-sim-lockstat/2\",\"requests\":%d,\"wall_us\":%.3f,\"folded_total_us\":%.3f,\"systems\":"
+       r.lk_requests r.lk_wall_us r.lk_folded_us);
+  Sim.Trace_export.lockstat_systems buf r.lk_sources;
   Buffer.add_string buf "}\n"
 
 (* Flat per-(system, class) rows for the bench harness: the regression
-   gate tracks hold times and projected contention across commits. *)
+   gate tracks hold times across commits. *)
 type bench_row = {
   br_system : string;
   br_cls : string;
@@ -172,11 +172,9 @@ type bench_row = {
   br_writes : int;
   br_mean_hold_us : float;
   br_max_hold_us : float;
-  br_mean_wait_us : float;  (** projected, at [cpus] CPUs *)
-  br_utilization : float;
 }
 
-let bench_rows ?(cpus = 4) r =
+let bench_rows r =
   List.concat_map
     (fun (src : Sim.Trace_export.source) ->
       match src.Sim.Trace_export.locks with
@@ -186,16 +184,6 @@ let bench_rows ?(cpus = 4) r =
             (fun (cv : Sim.Lockstat.class_view) ->
               if cv.Sim.Lockstat.cv_acquires = 0 then None
               else
-                let wait, util =
-                  match
-                    Sim.Lockstat.project reg ~cls:cv.Sim.Lockstat.cv_cls ~cpus
-                      ~seed:42
-                  with
-                  | Some pj ->
-                      ( pj.Sim.Lockstat.pj_mean_wait_us,
-                        pj.Sim.Lockstat.pj_utilization )
-                  | None -> (0.0, 0.0)
-                in
                 Some
                   {
                     br_system = src.Sim.Trace_export.label;
@@ -205,14 +193,12 @@ let bench_rows ?(cpus = 4) r =
                     br_writes = cv.Sim.Lockstat.cv_writes;
                     br_mean_hold_us = Sim.Histogram.mean cv.Sim.Lockstat.cv_hold;
                     br_max_hold_us = cv.Sim.Lockstat.cv_max_hold_us;
-                    br_mean_wait_us = wait;
-                    br_utilization = util;
                   })
             (Sim.Lockstat.views reg))
     r.lk_sources
 
-let print ?(cpus = 4) r =
-  Report.title "Lock observatory: per-class holds and projected contention";
+let print r =
+  Report.title "Lock observatory: per-class holds and lock order";
   Printf.printf "%d requests/system, wall %.0f us, folded %.0f us (%+.2f%%)\n"
     r.lk_requests r.lk_wall_us r.lk_folded_us
     (if r.lk_wall_us > 0.0 then
@@ -224,32 +210,17 @@ let print ?(cpus = 4) r =
       | None -> ()
       | Some reg ->
           Printf.printf "\n%s:\n" src.Sim.Trace_export.label;
-          Printf.printf "  %-10s %10s %8s %8s %12s %12s %14s %10s\n" "class"
-            "acq" "reads" "writes" "mean_hold" "max_hold" "mean_wait" "util";
+          Printf.printf "  %-10s %10s %8s %8s %12s %12s\n" "class" "acq"
+            "reads" "writes" "mean_hold" "max_hold";
           List.iter
             (fun (cv : Sim.Lockstat.class_view) ->
-              if cv.Sim.Lockstat.cv_acquires > 0 then begin
-                let wait, util =
-                  match
-                    Sim.Lockstat.project reg ~cls:cv.Sim.Lockstat.cv_cls ~cpus
-                      ~seed:42
-                  with
-                  | Some pj ->
-                      ( Printf.sprintf "%.1f" pj.Sim.Lockstat.pj_mean_wait_us,
-                        Printf.sprintf "%.2f" pj.Sim.Lockstat.pj_utilization )
-                  | None -> ("-", "-")
-                in
-                Printf.printf "  %-10s %10d %8d %8d %12.1f %12.1f %14s %10s\n"
+              if cv.Sim.Lockstat.cv_acquires > 0 then
+                Printf.printf "  %-10s %10d %8d %8d %12.1f %12.1f\n"
                   cv.Sim.Lockstat.cv_cls cv.Sim.Lockstat.cv_acquires
                   cv.Sim.Lockstat.cv_reads cv.Sim.Lockstat.cv_writes
                   (Sim.Histogram.mean cv.Sim.Lockstat.cv_hold)
-                  cv.Sim.Lockstat.cv_max_hold_us wait util
-              end)
+                  cv.Sim.Lockstat.cv_max_hold_us)
             (Sim.Lockstat.views reg);
-          Printf.printf
-            "  (mean_wait/util: would-be contention replayed at %d CPUs; \
-             util > 1 means the class saturates)\n"
-            cpus;
           (match Sim.Lockstat.cycles reg with
           | [] -> Printf.printf "  lock order: acyclic\n"
           | cycles ->

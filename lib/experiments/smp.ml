@@ -12,8 +12,7 @@
     part ways: BSD VM backs it with one shared anonymous object whose
     lock every write-mode fault takes, while UVM resolves the same
     faults in the shared amap — so at 4 CPUs the BSD object class tops
-    the measured wait table and UVM's does not, the measured counterpart
-    of {!Sim.Lockstat.project}'s prediction.
+    the measured wait table and UVM's does not.
 
     Mid-storm, every [audit_every] quanta, both kernels' full invariant
     audits run — including the sharding sums and the lockless-lookup

@@ -144,26 +144,16 @@ module Make (V : Vmiface.Vm_sig.VM_SYS) = struct
     let m = V.machine sys in
     Sim.Span.start m.Machine.spans ~subsys:"ipc" ~ts:(Machine.now m) name
 
-  let span_finish sys sp ~detail =
+  (* Every send/recv is one span; its details are built only when the
+     collector is on. *)
+  let span_finish sys sp ~how ~bytes ~chan =
     let m = V.machine sys in
-    Sim.Span.finish m.Machine.spans sp ~ts:(Machine.now m) ~detail ()
-
-  let record sys ~ts name ~how ~bytes ~chan =
-    let m = V.machine sys in
-    if Sim.Hist.enabled m.Machine.hist then begin
-      let dur = Machine.now m -. ts in
-      Sim.Hist.record m.Machine.hist ~subsys:Sim.Hist.Ipc ~ts ~dur
-        ~detail:
-          [
-            ("how", how);
-            ("bytes", string_of_int bytes);
-            ("chan", string_of_int chan);
-          ]
-        name;
-      Sim.Histogram.observe
-        (Sim.Histogram.get m.Machine.latencies ("ipc_" ^ name ^ "_us"))
-        dur
-    end
+    Sim.Span.finish_with m.Machine.spans sp ~ts:(Machine.now m) (fun () ->
+        [
+          ("how", how);
+          ("bytes", string_of_int bytes);
+          ("chan", string_of_int chan);
+        ])
 
   (* Wire the user buffer for a physio-style transfer. *)
   let with_vslock sys vm ~addr ~len f =
@@ -224,7 +214,6 @@ module Make (V : Vmiface.Vm_sig.VM_SYS) = struct
     if len < 0 then invalid_arg "Ipc.send: negative length";
     let m = V.machine sys in
     let span = span_start sys "send" in
-    let t0 = Machine.now m in
     charge sys m.Machine.costs.Sim.Cost_model.syscall_overhead;
     (* The channel lock covers admission and the data move.  Zero-copy
        staging faults the sender's pages under it, so the registry sees
@@ -252,10 +241,7 @@ module Make (V : Vmiface.Vm_sig.VM_SYS) = struct
       end;
       n
     in
-    span_finish sys span
-      ~detail:
-        [ ("how", policy_name policy); ("bytes", string_of_int n) ];
-    record sys ~ts:t0 "send" ~how:(policy_name policy) ~bytes:n ~chan:ch.id;
+    span_finish sys span ~how:(policy_name policy) ~bytes:n ~chan:ch.id;
     n
 
   (* Deadline semantics for overloaded receivers.  [send] keeps its
@@ -271,10 +257,9 @@ module Make (V : Vmiface.Vm_sig.VM_SYS) = struct
     match ch.rx_state with
     | Rx_dead -> Error Peer_dead
     | Rx_swapped when len > 0 && ch.cap - ch.q_len <= 0 ->
+        let span = span_start sys "send" in
         charge sys deadline_wait_us;
-        record sys
-          ~ts:(Machine.now (V.machine sys))
-          "send" ~how:"timed_out" ~bytes:0 ~chan:ch.id;
+        span_finish sys span ~how:"timed_out" ~bytes:0 ~chan:ch.id;
         Error Timed_out
     | Rx_alive | Rx_swapped ->
         Ok (send sys vm ?vslocked ch ~policy ~addr ~len)
@@ -300,7 +285,6 @@ module Make (V : Vmiface.Vm_sig.VM_SYS) = struct
   let recv sys vm ?(vslocked = false) ?(accept_mapped = false) ch ~addr ~len =
     let m = V.machine sys in
     let span = span_start sys "recv" in
-    let t0 = Machine.now m in
     charge sys m.Machine.costs.Sim.Cost_model.syscall_overhead;
     let ls = m.Machine.locks in
     let cl = Sim.Lockstat.instance ls ~cls:"ipc" ~id:ch.id in
@@ -353,17 +337,8 @@ module Make (V : Vmiface.Vm_sig.VM_SYS) = struct
     | Data _ | Mapped _ ->
         m.Machine.stats.Sim.Stats.ipc_recvs <-
           m.Machine.stats.Sim.Stats.ipc_recvs + 1);
-    span_finish sys span
-      ~detail:
-        [
-          ("how", match result with Data _ -> "data" | Mapped _ -> "mapped");
-          ( "bytes",
-            string_of_int (match result with Data n -> n | Mapped d -> d.len)
-          );
-        ];
-    record sys ~ts:t0 "recv"
-      ~how:(match result with Data _ -> "data" | Mapped _ -> "mapped")
-      ~bytes:(match result with Data n -> n | Mapped d -> d.len)
-      ~chan:ch.id;
+    (match result with
+    | Data n -> span_finish sys span ~how:"data" ~bytes:n ~chan:ch.id
+    | Mapped d -> span_finish sys span ~how:"mapped" ~bytes:d.len ~chan:ch.id);
     result
 end

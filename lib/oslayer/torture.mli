@@ -117,7 +117,7 @@ type cfg = {
           reaches the threshold *)
   ram_pages : int;
   swap_pages : int;
-  trace_buf : int;  (** event-ring capacity per machine, for artifacts *)
+  trace_buf : int;  (** span-ring capacity per machine, for artifacts *)
   tiers : bool;
       (** boot both kernels on a fast+slow swap-tier pair (same total
           slot budget) so audits cover cross-tier accounting *)

@@ -37,8 +37,8 @@ val merge : into:t -> t -> unit
 
 (** {1 Named collections}
 
-    A machine keeps one [set] and call sites look up their series by
-    name ("fault_us", "pagein_us", ...), creating it on first use. *)
+    A span collector keeps one [set], one series per span name
+    ("fault", "pagein", ...), each created on first use. *)
 
 type set
 

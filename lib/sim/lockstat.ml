@@ -3,19 +3,6 @@ type mode = Read | Write
 let known_classes =
   [ "map"; "amap"; "object"; "pagequeue"; "swap"; "ipc"; "pdaemon"; "oom" ]
 
-(* A completed hold, kept (bounded) for the contention replay. *)
-type interval = {
-  iv_inst : int;
-  iv_mode : mode;
-  iv_start : float;
-  iv_dur : float;
-}
-
-(* The replay ring grows on demand up to this many intervals per class;
-   past it the oldest recordings are overwritten (recent behaviour is
-   what the projection should model). *)
-let interval_cap = 4096
-
 type cls_stats = {
   c_name : string;
   c_spanned : bool;  (** emit "lock:<cls>" spans for holds of this class *)
@@ -29,9 +16,6 @@ type cls_stats = {
   c_by_subsys : (string, int ref * float ref) Hashtbl.t;
   mutable c_hold_total : float;
   mutable c_max_hold : float;
-  mutable c_iv : interval array;
-  mutable c_iv_len : int;  (** live entries *)
-  mutable c_iv_next : int;  (** next write position once at capacity *)
 }
 
 type lock = {
@@ -67,8 +51,6 @@ type t = {
   now : unit -> float;
   mutable enabled : bool;
   mutable spans : Span.t option;
-  mutable hist : Hist.t option;
-  mutable latencies : Histogram.set option;
   classes : (string, cls_stats) Hashtbl.t;
   mutable class_order : string list;  (** registration order, reversed *)
   insts : (string * int, lock) Hashtbl.t;
@@ -83,8 +65,6 @@ let create ?(enabled = false) ~now () =
     now;
     enabled;
     spans = None;
-    hist = None;
-    latencies = None;
     classes = Hashtbl.create 8;
     class_order = [];
     insts = Hashtbl.create 64;
@@ -97,8 +77,6 @@ let create ?(enabled = false) ~now () =
 let enabled t = t.enabled
 let set_enabled t v = t.enabled <- v
 let set_spans t v = t.spans <- v
-let set_hist t v = t.hist <- v
-let set_latencies t v = t.latencies <- v
 let set_observer t v = t.observer <- v
 
 let spans_on t =
@@ -127,9 +105,6 @@ let get_class t cls =
           c_by_subsys = Hashtbl.create 8;
           c_hold_total = 0.0;
           c_max_hold = 0.0;
-          c_iv = [||];
-          c_iv_len = 0;
-          c_iv_next = 0;
         }
       in
       Hashtbl.replace t.classes cls c;
@@ -243,27 +218,6 @@ let remove_held t lock =
   in
   t.held_stack <- go t.held_stack
 
-let push_interval c iv =
-  let cap = Array.length c.c_iv in
-  if c.c_iv_len < cap then begin
-    c.c_iv.(c.c_iv_len) <- iv;
-    c.c_iv_len <- c.c_iv_len + 1
-  end
-  else if cap = 0 then begin
-    c.c_iv <- Array.make 64 iv;
-    c.c_iv_len <- 1
-  end
-  else if cap < interval_cap then begin
-    let bigger = Array.make (min interval_cap (2 * cap)) iv in
-    Array.blit c.c_iv 0 bigger 0 cap;
-    c.c_iv <- bigger;
-    c.c_iv_len <- cap + 1
-  end
-  else begin
-    c.c_iv.(c.c_iv_next) <- iv;
-    c.c_iv_next <- (c.c_iv_next + 1) mod cap
-  end
-
 let release t lock =
   if lock.l_depth > 1 then lock.l_depth <- lock.l_depth - 1
   else if lock.l_depth = 1 then begin
@@ -289,12 +243,8 @@ let release t lock =
         lock.l_span <- None;
         (match t.spans with
         | Some spc ->
-            Span.finish spc sp ~ts:now
-              ~detail:
-                [
-                  ("class", lock.l_cls.c_name); ("instance", lock.l_name);
-                ]
-              ()
+            Span.finish_with spc sp ~ts:now (fun () ->
+                [ ("class", lock.l_cls.c_name); ("instance", lock.l_name) ])
         | None -> ())
     | None -> ());
     if lock.l_recorded then begin
@@ -313,28 +263,7 @@ let release t lock =
           incr n;
           tot := !tot +. held_us
       | None ->
-          Hashtbl.replace c.c_by_subsys lock.l_subsys (ref 1, ref held_us));
-      push_interval c
-        {
-          iv_inst = lock.l_inst;
-          iv_mode = lock.l_mode;
-          iv_start = lock.l_since;
-          iv_dur = held_us;
-        };
-      (* Legacy map-lock trace shape: the Hist.Map event and the
-         "map_lock_us" series predate the registry and stay byte-for-byte
-         so existing consumers (tests, dashboards) keep working. *)
-      if c.c_name = "map" then begin
-        (match t.hist with
-        | Some h when Hist.enabled h ->
-            Hist.record h ~subsys:Hist.Map ~ts:lock.l_since ~dur:held_us
-              ~detail:[ ("instance", lock.l_name) ]
-              "map_lock"
-        | _ -> ());
-        match t.latencies with
-        | Some set -> Histogram.observe (Histogram.get set "map_lock_us") held_us
-        | None -> ()
-      end
+          Hashtbl.replace c.c_by_subsys lock.l_subsys (ref 1, ref held_us))
     end
   end
 
@@ -457,140 +386,6 @@ let cycles t =
   Hashtbl.iter (fun node _ -> dfs [ node ] node) adj;
   List.sort compare !out
 
-(* {1 Would-be-contention model} *)
-
-type projection = {
-  pj_cpus : int;
-  pj_events : int;
-  pj_wait_us : float;
-  pj_mean_wait_us : float;
-  pj_max_wait_us : float;
-  pj_bounces : int;
-  pj_utilization : float;
-}
-
-(* Chronological copy of a class's interval ring. *)
-let intervals_of c =
-  let n = c.c_iv_len in
-  if n = 0 then [||]
-  else begin
-    let cap = Array.length c.c_iv in
-    let out =
-      if n < cap || c.c_iv_next = 0 then Array.sub c.c_iv 0 n
-      else
-        Array.append
-          (Array.sub c.c_iv c.c_iv_next (cap - c.c_iv_next))
-          (Array.sub c.c_iv 0 c.c_iv_next)
-    in
-    Array.sort (fun a b -> compare a.iv_start b.iv_start) out;
-    out
-  end
-
-type ev = { e_arr : float; e_dur : float; e_mode : mode; e_inst : int; e_cpu : int }
-
-let project t ~cls ~cpus ~seed =
-  match Hashtbl.find_opt t.classes cls with
-  | None -> None
-  | Some c ->
-      let ivs = intervals_of c in
-      let n = Array.length ivs in
-      if n = 0 || cpus < 1 then None
-      else begin
-        let gaps =
-          if n < 2 then [| 1.0 |]
-          else
-            Array.init (n - 1) (fun i ->
-                Float.max 0.0 (ivs.(i + 1).iv_start -. ivs.(i).iv_start))
-        in
-        let rng = Rng.create ~seed in
-        let events = ref [] in
-        (* CPU 0 replays the recording verbatim. *)
-        Array.iter
-          (fun iv ->
-            events :=
-              {
-                e_arr = iv.iv_start;
-                e_dur = iv.iv_dur;
-                e_mode = iv.iv_mode;
-                e_inst = iv.iv_inst;
-                e_cpu = 0;
-              }
-              :: !events)
-          ivs;
-        (* Every further CPU resamples the recorded arrival process and
-           (instance, mode, duration) triples: the same workload shape,
-           phase-shifted — a fault storm from another core. *)
-        let mean_gap =
-          Array.fold_left ( +. ) 0.0 gaps /. float_of_int (Array.length gaps)
-        in
-        for cpu = 1 to cpus - 1 do
-          let arr = ref (ivs.(0).iv_start +. Rng.float rng (Float.max mean_gap 1.0)) in
-          for _ = 1 to n do
-            let src = ivs.(Rng.int rng n) in
-            events :=
-              {
-                e_arr = !arr;
-                e_dur = src.iv_dur;
-                e_mode = src.iv_mode;
-                e_inst = src.iv_inst;
-                e_cpu = cpu;
-              }
-              :: !events;
-            arr := !arr +. gaps.(Rng.int rng (Array.length gaps))
-          done
-        done;
-        let evs = List.sort (fun a b -> compare a.e_arr b.e_arr) !events in
-        (* Per-instance reader/writer replay. *)
-        let state = Hashtbl.create 16 in
-        let wait_total = ref 0.0 in
-        let wait_max = ref 0.0 in
-        let bounces = ref 0 in
-        let busy = ref 0.0 in
-        let t_lo = ref infinity in
-        let t_hi = ref neg_infinity in
-        let nev = ref 0 in
-        List.iter
-          (fun e ->
-            incr nev;
-            let write_until, read_until, last_cpu =
-              match Hashtbl.find_opt state e.e_inst with
-              | Some s -> s
-              | None ->
-                  let s = (ref 0.0, ref 0.0, ref (-1)) in
-                  Hashtbl.replace state e.e_inst s;
-                  s
-            in
-            let start =
-              match e.e_mode with
-              | Read -> Float.max e.e_arr !write_until
-              | Write -> Float.max e.e_arr (Float.max !write_until !read_until)
-            in
-            let fin = start +. e.e_dur in
-            (match e.e_mode with
-            | Read -> read_until := Float.max !read_until fin
-            | Write -> write_until := fin);
-            let wait = start -. e.e_arr in
-            wait_total := !wait_total +. wait;
-            if wait > !wait_max then wait_max := wait;
-            if !last_cpu >= 0 && !last_cpu <> e.e_cpu then incr bounces;
-            last_cpu := e.e_cpu;
-            busy := !busy +. e.e_dur;
-            if e.e_arr < !t_lo then t_lo := e.e_arr;
-            if fin > !t_hi then t_hi := fin)
-          evs;
-        let elapsed = Float.max (!t_hi -. !t_lo) 1e-9 in
-        Some
-          {
-            pj_cpus = cpus;
-            pj_events = !nev;
-            pj_wait_us = !wait_total;
-            pj_mean_wait_us = !wait_total /. float_of_int (max 1 !nev);
-            pj_max_wait_us = !wait_max;
-            pj_bounces = !bounces;
-            pj_utilization = !busy /. elapsed;
-          }
-      end
-
 let merge ~into src =
   Hashtbl.iter
     (fun cls c ->
@@ -611,8 +406,7 @@ let merge ~into src =
           | None -> Hashtbl.replace d.c_by_subsys subsys (ref !n, ref !tot))
         c.c_by_subsys;
       d.c_hold_total <- d.c_hold_total +. c.c_hold_total;
-      if c.c_max_hold > d.c_max_hold then d.c_max_hold <- c.c_max_hold;
-      Array.iter (fun iv -> push_interval d iv) (intervals_of c))
+      if c.c_max_hold > d.c_max_hold then d.c_max_hold <- c.c_max_hold)
     src.classes;
   Hashtbl.iter
     (fun (a, b) n ->

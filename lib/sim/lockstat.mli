@@ -6,10 +6,10 @@
     module gives each of them a registered lock {e now}: one instrumented
     acquire/release API that records per-class hold-time histograms
     (split by read/write mode and by the holding subsystem, attributed
-    via the active {!Span}), a dynamic class-level lock-order graph with
-    cycle detection (the lockdep analogue, consumed by [Check.Lock]
-    audits), and per-instance hold intervals that a would-be-contention
-    model replays against N simulated CPUs.
+    via the active {!Span}), and a dynamic class-level lock-order graph
+    with cycle detection (the lockdep analogue, consumed by [Check.Lock]
+    audits).  Contention itself is measured, not modelled: {!Smp} drives
+    the observer hook below.
 
     A registry is cheap when inactive: acquire/release on a machine
     booted without tracing is a couple of field tests and no
@@ -40,14 +40,6 @@ val set_spans : t -> Span.t option -> unit
     innermost non-lock open span attributes the hold to a subsystem.
     The pagequeue class is exempt (its leaf operations would flood the
     ring with zero-duration spans). *)
-
-val set_hist : t -> Hist.t option -> unit
-(** Event-ring sink, used for the legacy ["map_lock"] {!Hist.Map} events
-    so the map class keeps exactly the trace shape it had before the
-    registry existed. *)
-
-val set_latencies : t -> Histogram.set option -> unit
-(** Latency-set sink for the legacy ["map_lock_us"] series. *)
 
 val active : t -> bool
 (** True when acquires record anything: the registry is enabled, or its
@@ -97,9 +89,9 @@ val acquire_root : t -> lock -> mode:mode -> unit
 
 val release : t -> lock -> unit
 (** Close the hold: observes the class histograms (total and per-mode),
-    attributes the hold to the subsystem captured at acquire, appends
-    the interval to the class's bounded replay ring and finishes the
-    lock span.  Balanced with {!acquire} even across {!active} flips. *)
+    attributes the hold to the subsystem captured at acquire and
+    finishes the lock span.  Balanced with {!acquire} even across
+    {!active} flips. *)
 
 val held : t -> (string * string) list
 (** Currently held (class, instance-name) pairs, innermost first — the
@@ -149,29 +141,7 @@ val cycles : t -> string list list
     start at the lexicographically-smallest class and deduplicated.
     Empty means lock-order clean. *)
 
-(** {1 Would-be-contention model} *)
-
-type projection = {
-  pj_cpus : int;
-  pj_events : int;  (** replayed acquires across all simulated CPUs *)
-  pj_wait_us : float;  (** projected total wait *)
-  pj_mean_wait_us : float;
-  pj_max_wait_us : float;
-  pj_bounces : int;  (** consecutive holds by different CPUs *)
-  pj_utilization : float;  (** hold time / replay window *)
-}
-
-val project : t -> cls:string -> cpus:int -> seed:int -> projection option
-(** Replay the class's recorded per-instance hold intervals against
-    [cpus] simulated CPUs: CPU 0 replays the recording verbatim; each
-    further CPU replays a stream with the same length whose arrivals
-    resample the recorded inter-arrival gaps and whose holds resample
-    the recorded (instance, mode, duration) triples, all from a
-    [seed]-deterministic generator.  Merged arrivals then queue on a
-    per-instance reader/writer lock: readers admit concurrently, writers
-    exclusively.  [None] when the class recorded no intervals. *)
-
 val merge : into:t -> t -> unit
 (** Fold a registry's recorded data (counts, histograms, attribution,
-    intervals, order edges) into [into] — label-level aggregation across
+    order edges) into [into] — label-level aggregation across
     several boots of the same system. *)

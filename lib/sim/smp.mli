@@ -86,5 +86,4 @@ val total_wait_us : t -> float
 val total_bounces : t -> int
 
 val wait_by_class : t -> (string * float) list
-(** Contention wait per lock class summed over CPUs, largest first —
-    the measured replacement for {!Lockstat.project}'s numbers. *)
+(** Contention wait per lock class summed over CPUs, largest first. *)

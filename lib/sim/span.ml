@@ -1,11 +1,13 @@
-(* Causal spans: request-scoped trace trees over simulated time.
+(* Causal spans: request-scoped trace trees over simulated time, and the
+   simulator's only kernel event source.
 
    The simulator is sequential, so span activation is strictly LIFO: a
    fault span opens, the pagein it triggers opens inside it, the drain
    the pagein's allocation forces opens inside that.  A plain stack is
    therefore enough to reconstruct the whole causal tree — no context
-   threading through the kernels, just [start]/[finish] pairs at the
-   places that already trace Hist events. *)
+   threading through the kernels, just one [start]/[finish] pair per
+   instrumented cut point.  Latency histograms are a view over the same
+   stream: each finished span feeds the histogram of its name. *)
 
 type span = {
   sid : int;  (* unique per collector, > 0; the dummy is 0 *)
@@ -39,6 +41,7 @@ type t = {
   mutable next : int;
   mutable count : int;
   mutable total : int;
+  lat : Histogram.set;  (* per span name, fed at finish; survives [clear] *)
 }
 
 let create ?(capacity = 4096) ?(enabled = false) () =
@@ -52,6 +55,7 @@ let create ?(capacity = 4096) ?(enabled = false) () =
     next = 0;
     count = 0;
     total = 0;
+    lat = Histogram.create_set ();
   }
 
 let enabled t = t.on
@@ -93,7 +97,8 @@ let push_finished t sp =
   t.buf.(t.next) <- sp;
   t.next <- (t.next + 1) mod cap;
   if t.count < cap then t.count <- t.count + 1;
-  t.total <- t.total + 1
+  t.total <- t.total + 1;
+  Histogram.observe (Histogram.get t.lat sp.sname) sp.sdur
 
 let close sp ~ts ~detail =
   sp.sdur <- ts -. sp.sts;
@@ -119,6 +124,17 @@ let finish t sp ~ts ?(detail = []) () =
     in
     t.stack <- pop t.stack
   end
+
+(* The detail thunk runs only for a live span, so an untraced run
+   builds no detail strings at all. *)
+let finish_with t sp ~ts detail =
+  if sp != dummy_span && sp.sdur < 0.0 then
+    finish t sp ~ts ~detail:(detail ()) ()
+
+let point t ~subsys ~ts name detail =
+  if t.on then finish_with t (start t ~subsys ~ts name) ~ts detail
+
+let latencies t = Histogram.rows t.lat
 
 let spans t =
   let cap = Array.length t.buf in

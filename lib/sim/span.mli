@@ -1,15 +1,18 @@
-(** Causal spans: request-scoped trace trees over simulated time.
+(** Causal spans: request-scoped trace trees over simulated time — the
+    simulator's single kernel event source (UVMHIST's counterpart).
 
-    Where {!Hist} answers "what happened", spans answer "why was this
-    request slow": every span records which open span caused it, and all
-    spans triggered by one root share a trace id.  The simulator is
+    Spans answer both "what happened" and "why was this request slow":
+    every span records which open span caused it, and all spans
+    triggered by one root share a trace id.  The simulator is
     sequential, so activation is strictly LIFO and the collector needs
-    only a stack — kernels call [start]/[finish] at the same places they
-    record Hist events, with no context threading.
+    only a stack — each instrumented cut point makes one
+    [start]/[finish] pair, with no context threading.  Point events
+    (device death, a blacklisted slot) are zero-length spans, and the
+    latency histograms are a view computed as spans finish.
 
-    Like {!Hist}, a disabled collector costs one boolean check per
-    [start] and allocates nothing (a shared dummy span is returned and
-    [finish] ignores it). *)
+    A disabled collector costs one boolean check per [start] and
+    allocates nothing (a shared dummy span is returned and [finish]
+    ignores it). *)
 
 type span = {
   sid : int;  (** unique span id, > 0 ([0] only on the dummy) *)
@@ -41,6 +44,27 @@ val finish : t -> span -> ts:float -> ?detail:(string * string) list -> unit -> 
     were left open (an exception skipped their [finish]), they are
     closed at the same timestamp first so the tree stays well-formed.
     A no-op on the dummy span or an already-finished span. *)
+
+val finish_with :
+  t -> span -> ts:float -> (unit -> (string * string) list) -> unit
+(** [finish] with a detail thunk, forced only when [span] is live — the
+    kernels' cut points use it so an untraced run builds no details. *)
+
+val point :
+  t ->
+  subsys:string ->
+  ts:float ->
+  string ->
+  (unit -> (string * string) list) ->
+  unit
+(** A zero-length span at [ts] (a point event), child of the innermost
+    open span.  A no-op on a disabled collector. *)
+
+val latencies : t -> (string * Histogram.t) list
+(** One duration histogram per span name (simulated µs), fed as spans
+    finish while the collector is on; non-empty series sorted by name.
+    Unlike the ring, the histograms survive {!clear}: they describe the
+    collector's whole life. *)
 
 val spans : t -> span list
 (** Finished spans, oldest first (bounded by [capacity]). *)

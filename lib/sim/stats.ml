@@ -162,337 +162,206 @@ let create () =
     swapcache_pages = 0;
   }
 
-let reset t =
-  t.faults <- 0;
-  t.fault_ahead_mapped <- 0;
-  t.fault_ahead_used <- 0;
-  t.fault_ahead_wasted <- 0;
-  t.pageins <- 0;
-  t.pageouts <- 0;
-  t.disk_read_ops <- 0;
-  t.disk_write_ops <- 0;
-  t.disk_pages_read <- 0;
-  t.disk_pages_written <- 0;
-  t.pages_copied <- 0;
-  t.pages_zeroed <- 0;
-  t.map_entries_allocated <- 0;
-  t.map_entries_freed <- 0;
-  t.objects_allocated <- 0;
-  t.pager_structs_allocated <- 0;
-  t.hash_lookups <- 0;
-  t.collapse_attempts <- 0;
-  t.collapse_successes <- 0;
-  t.anons_allocated <- 0;
-  t.anons_freed <- 0;
-  t.amaps_allocated <- 0;
-  t.amaps_freed <- 0;
-  t.shadow_objects_allocated <- 0;
-  t.obj_cache_hits <- 0;
-  t.obj_cache_misses <- 0;
-  t.obj_cache_evictions <- 0;
-  t.vnode_recycles <- 0;
-  t.cow_copies <- 0;
-  t.cow_reuses <- 0;
-  t.loanouts <- 0;
-  t.pages_loaned <- 0;
-  t.page_transfers <- 0;
-  t.swap_slots_allocated <- 0;
-  t.swap_slots_freed <- 0;
-  t.pmap_enters <- 0;
-  t.pmap_removes <- 0;
-  t.pmap_protects <- 0;
-  t.lock_acquisitions <- 0;
-  t.map_lock_held_us <- 0.0;
-  t.io_errors_injected <- 0;
-  t.pageout_retries <- 0;
-  t.pageouts_recovered <- 0;
-  t.pageins_failed <- 0;
-  t.bad_slots <- 0;
-  t.swap_full_events <- 0;
-  t.ipc_sends <- 0;
-  t.ipc_recvs <- 0;
-  t.ipc_bytes_copied <- 0;
-  t.ipc_bytes_loaned <- 0;
-  t.ipc_bytes_mapped <- 0;
-  t.vslock_ios <- 0;
-  t.swap_devices_dead <- 0;
-  t.swap_failovers <- 0;
-  t.swap_migrations <- 0;
-  t.swap_cache_fills <- 0;
-  t.swap_cache_hits <- 0;
-  t.swap_cache_evictions <- 0;
-  t.oom_kills <- 0;
-  t.rlimit_denials <- 0;
-  t.proc_swapouts <- 0;
-  t.proc_swapins <- 0;
-  t.reserve_grabs <- 0;
-  t.lookup_fast_hits <- 0;
-  t.lookup_locked <- 0;
-  t.cache_alloc_hits <- 0;
-  t.cache_alloc_misses <- 0;
-  t.cache_refills <- 0;
-  t.cache_drains <- 0;
-  t.cache_steals <- 0;
-  t.line_bounces <- 0;
-  t.lock_wait_us <- 0.0;
-  t.free_pages <- 0;
-  t.active_pages <- 0;
-  t.inactive_pages <- 0;
-  t.swap_slots_used <- 0;
-  t.swapcache_pages <- 0
-
 let snapshot t = { t with faults = t.faults }
 
-let diff ~after ~before =
+(* The one field table every generic operation derives from.  Values
+   travel as floats: the two duration fields are floats already, and the
+   int counters stay far below 2^53, so the round trip is exact. *)
+type kind = Counter | Gauge
+
+type field = {
+  name : string;
+  kind : kind;
+  get : t -> float;
+  set : t -> float -> unit;
+}
+
+let int_field ?(kind = Counter) name get set =
   {
-    faults = after.faults - before.faults;
-    fault_ahead_mapped = after.fault_ahead_mapped - before.fault_ahead_mapped;
-    fault_ahead_used = after.fault_ahead_used - before.fault_ahead_used;
-    fault_ahead_wasted = after.fault_ahead_wasted - before.fault_ahead_wasted;
-    pageins = after.pageins - before.pageins;
-    pageouts = after.pageouts - before.pageouts;
-    disk_read_ops = after.disk_read_ops - before.disk_read_ops;
-    disk_write_ops = after.disk_write_ops - before.disk_write_ops;
-    disk_pages_read = after.disk_pages_read - before.disk_pages_read;
-    disk_pages_written = after.disk_pages_written - before.disk_pages_written;
-    pages_copied = after.pages_copied - before.pages_copied;
-    pages_zeroed = after.pages_zeroed - before.pages_zeroed;
-    map_entries_allocated =
-      after.map_entries_allocated - before.map_entries_allocated;
-    map_entries_freed = after.map_entries_freed - before.map_entries_freed;
-    objects_allocated = after.objects_allocated - before.objects_allocated;
-    pager_structs_allocated =
-      after.pager_structs_allocated - before.pager_structs_allocated;
-    hash_lookups = after.hash_lookups - before.hash_lookups;
-    collapse_attempts = after.collapse_attempts - before.collapse_attempts;
-    collapse_successes = after.collapse_successes - before.collapse_successes;
-    anons_allocated = after.anons_allocated - before.anons_allocated;
-    anons_freed = after.anons_freed - before.anons_freed;
-    amaps_allocated = after.amaps_allocated - before.amaps_allocated;
-    amaps_freed = after.amaps_freed - before.amaps_freed;
-    shadow_objects_allocated =
-      after.shadow_objects_allocated - before.shadow_objects_allocated;
-    obj_cache_hits = after.obj_cache_hits - before.obj_cache_hits;
-    obj_cache_misses = after.obj_cache_misses - before.obj_cache_misses;
-    obj_cache_evictions = after.obj_cache_evictions - before.obj_cache_evictions;
-    vnode_recycles = after.vnode_recycles - before.vnode_recycles;
-    cow_copies = after.cow_copies - before.cow_copies;
-    cow_reuses = after.cow_reuses - before.cow_reuses;
-    loanouts = after.loanouts - before.loanouts;
-    pages_loaned = after.pages_loaned - before.pages_loaned;
-    page_transfers = after.page_transfers - before.page_transfers;
-    swap_slots_allocated =
-      after.swap_slots_allocated - before.swap_slots_allocated;
-    swap_slots_freed = after.swap_slots_freed - before.swap_slots_freed;
-    pmap_enters = after.pmap_enters - before.pmap_enters;
-    pmap_removes = after.pmap_removes - before.pmap_removes;
-    pmap_protects = after.pmap_protects - before.pmap_protects;
-    lock_acquisitions = after.lock_acquisitions - before.lock_acquisitions;
-    map_lock_held_us = after.map_lock_held_us -. before.map_lock_held_us;
-    io_errors_injected = after.io_errors_injected - before.io_errors_injected;
-    pageout_retries = after.pageout_retries - before.pageout_retries;
-    pageouts_recovered = after.pageouts_recovered - before.pageouts_recovered;
-    pageins_failed = after.pageins_failed - before.pageins_failed;
-    bad_slots = after.bad_slots - before.bad_slots;
-    swap_full_events = after.swap_full_events - before.swap_full_events;
-    ipc_sends = after.ipc_sends - before.ipc_sends;
-    ipc_recvs = after.ipc_recvs - before.ipc_recvs;
-    ipc_bytes_copied = after.ipc_bytes_copied - before.ipc_bytes_copied;
-    ipc_bytes_loaned = after.ipc_bytes_loaned - before.ipc_bytes_loaned;
-    ipc_bytes_mapped = after.ipc_bytes_mapped - before.ipc_bytes_mapped;
-    vslock_ios = after.vslock_ios - before.vslock_ios;
-    swap_devices_dead = after.swap_devices_dead - before.swap_devices_dead;
-    swap_failovers = after.swap_failovers - before.swap_failovers;
-    swap_migrations = after.swap_migrations - before.swap_migrations;
-    swap_cache_fills = after.swap_cache_fills - before.swap_cache_fills;
-    swap_cache_hits = after.swap_cache_hits - before.swap_cache_hits;
-    swap_cache_evictions =
-      after.swap_cache_evictions - before.swap_cache_evictions;
-    oom_kills = after.oom_kills - before.oom_kills;
-    rlimit_denials = after.rlimit_denials - before.rlimit_denials;
-    proc_swapouts = after.proc_swapouts - before.proc_swapouts;
-    proc_swapins = after.proc_swapins - before.proc_swapins;
-    reserve_grabs = after.reserve_grabs - before.reserve_grabs;
-    lookup_fast_hits = after.lookup_fast_hits - before.lookup_fast_hits;
-    lookup_locked = after.lookup_locked - before.lookup_locked;
-    cache_alloc_hits = after.cache_alloc_hits - before.cache_alloc_hits;
-    cache_alloc_misses = after.cache_alloc_misses - before.cache_alloc_misses;
-    cache_refills = after.cache_refills - before.cache_refills;
-    cache_drains = after.cache_drains - before.cache_drains;
-    cache_steals = after.cache_steals - before.cache_steals;
-    line_bounces = after.line_bounces - before.line_bounces;
-    lock_wait_us = after.lock_wait_us -. before.lock_wait_us;
-    free_pages = after.free_pages - before.free_pages;
-    active_pages = after.active_pages - before.active_pages;
-    inactive_pages = after.inactive_pages - before.inactive_pages;
-    swap_slots_used = after.swap_slots_used - before.swap_slots_used;
-    swapcache_pages = after.swapcache_pages - before.swapcache_pages;
+    name;
+    kind;
+    get = (fun t -> float_of_int (get t));
+    set = (fun t v -> set t (int_of_float v));
   }
+
+let gauge name get set = int_field ~kind:Gauge name get set
+let float_field name get set = { name; kind = Counter; get; set }
+
+let fields =
+  [
+    int_field "faults" (fun t -> t.faults) (fun t v -> t.faults <- v);
+    int_field "fault_ahead_mapped" (fun t -> t.fault_ahead_mapped) (fun t v ->
+        t.fault_ahead_mapped <- v);
+    int_field "fault_ahead_used" (fun t -> t.fault_ahead_used) (fun t v ->
+        t.fault_ahead_used <- v);
+    int_field "fault_ahead_wasted" (fun t -> t.fault_ahead_wasted) (fun t v ->
+        t.fault_ahead_wasted <- v);
+    int_field "pageins" (fun t -> t.pageins) (fun t v -> t.pageins <- v);
+    int_field "pageouts" (fun t -> t.pageouts) (fun t v -> t.pageouts <- v);
+    int_field "disk_read_ops" (fun t -> t.disk_read_ops) (fun t v ->
+        t.disk_read_ops <- v);
+    int_field "disk_write_ops" (fun t -> t.disk_write_ops) (fun t v ->
+        t.disk_write_ops <- v);
+    int_field "disk_pages_read" (fun t -> t.disk_pages_read) (fun t v ->
+        t.disk_pages_read <- v);
+    int_field "disk_pages_written" (fun t -> t.disk_pages_written) (fun t v ->
+        t.disk_pages_written <- v);
+    int_field "pages_copied" (fun t -> t.pages_copied) (fun t v ->
+        t.pages_copied <- v);
+    int_field "pages_zeroed" (fun t -> t.pages_zeroed) (fun t v ->
+        t.pages_zeroed <- v);
+    int_field "map_entries_allocated"
+      (fun t -> t.map_entries_allocated)
+      (fun t v -> t.map_entries_allocated <- v);
+    int_field "map_entries_freed" (fun t -> t.map_entries_freed) (fun t v ->
+        t.map_entries_freed <- v);
+    int_field "objects_allocated" (fun t -> t.objects_allocated) (fun t v ->
+        t.objects_allocated <- v);
+    int_field "pager_structs_allocated"
+      (fun t -> t.pager_structs_allocated)
+      (fun t v -> t.pager_structs_allocated <- v);
+    int_field "hash_lookups" (fun t -> t.hash_lookups) (fun t v ->
+        t.hash_lookups <- v);
+    int_field "collapse_attempts" (fun t -> t.collapse_attempts) (fun t v ->
+        t.collapse_attempts <- v);
+    int_field "collapse_successes" (fun t -> t.collapse_successes) (fun t v ->
+        t.collapse_successes <- v);
+    int_field "anons_allocated" (fun t -> t.anons_allocated) (fun t v ->
+        t.anons_allocated <- v);
+    int_field "anons_freed" (fun t -> t.anons_freed) (fun t v ->
+        t.anons_freed <- v);
+    int_field "amaps_allocated" (fun t -> t.amaps_allocated) (fun t v ->
+        t.amaps_allocated <- v);
+    int_field "amaps_freed" (fun t -> t.amaps_freed) (fun t v ->
+        t.amaps_freed <- v);
+    int_field "shadow_objects_allocated"
+      (fun t -> t.shadow_objects_allocated)
+      (fun t v -> t.shadow_objects_allocated <- v);
+    int_field "obj_cache_hits" (fun t -> t.obj_cache_hits) (fun t v ->
+        t.obj_cache_hits <- v);
+    int_field "obj_cache_misses" (fun t -> t.obj_cache_misses) (fun t v ->
+        t.obj_cache_misses <- v);
+    int_field "obj_cache_evictions" (fun t -> t.obj_cache_evictions) (fun t v ->
+        t.obj_cache_evictions <- v);
+    int_field "vnode_recycles" (fun t -> t.vnode_recycles) (fun t v ->
+        t.vnode_recycles <- v);
+    int_field "cow_copies" (fun t -> t.cow_copies) (fun t v ->
+        t.cow_copies <- v);
+    int_field "cow_reuses" (fun t -> t.cow_reuses) (fun t v ->
+        t.cow_reuses <- v);
+    int_field "loanouts" (fun t -> t.loanouts) (fun t v -> t.loanouts <- v);
+    int_field "pages_loaned" (fun t -> t.pages_loaned) (fun t v ->
+        t.pages_loaned <- v);
+    int_field "page_transfers" (fun t -> t.page_transfers) (fun t v ->
+        t.page_transfers <- v);
+    int_field "swap_slots_allocated"
+      (fun t -> t.swap_slots_allocated)
+      (fun t v -> t.swap_slots_allocated <- v);
+    int_field "swap_slots_freed" (fun t -> t.swap_slots_freed) (fun t v ->
+        t.swap_slots_freed <- v);
+    int_field "pmap_enters" (fun t -> t.pmap_enters) (fun t v ->
+        t.pmap_enters <- v);
+    int_field "pmap_removes" (fun t -> t.pmap_removes) (fun t v ->
+        t.pmap_removes <- v);
+    int_field "pmap_protects" (fun t -> t.pmap_protects) (fun t v ->
+        t.pmap_protects <- v);
+    int_field "lock_acquisitions" (fun t -> t.lock_acquisitions) (fun t v ->
+        t.lock_acquisitions <- v);
+    float_field "map_lock_held_us" (fun t -> t.map_lock_held_us) (fun t v ->
+        t.map_lock_held_us <- v);
+    int_field "io_errors_injected" (fun t -> t.io_errors_injected) (fun t v ->
+        t.io_errors_injected <- v);
+    int_field "pageout_retries" (fun t -> t.pageout_retries) (fun t v ->
+        t.pageout_retries <- v);
+    int_field "pageouts_recovered" (fun t -> t.pageouts_recovered) (fun t v ->
+        t.pageouts_recovered <- v);
+    int_field "pageins_failed" (fun t -> t.pageins_failed) (fun t v ->
+        t.pageins_failed <- v);
+    int_field "bad_slots" (fun t -> t.bad_slots) (fun t v -> t.bad_slots <- v);
+    int_field "swap_full_events" (fun t -> t.swap_full_events) (fun t v ->
+        t.swap_full_events <- v);
+    int_field "ipc_sends" (fun t -> t.ipc_sends) (fun t v -> t.ipc_sends <- v);
+    int_field "ipc_recvs" (fun t -> t.ipc_recvs) (fun t v -> t.ipc_recvs <- v);
+    int_field "ipc_bytes_copied" (fun t -> t.ipc_bytes_copied) (fun t v ->
+        t.ipc_bytes_copied <- v);
+    int_field "ipc_bytes_loaned" (fun t -> t.ipc_bytes_loaned) (fun t v ->
+        t.ipc_bytes_loaned <- v);
+    int_field "ipc_bytes_mapped" (fun t -> t.ipc_bytes_mapped) (fun t v ->
+        t.ipc_bytes_mapped <- v);
+    int_field "vslock_ios" (fun t -> t.vslock_ios) (fun t v ->
+        t.vslock_ios <- v);
+    int_field "swap_devices_dead" (fun t -> t.swap_devices_dead) (fun t v ->
+        t.swap_devices_dead <- v);
+    int_field "swap_failovers" (fun t -> t.swap_failovers) (fun t v ->
+        t.swap_failovers <- v);
+    int_field "swap_migrations" (fun t -> t.swap_migrations) (fun t v ->
+        t.swap_migrations <- v);
+    int_field "swap_cache_fills" (fun t -> t.swap_cache_fills) (fun t v ->
+        t.swap_cache_fills <- v);
+    int_field "swap_cache_hits" (fun t -> t.swap_cache_hits) (fun t v ->
+        t.swap_cache_hits <- v);
+    int_field "swap_cache_evictions"
+      (fun t -> t.swap_cache_evictions)
+      (fun t v -> t.swap_cache_evictions <- v);
+    int_field "oom_kills" (fun t -> t.oom_kills) (fun t v -> t.oom_kills <- v);
+    int_field "rlimit_denials" (fun t -> t.rlimit_denials) (fun t v ->
+        t.rlimit_denials <- v);
+    int_field "proc_swapouts" (fun t -> t.proc_swapouts) (fun t v ->
+        t.proc_swapouts <- v);
+    int_field "proc_swapins" (fun t -> t.proc_swapins) (fun t v ->
+        t.proc_swapins <- v);
+    int_field "reserve_grabs" (fun t -> t.reserve_grabs) (fun t v ->
+        t.reserve_grabs <- v);
+    int_field "lookup_fast_hits" (fun t -> t.lookup_fast_hits) (fun t v ->
+        t.lookup_fast_hits <- v);
+    int_field "lookup_locked" (fun t -> t.lookup_locked) (fun t v ->
+        t.lookup_locked <- v);
+    int_field "cache_alloc_hits" (fun t -> t.cache_alloc_hits) (fun t v ->
+        t.cache_alloc_hits <- v);
+    int_field "cache_alloc_misses" (fun t -> t.cache_alloc_misses) (fun t v ->
+        t.cache_alloc_misses <- v);
+    int_field "cache_refills" (fun t -> t.cache_refills) (fun t v ->
+        t.cache_refills <- v);
+    int_field "cache_drains" (fun t -> t.cache_drains) (fun t v ->
+        t.cache_drains <- v);
+    int_field "cache_steals" (fun t -> t.cache_steals) (fun t v ->
+        t.cache_steals <- v);
+    int_field "line_bounces" (fun t -> t.line_bounces) (fun t v ->
+        t.line_bounces <- v);
+    float_field "lock_wait_us" (fun t -> t.lock_wait_us) (fun t v ->
+        t.lock_wait_us <- v);
+    gauge "free_pages" (fun t -> t.free_pages) (fun t v -> t.free_pages <- v);
+    gauge "active_pages" (fun t -> t.active_pages) (fun t v ->
+        t.active_pages <- v);
+    gauge "inactive_pages" (fun t -> t.inactive_pages) (fun t v ->
+        t.inactive_pages <- v);
+    gauge "swap_slots_used" (fun t -> t.swap_slots_used) (fun t v ->
+        t.swap_slots_used <- v);
+    gauge "swapcache_pages" (fun t -> t.swapcache_pages) (fun t v ->
+        t.swapcache_pages <- v);
+  ]
+
+let reset t = List.iter (fun f -> f.set t 0.0) fields
+
+(* Field-wise subtraction, gauges included (diffing a level is
+   meaningless but harmless). *)
+let diff ~after ~before =
+  let d = create () in
+  List.iter (fun f -> f.set d (f.get after -. f.get before)) fields;
+  d
 
 (* Accumulate [d] (typically a [diff] of a scheduler quantum) into a
    per-CPU shard.  Counters and durations sum; gauges are levels, so the
    latest value wins — shard readers only ever consult the counters. *)
 let add ~into:t d =
-  t.faults <- t.faults + d.faults;
-  t.fault_ahead_mapped <- t.fault_ahead_mapped + d.fault_ahead_mapped;
-  t.fault_ahead_used <- t.fault_ahead_used + d.fault_ahead_used;
-  t.fault_ahead_wasted <- t.fault_ahead_wasted + d.fault_ahead_wasted;
-  t.pageins <- t.pageins + d.pageins;
-  t.pageouts <- t.pageouts + d.pageouts;
-  t.disk_read_ops <- t.disk_read_ops + d.disk_read_ops;
-  t.disk_write_ops <- t.disk_write_ops + d.disk_write_ops;
-  t.disk_pages_read <- t.disk_pages_read + d.disk_pages_read;
-  t.disk_pages_written <- t.disk_pages_written + d.disk_pages_written;
-  t.pages_copied <- t.pages_copied + d.pages_copied;
-  t.pages_zeroed <- t.pages_zeroed + d.pages_zeroed;
-  t.map_entries_allocated <- t.map_entries_allocated + d.map_entries_allocated;
-  t.map_entries_freed <- t.map_entries_freed + d.map_entries_freed;
-  t.objects_allocated <- t.objects_allocated + d.objects_allocated;
-  t.pager_structs_allocated <-
-    t.pager_structs_allocated + d.pager_structs_allocated;
-  t.hash_lookups <- t.hash_lookups + d.hash_lookups;
-  t.collapse_attempts <- t.collapse_attempts + d.collapse_attempts;
-  t.collapse_successes <- t.collapse_successes + d.collapse_successes;
-  t.anons_allocated <- t.anons_allocated + d.anons_allocated;
-  t.anons_freed <- t.anons_freed + d.anons_freed;
-  t.amaps_allocated <- t.amaps_allocated + d.amaps_allocated;
-  t.amaps_freed <- t.amaps_freed + d.amaps_freed;
-  t.shadow_objects_allocated <-
-    t.shadow_objects_allocated + d.shadow_objects_allocated;
-  t.obj_cache_hits <- t.obj_cache_hits + d.obj_cache_hits;
-  t.obj_cache_misses <- t.obj_cache_misses + d.obj_cache_misses;
-  t.obj_cache_evictions <- t.obj_cache_evictions + d.obj_cache_evictions;
-  t.vnode_recycles <- t.vnode_recycles + d.vnode_recycles;
-  t.cow_copies <- t.cow_copies + d.cow_copies;
-  t.cow_reuses <- t.cow_reuses + d.cow_reuses;
-  t.loanouts <- t.loanouts + d.loanouts;
-  t.pages_loaned <- t.pages_loaned + d.pages_loaned;
-  t.page_transfers <- t.page_transfers + d.page_transfers;
-  t.swap_slots_allocated <- t.swap_slots_allocated + d.swap_slots_allocated;
-  t.swap_slots_freed <- t.swap_slots_freed + d.swap_slots_freed;
-  t.pmap_enters <- t.pmap_enters + d.pmap_enters;
-  t.pmap_removes <- t.pmap_removes + d.pmap_removes;
-  t.pmap_protects <- t.pmap_protects + d.pmap_protects;
-  t.lock_acquisitions <- t.lock_acquisitions + d.lock_acquisitions;
-  t.map_lock_held_us <- t.map_lock_held_us +. d.map_lock_held_us;
-  t.io_errors_injected <- t.io_errors_injected + d.io_errors_injected;
-  t.pageout_retries <- t.pageout_retries + d.pageout_retries;
-  t.pageouts_recovered <- t.pageouts_recovered + d.pageouts_recovered;
-  t.pageins_failed <- t.pageins_failed + d.pageins_failed;
-  t.bad_slots <- t.bad_slots + d.bad_slots;
-  t.swap_full_events <- t.swap_full_events + d.swap_full_events;
-  t.ipc_sends <- t.ipc_sends + d.ipc_sends;
-  t.ipc_recvs <- t.ipc_recvs + d.ipc_recvs;
-  t.ipc_bytes_copied <- t.ipc_bytes_copied + d.ipc_bytes_copied;
-  t.ipc_bytes_loaned <- t.ipc_bytes_loaned + d.ipc_bytes_loaned;
-  t.ipc_bytes_mapped <- t.ipc_bytes_mapped + d.ipc_bytes_mapped;
-  t.vslock_ios <- t.vslock_ios + d.vslock_ios;
-  t.swap_devices_dead <- t.swap_devices_dead + d.swap_devices_dead;
-  t.swap_failovers <- t.swap_failovers + d.swap_failovers;
-  t.swap_migrations <- t.swap_migrations + d.swap_migrations;
-  t.swap_cache_fills <- t.swap_cache_fills + d.swap_cache_fills;
-  t.swap_cache_hits <- t.swap_cache_hits + d.swap_cache_hits;
-  t.swap_cache_evictions <- t.swap_cache_evictions + d.swap_cache_evictions;
-  t.oom_kills <- t.oom_kills + d.oom_kills;
-  t.rlimit_denials <- t.rlimit_denials + d.rlimit_denials;
-  t.proc_swapouts <- t.proc_swapouts + d.proc_swapouts;
-  t.proc_swapins <- t.proc_swapins + d.proc_swapins;
-  t.reserve_grabs <- t.reserve_grabs + d.reserve_grabs;
-  t.lookup_fast_hits <- t.lookup_fast_hits + d.lookup_fast_hits;
-  t.lookup_locked <- t.lookup_locked + d.lookup_locked;
-  t.cache_alloc_hits <- t.cache_alloc_hits + d.cache_alloc_hits;
-  t.cache_alloc_misses <- t.cache_alloc_misses + d.cache_alloc_misses;
-  t.cache_refills <- t.cache_refills + d.cache_refills;
-  t.cache_drains <- t.cache_drains + d.cache_drains;
-  t.cache_steals <- t.cache_steals + d.cache_steals;
-  t.line_bounces <- t.line_bounces + d.line_bounces;
-  t.lock_wait_us <- t.lock_wait_us +. d.lock_wait_us;
-  t.free_pages <- d.free_pages;
-  t.active_pages <- d.active_pages;
-  t.inactive_pages <- d.inactive_pages;
-  t.swap_slots_used <- d.swap_slots_used;
-  t.swapcache_pages <- d.swapcache_pages
+  List.iter
+    (fun f ->
+      match f.kind with
+      | Counter -> f.set t (f.get t +. f.get d)
+      | Gauge -> f.set t (f.get d))
+    fields
 
-let to_rows t =
-  [
-    ("faults", float_of_int t.faults);
-    ("fault_ahead_mapped", float_of_int t.fault_ahead_mapped);
-    ("fault_ahead_used", float_of_int t.fault_ahead_used);
-    ("fault_ahead_wasted", float_of_int t.fault_ahead_wasted);
-    ("pageins", float_of_int t.pageins);
-    ("pageouts", float_of_int t.pageouts);
-    ("disk_read_ops", float_of_int t.disk_read_ops);
-    ("disk_write_ops", float_of_int t.disk_write_ops);
-    ("disk_pages_read", float_of_int t.disk_pages_read);
-    ("disk_pages_written", float_of_int t.disk_pages_written);
-    ("pages_copied", float_of_int t.pages_copied);
-    ("pages_zeroed", float_of_int t.pages_zeroed);
-    ("map_entries_allocated", float_of_int t.map_entries_allocated);
-    ("map_entries_freed", float_of_int t.map_entries_freed);
-    ("objects_allocated", float_of_int t.objects_allocated);
-    ("pager_structs_allocated", float_of_int t.pager_structs_allocated);
-    ("hash_lookups", float_of_int t.hash_lookups);
-    ("collapse_attempts", float_of_int t.collapse_attempts);
-    ("collapse_successes", float_of_int t.collapse_successes);
-    ("anons_allocated", float_of_int t.anons_allocated);
-    ("anons_freed", float_of_int t.anons_freed);
-    ("amaps_allocated", float_of_int t.amaps_allocated);
-    ("amaps_freed", float_of_int t.amaps_freed);
-    ("shadow_objects_allocated", float_of_int t.shadow_objects_allocated);
-    ("obj_cache_hits", float_of_int t.obj_cache_hits);
-    ("obj_cache_misses", float_of_int t.obj_cache_misses);
-    ("obj_cache_evictions", float_of_int t.obj_cache_evictions);
-    ("vnode_recycles", float_of_int t.vnode_recycles);
-    ("cow_copies", float_of_int t.cow_copies);
-    ("cow_reuses", float_of_int t.cow_reuses);
-    ("loanouts", float_of_int t.loanouts);
-    ("pages_loaned", float_of_int t.pages_loaned);
-    ("page_transfers", float_of_int t.page_transfers);
-    ("swap_slots_allocated", float_of_int t.swap_slots_allocated);
-    ("swap_slots_freed", float_of_int t.swap_slots_freed);
-    ("pmap_enters", float_of_int t.pmap_enters);
-    ("pmap_removes", float_of_int t.pmap_removes);
-    ("pmap_protects", float_of_int t.pmap_protects);
-    ("lock_acquisitions", float_of_int t.lock_acquisitions);
-    ("map_lock_held_us", t.map_lock_held_us);
-    ("io_errors_injected", float_of_int t.io_errors_injected);
-    ("pageout_retries", float_of_int t.pageout_retries);
-    ("pageouts_recovered", float_of_int t.pageouts_recovered);
-    ("pageins_failed", float_of_int t.pageins_failed);
-    ("bad_slots", float_of_int t.bad_slots);
-    ("swap_full_events", float_of_int t.swap_full_events);
-    ("ipc_sends", float_of_int t.ipc_sends);
-    ("ipc_recvs", float_of_int t.ipc_recvs);
-    ("ipc_bytes_copied", float_of_int t.ipc_bytes_copied);
-    ("ipc_bytes_loaned", float_of_int t.ipc_bytes_loaned);
-    ("ipc_bytes_mapped", float_of_int t.ipc_bytes_mapped);
-    ("vslock_ios", float_of_int t.vslock_ios);
-    ("swap_devices_dead", float_of_int t.swap_devices_dead);
-    ("swap_failovers", float_of_int t.swap_failovers);
-    ("swap_migrations", float_of_int t.swap_migrations);
-    ("swap_cache_fills", float_of_int t.swap_cache_fills);
-    ("swap_cache_hits", float_of_int t.swap_cache_hits);
-    ("swap_cache_evictions", float_of_int t.swap_cache_evictions);
-    ("oom_kills", float_of_int t.oom_kills);
-    ("rlimit_denials", float_of_int t.rlimit_denials);
-    ("proc_swapouts", float_of_int t.proc_swapouts);
-    ("proc_swapins", float_of_int t.proc_swapins);
-    ("reserve_grabs", float_of_int t.reserve_grabs);
-    ("lookup_fast_hits", float_of_int t.lookup_fast_hits);
-    ("lookup_locked", float_of_int t.lookup_locked);
-    ("cache_alloc_hits", float_of_int t.cache_alloc_hits);
-    ("cache_alloc_misses", float_of_int t.cache_alloc_misses);
-    ("cache_refills", float_of_int t.cache_refills);
-    ("cache_drains", float_of_int t.cache_drains);
-    ("cache_steals", float_of_int t.cache_steals);
-    ("line_bounces", float_of_int t.line_bounces);
-    ("lock_wait_us", t.lock_wait_us);
-    ("free_pages", float_of_int t.free_pages);
-    ("active_pages", float_of_int t.active_pages);
-    ("inactive_pages", float_of_int t.inactive_pages);
-    ("swap_slots_used", float_of_int t.swap_slots_used);
-    ("swapcache_pages", float_of_int t.swapcache_pages);
-  ]
+let to_rows t = List.map (fun f -> (f.name, f.get t)) fields
 
 let pp ppf t =
   List.iter

@@ -86,6 +86,27 @@ type t = {
 }
 
 val create : unit -> t
+
+(** {1 The field table}
+
+    Every generic operation below is derived from {!fields}, the one
+    place that names each record field.  Values travel as floats (the
+    int counters stay far below 2{^53}, so the round trip is exact). *)
+
+type kind =
+  | Counter  (** a flow: sums under {!add} *)
+  | Gauge  (** a level refreshed by the machine's sync hook: latest wins *)
+
+type field = {
+  name : string;
+  kind : kind;
+  get : t -> float;
+  set : t -> float -> unit;
+}
+
+val fields : field list
+(** Every record field, in declaration order. *)
+
 val reset : t -> unit
 
 val snapshot : t -> t

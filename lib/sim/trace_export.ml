@@ -1,16 +1,16 @@
 (** Exporters for the observability layer.
 
-    A {!source} bundles one traced machine's event history, counters and
-    latency histograms under a display label ("UVM", "BSD VM").  The
-    exporters consume a list of sources so one run of an experiment —
-    which boots both VM systems, possibly several times — lands in a
-    single artifact:
+    A {!source} bundles one traced machine's span collector (the single
+    event stream, latency histograms included) and counters under a
+    display label ("UVM", "BSD VM").  The exporters consume a list of
+    sources so one run of an experiment — which boots both VM systems,
+    possibly several times — lands in a single artifact:
 
     - {!chrome_json}: Chrome trace-event JSON, loadable in Perfetto or
-      [chrome://tracing].  Each source becomes a process, each subsystem
-      a thread; spans are complete ("X") events, instants are "i".
+      [chrome://tracing].  Each source becomes a process, each span
+      subsystem a thread; every span is a complete ("X") event.
     - {!snapshot_json}: counters + histogram summaries, machine-readable.
-    - {!pp_dump}: flat human-readable event listing.
+    - {!pp_dump}: flat human-readable span listing.
     - {!print_stats}: the per-label counter/percentile tables behind the
       CLI's [--stats] flag.
 
@@ -19,9 +19,7 @@
 
 type source = {
   mutable label : string;
-  hist : Hist.t;
   stats : Stats.t;
-  latencies : Histogram.set;
   lifecycle : Lifecycle.t;
   spans : Span.t;
   series : Timeseries.t;
@@ -60,38 +58,6 @@ let json_sep buf first = if !first then first := false else Buffer.add_char buf 
 
 (* -- Chrome trace-event format ----------------------------------------- *)
 
-let subsys_tid s =
-  let rec idx i = function
-    | [] -> 1
-    | x :: _ when x = s -> i
-    | _ :: tl -> idx (i + 1) tl
-  in
-  idx 1 Hist.all_subsystems
-
-let chrome_event buf ~pid (e : Hist.event) =
-  Buffer.add_string buf "{\"name\":";
-  json_string buf e.name;
-  Buffer.add_string buf ",\"cat\":";
-  json_string buf (Hist.subsystem_name e.subsys);
-  Buffer.add_string buf (Printf.sprintf ",\"pid\":%d,\"tid\":%d,\"ts\":" pid
-                           (subsys_tid e.subsys));
-  json_float buf e.ts;
-  if e.dur > 0.0 then begin
-    Buffer.add_string buf ",\"ph\":\"X\",\"dur\":";
-    json_float buf e.dur
-  end
-  else Buffer.add_string buf ",\"ph\":\"i\",\"s\":\"t\"";
-  Buffer.add_string buf ",\"args\":{";
-  let first = ref true in
-  List.iter
-    (fun (k, v) ->
-      json_sep buf first;
-      json_string buf k;
-      Buffer.add_char buf ':';
-      json_string buf v)
-    e.detail;
-  Buffer.add_string buf "}}"
-
 let chrome_metadata buf ~pid ~tid ~name ~value =
   Buffer.add_string buf
     (Printf.sprintf "{\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"name\":" pid tid);
@@ -100,10 +66,10 @@ let chrome_metadata buf ~pid ~tid ~name ~value =
   json_string buf value;
   Buffer.add_string buf "}}"
 
-(* Spans land on their own tracks, one per span subsystem, numbered
-   from 100 to stay clear of the Hist subsystem tids.  Flow arrows
-   ("s"/"f" pairs keyed by the child's span id) link each child back to
-   its parent so Perfetto draws the causal tree across tracks. *)
+(* Spans land on tracks, one per span subsystem, numbered from 1 in
+   first-seen order.  Flow arrows ("s"/"f" pairs keyed by the child's
+   span id) link each child back to its parent so Perfetto draws the
+   causal tree across tracks. *)
 let chrome_flow buf ~pid ~tid ~id ~ts ~ph =
   Buffer.add_string buf
     (Printf.sprintf "{\"name\":\"cause\",\"cat\":\"span\",\"ph\":\"%s\"%s" ph
@@ -121,11 +87,11 @@ let chrome_spans buf ~pid ~first spans =
   in
   let track_tid s =
     let rec idx i = function
-      | [] -> 100
+      | [] -> 1
       | x :: _ when x = s -> i
       | _ :: tl -> idx (i + 1) tl
     in
-    idx 100 tracks
+    idx 1 tracks
   in
   List.iter
     (fun s ->
@@ -177,17 +143,6 @@ let chrome_json buf sources =
       let pid = i + 1 in
       json_sep buf first;
       chrome_metadata buf ~pid ~tid:0 ~name:"process_name" ~value:src.label;
-      List.iter
-        (fun s ->
-          json_sep buf first;
-          chrome_metadata buf ~pid ~tid:(subsys_tid s) ~name:"thread_name"
-            ~value:(Hist.subsystem_name s))
-        Hist.all_subsystems;
-      List.iter
-        (fun e ->
-          json_sep buf first;
-          chrome_event buf ~pid e)
-        (Hist.events src.hist);
       chrome_spans buf ~pid ~first (Span.spans src.spans))
     sources;
   Buffer.add_string buf "],\"displayTimeUnit\":\"ms\"}\n"
@@ -234,7 +189,7 @@ let aggregate sources =
         (fun s ->
           List.iter
             (fun (name, h) -> Histogram.merge ~into:(Histogram.get hset name) h)
-            (Histogram.rows s.latencies))
+            (Span.latencies s.spans))
         group;
       let life = Lifecycle.create () in
       List.iter (fun s -> Lifecycle.merge ~into:life s.lifecycle) group;
@@ -244,8 +199,9 @@ let aggregate sources =
         hists = Histogram.rows hset;
         agg_life = life;
         agg_recorded =
-          List.fold_left (fun n s -> n + Hist.recorded s.hist) 0 group;
-        agg_dropped = List.fold_left (fun n s -> n + Hist.dropped s.hist) 0 group;
+          List.fold_left (fun n s -> n + Span.recorded s.spans) 0 group;
+        agg_dropped =
+          List.fold_left (fun n s -> n + Span.dropped s.spans) 0 group;
       })
     labels
 
@@ -261,7 +217,7 @@ let json_hist buf h =
        (Histogram.p95 h) (Histogram.p99 h))
 
 let snapshot_json buf sources =
-  Buffer.add_string buf "{\"schema\":\"uvm-sim-stats/1\",\"systems\":[";
+  Buffer.add_string buf "{\"schema\":\"uvm-sim-stats/2\",\"systems\":[";
   let first_sys = ref true in
   List.iter
     (fun a ->
@@ -355,7 +311,7 @@ let spans_json buf sources =
 
 (* -- lock observatory export -------------------------------------------- *)
 
-let json_lock_class buf ~cpus ~seed reg (cv : Lockstat.class_view) =
+let json_lock_class buf (cv : Lockstat.class_view) =
   Buffer.add_string buf "{\"class\":";
   json_string buf cv.Lockstat.cv_cls;
   Buffer.add_string buf
@@ -382,30 +338,12 @@ let json_lock_class buf ~cpus ~seed reg (cv : Lockstat.class_view) =
       json_float buf total;
       Buffer.add_string buf "}")
     cv.Lockstat.cv_by_subsys;
-  Buffer.add_string buf "],\"contention\":";
-  (match Lockstat.project reg ~cls:cv.Lockstat.cv_cls ~cpus ~seed with
-  | None -> Buffer.add_string buf "null"
-  | Some p ->
-      Buffer.add_string buf
-        (Printf.sprintf "{\"cpus\":%d,\"events\":%d,\"wait_us\":"
-           p.Lockstat.pj_cpus p.Lockstat.pj_events);
-      json_float buf p.Lockstat.pj_wait_us;
-      Buffer.add_string buf ",\"mean_wait_us\":";
-      json_float buf p.Lockstat.pj_mean_wait_us;
-      Buffer.add_string buf ",\"max_wait_us\":";
-      json_float buf p.Lockstat.pj_max_wait_us;
-      Buffer.add_string buf (Printf.sprintf ",\"bounces\":%d,\"utilization\":"
-                               p.Lockstat.pj_bounces);
-      json_float buf p.Lockstat.pj_utilization;
-      Buffer.add_string buf "}");
-  Buffer.add_string buf "}"
+  Buffer.add_string buf "]}"
 
-(* The "systems" array of the uvm-sim-lockstat/1 schema: sources sharing
+(* The "systems" array of the uvm-sim-lockstat/2 schema: sources sharing
    a label (several boots of one system in a sweep) are merged into one
-   registry — histograms, attribution and order edges sum; the
-   contention replay then models all recorded streams hitting one
-   machine. *)
-let lockstat_systems buf ?(cpus = 4) ?(seed = 42) sources =
+   registry — histograms, attribution and order edges sum. *)
+let lockstat_systems buf sources =
   let labels =
     List.fold_left
       (fun acc s -> if List.mem s.label acc then acc else acc @ [ s.label ])
@@ -427,7 +365,7 @@ let lockstat_systems buf ?(cpus = 4) ?(seed = 42) sources =
       List.iter
         (fun cv ->
           json_sep buf first;
-          json_lock_class buf ~cpus ~seed merged cv)
+          json_lock_class buf cv)
         (Lockstat.views merged);
       Buffer.add_string buf "],\"order_edges\":[";
       let first = ref true in
@@ -474,11 +412,9 @@ let lockstat_systems buf ?(cpus = 4) ?(seed = 42) sources =
     labels;
   Buffer.add_char buf ']'
 
-let lockstat_json buf ?(cpus = 4) ?(seed = 42) sources =
-  Buffer.add_string buf
-    (Printf.sprintf "{\"schema\":\"uvm-sim-lockstat/1\",\"cpus\":%d,\"systems\":"
-       cpus);
-  lockstat_systems buf ~cpus ~seed sources;
+let lockstat_json buf sources =
+  Buffer.add_string buf "{\"schema\":\"uvm-sim-lockstat/2\",\"systems\":";
+  lockstat_systems buf sources;
   Buffer.add_string buf "}\n"
 
 (* -- time-series export ------------------------------------------------- *)
@@ -544,16 +480,16 @@ let metrics_json buf sources =
 let pp_dump fmt sources =
   List.iter
     (fun src ->
-      Format.fprintf fmt "=== %s: %d events (%d dropped) ===@." src.label
-        (Hist.retained src.hist) (Hist.dropped src.hist);
+      let spans = Span.spans src.spans in
+      Format.fprintf fmt "=== %s: %d spans (%d dropped) ===@." src.label
+        (List.length spans) (Span.dropped src.spans);
       List.iter
-        (fun (e : Hist.event) ->
-          Format.fprintf fmt "%12.1f us  %-8s %-16s" e.ts
-            (Hist.subsystem_name e.subsys) e.name;
-          if e.dur > 0.0 then Format.fprintf fmt " dur=%.1fus" e.dur;
-          List.iter (fun (k, v) -> Format.fprintf fmt " %s=%s" k v) e.detail;
+        (fun (sp : Span.span) ->
+          Format.fprintf fmt "%12.1f us  %-10s %-16s dur=%.1fus" sp.sts
+            sp.ssubsys sp.sname sp.sdur;
+          List.iter (fun (k, v) -> Format.fprintf fmt " %s=%s" k v) sp.sdetail;
           Format.fprintf fmt "@.")
-        (Hist.events src.hist))
+        spans)
     sources
 
 let print_stats sources =
@@ -580,7 +516,7 @@ let print_stats sources =
           a.hists
       end;
       if a.agg_recorded > 0 then
-        Printf.printf "== %s: trace: %d events recorded, %d dropped ==\n"
+        Printf.printf "== %s: trace: %d spans recorded, %d dropped ==\n"
           a.agg_label a.agg_recorded a.agg_dropped)
     (aggregate sources)
 

@@ -1,7 +1,8 @@
 (** Exporters for the observability layer.
 
-    A {!source} bundles one traced machine's event history, counters and
-    latency histograms under a display label ("UVM", "BSD VM").  The
+    A {!source} bundles one traced machine's span collector — its single
+    event stream, latency histograms included — and counters under a
+    display label ("UVM", "BSD VM").  The
     exporters consume a list of sources so one run of an experiment —
     which boots both VM systems, possibly several times — lands in a
     single artifact.  Sources sharing a label (several boots in a sweep)
@@ -12,11 +13,9 @@
 
 type source = {
   mutable label : string;
-  hist : Hist.t;
   stats : Stats.t;
-  latencies : Histogram.set;
   lifecycle : Lifecycle.t;  (** ledger-derived efficacy analytics *)
-  spans : Span.t;  (** causal span collector *)
+  spans : Span.t;  (** causal span collector: every kernel event *)
   series : Timeseries.t;  (** vmstat-style periodic samples *)
   locks : Lockstat.t option;  (** the machine's lock registry *)
   mutable sync : unit -> unit;
@@ -33,28 +32,27 @@ val json_float : Buffer.t -> float -> unit
 
 val chrome_json : Buffer.t -> source list -> unit
 (** Chrome trace-event JSON, loadable in Perfetto or [chrome://tracing].
-    Each source becomes a process, each Hist subsystem a thread; timed
-    events are complete ("X") events, instants are "i".  Causal spans
-    get their own per-subsystem tracks (tids from 100, named
-    ["span:<subsys>"]) with flow arrows ("s"/"f" pairs keyed by the
-    child's span id) linking each child span to its parent. *)
+    Each source becomes a process and each span subsystem a track (tids
+    from 1, named ["span:<subsys>"]); every span is a complete ("X")
+    event — point events are zero-length — with flow arrows ("s"/"f"
+    pairs keyed by the child's span id) linking each child span to its
+    parent. *)
 
 val spans_json : Buffer.t -> source list -> unit
 (** Causal span trees (schema ["uvm-sim-spans/1"]): per source (not
     label-folded — span ids are collector-local), the finished spans
     oldest first, the still-open span stack, and ring accounting. *)
 
-val lockstat_systems : Buffer.t -> ?cpus:int -> ?seed:int -> source list -> unit
+val lockstat_systems : Buffer.t -> source list -> unit
 (** The ["systems"] array of the lockstat schema: per label (sweeps
     merged via {!Lockstat.merge}), every class's acquire counts, hold
     histograms (total/read/write), per-subsystem attribution, the
-    would-be-contention projection at [cpus] simulated CPUs, the
     observed lock-order edges, any order cycles, and the locks held at
-    export time. *)
+    export time.  Measured contention lives in the smp artifact. *)
 
-val lockstat_json : Buffer.t -> ?cpus:int -> ?seed:int -> source list -> unit
+val lockstat_json : Buffer.t -> source list -> unit
 (** The full lock-observatory artifact
-    (schema ["uvm-sim-lockstat/1"]). *)
+    (schema ["uvm-sim-lockstat/2"]). *)
 
 val metrics_json : Buffer.t -> source list -> unit
 (** Time-series telemetry (schema ["uvm-sim-metrics/1"]): per source,
@@ -63,10 +61,13 @@ val metrics_json : Buffer.t -> source list -> unit
 
 val snapshot_json : Buffer.t -> source list -> unit
 (** Counters + histogram summaries, machine-readable
-    (schema ["uvm-sim-stats/1"]). *)
+    (schema ["uvm-sim-stats/2"]): per label, the non-zero counters, one
+    duration histogram per span name (["fault"], ["pagein"],
+    ["lock:map"], ...; simulated µs), and the span ring's
+    recorded/dropped counts. *)
 
 val pp_dump : Format.formatter -> source list -> unit
-(** Flat human-readable event listing. *)
+(** Flat human-readable listing of every retained span. *)
 
 val print_stats : source list -> unit
 (** The per-label counter/percentile tables behind the CLI's [--stats]

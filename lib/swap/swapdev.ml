@@ -5,13 +5,9 @@ type t = {
   page_size : int;
   store : (int, bytes) Hashtbl.t;
   stats : Sim.Stats.t;
-  trace_base : int;
-  trace_tier : string option;
-  mutable hist : Sim.Hist.t option;
 }
 
-let create ?(trace_base = 0) ?trace_tier ~nslots ~page_size ~clock ~costs
-    ~stats () =
+let create ~nslots ~page_size ~clock ~costs ~stats () =
   {
     map = Swapmap.create ~nslots;
     disk = Sim.Disk.create ~clock ~costs ~stats;
@@ -19,47 +15,7 @@ let create ?(trace_base = 0) ?trace_tier ~nslots ~page_size ~clock ~costs
     page_size;
     store = Hashtbl.create 256;
     stats;
-    trace_base;
-    trace_tier;
-    hist = None;
   }
-
-let set_hist t h = t.hist <- h
-
-(* Both VM systems drive paging I/O through this device, so recording
-   Swap-subsystem events here traces them identically for free.  The
-   detail list is only built once we know a history is attached. *)
-let tier_detail t rest =
-  match t.trace_tier with
-  | None -> rest
-  | Some tier -> ("tier", tier) :: rest
-
-let trace_span t ~t0 ~slot ~n ~result name =
-  match t.hist with
-  | None -> ()
-  | Some h ->
-      Sim.Hist.record h ~subsys:Sim.Hist.Swap ~ts:t0
-        ~dur:(Sim.Simclock.now t.clock -. t0)
-        ~detail:
-          (tier_detail t
-             [
-               ("slot", string_of_int (t.trace_base + slot));
-               ("pages", string_of_int n);
-               ("result", result);
-             ])
-        name
-
-let trace_instant t ~slot name =
-  match t.hist with
-  | None -> ()
-  | Some h ->
-      Sim.Hist.record h ~subsys:Sim.Hist.Swap ~ts:(Sim.Simclock.now t.clock)
-        ~detail:(tier_detail t [ ("slot", string_of_int (t.trace_base + slot)) ])
-        name
-
-let result_of = function
-  | Ok () -> "ok"
-  | Error (e : Sim.Fault_plan.error) -> Sim.Fault_plan.string_of_error e
 
 let capacity t = Swapmap.capacity t.map
 let slots_in_use t = Swapmap.in_use t.map
@@ -86,12 +42,13 @@ let free_slots t ~slot ~n =
   t.stats.Sim.Stats.swap_slots_freed <- t.stats.Sim.Stats.swap_slots_freed + n
 
 let mark_bad t ~slot =
-  if not (Swapmap.is_bad t.map ~slot) then begin
+  if Swapmap.is_bad t.map ~slot then false
+  else begin
     Swapmap.mark_bad t.map ~slot;
     (* Whatever the bad slot held is unreadable now. *)
     Hashtbl.remove t.store slot;
     t.stats.Sim.Stats.bad_slots <- t.stats.Sim.Stats.bad_slots + 1;
-    trace_instant t ~slot "slot_bad"
+    true
   end
 
 let slot_range slot n = List.init n (fun i -> slot + i)
@@ -107,38 +64,28 @@ let write_cluster t ~slot ~pages =
       if not (Swapmap.is_allocated t.map ~slot:(slot + i)) then
         invalid_arg "Swapdev.write_cluster: slot not allocated")
     pages;
-  let t0 = Sim.Simclock.now t.clock in
-  let r =
-    match Sim.Disk.write t.disk ~slots:(slot_range slot n) ~npages:n with
-    | Error _ as e -> e
-    | Ok () ->
-        List.iteri
-          (fun i (page : Physmem.Page.t) ->
-            Hashtbl.replace t.store (slot + i) (Bytes.copy page.data);
-            page.dirty <- false)
-          pages;
-        t.stats.Sim.Stats.pageouts <- t.stats.Sim.Stats.pageouts + n;
-        Ok ()
-  in
-  trace_span t ~t0 ~slot ~n ~result:(result_of r) "swap_write";
-  r
+  match Sim.Disk.write t.disk ~slots:(slot_range slot n) ~npages:n with
+  | Error _ as e -> e
+  | Ok () ->
+      List.iteri
+        (fun i (page : Physmem.Page.t) ->
+          Hashtbl.replace t.store (slot + i) (Bytes.copy page.data);
+          page.dirty <- false)
+        pages;
+      t.stats.Sim.Stats.pageouts <- t.stats.Sim.Stats.pageouts + n;
+      Ok ()
 
 let read_slot t ~slot ~dst =
   match Hashtbl.find_opt t.store slot with
   | None -> invalid_arg "Swapdev.read_slot: slot holds no data"
   | Some data ->
-      let t0 = Sim.Simclock.now t.clock in
-      let r =
-        match Sim.Disk.read t.disk ~slots:[ slot ] ~npages:1 with
-        | Error _ as e -> e
-        | Ok () ->
-            Bytes.blit data 0 dst.Physmem.Page.data 0 t.page_size;
-            dst.Physmem.Page.dirty <- false;
-            t.stats.Sim.Stats.pageins <- t.stats.Sim.Stats.pageins + 1;
-            Ok ()
-      in
-      trace_span t ~t0 ~slot ~n:1 ~result:(result_of r) "swap_read";
-      r
+      match Sim.Disk.read t.disk ~slots:[ slot ] ~npages:1 with
+      | Error _ as e -> e
+      | Ok () ->
+          Bytes.blit data 0 dst.Physmem.Page.data 0 t.page_size;
+          dst.Physmem.Page.dirty <- false;
+          t.stats.Sim.Stats.pageins <- t.stats.Sim.Stats.pageins + 1;
+          Ok ()
 
 let read_cluster t ~slot ~dsts =
   let n = List.length dsts in
@@ -151,21 +98,16 @@ let read_cluster t ~slot ~dsts =
         | Some data -> data)
       dsts
   in
-  let t0 = Sim.Simclock.now t.clock in
-  let r =
-    match Sim.Disk.read t.disk ~slots:(slot_range slot n) ~npages:n with
-    | Error _ as e -> e
-    | Ok () ->
-        List.iter2
-          (fun data (dst : Physmem.Page.t) ->
-            Bytes.blit data 0 dst.Physmem.Page.data 0 t.page_size;
-            dst.Physmem.Page.dirty <- false)
-          datas dsts;
-        t.stats.Sim.Stats.pageins <- t.stats.Sim.Stats.pageins + n;
-        Ok ()
-  in
-  trace_span t ~t0 ~slot ~n ~result:(result_of r) "swap_read";
-  r
+  match Sim.Disk.read t.disk ~slots:(slot_range slot n) ~npages:n with
+  | Error _ as e -> e
+  | Ok () ->
+      List.iter2
+        (fun data (dst : Physmem.Page.t) ->
+          Bytes.blit data 0 dst.Physmem.Page.data 0 t.page_size;
+          dst.Physmem.Page.dirty <- false)
+        datas dsts;
+      t.stats.Sim.Stats.pageins <- t.stats.Sim.Stats.pageins + n;
+      Ok ()
 
 let has_data t ~slot = Hashtbl.mem t.store slot
 
@@ -176,30 +118,18 @@ let read_raw t ~slot =
   match Hashtbl.find_opt t.store slot with
   | None -> invalid_arg "Swapdev.read_raw: slot holds no data"
   | Some data ->
-      let t0 = Sim.Simclock.now t.clock in
-      let r =
-        match Sim.Disk.read t.disk ~slots:[ slot ] ~npages:1 with
-        | Error e -> Error e
-        | Ok () -> Ok (Bytes.copy data)
-      in
-      trace_span t ~t0 ~slot ~n:1
-        ~result:(result_of (Result.map ignore r))
-        "swap_read";
-      r
+      match Sim.Disk.read t.disk ~slots:[ slot ] ~npages:1 with
+      | Error e -> Error e
+      | Ok () -> Ok (Bytes.copy data)
 
 let write_raw t ~slot data =
   if not (Swapmap.is_allocated t.map ~slot) then
     invalid_arg "Swapdev.write_raw: slot not allocated";
-  let t0 = Sim.Simclock.now t.clock in
-  let r =
-    match Sim.Disk.write t.disk ~slots:[ slot ] ~npages:1 with
-    | Error _ as e -> e
-    | Ok () ->
-        Hashtbl.replace t.store slot (Bytes.copy data);
-        Ok ()
-  in
-  trace_span t ~t0 ~slot ~n:1 ~result:(result_of r) "swap_write";
-  r
+  match Sim.Disk.write t.disk ~slots:[ slot ] ~npages:1 with
+  | Error _ as e -> e
+  | Ok () ->
+      Hashtbl.replace t.store slot (Bytes.copy data);
+      Ok ()
 
 (* Exponential backoff before retry attempt [attempt] (0-based), charged
    to the simulated clock: the pagedaemon sleeps, it does not spin. *)
@@ -261,7 +191,7 @@ let write_resilient t ~retries ~backoff_us ~slot ~assign ~pages =
               | Some s when s >= base && s < base + n -> s
               | _ -> base
             in
-            mark_bad t ~slot:bad;
+            ignore (mark_bad t ~slot:bad : bool);
             match alloc_slots t ~n with
             | None ->
                 t.stats.Sim.Stats.swap_full_events <-
@@ -271,7 +201,6 @@ let write_resilient t ~retries ~backoff_us ~slot ~assign ~pages =
                 (* The caller rebinds its bookkeeping (anon swslots, object
                    slot tables) to the fresh range, releasing the old slots
                    — which permanently retires the blacklisted one. *)
-                trace_instant t ~slot:fresh "reassign";
                 assign fresh;
                 recovered := true;
                 outcome := Reassigned fresh;

@@ -13,8 +13,6 @@
 type t
 
 val create :
-  ?trace_base:int ->
-  ?trace_tier:string ->
   nslots:int ->
   page_size:int ->
   clock:Sim.Simclock.t ->
@@ -22,9 +20,8 @@ val create :
   stats:Sim.Stats.t ->
   unit ->
   t
-(** [trace_base] offsets the slot numbers recorded in trace events (the
-    tier layer passes its global-namespace base so multi-device traces
-    stay coherent); [trace_tier] tags every event with the device name. *)
+(** Device-level transfers are untraced: the tier layer ({!Swaptier})
+    spans every read and write in the global slot namespace. *)
 
 val capacity : t -> int
 val slots_in_use : t -> int
@@ -45,9 +42,10 @@ val free_slots : t -> slot:int -> n:int -> unit
 (** Release slots and discard their stored contents.  Blacklisted slots
     are retired rather than returned to circulation. *)
 
-val mark_bad : t -> slot:int -> unit
+val mark_bad : t -> slot:int -> bool
 (** Blacklist [slot] as bad media and discard whatever it stored.
-    Idempotent; counts into [Stats.bad_slots]. *)
+    Idempotent; counts into [Stats.bad_slots].  [true] iff this call
+    marked the slot (it was not bad already). *)
 
 val write_cluster :
   t -> slot:int -> pages:Physmem.Page.t list -> (unit, Sim.Fault_plan.error) result
@@ -120,10 +118,3 @@ val write_resilient :
     counts into [Stats.pageouts_recovered]. *)
 
 val disk : t -> Sim.Disk.t
-
-val set_hist : t -> Sim.Hist.t option -> unit
-(** Attach an event history: every transfer then records a [Swap]
-    subsystem span ([swap_read]/[swap_write] with slot, page count and
-    result), and recovery records [slot_bad]/[reassign] instants.  Both
-    VM systems page through this device, so attaching here traces their
-    swap traffic identically. *)

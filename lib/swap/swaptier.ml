@@ -10,6 +10,7 @@ type device = {
   spec : spec;
   base : int;  (** global slot = base + device-local slot (locals start at 1) *)
   dev : Swapdev.t;
+  span_key : string;  (** ["swap:<tier>"], the subsystem of its I/O spans *)
   mutable alive : bool;  (** false once the media died: writes fail permanently *)
   mutable offline : bool;  (** out of the allocation pool (death or swapoff) *)
   mutable draining : bool;  (** offline with slots still charged to owners *)
@@ -33,7 +34,6 @@ type t = {
   cache_fifo : cache_key Queue.t;  (** shed order under pressure *)
   mutable rr : int;  (** striping rotation within a priority band *)
   mutable drain_hook : (unit -> unit) option;
-  mutable hist : Sim.Hist.t option;
   mutable spans : Sim.Span.t option;
   mutable lockq : (Sim.Lockstat.t * Sim.Lockstat.lock) option;
 }
@@ -52,8 +52,7 @@ let create ~specs ~page_size ~clock ~costs ~stats =
            if spec.tier_pages < 1 then
              invalid_arg "Swaptier.create: empty device";
            let dev =
-             Swapdev.create ~trace_base:!base ~trace_tier:spec.tier_name
-               ~nslots:spec.tier_pages ~page_size ~clock
+             Swapdev.create ~nslots:spec.tier_pages ~page_size ~clock
                ~costs:(Option.value spec.tier_costs ~default:costs)
                ~stats ()
            in
@@ -63,6 +62,7 @@ let create ~specs ~page_size ~clock ~costs ~stats =
                spec;
                base = !base;
                dev;
+               span_key = "swap:" ^ spec.tier_name;
                alive = true;
                offline = false;
                draining = false;
@@ -105,14 +105,9 @@ let create ~specs ~page_size ~clock ~costs ~stats =
     cache_fifo = Queue.create ();
     rr = 0;
     drain_hook = None;
-    hist = None;
     spans = None;
     lockq = None;
   }
-
-let set_hist t h =
-  t.hist <- h;
-  Array.iter (fun d -> Swapdev.set_hist d.dev h) t.devices
 
 let set_spans t s = t.spans <- s
 
@@ -142,20 +137,21 @@ let span_start t ~subsys name =
       Some (Sim.Span.start c ~subsys ~ts:(Sim.Simclock.now t.clock) name)
   | _ -> None
 
-let span_finish t sp ?(detail = []) () =
+let span_finish t sp detail =
   match (t.spans, sp) with
   | Some c, Some sp ->
-      Sim.Span.finish c sp ~ts:(Sim.Simclock.now t.clock) ~detail ()
+      Sim.Span.finish_with c sp ~ts:(Sim.Simclock.now t.clock) detail
   | _ -> ()
 
-let result_str = function Ok () -> "ok" | Error _ -> "error"
-
-let trace_instant t ?(detail = []) name =
-  match t.hist with
+(* Tier events that take no time (a device dying, a slot blacklisted)
+   are zero-length spans inside whatever span caused them. *)
+let span_point t name detail =
+  match t.spans with
+  | Some c ->
+      Sim.Span.point c ~subsys:"swap" ~ts:(Sim.Simclock.now t.clock) name detail
   | None -> ()
-  | Some h ->
-      Sim.Hist.record h ~subsys:Sim.Hist.Swap ~ts:(Sim.Simclock.now t.clock)
-        ~detail name
+
+let result_str = function Ok () -> "ok" | Error _ -> "error"
 
 let device_of t ~slot =
   let rec go i =
@@ -207,7 +203,7 @@ let disk t = Swapdev.disk t.devices.(0).dev
 
 let cache_slots t = Hashtbl.length t.cache
 
-let cache_drop t ~reason key =
+let cache_drop t key =
   match Hashtbl.find_opt t.cache key with
   | None -> ()
   | Some g ->
@@ -216,10 +212,7 @@ let cache_drop t ~reason key =
       let d = device_of t ~slot:g in
       Swapdev.free_slots d.dev ~slot:(g - d.base) ~n:1;
       t.stats.Sim.Stats.swap_cache_evictions <-
-        t.stats.Sim.Stats.swap_cache_evictions + 1;
-      trace_instant t
-        ~detail:[ ("slot", string_of_int g); ("reason", reason) ]
-        "cache_evict"
+        t.stats.Sim.Stats.swap_cache_evictions + 1
 
 (* Shed one cache entry in fill order; false when the cache is empty.
    The FIFO may hold keys already invalidated — skip them lazily. *)
@@ -228,7 +221,7 @@ let rec shed_one t =
   else
     let key = Queue.pop t.cache_fifo in
     if Hashtbl.mem t.cache key then begin
-      cache_drop t ~reason:"pressure" key;
+      cache_drop t key;
       true
     end
     else shed_one t
@@ -283,7 +276,8 @@ let free_slots t ~slot ~n =
 
 let mark_bad t ~slot =
   let d = device_of t ~slot in
-  if d.alive then Swapdev.mark_bad d.dev ~slot:(slot - d.base)
+  if d.alive && Swapdev.mark_bad d.dev ~slot:(slot - d.base) then
+    span_point t "slot_bad" (fun () -> [ ("slot", string_of_int slot) ])
 
 (* -- paging I/O ------------------------------------------------------ *)
 
@@ -297,7 +291,7 @@ let dead_write_error slot =
 let write_cluster t ~slot ~pages =
   with_tier_lock t ~mode:Sim.Lockstat.Write @@ fun () ->
   let d = device_of t ~slot in
-  let sp = span_start t ~subsys:("swap:" ^ d.spec.tier_name) "write" in
+  let sp = span_start t ~subsys:d.span_key "write" in
   let r =
     if not d.alive then Error (dead_write_error slot)
     else begin
@@ -308,14 +302,12 @@ let write_cluster t ~slot ~pages =
       r
     end
   in
-  span_finish t sp
-    ~detail:
+  span_finish t sp (fun () ->
       [
         ("slot", string_of_int slot);
         ("pages", string_of_int (List.length pages));
         ("result", result_str r);
-      ]
-    ();
+      ]);
   r
 
 (* Reads are still served from a dead device: the failure model is dying
@@ -324,30 +316,29 @@ let write_cluster t ~slot ~pages =
 let read_slot t ~slot ~dst =
   with_tier_lock t ~mode:Sim.Lockstat.Read @@ fun () ->
   let d = device_of t ~slot in
-  let sp = span_start t ~subsys:("swap:" ^ d.spec.tier_name) "read" in
+  let sp = span_start t ~subsys:d.span_key "read" in
   let r = Swapdev.read_slot d.dev ~slot:(slot - d.base) ~dst in
   (match r with Ok () -> d.d_pageins <- d.d_pageins + 1 | Error _ -> ());
-  span_finish t sp
-    ~detail:[ ("slot", string_of_int slot); ("result", result_str r) ]
-    ();
+  span_finish t sp (fun () ->
+      [
+        ("slot", string_of_int slot); ("pages", "1"); ("result", result_str r);
+      ]);
   r
 
 let read_cluster t ~slot ~dsts =
   with_tier_lock t ~mode:Sim.Lockstat.Read @@ fun () ->
   let d = device_of t ~slot in
-  let sp = span_start t ~subsys:("swap:" ^ d.spec.tier_name) "read" in
+  let sp = span_start t ~subsys:d.span_key "read" in
   let r = Swapdev.read_cluster d.dev ~slot:(slot - d.base) ~dsts in
   (match r with
   | Ok () -> d.d_pageins <- d.d_pageins + List.length dsts
   | Error _ -> ());
-  span_finish t sp
-    ~detail:
+  span_finish t sp (fun () ->
       [
         ("slot", string_of_int slot);
         ("pages", string_of_int (List.length dsts));
         ("result", result_str r);
-      ]
-    ();
+      ]);
   r
 
 let backoff_delay ~backoff_us attempt =
@@ -417,18 +408,15 @@ let write_resilient t ~retries ~backoff_us ~slot ~assign ~pages =
                 if d'.dev_id <> d.dev_id then begin
                   t.stats.Sim.Stats.swap_failovers <-
                     t.stats.Sim.Stats.swap_failovers + 1;
-                  trace_instant t
-                    ~detail:
+                  span_point t "failover" (fun () ->
                       [
                         ("from", d.spec.tier_name);
                         ("to", d'.spec.tier_name);
                         ("slot", string_of_int fresh);
-                      ]
-                    "failover"
+                      ])
                 end;
-                trace_instant t
-                  ~detail:[ ("slot", string_of_int fresh) ]
-                  "reassign";
+                span_point t "reassign" (fun () ->
+                    [ ("slot", string_of_int fresh) ]);
                 assign fresh;
                 recovered := true;
                 outcome := Reassigned fresh;
@@ -438,7 +426,7 @@ let write_resilient t ~retries ~backoff_us ~slot ~assign ~pages =
 
 (* -- device death, swapoff and drain --------------------------------- *)
 
-let shed_device_cache t ~reason d =
+let shed_device_cache t d =
   let victims =
     Hashtbl.fold
       (fun g key acc ->
@@ -446,12 +434,12 @@ let shed_device_cache t ~reason d =
         else acc)
       t.cache_rev []
   in
-  List.iter (cache_drop t ~reason) (List.sort compare victims)
+  List.iter (cache_drop t) (List.sort compare victims)
 
 let take_offline t ~dead d =
   d.offline <- true;
   if dead then d.alive <- false;
-  shed_device_cache t ~reason:(if dead then "device_dead" else "swapoff") d;
+  shed_device_cache t d;
   d.draining <- Swapdev.slots_in_use d.dev > 0
 
 let kill_device t ~name =
@@ -459,7 +447,7 @@ let kill_device t ~name =
   if d.alive then begin
     t.stats.Sim.Stats.swap_devices_dead <-
       t.stats.Sim.Stats.swap_devices_dead + 1;
-    trace_instant t ~detail:[ ("device", name) ] "device_dead";
+    span_point t "device_dead" (fun () -> [ ("device", name) ]);
     take_offline t ~dead:true d
   end
 
@@ -476,18 +464,17 @@ let run_drain t =
       (fun d ->
         if d.draining && Swapdev.slots_in_use d.dev = 0 then begin
           d.draining <- false;
-          trace_instant t
-            ~detail:[ ("device", d.spec.tier_name) ]
-            "drain_complete"
+          span_point t "drain_complete" (fun () ->
+              [ ("device", d.spec.tier_name) ])
         end)
       t.devices;
-    span_finish t sp ()
+    span_finish t sp (fun () -> [])
   end
 
 let swapoff t ~name =
   let d = device_exn t name in
   if not d.offline then begin
-    trace_instant t ~detail:[ ("device", name) ] "swapoff";
+    span_point t "swapoff" (fun () -> [ ("device", name) ]);
     take_offline t ~dead:false d
   end;
   run_drain t
@@ -517,16 +504,7 @@ let migrate_data t ~slot ~src =
                 src.d_migrated_out <- src.d_migrated_out + 1;
                 t.stats.Sim.Stats.swap_migrations <-
                   t.stats.Sim.Stats.swap_migrations + 1;
-                trace_instant t
-                  ~detail:
-                    [
-                      ("from", src.spec.tier_name);
-                      ("to", dst.spec.tier_name);
-                      ("slot", string_of_int slot);
-                      ("new", string_of_int g);
-                    ]
-                  "migrate";
-                Some g))
+                Some (g, dst)))
 
 let migrate_slot t ~slot =
   with_tier_lock t ~mode:Sim.Lockstat.Write @@ fun () ->
@@ -535,14 +513,15 @@ let migrate_slot t ~slot =
   else begin
     let sp = span_start t ~subsys:"swap" "migrate" in
     let r = migrate_data t ~slot ~src in
-    span_finish t sp
-      ~detail:
-        [
-          ("slot", string_of_int slot);
-          ("result", match r with Some g -> string_of_int g | None -> "none");
-        ]
-      ();
-    r
+    span_finish t sp (fun () ->
+        ("from", src.spec.tier_name)
+        :: ("slot", string_of_int slot)
+        ::
+        (match r with
+        | Some (g, dst) ->
+            [ ("to", dst.spec.tier_name); ("new", string_of_int g) ]
+        | None -> [ ("result", "none") ]));
+    Option.map fst r
   end
 
 (* -- swapcache ------------------------------------------------------- *)
@@ -591,15 +570,7 @@ let cache_put t ~vid ~pgno ~(page : Physmem.Page.t) =
                 Hashtbl.replace t.cache_rev g key;
                 Queue.push key t.cache_fifo;
                 t.stats.Sim.Stats.swap_cache_fills <-
-                  t.stats.Sim.Stats.swap_cache_fills + 1;
-                trace_instant t
-                  ~detail:
-                    [
-                      ("vid", string_of_int vid);
-                      ("pgno", string_of_int pgno);
-                      ("slot", string_of_int g);
-                    ]
-                  "cache_fill"))
+                  t.stats.Sim.Stats.swap_cache_fills + 1))
 
 let cache_contains t ~vid ~pgno = Hashtbl.mem t.cache (vid, pgno)
 
@@ -613,7 +584,7 @@ let cache_lookup t ~vid ~pgno ~(dst : Physmem.Page.t) =
       | Error _ ->
           (* Unreadable cache entry: drop it and let the caller fall back
              to the vnode — the canonical copy is always the file. *)
-          cache_drop t ~reason:"read_error" (vid, pgno);
+          cache_drop t (vid, pgno);
           false
       | Ok data ->
           Bytes.blit data 0 dst.Physmem.Page.data 0 t.page_size;
@@ -621,19 +592,11 @@ let cache_lookup t ~vid ~pgno ~(dst : Physmem.Page.t) =
           d.d_pageins <- d.d_pageins + 1;
           t.stats.Sim.Stats.swap_cache_hits <-
             t.stats.Sim.Stats.swap_cache_hits + 1;
-          trace_instant t
-            ~detail:
-              [
-                ("vid", string_of_int vid);
-                ("pgno", string_of_int pgno);
-                ("slot", string_of_int g);
-              ]
-            "cache_hit";
           true)
 
 let cache_invalidate t ~vid ~pgno =
   with_tier_lock t ~mode:Sim.Lockstat.Write @@ fun () ->
-  cache_drop t ~reason:"invalidate" (vid, pgno)
+  cache_drop t (vid, pgno)
 
 let cache_invalidate_obj t ~vid =
   with_tier_lock t ~mode:Sim.Lockstat.Write @@ fun () ->
@@ -642,7 +605,7 @@ let cache_invalidate_obj t ~vid =
       (fun ((v, _) as key) _ acc -> if v = vid then key :: acc else acc)
       t.cache []
   in
-  List.iter (cache_drop t ~reason:"invalidate") (List.sort compare victims)
+  List.iter (cache_drop t) (List.sort compare victims)
 
 (* -- introspection --------------------------------------------------- *)
 

@@ -27,9 +27,11 @@
       sacrifice under slot pressure, and the cache stays inert on
       single-tier boots (no faster tier exists).
 
-    All counters feed the machine-global {!Sim.Stats} record; tier events
-    (device_dead, failover, migrate, cache_fill/cache_hit/cache_evict,
-    swapoff, drain_complete) are recorded in the [Swap] history. *)
+    All counters feed the machine-global {!Sim.Stats} record.  Tier
+    events are spans: device reads/writes, drain and migrate carry their
+    duration; device_dead, swapoff, drain_complete, slot_bad, reassign
+    and failover are zero-length spans.  Per-page swapcache traffic is
+    counted, not traced. *)
 
 type spec = {
   tier_name : string;
@@ -125,12 +127,11 @@ val disk : t -> Sim.Disk.t
 val disks : t -> Sim.Disk.t list
 (** Every device's disk, in creation order — for fault-plan install. *)
 
-val set_hist : t -> Sim.Hist.t option -> unit
-
 val set_spans : t -> Sim.Span.t option -> unit
-(** Causal span collector for device I/O, drain and migration.  Device
-    reads/writes open spans under ["swap:<tier>"] so critical-path
-    breakdowns attribute tail latency to the tier that caused it. *)
+(** Causal span collector for every tier event.  Device reads/writes
+    open spans under ["swap:<tier>"] (with the global slot and page
+    count) so critical-path breakdowns attribute tail latency to the
+    tier that caused it. *)
 
 val set_lockstat : t -> Sim.Lockstat.t option -> unit
 (** Register the swap-tier lock with the machine's lock observatory:

@@ -352,19 +352,26 @@ module Sys = struct
      range declines to the copy path and faults exactly like the
      baseline kernel would.  Shared amaps also decline: the COW snapshot
      marks the source needs-copy, which would detach the sender from an
-     amap its sharers expect to keep seeing writes through. *)
+     amap its sharers expect to keep seeing writes through.  Wired
+     translations decline too, the way UVM copies wired entries eagerly
+     at fork: a vslock'd frame carries its wiring on the frame alone, so
+     a snapshot would let the sender's next write fault displace it and
+     strand that wiring on the kernel's copy. *)
   let mexp_range_ok vm ~vpn ~npages =
     let entries = Uvm_map.entries vm.map in
     let covered v =
-      List.exists
-        (fun (e : Uvm_map.entry) ->
-          e.Uvm_map.spage <= v && v < e.Uvm_map.epage
-          && e.Uvm_map.prot.Pmap.Prot.r
-          &&
-          match e.Uvm_map.amap with
-          | Some am -> not am.Uvm_amap.shared
-          | None -> true)
-        entries
+      (match Pmap.lookup vm.pmap ~vpn:v with
+      | Some pte -> not pte.Pmap.wired
+      | None -> true)
+      && List.exists
+           (fun (e : Uvm_map.entry) ->
+             e.Uvm_map.spage <= v && v < e.Uvm_map.epage
+             && e.Uvm_map.prot.Pmap.Prot.r
+             &&
+             match e.Uvm_map.amap with
+             | Some am -> not am.Uvm_amap.shared
+             | None -> true)
+           entries
     in
     let ok = ref true in
     for v = vpn to vpn + npages - 1 do

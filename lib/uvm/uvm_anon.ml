@@ -83,31 +83,17 @@ let ensure_resident sys t =
           ~owner:(Anon_page t) ~offset:0 ()
       in
       let span = Uvm_sys.span_start sys ~subsys:"pager" "pagein" in
-      let t0 = Sim.Simclock.now (Uvm_sys.clock sys) in
       let r =
         Swap.Swaptier.read_resilient (Uvm_sys.swapdev sys)
           ~retries:sys.Uvm_sys.io_retries ~backoff_us:sys.Uvm_sys.io_backoff_us
           ~slot:t.swslot ~dst:page
       in
-      Uvm_sys.span_finish sys span
-        ~detail:
+      Uvm_sys.span_finish sys span (fun () ->
           [
             ("pager", "anon");
+            ("pages", "1");
             ("result", match r with Ok () -> "ok" | Error _ -> "error");
-          ]
-        ();
-      (if Uvm_sys.tracing sys then begin
-         let dur = Sim.Simclock.now (Uvm_sys.clock sys) -. t0 in
-         Uvm_sys.trace sys ~subsys:Sim.Hist.Pager ~ts:t0 ~dur
-           ~detail:
-             [
-               ("pager", "anon");
-               ("pages", "1");
-               ("result", match r with Ok () -> "ok" | Error _ -> "error");
-             ]
-           "pagein";
-         Uvm_sys.observe sys "pagein_us" dur
-       end);
+          ]);
       match r with
       | Ok () ->
           Physmem.note_fault_in (Uvm_sys.physmem sys) page

@@ -31,32 +31,17 @@ let make_ops sys st obj =
          match Hashtbl.find_opt st.swslots center with
          | Some slot ->
              let span = Uvm_sys.span_start sys ~subsys:"pager" "pagein" in
-             let t0 = Sim.Simclock.now (Uvm_sys.clock sys) in
              let r =
                Swap.Swaptier.read_resilient swapdev
                  ~retries:sys.Uvm_sys.io_retries
                  ~backoff_us:sys.Uvm_sys.io_backoff_us ~slot ~dst:page
              in
-             Uvm_sys.span_finish sys span
-               ~detail:
+             Uvm_sys.span_finish sys span (fun () ->
                  [
                    ("pager", "aobj");
+                   ("pages", "1");
                    ("result", match r with Ok () -> "ok" | Error _ -> "error");
-                 ]
-               ();
-             (if Uvm_sys.tracing sys then begin
-                let dur = Sim.Simclock.now (Uvm_sys.clock sys) -. t0 in
-                Uvm_sys.trace sys ~subsys:Sim.Hist.Pager ~ts:t0 ~dur
-                  ~detail:
-                    [
-                      ("pager", "aobj");
-                      ("pages", "1");
-                      ( "result",
-                        match r with Ok () -> "ok" | Error _ -> "error" );
-                    ]
-                  "pagein";
-                Uvm_sys.observe sys "pagein_us" dur
-              end);
+                 ]);
              r
          | None ->
              Physmem.zero_data physmem page;
@@ -101,7 +86,6 @@ let make_ops sys st obj =
   in
   let write_batch_at pages base =
     let span = Uvm_sys.span_start sys ~subsys:"pager" "pageout" in
-    let t0 = Sim.Simclock.now (Uvm_sys.clock sys) in
     let r =
       match
         Swap.Swaptier.write_resilient swapdev ~retries:sys.Uvm_sys.io_retries
@@ -112,25 +96,12 @@ let make_ops sys st obj =
       | Swap.Swaptier.No_space _ -> Error Vmiface.Vmtypes.Out_of_swap
       | Swap.Swaptier.Failed _ -> Error Vmiface.Vmtypes.Pager_error
     in
-    Uvm_sys.span_finish sys span
-      ~detail:
+    Uvm_sys.span_finish sys span (fun () ->
         [
           ("pager", "aobj");
+          ("pages", string_of_int (List.length pages));
           ("result", match r with Ok () -> "ok" | Error _ -> "error");
-        ]
-      ();
-    (if Uvm_sys.tracing sys then begin
-       let dur = Sim.Simclock.now (Uvm_sys.clock sys) -. t0 in
-       Uvm_sys.trace sys ~subsys:Sim.Hist.Pager ~ts:t0 ~dur
-         ~detail:
-           [
-             ("pager", "aobj");
-             ("pages", string_of_int (List.length pages));
-             ("result", match r with Ok () -> "ok" | Error _ -> "error");
-           ]
-         "pageout";
-       Uvm_sys.observe sys "pageout_cluster_io_us" dur
-     end);
+        ]);
     r
   in
   (* One page into its existing slot, or a freshly allocated one.  [None]

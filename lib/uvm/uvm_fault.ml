@@ -163,6 +163,22 @@ let resolve_anon_fault map entry ~vpn ~write ~wire anon =
             ~fill:Sim.Lifecycle.Fill_cow;
           stats.Sim.Stats.cow_copies <- stats.Sim.Stats.cow_copies + 1;
           let transfer = wirings_to_move entry ~prev ~page:fresh_page ~wire in
+          (* A loan break on a sole-owner anon in a private amap: the
+             kernel keeps the loaned frame and only the wirings its loans
+             hold.  Every other wiring on it belongs to this mapping —
+             including vslock's, which live on the frame alone when the
+             buffer was wired before the loan — and must follow the
+             translation to the fresh copy.  In a shared amap another
+             sharer's wired translation may carry some of them and stays
+             on the old frame, so only this entry's mlock wirings move. *)
+          let transfer =
+            match prev with
+            | Some (old_page, true)
+              when old_page == page && anon.Uvm_anon.refs = 1
+                   && not am.Uvm_amap.shared ->
+                page.Physmem.Page.wire_count - page.Physmem.Page.loan_count
+            | Some _ | None -> transfer
+          in
           unwire_displaced map ~prev ~transfer;
           (* Replacing an anon in a *shared* amap: other sharers still map the
              displaced page — shoot those translations down so they refault
@@ -283,37 +299,26 @@ let fault map ~vpn ~access ~wire =
   let sys = map.sys in
   let stats = Uvm_sys.stats sys in
   let costs = Uvm_sys.costs sys in
-  let t0 = Sim.Simclock.now (Uvm_sys.clock sys) in
+  let span = Uvm_sys.span_start sys ~subsys:"fault" "fault" in
   Uvm_sys.charge sys costs.Sim.Cost_model.fault_entry;
   stats.Sim.Stats.faults <- stats.Sim.Stats.faults + 1;
-  let span = Uvm_sys.span_start sys ~subsys:"fault" "fault" in
   Uvm_map.lock map;
   (* Every exit goes through [finish], which is therefore the one place
-     the fault-path span and latency are recorded. *)
+     the fault-path span is closed.  It opens before the entry charge so
+     its duration is the whole fault latency. *)
   let finish r =
     Uvm_map.unlock map;
-    let result =
-      match r with
-      | Ok () -> "ok"
-      | Error e -> Vmtypes.string_of_fault_error e
-    in
-    Uvm_sys.span_finish sys span
-      ~detail:[ ("vpn", string_of_int vpn); ("result", result) ]
-      ();
-    if Uvm_sys.tracing sys then begin
-      let dur = Sim.Simclock.now (Uvm_sys.clock sys) -. t0 in
-      Uvm_sys.trace sys ~subsys:Sim.Hist.Fault ~ts:t0 ~dur
-        ~detail:
-          [
-            ("vpn", string_of_int vpn);
-            ( "access",
-              match access with Vmtypes.Read -> "read" | Vmtypes.Write -> "write"
-            );
-            ("result", result);
-          ]
-        "fault";
-      Uvm_sys.observe sys "fault_us" dur
-    end;
+    Uvm_sys.span_finish sys span (fun () ->
+        [
+          ("vpn", string_of_int vpn);
+          ( "access",
+            match access with Vmtypes.Read -> "read" | Vmtypes.Write -> "write"
+          );
+          ( "result",
+            match r with
+            | Ok () -> "ok"
+            | Error e -> Vmtypes.string_of_fault_error e );
+        ]);
     r
   in
   match Uvm_map.lookup map ~vpn with

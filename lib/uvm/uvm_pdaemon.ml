@@ -30,7 +30,6 @@ let flush_anon_batch sys batch =
       let physmem = Uvm_sys.physmem sys in
       let n = List.length batch in
       let span = Uvm_sys.span_start sys ~subsys:"pdaemon" "pageout" in
-      let t0 = Sim.Simclock.now (Uvm_sys.clock sys) in
       let write_at ~slot ~assign ~pages =
         match
           Swap.Swaptier.write_resilient swapdev ~retries:sys.Uvm_sys.io_retries
@@ -92,24 +91,11 @@ let flush_anon_batch sys batch =
                   stats.Sim.Stats.swap_full_events <-
                     stats.Sim.Stats.swap_full_events + 1)
             batch);
-      Uvm_sys.span_finish sys span
-        ~detail:
+      Uvm_sys.span_finish sys span (fun () ->
           [
             ("pages", string_of_int n);
             ("clustered", string_of_bool (clustered <> None));
-          ]
-        ();
-      (if Uvm_sys.tracing sys then begin
-         let dur = Sim.Simclock.now (Uvm_sys.clock sys) -. t0 in
-         Uvm_sys.trace sys ~subsys:Sim.Hist.Pdaemon ~ts:t0 ~dur
-           ~detail:
-             [
-               ("pages", string_of_int n);
-               ("clustered", string_of_bool (clustered <> None));
-             ]
-           "pageout_cluster";
-         Uvm_sys.observe sys "pageout_cluster_io_us" dur
-       end);
+          ]);
       (* Pages that now have a swap copy are clean and reclaimable.  Pages
          that could not be cleaned (swap full, dead media) go back to the
          active queue: leaving them on the inactive queue would make its
@@ -168,7 +154,6 @@ let run sys =
   Swap.Swaptier.run_drain (Uvm_sys.swapdev sys);
   let physmem = Uvm_sys.physmem sys in
   let target = Physmem.freetarg physmem in
-  let t0 = Sim.Simclock.now (Uvm_sys.clock sys) in
   let free0 = Physmem.free_count physmem in
   let anon_batch = ref [] in
   let obj_batches : (int, Uvm_object.t * Physmem.Page.t list) Hashtbl.t =
@@ -245,22 +230,11 @@ let run sys =
         end)
       (Physmem.active_pages physmem)
   end;
-  Uvm_sys.span_finish sys scan_span
-    ~detail:
+  Uvm_sys.span_finish sys scan_span (fun () ->
       [
         ("free_before", string_of_int free0);
         ("free_after", string_of_int (Physmem.free_count physmem));
-      ]
-    ();
-  if Uvm_sys.tracing sys then
-    Uvm_sys.trace sys ~subsys:Sim.Hist.Pdaemon ~ts:t0
-      ~dur:(Sim.Simclock.now (Uvm_sys.clock sys) -. t0)
-      ~detail:
-        [
-          ("free_before", string_of_int free0);
-          ("free_after", string_of_int (Physmem.free_count physmem));
-          ("target", string_of_int target);
-        ]
-      "scan"
+        ("target", string_of_int target);
+      ])
 
 let install sys = Physmem.set_pagedaemon (Uvm_sys.physmem sys) (fun () -> run sys)

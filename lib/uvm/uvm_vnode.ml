@@ -51,7 +51,6 @@ let make_ops sys (vnode : Vfs.Vnode.t) (uvn_ref : uvn option ref) obj =
                ~offset:(center + i) ())
        in
        let span = Uvm_sys.span_start sys ~subsys:"pager" "pagein" in
-       let t0 = Sim.Simclock.now (Uvm_sys.clock sys) in
        (match
           Uvm_sys.retry_transient sys (fun () ->
               Vfs.read_pages vfs vnode ~start_page:center ~dsts:pages)
@@ -72,25 +71,12 @@ let make_ops sys (vnode : Vfs.Vnode.t) (uvn_ref : uvn option ref) obj =
            let stats = Uvm_sys.stats sys in
            stats.Sim.Stats.pageins_failed <- stats.Sim.Stats.pageins_failed + 1;
            status := Error Vmiface.Vmtypes.Pager_error);
-       Uvm_sys.span_finish sys span
-         ~detail:
+       Uvm_sys.span_finish sys span (fun () ->
            [
              ("pager", "vnode");
+             ("pages", string_of_int n);
              ("result", match !status with Ok () -> "ok" | Error _ -> "error");
-           ]
-         ();
-       if Uvm_sys.tracing sys then begin
-         let dur = Sim.Simclock.now (Uvm_sys.clock sys) -. t0 in
-         Uvm_sys.trace sys ~subsys:Sim.Hist.Pager ~ts:t0 ~dur
-           ~detail:
-             [
-               ("pager", "vnode");
-               ("pages", string_of_int n);
-               ("result", match !status with Ok () -> "ok" | Error _ -> "error");
-             ]
-           "pagein";
-         Uvm_sys.observe sys "pagein_us" dur
-       end
+           ])
      end
   in
   let pgo_get ~center ~lo ~hi =
@@ -133,31 +119,17 @@ let make_ops sys (vnode : Vfs.Vnode.t) (uvn_ref : uvn option ref) obj =
         | [] -> acc
         | (first : Physmem.Page.t) :: _ ->
             let span = Uvm_sys.span_start sys ~subsys:"pager" "pageout" in
-            let t0 = Sim.Simclock.now (Uvm_sys.clock sys) in
             let r =
               Uvm_sys.retry_transient sys (fun () ->
                   Vfs.write_pages vfs vnode ~start_page:first.owner_offset
                     ~srcs:run)
             in
-            Uvm_sys.span_finish sys span
-              ~detail:
+            Uvm_sys.span_finish sys span (fun () ->
                 [
                   ("pager", "vnode");
+                  ("pages", string_of_int (List.length run));
                   ("result", match r with Ok () -> "ok" | Error _ -> "error");
-                ]
-              ();
-            (if Uvm_sys.tracing sys then begin
-               let dur = Sim.Simclock.now (Uvm_sys.clock sys) -. t0 in
-               Uvm_sys.trace sys ~subsys:Sim.Hist.Pager ~ts:t0 ~dur
-                 ~detail:
-                   [
-                     ("pager", "vnode");
-                     ("pages", string_of_int (List.length run));
-                     ("result", match r with Ok () -> "ok" | Error _ -> "error");
-                   ]
-                 "pageout";
-               Uvm_sys.observe sys "pageout_cluster_io_us" dur
-             end);
+                ]);
             (match r with
             | Ok () ->
                 (* The file just changed under any swapcache copies of

@@ -85,8 +85,6 @@ type t = {
   pmap_ctx : Pmap.ctx;
   swap : Swap.Swaptier.t;
   vfs : Vfs.t;
-  hist : Sim.Hist.t;
-  latencies : Sim.Histogram.set;
   lifecycle : Sim.Lifecycle.t;
   spans : Sim.Span.t;
   series : Sim.Timeseries.t;
@@ -111,12 +109,6 @@ let boot ?(config = default_config) () =
   let trace_buf =
     match config.trace_buf with Some _ as n -> n | None -> !default_trace_buf
   in
-  let hist =
-    match trace_buf with
-    | Some capacity -> Sim.Hist.create ~capacity ~enabled:true ()
-    | None -> Sim.Hist.create ~enabled:false ()
-  in
-  let latencies = Sim.Histogram.create_set () in
   let spans =
     match trace_buf with
     | Some capacity -> Sim.Span.create ~capacity ~enabled:true ()
@@ -133,14 +125,10 @@ let boot ?(config = default_config) () =
       ()
   in
   Sim.Lockstat.set_spans locks (Some spans);
-  Sim.Lockstat.set_hist locks (Some hist);
-  Sim.Lockstat.set_latencies locks (Some latencies);
   let trace_source =
     {
       Sim.Trace_export.label = "vm";
-      hist;
       stats;
-      latencies;
       lifecycle;
       spans;
       series;
@@ -178,8 +166,6 @@ let boot ?(config = default_config) () =
       vfs =
         Vfs.create ~max_vnodes:config.max_vnodes ~page_size:config.page_size
           ~clock ~costs ~stats ();
-      hist;
-      latencies;
       lifecycle;
       spans;
       series;
@@ -407,8 +393,7 @@ let boot ?(config = default_config) () =
                 ]
           | None -> None)
     end);
-  if Sim.Hist.enabled hist then begin
-    Swap.Swaptier.set_hist t.swap (Some hist);
+  if trace_buf <> None then begin
     Sim.Timeseries.attach series clock;
     traced_sources := trace_source :: !traced_sources
   end;

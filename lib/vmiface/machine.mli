@@ -18,8 +18,8 @@ type config = {
       (** I/O fault plan factory, invoked once per boot and installed on
           both the swap and filesystem disks *)
   trace_buf : int option;
-      (** when set, boot with event tracing enabled, each subsystem ring
-          holding this many events *)
+      (** when set, boot with span collection enabled, the finished-span
+          ring holding this many spans *)
   ncpus : int;
       (** virtual CPUs (default 1): sizes physmem's per-CPU free-page
           caches and adds per-CPU vmstat columns; the interleaving itself
@@ -42,8 +42,8 @@ val set_default_trace : int option -> unit
     [boot] uses this ring capacity (and [None] disables tracing). *)
 
 val traced : unit -> Sim.Trace_export.source list
-(** Observability state (label, event history, counters, latency
-    histograms) of every machine booted with tracing on since the last
+(** Observability state (label, span collector, counters, lock
+    registry) of every machine booted with tracing on since the last
     {!reset_traced}, in boot order.  Sources are lightweight: holding
     them does not keep the machines' simulated memory alive. *)
 
@@ -67,12 +67,11 @@ type t = {
   pmap_ctx : Pmap.ctx;
   swap : Swap.Swaptier.t;
   vfs : Vfs.t;
-  hist : Sim.Hist.t;  (** per-machine event history (disabled by default) *)
-  latencies : Sim.Histogram.set;  (** per-machine latency histograms *)
   lifecycle : Sim.Lifecycle.t;
       (** ledger-derived efficacy analytics, shared by physmem and pmap *)
   spans : Sim.Span.t;
-      (** causal span collector (enabled together with [hist]) *)
+      (** causal span collector: the machine's single event stream and
+          the source of its latency histograms (disabled by default) *)
   series : Sim.Timeseries.t;
       (** vmstat-style sampler, clock-driven while tracing is on *)
   locks : Sim.Lockstat.t;

@@ -45,12 +45,50 @@ else
   echo 'ci: trace export produced (python3 unavailable, shape-checked only)'
 fi
 
+# Stats-snapshot smoke: --stats-out must emit uvm-sim-stats/2 for both
+# VM systems, with span-derived fault and pagein latency histograms and
+# the span ring's recorded/dropped counts.
+stats=$(mktemp /tmp/uvm-stats.XXXXXX.json)
+trap 'rm -f "$trace" "$stats"' EXIT
+dune exec bin/uvm_sim.exe -- table2 --stats-out "$stats" > /dev/null
+if command -v python3 > /dev/null 2>&1; then
+  python3 - "$stats" <<'EOF'
+import json, sys
+with open(sys.argv[1]) as f:
+    r = json.load(f)
+assert r["schema"] == "uvm-sim-stats/2", r.get("schema")
+systems = {s["label"]: s for s in r["systems"]}
+assert set(systems) >= {"UVM", "BSD VM"}, set(systems)
+for label, s in systems.items():
+    for series in ("fault", "pagein"):
+        h = s["histograms"].get(series)
+        assert h is not None and h["count"] > 0, (label, series)
+    assert s["trace"]["recorded"] > 0, (label, s["trace"])
+    assert s["trace"]["dropped"] >= 0, (label, s["trace"])
+print("ci: stats snapshot valid (%d systems)" % len(systems))
+EOF
+else
+  grep -q '"uvm-sim-stats/2"' "$stats"
+  echo 'ci: stats snapshot produced (python3 unavailable, shape-checked only)'
+fi
+
 # Torture smoke: one fixed-seed differential run with periodic invariant
 # audits on both VM systems.  On failure it leaves a crash artifact (op
-# trace, failure, event ring, stats) in artifacts/torture/ for the CI
+# trace, failure, span ring, stats) in artifacts/torture/ for the CI
 # workflow to upload.
 dune exec bin/uvm_sim.exe -- torture --seed 42 --ops 2000 --audit-every 50 \
   --shrink --artifact-dir artifacts/torture
+
+# Multi-seed torture sweep: seeds 1-60 x 6000 ops, audited every 50 ops,
+# must all run clean on both kernels (about half a minute).
+for seed in $(seq 1 60); do
+  ./_build/default/bin/uvm_sim.exe torture --seed "$seed" --ops 6000 \
+    --audit-every 50 --artifact-dir artifacts/torture > /dev/null || {
+    echo "ci: torture seed $seed failed" >&2
+    exit 1
+  }
+done
+echo 'ci: torture sweep clean (seeds 1-60 x 6000 ops)'
 
 # Efficacy-report smoke (DESIGN.md §10): quick-mode ledger report over
 # both systems, kept in artifacts/ for the workflow to upload.
@@ -232,7 +270,7 @@ if command -v python3 > /dev/null 2>&1; then
 import json, sys
 with open(sys.argv[1]) as f:
     r = json.load(f)
-assert r["schema"] == "uvm-sim-lockstat/1", r.get("schema")
+assert r["schema"] == "uvm-sim-lockstat/2", r.get("schema")
 assert abs(r["folded_total_us"] - r["wall_us"]) <= 0.01 * r["wall_us"], \
     (r["folded_total_us"], r["wall_us"])
 systems = {s["label"]: s for s in r["systems"]}
@@ -260,7 +298,7 @@ print("ci: lockstat valid (%d classes held, folded telescopes)"
             for s in r["systems"]))
 EOF
 else
-  grep -q '"uvm-sim-lockstat/1"' artifacts/lockstat.json
+  grep -q '"uvm-sim-lockstat/2"' artifacts/lockstat.json
   grep -q '"cycles":\[\]' artifacts/lockstat.json
   test -s artifacts/profile.folded
   echo 'ci: lockstat produced (python3 unavailable, shape-checked only)'

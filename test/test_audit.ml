@@ -38,6 +38,84 @@ let test_trace_reproducible () =
   let r2 = T.run (cfg ~seed:11 ~nops:500 ~audit_every:50) in
   Alcotest.(check bool) "same trace" true (r1.T.r_trace = r2.T.r_trace)
 
+(* Replay a shrunk trace, auditing after every op: no bug, and no op
+   skipped as inapplicable. *)
+let replay_clean ~seed ops =
+  let bug, fed, _ = T.drive (cfg ~seed ~nops:0 ~audit_every:1) (T.Replay ops) in
+  (match bug with
+  | None -> ()
+  | Some b -> Alcotest.failf "unexpected bug: %s" (T.string_of_bug b));
+  Alcotest.(check int) "every op executed" (List.length ops) (List.length fed)
+
+(* Shrunk from seed 53: a vslock'd anon range is loaned to a pipe, made
+   inaccessible, written (the fault fails), and then unlocked.  The
+   loaned, wired frames must keep every wiring the token holds, so the
+   final vsunlock finds each page still wired on both kernels. *)
+let test_vslock_loan_unwire () =
+  let ops =
+    [
+      (1, T.Spawn { p = 0 });
+      ( 6,
+        T.Mmap
+          {
+            p = 0;
+            r = 3;
+            npages = 4;
+            prot_ix = 3;
+            shared = false;
+            src_file = 0;
+            fileoff = 0;
+          } );
+      (11, T.Pipe_open { k = 0 });
+      (12, T.Vsl_grab { p = 0; r = 3; off = 1; len = 3 });
+      ( 29,
+        T.Pipe_write
+          {
+            k = 0;
+            p = 0;
+            r = 3;
+            off = 8192;
+            len = 8192;
+            pol_ix = 1;
+            vsl = false;
+          }
+      );
+      (40, T.Mprotect { p = 0; r = 3; off = 1; len = 3; prot_ix = 0 });
+      (43, T.Write { p = 0; r = 3; page = 3; byte = 112 });
+      (70, T.Vsl_drop { p = 0 });
+    ]
+  in
+  replay_clean ~seed:53 ops
+
+(* Shrunk from seed 32: a vslock'd page is sent by map-entry passing and
+   then written.  Mexp declines wired translations and copies instead,
+   so the write fault leaves the vslock wiring on the sender's frame and
+   closing the pipe frees an unwired kernel copy. *)
+let test_vslock_mexp_write () =
+  replay_clean ~seed:32
+    [
+      (0, T.Pipe_open { k = 1 });
+      (5, T.Spawn { p = 4 });
+      ( 6,
+        T.Mmap
+          {
+            p = 4;
+            r = 7;
+            npages = 1;
+            prot_ix = 0;
+            shared = false;
+            src_file = 0;
+            fileoff = 0;
+          } );
+      (7, T.Vsl_grab { p = 4; r = 7; off = 0; len = 1 });
+      ( 11,
+        T.Pipe_write
+          { k = 1; p = 4; r = 7; off = 0; len = 4096; pol_ix = 2; vsl = true }
+      );
+      (18, T.Write { p = 4; r = 7; page = 0; byte = 111 });
+      (285, T.Pipe_close { k = 1 });
+    ]
+
 let corruption_case ?(tiers = false) kind subsys () =
   let c =
     {
@@ -74,6 +152,10 @@ let () =
             test_fixed_seed_clean_tiered;
           Alcotest.test_case "trace reproducible" `Quick
             test_trace_reproducible;
+          Alcotest.test_case "vslock + loan + failed write unwires" `Quick
+            test_vslock_loan_unwire;
+          Alcotest.test_case "vslock + mexp + write unwires" `Quick
+            test_vslock_mexp_write;
         ] );
       ( "corruption oracle",
         [

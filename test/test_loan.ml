@@ -103,6 +103,29 @@ let test_loan_faults_in_nonresident () =
   Alcotest.(check int) "all four loaned" 4 (List.length (Uvm.Loan.pages loan));
   Uvm.loan_finish sys loan
 
+(* Two processes share an anon amap and both mlock its page; one of them
+   loans the page out and writes it.  The loan break moves only the
+   writer's wiring to the fresh copy: the other sharer's wired
+   translation stays on the loaned frame, so its munlock and the loan's
+   end each find their own wiring there. *)
+let test_shared_amap_loan_break_keeps_sharer_wiring () =
+  let sys, a = mk () in
+  let vpn = S.mmap sys a ~npages:1 ~prot:Pmap.Prot.rw ~share:Vt.Private Vt.Zero in
+  S.write_bytes sys a ~addr:(vpn * 4096) (Bytes.of_string "shared");
+  S.minherit sys a ~vpn ~npages:1 Vt.Inh_shared;
+  let b = S.fork sys a in
+  S.mlock sys a ~vpn ~npages:1;
+  S.mlock sys b ~vpn ~npages:1;
+  let loan = Uvm.loan_to_kernel a ~vpn ~npages:1 in
+  let kpage = List.hd (Uvm.Loan.pages loan) in
+  S.write_bytes sys a ~addr:(vpn * 4096) (Bytes.of_string "broken");
+  Alcotest.(check int) "sharer's wiring and the loan's stay" 2
+    kpage.Physmem.Page.wire_count;
+  S.munlock sys b ~vpn ~npages:1;
+  Uvm.loan_finish sys loan;
+  S.munlock sys a ~vpn ~npages:1;
+  S.audit sys
+
 let () =
   Alcotest.run "loan"
     [
@@ -114,5 +137,7 @@ let () =
           Alcotest.test_case "object pages" `Quick test_loan_object_pages;
           Alcotest.test_case "not paged out" `Quick test_loaned_pages_not_paged_out;
           Alcotest.test_case "faults in" `Quick test_loan_faults_in_nonresident;
+          Alcotest.test_case "shared-amap loan break keeps sharer wiring"
+            `Quick test_shared_amap_loan_break_keeps_sharer_wiring;
         ] );
     ]

@@ -1,8 +1,8 @@
 (* The lock observatory: registry semantics (recursion, read/write
    split, span attribution), the lockdep-style order auditor (ABBA must
-   cycle, acquire_root must break the context), the would-be-contention
-   projection's determinism, folded-profile telescoping, and the
-   end-to-end experiment covering every lock class on both kernels. *)
+   cycle, acquire_root must break the context), folded-profile
+   telescoping, and the end-to-end experiment covering every lock class
+   on both kernels. *)
 
 let contains ~sub s =
   let n = String.length sub and m = String.length s in
@@ -169,44 +169,6 @@ let test_disabled_registry_is_inert () =
   Sim.Lockstat.release reg a;
   Alcotest.(check int) "nothing recorded" 0 (Sim.Lockstat.total_acquires reg)
 
-(* -- contention projection ---------------------------------------------- *)
-
-let record_intervals reg =
-  let a = Sim.Lockstat.register reg ~cls:"alpha" "a0" in
-  a
-
-let test_projection_deterministic () =
-  let reg, now = make_reg () in
-  let a = record_intervals reg in
-  for i = 0 to 63 do
-    now := float_of_int (i * 10);
-    Sim.Lockstat.acquire reg a ~mode:Sim.Lockstat.Write;
-    now := !now +. 4.0;
-    Sim.Lockstat.release reg a
-  done;
-  let p1 = Sim.Lockstat.project reg ~cls:"alpha" ~cpus:4 ~seed:42 in
-  let p2 = Sim.Lockstat.project reg ~cls:"alpha" ~cpus:4 ~seed:42 in
-  (match (p1, p2) with
-  | Some p1, Some p2 ->
-      Alcotest.(check int) "same events" p1.Sim.Lockstat.pj_events
-        p2.Sim.Lockstat.pj_events;
-      Alcotest.(check (float 1e-9)) "same projected wait"
-        p1.Sim.Lockstat.pj_wait_us p2.Sim.Lockstat.pj_wait_us;
-      Alcotest.(check int) "4 cpus replay 4x the acquires" (4 * 64)
-        p1.Sim.Lockstat.pj_events;
-      Alcotest.(check bool) "competition projects some wait" true
-        (p1.Sim.Lockstat.pj_wait_us > 0.0)
-  | _ -> Alcotest.fail "projection missing for a recorded class");
-  (* One CPU replays the recording verbatim: the holds never overlapped,
-     so nothing waits. *)
-  (match Sim.Lockstat.project reg ~cls:"alpha" ~cpus:1 ~seed:42 with
-  | Some p ->
-      Alcotest.(check (float 1e-9)) "solo replay waits for nothing" 0.0
-        p.Sim.Lockstat.pj_wait_us
-  | None -> Alcotest.fail "solo projection missing");
-  Alcotest.(check bool) "unrecorded class projects None" true
-    (Sim.Lockstat.project reg ~cls:"nosuch" ~cpus:4 ~seed:42 = None)
-
 (* -- folded profiles ---------------------------------------------------- *)
 
 let test_fold_paths_telescopes () =
@@ -364,11 +326,6 @@ let () =
             test_mode_split_and_attribution;
           Alcotest.test_case "disabled registry is inert" `Quick
             test_disabled_registry_is_inert;
-        ] );
-      ( "projection",
-        [
-          Alcotest.test_case "deterministic and overlap-aware" `Quick
-            test_projection_deterministic;
         ] );
       ( "profiles",
         [

@@ -10,7 +10,7 @@ module Vmtypes = Vmiface.Vmtypes
 let test_nesting_and_trace_ids () =
   let c = Sim.Span.create ~enabled:true () in
   let a = Sim.Span.start c ~subsys:"fault" ~ts:0.0 "fault" in
-  let b = Sim.Span.start c ~subsys:"map" ~ts:1.0 "map_lock" in
+  let b = Sim.Span.start c ~subsys:"map" ~ts:1.0 "lock:map" in
   let d = Sim.Span.start c ~subsys:"pager" ~ts:2.0 "pagein" in
   Sim.Span.finish c d ~ts:5.0 ();
   let e = Sim.Span.start c ~subsys:"pager" ~ts:6.0 "pagein" in
@@ -66,7 +66,7 @@ let test_lifo_recovery () =
   let c = Sim.Span.create ~enabled:true () in
   let a = Sim.Span.start c ~subsys:"torture" ~ts:0.0 "op" in
   let b = Sim.Span.start c ~subsys:"fault" ~ts:1.0 "fault" in
-  let d = Sim.Span.start c ~subsys:"map" ~ts:2.0 "map_lock" in
+  let d = Sim.Span.start c ~subsys:"map" ~ts:2.0 "lock:map" in
   Sim.Span.finish c a ~ts:9.0 ();
   Alcotest.(check int) "everything closed" 3 (Sim.Span.recorded c);
   Alcotest.(check int) "stack empty after recovery" 0
@@ -94,7 +94,7 @@ let test_ring_wraparound () =
 let test_self_times () =
   let c = Sim.Span.create ~enabled:true () in
   let a = Sim.Span.start c ~subsys:"fault" ~ts:0.0 "fault" in
-  let b = Sim.Span.start c ~subsys:"map" ~ts:1.0 "map_lock" in
+  let b = Sim.Span.start c ~subsys:"map" ~ts:1.0 "lock:map" in
   let d = Sim.Span.start c ~subsys:"pager" ~ts:2.0 "pagein" in
   Sim.Span.finish c d ~ts:5.0 ();
   let e = Sim.Span.start c ~subsys:"pager" ~ts:6.0 "pagein" in
@@ -103,7 +103,7 @@ let test_self_times () =
   Sim.Span.finish c a ~ts:10.0 ();
   let tree = Sim.Span.take_trace c ~trace:a.Sim.Span.strace in
   let self = Sim.Span.self_times tree in
-  (* fault: 10 total - 7 in map_lock; map: 7 - 4 in pageins; pager: 3+1 *)
+  (* fault: 10 total - 7 in lock:map; map: 7 - 4 in pageins; pager: 3+1 *)
   Alcotest.(check (float 1e-9)) "fault self" 3.0 (List.assoc "fault" self);
   Alcotest.(check (float 1e-9)) "map self" 3.0 (List.assoc "map" self);
   Alcotest.(check (float 1e-9)) "pager self" 4.0 (List.assoc "pager" self);

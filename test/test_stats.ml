@@ -1,11 +1,11 @@
 (* Sim.Stats accounting invariants.
 
-   The record is all mutable fields read/written by name everywhere, so a
-   field added to the type but forgotten in [to_rows] (or mis-paired in
-   [diff]) would go unnoticed by the compiler.  These tests close that
-   hole with Obj: the record has mixed int/float fields, hence a regular
-   block whose size is the field count and whose every field can be set
-   generically. *)
+   Every generic operation is derived from one field table, [Stats.fields],
+   so a field added to the record but forgotten in the table (or paired
+   with another field's accessor) would go unnoticed by the compiler.
+   These tests close that hole with Obj: the record has mixed int/float
+   fields, hence a regular block whose size is the field count and whose
+   every field can be set generically. *)
 
 let nfields = Obj.size (Obj.repr (Sim.Stats.create ()))
 
@@ -78,6 +78,55 @@ let test_to_rows_complete () =
       "reserve_grabs";
     ]
 
+(* The table covers every record field exactly once, in declaration
+   order: each entry's getter reads field i and its setter writes it. *)
+let test_table_covers_record () =
+  Alcotest.(check int)
+    "one table entry per record field" nfields
+    (List.length Sim.Stats.fields);
+  let t = Sim.Stats.create () in
+  fill_fields t 100;
+  List.iteri
+    (fun i (f : Sim.Stats.field) ->
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "%s reads field %d" f.name i)
+        (field_value t i) (f.get t);
+      f.set t 7.0;
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "%s writes field %d" f.name i)
+        7.0 (field_value t i))
+    Sim.Stats.fields;
+  Alcotest.(check (list string))
+    "exactly the five gauges"
+    [
+      "free_pages";
+      "active_pages";
+      "inactive_pages";
+      "swap_slots_used";
+      "swapcache_pages";
+    ]
+    (List.filter_map
+       (fun (f : Sim.Stats.field) ->
+         if f.kind = Sim.Stats.Gauge then Some f.name else None)
+       Sim.Stats.fields)
+
+(* [add] sums counters but lets a gauge's latest level win. *)
+let test_add_counters_and_gauges () =
+  let into = Sim.Stats.create () in
+  fill_fields into 10;
+  let d = Sim.Stats.create () in
+  fill_fields d 1000;
+  Sim.Stats.add ~into d;
+  List.iteri
+    (fun i (f : Sim.Stats.field) ->
+      let want =
+        match f.kind with
+        | Sim.Stats.Counter -> float_of_int (10 + i + 1000 + i)
+        | Sim.Stats.Gauge -> float_of_int (1000 + i)
+      in
+      Alcotest.(check (float 0.0)) (f.name ^ " after add") want (f.get into))
+    Sim.Stats.fields
+
 let test_snapshot_independent () =
   let t = Sim.Stats.create () in
   fill_fields t 10;
@@ -138,6 +187,10 @@ let () =
         [
           Alcotest.test_case "field layout" `Quick test_field_count;
           Alcotest.test_case "to_rows completeness" `Quick test_to_rows_complete;
+          Alcotest.test_case "field table covers the record" `Quick
+            test_table_covers_record;
+          Alcotest.test_case "add: counters sum, gauges latest" `Quick
+            test_add_counters_and_gauges;
           Alcotest.test_case "snapshot independence" `Quick
             test_snapshot_independent;
           Alcotest.test_case "diff round-trip" `Quick test_diff_round_trip;

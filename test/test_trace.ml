@@ -1,77 +1,11 @@
-(* The observability layer: event-history rings, latency histograms and
-   the Chrome trace exporter.
+(* The observability layer: latency histograms, the span-derived latency
+   series and the exporters over the single span stream.
 
    The exporter test round-trips through a minimal JSON parser written
    here — the repo deliberately carries no JSON dependency, and parsing
    the two fixed schemas needs thirty lines, not a library. *)
 
 module Vmtypes = Vmiface.Vmtypes
-
-(* -- ring buffers ------------------------------------------------------- *)
-
-let test_ring_wraparound () =
-  let h = Sim.Hist.create ~capacity:4 ~enabled:true () in
-  for i = 1 to 10 do
-    Sim.Hist.record h ~subsys:Sim.Hist.Fault ~ts:(float_of_int i)
-      (Printf.sprintf "e%d" i)
-  done;
-  Alcotest.(check int) "recorded counts overwritten events" 10
-    (Sim.Hist.recorded h);
-  Alcotest.(check int) "retained capped at capacity" 4 (Sim.Hist.retained h);
-  Alcotest.(check int) "dropped = recorded - retained" 6 (Sim.Hist.dropped h);
-  Alcotest.(check (list string))
-    "ring keeps the newest events in order"
-    [ "e7"; "e8"; "e9"; "e10" ]
-    (List.map
-       (fun (e : Sim.Hist.event) -> e.name)
-       (Sim.Hist.events_of h Sim.Hist.Fault));
-  Sim.Hist.clear h;
-  Alcotest.(check int) "clear empties the rings" 0 (Sim.Hist.retained h);
-  Alcotest.(check int) "clear resets recorded" 0 (Sim.Hist.recorded h)
-
-let test_ring_per_subsystem () =
-  (* Capacity is per subsystem: a chatty subsystem cannot evict another's
-     events. *)
-  let h = Sim.Hist.create ~capacity:2 ~enabled:true () in
-  Sim.Hist.record h ~subsys:Sim.Hist.Map ~ts:1.0 "map_lock";
-  for i = 2 to 9 do
-    Sim.Hist.record h ~subsys:Sim.Hist.Fault ~ts:(float_of_int i) "fault"
-  done;
-  Alcotest.(check int) "quiet subsystem keeps its event" 1
-    (List.length (Sim.Hist.events_of h Sim.Hist.Map));
-  Alcotest.(check int) "chatty subsystem wraps alone" 2
-    (List.length (Sim.Hist.events_of h Sim.Hist.Fault))
-
-let test_event_ordering () =
-  (* Events recorded out of timestamp order across subsystems come back
-     sorted by simulated time, sequence number breaking ties. *)
-  let h = Sim.Hist.create ~enabled:true () in
-  Sim.Hist.record h ~subsys:Sim.Hist.Pager ~ts:30.0 "c";
-  Sim.Hist.record h ~subsys:Sim.Hist.Fault ~ts:10.0 "a";
-  Sim.Hist.record h ~subsys:Sim.Hist.Map ~ts:20.0 "b";
-  Sim.Hist.record h ~subsys:Sim.Hist.Swap ~ts:20.0 "b2";
-  let es = Sim.Hist.events h in
-  Alcotest.(check (list string))
-    "merged stream sorted by (ts, seq)"
-    [ "a"; "b"; "b2"; "c" ]
-    (List.map (fun (e : Sim.Hist.event) -> e.name) es);
-  let sorted =
-    List.for_all2
-      (fun (x : Sim.Hist.event) (y : Sim.Hist.event) ->
-        x.ts < y.ts || (x.ts = y.ts && x.seq < y.seq))
-      (List.filteri (fun i _ -> i < List.length es - 1) es)
-      (List.tl es)
-  in
-  Alcotest.(check bool) "strictly ordered" true sorted
-
-let test_disabled_records_nothing () =
-  let h = Sim.Hist.create () in
-  Alcotest.(check bool) "disabled by default" false (Sim.Hist.enabled h);
-  Sim.Hist.record h ~subsys:Sim.Hist.Fault ~ts:1.0 "fault";
-  Alcotest.(check int) "no events recorded" 0 (Sim.Hist.recorded h);
-  Sim.Hist.set_enabled h true;
-  Sim.Hist.record h ~subsys:Sim.Hist.Fault ~ts:2.0 "fault";
-  Alcotest.(check int) "recording after enable" 1 (Sim.Hist.recorded h)
 
 (* -- histograms --------------------------------------------------------- *)
 
@@ -307,9 +241,8 @@ let run_both () =
 let test_live_tracing () =
   List.iter
     (fun (src : Sim.Trace_export.source) ->
-      let names =
-        List.map (fun (e : Sim.Hist.event) -> e.name) (Sim.Hist.events src.hist)
-      in
+      let spans = Sim.Span.spans src.spans in
+      let names = List.map (fun (sp : Sim.Span.span) -> sp.sname) spans in
       Alcotest.(check bool)
         (src.label ^ " records faults")
         true
@@ -318,22 +251,82 @@ let test_live_tracing () =
         (src.label ^ " records pageins")
         true
         (List.mem "pagein" names);
-      (* Simulated-timestamp ordering holds on real event streams too. *)
-      let ts_sorted =
-        let es = Sim.Hist.events src.hist in
-        List.for_all2
-          (fun (x : Sim.Hist.event) (y : Sim.Hist.event) -> x.ts <= y.ts)
-          (List.filteri (fun i _ -> i < List.length es - 1) es)
-          (List.tl es)
-      in
-      Alcotest.(check bool) (src.label ^ " events time-ordered") true ts_sorted;
-      (* Latency histograms fill alongside the event stream. *)
-      let fault_us = Sim.Histogram.get src.latencies "fault_us" in
+      (* Spans finish in order: each ends no earlier than it started. *)
       Alcotest.(check bool)
-        (src.label ^ " observed fault latencies")
+        (src.label ^ " spans well-formed")
         true
-        (Sim.Histogram.count fault_us > 0))
+        (List.for_all (fun (sp : Sim.Span.span) -> sp.sdur >= 0.0) spans);
+      (* Latency histograms are a view over the same stream. *)
+      match List.assoc_opt "fault" (Sim.Span.latencies src.spans) with
+      | Some h ->
+          Alcotest.(check bool)
+            (src.label ^ " observed fault latencies")
+            true
+            (Sim.Histogram.count h > 0)
+      | None -> Alcotest.failf "%s: no fault latency series" src.label)
     (run_both ())
+
+(* One instrumentation path: on a traced boot every fault makes exactly
+   one span, and the fault-latency histogram is fed by those spans alone —
+   so histogram count, counter delta and span count all agree. *)
+module Fault_count (V : Vmiface.Vm_sig.VM_SYS) = struct
+  let check () =
+    let config =
+      { Vmiface.Machine.default_config with trace_buf = Some 4096 }
+    in
+    let sys = V.boot ~config () in
+    Vmiface.Machine.reset_traced ();
+    let m = V.machine sys in
+    let spans = m.Vmiface.Machine.spans in
+    let faults0 = m.Vmiface.Machine.stats.Sim.Stats.faults in
+    let hist_count () =
+      match List.assoc_opt "fault" (Sim.Span.latencies spans) with
+      | Some h -> Sim.Histogram.count h
+      | None -> 0
+    in
+    let count0 = hist_count () in
+    Sim.Span.clear spans;
+    let vfs = m.Vmiface.Machine.vfs in
+    let vn = Vfs.create_file vfs ~name:"/count" ~size:(8 * 4096) in
+    let vm = V.new_vmspace sys in
+    let fvpn =
+      V.mmap sys vm ~npages:8 ~prot:Pmap.Prot.read ~share:Vmtypes.Shared
+        (Vmtypes.File (vn, 0))
+    in
+    let avpn =
+      V.mmap sys vm ~npages:8 ~prot:Pmap.Prot.rw ~share:Vmtypes.Private
+        Vmtypes.Zero
+    in
+    for i = 0 to 7 do
+      V.touch sys vm ~vpn:(fvpn + i) Vmtypes.Read;
+      V.touch sys vm ~vpn:(avpn + i) Vmtypes.Write
+    done;
+    let child = V.fork sys vm in
+    for i = 0 to 7 do
+      V.touch sys child ~vpn:(avpn + i) Vmtypes.Write
+    done;
+    let faults = m.Vmiface.Machine.stats.Sim.Stats.faults - faults0 in
+    let fault_spans =
+      List.length
+        (List.filter
+           (fun (sp : Sim.Span.span) -> sp.sname = "fault")
+           (Sim.Span.spans spans))
+    in
+    Alcotest.(check bool) (V.name ^ " took faults") true (faults > 0);
+    Alcotest.(check int)
+      (V.name ^ " no spans dropped")
+      0 (Sim.Span.dropped spans);
+    Alcotest.(check int)
+      (V.name ^ " histogram count = faults delta")
+      faults
+      (hist_count () - count0);
+    Alcotest.(check int)
+      (V.name ^ " fault spans = faults delta")
+      faults fault_spans
+end
+
+module Uvm_count = Fault_count (Uvm.Sys)
+module Bsd_count = Fault_count (Bsdvm.Sys)
 
 let test_chrome_export () =
   let srcs = run_both () in
@@ -392,13 +385,13 @@ let test_chrome_export () =
       | Jstr ("s" | "f") ->
           Alcotest.(check bool) "flow event has an id" true
             (member "id" e <> Jnull)
-      | Jstr ("i" | "M") -> ()
+      | Jstr "M" -> ()
       | _ -> Alcotest.fail "unexpected event phase")
     events
 
-(* Causal spans ride the same Chrome export as dedicated tracks with
+(* Causal spans are the Chrome export, one track per subsystem with
    parent->child flow arrows: every flow id must pair one "s" with one
-   "f", and land on a span track (tid >= 100, cat "span"). *)
+   "f", and land on a span track (tid >= 1, cat "span"). *)
 let test_flow_event_round_trip () =
   let srcs = run_both () in
   let buf = Buffer.create 4096 in
@@ -412,8 +405,8 @@ let test_flow_event_round_trip () =
     (List.exists (fun e -> member "ph" e = Jstr "X") span_events);
   List.iter
     (fun e ->
-      Alcotest.(check bool) "span events live on tids >= 100" true
-        (jnum_exn (member "tid" e) >= 100.0))
+      Alcotest.(check bool) "span events live on tids >= 1" true
+        (jnum_exn (member "tid" e) >= 1.0))
     span_events;
   let flows ph =
     List.filter_map
@@ -549,7 +542,7 @@ let test_snapshot_export () =
   Sim.Trace_export.snapshot_json buf srcs;
   let root = parse_json (Buffer.contents buf) in
   Alcotest.(check string)
-    "schema tag" "uvm-sim-stats/1"
+    "schema tag" "uvm-sim-stats/2"
     (jstr_exn (member "schema" root));
   let systems = jarr_exn (member "systems" root) in
   Alcotest.(check (list string))
@@ -557,21 +550,22 @@ let test_snapshot_export () =
     (List.map (fun s -> jstr_exn (member "label" s)) systems);
   List.iter
     (fun s ->
-      let faults = member "fault_us" (member "histograms" s) in
+      let faults = member "fault" (member "histograms" s) in
       Alcotest.(check bool)
-        "fault_us histogram exported" true
+        "fault histogram exported" true
         (jnum_exn (member "count" faults) > 0.0);
       Alcotest.(check bool)
         "p99 >= p50" true
         (jnum_exn (member "p99" faults) >= jnum_exn (member "p50" faults));
       Alcotest.(check bool)
-        "events recorded" true
+        "spans recorded" true
         (jnum_exn (member "recorded" (member "trace" s)) > 0.0))
     systems
 
-(* Tier events (device_dead, migrate, drain_complete, cache_fill, …) go
-   through the same ring and exporter as everything else: drive a tiered
-   boot through death-and-drain and round-trip the Chrome JSON. *)
+(* Tier events (device_dead, migrate, drain_complete, …) are spans like
+   everything else: drive a tiered boot through death-and-drain and
+   round-trip the Chrome JSON.  The death itself takes no time, so it is
+   a zero-length span. *)
 let test_tier_event_export () =
   Vmiface.Machine.reset_traced ();
   let config =
@@ -604,21 +598,26 @@ let test_tier_event_export () =
   Sim.Trace_export.chrome_json buf [ src ];
   let root = parse_json (Buffer.contents buf) in
   let events = jarr_exn (member "traceEvents" root) in
-  (* Hist events only: causal spans share names ("migrate", "drain") but
-     live on their own cat:"span" tracks with different args. *)
   let named name =
     List.filter
-      (fun e ->
-        member "name" e = Jstr name && member "cat" e <> Jstr "span")
+      (fun e -> member "name" e = Jstr name && member "ph" e = Jstr "X")
       events
   in
   (match named "device_dead" with
   | [ e ] ->
       Alcotest.(check string)
         "death names the device" "fast"
-        (jstr_exn (member "device" (member "args" e)))
-  | l -> Alcotest.failf "expected 1 device_dead event, got %d" (List.length l));
-  let migrations = named "migrate" in
+        (jstr_exn (member "device" (member "args" e)));
+      Alcotest.(check (float 0.0))
+        "death is a zero-length span" 0.0
+        (jnum_exn (member "dur" e))
+  | l -> Alcotest.failf "expected 1 device_dead span, got %d" (List.length l));
+  (* A migrate span that found no room carries no destination. *)
+  let migrations =
+    List.filter
+      (fun e -> member "to" (member "args" e) <> Jnull)
+      (named "migrate")
+  in
   Alcotest.(check bool) "drain migrations exported" true (migrations <> []);
   List.iter
     (fun e ->
@@ -648,11 +647,11 @@ let test_untraced_boot_is_silent () =
     Uvm.Sys.touch sys vm ~vpn:(vpn + i) Vmtypes.Write
   done;
   Alcotest.(check int)
-    "no events without trace_buf" 0
-    (Sim.Hist.recorded mach.Vmiface.Machine.hist);
+    "no spans without trace_buf" 0
+    (Sim.Span.recorded mach.Vmiface.Machine.spans);
   Alcotest.(check (list string))
     "no latency series without tracing" []
-    (List.map fst (Sim.Histogram.rows mach.Vmiface.Machine.latencies));
+    (List.map fst (Sim.Span.latencies mach.Vmiface.Machine.spans));
   Alcotest.(check int)
     "untraced boots do not register" 0
     (List.length (Vmiface.Machine.traced ()))
@@ -660,15 +659,6 @@ let test_untraced_boot_is_silent () =
 let () =
   Alcotest.run "trace"
     [
-      ( "hist",
-        [
-          Alcotest.test_case "ring wraparound" `Quick test_ring_wraparound;
-          Alcotest.test_case "per-subsystem rings" `Quick
-            test_ring_per_subsystem;
-          Alcotest.test_case "event ordering" `Quick test_event_ordering;
-          Alcotest.test_case "disabled is a no-op" `Quick
-            test_disabled_records_nothing;
-        ] );
       ( "histogram",
         [
           Alcotest.test_case "percentiles on uniform 1..1000" `Quick
@@ -680,6 +670,10 @@ let () =
         [
           Alcotest.test_case "live tracing both systems" `Quick
             test_live_tracing;
+          Alcotest.test_case "UVM fault histogram = fault spans" `Quick
+            Uvm_count.check;
+          Alcotest.test_case "BSD VM fault histogram = fault spans" `Quick
+            Bsd_count.check;
           Alcotest.test_case "chrome trace round-trip" `Quick test_chrome_export;
           Alcotest.test_case "flow event round-trip" `Quick
             test_flow_event_round_trip;
