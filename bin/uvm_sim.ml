@@ -211,9 +211,15 @@ let with_faults f =
     $ trace_out $ trace_buf $ stats_flag $ stats_out $ report_out $ spans_out
     $ metrics_out $ lockstat_out $ const ())
 
-(* Torture, serve and soak manage their own runs; this wraps them with
-   just the lock-observatory export (machines boot traced while the flag
-   is set, and the registry of every traced machine is written after). *)
+let write_lockstat file sources =
+  let buf = Buffer.create 16384 in
+  Sim.Trace_export.lockstat_json buf sources;
+  with_file file (fun oc -> Buffer.output_buffer oc buf);
+  Printf.printf "lockstat written to %s\n" file
+
+(* Serve and soak manage their own runs; this wraps them with just the
+   lock-observatory export (machines boot traced while the flag is set,
+   and the registry of every traced machine is written after). *)
 let with_lockstat lockstat_out f =
   (match lockstat_out with
   | Some _ -> Vmiface.Machine.set_default_trace (Some 65536)
@@ -221,82 +227,106 @@ let with_lockstat lockstat_out f =
   let r = f () in
   (match lockstat_out with
   | Some file ->
-      let sources = Vmiface.Machine.traced () in
-      let buf = Buffer.create 16384 in
-      Sim.Trace_export.lockstat_json buf sources;
-      with_file file (fun oc -> Buffer.output_buffer oc buf);
-      Printf.printf "lockstat written to %s\n" file;
+      write_lockstat file (Vmiface.Machine.traced ());
       Vmiface.Machine.reset_traced ()
   | None -> ());
   r
 
 (* -- torture ----------------------------------------------------------- *)
 
-let run_torture seed ops audit_every faults shrink artifact_dir corrupt
-    corrupt_at ram_pages swap_pages tiers =
-  let corrupt =
-    match corrupt with
-    | None -> None
-    | Some name -> (
-        match Oslayer.Torture.corruption_of_string name with
-        | Some c -> Some (corrupt_at, c)
-        | None ->
-            Printf.eprintf
-              "uvm_sim: unknown --corrupt kind %S (expected leak-swap-slot, \
-               overref-anon, queue-double-insert, leak-loan or \
-               leak-swapcache)\n"
-              name;
-            exit 2)
-  in
-  let cfg =
-    {
-      Oslayer.Torture.default_cfg with
-      seed;
-      nops = ops;
-      audit_every;
-      faults;
-      shrink;
-      artifact_dir = Some artifact_dir;
-      corrupt;
-      ram_pages;
-      swap_pages;
-      tiers;
-    }
-  in
-  Printf.printf
+(* One seed's run, rendered to the text the command prints for it, so a
+   seed range prints exactly what each single-seed run would. *)
+let torture_report (cfg : Oslayer.Torture.cfg) =
+  let buf = Buffer.create 256 in
+  Printf.bprintf buf
     "torture: seed=%d ops=%d audit-every=%d faults=%s ram=%d swap=%d \
-     tiers=%s\n%!"
-    seed ops audit_every
-    (if faults then "on" else "off")
-    ram_pages swap_pages
-    (if tiers then "fast+slow" else "single");
+     tiers=%s\n"
+    cfg.seed cfg.nops cfg.audit_every
+    (if cfg.faults then "on" else "off")
+    cfg.ram_pages cfg.swap_pages
+    (if cfg.tiers then "fast+slow" else "single");
   let r = Oslayer.Torture.run cfg in
-  match r.Oslayer.Torture.r_bug with
+  (match r.Oslayer.Torture.r_bug with
   | None ->
-      Printf.printf
+      Printf.bprintf buf
         "torture: OK — %d ops, all audits clean, UVM and BSD VM agree\n"
-        (List.length r.Oslayer.Torture.r_trace);
-      false
-  | Some bug ->
-      Printf.printf "torture: FAILED\n  %s\n"
+        (List.length r.Oslayer.Torture.r_trace)
+  | Some bug -> (
+      Printf.bprintf buf "torture: FAILED\n  %s\n"
         (Oslayer.Torture.string_of_bug bug);
       (match r.Oslayer.Torture.r_minimal with
       | Some ops ->
-          Printf.printf "  minimal repro (%d ops):\n" (List.length ops);
+          Printf.bprintf buf "  minimal repro (%d ops):\n" (List.length ops);
           List.iter
             (fun (i, op) ->
-              Printf.printf "    [%d] %s\n" i (Oslayer.Torture.op_to_string op))
+              Printf.bprintf buf "    [%d] %s\n" i
+                (Oslayer.Torture.op_to_string op))
             ops
       | None -> ());
-      (match r.Oslayer.Torture.r_artifacts with
-      | Some dir -> Printf.printf "  artifacts written to %s/\n" dir
-      | None -> ());
-      true
+      match r.Oslayer.Torture.r_artifacts with
+      | Some dir -> Printf.bprintf buf "  artifacts written to %s/\n" dir
+      | None -> ()));
+  (Buffer.contents buf, r.Oslayer.Torture.r_bug <> None)
+
+(* Run seeds [lo..hi] on the domain pool and print each seed's report in
+   seed order.  Every machine a worker boots is traced (torture configs
+   carry a span ring); the worker hands its sources back only when the
+   lock-observatory export wants them.  True if any seed failed. *)
+let run_torture (lo, hi) cfg_of_seed lockstat_out =
+  let seeds = List.init (hi - lo + 1) (fun i -> lo + i) in
+  let one seed =
+    let out, failed = torture_report (cfg_of_seed seed) in
+    let sources =
+      if lockstat_out = None then [] else Vmiface.Machine.traced ()
+    in
+    Vmiface.Machine.reset_traced ();
+    (seed, out, failed, sources)
+  in
+  let results = Sim.Domain_pool.map one seeds in
+  List.iter (fun (_, out, _, _) -> print_string out) results;
+  let failed =
+    List.filter_map (fun (seed, _, f, _) -> if f then Some seed else None)
+      results
+  in
+  if hi > lo then
+    Printf.printf "torture: seeds %d-%d: %d clean, %d failed%s\n" lo hi
+      (List.length seeds - List.length failed)
+      (List.length failed)
+      (match failed with
+      | [] -> ""
+      | l -> " (" ^ String.concat " " (List.map string_of_int l) ^ ")");
+  (match lockstat_out with
+  | Some file ->
+      write_lockstat file (List.concat_map (fun (_, _, _, s) -> s) results)
+  | None -> ());
+  failed <> []
+
+(* "N" or an inclusive range "A-B". *)
+let seed_range =
+  let parse s =
+    let err =
+      Error (`Msg (Printf.sprintf "invalid seed %S (expected N or A-B)" s))
+    in
+    match int_of_string_opt s with
+    | Some n -> Ok (n, n)
+    | None -> (
+        match List.map int_of_string_opt (String.split_on_char '-' s) with
+        | [ Some a; Some b ] when a <= b -> Ok (a, b)
+        | _ -> err)
+  in
+  let print ppf (a, b) =
+    if a = b then Format.fprintf ppf "%d" a else Format.fprintf ppf "%d-%d" a b
+  in
+  Arg.conv (parse, print)
 
 let torture_cmd =
   let seed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED"
-           ~doc:"Seed for the op generator and both machines.")
+    Arg.(value & opt seed_range (42, 42) & info [ "seed" ] ~docv:"SEED"
+           ~doc:"Seed for the op generator and both machines, or an \
+                 inclusive range $(i,A-B): the seeds then run in parallel \
+                 on $(b,Domain.recommended_domain_count) domains and \
+                 report in seed order, each exactly as its single-seed \
+                 run would.  Exits 1 if any seed fails.")
   in
   let ops =
     Arg.(value & opt int 20000 & info [ "ops" ] ~docv:"N"
@@ -321,7 +351,8 @@ let torture_cmd =
     Arg.(value & opt string "artifacts/torture" & info [ "artifact-dir" ]
            ~docv:"DIR"
            ~doc:"Directory for crash artifacts (op trace, failure, span \
-                 ring, stats).")
+                 ring, stats); each failing seed writes to \
+                 $(docv)/seed-N/.")
   in
   let corrupt =
     Arg.(value & opt (some string) None & info [ "corrupt" ] ~docv:"KIND"
@@ -352,14 +383,38 @@ let torture_cmd =
        ~doc:"Differential torture test: one seeded op sequence against both \
              VM systems with periodic invariant audits")
     Term.(
-      const (fun seed ops audit_every faults shrink artifact_dir corrupt
+      const (fun seeds ops audit_every faults shrink artifact_dir corrupt
                  corrupt_at ram_pages swap_pages tiers lout ->
-          let failed =
-            with_lockstat lout (fun () ->
-                run_torture seed ops audit_every faults shrink artifact_dir
-                  corrupt corrupt_at ram_pages swap_pages tiers)
+          let corrupt =
+            match corrupt with
+            | None -> None
+            | Some name -> (
+                match Oslayer.Torture.corruption_of_string name with
+                | Some c -> Some (corrupt_at, c)
+                | None ->
+                    Printf.eprintf
+                      "uvm_sim: unknown --corrupt kind %S (expected \
+                       leak-swap-slot, overref-anon, queue-double-insert, \
+                       leak-loan or leak-swapcache)\n"
+                      name;
+                    Stdlib.exit 2)
           in
-          if failed then Stdlib.exit 1)
+          let cfg_of_seed seed =
+            {
+              Oslayer.Torture.default_cfg with
+              seed;
+              nops = ops;
+              audit_every;
+              faults;
+              shrink;
+              artifact_dir = Some artifact_dir;
+              corrupt;
+              ram_pages;
+              swap_pages;
+              tiers;
+            }
+          in
+          if run_torture seeds cfg_of_seed lout then Stdlib.exit 1)
       $ seed $ ops $ audit_every $ faults $ shrink $ artifact_dir $ corrupt
       $ corrupt_at $ ram_pages $ swap_pages $ tiers $ lockstat_out)
 

@@ -9,37 +9,38 @@
 
 module Machine = Vmiface.Machine
 
+(* An entry of the live-anon registry.  Objects are defined after this
+   module ({!Vm_object} adds [Anon_obj]); the extensible variant breaks
+   the type cycle, as [Physmem.Page.tag] does for page owners. *)
+type live_obj = ..
+
 type t = {
   mach : Machine.t;
   obj_cache_limit : int;
-  uid : int;  (** distinguishes objects of different booted systems *)
   io_retries : int;  (** transient I/O error retry budget *)
   io_backoff_us : float;  (** base exponential-backoff delay *)
   mutable two_step_probe : (int -> unit) option;
   mutable next_id : int;
+  live_anons : (int, live_obj) Hashtbl.t;
+      (** every live anonymous object of this system, by id, for the
+          swap-leak audit and tier drain (paper §5.3) *)
 }
-
-let uid_counter = ref 0
 
 let create ?(obj_cache_limit = 100) ?(io_retries = 3) ?(io_backoff_us = 200.0)
     mach =
-  incr uid_counter;
   {
     mach;
     obj_cache_limit;
-    uid = !uid_counter;
     io_retries;
     io_backoff_us;
     two_step_probe = None;
     next_id = 0;
+    live_anons = Hashtbl.create 64;
   }
 
-let id_counter = ref 0
-
 let fresh_id t =
-  incr id_counter;
   t.next_id <- t.next_id + 1;
-  !id_counter
+  t.next_id
 
 let clock t = t.mach.Machine.clock
 let costs t = t.mach.Machine.costs

@@ -71,7 +71,7 @@ module Sys = struct
                 Swap.Swaptier.free_slots swap ~slot ~n:1
             | None -> ())
           moves)
-      (Vm_object.live_anon_objects ~sys_uid:bsys.Bsd_sys.uid)
+      (Vm_object.live_anon_objects bsys)
 
   let boot ?config () =
     let mach = Machine.boot ?config () in
@@ -523,7 +523,7 @@ module Sys = struct
       sys.vmspaces;
     List.iter
       (fun o -> ignore (note o))
-      (Vm_objcache.anon_objects sys.cache);
+      (Vm_object.live_anon_objects sys.bsys);
     Hashtbl.iter
       (fun _ o -> ignore (note o))
       sys.cache.Vm_objcache.by_vnode;
@@ -713,6 +713,6 @@ module Sys = struct
               if not (Hashtbl.mem reachable (obj.Vm_object.id, off)) then
                 incr leaked)
             obj.Vm_object.pages)
-      (Vm_objcache.anon_objects sys.cache);
+      (Vm_object.live_anon_objects sys.bsys);
     !leaked
 end

@@ -11,7 +11,6 @@ type t = {
   limit : int;
   lru : Vm_object.t Sim.Dlist.t;  (** unreferenced cached objects, LRU first *)
   by_vnode : (int, Vm_object.t) Hashtbl.t;  (** vnode id -> its VM object *)
-  sys_uid : int;
 }
 
 let create sys =
@@ -19,7 +18,6 @@ let create sys =
     limit = sys.Bsd_sys.obj_cache_limit;
     lru = Sim.Dlist.create ();
     by_vnode = Hashtbl.create 64;
-    sys_uid = sys.Bsd_sys.uid;
   }
 
 let cached_count t = Sim.Dlist.length t.lru
@@ -31,8 +29,6 @@ let lookup_vnode sys t vn =
   stats.Sim.Stats.hash_lookups <- stats.Sim.Stats.hash_lookups + 1;
   Bsd_sys.charge sys (Bsd_sys.costs sys).Sim.Cost_model.hash_lookup;
   Hashtbl.find_opt t.by_vnode vn.Vfs.Vnode.vid
-
-let anon_objects t = Vm_object.live_anon_objects ~sys_uid:t.sys_uid
 
 (* Fully tear an object down, writing dirty file pages back first. *)
 let terminate sys t obj =

@@ -26,21 +26,18 @@ type t = {
   mutable has_vref : bool;
   mutable lru_node : t Sim.Dlist.node option;
   mutable dead : bool;
-  sys_uid : int;
   okey : Physmem.Lookup.okey;
       (* lockless-lookup identity; insert/remove publish/revoke through it *)
 }
 
 type Physmem.Page.tag += Obj_page of t
+type Bsd_sys.live_obj += Anon_obj of t
 
-(* Every live anonymous object, for the swap-leak audit.  Keyed by the
-   globally-unique object id; filtered per system via [sys_uid]. *)
-let anon_registry : (int, t) Hashtbl.t = Hashtbl.create 64
-
-let live_anon_objects ~sys_uid =
+(* Every live anonymous object of [sys], for the swap-leak audit. *)
+let live_anon_objects sys =
   Hashtbl.fold
-    (fun _ o acc -> if o.sys_uid = sys_uid then o :: acc else acc)
-    anon_registry []
+    (fun _ o acc -> match o with Anon_obj o -> o :: acc | _ -> acc)
+    sys.Bsd_sys.live_anons []
 
 let alloc_bare sys kind =
   let stats = Bsd_sys.stats sys in
@@ -60,12 +57,11 @@ let alloc_bare sys kind =
       has_vref = false;
       lru_node = None;
       dead = false;
-      sys_uid = sys.Bsd_sys.uid;
       okey = Physmem.Lookup.okey (Bsd_sys.physmem sys);
     }
   in
   (match kind with
-  | Anon -> Hashtbl.replace anon_registry obj.id obj
+  | Anon -> Hashtbl.replace sys.Bsd_sys.live_anons obj.id (Anon_obj obj)
   | Vnode _ -> ());
   obj
 
@@ -154,7 +150,7 @@ let free_resources sys obj =
         Vfs.vrele (Bsd_sys.vfs sys) vn
       end
   | Anon -> ());
-  Hashtbl.remove anon_registry obj.id;
+  Hashtbl.remove sys.Bsd_sys.live_anons obj.id;
   obj.dead <- true
 
 (* Walk the shadow chain looking for the page at [off] (offset within
@@ -313,7 +309,7 @@ let rec collapse sys obj =
         obj.shadow_offset <- obj.shadow_offset + backing.shadow_offset;
         backing.shadow <- None;
         backing.dead <- true;
-        Hashtbl.remove anon_registry backing.id;
+        Hashtbl.remove sys.Bsd_sys.live_anons backing.id;
         stats.Sim.Stats.collapse_successes <-
           stats.Sim.Stats.collapse_successes + 1;
         collapse sys obj

@@ -35,7 +35,7 @@ type cfg = {
   seed : int;
 }
 
-let cfg ?(quick = false) ~cpus () =
+let profile ~quick ~cpus =
   let procs = max 4 (2 * cpus) in
   if quick then
     {
@@ -65,6 +65,18 @@ let cfg ?(quick = false) ~cpus () =
       audit_every = 500;
       seed = 42;
     }
+
+(* Swap grows with the storm: every worker's whole private region and
+   the scoreboard may sit on swap at once, plus one RAM's worth of slack
+   for the slot holes clustered pageout leaves behind.  Up to 4 CPUs the
+   profile's fixed size already covers that. *)
+let cfg ?(quick = false) ~cpus () =
+  let c = profile ~quick ~cpus in
+  {
+    c with
+    swap_pages =
+      max c.swap_pages ((c.procs * c.anon_pages) + c.shared_pages + c.ram_pages);
+  }
 
 (* -- results ------------------------------------------------------------ *)
 

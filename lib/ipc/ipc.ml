@@ -87,17 +87,14 @@ module Make (V : Vmiface.Vm_sig.VM_SYS) = struct
 
   type delivery = Data of int | Mapped of { vpn : int; npages : int; len : int }
 
-  let chan_ids = ref 0
-
   let pipe sys ?cap_bytes () =
     let m = V.machine sys in
     let cap =
       match cap_bytes with Some c -> c | None -> 16 * Machine.page_size m
     in
     if cap < 1 then invalid_arg "Ipc.pipe: capacity must be positive";
-    incr chan_ids;
     {
-      id = !chan_ids;
+      id = Machine.fresh_id m;
       cap;
       q = Queue.create ();
       q_len = 0;

@@ -33,11 +33,8 @@ module Make (V : Vmiface.Vm_sig.VM_SYS) = struct
     mutable pending_kill : bool;
         (** the OOM policy chose us while we were running: die at the
             next syscall boundary (signal-style delivery) *)
-    born : int;  (** spawn sequence number, for the badness age bonus *)
     mutable owned_chans : I.chan list;  (** channels this proc receives on *)
   }
-
-  let pid_counter = ref 0
 
   let ustruct_pages = 2
   let ptp_pages = 1
@@ -135,13 +132,13 @@ module Make (V : Vmiface.Vm_sig.VM_SYS) = struct
      transient forked image is immediately replaced, as the paper notes
      needs-copy makes nearly free). *)
   let spawn sys (prog : Programs.t) =
-    incr pid_counter;
+    let pid = Vmiface.Machine.fresh_id (V.machine sys) in
     let ustruct_vpn = V.kernel_alloc_wired sys ~npages:ustruct_pages in
     let ptp = V.pmap_alloc_ptp sys ~npages:ptp_pages in
     let vm = V.new_vmspace sys in
     let text, data, bss, stack, heap, lib_segs = exec sys vm prog in
     {
-      pid = !pid_counter;
+      pid;
       vm;
       prog;
       ustruct_vpn;
@@ -156,7 +153,6 @@ module Make (V : Vmiface.Vm_sig.VM_SYS) = struct
       limits = Overload.unlimited;
       swapped = false;
       pending_kill = false;
-      born = !pid_counter;
       owned_chans = [];
     }
 
@@ -233,8 +229,11 @@ module Make (V : Vmiface.Vm_sig.VM_SYS) = struct
   let live mgr = List.filter (fun p -> not p.dead) mgr.procs
   let usage mgr proc = V.vmspace_usage mgr.msys proc.vm
 
+  (* Age counts the machine ids (pids, channels) issued since the
+     process was spawned: a sequence clock, not simulated time. *)
   let proc_badness mgr proc =
-    Overload.badness ~usage:(usage mgr proc) ~age:(!pid_counter - proc.born)
+    Overload.badness ~usage:(usage mgr proc)
+      ~age:((V.machine mgr.msys).Vmiface.Machine.next_id - proc.pid)
 
   let deny mgr proc limit =
     (mstats mgr).Sim.Stats.rlimit_denials <-

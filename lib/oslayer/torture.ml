@@ -1094,14 +1094,18 @@ let apply_corruption (eu : Exec_uvm.t) c : bool =
           true
       | None -> false)
   | Overref_anon ->
+      (* Prefer an anon under a read-only mapping: a write fault on an
+         over-referenced anon copies it out of its amap, and the copy
+         would take the evidence with it before the next audit. *)
       let hit = ref false in
-      Hashtbl.iter
-        (fun _ (vm : Uvm.Sys.vmspace) ->
-          if not !hit then
+      let over ~writable =
+        Hashtbl.iter
+          (fun _ (vm : Uvm.Sys.vmspace) ->
             Uvm.Map.iter_entries
               (fun (e : Uvm.Map.entry) ->
                 match e.Uvm.Map.amap with
-                | Some am when not !hit ->
+                | Some am
+                  when (not !hit) && e.Uvm.Map.prot.Pmap.Prot.w = writable ->
                     let n = e.Uvm.Map.epage - e.Uvm.Map.spage in
                     for d = 0 to n - 1 do
                       if not !hit then
@@ -1115,7 +1119,10 @@ let apply_corruption (eu : Exec_uvm.t) c : bool =
                     done
                 | _ -> ())
               vm.Uvm.Sys.map)
-        eu.Exec_uvm.sys.Uvm.Sys.vmspaces;
+          eu.Exec_uvm.sys.Uvm.Sys.vmspaces
+      in
+      over ~writable:false;
+      if not !hit then over ~writable:true;
       !hit
 
 (* -- failures ----------------------------------------------------------- *)
@@ -1819,6 +1826,7 @@ let run cfg =
   let artifacts =
     match (cfg.artifact_dir, bug) with
     | Some dir, Some b ->
+        let dir = Filename.concat dir (Printf.sprintf "seed-%d" cfg.seed) in
         write_artifacts ~dir ~cfg ~bug:b ~trace ~minimal ~sources;
         Some dir
     | _ -> None

@@ -111,7 +111,9 @@ type cfg = {
   audit_every : int;  (** audit both kernels every K executed ops *)
   faults : bool;  (** inject transient disk I/O errors (audits only) *)
   shrink : bool;  (** ddmin the trace after a failure *)
-  artifact_dir : string option;  (** write crash artifacts here on failure *)
+  artifact_dir : string option;
+      (** on failure, write crash artifacts to [<dir>/seed-<seed>/], so
+          runs of different seeds never overwrite each other *)
   corrupt : (int * corruption) option;
       (** apply the corruption at the first op whose original trace index
           reaches the threshold *)

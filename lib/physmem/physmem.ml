@@ -576,8 +576,11 @@ let alloc t ?(zero = false) ?(privileged = false) ~owner ~offset () =
            scan needs them — one pass clears reference bits on the active
            queue, the next deactivates, the one after reclaims — and a
            single pass may legitimately free nothing while reclaimable
-           pages still exist. *)
+           pages still exist.  Frames stranded in other CPUs' caches come
+           back to the queues first: above freemin the pagedaemon sees
+           no shortage, so nothing else would return them. *)
         let rec wait_rounds n =
+          if t.free_count > t.qfree then drain_caches t;
           run_pagedaemon t;
           match grab () with
           | Some page -> Some page

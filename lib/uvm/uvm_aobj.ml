@@ -1,26 +1,22 @@
-(* State of an anonymous object, reached through the closures of its pager
-   operations.  [swslots] maps page offsets to swap slots holding paged-out
-   data. *)
-type state = { swslots : (int, int) Hashtbl.t }
+(* The aobj's own state, embedded in its object and reached by the
+   closures of its pager operations: page offset -> swap slot holding
+   paged-out data. *)
+type Uvm_object.ext += Swslots of (int, int) Hashtbl.t
 
-let registry : (int, state) Hashtbl.t = Hashtbl.create 16
-(* Object id -> aobj state.  Keyed by id so that non-aobj objects simply
-   miss; entries are removed when the aobj dies. *)
-
-let free_slots sys st =
+let free_slots sys swslots =
   Hashtbl.iter
     (fun _ slot -> Swap.Swaptier.free_slots (Uvm_sys.swapdev sys) ~slot ~n:1)
-    st.swslots;
-  Hashtbl.reset st.swslots
+    swslots;
+  Hashtbl.reset swslots
 
-let make_ops sys st obj =
+let make_ops sys swslots obj =
   let physmem = Uvm_sys.physmem sys in
   let swapdev = Uvm_sys.swapdev sys in
   let stats = Uvm_sys.stats sys in
   let pgo_get ~center ~lo ~hi =
     let status = ref (Ok ()) in
     (if Uvm_object.find_page obj ~pgno:center = None then begin
-       let from_swap = Hashtbl.mem st.swslots center in
+       let from_swap = Hashtbl.mem swslots center in
        (* A swap pagein may draw on the kernel reserve: it is the path that
           turns swap slots back into reclaimable frames. *)
        let page =
@@ -28,7 +24,7 @@ let make_ops sys st obj =
            ~owner:(Uvm_object.Uobj_page obj) ~offset:center ()
        in
        let filled =
-         match Hashtbl.find_opt st.swslots center with
+         match Hashtbl.find_opt swslots center with
          | Some slot ->
              let span = Uvm_sys.span_start sys ~subsys:"pager" "pagein" in
              let r =
@@ -76,12 +72,12 @@ let make_ops sys st obj =
     List.iteri
       (fun i (page : Physmem.Page.t) ->
         let pgno = page.owner_offset in
-        (match Hashtbl.find_opt st.swslots pgno with
+        (match Hashtbl.find_opt swslots pgno with
         | Some old when old <> base + i ->
             Swap.Swaptier.free_slots swapdev ~slot:old ~n:1;
             Physmem.note_reassign physmem page ~dist:(abs (base + i - old))
         | Some _ | None -> ());
-        Hashtbl.replace st.swslots pgno (base + i))
+        Hashtbl.replace swslots pgno (base + i))
       pages
   in
   let write_batch_at pages base =
@@ -111,13 +107,13 @@ let make_ops sys st obj =
   let write_single (page : Physmem.Page.t) =
     let pgno = page.owner_offset in
     let slot =
-      match Hashtbl.find_opt st.swslots pgno with
+      match Hashtbl.find_opt swslots pgno with
       | Some slot -> Some slot
       | None -> Swap.Swaptier.alloc_slots swapdev ~n:1
     in
     match slot with
     | Some slot ->
-        Hashtbl.replace st.swslots pgno slot;
+        Hashtbl.replace swslots pgno slot;
         write_batch_at [ page ] slot
     | None ->
         stats.Sim.Stats.swap_full_events <-
@@ -160,8 +156,7 @@ let make_ops sys st obj =
     if obj.Uvm_object.refs = 0 then begin
       (* Anonymous memory dies with its last reference. *)
       Uvm_object.free_all_pages sys obj;
-      free_slots sys st;
-      Hashtbl.remove registry obj.Uvm_object.id
+      free_slots sys swslots
     end
   in
   {
@@ -175,26 +170,23 @@ let make_ops sys st obj =
   }
 
 let create sys =
-  let st = { swslots = Hashtbl.create 8 } in
-  let obj = Uvm_object.make sys (make_ops sys st) in
-  Hashtbl.replace registry obj.Uvm_object.id st;
+  let swslots = Hashtbl.create 8 in
+  let obj =
+    Uvm_object.make ~ext:(Swslots swslots) sys (make_ops sys swslots)
+  in
   (Uvm_sys.stats sys).Sim.Stats.objects_allocated <-
     (Uvm_sys.stats sys).Sim.Stats.objects_allocated + 1;
   Uvm_sys.charge_struct_alloc sys;
   obj
 
-let swslot_count obj =
-  match Hashtbl.find_opt registry obj.Uvm_object.id with
-  | Some st -> Hashtbl.length st.swslots
-  | None -> 0
-
 let swslots obj =
-  match Hashtbl.find_opt registry obj.Uvm_object.id with
-  | Some st -> Hashtbl.fold (fun pgno slot acc -> (pgno, slot) :: acc) st.swslots []
-  | None -> []
+  match obj.Uvm_object.ext with
+  | Swslots swslots ->
+      Hashtbl.fold (fun pgno slot acc -> (pgno, slot) :: acc) swslots []
+  | _ -> []
 
 let rebind_slot obj ~pgno ~slot =
-  match Hashtbl.find_opt registry obj.Uvm_object.id with
-  | Some st when Hashtbl.mem st.swslots pgno ->
-      Hashtbl.replace st.swslots pgno slot
-  | Some _ | None -> invalid_arg "Uvm_aobj.rebind_slot: no such binding"
+  match obj.Uvm_object.ext with
+  | Swslots swslots when Hashtbl.mem swslots pgno ->
+      Hashtbl.replace swslots pgno slot
+  | _ -> invalid_arg "Uvm_aobj.rebind_slot: no such binding"

@@ -10,9 +10,6 @@
 val create : Uvm_sys.t -> Uvm_object.t
 (** A fresh anonymous object with one reference. *)
 
-val swslot_count : Uvm_object.t -> int
-(** Swap slots currently held by this aobj (0 for non-aobj objects). *)
-
 val swslots : Uvm_object.t -> (int * int) list
 (** The aobj's [(page offset, swap slot)] bindings, unordered — the
     invariant auditor's view of which slots this object claims. *)

@@ -1,9 +1,13 @@
+type ext = ..
+type ext += No_ext
+
 type t = {
   id : int;
   mutable refs : int;
   pages : (int, Physmem.Page.t) Hashtbl.t;
   mutable pgops : pager_ops;
   okey : Physmem.Lookup.okey;
+  ext : ext;
 }
 
 and pager_ops = {
@@ -31,7 +35,7 @@ let dummy_ops =
     pgo_detach = (fun () -> assert false);
   }
 
-let make sys mk_ops =
+let make ?(ext = No_ext) sys mk_ops =
   let t =
     {
       id = Uvm_sys.fresh_id sys;
@@ -39,6 +43,7 @@ let make sys mk_ops =
       pages = Hashtbl.create 16;
       pgops = dummy_ops;
       okey = Physmem.Lookup.okey (Uvm_sys.physmem sys);
+      ext;
     }
   in
   t.pgops <- mk_ops t;

@@ -7,6 +7,12 @@
     operations; everything else belongs to the embedding subsystem and is
     reached through the pager functions. *)
 
+(** State that the embedding subsystem keeps with the object: each pager
+    that needs some adds a constructor (the aobj's swap-slot table). *)
+type ext = ..
+
+type ext += No_ext
+
 type t = {
   id : int;
   mutable refs : int;
@@ -15,6 +21,7 @@ type t = {
   okey : Physmem.Lookup.okey;
       (** lockless-lookup identity: [insert_page]/[remove_page]
           publish/revoke through it, the fault path probes it *)
+  ext : ext;
 }
 
 (** The pager API (paper §6).  Unlike BSD VM, [pgo_get] allocates pages
@@ -47,9 +54,9 @@ and pager_ops = {
 
 type Physmem.Page.tag += Uobj_page of t
 
-val make : Uvm_sys.t -> (t -> pager_ops) -> t
+val make : ?ext:ext -> Uvm_sys.t -> (t -> pager_ops) -> t
 (** [make sys mk_ops] builds an object whose pager closes over the object
-    itself (refs starts at 1). *)
+    itself (refs starts at 1).  [ext] defaults to [No_ext]. *)
 
 val find_page : t -> pgno:int -> Physmem.Page.t option
 val insert_page : Uvm_sys.t -> t -> pgno:int -> Physmem.Page.t -> unit

@@ -46,15 +46,9 @@ let create ?(fault_ahead = 4) ?(fault_behind = 3) ?(pageout_cluster = 4)
     kernel_loans = [];
   }
 
-(* Ids are unique process-wide (not just per system) so they can key
-   registries shared by several booted systems (e.g. in tests that compare
-   two kernels side by side). *)
-let id_counter = ref 0
-
 let fresh_id t =
-  incr id_counter;
   t.next_id <- t.next_id + 1;
-  !id_counter
+  t.next_id
 
 let register_kernel_loan t pages =
   let token = fresh_id t in

@@ -25,22 +25,34 @@ let default_config =
     ncpus = 1;
   }
 
-(* Process-wide default, set by CLI flags: lets any experiment run under a
-   fault plan without plumbing config through every call site.  A factory
-   rather than a plan so each boot (e.g. the UVM and BSD sides of a
-   comparison) gets its own fresh, identically-seeded plan. *)
-let default_fault_plan : (unit -> Sim.Fault_plan.t) option ref = ref None
-let set_default_fault_plan f = default_fault_plan := f
+(* The CLI session: defaults set by CLI flags, so any experiment runs
+   under a fault plan or tracing without plumbing config through every
+   call site, and the observability state of every traced boot.  The
+   fault plan is a factory rather than a plan so each boot (e.g. the UVM
+   and BSD sides of a comparison) gets its own fresh, identically-seeded
+   plan.  A traced source's gauge sync reads its machine, so [traced]
+   keeps those machines alive until [reset_traced].
 
-(* Same pattern for tracing: the CLI turns it on process-wide and every
-   machine booted by the experiment collects events.  The registry keeps
-   only the lightweight observability state of each traced boot — never
-   the machine itself, which would pin its simulated RAM. *)
-let default_trace_buf : int option ref = ref None
-let set_default_trace n = default_trace_buf := n
-let traced_sources : Sim.Trace_export.source list ref = ref []
-let traced () = List.rev !traced_sources
-let reset_traced () = traced_sources := []
+   This is the library's one piece of state outside any machine, and it
+   is Domain-local: a domain spawned by a parallel runner starts with its
+   parent's defaults and an empty [traced] list, so machines booted on
+   different domains share nothing. *)
+type session = {
+  mutable fault_plan : (unit -> Sim.Fault_plan.t) option;
+  mutable trace_buf : int option;
+  mutable traced : Sim.Trace_export.source list;  (* newest first *)
+}
+
+let session_key =
+  Domain.DLS.new_key
+    ~split_from_parent:(fun s -> { s with traced = [] })
+    (fun () -> { fault_plan = None; trace_buf = None; traced = [] })
+
+let session () = Domain.DLS.get session_key
+let set_default_fault_plan f = (session ()).fault_plan <- f
+let set_default_trace n = (session ()).trace_buf <- n
+let traced () = List.rev (session ()).traced
+let reset_traced () = (session ()).traced <- []
 
 let config_mb ?(ram_mb = 32) ?(swap_mb = 128) () =
   {
@@ -94,6 +106,7 @@ type t = {
       (* per-CPU runnable count for the sampler; the SMP scheduler
          installs [Smp.runnable] here so vmstat's cpuK:runnable column
          reflects the storm in flight *)
+  mutable next_id : int;
 }
 
 (* Sampling period of the vmstat-style time series, in simulated
@@ -102,12 +115,13 @@ type t = {
 let sample_interval_us = 1_000.0
 
 let boot ?(config = default_config) () =
+  let session = session () in
   let clock = Sim.Simclock.create () in
   let costs = config.costs in
   let stats = Sim.Stats.create () in
   let lifecycle = Sim.Lifecycle.create () in
   let trace_buf =
-    match config.trace_buf with Some _ as n -> n | None -> !default_trace_buf
+    match config.trace_buf with Some _ as n -> n | None -> session.trace_buf
   in
   let spans =
     match trace_buf with
@@ -172,6 +186,7 @@ let boot ?(config = default_config) () =
       locks;
       trace_source;
       runnable_probe = None;
+      next_id = 0;
     }
   in
   (* Span, gauge-sync and sampler wiring is installed unconditionally:
@@ -395,12 +410,12 @@ let boot ?(config = default_config) () =
     end);
   if trace_buf <> None then begin
     Sim.Timeseries.attach series clock;
-    traced_sources := trace_source :: !traced_sources
+    session.traced <- trace_source :: session.traced
   end;
   (match
      match config.fault_plan with
      | Some _ as f -> f
-     | None -> !default_fault_plan
+     | None -> session.fault_plan
    with
   | None -> ()
   | Some factory ->
@@ -412,6 +427,10 @@ let boot ?(config = default_config) () =
         (Swap.Swaptier.disks t.swap);
       Sim.Disk.set_fault_plan (Vfs.disk t.vfs) plan);
   t
+
+let fresh_id t =
+  t.next_id <- t.next_id + 1;
+  t.next_id
 
 let page_size t = t.config.page_size
 let set_runnable_probe t f = t.runnable_probe <- f

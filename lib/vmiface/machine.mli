@@ -30,22 +30,29 @@ val default_config : config
 (** 32 MB of RAM and 128 MB of swap with 4 KB pages — the machine used for
     the paper's Figure 5. *)
 
+(** {2 The CLI session}
+
+    Defaults set from CLI flags and the sources of traced boots.  The
+    session is Domain-local: a domain spawned by a parallel runner
+    inherits its parent's defaults and starts with no traced sources. *)
+
 val set_default_fault_plan : (unit -> Sim.Fault_plan.t) option -> unit
-(** Process-wide fallback used by [boot] when the config carries no plan;
-    set from CLI flags so existing experiments run under faults without
-    config plumbing.  A factory, so every boot gets a fresh
-    identically-seeded plan (fair UVM-vs-BSD comparisons). *)
+(** Fallback used by [boot] when the config carries no plan; set from
+    CLI flags so existing experiments run under faults without config
+    plumbing.  A factory, so every boot gets a fresh identically-seeded
+    plan (fair UVM-vs-BSD comparisons). *)
 
 val set_default_trace : int option -> unit
-(** Process-wide tracing fallback, same contract as
-    {!set_default_fault_plan}: when a config carries no [trace_buf],
-    [boot] uses this ring capacity (and [None] disables tracing). *)
+(** Tracing fallback, same contract as {!set_default_fault_plan}: when a
+    config carries no [trace_buf], [boot] uses this ring capacity (and
+    [None] disables tracing). *)
 
 val traced : unit -> Sim.Trace_export.source list
 (** Observability state (label, span collector, counters, lock
-    registry) of every machine booted with tracing on since the last
-    {!reset_traced}, in boot order.  Sources are lightweight: holding
-    them does not keep the machines' simulated memory alive. *)
+    registry) of every machine this domain booted with tracing on since
+    the last {!reset_traced}, in boot order.  A source's gauge sync
+    reads its machine, so the session keeps every traced machine alive
+    until {!reset_traced}. *)
 
 val reset_traced : unit -> unit
 
@@ -81,6 +88,7 @@ type t = {
   mutable runnable_probe : (int -> int) option;
       (** per-CPU runnable count read by the vmstat sampler's
           [cpuK:runnable] columns; installed via {!set_runnable_probe} *)
+  mutable next_id : int;  (** see {!fresh_id} *)
 }
 
 val boot : ?config:config -> unit -> t
@@ -88,6 +96,11 @@ val boot : ?config:config -> unit -> t
 val set_runnable_probe : t -> (int -> int) option -> unit
 (** Feed the sampler a per-CPU runnable count (the SMP scheduler's
     {!Sim.Smp.runnable}); [None] reads as zero. *)
+
+val fresh_id : t -> int
+(** The machine's id supply for OS-layer objects (process ids, IPC
+    channels): 1, 2, 3, ... on every fresh machine.  Kernel objects draw
+    from their own system's counter. *)
 
 val page_size : t -> int
 val now : t -> float

@@ -74,21 +74,23 @@ fi
 
 # Torture smoke: one fixed-seed differential run with periodic invariant
 # audits on both VM systems.  On failure it leaves a crash artifact (op
-# trace, failure, span ring, stats) in artifacts/torture/ for the CI
-# workflow to upload.
+# trace, failure, span ring, stats) in artifacts/torture/seed-42/ for the
+# CI workflow to upload.
 dune exec bin/uvm_sim.exe -- torture --seed 42 --ops 2000 --audit-every 50 \
   --shrink --artifact-dir artifacts/torture
 
 # Multi-seed torture sweep: seeds 1-60 x 6000 ops, audited every 50 ops,
-# must all run clean on both kernels (about half a minute).
-for seed in $(seq 1 60); do
-  ./_build/default/bin/uvm_sim.exe torture --seed "$seed" --ops 6000 \
-    --audit-every 50 --artifact-dir artifacts/torture > /dev/null || {
-    echo "ci: torture seed $seed failed" >&2
-    exit 1
-  }
-done
-echo 'ci: torture sweep clean (seeds 1-60 x 6000 ops)'
+# must all run clean on both kernels.  The seeds run in parallel on a
+# pool of OCaml domains; a failing seed leaves its crash artifact in
+# artifacts/torture/seed-N/.
+start=$(date +%s)
+sweep=$(./_build/default/bin/uvm_sim.exe torture --seed 1-60 --ops 6000 \
+  --audit-every 50 --artifact-dir artifacts/torture) || {
+  printf '%s\n' "$sweep" | grep -v '^torture: OK' >&2
+  echo 'ci: torture sweep failed' >&2
+  exit 1
+}
+echo "ci: torture sweep clean (seeds 1-60 x 6000 ops, $(($(date +%s) - start)) s wall)"
 
 # Efficacy-report smoke (DESIGN.md §10): quick-mode ledger report over
 # both systems, kept in artifacts/ for the workflow to upload.

@@ -1,7 +1,7 @@
 (* Simulated SMP (DESIGN.md §16): the per-CPU free-page caches against
    the colored queues (drain returns pages to the right color ring,
    refills never dig into the reserve), the scheduler's determinism
-   contract, and the full storm experiment at 4 CPUs with every
+   contract, and the full storm experiment at 4 and 16 CPUs with every
    mid-storm audit clean. *)
 
 let mk ?(npages = 128) ?(ncpus = 4) () =
@@ -193,6 +193,24 @@ let test_storm_4cpus_clean () =
     (top "BSD VM");
   Alcotest.(check bool) "UVM's is not" true (top "UVM" <> "object")
 
+(* Past 4 CPUs the storm outgrows the profile's fixed machine: 32
+   workers' private regions overflow the quick profile's swap, and 16
+   per-CPU caches strand enough free frames that an allocation used to
+   fail with frames still free.  Every CPU count the CLI accepts must
+   finish with clean audits instead of an uncaught out-of-memory Segv. *)
+let test_storm_16cpus_survives () =
+  let r = Experiments.Smp.run ~quick:true ~cpus:16 ~seed:42 () in
+  List.iter
+    (fun (s : Experiments.Smp.system_result) ->
+      List.iter
+        (fun (run : Experiments.Smp.kernel_run) ->
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s@%d: no audit failures" s.ss_system
+               run.Experiments.Smp.kr_cpus)
+            [] run.Experiments.Smp.kr_audit_failures)
+        [ s.Experiments.Smp.ss_base; s.Experiments.Smp.ss_par ])
+    r.Experiments.Smp.sm_systems
+
 let test_storm_deterministic () =
   let wall sys_list =
     List.map
@@ -233,5 +251,7 @@ let () =
             test_storm_4cpus_clean;
           Alcotest.test_case "storm reproduces bit-for-bit" `Quick
             test_storm_deterministic;
+          Alcotest.test_case "16-cpu storm survives" `Quick
+            test_storm_16cpus_survives;
         ] );
     ]
