@@ -56,10 +56,7 @@ let ablation_pageout_cluster () =
       let mach =
         Vmiface.Machine.boot ~config:(Vmiface.Machine.config_mb ~ram_mb:32 ()) ()
       in
-      let usys =
-        Uvm.State.create ~pageout_cluster:cluster
-          ~aggressive_clustering:(cluster > 1) mach
-      in
+      let usys = Uvm.State.create ~pageout_cluster:cluster mach in
       Uvm.Pdaemon.install usys;
       Uvm.Vnode_pager.install_recycle_hook usys;
       let pmap = Pmap.create (Uvm.State.pmap_ctx usys) in
@@ -150,10 +147,7 @@ let ablation_fault_rate () =
             }
           in
           let mach = Vmiface.Machine.boot ~config () in
-          let usys =
-            Uvm.State.create ~pageout_cluster:cluster
-              ~aggressive_clustering:(cluster > 1) mach
-          in
+          let usys = Uvm.State.create ~pageout_cluster:cluster mach in
           Uvm.Pdaemon.install usys;
           Uvm.Vnode_pager.install_recycle_hook usys;
           let pmap = Pmap.create (Uvm.State.pmap_ctx usys) in

@@ -22,7 +22,9 @@ let va_hi = 1 lsl 20
 module Sys = struct
   let name = "BSD VM"
 
-  type vmspace = { vid : int; map : Vm_map.t; pmap : Pmap.t }
+  include Vmiface.Frontend.Space
+
+  type vmspace = Vm_map.t space
 
   type sys = {
     bsys : Bsd_sys.t;
@@ -31,22 +33,25 @@ module Sys = struct
     vmspaces : (int, vmspace) Hashtbl.t;
   }
 
-  let machine sys = sys.bsys.Bsd_sys.mach
-  let kernel_vmspace sys = sys.kernel
+  include Vmiface.Frontend.Make (struct
+    type state = Bsd_sys.t
+    type map = Vm_map.t
+    type nonrec sys = sys
 
-  let make_vmspace sys ~kernel =
-    let bsys = sys.bsys in
-    let pmap = Pmap.create (Bsd_sys.pmap_ctx bsys) in
-    let vm =
-      {
-        vid = Bsd_sys.fresh_id bsys;
-        map =
-          Vm_map.create bsys ~cache:sys.cache ~pmap ~lo:va_lo ~hi:va_hi ~kernel;
-        pmap;
-      }
-    in
-    Hashtbl.replace sys.vmspaces vm.vid vm;
-    vm
+    let mach st = st.Bsd_sys.mach
+    let fresh_id = Bsd_sys.fresh_id
+    let state sys = sys.bsys
+    let vmspaces sys = sys.vmspaces
+
+    let create_map st ~pmap ~kernel =
+      Vm_map.create st ~pmap ~lo:va_lo ~hi:va_hi ~kernel
+
+    let destroy_map sys = Vm_map.destroy sys.cache
+    let entry_count = Vm_map.entry_count
+    let fault = Vm_fault.fault
+  end)
+
+  let kernel_vmspace sys = sys.kernel
 
   (* Tier drain: move every swap slot living on an offline device to a
      healthy tier.  Only anonymous objects hold swap slots in BSD VM, and
@@ -80,57 +85,18 @@ module Sys = struct
     Swap.Swaptier.set_drain_hook (Bsd_sys.swapdev bsys)
       (Some (fun () -> drain_swap bsys));
     Vm_pageout.install bsys;
-    let cache = Vm_objcache.create bsys in
-    let kpmap = Pmap.create (Bsd_sys.pmap_ctx bsys) in
-    let kernel =
-      {
-        vid = Bsd_sys.fresh_id bsys;
-        map = Vm_map.create bsys ~cache ~pmap:kpmap ~lo:va_lo ~hi:va_hi ~kernel:true;
-        pmap = kpmap;
-      }
-    in
+    let cache = Vm_objcache.create () in
+    let kernel = alloc_vmspace bsys ~kernel:true in
     let sys = { bsys; cache; kernel; vmspaces = Hashtbl.create 32 } in
-    Hashtbl.replace sys.vmspaces kernel.vid kernel;
+    register sys kernel;
     sys
 
   let new_vmspace sys = make_vmspace sys ~kernel:false
 
-  let clone_entry bsys map (e : Vm_map.entry) =
-    (Bsd_sys.stats bsys).Sim.Stats.map_entries_allocated <-
-      (Bsd_sys.stats bsys).Sim.Stats.map_entries_allocated + 1;
-    Sim.Lifecycle.note_entry_alloc
-      (Physmem.lifecycle (Bsd_sys.physmem bsys));
-    Bsd_sys.charge_struct_alloc bsys;
-    ignore map;
-    {
-      Vm_map.spage = e.Vm_map.spage;
-      epage = e.Vm_map.epage;
-      obj = e.Vm_map.obj;
-      objoff = e.Vm_map.objoff;
-      prot = e.Vm_map.prot;
-      maxprot = e.Vm_map.maxprot;
-      inh = e.Vm_map.inh;
-      advice = e.Vm_map.advice;
-      wired = 0;
-      cow = e.Vm_map.cow;
-      needs_copy = e.Vm_map.needs_copy;
-      prev = None;
-      next = None;
-    }
-
   let fork sys parent =
     let bsys = sys.bsys in
     Bsd_sys.charge bsys (Bsd_sys.costs bsys).Sim.Cost_model.proc_overhead;
-    let pmap = Pmap.create (Bsd_sys.pmap_ctx bsys) in
-    let child =
-      {
-        vid = Bsd_sys.fresh_id bsys;
-        map =
-          Vm_map.create bsys ~cache:sys.cache ~pmap ~lo:va_lo ~hi:va_hi
-            ~kernel:false;
-        pmap;
-      }
-    in
+    let child = alloc_vmspace bsys ~kernel:false in
     Vm_map.lock parent.map;
     Vm_map.iter_entries
       (fun e ->
@@ -140,7 +106,7 @@ module Sys = struct
             (match e.Vm_map.obj with
             | Some o -> Vm_object.reference o
             | None -> ());
-            Vm_map.insert_entry_raw child.map (clone_entry bsys child.map e)
+            Vm_map.insert_entry_raw child.map (Vm_map.copy_entry child.map e)
         | Inh_copy when e.Vm_map.wired > 0 ->
             (* A wired entry's copy may never be deferred: write-protecting
                the parent would make its next write COW the wired frame into
@@ -168,7 +134,7 @@ module Sys = struct
                   fresh_page.Physmem.Page.dirty <- true;
                   Physmem.activate physmem fresh_page
             done;
-            let fresh = clone_entry bsys child.map e in
+            let fresh = Vm_map.copy_entry child.map e in
             fresh.Vm_map.obj <- Some obj;
             fresh.Vm_map.objoff <- 0;
             fresh.Vm_map.cow <- false;
@@ -180,7 +146,7 @@ module Sys = struct
             (match e.Vm_map.obj with
             | Some o -> Vm_object.reference o
             | None -> ());
-            let fresh = clone_entry bsys child.map e in
+            let fresh = Vm_map.copy_entry child.map e in
             fresh.Vm_map.cow <- true;
             fresh.Vm_map.needs_copy <- true;
             e.Vm_map.cow <- true;
@@ -191,16 +157,8 @@ module Sys = struct
             Vm_map.insert_entry_raw child.map fresh)
       parent.map;
     Vm_map.unlock parent.map;
-    Hashtbl.replace sys.vmspaces child.vid child;
+    register sys child;
     child
-
-  let destroy_vmspace sys vm =
-    Vm_map.destroy vm.map;
-    Pmap.destroy vm.pmap;
-    Hashtbl.remove sys.vmspaces vm.vid
-
-  let map_entry_count vm = Vm_map.entry_count vm.map
-  let resident_pages vm = Pmap.resident_count vm.pmap
 
   (* Overload-policy census of one address space: resident/wired counts
      from the pmap; swap slots by walking every shadow chain this space's
@@ -208,14 +166,7 @@ module Sys = struct
      Shared chains count toward every sharer — the badness score wants
      the footprint a kill could free, and shared backing's best estimate
      is its full size. *)
-  let vmspace_usage sys vm =
-    let resident = Pmap.resident_count vm.pmap in
-    let wired =
-      List.fold_left
-        (fun acc (_, pte) -> if pte.Pmap.wired then acc + 1 else acc)
-        0
-        (Pmap.translations vm.pmap)
-    in
+  let vmspace_usage _sys vm =
     let swap = ref 0 in
     let seen = Hashtbl.create 16 in
     let rec chain (obj : Vm_object.t) =
@@ -230,33 +181,13 @@ module Sys = struct
     Vm_map.iter_entries
       (fun e -> match e.Vm_map.obj with Some o -> chain o | None -> ())
       vm.map;
-    ignore sys;
-    { u_resident = resident; u_swap = !swap; u_wired = wired }
+    {
+      u_resident = resident_pages vm;
+      u_swap = !swap;
+      u_wired = wired_pages vm;
+    }
 
-  (* Whole-process swapout, eviction half: push every reclaimable resident
-     page onto the inactive queue with its translations gone, so the next
-     pageout pass swaps the dirty ones out and frees the rest. *)
   let kernel_map_locked sys = Vm_map.is_locked sys.kernel.map
-
-  let deactivate_resident sys vm =
-    let physmem = Bsd_sys.physmem sys.bsys in
-    let ctx = Bsd_sys.pmap_ctx sys.bsys in
-    let count = ref 0 in
-    List.iter
-      (fun (_, (pte : Pmap.pte)) ->
-        let page = pte.Pmap.page in
-        if
-          (not pte.Pmap.wired)
-          && (not page.Physmem.Page.busy)
-          && page.Physmem.Page.wire_count = 0
-          && page.Physmem.Page.loan_count = 0
-        then begin
-          Pmap.page_remove_all ctx page;
-          Physmem.deactivate physmem page;
-          incr count
-        end)
-      (Pmap.translations vm.pmap);
-    !count
 
   (* The historical two-step mapping: establish with default attributes
      (read-write!), then relock and adjust each non-default attribute.
@@ -292,7 +223,8 @@ module Sys = struct
     | Private -> ());
     spage
 
-  let munmap _sys vm ~vpn ~npages = Vm_map.unmap vm.map ~spage:vpn ~npages
+  let munmap sys vm ~vpn ~npages =
+    Vm_map.unmap sys.cache vm.map ~spage:vpn ~npages
 
   let mprotect _sys vm ~vpn ~npages prot =
     Vm_map.protect vm.map ~spage:vpn ~npages ~prot
@@ -302,24 +234,6 @@ module Sys = struct
 
   let madvise _sys vm ~vpn ~npages advice =
     Vm_map.set_advice vm.map ~spage:vpn ~npages advice
-
-  let fault_or_segv vm ~vpn ~access ~wire =
-    match Vm_fault.fault vm.map ~vpn ~access ~wire with
-    | Ok () -> ()
-    | Error error -> raise (Segv { vpn; error })
-
-  let wire_pages vm ~vpn ~npages =
-    for v = vpn to vpn + npages - 1 do
-      fault_or_segv vm ~vpn:v ~access:Read ~wire:true
-    done
-
-  let unwire_pages sys vm ~vpn ~npages =
-    let physmem = Bsd_sys.physmem sys.bsys in
-    for v = vpn to vpn + npages - 1 do
-      match Pmap.lookup vm.pmap ~vpn:v with
-      | Some pte -> Physmem.unwire physmem pte.Pmap.page
-      | None -> ()
-    done
 
   let mlock _sys vm ~vpn ~npages =
     Vm_map.mark_wired vm.map ~spage:vpn ~npages;
@@ -353,96 +267,29 @@ module Sys = struct
   let stage_map _sys _vm () = None
   let stage_free _sys () = ()
 
-  let wanted_prot = function
-    | Read -> { Pmap.Prot.r = true; w = false; x = false }
-    | Write -> Pmap.Prot.rw
-
-  let touch sys vm ~vpn access =
-    let bsys = sys.bsys in
-    Bsd_sys.charge bsys (Bsd_sys.costs bsys).Sim.Cost_model.mem_access;
-    let ok () =
-      match Pmap.lookup vm.pmap ~vpn with
-      | Some pte -> Pmap.Prot.subsumes pte.Pmap.prot (wanted_prot access)
-      | None -> false
-    in
-    if not (ok ()) then fault_or_segv vm ~vpn ~access ~wire:false;
-    Pmap.mark_access vm.pmap ~vpn ~write:(access = Write)
-
-  let access_range sys vm ~vpn ~npages access =
-    for v = vpn to vpn + npages - 1 do
-      touch sys vm ~vpn:v access
-    done
-
-  let page_of sys vm ~vpn access =
-    touch sys vm ~vpn access;
-    match Pmap.lookup vm.pmap ~vpn with
-    | Some pte -> pte.Pmap.page
-    | None -> assert false
-
-  let read_bytes sys vm ~addr ~len =
-    let page_size = Machine.page_size (machine sys) in
-    let out = Bytes.create len in
-    let copied = ref 0 in
-    while !copied < len do
-      let a = addr + !copied in
-      let vpn = a / page_size and off = a mod page_size in
-      let n = min (len - !copied) (page_size - off) in
-      let page = page_of sys vm ~vpn Read in
-      Bytes.blit page.Physmem.Page.data off out !copied n;
-      copied := !copied + n
-    done;
-    out
-
-  let write_bytes sys vm ~addr data =
-    let page_size = Machine.page_size (machine sys) in
-    let len = Bytes.length data in
-    let copied = ref 0 in
-    while !copied < len do
-      let a = addr + !copied in
-      let vpn = a / page_size and off = a mod page_size in
-      let n = min (len - !copied) (page_size - off) in
-      let page = page_of sys vm ~vpn Write in
-      Bytes.blit data !copied page.Physmem.Page.data off n;
-      page.Physmem.Page.dirty <- true;
-      copied := !copied + n
-    done
-
   let msync sys vm ~vpn ~npages =
     let bsys = sys.bsys in
-    List.iter
-      (fun (e : Vm_map.entry) ->
-        match e.Vm_map.obj with
-        | Some obj -> (
-            match obj.Vm_object.kind with
-            | Vm_object.Vnode vn ->
-                let lo =
-                  e.Vm_map.objoff + (max vpn e.Vm_map.spage - e.Vm_map.spage)
-                and hi =
-                  e.Vm_map.objoff
-                  + (min (vpn + npages) e.Vm_map.epage - e.Vm_map.spage)
-                in
-                List.iter
-                  (fun (p : Physmem.Page.t) ->
-                    if p.owner_offset >= lo && p.owner_offset < hi then
-                      (* One write per page, as ever.  A failed page stays
-                         dirty for a later sync or pageout to retry. *)
-                      match
-                        Bsd_sys.retry_transient bsys (fun () ->
-                            Vfs.write_pages (Bsd_sys.vfs bsys) vn
-                              ~start_page:p.owner_offset ~srcs:[ p ])
-                      with
-                      | Ok () ->
-                          (* Any swapcache copy of this page is stale now. *)
-                          Swap.Swaptier.cache_invalidate (Bsd_sys.swapdev bsys)
-                            ~vid:vn.Vfs.Vnode.vid ~pgno:p.owner_offset
-                      | Error _ -> ())
-                  (Vm_object.dirty_pages obj)
-            | Vm_object.Anon -> ())
-        | None -> ())
-      (List.filter
-         (fun (e : Vm_map.entry) ->
-           e.Vm_map.spage < vpn + npages && vpn < e.Vm_map.epage)
-         (Vm_map.entries vm.map))
+    Vm_map.iter_obj_ranges vm.map ~spage:vpn ~epage:(vpn + npages)
+      (fun obj ~lo ~hi ->
+        match obj.Vm_object.kind with
+        | Vm_object.Vnode vn ->
+            List.iter
+              (fun (p : Physmem.Page.t) ->
+                if p.owner_offset >= lo && p.owner_offset < hi then
+                  (* One write per page, as ever.  A failed page stays
+                     dirty for a later sync or pageout to retry. *)
+                  match
+                    Bsd_sys.retry_transient bsys (fun () ->
+                        Vfs.write_pages (Bsd_sys.vfs bsys) vn
+                          ~start_page:p.owner_offset ~srcs:[ p ])
+                  with
+                  | Ok () ->
+                      (* Any swapcache copy of this page is stale now. *)
+                      Swap.Swaptier.cache_invalidate (Bsd_sys.swapdev bsys)
+                        ~vid:vn.Vfs.Vnode.vid ~pgno:p.owner_offset
+                  | Error _ -> ())
+              (Vm_object.dirty_pages obj)
+        | Vm_object.Anon -> ())
 
   (* Kernel wired allocations: BSD creates a map entry per allocation and
      records the wiring in the kernel map — two kernel entries per process
@@ -480,8 +327,6 @@ module Sys = struct
 
   let pmap_free_ptp sys ptp =
     kernel_free_wired sys ~vpn:ptp.ptp_vpn ~npages:ptp.ptp_npages
-
-  let swap_slots_in_use sys = Swap.Swaptier.slots_in_use (Bsd_sys.swapdev sys.bsys)
 
   (* ---- invariant auditor ---------------------------------------------- *)
 

@@ -7,18 +7,14 @@
     hundred files the LRU object is discarded even when memory is plentiful,
     and pinned vnodes distort the vnode system's LRU choice. *)
 
+let obj_cache_limit = 100
+
 type t = {
-  limit : int;
   lru : Vm_object.t Sim.Dlist.t;  (** unreferenced cached objects, LRU first *)
   by_vnode : (int, Vm_object.t) Hashtbl.t;  (** vnode id -> its VM object *)
 }
 
-let create sys =
-  {
-    limit = sys.Bsd_sys.obj_cache_limit;
-    lru = Sim.Dlist.create ();
-    by_vnode = Hashtbl.create 64;
-  }
+let create () = { lru = Sim.Dlist.create (); by_vnode = Hashtbl.create 64 }
 
 let cached_count t = Sim.Dlist.length t.lru
 
@@ -63,7 +59,7 @@ let rec deref sys t obj =
     | Vm_object.Vnode _ ->
         obj.Vm_object.cached <- true;
         obj.Vm_object.lru_node <- Some (Sim.Dlist.push_tail t.lru obj);
-        if Sim.Dlist.length t.lru > t.limit then begin
+        if Sim.Dlist.length t.lru > obj_cache_limit then begin
           (* Cache full: discard the least recently used object even if
              memory is plentiful (Figure 2's cliff). *)
           match Sim.Dlist.pop_head t.lru with

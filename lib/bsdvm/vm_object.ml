@@ -198,8 +198,8 @@ let rec find_in_chain sys obj ~off ~depth =
           let span = Bsd_sys.span_start sys ~subsys:"pager" "pagein" in
           let r =
             Swap.Swaptier.read_resilient (Bsd_sys.swapdev sys)
-              ~retries:sys.Bsd_sys.io_retries
-              ~backoff_us:sys.Bsd_sys.io_backoff_us ~slot ~dst:page
+              ~retries:Bsd_sys.io_retries
+              ~backoff_us:Bsd_sys.io_backoff_us ~slot ~dst:page
           in
           trace_pagein ~span ~pager:"swap" (Result.is_ok r);
           match r with

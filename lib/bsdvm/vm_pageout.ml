@@ -80,8 +80,8 @@ let pageout_one sys (obj : Vm_object.t) (page : Physmem.Page.t) =
           in
           match
             Swap.Swaptier.write_resilient swapdev
-              ~retries:sys.Bsd_sys.io_retries
-              ~backoff_us:sys.Bsd_sys.io_backoff_us ~slot ~assign
+              ~retries:Bsd_sys.io_retries
+              ~backoff_us:Bsd_sys.io_backoff_us ~slot ~assign
               ~pages:[ page ]
           with
           | Swap.Swaptier.Written | Swap.Swaptier.Reassigned _ -> true

@@ -197,7 +197,6 @@ let is_allocated_slot t ~slot =
   Swapdev.is_allocated_slot d.dev ~slot:(slot - d.base)
 
 let disks t = Array.to_list t.devices |> List.map (fun d -> Swapdev.disk d.dev)
-let disk t = Swapdev.disk t.devices.(0).dev
 
 (* -- swapcache bookkeeping ------------------------------------------- *)
 

@@ -121,9 +121,6 @@ val write_resilient :
     reassignment counts into [Stats.swap_failovers] and records a
     [failover] event. *)
 
-val disk : t -> Sim.Disk.t
-(** The first device's disk (single-tier compatibility). *)
-
 val disks : t -> Sim.Disk.t list
 (** Every device's disk, in creation order — for fault-plan install. *)
 

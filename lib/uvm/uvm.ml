@@ -30,7 +30,9 @@ let va_hi = 1 lsl 20
 module Sys = struct
   let name = "UVM"
 
-  type vmspace = { vid : int; map : Uvm_map.t; pmap : Pmap.t }
+  include Vmiface.Frontend.Space
+
+  type vmspace = Uvm_map.t space
 
   type sys = {
     usys : Uvm_sys.t;
@@ -38,21 +40,54 @@ module Sys = struct
     vmspaces : (int, vmspace) Hashtbl.t;  (** live address spaces *)
   }
 
-  let machine sys = sys.usys.Uvm_sys.mach
+  include Vmiface.Frontend.Make (struct
+    type state = Uvm_sys.t
+    type map = Uvm_map.t
+    type nonrec sys = sys
+
+    let mach st = st.Uvm_sys.mach
+    let fresh_id = Uvm_sys.fresh_id
+    let state sys = sys.usys
+    let vmspaces sys = sys.vmspaces
+
+    let create_map st ~pmap ~kernel =
+      Uvm_map.create st ~pmap ~lo:va_lo ~hi:va_hi ~kernel
+
+    let destroy_map _ = Uvm_map.destroy
+    let entry_count = Uvm_map.entry_count
+    let fault = Uvm_fault.fault
+  end)
+
   let kernel_vmspace sys = sys.kernel
 
-  let make_vmspace sys ~kernel =
-    let usys = sys.usys in
-    let pmap = Pmap.create (Uvm_sys.pmap_ctx usys) in
-    let vm =
-      {
-        vid = Uvm_sys.fresh_id usys;
-        map = Uvm_map.create usys ~pmap ~lo:va_lo ~hi:va_hi ~kernel;
-        pmap;
-      }
-    in
-    Hashtbl.replace sys.vmspaces vm.vid vm;
-    vm
+  (* Every anon and every object reachable from [each_vm]'s maps, each
+     visited once, in map order: an entry's amap slots, then its object.
+     The order is part of the contract — the tier drain migrates slots in
+     it, and that decides which fresh slots they get. *)
+  let iter_backing each_vm ~anon ~obj =
+    let seen_anon = Hashtbl.create 64 in
+    let seen_obj = Hashtbl.create 16 in
+    each_vm (fun vm ->
+        Uvm_map.iter_entries
+          (fun e ->
+            (match e.Uvm_map.amap with
+            | Some am ->
+                for i = 0 to Uvm_map.entry_npages e - 1 do
+                  match Uvm_amap.lookup am ~slot:(e.Uvm_map.amapoff + i) with
+                  | Some a when not (Hashtbl.mem seen_anon a.Uvm_anon.id) ->
+                      Hashtbl.replace seen_anon a.Uvm_anon.id ();
+                      anon a
+                  | _ -> ()
+                done
+            | None -> ());
+            match e.Uvm_map.obj with
+            | Some o when not (Hashtbl.mem seen_obj o.Uvm_object.id) ->
+                Hashtbl.replace seen_obj o.Uvm_object.id ();
+                obj o
+            | _ -> ())
+          vm.map)
+
+  let all_vmspaces sys f = Hashtbl.iter (fun _ vm -> f vm) sys.vmspaces
 
   (* Tier drain: move every swap slot living on an offline device to a
      healthy tier.  Invoked by the pagedaemon through the swap layer's
@@ -60,47 +95,25 @@ module Sys = struct
      audit after a drain means the device really owns nothing. *)
   let drain_swap sys =
     let swap = Uvm_sys.swapdev sys.usys in
-    let seen_anon = Hashtbl.create 64 in
-    let seen_obj = Hashtbl.create 16 in
-    Hashtbl.iter
-      (fun _ vm ->
-        Uvm_map.iter_entries
-          (fun e ->
-            (match e.Uvm_map.amap with
-            | Some am ->
-                for i = 0 to Uvm_map.entry_npages e - 1 do
-                  match Uvm_amap.lookup am ~slot:(e.Uvm_map.amapoff + i) with
-                  | Some anon when not (Hashtbl.mem seen_anon anon.Uvm_anon.id)
-                    ->
-                      Hashtbl.replace seen_anon anon.Uvm_anon.id ();
-                      let slot = anon.Uvm_anon.swslot in
-                      if
-                        slot <> 0
-                        && Swap.Swaptier.slot_needs_drain swap ~slot
-                      then (
-                        match Swap.Swaptier.migrate_slot swap ~slot with
-                        | Some fresh ->
-                            (* set_swslot frees the vacated slot. *)
-                            Uvm_anon.set_swslot sys.usys anon fresh
-                        | None -> ())
-                  | _ -> ()
-                done
-            | None -> ());
-            match e.Uvm_map.obj with
-            | Some o when not (Hashtbl.mem seen_obj o.Uvm_object.id) ->
-                Hashtbl.replace seen_obj o.Uvm_object.id ();
-                List.iter
-                  (fun (pgno, slot) ->
-                    if Swap.Swaptier.slot_needs_drain swap ~slot then
-                      match Swap.Swaptier.migrate_slot swap ~slot with
-                      | Some fresh ->
-                          Uvm_aobj.rebind_slot o ~pgno ~slot:fresh;
-                          Swap.Swaptier.free_slots swap ~slot ~n:1
-                      | None -> ())
-                  (Uvm_aobj.swslots o)
-            | _ -> ())
-          vm.map)
-      sys.vmspaces
+    iter_backing (all_vmspaces sys)
+      ~anon:(fun anon ->
+        let slot = anon.Uvm_anon.swslot in
+        if slot <> 0 && Swap.Swaptier.slot_needs_drain swap ~slot then
+          match Swap.Swaptier.migrate_slot swap ~slot with
+          | Some fresh ->
+              (* set_swslot frees the vacated slot. *)
+              Uvm_anon.set_swslot sys.usys anon fresh
+          | None -> ())
+      ~obj:(fun o ->
+        List.iter
+          (fun (pgno, slot) ->
+            if Swap.Swaptier.slot_needs_drain swap ~slot then
+              match Swap.Swaptier.migrate_slot swap ~slot with
+              | Some fresh ->
+                  Uvm_aobj.rebind_slot o ~pgno ~slot:fresh;
+                  Swap.Swaptier.free_slots swap ~slot ~n:1
+              | None -> ())
+          (Uvm_aobj.swslots o))
 
   let boot ?config () =
     let mach = Machine.boot ?config () in
@@ -108,16 +121,9 @@ module Sys = struct
     let usys = Uvm_sys.create mach in
     Uvm_pdaemon.install usys;
     Uvm_vnode.install_recycle_hook usys;
-    let kpmap = Pmap.create (Uvm_sys.pmap_ctx usys) in
-    let kernel =
-      {
-        vid = Uvm_sys.fresh_id usys;
-        map = Uvm_map.create usys ~pmap:kpmap ~lo:va_lo ~hi:va_hi ~kernel:true;
-        pmap = kpmap;
-      }
-    in
+    let kernel = alloc_vmspace usys ~kernel:true in
     let sys = { usys; kernel; vmspaces = Hashtbl.create 32 } in
-    Hashtbl.replace sys.vmspaces kernel.vid kernel;
+    register sys kernel;
     Swap.Swaptier.set_drain_hook (Uvm_sys.swapdev usys)
       (Some (fun () -> drain_swap sys));
     sys
@@ -130,16 +136,8 @@ module Sys = struct
     let pmap = Pmap.create (Uvm_sys.pmap_ctx usys) in
     let map = Uvm_fork.fork_map parent.map ~child_pmap:pmap in
     let vm = { vid = Uvm_sys.fresh_id usys; map; pmap } in
-    Hashtbl.replace sys.vmspaces vm.vid vm;
+    register sys vm;
     vm
-
-  let destroy_vmspace sys vm =
-    Uvm_map.destroy vm.map;
-    Pmap.destroy vm.pmap;
-    Hashtbl.remove sys.vmspaces vm.vid
-
-  let map_entry_count vm = Uvm_map.entry_count vm.map
-  let resident_pages vm = Pmap.resident_count vm.pmap
 
   (* Overload-policy census of one address space: resident and wired
      translation counts straight from the pmap, swap slots by walking the
@@ -147,62 +145,19 @@ module Sys = struct
      aobj backing).  Shared backing counts toward every sharer — the
      badness score wants "how much does killing this free", and a shared
      page's best estimate is its full footprint. *)
-  let vmspace_usage sys vm =
-    let resident = Pmap.resident_count vm.pmap in
-    let wired =
-      List.fold_left
-        (fun acc (_, pte) -> if pte.Pmap.wired then acc + 1 else acc)
-        0
-        (Pmap.translations vm.pmap)
-    in
+  let vmspace_usage _sys vm =
     let swap = ref 0 in
-    let seen_anon = Hashtbl.create 32 in
-    let seen_obj = Hashtbl.create 8 in
-    Uvm_map.iter_entries
-      (fun e ->
-        (match e.Uvm_map.amap with
-        | Some am ->
-            for i = 0 to Uvm_map.entry_npages e - 1 do
-              match Uvm_amap.lookup am ~slot:(e.Uvm_map.amapoff + i) with
-              | Some anon when not (Hashtbl.mem seen_anon anon.Uvm_anon.id) ->
-                  Hashtbl.replace seen_anon anon.Uvm_anon.id ();
-                  if anon.Uvm_anon.swslot <> 0 then incr swap
-              | _ -> ()
-            done
-        | None -> ());
-        match e.Uvm_map.obj with
-        | Some o when not (Hashtbl.mem seen_obj o.Uvm_object.id) ->
-            Hashtbl.replace seen_obj o.Uvm_object.id ();
-            swap := !swap + List.length (Uvm_aobj.swslots o)
-        | _ -> ())
-      vm.map;
-    ignore sys;
-    { u_resident = resident; u_swap = !swap; u_wired = wired }
+    iter_backing
+      (fun f -> f vm)
+      ~anon:(fun anon -> if anon.Uvm_anon.swslot <> 0 then incr swap)
+      ~obj:(fun o -> swap := !swap + List.length (Uvm_aobj.swslots o));
+    {
+      u_resident = resident_pages vm;
+      u_swap = !swap;
+      u_wired = wired_pages vm;
+    }
 
-  (* Whole-process swapout, eviction half: push every reclaimable resident
-     page onto the inactive queue with its translations gone, so the next
-     pagedaemon pass swaps the dirty ones out and frees the rest. *)
   let kernel_map_locked sys = Uvm_map.is_locked sys.kernel.map
-
-  let deactivate_resident sys vm =
-    let physmem = Uvm_sys.physmem sys.usys in
-    let ctx = Uvm_sys.pmap_ctx sys.usys in
-    let count = ref 0 in
-    List.iter
-      (fun (_, (pte : Pmap.pte)) ->
-        let page = pte.Pmap.page in
-        if
-          (not pte.Pmap.wired)
-          && (not page.Physmem.Page.busy)
-          && page.Physmem.Page.wire_count = 0
-          && page.Physmem.Page.loan_count = 0
-        then begin
-          Pmap.page_remove_all ctx page;
-          Physmem.deactivate physmem page;
-          incr count
-        end)
-      (Pmap.translations vm.pmap);
-    !count
 
   let default_inherit = function Private -> Inh_copy | Shared -> Inh_shared
 
@@ -241,24 +196,6 @@ module Sys = struct
   let madvise _sys vm ~vpn ~npages advice =
     Uvm_map.set_advice vm.map ~spage:vpn ~npages advice
 
-  let fault_or_segv vm ~vpn ~access ~wire =
-    match Uvm_fault.fault vm.map ~vpn ~access ~wire with
-    | Ok () -> ()
-    | Error error -> raise (Segv { vpn; error })
-
-  let wire_pages vm ~vpn ~npages =
-    for v = vpn to vpn + npages - 1 do
-      fault_or_segv vm ~vpn:v ~access:Read ~wire:true
-    done
-
-  let unwire_pages sys vm ~vpn ~npages =
-    let physmem = Uvm_sys.physmem sys.usys in
-    for v = vpn to vpn + npages - 1 do
-      match Pmap.lookup vm.pmap ~vpn:v with
-      | Some pte -> Physmem.unwire physmem pte.Pmap.page
-      | None -> ()
-    done
-
   (* mlock: the one wiring case whose state has no home other than the map
      (paper §3.2), so it clips entries under UVM too.  The faults run
      before the mark so that, while a wire fault is in flight,
@@ -284,60 +221,6 @@ module Sys = struct
 
   let vsunlock sys vm wb =
     unwire_pages sys vm ~vpn:wb.wb_vpn ~npages:wb.wb_npages
-
-  let wanted_prot = function
-    | Read -> { Pmap.Prot.r = true; w = false; x = false }
-    | Write -> Pmap.Prot.rw
-
-  let touch sys vm ~vpn access =
-    let usys = sys.usys in
-    Uvm_sys.charge usys (Uvm_sys.costs usys).Sim.Cost_model.mem_access;
-    let ok () =
-      match Pmap.lookup vm.pmap ~vpn with
-      | Some pte -> Pmap.Prot.subsumes pte.Pmap.prot (wanted_prot access)
-      | None -> false
-    in
-    if not (ok ()) then fault_or_segv vm ~vpn ~access ~wire:false;
-    Pmap.mark_access vm.pmap ~vpn ~write:(access = Write)
-
-  let access_range sys vm ~vpn ~npages access =
-    for v = vpn to vpn + npages - 1 do
-      touch sys vm ~vpn:v access
-    done
-
-  let page_of sys vm ~vpn access =
-    touch sys vm ~vpn access;
-    match Pmap.lookup vm.pmap ~vpn with
-    | Some pte -> pte.Pmap.page
-    | None -> assert false
-
-  let read_bytes sys vm ~addr ~len =
-    let page_size = Machine.page_size (machine sys) in
-    let out = Bytes.create len in
-    let copied = ref 0 in
-    while !copied < len do
-      let a = addr + !copied in
-      let vpn = a / page_size and off = a mod page_size in
-      let n = min (len - !copied) (page_size - off) in
-      let page = page_of sys vm ~vpn Read in
-      Bytes.blit page.Physmem.Page.data off out !copied n;
-      copied := !copied + n
-    done;
-    out
-
-  let write_bytes sys vm ~addr data =
-    let page_size = Machine.page_size (machine sys) in
-    let len = Bytes.length data in
-    let copied = ref 0 in
-    while !copied < len do
-      let a = addr + !copied in
-      let vpn = a / page_size and off = a mod page_size in
-      let n = min (len - !copied) (page_size - off) in
-      let page = page_of sys vm ~vpn Write in
-      Bytes.blit data !copied page.Physmem.Page.data off n;
-      page.Physmem.Page.dirty <- true;
-      copied := !copied + n
-    done
 
   (* ---- IPC data staging (paper §7) ----------------------------------- *)
 
@@ -421,34 +304,20 @@ module Sys = struct
     | St_mexp { kvpn; npages } ->
         Uvm_map.unmap sys.kernel.map ~spage:kvpn ~npages
 
-  let msync sys vm ~vpn ~npages =
-    let usys = sys.usys in
-    List.iter
-      (fun (e : Uvm_map.entry) ->
-        match e.Uvm_map.obj with
-        | Some obj ->
-            let lo = e.Uvm_map.objoff + (max vpn e.Uvm_map.spage - e.Uvm_map.spage)
-            and hi =
-              e.Uvm_map.objoff
-              + (min (vpn + npages) e.Uvm_map.epage - e.Uvm_map.spage)
-            in
-            let dirty =
-              List.filter
-                (fun (p : Physmem.Page.t) ->
-                  p.owner_offset >= lo && p.owner_offset < hi)
-                (Uvm_object.dirty_pages obj)
-            in
-            if dirty <> [] then
-              (* msync has no error channel here; failed pages stay dirty
-                 and a later sync or pageout retries them. *)
-              (match obj.Uvm_object.pgops.Uvm_object.pgo_put dirty with
-              | Ok () | Error _ -> ())
-        | None -> ())
-      (List.filter
-         (fun (e : Uvm_map.entry) ->
-           e.Uvm_map.spage < vpn + npages && vpn < e.Uvm_map.epage)
-         (Uvm_map.entries vm.map));
-    ignore usys
+  let msync _sys vm ~vpn ~npages =
+    Uvm_map.iter_obj_ranges vm.map ~spage:vpn ~epage:(vpn + npages)
+      (fun obj ~lo ~hi ->
+        let dirty =
+          List.filter
+            (fun (p : Physmem.Page.t) ->
+              p.owner_offset >= lo && p.owner_offset < hi)
+            (Uvm_object.dirty_pages obj)
+        in
+        if dirty <> [] then
+          (* msync has no error channel here; failed pages stay dirty and
+             a later sync or pageout retries them. *)
+          match obj.Uvm_object.pgops.Uvm_object.pgo_put dirty with
+          | Ok () | Error _ -> ())
 
   (* Kernel wired allocations (user structures, page tables): UVM allocates
      from the kernel map with entry merging and records the wiring only in
@@ -494,8 +363,6 @@ module Sys = struct
   let swapout_ustruct sys ~vpn ~npages = unwire_pages sys sys.kernel ~vpn ~npages
 
   let swapin_ustruct sys ~vpn ~npages = wire_pages sys.kernel ~vpn ~npages
-
-  let swap_slots_in_use sys = Swap.Swaptier.slots_in_use (Uvm_sys.swapdev sys.usys)
 
   (* ---- invariant auditor (DIAGNOSTIC-style, paper §5.3's oracle) ------ *)
 
@@ -795,21 +662,9 @@ module Sys = struct
      suite checks the audit agrees. *)
   let leaked_pages sys =
     let reachable = Hashtbl.create 256 in
-    Hashtbl.iter
-      (fun _ vm ->
-        Uvm_map.iter_entries
-          (fun e ->
-            match e.Uvm_map.amap with
-            | Some am ->
-                let n = Uvm_map.entry_npages e in
-                for i = 0 to n - 1 do
-                  match Uvm_amap.lookup am ~slot:(e.Uvm_map.amapoff + i) with
-                  | Some anon -> Hashtbl.replace reachable anon.Uvm_anon.id ()
-                  | None -> ()
-                done
-            | None -> ())
-          vm.map)
-      sys.vmspaces;
+    iter_backing (all_vmspaces sys)
+      ~anon:(fun anon -> Hashtbl.replace reachable anon.Uvm_anon.id ())
+      ~obj:ignore;
     let physmem = Uvm_sys.physmem sys.usys in
     let leaked = ref 0 in
     List.iter

@@ -85,7 +85,7 @@ let ensure_resident sys t =
       let span = Uvm_sys.span_start sys ~subsys:"pager" "pagein" in
       let r =
         Swap.Swaptier.read_resilient (Uvm_sys.swapdev sys)
-          ~retries:sys.Uvm_sys.io_retries ~backoff_us:sys.Uvm_sys.io_backoff_us
+          ~retries:Uvm_sys.io_retries ~backoff_us:Uvm_sys.io_backoff_us
           ~slot:t.swslot ~dst:page
       in
       Uvm_sys.span_finish sys span (fun () ->

@@ -29,8 +29,8 @@ let make_ops sys swslots obj =
              let span = Uvm_sys.span_start sys ~subsys:"pager" "pagein" in
              let r =
                Swap.Swaptier.read_resilient swapdev
-                 ~retries:sys.Uvm_sys.io_retries
-                 ~backoff_us:sys.Uvm_sys.io_backoff_us ~slot ~dst:page
+                 ~retries:Uvm_sys.io_retries
+                 ~backoff_us:Uvm_sys.io_backoff_us ~slot ~dst:page
              in
              Uvm_sys.span_finish sys span (fun () ->
                  [
@@ -84,8 +84,8 @@ let make_ops sys swslots obj =
     let span = Uvm_sys.span_start sys ~subsys:"pager" "pageout" in
     let r =
       match
-        Swap.Swaptier.write_resilient swapdev ~retries:sys.Uvm_sys.io_retries
-          ~backoff_us:sys.Uvm_sys.io_backoff_us ~slot:base
+        Swap.Swaptier.write_resilient swapdev ~retries:Uvm_sys.io_retries
+          ~backoff_us:Uvm_sys.io_backoff_us ~slot:base
           ~assign:(rebind_cluster pages) ~pages
       with
       | Swap.Swaptier.Written | Swap.Swaptier.Reassigned _ -> Ok ()
@@ -126,7 +126,7 @@ let make_ops sys swslots obj =
   let pgo_put pages =
     match pages with
     | [] -> Ok ()
-    | _ when sys.Uvm_sys.aggressive_clustering -> (
+    | _ when Uvm_sys.aggressive_clustering sys -> (
         (* Reassign swap locations so the whole batch is one contiguous
            write (paper §6). *)
         let n = List.length pages in

@@ -1,29 +1,6 @@
 module Vmtypes = Vmiface.Vmtypes
 open Uvm_map
 
-let clone_entry t (e : entry) =
-  (Uvm_sys.stats t.sys).Sim.Stats.map_entries_allocated <-
-    (Uvm_sys.stats t.sys).Sim.Stats.map_entries_allocated + 1;
-  Sim.Lifecycle.note_entry_alloc (Physmem.lifecycle (Uvm_sys.physmem t.sys));
-  Uvm_sys.charge_struct_alloc t.sys;
-  {
-    spage = e.spage;
-    epage = e.epage;
-    obj = e.obj;
-    objoff = e.objoff;
-    amap = e.amap;
-    amapoff = e.amapoff;
-    prot = e.prot;
-    maxprot = e.maxprot;
-    inh = e.inh;
-    advice = e.advice;
-    wired = 0;
-    cow = e.cow;
-    needs_copy = e.needs_copy;
-    prev = None;
-    next = None;
-  }
-
 let fork_shared sys child (e : entry) =
   (* Sharing needs a concrete amap both entries can reference: clear a
      deferred needs-copy now (allocating the amap if the entry has never
@@ -39,7 +16,7 @@ let fork_shared sys child (e : entry) =
   (match e.obj with
   | Some o -> o.Uvm_object.pgops.Uvm_object.pgo_reference ()
   | None -> ());
-  Uvm_map.insert_entry_raw child (clone_entry child e)
+  Uvm_map.insert_entry_raw child (copy_entry child e)
 
 (* amap_cow_now: a wired entry's copy may never be deferred.  Deferral
    write-protects the parent, so the parent's next write would COW-resolve
@@ -90,7 +67,7 @@ let fork_copy_wired sys parent (e : entry) (fresh : entry) =
   fresh.needs_copy <- false
 
 let fork_copy sys parent child (e : entry) =
-  let fresh = clone_entry child e in
+  let fresh = copy_entry child e in
   fresh.cow <- true;
   (match e.obj with
   | Some o -> o.Uvm_object.pgops.Uvm_object.pgo_reference ()

@@ -3,78 +3,25 @@
     A map is a sorted doubly-linked list of entries, each recording one
     mapping: an address range, the backing object and/or amap, and the
     mapping attributes.  Addresses are in page units (virtual page
-    numbers).
-
-    UVM-specific behaviours implemented here:
+    numbers).  That mechanism — entries, lookup, clipping, attribute
+    changes, wiring records, the map lock and invariants — is shared with
+    BSD VM and lives in {!Vmiface.Map_core}; this module instantiates it
+    with UVM's two layers and adds only UVM's policy:
     - {!insert}: the single-step [uvm_map] that establishes a mapping with
       all its attributes under one lock acquisition — no two-step
       insert-then-protect, no read-write security window;
     - {!unmap}: the two-phase unmap — entries are unlinked under the map
       lock, but object/amap references are dropped only after the lock is
       released (reference drops can trigger long I/O);
-    - entry merging for object-less kernel allocations, and wiring that
-      does not fragment entries unless the map really is the only place to
-      record it (paper §3.2);
-    - lock-hold accounting, so the two-phase-unmap claim is measurable. *)
+    - entry merging for object-less kernel allocations.
+    Wiring that does not fragment entries (paper §3.2) is the facade's
+    choice of when to call {!mark_wired} at all. *)
 
-type entry = {
-  mutable spage : int;  (** first virtual page *)
-  mutable epage : int;  (** one past the last virtual page *)
-  mutable obj : Uvm_object.t option;  (** backing object layer *)
-  mutable objoff : int;  (** object page offset corresponding to [spage] *)
-  mutable amap : Uvm_amap.t option;  (** anonymous layer *)
-  mutable amapoff : int;  (** amap slot corresponding to [spage] *)
-  mutable prot : Pmap.Prot.t;
-  mutable maxprot : Pmap.Prot.t;
-  mutable inh : Vmiface.Vmtypes.inherit_mode;
-  mutable advice : Vmiface.Vmtypes.advice;
-  mutable wired : int;  (** user wire count (mlock) *)
-  mutable cow : bool;  (** copy-on-write (private) mapping *)
-  mutable needs_copy : bool;  (** amap must be copied before first write *)
-  mutable prev : entry option;
-  mutable next : entry option;
-}
-
-type t = {
-  sys : Uvm_sys.t;
-  pmap : Pmap.t;
-  lo : int;
-  hi : int;
-  kernel : bool;
-  mutable first : entry option;
-  mutable nentries : int;
-  mutable hint : entry option;
-  mutable locked_since : float option;
-  mutable lockh : Sim.Lockstat.lock option;
-      (** lock-observatory handle, registered on first {!lock} *)
-}
-
-val create : Uvm_sys.t -> pmap:Pmap.t -> lo:int -> hi:int -> kernel:bool -> t
-
-val lock : t -> unit
-(** Acquire the map lock (charges lock cost, starts hold-time clock). *)
-
-val unlock : t -> unit
-
-val is_locked : t -> bool
-(** True while some operation holds the map lock.  The OOM policy checks
-    this before tearing a victim down: teardown re-enters the kernel
-    map, so it must defer when the failing allocation already holds it. *)
-
-val entry_npages : entry -> int
-val entry_count : t -> int
-val iter_entries : (entry -> unit) -> t -> unit
-val entries : t -> entry list
-
-val lookup : t -> vpn:int -> entry option
-(** Find the entry mapping [vpn], charging per examined entry; maintains a
-    lookup hint like the real implementation. *)
-
-val find_space : t -> npages:int -> int
-(** First-fit free virtual range of [npages] pages.
-    @raise Not_found if the address space is exhausted. *)
-
-val range_free : t -> spage:int -> npages:int -> bool
+include
+  Vmiface.Map_core.S
+    with type sys := Uvm_sys.t
+     and type obj := Uvm_object.t
+     and type amap := Uvm_amap.t
 
 val insert :
   t ->
@@ -95,44 +42,9 @@ val insert :
     redundant, but merging is only done for object-less entries.
     @raise Invalid_argument if the range is not free or out of bounds. *)
 
-val insert_entry_raw : t -> entry -> unit
-(** Link a fully-built entry (map-entry passing / fork import).  The range
-    must be free. *)
-
-val unlink : t -> entry -> unit
-(** Remove an entry from the map's list without dropping its references
-    (donate-style map-entry passing; unmap uses this internally). *)
-
-val clip_range : t -> spage:int -> epage:int -> unit
-(** Split entries so that no entry straddles [spage] or [epage]. *)
-
-val entries_in_range : t -> spage:int -> epage:int -> entry list
-
 val unmap : t -> spage:int -> npages:int -> unit
 (** The two-phase unmap: unlink + pmap-remove under the lock, reference
     drops after unlock. *)
 
-val protect : t -> spage:int -> npages:int -> prot:Pmap.Prot.t -> unit
-(** Change protection; restricts existing translations, never widens them
-    (widening happens through faults). *)
-
-val set_inherit :
-  t -> spage:int -> npages:int -> Vmiface.Vmtypes.inherit_mode -> unit
-
-val set_advice : t -> spage:int -> npages:int -> Vmiface.Vmtypes.advice -> unit
-
-val mark_wired : t -> spage:int -> npages:int -> unit
-(** Record a user wiring (mlock) in the map: clips and increments entry
-    wire counts.  Faulting the pages in and wiring the frames is done by
-    the caller (the facade), since it needs the fault routine. *)
-
-val mark_unwired : t -> spage:int -> npages:int -> unit
-
 val destroy : t -> unit
 (** Unmap everything (process exit). *)
-
-val check_invariants : t -> (unit, string) result
-(** Sorted, non-overlapping, in-bounds entries; amap ranges within their
-    amaps; entry count consistent. *)
-
-val pp : Format.formatter -> t -> unit

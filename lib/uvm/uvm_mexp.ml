@@ -3,29 +3,14 @@ open Uvm_map
 
 type mode = Share | Copy | Donate
 
-let clone_entry_at t (e : entry) ~spage ~cow ~needs_copy =
-  let npgs = entry_npages e in
-  (Uvm_sys.stats t.sys).Sim.Stats.map_entries_allocated <-
-    (Uvm_sys.stats t.sys).Sim.Stats.map_entries_allocated + 1;
-  Sim.Lifecycle.note_entry_alloc (Physmem.lifecycle (Uvm_sys.physmem t.sys));
-  Uvm_sys.charge_struct_alloc t.sys;
-  {
-    spage;
-    epage = spage + npgs;
-    obj = e.obj;
-    objoff = e.objoff;
-    amap = e.amap;
-    amapoff = e.amapoff;
-    prot = e.prot;
-    maxprot = e.maxprot;
-    inh = e.inh;
-    advice = e.advice;
-    wired = 0;
-    cow;
-    needs_copy;
-    prev = None;
-    next = None;
-  }
+(* A copy of [e] in [dst], moved to start at [spage]. *)
+let copy_entry_at dst (e : entry) ~spage ~cow ~needs_copy =
+  let fresh = copy_entry dst e in
+  fresh.spage <- spage;
+  fresh.epage <- spage + entry_npages e;
+  fresh.cow <- cow;
+  fresh.needs_copy <- needs_copy;
+  fresh
 
 let extract ~src ~spage ~npages ~dst mode =
   let sys = src.sys in
@@ -52,7 +37,7 @@ let extract ~src ~spage ~npages ~dst mode =
         | Some o -> o.Uvm_object.pgops.Uvm_object.pgo_reference ()
         | None -> ());
         let fresh =
-          clone_entry_at dst e ~spage:at ~cow:e.cow ~needs_copy:e.needs_copy
+          copy_entry_at dst e ~spage:at ~cow:e.cow ~needs_copy:e.needs_copy
         in
         Uvm_map.insert_entry_raw dst fresh
     | Copy ->
@@ -68,7 +53,7 @@ let extract ~src ~spage ~npages ~dst mode =
         if e.amap <> None then e.needs_copy <- true;
         Pmap.restrict_range src.pmap ~lo:e.spage ~hi:e.epage
           ~prot:(Pmap.Prot.remove_write Pmap.Prot.rwx);
-        let fresh = clone_entry_at dst e ~spage:at ~cow:true ~needs_copy:true in
+        let fresh = copy_entry_at dst e ~spage:at ~cow:true ~needs_copy:true in
         Uvm_map.insert_entry_raw dst fresh
     | Donate ->
         (* Unlinking happens below, once, for all picked entries. *)

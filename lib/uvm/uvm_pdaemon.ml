@@ -32,15 +32,15 @@ let flush_anon_batch sys batch =
       let span = Uvm_sys.span_start sys ~subsys:"pdaemon" "pageout" in
       let write_at ~slot ~assign ~pages =
         match
-          Swap.Swaptier.write_resilient swapdev ~retries:sys.Uvm_sys.io_retries
-            ~backoff_us:sys.Uvm_sys.io_backoff_us ~slot ~assign ~pages
+          Swap.Swaptier.write_resilient swapdev ~retries:Uvm_sys.io_retries
+            ~backoff_us:Uvm_sys.io_backoff_us ~slot ~assign ~pages
         with
         | Swap.Swaptier.Written | Swap.Swaptier.Reassigned _
         | Swap.Swaptier.No_space _ | Swap.Swaptier.Failed _ ->
             ()
       in
       let clustered =
-        if sys.Uvm_sys.aggressive_clustering then
+        if Uvm_sys.aggressive_clustering sys then
           Swap.Swaptier.alloc_slots swapdev ~n
         else None
       in
@@ -62,7 +62,7 @@ let flush_anon_batch sys batch =
           assign base;
           write_at ~slot:base ~assign ~pages:(List.map snd batch)
       | None ->
-          (if sys.Uvm_sys.aggressive_clustering then
+          (if Uvm_sys.aggressive_clustering sys then
              (* Wanted one contiguous run of n and could not get it. *)
              stats.Sim.Stats.swap_full_events <-
                stats.Sim.Stats.swap_full_events + 1);

@@ -12,7 +12,7 @@
     Because the amap/anon layer needs no maps to find page owners, the
     daemon never takes a map lock.
 
-    With [aggressive_clustering = false] (ablation) anonymous pageout
+    With [pageout_cluster = 1] (ablation) anonymous pageout
     degrades to BSD VM's one-I/O-per-page behaviour. *)
 
 val run : Uvm_sys.t -> unit

@@ -37,8 +37,8 @@ let make_ops sys (vnode : Vfs.Vnode.t) (uvn_ref : uvn option ref) obj =
   let read_from_vnode ~center ~status =
     begin
        (* Clustered read: the run of non-resident pages starting at the
-          center, capped by the io_cluster tunable. *)
-       let max_run = max 1 sys.Uvm_sys.io_cluster in
+          center, capped at Uvm_sys.io_cluster. *)
+       let max_run = Uvm_sys.io_cluster in
        let rec run_len k =
          if k >= max_run then k
          else if Uvm_object.find_page obj ~pgno:(center + k) <> None then k

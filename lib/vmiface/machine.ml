@@ -107,6 +107,7 @@ type t = {
          installs [Smp.runnable] here so vmstat's cpuK:runnable column
          reflects the storm in flight *)
   mutable next_id : int;
+  mutable next_kernel_id : int;
 }
 
 (* Sampling period of the vmstat-style time series, in simulated
@@ -187,6 +188,7 @@ let boot ?(config = default_config) () =
       trace_source;
       runnable_probe = None;
       next_id = 0;
+      next_kernel_id = 0;
     }
   in
   (* Span, gauge-sync and sampler wiring is installed unconditionally:

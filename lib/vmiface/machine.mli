@@ -89,6 +89,9 @@ type t = {
       (** per-CPU runnable count read by the vmstat sampler's
           [cpuK:runnable] columns; installed via {!set_runnable_probe} *)
   mutable next_id : int;  (** see {!fresh_id} *)
+  mutable next_kernel_id : int;
+      (** the booted kernel's own id supply (its objects, amaps, anons and
+          address spaces), drawn by [Kernel.Make]'s [fresh_id] *)
 }
 
 val boot : ?config:config -> unit -> t
@@ -100,7 +103,7 @@ val set_runnable_probe : t -> (int -> int) option -> unit
 val fresh_id : t -> int
 (** The machine's id supply for OS-layer objects (process ids, IPC
     channels): 1, 2, 3, ... on every fresh machine.  Kernel objects draw
-    from their own system's counter. *)
+    from their own counter, [next_kernel_id]. *)
 
 val page_size : t -> int
 val now : t -> float

@@ -38,18 +38,6 @@ let test_pressure_roundtrip () =
   Alcotest.(check int) "swap released at exit" 0 (S.swap_slots_in_use sys)
 
 let test_clustering_reduces_ops () =
-  let run ~aggressive =
-    let mach = Vmiface.Machine.boot ~config:small_config () in
-    let usys =
-      Uvm.State.create ~aggressive_clustering:aggressive ~pageout_cluster:8 mach
-    in
-    (* Drive the daemon directly through a raw map. *)
-    ignore usys;
-    (* Simpler: boot a full system and compare stats; the facade has no
-       clustering knob, so build the workload through the library. *)
-    mach
-  in
-  ignore run;
   (* Compare UVM default (clustered) against the BSD baseline on the same
      workload: write ops must be far fewer under UVM. *)
   let count (module V : Vmiface.Vm_sig.VM_SYS) =

@@ -170,22 +170,68 @@ let test_destroy_drops_all () =
   Alcotest.(check int) "empty" 0 (Uvm.Map.entry_count map);
   Alcotest.(check int) "obj released" 0 obj.Uvm.Object.refs
 
-(* Property: random mmap/munmap sequences keep the map sorted,
-   non-overlapping and correctly counted. *)
+(* Property: random mmap/munmap/mprotect/mlock sequences keep the map
+   sorted, non-overlapping and correctly counted — on UVM's map and on
+   BSD VM's, which share the list mechanism (Vmiface.Map_core).  The
+   attribute changes clip entries at the range edges. *)
+type map_op = {
+  range_free : spage:int -> npages:int -> bool;
+  map : spage:int -> npages:int -> unit;
+  unmap : spage:int -> npages:int -> unit;
+  protect : spage:int -> npages:int -> unit;
+  wire : spage:int -> npages:int -> unit;
+  check : unit -> (unit, string) result;
+}
+
+let uvm_map_ops () =
+  let _, map = mk () in
+  {
+    range_free = Uvm.Map.range_free map;
+    map = (fun ~spage ~npages -> ignore (insert map ~spage ~npages));
+    unmap = Uvm.Map.unmap map;
+    protect = Uvm.Map.protect map ~prot:Pmap.Prot.read;
+    wire = Uvm.Map.mark_wired map;
+    check = (fun () -> Uvm.Map.check_invariants map);
+  }
+
+let bsd_map_ops () =
+  let config =
+    { Vmiface.Machine.default_config with ram_pages = 256; swap_pages = 512 }
+  in
+  let sys = Bsdvm.State.create (Vmiface.Machine.boot ~config ()) in
+  let cache = Bsdvm.Objcache.create () in
+  let pmap = Pmap.create (Bsdvm.State.pmap_ctx sys) in
+  let map = Bsdvm.Map.create sys ~pmap ~lo:0 ~hi:4096 ~kernel:false in
+  {
+    range_free = Bsdvm.Map.range_free map;
+    map =
+      (fun ~spage ~npages ->
+        let obj = Bsdvm.Object.alloc_anon_object sys in
+        ignore
+          (Bsdvm.Map.insert_default map ~spage ~npages ~obj:(Some obj)
+             ~objoff:0 ~cow:false ~needs_copy:false));
+    unmap = Bsdvm.Map.unmap cache map;
+    protect = Bsdvm.Map.protect map ~prot:Pmap.Prot.read;
+    wire = Bsdvm.Map.mark_wired map;
+    check = (fun () -> Bsdvm.Map.check_invariants map);
+  }
+
 let prop_map_invariants =
   QCheck.Test.make ~name:"map invariants under random mmap/munmap" ~count:80
-    QCheck.(list (triple bool (int_range 0 200) (int_range 1 20)))
+    QCheck.(list (triple (int_range 0 3) (int_range 0 200) (int_range 1 20)))
     (fun ops ->
-      let _, map = mk () in
-      List.iter
-        (fun (do_map, spage, npages) ->
-          if do_map then begin
-            if Uvm.Map.range_free map ~spage ~npages then
-              ignore (insert map ~spage ~npages)
-          end
-          else Uvm.Map.unmap map ~spage ~npages)
-        ops;
-      Uvm.Map.check_invariants map = Ok ())
+      List.for_all
+        (fun m ->
+          List.iter
+            (fun (op, spage, npages) ->
+              match op with
+              | 0 -> if m.range_free ~spage ~npages then m.map ~spage ~npages
+              | 1 -> m.unmap ~spage ~npages
+              | 2 -> m.protect ~spage ~npages
+              | _ -> m.wire ~spage ~npages)
+            ops;
+          m.check () = Ok ())
+        [ uvm_map_ops (); bsd_map_ops () ])
 
 let () =
   Alcotest.run "uvm_map"
