@@ -473,40 +473,23 @@ module Sys = struct
     in
     Hashtbl.iter
       (fun _ vm ->
-        let entries = Vm_map.entries vm.map in
-        List.iter
-          (fun (vpn, (pte : Pmap.pte)) ->
-            let fail invariant detail =
-              Check.fail ~system:name ~subsys:Check.Pmap ~invariant
-                (Printf.sprintf "vmspace %d vpn %d: %s" vm.vid vpn detail)
-            in
-            match
-              List.find_opt
-                (fun (e : Vm_map.entry) ->
-                  e.Vm_map.spage <= vpn && vpn < e.Vm_map.epage)
-                entries
-            with
-            | None -> fail "pmap_unmapped" "translation outside any map entry"
-            | Some e -> (
-                if not (Pmap.Prot.subsumes e.Vm_map.prot pte.Pmap.prot) then
-                  fail "pmap_prot" "translation grants more than the entry";
-                match e.Vm_map.obj with
-                | None -> fail "pmap_unbacked" "translation without an object"
-                | Some o -> (
-                    let off = e.Vm_map.objoff + (vpn - e.Vm_map.spage) in
-                    match first_resident o off with
-                    | Some p when p == pte.Pmap.page -> ()
-                    | Some p ->
-                        fail "pmap_vs_object"
-                          (Printf.sprintf
-                             "maps frame %d but the chain resolves frame %d"
-                             pte.Pmap.page.Physmem.Page.id p.Physmem.Page.id)
-                    | None ->
-                        fail "pmap_stale"
-                          (Printf.sprintf
-                             "maps frame %d but the chain holds no resident page"
-                             pte.Pmap.page.Physmem.Page.id))))
-          (Pmap.translations vm.pmap))
+        Vm_map.audit_pmap vm.map ~system:name ~vid:vm.vid
+          (fun ~fail e d (pte : Pmap.pte) ->
+            match e.Vm_map.obj with
+            | None -> fail "pmap_unbacked" "translation without an object"
+            | Some o -> (
+                match first_resident o (e.Vm_map.objoff + d) with
+                | Some p when p == pte.Pmap.page -> ()
+                | Some p ->
+                    fail "pmap_vs_object"
+                      (Printf.sprintf
+                         "maps frame %d but the chain resolves frame %d"
+                         pte.Pmap.page.Physmem.Page.id p.Physmem.Page.id)
+                | None ->
+                    fail "pmap_stale"
+                      (Printf.sprintf
+                         "maps frame %d but the chain holds no resident page"
+                         pte.Pmap.page.Physmem.Page.id))))
       sys.vmspaces
 
   let audit sys =

@@ -88,9 +88,7 @@ module Run (V : Vmiface.Vm_sig.VM_SYS) = struct
     let window = max 1 (cfg.anon_pages / 8) in
     for req = 0 to cfg.requests - 1 do
       Sim.Span.clear spans;
-      let root =
-        Sim.Span.start spans ~subsys:"lockstat" ~ts:(Machine.now m) "request"
-      in
+      let root = Machine.span_start m ~subsys:"lockstat" "request" in
       let base = avpn + req * window mod cfg.anon_pages in
       for i = 0 to window - 1 do
         let vpn = avpn + ((base - avpn + i) mod cfg.anon_pages) in
@@ -102,7 +100,7 @@ module Run (V : Vmiface.Vm_sig.VM_SYS) = struct
       let sent = I.send sys vm ch ~policy:Ipc.Copy ~addr:(avpn * ps) ~len:payload in
       (match I.recv sys vm ch ~addr:((avpn + 2) * ps) ~len:sent with
       | I.Data _ | I.Mapped _ -> ());
-      Sim.Span.finish spans root ~ts:(Machine.now m) ();
+      Machine.span_finish m root (fun () -> []);
       wall := !wall +. root.Sim.Span.sdur;
       let tree = Sim.Span.take_trace spans ~trace:root.Sim.Span.strace in
       List.iter

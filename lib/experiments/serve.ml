@@ -141,9 +141,7 @@ module Run (V : Vmiface.Vm_sig.VM_SYS) = struct
           (* Clearing per request keeps the whole tree in the ring even
              for requests that fault hundreds of pages in. *)
           Sim.Span.clear spans;
-          let root =
-            Sim.Span.start spans ~subsys:"serve" ~ts:(Machine.now m) "request"
-          in
+          let root = Machine.span_start m ~subsys:"serve" "request" in
           let sent =
             Ps.send sys c c_end.Ps.I.tx ~policy:Ipc.Copy ~addr:(buf * ps)
               ~len:request_bytes
@@ -166,7 +164,7 @@ module Run (V : Vmiface.Vm_sig.VM_SYS) = struct
           | Ps.I.Mapped { vpn; npages; len } ->
               assert (len = payload);
               V.munmap sys c.Ps.vm ~vpn ~npages);
-          Sim.Span.finish spans root ~ts:(Machine.now m) ();
+          Machine.span_finish m root (fun () -> []);
           (* The root span's duration IS the request latency, and its
              trace decomposes it — so the breakdown of the p99 request
              sums to the reported p99 by construction. *)

@@ -206,8 +206,7 @@ module Make (V : Vmiface.Vm_sig.VM_SYS) = struct
     let phase_spans = Hashtbl.create 8 in
     let enter_phase (p : Chaos.phase) =
       Hashtbl.replace phase_spans p.Chaos.ph_name
-        (Sim.Span.start mach.Machine.spans ~subsys:"chaos"
-           ~ts:(Machine.now mach) p.Chaos.ph_name);
+        (Machine.span_start mach ~subsys:"chaos" p.Chaos.ph_name);
       List.iter
         (fun mode ->
           match mode with
@@ -252,12 +251,10 @@ module Make (V : Vmiface.Vm_sig.VM_SYS) = struct
     let exit_phase (p : Chaos.phase) =
       (match Hashtbl.find_opt phase_spans p.Chaos.ph_name with
       | Some sp ->
-          Sim.Span.finish mach.Machine.spans sp ~ts:(Machine.now mach)
-            ~detail:
-              (List.concat_map
-                 (fun m -> (("mode", Chaos.mode_name m) :: Chaos.mode_detail m))
-                 p.Chaos.ph_modes)
-            ();
+          Machine.span_finish mach sp (fun () ->
+              List.concat_map
+                (fun m -> ("mode", Chaos.mode_name m) :: Chaos.mode_detail m)
+                p.Chaos.ph_modes);
           Hashtbl.remove phase_spans p.Chaos.ph_name
       | None -> ());
       List.iter

@@ -137,15 +137,12 @@ module Make (V : Vmiface.Vm_sig.VM_SYS) = struct
       *. float_of_int n
       /. float_of_int (Machine.page_size m))
 
-  let span_start sys name =
-    let m = V.machine sys in
-    Sim.Span.start m.Machine.spans ~subsys:"ipc" ~ts:(Machine.now m) name
+  let span_start sys name = Machine.span_start (V.machine sys) ~subsys:"ipc" name
 
   (* Every send/recv is one span; its details are built only when the
      collector is on. *)
   let span_finish sys sp ~how ~bytes ~chan =
-    let m = V.machine sys in
-    Sim.Span.finish_with m.Machine.spans sp ~ts:(Machine.now m) (fun () ->
+    Machine.span_finish (V.machine sys) sp (fun () ->
         [
           ("how", how);
           ("bytes", string_of_int bytes);

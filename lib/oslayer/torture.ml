@@ -1006,15 +1006,9 @@ module Exec (V : Vmiface.Vm_sig.VM_SYS) = struct
      artifact writer dumps it as-is. *)
   let exec t (a : action) : outcome =
     let m = V.machine t.sys in
-    let spans = m.Machine.spans in
-    let sp =
-      Sim.Span.start spans ~subsys:"torture" ~ts:(Machine.now m)
-        (action_name a)
-    in
+    let sp = Machine.span_start m ~subsys:"torture" (action_name a) in
     let o = exec_action t a in
-    Sim.Span.finish spans sp ~ts:(Machine.now m)
-      ~detail:[ ("outcome", outcome_to_string o) ]
-      ();
+    Machine.span_finish m sp (fun () -> [ ("outcome", outcome_to_string o) ]);
     o
 end
 

@@ -130,7 +130,10 @@ let with_tier_lock t ~mode f =
 
 (* Device I/O spans carry the tier in the subsystem key ("swap:slow"),
    so the critical-path breakdown attributes tail latency to the tier
-   that caused it, not just "swap". *)
+   that caused it, not just "swap".  These wrappers stay local rather
+   than using [Machine.span_start]: the tier sits below the machine, its
+   collector is optional ([None] in standalone tests) and it reads its
+   own clock. *)
 let span_start t ~subsys name =
   match t.spans with
   | Some c when Sim.Span.enabled c ->

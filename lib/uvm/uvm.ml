@@ -559,66 +559,46 @@ module Sys = struct
   let audit_pmap sys =
     Hashtbl.iter
       (fun _ vm ->
-        let entries = Uvm_map.entries vm.map in
-        List.iter
-          (fun (vpn, (pte : Pmap.pte)) ->
-            let fail invariant detail =
-              Check.fail ~system:name ~subsys:Check.Pmap ~invariant
-                (Printf.sprintf "vmspace %d vpn %d: %s" vm.vid vpn detail)
+        Uvm_map.audit_pmap vm.map ~system:name ~vid:vm.vid
+          (fun ~fail e d (pte : Pmap.pte) ->
+            let anon =
+              match e.Uvm_map.amap with
+              | Some am -> Uvm_amap.lookup am ~slot:(e.Uvm_map.amapoff + d)
+              | None -> None
             in
-            match
-              List.find_opt
-                (fun (e : Uvm_map.entry) ->
-                  e.Uvm_map.spage <= vpn && vpn < e.Uvm_map.epage)
-                entries
-            with
-            | None -> fail "pmap_unmapped" "translation outside any map entry"
-            | Some e -> (
-                if not (Pmap.Prot.subsumes e.Uvm_map.prot pte.Pmap.prot) then
-                  fail "pmap_prot" "translation grants more than the entry";
-                let d = vpn - e.Uvm_map.spage in
-                let anon =
-                  match e.Uvm_map.amap with
-                  | Some am ->
-                      Uvm_amap.lookup am ~slot:(e.Uvm_map.amapoff + d)
-                  | None -> None
-                in
-                match anon with
-                | Some a ->
+            match anon with
+            | Some a ->
+                if
+                  not
+                    (match a.Uvm_anon.page with
+                    | Some p -> p == pte.Pmap.page
+                    | None -> false)
+                then
+                  fail "pmap_vs_anon"
+                    (Printf.sprintf "maps frame %d but anon %d holds %s"
+                       pte.Pmap.page.Physmem.Page.id a.Uvm_anon.id
+                       (match a.Uvm_anon.page with
+                       | Some p -> Printf.sprintf "frame %d" p.id
+                       | None -> "no page"))
+            | None -> (
+                match e.Uvm_map.obj with
+                | Some o ->
                     if
                       not
-                        (match a.Uvm_anon.page with
+                        (match
+                           Uvm_object.find_page o ~pgno:(e.Uvm_map.objoff + d)
+                         with
                         | Some p -> p == pte.Pmap.page
                         | None -> false)
                     then
-                      fail "pmap_vs_anon"
+                      fail "pmap_vs_object"
                         (Printf.sprintf
-                           "maps frame %d but anon %d holds %s"
-                           pte.Pmap.page.Physmem.Page.id a.Uvm_anon.id
-                           (match a.Uvm_anon.page with
-                           | Some p -> Printf.sprintf "frame %d" p.id
-                           | None -> "no page"))
-                | None -> (
-                    match e.Uvm_map.obj with
-                    | Some o ->
-                        if
-                          not
-                            (match
-                               Uvm_object.find_page o
-                                 ~pgno:(e.Uvm_map.objoff + d)
-                             with
-                            | Some p -> p == pte.Pmap.page
-                            | None -> false)
-                        then
-                          fail "pmap_vs_object"
-                            (Printf.sprintf
-                               "maps frame %d but object %d offset %d disagrees"
-                               pte.Pmap.page.Physmem.Page.id o.Uvm_object.id
-                               (e.Uvm_map.objoff + d))
-                    | None ->
-                        fail "pmap_unbacked"
-                          "translation for a zero-fill range with no anon")))
-          (Pmap.translations vm.pmap))
+                           "maps frame %d but object %d offset %d disagrees"
+                           pte.Pmap.page.Physmem.Page.id o.Uvm_object.id
+                           (e.Uvm_map.objoff + d))
+                | None ->
+                    fail "pmap_unbacked"
+                      "translation for a zero-fill range with no anon")))
       sys.vmspaces
 
   (* Loan census: every page's loan_count must equal its live borrowed

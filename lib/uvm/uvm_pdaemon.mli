@@ -1,5 +1,10 @@
 (** The UVM pagedaemon (paper §6).
 
+    The mechanism both kernels share (lock, scan span, second-chance
+    scan, reclaim, refill, the one-page fixed-slot write) lives in
+    {!Vmiface.Pdaemon_core}; this module adds only UVM's clustering
+    policy.
+
     Runs when physical memory is scarce.  Scans the inactive queue with a
     second-chance policy; clean pages with a valid backing copy are
     reclaimed immediately; dirty {e anonymous} pages are collected into a
@@ -13,7 +18,8 @@
     daemon never takes a map lock.
 
     With [pageout_cluster = 1] (ablation) anonymous pageout
-    degrades to BSD VM's one-I/O-per-page behaviour. *)
+    degrades to BSD VM's one-I/O-per-page behaviour, through the core's
+    fixed-slot write. *)
 
 val run : Uvm_sys.t -> unit
 (** One daemon pass: reclaim/clean until the free target is met or the

@@ -76,12 +76,7 @@ module Make (K : KERNEL) = struct
     List.iter
       (fun (_, (pte : Pmap.pte)) ->
         let page = pte.Pmap.page in
-        if
-          (not pte.Pmap.wired)
-          && (not page.Physmem.Page.busy)
-          && page.Physmem.Page.wire_count = 0
-          && page.Physmem.Page.loan_count = 0
-        then begin
+        if (not pte.Pmap.wired) && Pdaemon_core.pageable page then begin
           Pmap.page_remove_all m.Machine.pmap_ctx page;
           Physmem.deactivate m.Machine.physmem page;
           incr count

@@ -38,13 +38,8 @@ struct
      so an untraced run pays one boolean check and builds no strings.
      Both kernels use the same span names, so their traces compare side
      by side. *)
-  let span_start t ~subsys name =
-    let m = K.mach t in
-    Sim.Span.start m.Machine.spans ~subsys ~ts:(Machine.now m) name
-
-  let span_finish t sp detail =
-    let m = K.mach t in
-    Sim.Span.finish_with m.Machine.spans sp ~ts:(Machine.now m) detail
+  let span_start t ~subsys name = Machine.span_start (K.mach t) ~subsys name
+  let span_finish t sp detail = Machine.span_finish (K.mach t) sp detail
 
   (* Run a fallible I/O action under the retry policy: transient errors
      are retried with backoff; permanent errors (and exhaustion of the

@@ -438,4 +438,6 @@ let page_size t = t.config.page_size
 let set_runnable_probe t f = t.runnable_probe <- f
 let now t = Sim.Simclock.now t.clock
 let charge t us = Sim.Simclock.advance t.clock us
+let span_start t ~subsys name = Sim.Span.start t.spans ~subsys ~ts:(now t) name
+let span_finish t sp detail = Sim.Span.finish_with t.spans sp ~ts:(now t) detail
 let set_label t label = t.trace_source.Sim.Trace_export.label <- label

@@ -110,5 +110,14 @@ val now : t -> float
 val charge : t -> float -> unit
 (** Advance the simulated clock. *)
 
+val span_start : t -> subsys:string -> string -> Sim.Span.span
+(** Open a span on the machine's collector at the current simulated
+    time. *)
+
+val span_finish :
+  t -> Sim.Span.span -> (unit -> (string * string) list) -> unit
+(** Close a span at the current simulated time; the detail thunk is
+    forced only when the span is live (see {!Sim.Span.finish_with}). *)
+
 val set_label : t -> string -> unit
 (** Name this machine in trace exports ("UVM", "BSD VM"). *)

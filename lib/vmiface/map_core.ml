@@ -191,6 +191,20 @@ module type S = sig
   val check_invariants : t -> (unit, string) result
   (** Sorted, non-overlapping, in-bounds entries; amap ranges within their
       amaps; entry count consistent. *)
+
+  val audit_pmap :
+    t ->
+    system:string ->
+    vid:int ->
+    (fail:(string -> string -> unit) -> entry -> int -> Pmap.pte -> unit) ->
+    unit
+  (** The pmap audit's walk over the map's live translations: each must
+      lie inside an entry ([pmap_unmapped]) whose protection covers it
+      ([pmap_prot]); [resolve ~fail e d pte] then checks that page [d] of
+      [e] resolves to the mapped frame by the kernel's own lookup path.
+      [fail invariant detail] raises {!Check.Audit_failure} naming
+      vmspace [vid] and the page.  Unlike {!lookup}, the walk charges
+      nothing and leaves the hint alone. *)
 end
 
 module Make (K : KERNEL) :
@@ -514,4 +528,22 @@ struct
           end
     in
     go 0 t.lo t.first
+
+  let audit_pmap t ~system ~vid resolve =
+    let entries = entries t in
+    List.iter
+      (fun (vpn, (pte : Pmap.pte)) ->
+        let fail invariant detail =
+          Check.fail ~system ~subsys:Check.Pmap ~invariant
+            (Printf.sprintf "vmspace %d vpn %d: %s" vid vpn detail)
+        in
+        match
+          List.find_opt (fun e -> e.spage <= vpn && vpn < e.epage) entries
+        with
+        | None -> fail "pmap_unmapped" "translation outside any map entry"
+        | Some e ->
+            if not (Pmap.Prot.subsumes e.prot pte.Pmap.prot) then
+              fail "pmap_prot" "translation grants more than the entry";
+            resolve ~fail e (vpn - e.spage) pte)
+      (Pmap.translations t.pmap)
 end

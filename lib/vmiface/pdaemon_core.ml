@@ -1,0 +1,152 @@
+(** The pagedaemon mechanism both kernels share (paper §6).
+
+    The queue discipline predates UVM: a second-chance scan of the
+    inactive queue that reclaims clean pages and cleans dirty ones, then
+    a refill of the inactive queue from the active queue.  Everything
+    here is that shared mechanism.  What the paper changes is how dirty
+    pages reach backing store, and each kernel's daemon adds only that
+    policy on top of {!Make}: UVM reassigns swap slots so scattered dirty
+    anonymous pages leave in one clustered write ([Uvm_pdaemon]), BSD VM
+    writes each page to its fixed slot, one I/O per page ([Vm_pageout]). *)
+
+(* Whether the daemon may reclaim a page or move it between queues: not
+   under I/O, not wired, not loaned out. *)
+let pageable (page : Physmem.Page.t) =
+  (not page.busy) && page.wire_count = 0 && page.loan_count = 0
+
+(** What a kernel supplies to instantiate the core. *)
+module type KERNEL = sig
+  type sys
+
+  val mach : sys -> Machine.t
+
+  val detach : Physmem.Page.t -> unit
+  (** Drop the owner's hold on a page whose frame is about to be freed. *)
+end
+
+module Make (K : KERNEL) = struct
+  (* Reclaim a page whose data is safe elsewhere (or nowhere needed). *)
+  let reclaim sys (page : Physmem.Page.t) =
+    let m = K.mach sys in
+    Pmap.page_remove_all m.Machine.pmap_ctx page;
+    K.detach page;
+    Physmem.free_page m.Machine.physmem page
+
+  (* After a write attempt: a cleaned page is reclaimed.  One that could
+     not be cleaned (swap full, dead media) stays in core and goes back
+     to the active queue: leaving it on the inactive queue would make
+     that queue's depth lie to the refill heuristic, starving the scan of
+     the clean pages it could still reclaim. *)
+  let settle sys (page : Physmem.Page.t) ~cleaned =
+    if cleaned then reclaim sys page
+    else if page.queue = Physmem.Page.Q_inactive then
+      Physmem.activate (K.mach sys).Machine.physmem page
+
+  (* Write one page to its fixed swap slot: BSD VM's anonymous pageout,
+     and UVM's when it does not cluster.  [slot] reads the page's slot
+     and [set_slot] records a new one; a page without a slot gets one
+     here.  Bad media still forces a move: the [assign] handed to
+     [write_resilient] rebinds the page to the fresh slot.  Returns true
+     when the page was written.  If the write still fails, or swap is
+     full, the page stays dirty in core. *)
+  let write_fixed_slot sys (page : Physmem.Page.t) ~slot ~set_slot =
+    let m = K.mach sys in
+    let swapdev = m.Machine.swap in
+    let target =
+      match slot () with
+      | Some _ as s -> s
+      | None ->
+          let fresh = Swap.Swaptier.alloc_slots swapdev ~n:1 in
+          Option.iter set_slot fresh;
+          fresh
+    in
+    match target with
+    | None ->
+        let stats = m.Machine.stats in
+        stats.Sim.Stats.swap_full_events <-
+          stats.Sim.Stats.swap_full_events + 1;
+        false
+    | Some target -> (
+        let assign fresh =
+          (match slot () with
+          | Some old when old <> fresh ->
+              Physmem.note_reassign m.Machine.physmem page
+                ~dist:(abs (fresh - old));
+              Swap.Swaptier.free_slots swapdev ~slot:old ~n:1
+          | Some _ | None -> ());
+          set_slot fresh
+        in
+        match
+          Swap.Swaptier.write_resilient swapdev ~retries:Kernel.io_retries
+            ~backoff_us:Kernel.io_backoff_us ~slot:target ~assign
+            ~pages:[ page ]
+        with
+        | Swap.Swaptier.Written | Swap.Swaptier.Reassigned _ -> true
+        | Swap.Swaptier.No_space _ | Swap.Swaptier.Failed _ -> false)
+
+  (* One daemon pass: reclaim and clean until the free target is met or
+     the inactive queue is exhausted, then refill the inactive queue from
+     the active queue if still short.  [visit] applies the kernel's policy
+     to each pageable, unreferenced inactive page; [pending] counts pages
+     the policy has queued for a batched write, which count toward the
+     target; [flush] writes whatever is still queued when the scan ends. *)
+  let run sys ~pending ~visit ~flush =
+    let m = K.mach sys in
+    (* The pagedaemon is logically its own thread: its lock is acquired as
+       a root so the registry does not draw order edges from whatever the
+       faulting context held when the allocator kicked the daemon. *)
+    let ls = m.Machine.locks in
+    let dl = Sim.Lockstat.instance ls ~cls:"pdaemon" ~id:0 in
+    Sim.Lockstat.acquire_root ls dl ~mode:Sim.Lockstat.Write;
+    Fun.protect ~finally:(fun () -> Sim.Lockstat.release ls dl) @@ fun () ->
+    (* The scan span opens before the drain pass so device-death migration
+       shows up as time attributed to the pagedaemon on the critical path. *)
+    let scan_span = Machine.span_start m ~subsys:"pdaemon" "scan" in
+    (* A dying or swapped-off device drains through the pagedaemon: migrate
+       its readable slots to healthy tiers before reclaiming anything new. *)
+    Swap.Swaptier.run_drain m.Machine.swap;
+    let physmem = m.Machine.physmem in
+    let target = Physmem.freetarg physmem in
+    let free0 = Physmem.free_count physmem in
+    List.iter
+      (fun (page : Physmem.Page.t) ->
+        if Physmem.free_count physmem + pending () < target then
+          if not (pageable page) then ()
+          else if page.referenced then
+            (* Second chance: recently used, give it another lap. *)
+            Physmem.activate physmem page
+          else visit page)
+      (Physmem.inactive_pages physmem);
+    flush ();
+    (* Still short: migrate cold active pages to the inactive queue so the
+       next pass can reclaim them.  Their translations are removed so reuse
+       refaults and reactivates. *)
+    if Physmem.free_count physmem < target then begin
+      let need =
+        2 * (target - Physmem.free_count physmem)
+        - Physmem.inactive_count physmem
+      in
+      let moved = ref 0 in
+      List.iter
+        (fun (page : Physmem.Page.t) ->
+          if !moved < need && pageable page then begin
+            if page.referenced then page.referenced <- false
+            else begin
+              Pmap.page_remove_all m.Machine.pmap_ctx page;
+              Physmem.deactivate physmem page;
+              incr moved
+            end
+          end)
+        (Physmem.active_pages physmem)
+    end;
+    Machine.span_finish m scan_span (fun () ->
+        [
+          ("free_before", string_of_int free0);
+          ("free_after", string_of_int (Physmem.free_count physmem));
+          ("target", string_of_int target);
+        ])
+
+  (* Done at boot: the allocator kicks [run] when memory is scarce. *)
+  let install sys run =
+    Physmem.set_pagedaemon (K.mach sys).Machine.physmem (fun () -> run sys)
+end

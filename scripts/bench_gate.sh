@@ -24,13 +24,10 @@ tol=${BENCH_GATE_TOLERANCE:-0.15}
 test -s "$baseline" || { echo "bench_gate: missing $baseline" >&2; exit 1; }
 test -s "$results" || { echo "bench_gate: missing $results" >&2; exit 1; }
 
-if ! command -v python3 > /dev/null 2>&1; then
-  # Without python3 the numeric comparison is impossible; require at
-  # least that the artifact parses as the right schema by shape.
-  grep -q '"uvm-bench/1"' "$results"
-  echo 'bench_gate: python3 unavailable, shape-checked only'
-  exit 0
-fi
+command -v python3 > /dev/null 2>&1 || {
+  echo 'bench_gate: python3 is required for the numeric comparison' >&2
+  exit 1
+}
 
 python3 - "$baseline" "$results" "$tol" <<'EOF'
 import json, sys

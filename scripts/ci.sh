@@ -5,6 +5,12 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+# The artifact validators below and the bench gate are python3 scripts.
+command -v python3 > /dev/null 2>&1 || {
+  echo 'ci: python3 is required (artifact validators, bench gate)' >&2
+  exit 1
+}
+
 # Force a rebuild of every action so compiler warnings are re-emitted even
 # on a warm _build, then fail if any slipped through.
 out=$(dune build @all --force 2>&1) || {
@@ -24,8 +30,7 @@ dune runtest
 trace=$(mktemp /tmp/uvm-trace.XXXXXX.json)
 trap 'rm -f "$trace"' EXIT
 dune exec bin/uvm_sim.exe -- table2 --trace-out "$trace" > /dev/null
-if command -v python3 > /dev/null 2>&1; then
-  python3 - "$trace" <<'EOF'
+python3 - "$trace" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     events = json.load(f)["traceEvents"]
@@ -39,11 +44,6 @@ for want in ("fault", "pagein"):
     assert per_sys >= {"UVM", "BSD VM"}, (want, per_sys)
 print("ci: trace export valid (%d events)" % len(events))
 EOF
-else
-  # No python3: at least require a non-empty artifact with the right shape.
-  grep -q '"traceEvents"' "$trace"
-  echo 'ci: trace export produced (python3 unavailable, shape-checked only)'
-fi
 
 # Stats-snapshot smoke: --stats-out must emit uvm-sim-stats/2 for both
 # VM systems, with span-derived fault and pagein latency histograms and
@@ -51,8 +51,7 @@ fi
 stats=$(mktemp /tmp/uvm-stats.XXXXXX.json)
 trap 'rm -f "$trace" "$stats"' EXIT
 dune exec bin/uvm_sim.exe -- table2 --stats-out "$stats" > /dev/null
-if command -v python3 > /dev/null 2>&1; then
-  python3 - "$stats" <<'EOF'
+python3 - "$stats" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     r = json.load(f)
@@ -67,10 +66,6 @@ for label, s in systems.items():
     assert s["trace"]["dropped"] >= 0, (label, s["trace"])
 print("ci: stats snapshot valid (%d systems)" % len(systems))
 EOF
-else
-  grep -q '"uvm-sim-stats/2"' "$stats"
-  echo 'ci: stats snapshot produced (python3 unavailable, shape-checked only)'
-fi
 
 # Torture smoke: one fixed-seed differential run with periodic invariant
 # audits on both VM systems.  On failure it leaves a crash artifact (op
@@ -97,8 +92,7 @@ echo "ci: torture sweep clean (seeds 1-60 x 6000 ops, $(($(date +%s) - start)) s
 mkdir -p artifacts
 dune exec bin/uvm_sim.exe -- report --quick --out artifacts/report.json \
   > /dev/null
-if command -v python3 > /dev/null 2>&1; then
-  python3 - artifacts/report.json <<'EOF'
+python3 - artifacts/report.json <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     r = json.load(f)
@@ -110,10 +104,6 @@ for label, s in systems.items():
     assert set(s["fault_ahead"]) == {"normal", "random", "sequential"}, label
 print("ci: efficacy report valid (%d systems)" % len(r["systems"]))
 EOF
-else
-  grep -q '"uvm-sim-report/1"' artifacts/report.json
-  echo 'ci: efficacy report produced (python3 unavailable, shape-checked only)'
-fi
 
 # IPC serve smoke (DESIGN.md §11): quick client/server run under every
 # policy on both systems.  The BSD rows must match its copy baseline (it
@@ -121,8 +111,7 @@ fi
 # must beat copying at the largest payload in the sweep.
 dune exec bin/uvm_sim.exe -- serve --quick --out artifacts/serve.json \
   > /dev/null
-if command -v python3 > /dev/null 2>&1; then
-  python3 - artifacts/serve.json <<'EOF'
+python3 - artifacts/serve.json <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     r = json.load(f)
@@ -143,10 +132,6 @@ for x in rows:
         (x["system"], x["policy"], x["payload"], total, x["p99_us"])
 print("ci: serve results valid (%d rows, p99 breakdowns sum)" % len(rows))
 EOF
-else
-  grep -q '"uvm-sim-serve/1"' artifacts/serve.json
-  echo 'ci: serve results produced (python3 unavailable, shape-checked only)'
-fi
 
 # Observability smoke (DESIGN.md §13): a quick vmstat run must emit
 # valid uvm-sim-metrics/1 and uvm-sim-spans/1 artifacts for both VM
@@ -155,8 +140,7 @@ fi
 dune exec bin/uvm_sim.exe -- vmstat --quick \
   --metrics-out artifacts/metrics.json --spans-out artifacts/spans.json \
   > /dev/null
-if command -v python3 > /dev/null 2>&1; then
-  python3 - artifacts/metrics.json artifacts/spans.json <<'EOF'
+python3 - artifacts/metrics.json artifacts/spans.json <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     m = json.load(f)
@@ -194,11 +178,6 @@ for label, s in spsys.items():
     nspans += len(spans)
 print("ci: observability artifacts valid (%d spans)" % nspans)
 EOF
-else
-  grep -q '"uvm-sim-metrics/1"' artifacts/metrics.json
-  grep -q '"uvm-sim-spans/1"' artifacts/spans.json
-  echo 'ci: observability artifacts produced (python3 unavailable, shape-checked only)'
-fi
 
 # Tier-failover resilience smoke: stream a working set through a
 # fast+slow swap pair, kill the fast device mid-stream, and require both
@@ -206,8 +185,7 @@ fi
 # the death.
 dune exec bin/uvm_sim.exe -- resilience --quick \
   --out artifacts/resilience.json > /dev/null
-if command -v python3 > /dev/null 2>&1; then
-  python3 - artifacts/resilience.json <<'EOF'
+python3 - artifacts/resilience.json <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     r = json.load(f)
@@ -222,10 +200,6 @@ for x in rows:
     assert x["hit_rate_before"] > 0, x["system"]
 print("ci: resilience valid (%d rows, no lost pages)" % len(rows))
 EOF
-else
-  grep -q '"uvm-sim-resilience/1"' artifacts/resilience.json
-  echo 'ci: resilience produced (python3 unavailable, shape-checked only)'
-fi
 
 # Chaos soak smoke: a compressed scenario composing device death, I/O
 # storms, pressure spikes, rlimit squeezes and fork churn.  Both kernels
@@ -235,8 +209,7 @@ fi
 # the gate; the validator re-checks the artifact's schema and SLOs.
 dune exec bin/uvm_sim.exe -- soak --quick \
   --out artifacts/soak.json > /dev/null
-if command -v python3 > /dev/null 2>&1; then
-  python3 - artifacts/soak.json <<'EOF'
+python3 - artifacts/soak.json <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     r = json.load(f)
@@ -254,12 +227,6 @@ for x in rows:
         assert k["phase"] != "unattributed", (x["label"], k)
 print("ci: soak valid (%d systems, all SLOs green)" % len(rows))
 EOF
-else
-  grep -q '"uvm-sim-soak/1"' artifacts/soak.json
-  grep -q '"audit_failures":0' artifacts/soak.json
-  grep -q '"lost_pages":0' artifacts/soak.json
-  echo 'ci: soak produced (python3 unavailable, shape-checked only)'
-fi
 
 # Lock observatory smoke (DESIGN.md §15): one paging+IPC workload through
 # every registered lock class on both kernels.  Requires >= 6 held lock
@@ -267,8 +234,7 @@ fi
 # flamegraph self-times that telescope to the measured wall within 1%.
 dune exec bin/uvm_sim.exe -- lockstat --out artifacts/lockstat.json \
   --folded-out artifacts/profile.folded > /dev/null
-if command -v python3 > /dev/null 2>&1; then
-  python3 - artifacts/lockstat.json artifacts/profile.folded <<'EOF'
+python3 - artifacts/lockstat.json artifacts/profile.folded <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     r = json.load(f)
@@ -299,12 +265,6 @@ print("ci: lockstat valid (%d classes held, folded telescopes)"
       % sum(len([c for c in s["classes"] if c["acquires"] > 0])
             for s in r["systems"]))
 EOF
-else
-  grep -q '"uvm-sim-lockstat/2"' artifacts/lockstat.json
-  grep -q '"cycles":\[\]' artifacts/lockstat.json
-  test -s artifacts/profile.folded
-  echo 'ci: lockstat produced (python3 unavailable, shape-checked only)'
-fi
 
 # Simulated-SMP smoke (DESIGN.md §16): the 4-CPU storm on both kernels
 # with periodic sharding audits.  Gates on zero audit failures, a
@@ -312,8 +272,7 @@ fi
 # lookup fast path serving the majority of page lookups.
 dune exec bin/uvm_sim.exe -- smp --cpus 4 --quick \
   --out artifacts/smp.json > /dev/null
-if command -v python3 > /dev/null 2>&1; then
-  python3 - artifacts/smp.json <<'EOF'
+python3 - artifacts/smp.json <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     r = json.load(f)
@@ -339,11 +298,6 @@ assert systems["UVM"]["top_wait_class"] != "object", \
 print("ci: smp valid (UVM %.2fx, BSD VM %.2fx at 4 cpus, audits clean)"
       % (systems["UVM"]["speedup"], systems["BSD VM"]["speedup"]))
 EOF
-else
-  grep -q '"uvm-sim-smp/1"' artifacts/smp.json
-  grep -q '"audit_failures":\[\]' artifacts/smp.json
-  echo 'ci: smp produced (python3 unavailable, shape-checked only)'
-fi
 
 # Full bench: reproduces every paper table/figure, the ablations and the
 # embedded efficacy report; leaves BENCH_results.json at the repo root so

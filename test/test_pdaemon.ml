@@ -2,40 +2,134 @@
    under paging pressure, wired/loaned page protection. *)
 
 module Vt = Vmiface.Vmtypes
-module S = Uvm.Sys
 
 let small_config =
   { Vmiface.Machine.default_config with ram_pages = 128; swap_pages = 2048 }
 
-let stats sys = (S.machine sys).Vmiface.Machine.stats
+(* The cases that hold for any pagedaemon, run on both kernels.  [pmap]
+   reads a vmspace's pmap through the shared {!Vmiface.Frontend.Space}
+   record. *)
+module Cases (S : sig
+  include Vmiface.Vm_sig.VM_SYS
 
-let fill sys vm ~vpn ~npages =
-  for i = 0 to npages - 1 do
-    S.write_bytes sys vm
-      ~addr:((vpn + i) * 4096)
-      (Bytes.of_string (Printf.sprintf "#%04d#" i))
-  done
+  val pmap : vmspace -> Pmap.t
+end) =
+struct
+  let stats sys = (S.machine sys).Vmiface.Machine.stats
 
-let verify sys vm ~vpn ~npages =
-  for i = 0 to npages - 1 do
-    let got = S.read_bytes sys vm ~addr:((vpn + i) * 4096) ~len:6 in
-    Alcotest.(check bytes)
-      (Printf.sprintf "page %d content" i)
-      (Bytes.of_string (Printf.sprintf "#%04d#" i))
-      got
-  done
+  let fill sys vm ~vpn ~npages =
+    for i = 0 to npages - 1 do
+      S.write_bytes sys vm
+        ~addr:((vpn + i) * 4096)
+        (Bytes.of_string (Printf.sprintf "#%04d#" i))
+    done
 
-let test_pressure_roundtrip () =
-  let sys = S.boot ~config:small_config () in
-  let vm = S.new_vmspace sys in
-  let n = 300 in
-  let vpn = S.mmap sys vm ~npages:n ~prot:Pmap.Prot.rw ~share:Vt.Private Vt.Zero in
-  fill sys vm ~vpn ~npages:n;
-  Alcotest.(check bool) "paging happened" true ((stats sys).Sim.Stats.pageouts > 0);
-  verify sys vm ~vpn ~npages:n;
-  Alcotest.(check bool) "pageins happened" true ((stats sys).Sim.Stats.pageins > 0);
-  S.destroy_vmspace sys vm;
-  Alcotest.(check int) "swap released at exit" 0 (S.swap_slots_in_use sys)
+  let verify sys vm ~vpn ~npages =
+    for i = 0 to npages - 1 do
+      let got = S.read_bytes sys vm ~addr:((vpn + i) * 4096) ~len:6 in
+      Alcotest.(check bytes)
+        (Printf.sprintf "page %d content" i)
+        (Bytes.of_string (Printf.sprintf "#%04d#" i))
+        got
+    done
+
+  let test_pressure_roundtrip () =
+    let sys = S.boot ~config:small_config () in
+    let vm = S.new_vmspace sys in
+    let n = 300 in
+    let vpn = S.mmap sys vm ~npages:n ~prot:Pmap.Prot.rw ~share:Vt.Private Vt.Zero in
+    fill sys vm ~vpn ~npages:n;
+    Alcotest.(check bool) "paging happened" true ((stats sys).Sim.Stats.pageouts > 0);
+    verify sys vm ~vpn ~npages:n;
+    Alcotest.(check bool) "pageins happened" true ((stats sys).Sim.Stats.pageins > 0);
+    S.destroy_vmspace sys vm;
+    Alcotest.(check int) "swap released at exit" 0 (S.swap_slots_in_use sys)
+
+  let test_wired_pages_never_paged () =
+    let sys = S.boot ~config:small_config () in
+    let vm = S.new_vmspace sys in
+    let pinned = S.mmap sys vm ~npages:4 ~prot:Pmap.Prot.rw ~share:Vt.Private Vt.Zero in
+    S.write_bytes sys vm ~addr:(pinned * 4096) (Bytes.of_string "pinned");
+    S.mlock sys vm ~vpn:pinned ~npages:4;
+    let frame id = (Option.get (Pmap.lookup (S.pmap vm) ~vpn:id)).Pmap.page.Physmem.Page.id in
+    let f0 = frame pinned in
+    (* Crush memory. *)
+    let big = S.mmap sys vm ~npages:200 ~prot:Pmap.Prot.rw ~share:Vt.Private Vt.Zero in
+    fill sys vm ~vpn:big ~npages:200;
+    Alcotest.(check int) "wired frame still mapped" f0 (frame pinned);
+    Alcotest.(check string) "wired data intact" "pinned"
+      (Bytes.to_string (S.read_bytes sys vm ~addr:(pinned * 4096) ~len:6))
+
+  let test_clean_page_with_swap_copy_reclaimed_without_io () =
+    let sys = S.boot ~config:small_config () in
+    let vm = S.new_vmspace sys in
+    let n = 200 in
+    let vpn = S.mmap sys vm ~npages:n ~prot:Pmap.Prot.rw ~share:Vt.Private Vt.Zero in
+    fill sys vm ~vpn ~npages:n;
+    (* Read everything back (pages in, now clean with swap copies). *)
+    verify sys vm ~vpn ~npages:n;
+    let outs = (stats sys).Sim.Stats.pageouts in
+    (* More pressure: clean pages with swap copies must be reclaimed without
+       fresh pageouts dominating (some re-dirtying is fine). *)
+    let extra = S.mmap sys vm ~npages:60 ~prot:Pmap.Prot.rw ~share:Vt.Private Vt.Zero in
+    for i = 0 to 59 do
+      S.touch sys vm ~vpn:(extra + i) Vt.Read
+    done;
+    let new_outs = (stats sys).Sim.Stats.pageouts - outs in
+    Alcotest.(check bool) "mostly free reclaims" true (new_outs < 60)
+
+  let test_aobj_shared_paging () =
+    let sys = S.boot ~config:small_config () in
+    let vm = S.new_vmspace sys in
+    let shm = S.mmap sys vm ~npages:50 ~prot:Pmap.Prot.rw ~share:Vt.Shared Vt.Zero in
+    fill sys vm ~vpn:shm ~npages:50;
+    (* Shared anon memory must also survive pressure. *)
+    let big = S.mmap sys vm ~npages:200 ~prot:Pmap.Prot.rw ~share:Vt.Private Vt.Zero in
+    fill sys vm ~vpn:big ~npages:200;
+    verify sys vm ~vpn:shm ~npages:50;
+    S.destroy_vmspace sys vm;
+    Alcotest.(check int) "aobj swap freed" 0 (S.swap_slots_in_use sys)
+
+  let test_swap_exhaustion_raises () =
+    let config =
+      { Vmiface.Machine.default_config with ram_pages = 64; swap_pages = 32 }
+    in
+    let sys = S.boot ~config () in
+    let vm = S.new_vmspace sys in
+    let vpn = S.mmap sys vm ~npages:200 ~prot:Pmap.Prot.rw ~share:Vt.Private Vt.Zero in
+    (try
+       for i = 0 to 199 do
+         S.write_bytes sys vm ~addr:((vpn + i) * 4096) (Bytes.of_string "y")
+       done;
+       Alcotest.fail "expected Segv Out_of_memory (swap deadlock)"
+     with Vt.Segv { error = Vt.Out_of_memory; _ } -> ());
+    Alcotest.(check bool) "swap nearly full" true (S.swap_slots_in_use sys > 0)
+
+  let paging =
+    [
+      ("pressure roundtrip", test_pressure_roundtrip);
+      ("aobj shared paging", test_aobj_shared_paging);
+      ("swap exhaustion", test_swap_exhaustion_raises);
+    ]
+
+  let policy =
+    [
+      ("wired never paged", test_wired_pages_never_paged);
+      ("clean reclaim", test_clean_page_with_swap_copy_reclaimed_without_io);
+    ]
+end
+
+module U = Cases (struct
+  include Uvm.Sys
+
+  let pmap (vm : vmspace) = vm.pmap
+end)
+
+module B = Cases (struct
+  include Bsdvm.Sys
+
+  let pmap (vm : vmspace) = vm.pmap
+end)
 
 let test_clustering_reduces_ops () =
   (* Compare UVM default (clustered) against the BSD baseline on the same
@@ -55,20 +149,7 @@ let test_clustering_reduces_ops () =
   Alcotest.(check bool) "uvm clusters writes" true (uvm_ops * 2 < bsd_ops);
   Alcotest.(check bool) "bsd one op per page" true (bsd_ops >= bsd_pages)
 
-let test_wired_pages_never_paged () =
-  let sys = S.boot ~config:small_config () in
-  let vm = S.new_vmspace sys in
-  let pinned = S.mmap sys vm ~npages:4 ~prot:Pmap.Prot.rw ~share:Vt.Private Vt.Zero in
-  S.write_bytes sys vm ~addr:(pinned * 4096) (Bytes.of_string "pinned");
-  S.mlock sys vm ~vpn:pinned ~npages:4;
-  let frame id = (Option.get (Pmap.lookup vm.S.pmap ~vpn:id)).Pmap.page.Physmem.Page.id in
-  let f0 = frame pinned in
-  (* Crush memory. *)
-  let big = S.mmap sys vm ~npages:200 ~prot:Pmap.Prot.rw ~share:Vt.Private Vt.Zero in
-  fill sys vm ~vpn:big ~npages:200;
-  Alcotest.(check int) "wired frame still mapped" f0 (frame pinned);
-  Alcotest.(check string) "wired data intact" "pinned"
-    (Bytes.to_string (S.read_bytes sys vm ~addr:(pinned * 4096) ~len:6))
+module S = Uvm.Sys
 
 let test_second_chance_keeps_hot_pages () =
   let sys = S.boot ~config:small_config () in
@@ -86,65 +167,19 @@ let test_second_chance_keeps_hot_pages () =
   Alcotest.(check string) "hot data" "hot"
     (Bytes.to_string (S.read_bytes sys vm ~addr:(hot * 4096) ~len:3))
 
-let test_clean_page_with_swap_copy_reclaimed_without_io () =
-  let sys = S.boot ~config:small_config () in
-  let vm = S.new_vmspace sys in
-  let n = 200 in
-  let vpn = S.mmap sys vm ~npages:n ~prot:Pmap.Prot.rw ~share:Vt.Private Vt.Zero in
-  fill sys vm ~vpn ~npages:n;
-  (* Read everything back (pages in, now clean with swap copies). *)
-  verify sys vm ~vpn ~npages:n;
-  let outs = (stats sys).Sim.Stats.pageouts in
-  (* More pressure: clean pages with swap copies must be reclaimed without
-     fresh pageouts dominating (some re-dirtying is fine). *)
-  let extra = S.mmap sys vm ~npages:60 ~prot:Pmap.Prot.rw ~share:Vt.Private Vt.Zero in
-  for i = 0 to 59 do
-    S.touch sys vm ~vpn:(extra + i) Vt.Read
-  done;
-  let new_outs = (stats sys).Sim.Stats.pageouts - outs in
-  Alcotest.(check bool) "mostly free reclaims" true (new_outs < 60)
-
-let test_aobj_shared_paging () =
-  let sys = S.boot ~config:small_config () in
-  let vm = S.new_vmspace sys in
-  let shm = S.mmap sys vm ~npages:50 ~prot:Pmap.Prot.rw ~share:Vt.Shared Vt.Zero in
-  fill sys vm ~vpn:shm ~npages:50;
-  (* Shared anon memory must also survive pressure. *)
-  let big = S.mmap sys vm ~npages:200 ~prot:Pmap.Prot.rw ~share:Vt.Private Vt.Zero in
-  fill sys vm ~vpn:big ~npages:200;
-  verify sys vm ~vpn:shm ~npages:50;
-  S.destroy_vmspace sys vm;
-  Alcotest.(check int) "aobj swap freed" 0 (S.swap_slots_in_use sys)
-
-let test_swap_exhaustion_raises () =
-  let config =
-    { Vmiface.Machine.default_config with ram_pages = 64; swap_pages = 32 }
-  in
-  let sys = S.boot ~config () in
-  let vm = S.new_vmspace sys in
-  let vpn = S.mmap sys vm ~npages:200 ~prot:Pmap.Prot.rw ~share:Vt.Private Vt.Zero in
-  (try
-     for i = 0 to 199 do
-       S.write_bytes sys vm ~addr:((vpn + i) * 4096) (Bytes.of_string "y")
-     done;
-     Alcotest.fail "expected Segv Out_of_memory (swap deadlock)"
-   with Vt.Segv { error = Vt.Out_of_memory; _ } -> ());
-  Alcotest.(check bool) "swap nearly full" true (S.swap_slots_in_use sys > 0)
+(* UVM's cases keep their plain names; BSD VM's carry the kernel's. *)
+let cases ~suffix =
+  List.map (fun (name, f) -> Alcotest.test_case (name ^ suffix) `Quick f)
 
 let () =
   Alcotest.run "pdaemon"
     [
       ( "paging",
-        [
-          Alcotest.test_case "pressure roundtrip" `Quick test_pressure_roundtrip;
-          Alcotest.test_case "clustering reduces ops" `Quick test_clustering_reduces_ops;
-          Alcotest.test_case "aobj shared paging" `Quick test_aobj_shared_paging;
-          Alcotest.test_case "swap exhaustion" `Quick test_swap_exhaustion_raises;
-        ] );
+        cases ~suffix:"" U.paging
+        @ [ Alcotest.test_case "clustering reduces ops" `Quick test_clustering_reduces_ops ]
+        @ cases ~suffix:" (BSD VM)" B.paging );
       ( "policy",
-        [
-          Alcotest.test_case "wired never paged" `Quick test_wired_pages_never_paged;
-          Alcotest.test_case "second chance" `Quick test_second_chance_keeps_hot_pages;
-          Alcotest.test_case "clean reclaim" `Quick test_clean_page_with_swap_copy_reclaimed_without_io;
-        ] );
+        cases ~suffix:"" U.policy
+        @ [ Alcotest.test_case "second chance" `Quick test_second_chance_keeps_hot_pages ]
+        @ cases ~suffix:" (BSD VM)" B.policy );
     ]
