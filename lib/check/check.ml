@@ -67,21 +67,20 @@ let check_ledger ~system pm =
      [check_physmem]: a frame reachable from a ring its ledger never
      moved it to (the double-insert corruption) is first and foremost a
      lifecycle violation. *)
-  let expect ring_name want pages =
-    List.iter
-      (fun (p : Physmem.Page.t) ->
+  let expect ring_name want kind =
+    Physmem.walk pm kind (fun (p : Physmem.Page.t) ->
         if p.Physmem.Page.lstate <> want then
           fail "queue_state"
             (Printf.sprintf
                "page %d reachable from %s ring but ledger says %s (step %d)"
                p.Physmem.Page.id ring_name
                (Physmem.Page.lstate_name p.Physmem.Page.lstate)
-               p.Physmem.Page.l_steps))
-      pages
+               p.Physmem.Page.l_steps);
+        true)
   in
-  expect "free" Physmem.Page.L_free (Physmem.free_pages pm);
-  expect "active" Physmem.Page.L_active (Physmem.active_pages pm);
-  expect "inactive" Physmem.Page.L_inactive (Physmem.inactive_pages pm);
+  expect "free" Physmem.Page.L_free Physmem.Page.Q_free;
+  expect "active" Physmem.Page.L_active Physmem.Page.Q_active;
+  expect "inactive" Physmem.Page.L_inactive Physmem.Page.Q_inactive;
   (* Off-queue frames must be in an off-queue ledger state. *)
   Physmem.iter_pages
     (fun (p : Physmem.Page.t) ->
@@ -102,9 +101,8 @@ let check_physmem ~system pm =
      two rings is the double-insert corruption) and must agree with the
      frame's own [queue] tag. *)
   let seen : (int, Physmem.Page.queue) Hashtbl.t = Hashtbl.create 256 in
-  let walk kind pages =
-    List.iter
-      (fun (p : Physmem.Page.t) ->
+  let walk kind =
+    Physmem.walk pm kind (fun (p : Physmem.Page.t) ->
         (match Hashtbl.find_opt seen p.id with
         | Some prev ->
             fail "queue_exclusive"
@@ -114,15 +112,15 @@ let check_physmem ~system pm =
         if p.queue <> kind then
           fail "queue_tag"
             (Printf.sprintf "page %d on %s queue but tagged %s" p.id
-               (queue_name kind) (queue_name p.queue)))
-      pages
+               (queue_name kind) (queue_name p.queue));
+        true)
   in
-  walk Physmem.Page.Q_free (Physmem.free_pages pm);
-  walk Physmem.Page.Q_active (Physmem.active_pages pm);
-  walk Physmem.Page.Q_inactive (Physmem.inactive_pages pm);
+  walk Physmem.Page.Q_free;
+  let nfree = Hashtbl.length seen in
+  walk Physmem.Page.Q_active;
+  walk Physmem.Page.Q_inactive;
   (* Accounting: free + active + inactive + unqueued = total, with the
      counter caches agreeing with the rings. *)
-  let nfree = List.length (Physmem.free_pages pm) in
   if Physmem.free_count pm <> nfree then
     fail "free_count"
       (Printf.sprintf "free_count=%d but free list holds %d"

@@ -52,6 +52,15 @@ type lentry = {
 
 let lookup_slots = 4096
 
+(* An in-place queue walk in progress: the queue it walks, the last
+   stamp issued when it began (pages stamped later are not visited) and
+   each color ring's next unvisited node. *)
+type walk = {
+  w_queue : Page.queue;
+  w_last : int;
+  w_next : Page.t Sim.Dlist.node option array;
+}
+
 type t = {
   page_size : int;
   total_pages : int;
@@ -85,6 +94,7 @@ type t = {
           the machine wires its lock observatory in *)
   lookup : lentry array;
   mutable oid_serial : int;
+  mutable walks : walk list;  (** walks in progress, innermost first *)
 }
 
 (* ---- Provenance ledger: the legal-transition state machine ---------- *)
@@ -224,6 +234,7 @@ let create ?(page_size = 4096) ?lifecycle ?(ncpus = 1) ~npages ~clock ~costs
               e_gen = 0;
             });
       oid_serial = 0;
+      walks = [];
     }
   in
   (* Stamp the boot free list in frame order so a 1-CPU machine allocates
@@ -281,12 +292,34 @@ let set_lockstat t reg =
       reg
 let page_shortage t = t.free_count < t.freemin
 
+let rings_of t = function
+  | Page.Q_free -> t.free
+  | Page.Q_active -> t.active
+  | Page.Q_inactive -> t.inactive
+  | Page.Q_none -> invalid_arg "Physmem.walk: Q_none is not a queue"
+
 let ring_of t kind color =
   match kind with
-  | Page.Q_free -> Some t.free.(color)
-  | Page.Q_active -> Some t.active.(color)
-  | Page.Q_inactive -> Some t.inactive.(color)
   | Page.Q_none -> None
+  | _ -> Some (rings_of t kind).(color)
+
+let cursor_seq = function
+  | Some node -> (Sim.Dlist.value node).Page.q_seq
+  | None -> max_int
+
+(* Called as [page] leaves its ring, with the walks in progress.  A page
+   that a walk has not reached yet would silently drop out of it, so the
+   walk fails loudly instead: only the page a visitor was handed may
+   move.  Written without a closure: it runs on every queue unlink. *)
+let rec guard_walks (page : Page.t) = function
+  | [] -> ()
+  | w :: outer ->
+      if
+        w.w_queue = page.Page.queue
+        && page.Page.q_seq <= w.w_last
+        && page.Page.q_seq >= cursor_seq w.w_next.(page.Page.color)
+      then invalid_arg "Physmem.walk: a page ahead of the walk left its queue";
+      guard_walks page outer
 
 (* The queue-surgery leaves are the critical sections a real SMP kernel
    would guard with the page-queue lock, so they are what the observatory
@@ -313,6 +346,7 @@ let unlink t (page : Page.t) =
   queue_lock t ~color:page.Page.color;
   (match (ring_of t page.queue page.Page.color, page.node) with
   | Some q, Some node ->
+      guard_walks page t.walks;
       Sim.Dlist.remove q node;
       if page.queue = Page.Q_free then begin
         t.free_count <- t.free_count - 1;
@@ -401,6 +435,7 @@ let refill_cache t cache =
           do
             match Sim.Dlist.pop_head t.free.(c) with
             | Some page ->
+                guard_walks page t.walks;
                 page.Page.node <- None;
                 page.Page.cached_cpu <- cache.cc_cpu;
                 cache.cc_pages.(c) <- page :: cache.cc_pages.(c);
@@ -504,6 +539,7 @@ let pop_queue_min t =
     let got =
       match Sim.Dlist.pop_head t.free.(!best) with
       | Some page ->
+          guard_walks page t.walks;
           t.free_count <- t.free_count - 1;
           t.qfree <- t.qfree - 1;
           page.Page.node <- None;
@@ -686,32 +722,47 @@ let dequeue t page =
   lstep t page ~op:"dequeue" Page.L_detached;
   unlink t page
 
-(* Snapshots merge the color rings back into one list ordered by enqueue
-   stamp, so queue scans (pagedaemon LRU, audits) see exactly the order
-   a single global ring would have produced. *)
-let merge_rings arr =
-  Array.fold_left
-    (fun acc dl -> List.rev_append (Sim.Dlist.to_list dl) acc)
-    [] arr
-  |> List.sort (fun (a : Page.t) (b : Page.t) ->
-         compare a.Page.q_seq b.Page.q_seq)
-
-let inactive_pages t = merge_rings t.inactive
-let active_pages t = merge_rings t.active
-
-(* Cached pages are free pages: the snapshot appends them after the
-   queued ones so [free_count = |free_pages|] and the ledger/queue
-   audits hold without special-casing the caches. *)
-let free_pages t =
-  let cached =
-    Array.fold_left
-      (fun acc cache ->
-        Array.fold_left
-          (fun acc pages -> List.rev_append pages acc)
-          acc cache.cc_pages)
-      [] t.caches
+(* Queue scans merge the color rings in place: each ring is already in
+   stamp order (every enqueue is a [push_tail] with a fresh stamp), so
+   repeatedly taking the smallest-stamped ring cursor visits the pages in
+   exactly the order one global ring would hold them, without copying or
+   sorting the queue.  The successor is read before [f] runs, so [f] may
+   requeue or free the page it was handed; pages stamped after the walk
+   began (requeued ones included) are not visited. *)
+let walk t kind f =
+  let rings = rings_of t kind in
+  let w =
+    { w_queue = kind; w_last = t.seq; w_next = Array.map Sim.Dlist.head_node rings }
   in
-  merge_rings t.free @ cached
+  let rec next () =
+    let best = ref (-1) in
+    let best_seq = ref max_int in
+    for c = 0 to ncolors - 1 do
+      let s = cursor_seq w.w_next.(c) in
+      if s < !best_seq then begin
+        best := c;
+        best_seq := s
+      end
+    done;
+    !best_seq > w.w_last
+    ||
+    match w.w_next.(!best) with
+    | Some node ->
+        w.w_next.(!best) <- Sim.Dlist.next_node node;
+        f (Sim.Dlist.value node) && next ()
+    | None -> assert false
+  in
+  let outer = t.walks in
+  t.walks <- w :: outer;
+  let completed = Fun.protect ~finally:(fun () -> t.walks <- outer) next in
+  (* Cached pages are free pages too: the free walk ends with them, so it
+     reaches exactly [free_count] frames. *)
+  if completed && kind = Page.Q_free then
+    ignore
+      (Array.for_all
+         (fun cache -> Array.for_all (List.for_all f) cache.cc_pages)
+         t.caches
+        : bool)
 
 let free_pages_of_color t color =
   if color < 0 || color >= ncolors then

@@ -8,11 +8,12 @@
 
     Under simulated SMP (DESIGN.md §16) the queues are sharded
     DragonFly-style: each queue is {!ncolors} rings indexed by page color
-    ([frame mod ncolors]), every enqueue carries a global stamp so merged
-    snapshots preserve the single-ring FIFO/LRU order, and machines booted
-    with [ncpus > 1] get per-CPU free-page caches refilled in batches from
-    (and drained back to) the colored queues.  A lockless (generation
-    checked) page-lookup fast path lives in {!Lookup}. *)
+    ([frame mod ncolors]), every enqueue carries a global stamp so a
+    {!walk} merging the rings in place preserves the single-ring FIFO/LRU
+    order, and machines booted with [ncpus > 1] get per-CPU free-page
+    caches refilled in batches from (and drained back to) the colored
+    queues.  A lockless (generation checked) page-lookup fast path lives
+    in {!Lookup}. *)
 
 module Page = Page
 
@@ -152,15 +153,17 @@ val deactivate : t -> Page.t -> unit
 val dequeue : t -> Page.t -> unit
 (** Remove a page from any paging queue (used when wiring or starting I/O). *)
 
-val inactive_pages : t -> Page.t list
-(** Snapshot of the inactive queue, LRU first (pagedaemon scan order). *)
-
-val active_pages : t -> Page.t list
-
-val free_pages : t -> Page.t list
-(** Snapshot of the free list (invariant auditing): the colored queues
-    merged in enqueue order, then any pages held by per-CPU caches —
-    [List.length (free_pages t) = free_count t] always. *)
+val walk : t -> Page.queue -> (Page.t -> bool) -> unit
+(** [walk t q f] visits the pages on queue [q] in enqueue order (LRU
+    first, the pagedaemon's scan order) until [f] returns [false].  The
+    color rings are merged in place by stamp; nothing is copied.  [f] may
+    requeue or free the page it is given; pages enqueued after the walk
+    began are not visited.  The free walk ends with the pages held by
+    per-CPU caches, so a full walk of [Q_free] visits [free_count t]
+    frames.  Walks see every node of every ring, so a frame linked onto
+    two rings is reached from both.
+    @raise Invalid_argument if [q] is [Q_none], or if a page the walk has
+    not reached yet leaves its queue while the walk runs. *)
 
 val iter_pages : (Page.t -> unit) -> t -> unit
 (** Visit every physical frame, allocated or not, in frame-number order —

@@ -647,14 +647,16 @@ module Sys = struct
       ~obj:ignore;
     let physmem = Uvm_sys.physmem sys.usys in
     let leaked = ref 0 in
-    List.iter
-      (fun (page : Physmem.Page.t) ->
-        match page.owner with
-        | Uvm_anon.Anon_page anon
-          when not (Hashtbl.mem reachable anon.Uvm_anon.id) ->
-            incr leaked
-        | _ -> ())
-      (Physmem.active_pages physmem @ Physmem.inactive_pages physmem);
+    let count (page : Physmem.Page.t) =
+      (match page.owner with
+      | Uvm_anon.Anon_page anon
+        when not (Hashtbl.mem reachable anon.Uvm_anon.id) ->
+          incr leaked
+      | _ -> ());
+      true
+    in
+    Physmem.walk physmem Physmem.Page.Q_active count;
+    Physmem.walk physmem Physmem.Page.Q_inactive count;
     !leaked
 end
 

@@ -35,15 +35,17 @@ let incore_count t = t.incore
 let free_list_length t = Sim.Dlist.length t.free_lru
 let register_recycle_hook t f = t.recycle_hooks <- f :: t.recycle_hooks
 
-let file_byte ~name ~off =
-  (* Cheap deterministic mixing of the name hash and the offset. *)
-  let h = Hashtbl.hash name in
-  let v = (h * 31) lxor off lxor ((off lsr 8) * 131) in
-  Char.chr (v land 0xff)
+(* Cheap deterministic mixing of the name hash and the offset. *)
+let pattern_byte h off =
+  Char.unsafe_chr (((h * 31) lxor off lxor ((off lsr 8) * 131)) land 0xff)
 
+let file_byte ~name ~off = pattern_byte (Hashtbl.hash name) off
+
+(* The name is hashed once per file, not once per byte. *)
 let fill_pattern ~name data =
+  let h = Hashtbl.hash name in
   for i = 0 to Bytes.length data - 1 do
-    Bytes.unsafe_set data i (file_byte ~name ~off:i)
+    Bytes.unsafe_set data i (pattern_byte h i)
   done
 
 (* Discard the in-core state of an unreferenced vnode. *)

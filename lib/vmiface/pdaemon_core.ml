@@ -108,15 +108,18 @@ module Make (K : KERNEL) = struct
     let physmem = m.Machine.physmem in
     let target = Physmem.freetarg physmem in
     let free0 = Physmem.free_count physmem in
-    List.iter
-      (fun (page : Physmem.Page.t) ->
-        if Physmem.free_count physmem + pending () < target then
-          if not (pageable page) then ()
-          else if page.referenced then
-            (* Second chance: recently used, give it another lap. *)
-            Physmem.activate physmem page
-          else visit page)
-      (Physmem.inactive_pages physmem);
+    (* The scan stops at the target: nothing is visited past it, so the
+       target, once met, stays met for the rest of the queue. *)
+    Physmem.walk physmem Physmem.Page.Q_inactive (fun page ->
+        Physmem.free_count physmem + pending () < target
+        && begin
+             if pageable page then
+               if page.referenced then
+                 (* Second chance: recently used, give it another lap. *)
+                 Physmem.activate physmem page
+               else visit page;
+             true
+           end);
     flush ();
     (* Still short: migrate cold active pages to the inactive queue so the
        next pass can reclaim them.  Their translations are removed so reuse
@@ -127,17 +130,18 @@ module Make (K : KERNEL) = struct
         - Physmem.inactive_count physmem
       in
       let moved = ref 0 in
-      List.iter
-        (fun (page : Physmem.Page.t) ->
-          if !moved < need && pageable page then begin
-            if page.referenced then page.referenced <- false
-            else begin
-              Pmap.page_remove_all m.Machine.pmap_ctx page;
-              Physmem.deactivate physmem page;
-              incr moved
-            end
-          end)
-        (Physmem.active_pages physmem)
+      Physmem.walk physmem Physmem.Page.Q_active (fun page ->
+          !moved < need
+          && begin
+               if pageable page then
+                 if page.referenced then page.referenced <- false
+                 else begin
+                   Pmap.page_remove_all m.Machine.pmap_ctx page;
+                   Physmem.deactivate physmem page;
+                   incr moved
+                 end;
+               true
+             end)
     end;
     Machine.span_finish m scan_span (fun () ->
         [

@@ -87,6 +87,18 @@ sweep=$(./_build/default/bin/uvm_sim.exe torture --seed 1-60 --ops 6000 \
 }
 echo "ci: torture sweep clean (seeds 1-60 x 6000 ops, $(($(date +%s) - start)) s wall)"
 
+# The same sweep on the faulting swap path: tiered swap with injected
+# media errors, seeds 61-120.  Failed writes leave pages stuck dirty in
+# core, which is the case the pagedaemon's early stop must get right.
+start=$(date +%s)
+sweep=$(./_build/default/bin/uvm_sim.exe torture --seed 61-120 --ops 6000 \
+  --audit-every 50 --tiers --faults --artifact-dir artifacts/torture) || {
+  printf '%s\n' "$sweep" | grep -v '^torture: OK' >&2
+  echo 'ci: faulting torture sweep failed' >&2
+  exit 1
+}
+echo "ci: faulting torture sweep clean (seeds 61-120 x 6000 ops, --tiers --faults, $(($(date +%s) - start)) s wall)"
+
 # Efficacy-report smoke (DESIGN.md §10): quick-mode ledger report over
 # both systems, kept in artifacts/ for the workflow to upload.
 mkdir -p artifacts

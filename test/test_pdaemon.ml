@@ -13,6 +13,9 @@ module Cases (S : sig
   include Vmiface.Vm_sig.VM_SYS
 
   val pmap : vmspace -> Pmap.t
+
+  val pagedaemon : sys -> unit
+  (** One pass of the kernel's pagedaemon. *)
 end) =
 struct
   let stats sys = (S.machine sys).Vmiface.Machine.stats
@@ -105,6 +108,35 @@ struct
      with Vt.Segv { error = Vt.Out_of_memory; _ } -> ());
     Alcotest.(check bool) "swap nearly full" true (S.swap_slots_in_use sys > 0)
 
+  (* A pass that finds the free target already met stops at once: it
+     must not copy either queue, however deep they are. *)
+  let test_pass_at_target_allocates_little () =
+    let config =
+      { Vmiface.Machine.default_config with ram_pages = 4096; swap_pages = 4096 }
+    in
+    let sys = S.boot ~config () in
+    let physmem = (S.machine sys).Vmiface.Machine.physmem in
+    let populate () =
+      let vm = S.new_vmspace sys in
+      let vpn =
+        S.mmap sys vm ~npages:1500 ~prot:Pmap.Prot.rw ~share:Vt.Private Vt.Zero
+      in
+      S.access_range sys vm ~vpn ~npages:1500 Vt.Write;
+      vm
+    in
+    ignore (S.deactivate_resident sys (populate ()) : int);
+    ignore (populate () : S.vmspace);
+    Alcotest.(check bool) "deep active queue" true (Physmem.active_count physmem >= 1000);
+    Alcotest.(check bool) "deep inactive queue" true
+      (Physmem.inactive_count physmem >= 1000);
+    Alcotest.(check bool) "free target met" true
+      (Physmem.free_count physmem >= Physmem.freetarg physmem);
+    let before = Gc.minor_words () in
+    S.pagedaemon sys;
+    let words = Gc.minor_words () -. before in
+    if words >= 1000. then
+      Alcotest.failf "daemon pass at the free target allocated %.0f words" words
+
   let paging =
     [
       ("pressure roundtrip", test_pressure_roundtrip);
@@ -116,6 +148,7 @@ struct
     [
       ("wired never paged", test_wired_pages_never_paged);
       ("clean reclaim", test_clean_page_with_swap_copy_reclaimed_without_io);
+      ("pass at target allocates little", test_pass_at_target_allocates_little);
     ]
 end
 
@@ -123,12 +156,14 @@ module U = Cases (struct
   include Uvm.Sys
 
   let pmap (vm : vmspace) = vm.pmap
+  let pagedaemon sys = Uvm.Pdaemon.run sys.usys
 end)
 
 module B = Cases (struct
   include Bsdvm.Sys
 
   let pmap (vm : vmspace) = vm.pmap
+  let pagedaemon sys = Bsdvm.Pageout.run sys.bsys
 end)
 
 let test_clustering_reduces_ops () =

@@ -165,6 +165,144 @@ let prop_accounting =
         ops;
       Physmem.free_count pm = 32 - List.length !live)
 
+(* ---- In-place queue walks ------------------------------------------ *)
+
+(* A machine with every color ring in use and per-CPU free caches, driven
+   by a random op list. *)
+let walk_machine ops =
+  let clock = Sim.Simclock.create () in
+  let pm =
+    Physmem.create ~page_size:64 ~ncpus:3 ~npages:96 ~clock
+      ~costs:Sim.Cost_model.zero ~stats:(Sim.Stats.create ()) ()
+  in
+  let live = ref [] in
+  let pick i = List.nth !live (i mod List.length !live) in
+  List.iter
+    (fun (op, i) ->
+      match op with
+      | 0 | 1 -> (
+          match Physmem.alloc pm ~owner:Physmem.Page.No_owner ~offset:0 () with
+          | p -> live := p :: !live
+          | exception Physmem.Out_of_pages -> ())
+      | _ when !live = [] -> ()
+      | 2 -> Physmem.activate pm (pick i)
+      | 3 -> Physmem.deactivate pm (pick i)
+      | 4 ->
+          let p = pick i in
+          live := List.filter (fun q -> q != p) !live;
+          Physmem.free_page pm p
+      | 5 -> Physmem.drain_caches pm
+      | _ -> Physmem.set_current_cpu pm (i mod Physmem.ncpus pm))
+    ops;
+  pm
+
+let walk_ops = QCheck.(list_of_size Gen.(20 -- 200) (pair (int_range 0 6) small_nat))
+let queues = Physmem.Page.[ Q_free; Q_active; Q_inactive ]
+
+(* The pages [walk] visits before [stop] says to end, in visit order. *)
+let visits ?(stop = fun _ -> false) pm q =
+  let seen = ref [] in
+  Physmem.walk pm q (fun p ->
+      seen := p :: !seen;
+      not (stop (List.length !seen)));
+  List.rev !seen
+
+let ids = List.map (fun (p : Physmem.Page.t) -> p.Physmem.Page.id)
+let take n = List.filteri (fun i _ -> i < n)
+
+(* What a walk of [q] must visit: the ring pages in stamp order, then (on
+   the free queue) the pages held by per-CPU caches. *)
+let queued pm q =
+  let ring = ref [] and cached = ref [] in
+  Physmem.iter_pages
+    (fun (p : Physmem.Page.t) ->
+      if p.queue = q then
+        if p.cached_cpu >= 0 then cached := p :: !cached else ring := p :: !ring)
+    pm;
+  ( List.sort
+      (fun (a : Physmem.Page.t) (b : Physmem.Page.t) -> compare a.q_seq b.q_seq)
+      !ring,
+    !cached )
+
+let prop_walk_order =
+  QCheck.Test.make ~name:"walk visits the queue in stamp order" ~count:200
+    walk_ops (fun ops ->
+      let pm = walk_machine ops in
+      List.for_all
+        (fun q ->
+          let ring, cached = queued pm q in
+          let got = visits pm q in
+          let nring = List.length ring in
+          ids (take nring got) = ids ring
+          && List.sort compare (ids (List.filteri (fun i _ -> i >= nring) got))
+             = List.sort compare (ids cached))
+        queues
+      && List.length (visits pm Physmem.Page.Q_free) = Physmem.free_count pm)
+
+let prop_walk_stop =
+  QCheck.Test.make ~name:"stopped walk is a prefix" ~count:200
+    QCheck.(pair walk_ops small_nat)
+    (fun (ops, k) ->
+      let pm = walk_machine ops in
+      List.for_all
+        (fun q ->
+          let full = visits pm q in
+          ids (visits ~stop:(fun n -> n >= k) pm q) = ids (take (max 1 k) full))
+        queues)
+
+(* The visitor moves or frees the page it is handed, and enqueues fresh
+   pages onto the walked queue: the walk still visits exactly the pages
+   queued when it began, in order, each once — a newcomer (even a frame
+   freed earlier in the walk and reused) is not visited. *)
+let prop_walk_mutating_visitor =
+  QCheck.Test.make ~name:"visitor may move its page; newcomers unseen"
+    ~count:200
+    QCheck.(pair walk_ops (list_of_size Gen.(0 -- 100) (int_range 0 3)))
+    (fun (ops, acts) ->
+      let pm = walk_machine ops in
+      List.for_all
+        (fun q ->
+          let before, _ = queued pm q in
+          let acts = ref acts in
+          let got = ref [] in
+          Physmem.walk pm q (fun p ->
+              got := p :: !got;
+              (match !acts with
+              | [] -> ()
+              | a :: rest -> (
+                  acts := rest;
+                  match a with
+                  | 0 -> Physmem.activate pm p
+                  | 1 -> Physmem.deactivate pm p
+                  | 2 -> Physmem.free_page pm p
+                  | _ -> (
+                      match
+                        Physmem.alloc pm ~owner:Physmem.Page.No_owner ~offset:0 ()
+                      with
+                      | n ->
+                          if q = Physmem.Page.Q_active then Physmem.activate pm n
+                          else Physmem.deactivate pm n
+                      | exception Physmem.Out_of_pages -> ())));
+              true);
+          ids (List.rev !got) = ids before)
+        Physmem.Page.[ Q_active; Q_inactive ])
+
+let test_walk_rejects_unlink_ahead () =
+  let pm, _, _ = mk () in
+  let a = Physmem.alloc pm ~owner:Physmem.Page.No_owner ~offset:0 () in
+  let b = Physmem.alloc pm ~owner:Physmem.Page.No_owner ~offset:0 () in
+  Physmem.activate pm a;
+  Physmem.activate pm b;
+  Alcotest.check_raises "page ahead of the walk moved"
+    (Invalid_argument "Physmem.walk: a page ahead of the walk left its queue")
+    (fun () ->
+      Physmem.walk pm Physmem.Page.Q_active (fun _ ->
+          Physmem.deactivate pm b;
+          true));
+  Alcotest.check_raises "Q_none is no queue"
+    (Invalid_argument "Physmem.walk: Q_none is not a queue") (fun () ->
+      Physmem.walk pm Physmem.Page.Q_none (fun _ -> true))
+
 let () =
   Alcotest.run "physmem"
     [
@@ -180,6 +318,11 @@ let () =
         [
           Alcotest.test_case "transitions" `Quick test_queues;
           Alcotest.test_case "wire" `Quick test_wire_keeps_off_queues;
+          Alcotest.test_case "walk rejects unlink ahead" `Quick
+            test_walk_rejects_unlink_ahead;
+          QCheck_alcotest.to_alcotest prop_walk_order;
+          QCheck_alcotest.to_alcotest prop_walk_stop;
+          QCheck_alcotest.to_alcotest prop_walk_mutating_visitor;
         ] );
       ( "loans",
         [ Alcotest.test_case "deferred free" `Quick test_loaned_free_defers ] );

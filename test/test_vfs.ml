@@ -23,6 +23,20 @@ let test_file_byte_deterministic () =
        (fun off -> Vfs.file_byte ~name:"/a" ~off <> Vfs.file_byte ~name:"/b" ~off)
        (List.init 64 Fun.id))
 
+(* A new file's contents are filled with the name hashed once; every
+   byte must still equal the single-byte [file_byte] at its offset. *)
+let test_filled_file_matches_file_byte () =
+  let vfs, _, _ = mk ~max_vnodes:8 () in
+  List.iter
+    (fun name ->
+      let size = 70_000 in
+      let vn = Vfs.create_file vfs ~name ~size in
+      for off = 0 to size - 1 do
+        if Bytes.get vn.Vfs.Vnode.data off <> Vfs.file_byte ~name ~off then
+          Alcotest.failf "%s: byte %d differs from file_byte" name off
+      done)
+    [ "/a"; "/b"; ""; "/usr/lib/libc.so.12"; String.make 300 'x' ]
+
 let test_create_lookup () =
   let vfs, _, _ = mk () in
   let vn = Vfs.create_file vfs ~name:"/x" ~size:1000 in
@@ -147,6 +161,8 @@ let () =
       ( "files",
         [
           Alcotest.test_case "deterministic bytes" `Quick test_file_byte_deterministic;
+          Alcotest.test_case "filled file matches file_byte" `Quick
+            test_filled_file_matches_file_byte;
           Alcotest.test_case "create/lookup" `Quick test_create_lookup;
           Alcotest.test_case "read/write pages" `Quick test_read_write_pages;
         ] );
