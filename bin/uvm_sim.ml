@@ -734,9 +734,13 @@ let () =
     Cmd.info "uvm_sim" ~version:"1.0"
       ~doc:"Reproduction harness for the UVM virtual memory system paper"
   in
-  exit
-    (Cmd.eval
-       (Cmd.group info
-          (all_cmd :: torture_cmd :: report_cmd :: serve_cmd
-          :: resilience_cmd :: soak_cmd :: vmstat_cmd :: lockstat_cmd
-          :: smp_cmd :: List.map cmd_of experiments)))
+  let code =
+    Cmd.eval
+      (Cmd.group info
+         (all_cmd :: torture_cmd :: report_cmd :: serve_cmd
+         :: resilience_cmd :: soak_cmd :: vmstat_cmd :: lockstat_cmd
+         :: smp_cmd :: List.map cmd_of experiments))
+  in
+  (* A command-line error (unknown flag, unparsable value) exits 2, like
+     the value checks above, rather than cmdliner's 124. *)
+  exit (if code = Cmd.Exit.cli_error then 2 else code)

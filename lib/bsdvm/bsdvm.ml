@@ -348,11 +348,7 @@ module Sys = struct
     in
     Hashtbl.iter
       (fun _ vm ->
-        (match Vm_map.check_invariants vm.map with
-        | Ok () -> ()
-        | Error msg ->
-            Check.fail ~system:name ~subsys:Check.Map ~invariant:"map_structure"
-              (Printf.sprintf "vmspace %d: %s" vm.vid msg));
+        Vm_map.audit_structure vm.map ~system:name ~vid:vm.vid;
         Vm_map.iter_entries
           (fun e ->
             match e.Vm_map.obj with
@@ -420,28 +416,12 @@ module Sys = struct
         end
         else if o.Vm_object.refs = 0 then
           fail "object_unreferenced" "alive with no references, not cached";
-        Hashtbl.iter
-          (fun pgno (p : Physmem.Page.t) ->
-            (match p.owner with
-            | Vm_object.Obj_page o' when o' == o -> ()
-            | _ ->
-                fail "object_page_owner"
-                  (Printf.sprintf "resident page %d at offset %d owned elsewhere"
-                     p.id pgno));
-            if p.owner_offset <> pgno then
-              fail "object_page_offset"
-                (Printf.sprintf "page %d thinks offset %d, object says %d" p.id
-                   p.owner_offset pgno);
-            if p.queue = Physmem.Page.Q_free then
-              fail "object_page_free"
-                (Printf.sprintf "resident page %d is on the free list" p.id))
-          o.Vm_object.pages;
-        (* Diff-check the lockless fast path against this locked walk. *)
-        Check.check_lookup ~system:name ~okey:o.Vm_object.okey
-          ~resident:
-            (Hashtbl.fold
-               (fun pgno p acc -> (pgno, p) :: acc)
-               o.Vm_object.pages []))
+        Check.check_object_pages ~system:name ~fail
+          ~owns:(fun p ->
+            match p.Physmem.Page.owner with
+            | Vm_object.Obj_page o' -> o' == o
+            | _ -> false)
+          ~okey:o.Vm_object.okey o.Vm_object.pages)
       objs
 
   let audit_swap sys objs =

@@ -63,4 +63,4 @@ let unmap cache t ~spage ~npages =
     (unlink_range t ~spage ~epage:(spage + npages));
   unlock t
 
-let destroy cache t = destroy (unmap cache) t
+let destroy cache t = destroy_with (unmap cache) t

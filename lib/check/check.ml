@@ -372,6 +372,25 @@ let check_lookup ~system ~okey ~resident =
                hit.Physmem.Page.id pgno page.Physmem.Page.id))
     resident
 
+let check_object_pages ~system ~fail ~owns ~okey pages =
+  Hashtbl.iter
+    (fun pgno (p : Physmem.Page.t) ->
+      if not (owns p) then
+        fail "object_page_owner"
+          (Printf.sprintf "resident page %d at offset %d owned elsewhere" p.id
+             pgno);
+      if p.owner_offset <> pgno then
+        fail "object_page_offset"
+          (Printf.sprintf "page %d thinks offset %d, object says %d" p.id
+             p.owner_offset pgno);
+      if p.queue = Physmem.Page.Q_free then
+        fail "object_page_free"
+          (Printf.sprintf "resident page %d is on the free list" p.id))
+    pages;
+  (* Diff-check the lockless fast path against this locked walk. *)
+  check_lookup ~system ~okey
+    ~resident:(Hashtbl.fold (fun pgno p acc -> (pgno, p) :: acc) pages [])
+
 (* -- lock-order auditing ------------------------------------------------- *)
 
 let check_lock_order ~system locks =

@@ -107,6 +107,20 @@ val check_lookup :
     miss or return that very frame — a different frame means the seqlock
     validation is broken. *)
 
+val check_object_pages :
+  system:string ->
+  fail:(string -> string -> unit) ->
+  owns:(Physmem.Page.t -> bool) ->
+  okey:Physmem.Lookup.okey ->
+  (int, Physmem.Page.t) Hashtbl.t ->
+  unit
+(** The resident pages of one memory object, keyed by page offset: each
+    must be owned by the object ([owns], else [object_page_owner]), filed
+    at the offset it records ([object_page_offset]) and off the free list
+    ([object_page_free]); the object's lockless lookups are then
+    diff-checked with {!check_lookup}.  [fail invariant detail] raises
+    the kernel's {!Audit_failure}, naming the object. *)
+
 val check_lock_order : system:string -> Sim.Lockstat.t -> unit
 (** Lockdep analogue: fails on any cycle in the machine's observed
     class-level lock-order graph, naming the classes on the cycle.

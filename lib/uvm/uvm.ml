@@ -375,11 +375,7 @@ module Sys = struct
     let objs = Hashtbl.create 32 in
     Hashtbl.iter
       (fun _ vm ->
-        (match Uvm_map.check_invariants vm.map with
-        | Ok () -> ()
-        | Error msg ->
-            Check.fail ~system:name ~subsys:Check.Map ~invariant:"map_structure"
-              (Printf.sprintf "vmspace %d: %s" vm.vid msg));
+        Uvm_map.audit_structure vm.map ~system:name ~vid:vm.vid;
         Uvm_map.iter_entries
           (fun e ->
             (match e.Uvm_map.amap with
@@ -510,25 +506,12 @@ module Sys = struct
           fail "object_refs"
             (Printf.sprintf "refcount %d but %d map entries reference it"
                o.Uvm_object.refs !refs);
-        Hashtbl.iter
-          (fun pgno (p : Physmem.Page.t) ->
-            (match p.owner with
-            | Uvm_object.Uobj_page o' when o' == o -> ()
-            | _ ->
-                fail "object_page_owner"
-                  (Printf.sprintf "resident page %d at offset %d owned elsewhere"
-                     p.id pgno));
-            if p.owner_offset <> pgno then
-              fail "object_page_offset"
-                (Printf.sprintf "page %d thinks offset %d, object says %d" p.id
-                   p.owner_offset pgno);
-            if p.queue = Physmem.Page.Q_free then
-              fail "object_page_free"
-                (Printf.sprintf "resident page %d is on the free list" p.id))
-          o.Uvm_object.pages;
-        (* Diff-check the lockless fast path against this locked walk. *)
-        Check.check_lookup ~system:name ~okey:o.Uvm_object.okey
-          ~resident:(Uvm_object.resident o))
+        Check.check_object_pages ~system:name ~fail
+          ~owns:(fun p ->
+            match p.Physmem.Page.owner with
+            | Uvm_object.Uobj_page o' -> o' == o
+            | _ -> false)
+          ~okey:o.Uvm_object.okey o.Uvm_object.pages)
       objs
 
   (* Every allocated swap slot must be claimed by exactly one anon or one

@@ -101,4 +101,4 @@ let unmap t ~spage ~npages =
   (* Phase 2: reference drops (possibly long I/O) without the lock. *)
   List.iter (drop_entry_refs t) doomed
 
-let destroy t = destroy unmap t
+let destroy t = destroy_with unmap t

@@ -19,9 +19,9 @@
 
 include
   Vmiface.Map_core.S
-    with type sys := Uvm_sys.t
-     and type obj := Uvm_object.t
-     and type amap := Uvm_amap.t
+    with type sys = Uvm_sys.t
+     and type obj = Uvm_object.t
+     and type amap = Uvm_amap.t
 
 val insert :
   t ->

@@ -184,13 +184,17 @@ module type S = sig
 
   val mark_unwired : t -> spage:int -> npages:int -> unit
 
-  val destroy : (t -> spage:int -> npages:int -> unit) -> t -> unit
-  (** [destroy unmap t] unmaps everything with the kernel's [unmap]
+  val destroy_with : (t -> spage:int -> npages:int -> unit) -> t -> unit
+  (** [destroy_with unmap t] unmaps everything with the kernel's [unmap]
       (process exit). *)
 
   val check_invariants : t -> (unit, string) result
   (** Sorted, non-overlapping, in-bounds entries; amap ranges within their
       amaps; entry count consistent. *)
+
+  val audit_structure : t -> system:string -> vid:int -> unit
+  (** {!check_invariants} as an audit: a violation raises
+      {!Check.Audit_failure} ([map_structure]) naming vmspace [vid]. *)
 
   val audit_pmap :
     t ->
@@ -504,7 +508,7 @@ struct
         if e.wired <= 0 then invalid_arg (K.name ^ ".mark_unwired: not wired");
         e.wired <- e.wired - 1)
 
-  let destroy unmap t =
+  let destroy_with unmap t =
     if t.nentries > 0 then unmap t ~spage:t.lo ~npages:(t.hi - t.lo)
 
   let check_invariants t =
@@ -528,6 +532,13 @@ struct
           end
     in
     go 0 t.lo t.first
+
+  let audit_structure t ~system ~vid =
+    match check_invariants t with
+    | Ok () -> ()
+    | Error msg ->
+        Check.fail ~system ~subsys:Check.Map ~invariant:"map_structure"
+          (Printf.sprintf "vmspace %d: %s" vid msg)
 
   let audit_pmap t ~system ~vid resolve =
     let entries = entries t in

@@ -25,6 +25,19 @@ fi
 
 dune runtest
 
+# CLI error smoke: an unknown flag and a bad seed range must exit 2 with a
+# usage message, the status every invalid option value gets.
+for args in 'table2 --bogus' 'torture --seed 5-1'; do
+  rc=0
+  # shellcheck disable=SC2086 # split the argument list on purpose
+  ./_build/default/bin/uvm_sim.exe $args > /dev/null 2>&1 || rc=$?
+  if [ "$rc" -ne 2 ]; then
+    echo "ci: 'uvm_sim $args' exited $rc, want 2" >&2
+    exit 1
+  fi
+done
+echo 'ci: CLI errors exit 2'
+
 # Trace-export smoke test: a short experiment run must produce a valid
 # Chrome trace with fault and pagein events from both VM systems.
 trace=$(mktemp /tmp/uvm-trace.XXXXXX.json)
@@ -88,16 +101,16 @@ sweep=$(./_build/default/bin/uvm_sim.exe torture --seed 1-60 --ops 6000 \
 echo "ci: torture sweep clean (seeds 1-60 x 6000 ops, $(($(date +%s) - start)) s wall)"
 
 # The same sweep on the faulting swap path: tiered swap with injected
-# media errors, seeds 61-120.  Failed writes leave pages stuck dirty in
+# media errors, seeds 61-400.  Failed writes leave pages stuck dirty in
 # core, which is the case the pagedaemon's early stop must get right.
 start=$(date +%s)
-sweep=$(./_build/default/bin/uvm_sim.exe torture --seed 61-120 --ops 6000 \
+sweep=$(./_build/default/bin/uvm_sim.exe torture --seed 61-400 --ops 6000 \
   --audit-every 50 --tiers --faults --artifact-dir artifacts/torture) || {
   printf '%s\n' "$sweep" | grep -v '^torture: OK' >&2
   echo 'ci: faulting torture sweep failed' >&2
   exit 1
 }
-echo "ci: faulting torture sweep clean (seeds 61-120 x 6000 ops, --tiers --faults, $(($(date +%s) - start)) s wall)"
+echo "ci: faulting torture sweep clean (seeds 61-400 x 6000 ops, --tiers --faults, $(($(date +%s) - start)) s wall)"
 
 # Efficacy-report smoke (DESIGN.md §10): quick-mode ledger report over
 # both systems, kept in artifacts/ for the workflow to upload.

@@ -220,6 +220,78 @@ let check_live_tree label spans =
 let test_uvm_fault_tree () = check_live_tree "UVM" (Uvm_load.spans ())
 let test_bsd_fault_tree () = check_live_tree "BSD VM" (Bsd_load.spans ())
 
+(* Both error exits of the shared fault routine close exactly one fault
+   span, record the error as its result and leave the map unlocked. *)
+module Exits (V : sig
+  include Vmiface.Vm_sig.VM_SYS
+
+  val map_locked : vmspace -> bool
+end) =
+struct
+  let check () =
+    Vmiface.Machine.reset_traced ();
+    let config =
+      {
+        Vmiface.Machine.default_config with
+        ram_pages = 64;
+        swap_pages = 256;
+        trace_buf = Some 1024;
+      }
+    in
+    let sys = V.boot ~config () in
+    let vm = V.new_vmspace sys in
+    let vpn =
+      V.mmap sys vm ~npages:1 ~prot:Pmap.Prot.read ~share:Vmtypes.Private
+        Vmtypes.Zero
+    in
+    let spans = (V.machine sys).Vmiface.Machine.spans in
+    let faults () =
+      List.filter
+        (fun (s : Sim.Span.span) -> s.Sim.Span.sname = "fault")
+        (Sim.Span.spans spans)
+    in
+    let exit_with label ~vpn access want =
+      let want = Vmtypes.string_of_fault_error want in
+      let before = List.length (faults ()) in
+      (match V.touch sys vm ~vpn access with
+      | () -> Alcotest.failf "%s: the fault resolved" label
+      | exception Vmtypes.Segv { error; _ } ->
+          Alcotest.(check string)
+            (label ^ ": typed error")
+            want
+            (Vmtypes.string_of_fault_error error));
+      let after = faults () in
+      Alcotest.(check int)
+        (label ^ ": one fault span closed")
+        (before + 1) (List.length after);
+      let s = List.nth after before in
+      Alcotest.(check (option string))
+        (label ^ ": span result")
+        (Some want)
+        (List.assoc_opt "result" s.Sim.Span.sdetail);
+      Alcotest.(check int)
+        (label ^ ": nothing left open")
+        0
+        (List.length (Sim.Span.open_spans spans));
+      Alcotest.(check bool) (label ^ ": map unlocked") false (V.map_locked vm)
+    in
+    exit_with "no entry" ~vpn:(vpn + 64) Vmtypes.Read Vmtypes.No_entry;
+    exit_with "prot denied" ~vpn Vmtypes.Write Vmtypes.Prot_denied;
+    Vmiface.Machine.reset_traced ()
+end
+
+module Uvm_exits = Exits (struct
+  include Uvm.Sys
+
+  let map_locked vm = Uvm.Map.is_locked vm.map
+end)
+
+module Bsd_exits = Exits (struct
+  include Bsdvm.Sys
+
+  let map_locked vm = Bsdvm.Map.is_locked vm.map
+end)
+
 (* Device death: the drain's migrations must be attributed to the
    pagedaemon scan that performed them. *)
 let test_drain_attribution () =
@@ -298,6 +370,8 @@ let () =
         [
           Alcotest.test_case "UVM fault tree" `Quick test_uvm_fault_tree;
           Alcotest.test_case "BSD VM fault tree" `Quick test_bsd_fault_tree;
+          Alcotest.test_case "UVM fault error exits" `Quick Uvm_exits.check;
+          Alcotest.test_case "BSD VM fault error exits" `Quick Bsd_exits.check;
           Alcotest.test_case "drain attribution" `Quick test_drain_attribution;
         ] );
     ]

@@ -128,23 +128,6 @@ let test_cluster_read () =
   (* io_cluster (default 4) pages come in on one op. *)
   Alcotest.(check int) "cluster of 4" (pr0 + 4) (stats sys).Sim.Stats.disk_pages_read
 
-let test_wire_fault_resolves_cow () =
-  let sys, vm = mk () in
-  let vn = Vfs.create_file (vfs sys) ~name:"/wired" ~size:4096 in
-  let vpn = S.mmap sys vm ~npages:1 ~prot:Pmap.Prot.rw ~share:Vt.Private (Vt.File (vn, 0)) in
-  S.mlock sys vm ~vpn ~npages:1;
-  (* The wired page must already be the private copy: writing now must not
-     replace the frame. *)
-  let pte = Option.get (Pmap.lookup vm.S.pmap ~vpn) in
-  let frame_before = pte.Pmap.page.Physmem.Page.id in
-  Alcotest.(check bool) "wired" true (pte.Pmap.page.Physmem.Page.wire_count > 0);
-  S.touch sys vm ~vpn Vt.Write;
-  let pte2 = Option.get (Pmap.lookup vm.S.pmap ~vpn) in
-  Alcotest.(check int) "same frame after write" frame_before
-    pte2.Pmap.page.Physmem.Page.id;
-  S.munlock sys vm ~vpn ~npages:1;
-  Alcotest.(check int) "unwired" 0 pte2.Pmap.page.Physmem.Page.wire_count
-
 let test_vslock_no_fragmentation () =
   let sys, vm = mk () in
   let vpn = S.mmap sys vm ~npages:8 ~prot:Pmap.Prot.rw ~share:Vt.Private Vt.Zero in
@@ -182,7 +165,6 @@ let () =
         ] );
       ( "wiring",
         [
-          Alcotest.test_case "wire resolves cow" `Quick test_wire_fault_resolves_cow;
           Alcotest.test_case "vslock no fragmentation" `Quick test_vslock_no_fragmentation;
         ] );
     ]

@@ -5,7 +5,12 @@
 
 module Vt = Vmiface.Vmtypes
 
-module Conformance (V : Vmiface.Vm_sig.VM_SYS) = struct
+module Conformance (V : sig
+  include Vmiface.Vm_sig.VM_SYS
+
+  val pmap : vmspace -> Pmap.t
+end) =
+struct
   let mk () =
     let config =
       { Vmiface.Machine.default_config with ram_pages = 1024; swap_pages = 4096 }
@@ -127,6 +132,26 @@ module Conformance (V : Vmiface.Vm_sig.VM_SYS) = struct
         List.iter (fun (vm, _) -> V.destroy_vmspace sys vm) !procs;
         ok)
 
+  (* Wiring a writable private mapping resolves the copy-on-write at
+     once, so a later write keeps the wired frame. *)
+  let test_wire_fault_resolves_cow () =
+    let sys, vm = mk () in
+    let vfs = (V.machine sys).Vmiface.Machine.vfs in
+    let vn = Vfs.create_file vfs ~name:"/wired" ~size:4096 in
+    let vpn = V.mmap sys vm ~npages:1 ~prot:Pmap.Prot.rw ~share:Vt.Private (Vt.File (vn, 0)) in
+    V.mlock sys vm ~vpn ~npages:1;
+    (* The wired page must already be the private copy: writing now must not
+       replace the frame. *)
+    let pte = Option.get (Pmap.lookup (V.pmap vm) ~vpn) in
+    let frame_before = pte.Pmap.page.Physmem.Page.id in
+    Alcotest.(check bool) "wired" true (pte.Pmap.page.Physmem.Page.wire_count > 0);
+    V.touch sys vm ~vpn Vt.Write;
+    let pte2 = Option.get (Pmap.lookup (V.pmap vm) ~vpn) in
+    Alcotest.(check int) "same frame after write" frame_before
+      pte2.Pmap.page.Physmem.Page.id;
+    V.munlock sys vm ~vpn ~npages:1;
+    Alcotest.(check int) "unwired" 0 pte2.Pmap.page.Physmem.Page.wire_count
+
   let suite =
     [
       Alcotest.test_case "straddling write" `Quick test_boundary_straddling_write;
@@ -135,12 +160,22 @@ module Conformance (V : Vmiface.Vm_sig.VM_SYS) = struct
       Alcotest.test_case "shared file 2 procs" `Quick test_shared_file_two_processes;
       Alcotest.test_case "file offset" `Quick test_mmap_offset_within_file;
       Alcotest.test_case "fixed address" `Quick test_fixed_address_mapping;
+      Alcotest.test_case "wire resolves cow" `Quick test_wire_fault_resolves_cow;
       QCheck_alcotest.to_alcotest prop_oracle;
     ]
 end
 
-module U = Conformance (Uvm.Sys)
-module B = Conformance (Bsdvm.Sys)
+module U = Conformance (struct
+  include Uvm.Sys
+
+  let pmap vm = vm.pmap
+end)
+
+module B = Conformance (struct
+  include Bsdvm.Sys
+
+  let pmap vm = vm.pmap
+end)
 
 (* Cross-system comparison: both systems, same workload, identical
    user-visible results page by page. *)
