@@ -41,12 +41,22 @@ let pattern_byte h off =
 
 let file_byte ~name ~off = pattern_byte (Hashtbl.hash name) off
 
-(* The name is hashed once per file, not once per byte. *)
-let fill_pattern ~name data =
-  let h = Hashtbl.hash name in
-  for i = 0 to Bytes.length data - 1 do
-    Bytes.unsafe_set data i (pattern_byte h i)
-  done
+(* Within an aligned 256-byte run the pattern is one constant xor the low
+   byte of the offset, so row [c] of this table, bytes [c lxor i] for
+   [i] in [0, 256), holds every run a file can contain. *)
+let ramp =
+  String.init 65536 (fun k -> Char.unsafe_chr ((k lsr 8) lxor (k land 0xff)))
+
+(* Write the pattern of the file with name hash [h] for offsets
+   [off, off + len) into [dst] at [pos], one blit per 256-byte run. *)
+let rec generate h ~off dst pos len =
+  if len > 0 then begin
+    let i = off land 0xff in
+    let n = min len (256 - i) in
+    let c = ((h * 31) lxor ((off lsr 8) * 131)) land 0xff in
+    Bytes.blit_string ramp ((c lsl 8) lor i) dst pos n;
+    generate h ~off:(off + n) dst (pos + n) (len - n)
+  end
 
 (* Discard the in-core state of an unreferenced vnode. *)
 let recycle t (vn : Vnode.t) =
@@ -89,15 +99,14 @@ let take_ref t (vn : Vnode.t) =
 let create_file t ~name ~size =
   if Hashtbl.mem t.files name then
     invalid_arg (Printf.sprintf "Vfs.create_file: %s exists" name);
-  let data = Bytes.create size in
-  fill_pattern ~name data;
   let vn =
     {
       Vnode.vid = t.next_vid;
       name;
+      name_hash = Hashtbl.hash name;
       size;
       usecount = 0;
-      data;
+      pages = Array.make ((size + t.page_size - 1) / t.page_size) Bytes.empty;
       vm_private = Vnode.No_vm;
       incore = false;
       lru_node = None;
@@ -127,12 +136,38 @@ let vrele t (vn : Vnode.t) =
   if vn.usecount = 0 then
     vn.lru_node <- Some (Sim.Dlist.push_tail t.free_lru vn)
 
-let npages_of t (vn : Vnode.t) = (vn.size + t.page_size - 1) / t.page_size
+let npages_of _ (vn : Vnode.t) = Array.length vn.pages
+
+(* Bytes of file page [pgno] held within EOF: 0 for a page past it. *)
+let avail t (vn : Vnode.t) pgno =
+  max 0 (min t.page_size (vn.size - (pgno * t.page_size)))
+
+(* Copy the file's bytes [off, off + len), which lie within one page and
+   within EOF, into [dst] at [pos]. *)
+let blit_in_page t (vn : Vnode.t) ~off ~len dst pos =
+  let stored = vn.pages.(off / t.page_size) in
+  if Bytes.length stored > 0 then
+    Bytes.blit stored (off mod t.page_size) dst pos len
+  else generate vn.name_hash ~off dst pos len
+
+let read_file t (vn : Vnode.t) ~off ~len =
+  if off < 0 || len < 0 || off + len > vn.size then
+    invalid_arg "Vfs.read_file: range outside the file";
+  let dst = Bytes.create len in
+  let rec go off pos len =
+    if len > 0 then begin
+      let n = min len (t.page_size - (off mod t.page_size)) in
+      blit_in_page t vn ~off ~len:n dst pos;
+      go (off + n) (pos + n) (len - n)
+    end
+  in
+  go off 0 len;
+  Bytes.unsafe_to_string dst
 
 let copy_file_page t (vn : Vnode.t) pgno (dst : Physmem.Page.t) =
-  let off = pgno * t.page_size in
-  let avail = max 0 (min t.page_size (vn.size - off)) in
-  if avail > 0 then Bytes.blit vn.data off dst.data 0 avail;
+  let avail = avail t vn pgno in
+  if avail > 0 then
+    blit_in_page t vn ~off:(pgno * t.page_size) ~len:avail dst.data 0;
   if avail < t.page_size then
     Bytes.fill dst.data avail (t.page_size - avail) '\000'
 
@@ -162,9 +197,13 @@ let write_pages t (vn : Vnode.t) ~start_page ~srcs =
   | Ok () ->
       List.iteri
         (fun i (src : Physmem.Page.t) ->
-          let off = (start_page + i) * t.page_size in
-          let avail = max 0 (min t.page_size (vn.size - off)) in
-          if avail > 0 then Bytes.blit src.data 0 vn.data off avail;
+          let pgno = start_page + i in
+          let avail = avail t vn pgno in
+          if avail > 0 then begin
+            if Bytes.length vn.pages.(pgno) = 0 then
+              vn.pages.(pgno) <- Bytes.create avail;
+            Bytes.blit src.data 0 vn.pages.(pgno) 0 avail
+          end;
           src.dirty <- false)
         srcs;
       t.stats.Sim.Stats.pageouts <- t.stats.Sim.Stats.pageouts + n;

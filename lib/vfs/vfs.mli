@@ -2,7 +2,9 @@
 
     Files have deterministic contents ({!file_byte}) so every read path —
     mmap faults, pager clustered reads, copy-on-write — can be checked for
-    byte-exact correctness.
+    byte-exact correctness.  The store is sparse: a page's bytes are
+    generated from the pattern when it is read, and only the pages written
+    back with {!write_pages} are stored.
 
     Unreferenced vnodes are kept on an LRU list and recycled when the
     in-core vnode limit is reached; recycling runs the registered hooks
@@ -34,9 +36,15 @@ val file_byte : name:string -> off:int -> char
     tests can verify any mapping's contents independently. *)
 
 val create_file : t -> name:string -> size:int -> Vnode.t
-(** Create a file filled with the canonical pattern and return its vnode
-    with one reference.
+(** Create a file whose contents are the canonical pattern and return its
+    vnode with one reference.  Nothing is filled: the pattern is generated
+    on read, so creation costs O(pages) words.
     @raise Invalid_argument if the file exists. *)
+
+val read_file : t -> Vnode.t -> off:int -> len:int -> string
+(** The file's current bytes [off, off + len): the stored bytes of pages
+    written back, {!file_byte} elsewhere.  No disk I/O is charged.
+    @raise Invalid_argument if the range is not within the file. *)
 
 val lookup : t -> name:string -> Vnode.t
 (** Name lookup ("open"): returns the vnode with an extra reference,
@@ -73,8 +81,11 @@ val write_pages :
   start_page:int ->
   srcs:Physmem.Page.t list ->
   (unit, Sim.Fault_plan.error) result
-(** One clustered disk write of file pages back to the store.  On [Error]
-    the source pages stay dirty and the file is unchanged. *)
+(** One clustered disk write of file pages back to the store.  A page's
+    bytes up to EOF are kept in the vnode's written-page store (allocated
+    on its first write) and override the generated pattern from then on;
+    bytes past EOF are dropped.  On [Error] the source pages stay dirty and
+    the file is unchanged. *)
 
 val npages_of : t -> Vnode.t -> int
 (** File size in pages, rounded up. *)

@@ -4,9 +4,10 @@ type vm_private += No_vm
 type t = {
   vid : int;
   name : string;
-  mutable size : int;
+  name_hash : int;
+  size : int;
   mutable usecount : int;
-  mutable data : bytes;
+  pages : bytes array;
   mutable vm_private : vm_private;
   mutable incore : bool;
   mutable lru_node : t Sim.Dlist.node option;

@@ -15,9 +15,13 @@ type vm_private += No_vm
 type t = {
   vid : int;
   name : string;
-  mutable size : int;  (** file length in bytes *)
+  name_hash : int;  (** [Hashtbl.hash name], the seed of the file's pattern *)
+  size : int;  (** file length in bytes *)
   mutable usecount : int;  (** active references *)
-  mutable data : bytes;  (** canonical "on-disk" contents *)
+  pages : bytes array;
+      (** the "on-disk" pages written back so far, each holding the page's
+          bytes up to EOF; [Bytes.empty] for a page never written, whose
+          contents are the generated pattern *)
   mutable vm_private : vm_private;
   mutable incore : bool;  (** has in-core (cached) state *)
   mutable lru_node : t Sim.Dlist.node option;  (** free-LRU linkage *)

@@ -324,6 +324,12 @@ print("ci: smp valid (UVM %.2fx, BSD VM %.2fx at 4 cpus, audits clean)"
       % (systems["UVM"]["speedup"], systems["BSD VM"]["speedup"]))
 EOF
 
+# Benchmark self-test: every simbench workload at quick size, untraced and
+# traced.  Each repetition checks every file page's bytes against
+# Vfs.file_byte, the IPC payloads, cross-kernel divergence and the audits,
+# which makes it the end-to-end guard for the generated file store.
+python3 simbench/run.py --self-test
+
 # Full bench: reproduces every paper table/figure, the ablations and the
 # embedded efficacy report; leaves BENCH_results.json at the repo root so
 # the workflow can start accumulating the bench trajectory.

@@ -93,7 +93,7 @@ let test_transfer_from_file_mapping () =
   (* Receiver writes: becomes private anonymous memory; file unchanged. *)
   write sys dst ~vpn:dvpn "own";
   Alcotest.(check char) "file intact" (Vfs.file_byte ~name:"/tf" ~off:0)
-    (Bytes.get vn.Vfs.Vnode.data 0)
+    (Vfs.read_file (S.machine sys).Vmiface.Machine.vfs vn ~off:0 ~len:1).[0]
 
 
 (* Regression: a COW replace inside a shared amap (possible when a page

@@ -81,7 +81,7 @@ let test_dirty_shared_pages_flushed_on_recycle () =
   let y = Vfs.create_file (vfs sys) ~name:"/y" ~size:4096 in
   Vfs.vrele (vfs sys) y;
   Alcotest.(check string) "write-back on terminate" "durable"
-    (Bytes.to_string (Bytes.sub vn.Vfs.Vnode.data 0 7));
+    (Vfs.read_file (vfs sys) vn ~off:0 ~len:7);
   (* And a fresh mapping reads the flushed data back from "disk". *)
   let vn2 = Vfs.lookup (vfs sys) ~name:"/d" in
   let vpn2 = S.mmap sys vm ~npages:2 ~prot:Pmap.Prot.read ~share:Vt.Shared (Vt.File (vn2, 0)) in

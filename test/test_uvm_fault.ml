@@ -48,16 +48,17 @@ let test_file_shared_write_reaches_file () =
   S.write_bytes sys vm ~addr:(vpn * 4096) (Bytes.of_string "SHARED");
   S.msync sys vm ~vpn ~npages:2;
   Alcotest.(check string) "flushed to file" "SHARED"
-    (Bytes.to_string (Bytes.sub vn.Vfs.Vnode.data 0 6))
+    (Vfs.read_file (vfs sys) vn ~off:0 ~len:6)
 
 let test_file_private_write_isolated () =
   let sys, vm = mk () in
   let vn = Vfs.create_file (vfs sys) ~name:"/pw" ~size:8192 in
   let vpn = S.mmap sys vm ~npages:2 ~prot:Pmap.Prot.rw ~share:Vt.Private (Vt.File (vn, 0)) in
-  let orig = Bytes.get vn.Vfs.Vnode.data 0 in
+  let orig = (Vfs.read_file (vfs sys) vn ~off:0 ~len:1).[0] in
   S.write_bytes sys vm ~addr:(vpn * 4096) (Bytes.of_string "PRIV");
   S.msync sys vm ~vpn ~npages:2;
-  Alcotest.(check char) "file untouched" orig (Bytes.get vn.Vfs.Vnode.data 0);
+  Alcotest.(check char) "file untouched" orig
+    (Vfs.read_file (vfs sys) vn ~off:0 ~len:1).[0];
   Alcotest.(check int) "promoted via one copy" 1 (stats sys).Sim.Stats.cow_copies;
   (* A second process mapping the file sees the original data. *)
   let vm2 = S.new_vmspace sys in

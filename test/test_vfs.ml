@@ -23,7 +23,7 @@ let test_file_byte_deterministic () =
        (fun off -> Vfs.file_byte ~name:"/a" ~off <> Vfs.file_byte ~name:"/b" ~off)
        (List.init 64 Fun.id))
 
-(* A new file's contents are filled with the name hashed once; every
+(* A new file's contents are generated a 256-byte run at a time; every
    byte must still equal the single-byte [file_byte] at its offset. *)
 let test_filled_file_matches_file_byte () =
   let vfs, _, _ = mk ~max_vnodes:8 () in
@@ -31,8 +31,9 @@ let test_filled_file_matches_file_byte () =
     (fun name ->
       let size = 70_000 in
       let vn = Vfs.create_file vfs ~name ~size in
+      let data = Vfs.read_file vfs vn ~off:0 ~len:size in
       for off = 0 to size - 1 do
-        if Bytes.get vn.Vfs.Vnode.data off <> Vfs.file_byte ~name ~off then
+        if data.[off] <> Vfs.file_byte ~name ~off then
           Alcotest.failf "%s: byte %d differs from file_byte" name off
       done)
     [ "/a"; "/b"; ""; "/usr/lib/libc.so.12"; String.make 300 'x' ]
@@ -42,7 +43,7 @@ let test_create_lookup () =
   let vn = Vfs.create_file vfs ~name:"/x" ~size:1000 in
   Alcotest.(check int) "one ref" 1 vn.Vfs.Vnode.usecount;
   Alcotest.(check int) "pattern" (Char.code (Vfs.file_byte ~name:"/x" ~off:5))
-    (Char.code (Bytes.get vn.Vfs.Vnode.data 5));
+    (Char.code (Vfs.read_file vfs vn ~off:5 ~len:1).[0]);
   Alcotest.check_raises "duplicate create"
     (Invalid_argument "Vfs.create_file: /x exists") (fun () ->
       ignore (Vfs.create_file vfs ~name:"/x" ~size:10));
@@ -112,7 +113,7 @@ let test_read_write_pages () =
   Bytes.fill p0.Physmem.Page.data 0 256 'Z';
   p0.Physmem.Page.dirty <- true;
   io_ok (Vfs.write_pages vfs vn ~start_page:0 ~srcs:[ p0 ]);
-  Alcotest.(check char) "file updated" 'Z' (Bytes.get vn.Vfs.Vnode.data 100);
+  Alcotest.(check char) "file updated" 'Z' (Vfs.read_file vfs vn ~off:100 ~len:1).[0];
   Alcotest.(check bool) "page cleaned" false p0.Physmem.Page.dirty;
   Alcotest.(check int) "npages_of rounds up" 3 (Vfs.npages_of vfs vn)
 
@@ -146,6 +147,106 @@ let test_read_ahead_detection () =
     (c.Sim.Cost_model.disk_op_latency +. c.Sim.Cost_model.disk_page_transfer)
     (Sim.Simclock.now clock -. t2)
 
+(* The sparse store against a plain [Bytes] model of the file: the model
+   starts as [file_byte] and takes every written page's bytes up to EOF.
+   Each read must match the model, with zeros past EOF; since the model
+   only changes where a page was written, the unwritten neighbours of a
+   written page must stay canonical. *)
+type op = Write of int * int * int | Read of int * int
+
+let prop_sparse_store_matches_model =
+  let gen =
+    QCheck.Gen.(
+      let* page_size = oneofl [ 256; 4096 ] in
+      let* name = string_size ~gen:printable (int_range 0 12) in
+      let* full = int_range 0 6 in
+      let* tail = int_range 1 (page_size - 1) in
+      let npages = full + 1 in
+      let span = int_range 0 (npages - 1) >>= fun start ->
+        int_range 1 (npages + 1 - start) >|= fun n -> (start, n) in
+      let op =
+        frequency
+          [
+            (1, span >>= fun (s, n) -> int_bound 255 >|= fun fill -> Write (s, n, fill));
+            (2, span >|= fun (s, n) -> Read (s, n));
+          ]
+      in
+      let* ops = list_size (int_range 1 20) op in
+      return (page_size, name, (full * page_size) + tail, ops))
+  in
+  let print (page_size, name, size, ops) =
+    Printf.sprintf "page_size=%d name=%S size=%d ops=[%s]" page_size name size
+      (String.concat "; "
+         (List.map
+            (function
+              | Write (s, n, f) -> Printf.sprintf "W(%d,%d,%d)" s n f
+              | Read (s, n) -> Printf.sprintf "R(%d,%d)" s n)
+            ops))
+  in
+  QCheck.Test.make ~name:"sparse store matches a bytes model" ~count:200
+    (QCheck.make ~print gen) (fun (page_size, name, size, ops) ->
+      let clock = Sim.Simclock.create () in
+      let stats = Sim.Stats.create () in
+      let costs = Sim.Cost_model.zero in
+      let vfs = Vfs.create ~page_size ~clock ~costs ~stats () in
+      let pm = Physmem.create ~page_size ~npages:16 ~clock ~costs ~stats () in
+      let frames =
+        Array.init 8 (fun _ -> Physmem.alloc pm ~owner:Physmem.Page.No_owner ~offset:0 ())
+      in
+      let vn = Vfs.create_file vfs ~name ~size in
+      let model = Bytes.init size (fun off -> Vfs.file_byte ~name ~off) in
+      let frame_list n = List.init n (fun i -> frames.(i)) in
+      List.iter
+        (function
+          | Write (start, n, fill) ->
+              List.iteri
+                (fun i (f : Physmem.Page.t) ->
+                  Bytes.iteri
+                    (fun j _ -> Bytes.set f.data j (Char.chr ((fill + i + (j * 7)) land 0xff)))
+                    f.data;
+                  let off = (start + i) * page_size in
+                  let avail = max 0 (min page_size (size - off)) in
+                  if avail > 0 then Bytes.blit f.data 0 model off avail)
+                (frame_list n);
+              io_ok (Vfs.write_pages vfs vn ~start_page:start ~srcs:(frame_list n))
+          | Read (start, n) ->
+              List.iter (fun (f : Physmem.Page.t) -> Bytes.fill f.data 0 page_size '\xaa')
+                (frame_list n);
+              io_ok (Vfs.read_pages vfs vn ~start_page:start ~dsts:(frame_list n));
+              List.iteri
+                (fun i (f : Physmem.Page.t) ->
+                  let off = (start + i) * page_size in
+                  let avail = max 0 (min page_size (size - off)) in
+                  let want =
+                    Bytes.cat (Bytes.sub model (min off size) avail)
+                      (Bytes.make (page_size - avail) '\000')
+                  in
+                  if not (Bytes.equal want f.data) then
+                    QCheck.Test.fail_reportf "page %d differs from the model" (start + i))
+                (frame_list n))
+        ops;
+      Vfs.read_file vfs vn ~off:0 ~len:size = Bytes.to_string model)
+
+(* No byte is filled at creation: a 4096-page file costs its page table
+   of (mostly empty) written-page slots and a constant. *)
+let test_create_allocates_per_page () =
+  let clock = Sim.Simclock.create () in
+  let stats = Sim.Stats.create () in
+  let vfs =
+    Vfs.create ~page_size:4096 ~clock ~costs:Sim.Cost_model.zero ~stats ()
+  in
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let npages = 4096 in
+  let before = words () in
+  let vn = Vfs.create_file vfs ~name:"/big" ~size:(npages * 4096) in
+  let per_page = (words () -. before) /. float_of_int npages in
+  if per_page >= 64. then
+    Alcotest.failf "create_file allocated %.1f words per page" per_page;
+  Alcotest.(check int) "pages" npages (Vfs.npages_of vfs vn)
+
 let test_recycle_skips_referenced () =
   let vfs, _, _ = mk ~max_vnodes:1 () in
   let a = Vfs.create_file vfs ~name:"/a" ~size:256 in
@@ -165,6 +266,9 @@ let () =
             test_filled_file_matches_file_byte;
           Alcotest.test_case "create/lookup" `Quick test_create_lookup;
           Alcotest.test_case "read/write pages" `Quick test_read_write_pages;
+          Alcotest.test_case "create_file allocates per page" `Quick
+            test_create_allocates_per_page;
+          QCheck_alcotest.to_alcotest prop_sparse_store_matches_model;
         ] );
       ( "cache",
         [
