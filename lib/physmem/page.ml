@@ -40,8 +40,6 @@ type t = {
 }
 
 let is_free t = t.queue = Q_free
-let is_wired t = t.wire_count > 0
-let is_loaned t = t.loan_count > 0
 
 let queue_name = function
   | Q_none -> "none"

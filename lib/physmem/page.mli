@@ -63,8 +63,6 @@ type t = {
 }
 
 val is_free : t -> bool
-val is_wired : t -> bool
-val is_loaned : t -> bool
 val lstate_name : lstate -> string
 
 val pp : Format.formatter -> t -> unit

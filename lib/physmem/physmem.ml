@@ -290,7 +290,6 @@ let set_lockstat t reg =
               Sim.Lockstat.register ls ~cls:"pagequeue"
                 (Printf.sprintf "pagequeue.c%02d" c)) ))
       reg
-let page_shortage t = t.free_count < t.freemin
 
 let rings_of t = function
   | Page.Q_free -> t.free

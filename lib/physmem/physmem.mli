@@ -75,9 +75,6 @@ val set_current_cpu : t -> int -> unit
 
 val current_cpu : t -> int
 
-val cache_target : t -> int
-(** Per-CPU cache fill target (0 on a 1-CPU machine). *)
-
 val drain_caches : t -> unit
 (** Return every cached page to its color's free queue.  Runs implicitly
     when an allocation finds the machine under pressure. *)
@@ -185,9 +182,6 @@ val copy_data : t -> src:Page.t -> dst:Page.t -> unit
 
 val zero_data : t -> Page.t -> unit
 (** Zero page contents, charging the page-zero cost. *)
-
-val page_shortage : t -> bool
-(** True when the free list is below [freemin]. *)
 
 (** {1 Lockless page lookup}
 

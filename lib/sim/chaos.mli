@@ -35,10 +35,8 @@ type scenario = {
 val mode_name : mode -> string
 val mode_detail : mode -> (string * string) list
 
-val phases_at : scenario -> now_us:float -> phase list
-(** Phases active at [now_us], in schedule order. *)
-
 val phase_names_at : scenario -> now_us:float -> string list
+(** Names of the phases active at [now_us], in schedule order. *)
 
 val generate : seed:int -> len_us:float -> pressure_pages:int -> scenario
 (** The canonical soak schedule: warm-up, fork/exit churn, an I/O error

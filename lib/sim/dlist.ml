@@ -55,7 +55,6 @@ let pop_tail t =
       Some n.v
 
 let peek_head t = Option.map value t.head
-let peek_tail t = Option.map value t.tail
 let head_node t = t.head
 let next_node n = n.next
 

@@ -42,7 +42,6 @@ val pop_tail : 'a t -> 'a option
 (** [pop_tail t] removes and returns the tail value, if any. *)
 
 val peek_head : 'a t -> 'a option
-val peek_tail : 'a t -> 'a option
 
 val head_node : 'a t -> 'a node option
 val next_node : 'a node -> 'a node option

@@ -328,16 +328,6 @@ let take_window_max_us t =
   t.window_max <- 0.0;
   v
 
-let top_class t =
-  Hashtbl.fold
-    (fun _ c best ->
-      if c.c_hold_total <= 0.0 then best
-      else
-        match best with
-        | Some (_, tot) when tot >= c.c_hold_total -> best
-        | _ -> Some (c.c_name, c.c_hold_total))
-    t.classes None
-
 (* {1 Lock-order auditing} *)
 
 let order_edges t =

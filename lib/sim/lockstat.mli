@@ -126,9 +126,6 @@ val take_window_max_us : t -> float
 (** Largest single hold recorded since the previous call, then reset —
     the vmstat "max hold this window" gauge. *)
 
-val top_class : t -> (string * float) option
-(** The class with the most cumulative hold time, if any recorded. *)
-
 (** {1 Lock-order auditing} *)
 
 val order_edges : t -> (string * string * int) list

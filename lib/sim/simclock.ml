@@ -10,9 +10,3 @@ let advance t us =
   match t.tick with None -> () | Some f -> f ()
 
 let set_on_advance t f = t.tick <- Some f
-let elapsed_since t t0 = t.now -. t0
-
-let pp_duration ppf us =
-  if us < 1_000.0 then Format.fprintf ppf "%.1fus" us
-  else if us < 1_000_000.0 then Format.fprintf ppf "%.2fms" (us /. 1e3)
-  else Format.fprintf ppf "%.3fs" (us /. 1e6)

@@ -21,9 +21,3 @@ val set_on_advance : t -> (unit -> unit) -> unit
 (** Install a hook run after every {!advance} (replacing any previous
     one).  Used by {!Timeseries.attach} to sample on time passing; the
     hook must not advance the clock itself. *)
-
-val elapsed_since : t -> float -> float
-(** [elapsed_since t t0] is [now t -. t0]. *)
-
-val pp_duration : Format.formatter -> float -> unit
-(** Pretty-print a duration, choosing µs / ms / s units. *)

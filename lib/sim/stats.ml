@@ -5,6 +5,7 @@ type t = {
   mutable fault_ahead_wasted : int;
   mutable pageins : int;
   mutable pageouts : int;
+  mutable swap_zero_pageouts : int;
   mutable disk_read_ops : int;
   mutable disk_write_ops : int;
   mutable disk_pages_read : int;
@@ -89,6 +90,7 @@ let create () =
     fault_ahead_wasted = 0;
     pageins = 0;
     pageouts = 0;
+    swap_zero_pageouts = 0;
     disk_read_ops = 0;
     disk_write_ops = 0;
     disk_pages_read = 0;
@@ -198,6 +200,8 @@ let fields =
         t.fault_ahead_wasted <- v);
     int_field "pageins" (fun t -> t.pageins) (fun t v -> t.pageins <- v);
     int_field "pageouts" (fun t -> t.pageouts) (fun t v -> t.pageouts <- v);
+    int_field "swap_zero_pageouts" (fun t -> t.swap_zero_pageouts) (fun t v ->
+        t.swap_zero_pageouts <- v);
     int_field "disk_read_ops" (fun t -> t.disk_read_ops) (fun t v ->
         t.disk_read_ops <- v);
     int_field "disk_write_ops" (fun t -> t.disk_write_ops) (fun t v ->

@@ -12,6 +12,7 @@ type t = {
   mutable fault_ahead_wasted : int;  (** fault-ahead pages evicted/refaulted untouched *)
   mutable pageins : int;  (** pages read from backing store *)
   mutable pageouts : int;  (** pages written to backing store *)
+  mutable swap_zero_pageouts : int;  (** swap pageouts of all-zero pages, stored as a tag *)
   mutable disk_read_ops : int;
   mutable disk_write_ops : int;
   mutable disk_pages_read : int;

@@ -1,9 +1,40 @@
+type contents = Zero | Data of bytes
+
+(* Word-wise zero scan, four words per step, then a byte tail.  The
+   int64 loads and their [logor] stay unboxed when compared with a
+   literal, and the loop's refs live in registers: the scan allocates
+   nothing. *)
+let is_zero b =
+  let n = Bytes.length b in
+  let blocks = n land lnot 31 in
+  let i = ref 0 in
+  while
+    !i < blocks
+    && Int64.logor
+         (Int64.logor (Bytes.get_int64_ne b !i) (Bytes.get_int64_ne b (!i + 8)))
+         (Int64.logor
+            (Bytes.get_int64_ne b (!i + 16))
+            (Bytes.get_int64_ne b (!i + 24)))
+       = 0L
+  do
+    i := !i + 32
+  done;
+  if !i < blocks then false
+  else begin
+    while !i < n && Bytes.get b !i = '\000' do
+      incr i
+    done;
+    !i >= n
+  end
+
+let capture b = if is_zero b then Zero else Data (Bytes.copy b)
+
 type t = {
   map : Swapmap.t;
   disk : Sim.Disk.t;
   clock : Sim.Simclock.t;
   page_size : int;
-  store : (int, bytes) Hashtbl.t;
+  store : (int, contents) Hashtbl.t;
   stats : Sim.Stats.t;
 }
 
@@ -51,6 +82,12 @@ let mark_bad t ~slot =
     true
   end
 
+let restore t c ~(dst : Physmem.Page.t) =
+  (match c with
+  | Zero -> Bytes.fill dst.data 0 t.page_size '\000'
+  | Data d -> Bytes.blit d 0 dst.data 0 t.page_size);
+  dst.dirty <- false
+
 let slot_range slot n = List.init n (fun i -> slot + i)
 
 (* The disk decides the fate of the transfer before any bytes move: a
@@ -69,7 +106,13 @@ let write_cluster t ~slot ~pages =
   | Ok () ->
       List.iteri
         (fun i (page : Physmem.Page.t) ->
-          Hashtbl.replace t.store (slot + i) (Bytes.copy page.data);
+          let c = capture page.data in
+          (match c with
+          | Zero ->
+              t.stats.Sim.Stats.swap_zero_pageouts <-
+                t.stats.Sim.Stats.swap_zero_pageouts + 1
+          | Data _ -> ());
+          Hashtbl.replace t.store (slot + i) c;
           page.dirty <- false)
         pages;
       t.stats.Sim.Stats.pageouts <- t.stats.Sim.Stats.pageouts + n;
@@ -78,57 +121,54 @@ let write_cluster t ~slot ~pages =
 let read_slot t ~slot ~dst =
   match Hashtbl.find_opt t.store slot with
   | None -> invalid_arg "Swapdev.read_slot: slot holds no data"
-  | Some data ->
+  | Some c ->
       match Sim.Disk.read t.disk ~slots:[ slot ] ~npages:1 with
       | Error _ as e -> e
       | Ok () ->
-          Bytes.blit data 0 dst.Physmem.Page.data 0 t.page_size;
-          dst.Physmem.Page.dirty <- false;
+          restore t c ~dst;
           t.stats.Sim.Stats.pageins <- t.stats.Sim.Stats.pageins + 1;
           Ok ()
 
 let read_cluster t ~slot ~dsts =
   let n = List.length dsts in
   if n = 0 then invalid_arg "Swapdev.read_cluster: no pages";
-  let datas =
+  let stored =
     List.mapi
       (fun i (_ : Physmem.Page.t) ->
         match Hashtbl.find_opt t.store (slot + i) with
         | None -> invalid_arg "Swapdev.read_cluster: slot holds no data"
-        | Some data -> data)
+        | Some c -> c)
       dsts
   in
   match Sim.Disk.read t.disk ~slots:(slot_range slot n) ~npages:n with
   | Error _ as e -> e
   | Ok () ->
-      List.iter2
-        (fun data (dst : Physmem.Page.t) ->
-          Bytes.blit data 0 dst.Physmem.Page.data 0 t.page_size;
-          dst.Physmem.Page.dirty <- false)
-        datas dsts;
+      List.iter2 (fun c dst -> restore t c ~dst) stored dsts;
       t.stats.Sim.Stats.pageins <- t.stats.Sim.Stats.pageins + n;
       Ok ()
 
 let has_data t ~slot = Hashtbl.mem t.store slot
 
 (* Raw slot transfers for the tier layer: swapcache fills/hits and
-   cross-device drain migration move bytes without touching page state or
-   the pagein/pageout counters — those flows have their own accounting. *)
+   cross-device drain migration move contents without touching page
+   state or the pagein/pageout counters — those flows have their own
+   accounting.  Stored contents are never mutated, so both directions
+   share the value instead of copying it. *)
 let read_raw t ~slot =
   match Hashtbl.find_opt t.store slot with
   | None -> invalid_arg "Swapdev.read_raw: slot holds no data"
-  | Some data ->
+  | Some c ->
       match Sim.Disk.read t.disk ~slots:[ slot ] ~npages:1 with
       | Error e -> Error e
-      | Ok () -> Ok (Bytes.copy data)
+      | Ok () -> Ok c
 
-let write_raw t ~slot data =
+let write_raw t ~slot c =
   if not (Swapmap.is_allocated t.map ~slot) then
     invalid_arg "Swapdev.write_raw: slot not allocated";
   match Sim.Disk.write t.disk ~slots:[ slot ] ~npages:1 with
   | Error _ as e -> e
   | Ok () ->
-      Hashtbl.replace t.store slot (Bytes.copy data);
+      Hashtbl.replace t.store slot c;
       Ok ()
 
 (* Exponential backoff before retry attempt [attempt] (0-based), charged

@@ -1,14 +1,28 @@
 (** The swap device: slot allocation plus actual paging I/O.
 
-    Page contents written out are retained per-slot, so a later pagein
-    restores the exact bytes — pageout/pagein is validated for data
-    correctness, not just accounting.
+    Each written slot retains its page, so a later pagein restores the
+    exact bytes — pageout/pagein is validated for data correctness, not
+    just accounting.  A page is retained as a zero tag when every byte
+    is zero (most pageouts: anonymous zero-fill memory the program never
+    wrote) and as one immutable copy otherwise, the way Linux zram keeps
+    same-filled pages.  The representation is host-side only: the disk
+    is charged the same seek and per-page transfer for a tagged page as
+    for a copied one, so every simulated time is unchanged.
 
     All transfers are fallible (see {!Sim.Fault_plan}); a failed write
     leaves the pages dirty and the stored bytes untouched, so callers can
     retry or reassign without losing data.  The [_resilient] entry points
     package the standard recovery policy: bounded exponential-backoff
     retry for transient errors, blacklist-and-reassign for bad media. *)
+
+type contents =
+  | Zero  (** an all-zero page, kept as a tag *)
+  | Data of bytes  (** one private copy of a page; never mutated *)
+(** What one slot stores. *)
+
+val capture : bytes -> contents
+(** [capture frame] is [Zero] if every byte of [frame] is zero (a
+    word-wise scan that allocates nothing), else [Data] of a copy. *)
 
 type t
 
@@ -66,15 +80,21 @@ val read_cluster :
 val has_data : t -> slot:int -> bool
 (** Whether a successful write ever stored bytes in [slot]. *)
 
-val read_raw : t -> slot:int -> (bytes, Sim.Fault_plan.error) result
-(** Read one slot's stored bytes (one charged I/O operation) without
+val restore : t -> contents -> dst:Physmem.Page.t -> unit
+(** Overwrite [dst]'s frame with [c] and mark it clean.  Charges no I/O:
+    the read that produced [c] did. *)
+
+val read_raw : t -> slot:int -> (contents, Sim.Fault_plan.error) result
+(** Read one slot's stored contents (one charged I/O operation) without
     touching any page or the pagein counters — the tier layer's
-    swapcache-hit and drain-migration primitive.
+    swapcache-hit and drain-migration primitive.  The result is the
+    stored value itself, shared with the slot, not a copy.
     @raise Invalid_argument if the slot holds no data. *)
 
-val write_raw : t -> slot:int -> bytes -> (unit, Sim.Fault_plan.error) result
-(** Store bytes in an allocated slot (one charged I/O operation) without
-    touching any page or the pageout counters.
+val write_raw : t -> slot:int -> contents -> (unit, Sim.Fault_plan.error) result
+(** Store contents in an allocated slot (one charged I/O operation)
+    without touching any page or the pageout counters.  The slot shares
+    the value, not a copy of it; a failed write stores nothing.
     @raise Invalid_argument if the slot is not allocated. *)
 
 val read_resilient :

@@ -26,7 +26,6 @@ type cache_key = int * int
 type t = {
   devices : device array;  (** creation order; bases ascending *)
   bands : device array array;  (** grouped by priority, best band first *)
-  page_size : int;
   clock : Sim.Simclock.t;
   stats : Sim.Stats.t;
   cache : (cache_key, int) Hashtbl.t;  (** key -> global slot *)
@@ -97,7 +96,6 @@ let create ~specs ~page_size ~clock ~costs ~stats =
   {
     devices;
     bands;
-    page_size;
     clock;
     stats;
     cache = Hashtbl.create 64;
@@ -485,20 +483,22 @@ let slot_needs_drain t ~slot =
   let d = device_of t ~slot in
   d.offline && Swapdev.is_allocated_slot d.dev ~slot:(slot - d.base)
 
-(* Copy one surviving slot to a healthy device.  Returns the fresh global
-   slot; the caller rebinds its bookkeeping and frees the old slot.  None
-   when the slot has no stored bytes (owner will rewrite it), the read
-   failed, or no healthy device has room even after shedding cache. *)
+(* Move one surviving slot's contents to a healthy device: the stored
+   value itself travels, so both charged transfers copy nothing.  Returns
+   the fresh global slot; the caller rebinds its bookkeeping and frees
+   the old slot.  None when the slot has no stored bytes (owner will
+   rewrite it), the read failed, or no healthy device has room even
+   after shedding cache. *)
 let migrate_data t ~slot ~src =
     match Swapdev.read_raw src.dev ~slot:(slot - src.base) with
     | Error _ -> None
-    | Ok data -> (
+    | Ok c -> (
         let pred d = allocatable d && d.dev_id <> src.dev_id in
         match alloc_where t ~n:1 ~pred with
         | None -> None
         | Some g -> (
             let dst = device_of t ~slot:g in
-            match Swapdev.write_raw dst.dev ~slot:(g - dst.base) data with
+            match Swapdev.write_raw dst.dev ~slot:(g - dst.base) c with
             | Error _ ->
                 Swapdev.free_slots dst.dev ~slot:(g - dst.base) ~n:1;
                 None
@@ -564,7 +564,10 @@ let cache_put t ~vid ~pgno ~(page : Physmem.Page.t) =
         match Swapdev.alloc_slots d.dev ~n:1 with
         | None -> ()
         | Some local -> (
-            match Swapdev.write_raw d.dev ~slot:local page.Physmem.Page.data with
+            match
+              Swapdev.write_raw d.dev ~slot:local
+                (Swapdev.capture page.Physmem.Page.data)
+            with
             | Error _ -> Swapdev.free_slots d.dev ~slot:local ~n:1
             | Ok () ->
                 let g = d.base + local in
@@ -588,9 +591,8 @@ let cache_lookup t ~vid ~pgno ~(dst : Physmem.Page.t) =
              to the vnode — the canonical copy is always the file. *)
           cache_drop t (vid, pgno);
           false
-      | Ok data ->
-          Bytes.blit data 0 dst.Physmem.Page.data 0 t.page_size;
-          dst.Physmem.Page.dirty <- false;
+      | Ok c ->
+          Swapdev.restore d.dev c ~dst;
           d.d_pageins <- d.d_pageins + 1;
           t.stats.Sim.Stats.swap_cache_hits <-
             t.stats.Sim.Stats.swap_cache_hits + 1;

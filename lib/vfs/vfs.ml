@@ -31,7 +31,6 @@ let create ?(max_vnodes = 2048) ~page_size ~clock ~costs ~stats () =
 
 let page_size t = t.page_size
 let disk t = t.disk
-let incore_count t = t.incore
 let free_list_length t = Sim.Dlist.length t.free_lru
 let register_recycle_hook t f = t.recycle_hooks <- f :: t.recycle_hooks
 

@@ -62,7 +62,6 @@ val register_recycle_hook : t -> (Vnode.t -> unit) -> unit
 (** Called just before an unreferenced vnode's in-core state is discarded;
     the VM layer must tear down any memory object riding in [vm_private]. *)
 
-val incore_count : t -> int
 val free_list_length : t -> int
 
 val read_pages :

@@ -60,11 +60,16 @@ EOF
 
 # Stats-snapshot smoke: --stats-out must emit uvm-sim-stats/2 for both
 # VM systems, with span-derived fault and pagein latency histograms and
-# the span ring's recorded/dropped counts.
+# the span ring's recorded/dropped counts.  In both snapshots, and for
+# both systems, the swap store's zero-page tags are a subset of all
+# pageouts (a zero counter is omitted from a snapshot, so reads as 0);
+# fig5 must page out on both systems, so that bound is not vacuous.
 stats=$(mktemp /tmp/uvm-stats.XXXXXX.json)
-trap 'rm -f "$trace" "$stats"' EXIT
+swapstats=$(mktemp /tmp/uvm-stats.XXXXXX.json)
+trap 'rm -f "$trace" "$stats" "$swapstats"' EXIT
 dune exec bin/uvm_sim.exe -- table2 --stats-out "$stats" > /dev/null
-python3 - "$stats" <<'EOF'
+dune exec bin/uvm_sim.exe -- fig5 --stats-out "$swapstats" > /dev/null
+python3 - "$stats" "$swapstats" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     r = json.load(f)
@@ -77,7 +82,16 @@ for label, s in systems.items():
         assert h is not None and h["count"] > 0, (label, series)
     assert s["trace"]["recorded"] > 0, (label, s["trace"])
     assert s["trace"]["dropped"] >= 0, (label, s["trace"])
-print("ci: stats snapshot valid (%d systems)" % len(systems))
+for path in sys.argv[1:]:
+    with open(path) as f:
+        snap = {s["label"]: s["counters"] for s in json.load(f)["systems"]}
+    assert set(snap) >= {"UVM", "BSD VM"}, (path, set(snap))
+    for label, c in snap.items():
+        zero, out = c.get("swap_zero_pageouts", 0), c.get("pageouts", 0)
+        assert 0 <= zero <= out, (path, label, zero, out)
+        if path == sys.argv[2]:
+            assert out > 0, ("fig5 paged nothing out", label)
+print("ci: stats snapshots valid (%d systems)" % len(systems))
 EOF
 
 # Torture smoke: one fixed-seed differential run with periodic invariant

@@ -74,15 +74,15 @@ let io_ok = function
   | Error e ->
       Alcotest.failf "unexpected I/O error: %s" (Sim.Fault_plan.string_of_error e)
 
-let mk_dev () =
+let mk_dev ?(page_size = 256) () =
   let clock = Sim.Simclock.create () in
   let stats = Sim.Stats.create () in
   let dev =
-    Swap.Swapdev.create ~nslots:64 ~page_size:256 ~clock
+    Swap.Swapdev.create ~nslots:64 ~page_size ~clock
       ~costs:Sim.Cost_model.default ~stats ()
   in
   let pm =
-    Physmem.create ~page_size:256 ~npages:32 ~clock
+    Physmem.create ~page_size ~npages:32 ~clock
       ~costs:Sim.Cost_model.zero ~stats ()
   in
   (dev, pm, clock, stats)
@@ -138,6 +138,344 @@ let test_swapdev_free_discards () =
   Alcotest.check_raises "data discarded"
     (Invalid_argument "Swapdev.read_slot: slot holds no data") (fun () ->
       ignore (Swap.Swapdev.read_slot dev ~slot ~dst:p))
+
+(* -- the zero tag -------------------------------------------------- *)
+
+module Sd = Swap.Swapdev
+
+(* A read destination that is dirty in both senses: 0xAA in every byte,
+   so a restore that leaves any byte unwritten shows, and the dirty bit
+   set, so a restore must clear it. *)
+let soil (p : Physmem.Page.t) =
+  Bytes.fill p.data 0 (Bytes.length p.data) '\xAA';
+  p.dirty <- true;
+  p
+
+let frame pm = soil (Physmem.alloc pm ~owner:Physmem.Page.No_owner ~offset:0 ())
+
+let all_bytes b c = Bytes.for_all (fun x -> x = c) b
+
+let test_zero_page_restores_into_dirty_frame () =
+  let dev, pm, _, stats = mk_dev () in
+  let src = Physmem.alloc pm ~owner:Physmem.Page.No_owner ~offset:0 () in
+  Bytes.fill src.Physmem.Page.data 0 256 '\000';
+  let slot = Option.get (Sd.alloc_slots dev ~n:2) in
+  io_ok (Sd.write_cluster dev ~slot ~pages:[ src; src ]);
+  Alcotest.(check int) "both counted as zero pageouts" 2
+    stats.Sim.Stats.swap_zero_pageouts;
+  (match Sd.read_raw dev ~slot with
+  | Ok Sd.Zero -> ()
+  | Ok (Sd.Data _) -> Alcotest.fail "zero page stored as a copy"
+  | Error _ -> Alcotest.fail "unexpected read error");
+  let dst = frame pm in
+  io_ok (Sd.read_slot dev ~slot ~dst);
+  Alcotest.(check bool) "read_slot zeroes the frame" true
+    (all_bytes dst.Physmem.Page.data '\000');
+  let dsts = [ frame pm; frame pm ] in
+  io_ok (Sd.read_cluster dev ~slot ~dsts);
+  List.iter
+    (fun (d : Physmem.Page.t) ->
+      Alcotest.(check bool) "read_cluster zeroes the frame" true
+        (all_bytes d.data '\000');
+      Alcotest.(check bool) "clean" false d.dirty)
+    dsts
+
+(* The scan's last step is the byte tail (page size 100) or the last
+   word of the last four-word block (page size 256). *)
+let test_last_byte_is_data () =
+  List.iter
+    (fun page_size ->
+      let dev, pm, _, stats = mk_dev ~page_size () in
+      let src = Physmem.alloc pm ~owner:Physmem.Page.No_owner ~offset:0 () in
+      Bytes.fill src.Physmem.Page.data 0 page_size '\000';
+      Bytes.set src.Physmem.Page.data (page_size - 1) '\x01';
+      let slot = Option.get (Sd.alloc_slots dev ~n:1) in
+      io_ok (Sd.write_cluster dev ~slot ~pages:[ src ]);
+      Alcotest.(check int) "not a zero pageout" 0 stats.Sim.Stats.swap_zero_pageouts;
+      (match Sd.read_raw dev ~slot with
+      | Ok (Sd.Data _) -> ()
+      | Ok Sd.Zero -> Alcotest.failf "page size %d: last byte lost to a tag" page_size
+      | Error _ -> Alcotest.fail "unexpected read error");
+      let dst = frame pm in
+      io_ok (Sd.read_slot dev ~slot ~dst);
+      Alcotest.(check bytes) "round trip" src.Physmem.Page.data dst.Physmem.Page.data)
+    [ 256; 100 ]
+
+let test_capture_zero_allocates_nothing () =
+  let page = Bytes.make 4096 '\000' in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Sys.opaque_identity (Sd.capture page))
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "1000 zero captures allocate %.0f words" words)
+    true (words < 100.)
+
+(* A failed transfer moves no contents: each slot keeps its previous tag
+   or copy, and the pages that failed to go out stay dirty. *)
+let test_failed_write_keeps_contents () =
+  let dev, pm, _, _ = mk_dev () in
+  let zero = Physmem.alloc pm ~owner:Physmem.Page.No_owner ~offset:0 () in
+  Bytes.fill zero.Physmem.Page.data 0 256 '\000';
+  let data = Physmem.alloc pm ~owner:Physmem.Page.No_owner ~offset:0 () in
+  Bytes.fill data.Physmem.Page.data 0 256 'd';
+  let slot = Option.get (Sd.alloc_slots dev ~n:2) in
+  io_ok (Sd.write_cluster dev ~slot ~pages:[ zero; data ]);
+  let plan = Sim.Fault_plan.create () in
+  Sim.Disk.set_fault_plan (Sd.disk dev) (Some plan);
+  (* Swap the two: the zero slot would become data and vice versa. *)
+  zero.Physmem.Page.dirty <- true;
+  data.Physmem.Page.dirty <- true;
+  Sim.Fault_plan.fail_op plan Sim.Fault_plan.Write Sim.Fault_plan.Transient;
+  (match Sd.write_cluster dev ~slot ~pages:[ data; zero ] with
+  | Error _ -> ()
+  | Ok () -> Alcotest.fail "scripted write failure did not fire");
+  Alcotest.(check bool) "pages stay dirty" true
+    (zero.Physmem.Page.dirty && data.Physmem.Page.dirty);
+  Sim.Fault_plan.fail_op plan Sim.Fault_plan.Write Sim.Fault_plan.Transient;
+  (match Sd.write_raw dev ~slot:(slot + 1) Sd.Zero with
+  | Error _ -> ()
+  | Ok () -> Alcotest.fail "scripted raw write failure did not fire");
+  Sim.Disk.set_fault_plan (Sd.disk dev) None;
+  let dsts = [ frame pm; frame pm ] in
+  io_ok (Sd.read_cluster dev ~slot ~dsts);
+  Alcotest.(check bool) "zero slot still zero" true
+    (all_bytes (List.nth dsts 0).Physmem.Page.data '\000');
+  Alcotest.(check bool) "data slot still data" true
+    (all_bytes (List.nth dsts 1).Physmem.Page.data 'd')
+
+(* The store against a [Bytes] model: the model maps each slot that holds
+   data to its page, and every read lands in a soiled frame. *)
+type kind = Zeros | One of int * int | Noise of int
+
+type sop =
+  | Alloc of int
+  | Write of int * kind list  (** run index, pages *)
+  | Read of int
+  | Read_cluster of int * int
+  | Free of int  (** run index *)
+  | Bad of int
+  | Write_raw of int * kind
+  | Read_raw of int * int  (** read one slot, re-store its contents in another *)
+
+let nslots = 12
+
+let page_of ps = function
+  | Zeros -> Bytes.make ps '\000'
+  | One (off, v) ->
+      let b = Bytes.make ps '\000' in
+      Bytes.set b off (Char.chr v);
+      b
+  | Noise seed ->
+      let st = Random.State.make [| seed |] in
+      Bytes.init ps (fun _ -> Char.chr (Random.State.int st 256))
+
+let string_of_kind = function
+  | Zeros -> "Z"
+  | One (o, v) -> Printf.sprintf "One(%d,%d)" o v
+  | Noise s -> Printf.sprintf "N%d" s
+
+let string_of_sop = function
+  | Alloc n -> Printf.sprintf "alloc %d" n
+  | Write (r, ks) ->
+      Printf.sprintf "write run%d [%s]" r (String.concat "," (List.map string_of_kind ks))
+  | Read s -> Printf.sprintf "read %d" s
+  | Read_cluster (s, n) -> Printf.sprintf "read_cluster %d+%d" s n
+  | Free r -> Printf.sprintf "free run%d" r
+  | Bad s -> Printf.sprintf "bad %d" s
+  | Write_raw (s, k) -> Printf.sprintf "write_raw %d %s" s (string_of_kind k)
+  | Read_raw (s, d) -> Printf.sprintf "read_raw %d -> %d" s d
+
+let prop_store_matches_model =
+  let gen =
+    QCheck.Gen.(
+      let* ps = oneofl [ 100; 256; 4096 ] in
+      let kind =
+        frequency
+          [
+            (3, return Zeros);
+            ( 2,
+              pair (oneof [ return (ps - 1); int_bound (ps - 1) ]) (int_range 1 255)
+              >|= fun (o, v) -> One (o, v) );
+            (1, int_bound 10_000 >|= fun s -> Noise s);
+          ]
+      in
+      let slot = int_range 1 nslots in
+      let op =
+        frequency
+          [
+            (3, int_range 1 4 >|= fun n -> Alloc n);
+            ( 4,
+              pair (int_bound 7) (list_size (int_range 1 4) kind) >|= fun (r, ks) ->
+              Write (r, ks) );
+            (2, slot >|= fun s -> Read s);
+            (2, pair slot (int_range 1 4) >|= fun (s, n) -> Read_cluster (s, n));
+            (2, int_bound 7 >|= fun r -> Free r);
+            (1, slot >|= fun s -> Bad s);
+            (2, pair slot kind >|= fun (s, k) -> Write_raw (s, k));
+            (2, pair slot slot >|= fun (s, d) -> Read_raw (s, d));
+          ]
+      in
+      let* ops = list_size (int_range 1 40) op in
+      return (ps, ops))
+  in
+  let print (ps, ops) =
+    Printf.sprintf "page_size=%d [%s]" ps (String.concat "; " (List.map string_of_sop ops))
+  in
+  QCheck.Test.make ~name:"swap store matches a bytes model" ~count:300
+    (QCheck.make ~print gen) (fun (ps, ops) ->
+      let clock = Sim.Simclock.create () in
+      let stats = Sim.Stats.create () in
+      let costs = Sim.Cost_model.zero in
+      let dev = Sd.create ~nslots ~page_size:ps ~clock ~costs ~stats () in
+      let pm = Physmem.create ~page_size:ps ~npages:16 ~clock ~costs ~stats () in
+      let frames () =
+        Array.init 4 (fun _ -> Physmem.alloc pm ~owner:Physmem.Page.No_owner ~offset:0 ())
+      in
+      let srcs = frames () and dsts = frames () in
+      let model : (int, bytes) Hashtbl.t = Hashtbl.create 16 in
+      let allocated = Array.make (nslots + 1) false in
+      let bad = Array.make (nslots + 1) false in
+      let runs = ref [] in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      let dirty_dst i = soil dsts.(i) in
+      let expect_invalid what f =
+        match f () with
+        | exception Invalid_argument _ -> ()
+        | _ -> fail "%s: expected Invalid_argument" what
+      in
+      let check_frame slot (d : Physmem.Page.t) =
+        if not (Bytes.equal d.data (Hashtbl.find model slot)) then
+          fail "slot %d: restored bytes differ from the model" slot;
+        if d.dirty then fail "slot %d: restored frame left dirty" slot
+      in
+      let step op =
+        match op with
+        | Alloc n -> (
+            match Sd.alloc_slots dev ~n with
+            | None -> ()
+            | Some base ->
+                for s = base to base + n - 1 do
+                  if allocated.(s) then fail "alloc handed out live slot %d" s;
+                  allocated.(s) <- true
+                done;
+                runs := !runs @ [ (base, n) ])
+        | Write (r, kinds) -> (
+            match List.nth_opt !runs r with
+            | None -> ()
+            | Some (base, len) ->
+                let kinds = List.filteri (fun i _ -> i < len) kinds in
+                let pages =
+                  List.mapi
+                    (fun i k ->
+                      let p = srcs.(i) in
+                      Bytes.blit (page_of ps k) 0 p.Physmem.Page.data 0 ps;
+                      p.Physmem.Page.dirty <- true;
+                      p)
+                    kinds
+                in
+                let zeros0 = stats.Sim.Stats.swap_zero_pageouts in
+                (match Sd.write_cluster dev ~slot:base ~pages with
+                | Error _ -> fail "write_cluster failed with no fault plan"
+                | Ok () -> ());
+                let nzero =
+                  List.length (List.filter (fun k -> all_bytes (page_of ps k) '\000') kinds)
+                in
+                if stats.Sim.Stats.swap_zero_pageouts - zeros0 <> nzero then
+                  fail "zero pageouts counted %d, expected %d"
+                    (stats.Sim.Stats.swap_zero_pageouts - zeros0) nzero;
+                List.iteri
+                  (fun i (p : Physmem.Page.t) ->
+                    if p.dirty then fail "written page left dirty";
+                    Hashtbl.replace model (base + i) (Bytes.copy p.data))
+                  pages)
+        | Read s ->
+            let dst = dirty_dst 0 in
+            if Hashtbl.mem model s then begin
+              (match Sd.read_slot dev ~slot:s ~dst with
+              | Error _ -> fail "read_slot failed with no fault plan"
+              | Ok () -> ());
+              check_frame s dst
+            end
+            else expect_invalid "read_slot" (fun () -> Sd.read_slot dev ~slot:s ~dst)
+        | Read_cluster (s, n) ->
+            let ds = List.init n dirty_dst in
+            if List.for_all (fun i -> Hashtbl.mem model (s + i)) (List.init n Fun.id)
+            then begin
+              (match Sd.read_cluster dev ~slot:s ~dsts:ds with
+              | Error _ -> fail "read_cluster failed with no fault plan"
+              | Ok () -> ());
+              List.iteri (fun i d -> check_frame (s + i) d) ds
+            end
+            else
+              expect_invalid "read_cluster" (fun () ->
+                  Sd.read_cluster dev ~slot:s ~dsts:ds)
+        | Free r -> (
+            match List.nth_opt !runs r with
+            | None -> ()
+            | Some (base, n) ->
+                Sd.free_slots dev ~slot:base ~n;
+                for s = base to base + n - 1 do
+                  allocated.(s) <- false;
+                  Hashtbl.remove model s
+                done;
+                runs := List.filter (fun (b, _) -> b <> base) !runs)
+        | Bad s ->
+            (* Idempotent: only the first marking discards the contents. *)
+            if Sd.mark_bad dev ~slot:s = bad.(s) then
+              fail "mark_bad %d: wrong first-marking result" s;
+            if not bad.(s) then Hashtbl.remove model s;
+            bad.(s) <- true
+        | Write_raw (s, k) ->
+            let page = page_of ps k in
+            if allocated.(s) then begin
+              (match Sd.write_raw dev ~slot:s (Sd.capture page) with
+              | Error _ -> fail "write_raw failed with no fault plan"
+              | Ok () -> ());
+              Hashtbl.replace model s page
+            end
+            else
+              expect_invalid "write_raw" (fun () ->
+                  Sd.write_raw dev ~slot:s (Sd.capture page))
+        | Read_raw (s, d) ->
+            if not (Hashtbl.mem model s) then
+              expect_invalid "read_raw" (fun () -> Sd.read_raw dev ~slot:s)
+            else begin
+              let c =
+                match Sd.read_raw dev ~slot:s with
+                | Error _ -> fail "read_raw failed with no fault plan"
+                | Ok c -> c
+              in
+              let expected = Hashtbl.find model s in
+              (match c with
+              | Sd.Zero when not (all_bytes expected '\000') ->
+                  fail "slot %d: nonzero page stored as the zero tag" s
+              | Sd.Data _ when all_bytes expected '\000' ->
+                  fail "slot %d: zero page stored as a copy" s
+              | _ -> ());
+              let dst = dirty_dst 0 in
+              Sd.restore dev c ~dst;
+              check_frame s dst;
+              (* Re-store the shared value elsewhere, as drain migration does. *)
+              if allocated.(d) then begin
+                (match Sd.write_raw dev ~slot:d c with
+                | Error _ -> fail "write_raw failed with no fault plan"
+                | Ok () -> ());
+                Hashtbl.replace model d (Bytes.copy expected)
+              end
+            end
+      in
+      List.iter
+        (fun op ->
+          step op;
+          for s = 1 to nslots do
+            if Sd.has_data dev ~slot:s <> Hashtbl.mem model s then
+              fail "after %s: has_data slot %d is %b" (string_of_sop op) s
+                (Sd.has_data dev ~slot:s)
+          done)
+        ops;
+      true)
 
 (* ------------------------------------------------------------------ *)
 (* Swaptier: priority allocation, device death, drain, swapcache      *)
@@ -365,6 +703,14 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_swapdev_roundtrip;
           Alcotest.test_case "cluster one op" `Quick test_swapdev_cluster_is_one_op;
           Alcotest.test_case "free discards" `Quick test_swapdev_free_discards;
+          Alcotest.test_case "zero page into dirty frame" `Quick
+            test_zero_page_restores_into_dirty_frame;
+          Alcotest.test_case "last byte is data" `Quick test_last_byte_is_data;
+          Alcotest.test_case "zero capture allocates nothing" `Quick
+            test_capture_zero_allocates_nothing;
+          Alcotest.test_case "failed write keeps contents" `Quick
+            test_failed_write_keeps_contents;
+          QCheck_alcotest.to_alcotest prop_store_matches_model;
         ] );
       ( "swaptier",
         [
