@@ -40,6 +40,58 @@ let install_top map entry ~vpn ~write ~wire page =
   Core.install map entry ~vpn page ~prot:entry.prot ~wire;
   Ok page
 
+(* Resolve through [first_obj]'s shadow chain, its lock held. *)
+let resolve_chain map entry ~vpn ~write ~wire first_obj =
+  let sys = map.sys in
+  let off = entry.objoff + (vpn - entry.spage) in
+  let physmem = Bsd_sys.physmem sys in
+  match Vm_object.find_in_chain sys first_obj ~off ~depth:0 with
+  | Error _ as e -> e
+  | Ok (Some (_, _, page, 0)) ->
+      (* Re-publish in case a direct-mapped collision evicted the page's
+         lookup slot since insert. *)
+      Physmem.Lookup.publish first_obj.Vm_object.okey ~pgno:off page;
+      install_top map entry ~vpn ~write ~wire page
+  | Ok (Some (_, _, page, _)) when write ->
+      (* Copy the page up to the first object, then try to collapse the
+         chain (extra work on every COW fault). *)
+      let fresh =
+        Physmem.alloc physmem ~owner:(Vm_object.Obj_page first_obj)
+          ~offset:off ()
+      in
+      Core.cow_copy map ~src:page fresh;
+      (* The copy-up changes what any map entry whose chain starts at
+         [first_obj] resolves for this offset.  Other processes sharing
+         [first_obj] may still map the deeper page — remove those
+         translations so they refault and find the copy.  Unrelated
+         mappers of the deeper page just refault and re-resolve the same
+         page; wired translations are skipped (they carry the wire count
+         and their own chains still resolve the deeper page). *)
+      Pmap.page_remove_unwired (Bsd_sys.pmap_ctx sys) page;
+      Vm_object.insert_page first_obj ~pgno:off fresh;
+      fresh.Physmem.Page.dirty <- true;
+      Core.install map entry ~vpn fresh ~prot:entry.prot ~wire;
+      Vm_object.collapse sys first_obj;
+      Ok fresh
+  | Ok (Some (_, _, page, _)) ->
+      (* Read from an underlying object: map read-only so a later write
+         still faults. *)
+      Core.install map entry ~vpn page
+        ~prot:(Pmap.Prot.remove_write entry.prot)
+        ~wire;
+      Ok page
+  | Ok None ->
+      (* Chain exhausted: zero-fill in the first object. *)
+      let fresh =
+        Physmem.alloc physmem ~zero:true ~owner:(Vm_object.Obj_page first_obj)
+          ~offset:off ()
+      in
+      Physmem.note_fault_in physmem fresh ~fill:Sim.Lifecycle.Fill_zero;
+      Vm_object.insert_page first_obj ~pgno:off fresh;
+      if write then fresh.Physmem.Page.dirty <- true;
+      Core.install map entry ~vpn fresh ~prot:entry.prot ~wire;
+      Ok fresh
+
 let resolve map entry ~vpn ~write ~wire =
   let sys = map.sys in
   (* BSD clears needs-copy on *any* fault of a COW mapping, paying for a
@@ -51,7 +103,6 @@ let resolve map entry ~vpn ~write ~wire =
     | None -> invalid_arg "vm_fault: BSD entry without object"
   in
   let off = entry.objoff + (vpn - entry.spage) in
-  let physmem = Bsd_sys.physmem sys in
   (* Lockless fast path (DESIGN.md §16): a validated hit on the heuristic
      page hash is exactly the depth-0 resident case — the page lives in
      the top object, where write access needs no copy-up — so the object
@@ -62,59 +113,12 @@ let resolve map entry ~vpn ~write ~wire =
     else Physmem.Lookup.find first_obj.Vm_object.okey ~pgno:off
   with
   | Some page -> install_top map entry ~vpn ~write ~wire page
-  | None -> (
+  | None ->
       (* The top object's lock is held across chain resolution; the
          registry learns the object -> pagequeue/swap order below it. *)
-      Core.locked map ~cls:"object" ~id:first_obj.Vm_object.id
+      Core.locked map ~handle:Vm_object.lock_handle first_obj
         ~mode:(if write then Sim.Lockstat.Write else Sim.Lockstat.Read)
-      @@ fun () ->
-      match Vm_object.find_in_chain sys first_obj ~off ~depth:0 with
-      | Error _ as e -> e
-      | Ok (Some (_, _, page, 0)) ->
-          (* Re-publish in case a direct-mapped collision evicted the
-             page's lookup slot since insert. *)
-          Physmem.Lookup.publish first_obj.Vm_object.okey ~pgno:off page;
-          install_top map entry ~vpn ~write ~wire page
-      | Ok (Some (_, _, page, _)) when write ->
-          (* Copy the page up to the first object, then try to collapse
-             the chain (extra work on every COW fault). *)
-          let fresh =
-            Physmem.alloc physmem ~owner:(Vm_object.Obj_page first_obj)
-              ~offset:off ()
-          in
-          Core.cow_copy map ~src:page fresh;
-          (* The copy-up changes what any map entry whose chain starts at
-             [first_obj] resolves for this offset.  Other processes
-             sharing [first_obj] may still map the deeper page — remove
-             those translations so they refault and find the copy.
-             Unrelated mappers of the deeper page just refault and
-             re-resolve the same page; wired translations are skipped
-             (they carry the wire count and their own chains still
-             resolve the deeper page). *)
-          Pmap.page_remove_unwired (Bsd_sys.pmap_ctx sys) page;
-          Vm_object.insert_page first_obj ~pgno:off fresh;
-          fresh.Physmem.Page.dirty <- true;
-          Core.install map entry ~vpn fresh ~prot:entry.prot ~wire;
-          Vm_object.collapse sys first_obj;
-          Ok fresh
-      | Ok (Some (_, _, page, _)) ->
-          (* Read from an underlying object: map read-only so a later
-             write still faults. *)
-          Core.install map entry ~vpn page
-            ~prot:(Pmap.Prot.remove_write entry.prot)
-            ~wire;
-          Ok page
-      | Ok None ->
-          (* Chain exhausted: zero-fill in the first object. *)
-          let fresh =
-            Physmem.alloc physmem ~zero:true
-              ~owner:(Vm_object.Obj_page first_obj) ~offset:off ()
-          in
-          Physmem.note_fault_in physmem fresh ~fill:Sim.Lifecycle.Fill_zero;
-          Vm_object.insert_page first_obj ~pgno:off fresh;
-          if write then fresh.Physmem.Page.dirty <- true;
-          Core.install map entry ~vpn fresh ~prot:entry.prot ~wire;
-          Ok fresh)
+        resolve_chain entry ~vpn ~write ~wire first_obj
 
 let no_forced_write _map _entry ~vpn:_ = false
 let no_fault_ahead _map _entry ~vpn:_ = ()

@@ -28,10 +28,24 @@ type t = {
   mutable dead : bool;
   okey : Physmem.Lookup.okey;
       (* lockless-lookup identity; insert/remove publish/revoke through it *)
+  mutable lockh : Sim.Lockstat.lock option;
+      (* lock-observatory handle, registered by [lock_handle] *)
 }
 
 type Physmem.Page.tag += Obj_page of t
 type Bsd_sys.live_obj += Anon_obj of t
+
+(* The object's lock in the registry, registered on first use.  The fault
+   path asks for it only while the registry is active. *)
+let lock_handle ls t =
+  match t.lockh with
+  | Some l -> l
+  | None ->
+      let l =
+        Sim.Lockstat.register ls ~cls:"object" ("object#" ^ string_of_int t.id)
+      in
+      t.lockh <- Some l;
+      l
 
 (* Every live anonymous object of [sys], for the swap-leak audit. *)
 let live_anon_objects sys =
@@ -58,6 +72,7 @@ let alloc_bare sys kind =
       lru_node = None;
       dead = false;
       okey = Physmem.Lookup.okey (Bsd_sys.physmem sys);
+      lockh = None;
     }
   in
   (match kind with

@@ -27,7 +27,7 @@ let pageout_one sys (obj : Vm_object.t) (page : Physmem.Page.t) =
   (* The object's lock is held across the write-out, nested inside the
      pagedaemon lock — the registry's pdaemon -> object -> swap chain. *)
   let ls = Bsd_sys.locks sys in
-  let ol = Sim.Lockstat.instance ls ~cls:"object" ~id:obj.Vm_object.id in
+  let ol = Vm_object.lock_handle ls obj in
   Sim.Lockstat.acquire ls ol ~mode:Sim.Lockstat.Write;
   Fun.protect ~finally:(fun () -> Sim.Lockstat.release ls ol) @@ fun () ->
   (* Every BSD pageout is a singleton cluster — the ledger records the

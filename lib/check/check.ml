@@ -345,7 +345,11 @@ let check_smp ~system pm =
         if p.Physmem.Page.owner <> Physmem.Page.No_owner then
           fail "cached_state"
             (Printf.sprintf "cached page %d has an owner" p.id);
-        if p.Physmem.Page.node <> None then
+        if
+          match p.Physmem.Page.node with
+          | Some n -> Sim.Dlist.linked n
+          | None -> false
+        then
           fail "cached_state"
             (Printf.sprintf "cached page %d still linked on a ring" p.id)
       end)

@@ -149,7 +149,9 @@ module Make (V : Vmiface.Vm_sig.VM_SYS) = struct
           ("chan", string_of_int chan);
         ])
 
-  (* Wire the user buffer for a physio-style transfer. *)
+  (* Wire the user buffer for a physio-style transfer.  The unwinding
+     below is written out rather than left to [Fun.protect], whose two
+     closures every call would allocate. *)
   let with_vslock sys vm ~addr ~len f =
     if len <= 0 then f ()
     else begin
@@ -160,8 +162,20 @@ module Make (V : Vmiface.Vm_sig.VM_SYS) = struct
       let vpn = addr / ps in
       let npages = ((addr + len - 1) / ps) - vpn + 1 in
       let wb = V.vslock sys vm ~vpn ~npages in
-      Fun.protect ~finally:(fun () -> V.vsunlock sys vm wb) f
+      match f () with
+      | () -> V.vsunlock sys vm wb
+      | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          V.vsunlock sys vm wb;
+          Printexc.raise_with_backtrace e bt
     end
+
+  (* The channel lock covers admission and the data move. *)
+  let chan_lock m ch =
+    let ls = m.Machine.locks in
+    let cl = Sim.Lockstat.instance ls ~cls:"ipc" ~id:ch.id in
+    Sim.Lockstat.acquire ls cl ~mode:Sim.Lockstat.Write;
+    cl
 
   (* -- send -------------------------------------------------------------- *)
 
@@ -203,37 +217,47 @@ module Make (V : Vmiface.Vm_sig.VM_SYS) = struct
             m.Machine.stats.Sim.Stats.ipc_bytes_mapped + n;
           enqueue ch (S_stage { stage; start = 0; len = n; off = 0 }) n
 
+  let move sys vm ch ~policy ~addr ~n =
+    match policy with
+    | Copy -> send_copy sys vm ch ~addr ~n
+    | Loan -> send_loan sys vm ch ~addr ~n
+    | Mexp -> send_mexp sys vm ch ~addr ~n
+
+  (* [send] under the channel lock. *)
+  let send_locked sys vm ~vslocked ch ~policy ~addr ~len =
+    let m = V.machine sys in
+    (* Acceptance is policy- and kernel-independent: capacity alone
+       decides, so every kernel accepts identical byte counts. *)
+    let n = min len (ch.cap - ch.q_len) in
+    let n = max n 0 in
+    if n > 0 then begin
+      if vslocked then
+        with_vslock sys vm ~addr ~len (fun () ->
+            move sys vm ch ~policy ~addr ~n)
+      else move sys vm ch ~policy ~addr ~n;
+      m.Machine.stats.Sim.Stats.ipc_sends <-
+        m.Machine.stats.Sim.Stats.ipc_sends + 1
+    end;
+    n
+
   let send sys vm ?(vslocked = false) ch ~policy ~addr ~len =
     if ch.closed then invalid_arg "Ipc.send: channel is closed";
     if len < 0 then invalid_arg "Ipc.send: negative length";
     let m = V.machine sys in
     let span = span_start sys "send" in
     charge sys m.Machine.costs.Sim.Cost_model.syscall_overhead;
-    (* The channel lock covers admission and the data move.  Zero-copy
-       staging faults the sender's pages under it, so the registry sees
-       the ipc -> map nesting order. *)
-    let ls = m.Machine.locks in
-    let cl = Sim.Lockstat.instance ls ~cls:"ipc" ~id:ch.id in
-    Sim.Lockstat.acquire ls cl ~mode:Sim.Lockstat.Write;
+    (* Zero-copy staging faults the sender's pages under the channel
+       lock, so the registry sees the ipc -> map nesting order. *)
+    let cl = chan_lock m ch in
     let n =
-      Fun.protect ~finally:(fun () -> Sim.Lockstat.release ls cl)
-      @@ fun () ->
-      (* Acceptance is policy- and kernel-independent: capacity alone
-         decides, so every kernel accepts identical byte counts. *)
-      let n = min len (ch.cap - ch.q_len) in
-      let n = max n 0 in
-      if n > 0 then begin
-        let move () =
-          match policy with
-          | Copy -> send_copy sys vm ch ~addr ~n
-          | Loan -> send_loan sys vm ch ~addr ~n
-          | Mexp -> send_mexp sys vm ch ~addr ~n
-        in
-        if vslocked then with_vslock sys vm ~addr ~len move else move ();
-        m.Machine.stats.Sim.Stats.ipc_sends <-
-          m.Machine.stats.Sim.Stats.ipc_sends + 1
-      end;
-      n
+      match send_locked sys vm ~vslocked ch ~policy ~addr ~len with
+      | n ->
+          Sim.Lockstat.release m.Machine.locks cl;
+          n
+      | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          Sim.Lockstat.release m.Machine.locks cl;
+          Printexc.raise_with_backtrace e bt
     in
     span_finish sys span ~how:(policy_name policy) ~bytes:n ~chan:ch.id;
     n
@@ -276,55 +300,70 @@ module Make (V : Vmiface.Vm_sig.VM_SYS) = struct
         | None -> None)
     | _ -> None
 
+  (* Copy up to [len] queued bytes out of the chain.  The buffer is sized
+     to what the queue holds, so it comes back exactly full and goes to
+     the receiver as it is, without a second copy.  ([q_len] can only
+     overstate the queue after a delivery that faulted: then the buffer
+     is cut to what was taken.) *)
+  let take_bytes sys ch ~len =
+    let buf = Bytes.create (max 0 (min len ch.q_len)) in
+    let got = ref 0 in
+    while !got < len && not (Queue.is_empty ch.q) do
+      let seg = Queue.peek ch.q in
+      let n = min (seg_remaining seg) (len - !got) in
+      (match seg with
+      | S_bytes s ->
+          Bytes.blit s.data s.off buf !got n;
+          s.off <- s.off + n
+      | S_stage s ->
+          let part = V.stage_read sys s.stage ~off:(s.start + s.off) ~len:n in
+          Bytes.blit part 0 buf !got n;
+          s.off <- s.off + n);
+      got := !got + n;
+      if seg_remaining seg = 0 then begin
+        ignore (Queue.pop ch.q);
+        free_seg sys seg
+      end
+    done;
+    if !got = Bytes.length buf then buf else Bytes.sub buf 0 !got
+
+  (* [recv] under the channel lock. *)
+  let recv_locked sys vm ~vslocked ~accept_mapped ch ~addr ~len =
+    let mapped =
+      if accept_mapped then try_mapped_delivery sys vm ch ~len else None
+    in
+    match mapped with
+    | Some d -> d
+    | None ->
+        let buf = take_bytes sys ch ~len in
+        let got = Bytes.length buf in
+        if got > 0 then begin
+          if vslocked then
+            with_vslock sys vm ~addr ~len (fun () ->
+                V.write_bytes sys vm ~addr buf)
+          else V.write_bytes sys vm ~addr buf;
+          charge_copy sys got;
+          let m = V.machine sys in
+          m.Machine.stats.Sim.Stats.ipc_bytes_copied <-
+            m.Machine.stats.Sim.Stats.ipc_bytes_copied + got;
+          ch.q_len <- ch.q_len - got
+        end;
+        Data got
+
   let recv sys vm ?(vslocked = false) ?(accept_mapped = false) ch ~addr ~len =
     let m = V.machine sys in
     let span = span_start sys "recv" in
     charge sys m.Machine.costs.Sim.Cost_model.syscall_overhead;
-    let ls = m.Machine.locks in
-    let cl = Sim.Lockstat.instance ls ~cls:"ipc" ~id:ch.id in
-    Sim.Lockstat.acquire ls cl ~mode:Sim.Lockstat.Write;
+    let cl = chan_lock m ch in
     let result =
-      Fun.protect ~finally:(fun () -> Sim.Lockstat.release ls cl)
-      @@ fun () ->
-      let mapped =
-        if accept_mapped then try_mapped_delivery sys vm ch ~len else None
-      in
-      match mapped with
-      | Some d -> d
-      | None ->
-          let buf = Bytes.create (max len 0) in
-          let got = ref 0 in
-          while !got < len && not (Queue.is_empty ch.q) do
-            let seg = Queue.peek ch.q in
-            let n = min (seg_remaining seg) (len - !got) in
-            (match seg with
-            | S_bytes s ->
-                Bytes.blit s.data s.off buf !got n;
-                s.off <- s.off + n
-            | S_stage s ->
-                let part =
-                  V.stage_read sys s.stage ~off:(s.start + s.off) ~len:n
-                in
-                Bytes.blit part 0 buf !got n;
-                s.off <- s.off + n);
-            got := !got + n;
-            if seg_remaining seg = 0 then begin
-              ignore (Queue.pop ch.q);
-              free_seg sys seg
-            end
-          done;
-          if !got > 0 then begin
-            let deliver () =
-              V.write_bytes sys vm ~addr (Bytes.sub buf 0 !got)
-            in
-            if vslocked then with_vslock sys vm ~addr ~len deliver
-            else deliver ();
-            charge_copy sys !got;
-            m.Machine.stats.Sim.Stats.ipc_bytes_copied <-
-              m.Machine.stats.Sim.Stats.ipc_bytes_copied + !got;
-            ch.q_len <- ch.q_len - !got
-          end;
-          Data !got
+      match recv_locked sys vm ~vslocked ~accept_mapped ch ~addr ~len with
+      | r ->
+          Sim.Lockstat.release m.Machine.locks cl;
+          r
+      | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          Sim.Lockstat.release m.Machine.locks cl;
+          Printexc.raise_with_backtrace e bt
     in
     (match result with
     | Data 0 -> ()

@@ -30,9 +30,6 @@ type t = {
   (* Provenance ledger (DESIGN.md §10).  Mutated only through Physmem's
      transition function so that every move is checked for legality. *)
   mutable lstate : lstate;
-  mutable l_birth : float;  (* sim time of the current allocation *)
-  mutable l_fill : Sim.Lifecycle.fill option;  (* how contents arrived *)
-  mutable l_last_fault : float;  (* last fault-in resolving to this frame *)
   mutable l_fa : int;  (* pending fault-ahead premap: madv index, -1 none *)
   mutable l_steps : int;  (* lifecycle transitions since alloc *)
   mutable l_clusters : int;  (* pageout-cluster memberships *)
@@ -40,12 +37,6 @@ type t = {
 }
 
 let is_free t = t.queue = Q_free
-
-let queue_name = function
-  | Q_none -> "none"
-  | Q_free -> "free"
-  | Q_active -> "active"
-  | Q_inactive -> "inactive"
 
 let lstate_name = function
   | L_free -> "free"
@@ -55,7 +46,3 @@ let lstate_name = function
   | L_wired -> "wired"
   | L_loaned -> "loaned"
   | L_limbo -> "limbo"
-
-let pp ppf t =
-  Format.fprintf ppf "page#%d{q=%s wire=%d loan=%d dirty=%b}" t.id
-    (queue_name t.queue) t.wire_count t.loan_count t.dirty

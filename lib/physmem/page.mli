@@ -48,14 +48,13 @@ type t = {
   mutable owner : tag;
   mutable owner_offset : int;  (** page index within the owner object *)
   mutable queue : queue;
-  mutable node : t Sim.Dlist.node option;  (** paging-queue linkage *)
+  mutable node : t Sim.Dlist.node option;
+      (** paging-queue node, made on the first enqueue and reused by every
+          later one; linked exactly while the page is on a ring *)
   mutable q_seq : int;  (** global enqueue stamp: FIFO order across colors *)
   mutable cached_cpu : int;  (** CPU whose free cache holds this page, -1 none *)
   mutable referenced : bool;  (** software-emulated reference bit *)
   mutable lstate : lstate;  (** ledger state; audited against [queue] *)
-  mutable l_birth : float;  (** sim time of the current allocation *)
-  mutable l_fill : Sim.Lifecycle.fill option;  (** how contents arrived *)
-  mutable l_last_fault : float;  (** last fault-in resolving here, -1 none *)
   mutable l_fa : int;  (** pending fault-ahead premap: madv index, -1 none *)
   mutable l_steps : int;  (** lifecycle transitions since alloc *)
   mutable l_clusters : int;  (** pageout-cluster memberships *)
@@ -65,4 +64,3 @@ type t = {
 val is_free : t -> bool
 val lstate_name : lstate -> string
 
-val pp : Format.formatter -> t -> unit

@@ -87,7 +87,10 @@ type t = {
       (** last-resort reclaim: swap a process out or reap a victim; returns
           true if it freed anything worth retrying the allocation for *)
   mutable violations : violation list;  (** first few illegal transitions *)
-  mutable last_fill : float;  (** time of the last fault-in, -1 if none *)
+  births : Float.Array.t;
+      (** by frame number: the sim time of its current allocation (flat,
+          so setting one boxes nothing, unlike a page's float field) *)
+  last_fill : Sim.Simclock.stamp;  (** time of the last fault-in, -1 if none *)
   mutable lockq : (Sim.Lockstat.t * Sim.Lockstat.lock array) option;
       (** the page-queue locks — one instance per color ring, so queue
           surgery on different colors never contends — registered when
@@ -151,6 +154,15 @@ let fa_resolve ~stats ~lifecycle (page : Page.t) ~used =
     end
   end
 
+(* Link [page] at the tail of ring [q] with a fresh stamp, reusing the
+   page's node: a requeue allocates nothing. *)
+let link_tail t (page : Page.t) q =
+  t.seq <- t.seq + 1;
+  page.Page.q_seq <- t.seq;
+  match page.Page.node with
+  | Some node -> Sim.Dlist.append q node
+  | None -> page.Page.node <- Some (Sim.Dlist.push_tail q page)
+
 let create ?(page_size = 4096) ?lifecycle ?(ncpus = 1) ~npages ~clock ~costs
     ~stats () =
   if npages < 16 then invalid_arg "Physmem.create: need at least 16 pages";
@@ -173,9 +185,6 @@ let create ?(page_size = 4096) ?lifecycle ?(ncpus = 1) ~npages ~clock ~costs
           cached_cpu = -1;
           referenced = false;
           lstate = Page.L_free;
-          l_birth = 0.0;
-          l_fill = None;
-          l_last_fault = -1.0;
           l_fa = -1;
           l_steps = 0;
           l_clusters = 0;
@@ -222,7 +231,8 @@ let create ?(page_size = 4096) ?lifecycle ?(ncpus = 1) ~npages ~clock ~costs
       daemon_running = false;
       oom_hook = None;
       violations = [];
-      last_fill = -1.0;
+      births = Float.Array.make npages 0.0;
+      last_fill = { Sim.Simclock.at = -1.0 };
       lockq = None;
       lookup =
         Array.init lookup_slots (fun _ ->
@@ -241,10 +251,7 @@ let create ?(page_size = 4096) ?lifecycle ?(ncpus = 1) ~npages ~clock ~costs
      frames 0, 1, 2... exactly as the unsharded allocator did. *)
   Array.iter
     (fun page ->
-      t.seq <- t.seq + 1;
-      page.Page.q_seq <- t.seq;
-      page.Page.node <-
-        Some (Sim.Dlist.push_tail t.free.(page.Page.color) page);
+      link_tail t page t.free.(page.Page.color);
       t.free_count <- t.free_count + 1;
       t.qfree <- t.qfree + 1)
     t.pages;
@@ -272,8 +279,6 @@ let set_current_cpu t cpu =
     invalid_arg "Physmem.set_current_cpu: no such CPU";
   t.cur_cpu <- cpu
 
-let current_cpu t = t.cur_cpu
-
 (* The per-CPU cache's fill target: enough pages that refills are
    batched, few enough that caches cannot strand a meaningful fraction
    of a small machine's RAM. *)
@@ -296,11 +301,6 @@ let rings_of t = function
   | Page.Q_active -> t.active
   | Page.Q_inactive -> t.inactive
   | Page.Q_none -> invalid_arg "Physmem.walk: Q_none is not a queue"
-
-let ring_of t kind color =
-  match kind with
-  | Page.Q_none -> None
-  | _ -> Some (rings_of t kind).(color)
 
 let cursor_seq = function
   | Some node -> (Sim.Dlist.value node).Page.q_seq
@@ -339,33 +339,33 @@ let queue_unlock t ~color =
   | None -> ()
 
 (* Unlink [page] from whatever queue it is on.  Pages held by a per-CPU
-   cache are never unlinked: they are off every ring ([node = None]) and
-   only leave the cache through the allocator or a drain. *)
+   cache are never unlinked: they are off every ring (their node is
+   unlinked) and only leave the cache through the allocator or a
+   drain. *)
 let unlink t (page : Page.t) =
   queue_lock t ~color:page.Page.color;
-  (match (ring_of t page.queue page.Page.color, page.node) with
-  | Some q, Some node ->
-      guard_walks page t.walks;
-      Sim.Dlist.remove q node;
-      if page.queue = Page.Q_free then begin
-        t.free_count <- t.free_count - 1;
-        t.qfree <- t.qfree - 1
-      end;
-      page.node <- None;
-      page.queue <- Page.Q_none
-  | None, _ -> ()
-  | Some _, None -> assert false);
+  (match page.queue with
+  | Page.Q_none -> ()
+  | kind -> (
+      match page.node with
+      | Some node when Sim.Dlist.linked node ->
+          guard_walks page t.walks;
+          Sim.Dlist.remove (rings_of t kind).(page.Page.color) node;
+          if kind = Page.Q_free then begin
+            t.free_count <- t.free_count - 1;
+            t.qfree <- t.qfree - 1
+          end;
+          page.queue <- Page.Q_none
+      | Some _ | None -> assert false));
   queue_unlock t ~color:page.Page.color
 
 let enqueue t (page : Page.t) kind =
   queue_lock t ~color:page.Page.color;
   unlink t page;
-  (match ring_of t kind page.Page.color with
-  | None -> ()
-  | Some q ->
-      t.seq <- t.seq + 1;
-      page.Page.q_seq <- t.seq;
-      page.Page.node <- Some (Sim.Dlist.push_tail q page);
+  (match kind with
+  | Page.Q_none -> ()
+  | _ ->
+      link_tail t page (rings_of t kind).(page.Page.color);
       page.Page.queue <- kind;
       if kind = Page.Q_free then begin
         t.free_count <- t.free_count + 1;
@@ -432,10 +432,11 @@ let refill_cache t cache =
           while
             !continue && cache.cc_count < target && t.qfree > t.reserve
           do
-            match Sim.Dlist.pop_head t.free.(c) with
-            | Some page ->
+            match Sim.Dlist.head_node t.free.(c) with
+            | Some node ->
+                let page = Sim.Dlist.value node in
+                Sim.Dlist.remove t.free.(c) node;
                 guard_walks page t.walks;
-                page.Page.node <- None;
                 page.Page.cached_cpu <- cache.cc_cpu;
                 cache.cc_pages.(c) <- page :: cache.cc_pages.(c);
                 cache.cc_count <- cache.cc_count + 1;
@@ -472,9 +473,7 @@ let drain_caches t =
             List.iter
               (fun (page : Page.t) ->
                 page.Page.cached_cpu <- -1;
-                t.seq <- t.seq + 1;
-                page.Page.q_seq <- t.seq;
-                page.Page.node <- Some (Sim.Dlist.push_tail t.free.(c) page);
+                link_tail t page t.free.(c);
                 t.qfree <- t.qfree + 1)
               (List.rev cache.cc_pages.(c));
             cache.cc_pages.(c) <- [];
@@ -519,6 +518,10 @@ let run_pagedaemon t =
       Fun.protect ~finally:(fun () -> t.daemon_running <- false) daemon
   | Some _ | None -> ()
 
+(* No frame to hand out, raised by [pop_queue_min] and [grab] rather
+   than an option, which every allocation would build. *)
+exception No_frame
+
 (* Pop the globally-oldest free frame: the head with the smallest
    enqueue stamp across the color rings.  On one CPU this is exactly the
    unsharded allocator's FIFO. *)
@@ -526,29 +529,72 @@ let pop_queue_min t =
   let best = ref (-1) in
   let best_seq = ref max_int in
   for c = 0 to ncolors - 1 do
-    match Sim.Dlist.peek_head t.free.(c) with
-    | Some p when p.Page.q_seq < !best_seq ->
+    match Sim.Dlist.head_node t.free.(c) with
+    | Some node when (Sim.Dlist.value node).Page.q_seq < !best_seq ->
         best := c;
-        best_seq := p.Page.q_seq
+        best_seq := (Sim.Dlist.value node).Page.q_seq
     | _ -> ()
   done;
-  if !best < 0 then None
-  else begin
-    queue_lock t ~color:!best;
-    let got =
-      match Sim.Dlist.pop_head t.free.(!best) with
-      | Some page ->
-          guard_walks page t.walks;
-          t.free_count <- t.free_count - 1;
-          t.qfree <- t.qfree - 1;
-          page.Page.node <- None;
-          page.Page.queue <- Page.Q_none;
-          Some page
-      | None -> None
-    in
-    queue_unlock t ~color:!best;
-    got
+  if !best < 0 then raise No_frame;
+  let c = !best in
+  queue_lock t ~color:c;
+  match Sim.Dlist.head_node t.free.(c) with
+  | Some node ->
+      let page = Sim.Dlist.value node in
+      Sim.Dlist.remove t.free.(c) node;
+      guard_walks page t.walks;
+      t.free_count <- t.free_count - 1;
+      t.qfree <- t.qfree - 1;
+      page.Page.queue <- Page.Q_none;
+      queue_unlock t ~color:c;
+      page
+  | None ->
+      queue_unlock t ~color:c;
+      raise No_frame
+
+(* The bottom [reserve] frames of the free queues belong to the paths
+   that make more memory: pagedaemon staging, drain migration, swap
+   pagein.  Ordinary allocations stop above the reserve so those paths
+   can always make forward progress at (nominally) zero free pages;
+   cache refills stop there too, so the reserve is always on the global
+   queues where privileged allocations can reach it. *)
+let grab t ~privileged =
+  if privileged then begin
+    match pop_queue_min t with
+    | page ->
+        if t.free_count < t.reserve then
+          t.stats.Sim.Stats.reserve_grabs <- t.stats.Sim.Stats.reserve_grabs + 1;
+        page
+    | exception No_frame ->
+        if t.free_count > 0 then begin
+          (* Queues empty but caches hold frames: reclaim them. *)
+          drain_caches t;
+          pop_queue_min t
+        end
+        else raise No_frame
   end
+  else if t.free_count <= t.reserve then raise No_frame
+  else if t.ncpus > 1 then begin
+    let cache = t.caches.(t.cur_cpu) in
+    match cache_pop t cache with
+    | Some page ->
+        cache.cc_hits <- cache.cc_hits + 1;
+        t.stats.Sim.Stats.cache_alloc_hits <-
+          t.stats.Sim.Stats.cache_alloc_hits + 1;
+        page
+    | None ->
+        cache.cc_misses <- cache.cc_misses + 1;
+        t.stats.Sim.Stats.cache_alloc_misses <-
+          t.stats.Sim.Stats.cache_alloc_misses + 1;
+        if refill_cache t cache then begin
+          match cache_pop t cache with
+          | Some page -> page
+          | None -> pop_queue_min t
+        end
+        else if t.qfree > t.reserve then pop_queue_min t
+        else raise No_frame
+  end
+  else pop_queue_min t
 
 let alloc t ?(zero = false) ?(privileged = false) ~owner ~offset () =
   if t.free_count <= t.freemin then begin
@@ -557,55 +603,10 @@ let alloc t ?(zero = false) ?(privileged = false) ~owner ~offset () =
     if t.free_count > t.qfree then drain_caches t;
     run_pagedaemon t
   end;
-  (* The bottom [reserve] frames of the free queues belong to the paths
-     that make more memory: pagedaemon staging, drain migration, swap
-     pagein.  Ordinary allocations stop above the reserve so those paths
-     can always make forward progress at (nominally) zero free pages;
-     cache refills stop there too, so the reserve is always on the
-     global queues where privileged allocations can reach it. *)
-  let grab () =
-    if privileged then begin
-      match pop_queue_min t with
-      | Some page ->
-          if t.free_count < t.reserve then
-            t.stats.Sim.Stats.reserve_grabs <-
-              t.stats.Sim.Stats.reserve_grabs + 1;
-          Some page
-      | None ->
-          if t.free_count > 0 then begin
-            (* Queues empty but caches hold frames: reclaim them. *)
-            drain_caches t;
-            pop_queue_min t
-          end
-          else None
-    end
-    else if t.free_count <= t.reserve then None
-    else if t.ncpus > 1 then begin
-      let cache = t.caches.(t.cur_cpu) in
-      match cache_pop t cache with
-      | Some page ->
-          cache.cc_hits <- cache.cc_hits + 1;
-          t.stats.Sim.Stats.cache_alloc_hits <-
-            t.stats.Sim.Stats.cache_alloc_hits + 1;
-          Some page
-      | None ->
-          cache.cc_misses <- cache.cc_misses + 1;
-          t.stats.Sim.Stats.cache_alloc_misses <-
-            t.stats.Sim.Stats.cache_alloc_misses + 1;
-          if refill_cache t cache then begin
-            match cache_pop t cache with
-            | Some page -> Some page
-            | None -> pop_queue_min t
-          end
-          else if t.qfree > t.reserve then pop_queue_min t
-          else None
-    end
-    else pop_queue_min t
-  in
   let page =
-    match grab () with
-    | Some page -> page
-    | None ->
+    match grab t ~privileged with
+    | page -> page
+    | exception No_frame ->
         (* VM_WAIT: the failing allocation waits on the pagedaemon and
            retries.  Several rounds, because the two-queue second-chance
            scan needs them — one pass clears reference bits on the active
@@ -617,9 +618,9 @@ let alloc t ?(zero = false) ?(privileged = false) ~owner ~offset () =
         let rec wait_rounds n =
           if t.free_count > t.qfree then drain_caches t;
           run_pagedaemon t;
-          match grab () with
-          | Some page -> Some page
-          | None -> if n > 1 then wait_rounds (n - 1) else None
+          match grab t ~privileged with
+          | page -> Some page
+          | exception No_frame -> if n > 1 then wait_rounds (n - 1) else None
         in
         (match wait_rounds 4 with
         | Some page -> page
@@ -632,9 +633,9 @@ let alloc t ?(zero = false) ?(privileged = false) ~owner ~offset () =
               match t.oom_hook with
               | Some hook when hook () -> (
                   run_pagedaemon t;
-                  match grab () with
-                  | Some page -> page
-                  | None -> last_resort ())
+                  match grab t ~privileged with
+                  | page -> page
+                  | exception No_frame -> last_resort ())
               | Some _ | None -> raise Out_of_pages
             in
             last_resort ())
@@ -648,9 +649,7 @@ let alloc t ?(zero = false) ?(privileged = false) ~owner ~offset () =
   assert (page.Page.loan_count = 0);
   page.Page.l_steps <- 0;
   lstep t page ~op:"alloc" Page.L_detached;
-  page.Page.l_birth <- Sim.Simclock.now t.clock;
-  page.Page.l_fill <- None;
-  page.Page.l_last_fault <- -1.0;
+  Float.Array.set t.births page.Page.id (Sim.Simclock.now t.clock);
   page.Page.l_fa <- -1;
   page.Page.l_clusters <- 0;
   page.Page.l_reassigns <- 0;
@@ -666,7 +665,7 @@ let alloc t ?(zero = false) ?(privileged = false) ~owner ~offset () =
 let retire t (page : Page.t) =
   fa_resolve ~stats:t.stats ~lifecycle:t.lifecycle page ~used:false;
   Sim.Lifecycle.note_residency t.lifecycle
-    (Sim.Simclock.now t.clock -. page.Page.l_birth)
+    (Sim.Simclock.now t.clock -. Float.Array.get t.births page.Page.id)
 
 let free_page t (page : Page.t) =
   if page.queue = Page.Q_free then
@@ -893,11 +892,10 @@ let ledger_violations t = t.violations
 
 let note_fault_in t (page : Page.t) ~fill =
   let now = Sim.Simclock.now t.clock in
-  if t.last_fill >= 0.0 then
-    Sim.Lifecycle.note_interfault t.lifecycle (now -. t.last_fill);
-  t.last_fill <- now;
-  page.Page.l_last_fault <- now;
-  page.Page.l_fill <- Some fill;
+  let last = t.last_fill in
+  if last.at >= 0.0 then
+    Sim.Lifecycle.note_interfault t.lifecycle (now -. last.at);
+  last.at <- now;
   Sim.Lifecycle.note_fill t.lifecycle fill;
   (* A demand fault resolving to a premapped frame means the premap did
      not prevent the fault: in vain. *)

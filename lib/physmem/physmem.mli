@@ -73,8 +73,6 @@ val set_current_cpu : t -> int -> unit
     SMP scheduler calls this at every context switch.
     @raise Invalid_argument if the index is out of range. *)
 
-val current_cpu : t -> int
-
 val drain_caches : t -> unit
 (** Return every cached page to its color's free queue.  Runs implicitly
     when an allocation finds the machine under pressure. *)

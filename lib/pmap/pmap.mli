@@ -27,6 +27,7 @@ type pte = {
 
 val create_ctx :
   ?lifecycle:Sim.Lifecycle.t ->
+  npages:int ->
   clock:Sim.Simclock.t ->
   costs:Sim.Cost_model.t ->
   stats:Sim.Stats.t ->
@@ -34,7 +35,8 @@ val create_ctx :
   ctx
 (** [lifecycle] is the ledger-analytics sink shared with {!Physmem}
     (fault-ahead premaps resolve on {!mark_access}/{!remove_one}); a
-    private one is created when omitted. *)
+    private one is created when omitted.  [npages] is the number of
+    physical frames, whose pv lists the context keeps. *)
 
 val create : ctx -> t
 (** A fresh, empty address-space pmap. *)
@@ -64,6 +66,15 @@ val restrict_range : t -> lo:int -> hi:int -> prot:Prot.t -> unit
 val lookup : t -> vpn:int -> pte option
 (** Query a translation without charging any cost (the fault path charges
     its own costs). *)
+
+val find : t -> vpn:int -> pte
+(** {!lookup} for the hot paths, allocating no option.
+    @raise Not_found if [vpn] has no translation. *)
+
+val permits : t -> vpn:int -> write:bool -> bool
+(** Whether [vpn] has a translation whose protection allows the access
+    (read, or write when [write]): the MMU's hit test, charging
+    nothing. *)
 
 val resident_count : t -> int
 (** Number of valid translations (the process' resident set size). *)

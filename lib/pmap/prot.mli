@@ -10,7 +10,6 @@ val rw : t  (** rw- *)
 val rx : t  (** r-x *)
 
 val rwx : t
-val all : t  (** alias for {!rwx} *)
 
 val subsumes : t -> t -> bool
 (** [subsumes granted wanted] is true when every access right in [wanted] is
@@ -20,4 +19,3 @@ val intersect : t -> t -> t
 val remove_write : t -> t
 val equal : t -> t -> bool
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

@@ -1,34 +1,66 @@
+(* Every node carries its own [Some] box ([link]) and every list its own
+   ([self]), built once when it is made: linking, unlinking and relinking
+   a node allocate nothing. *)
 type 'a node = {
   v : 'a;
   mutable prev : 'a node option;
   mutable next : 'a node option;
   mutable owner : 'a t option;
+  mutable link : 'a node option;  (** [Some] of this node, set once *)
 }
 
 and 'a t = {
   mutable head : 'a node option;
   mutable tail : 'a node option;
   mutable len : int;
+  mutable self : 'a t option;  (** [Some] of this list, set once *)
 }
 
-let create () = { head = None; tail = None; len = 0 }
+(* The self boxes are set after the record is built: a [let rec] would
+   allocate a dummy block first and copy it. *)
+let create () =
+  let t = { head = None; tail = None; len = 0; self = None } in
+  t.self <- Some t;
+  t
+
 let length t = t.len
 let is_empty t = t.len = 0
 let value n = n.v
 let on_list n t = match n.owner with Some o -> o == t | None -> false
+let linked n = n.owner <> None
+
+let node v =
+  let n = { v; prev = None; next = None; owner = None; link = None } in
+  n.link <- Some n;
+  n
+
+let check_unlinked n =
+  if linked n then invalid_arg "Dlist: node already on a list"
+
+let prepend t n =
+  check_unlinked n;
+  n.next <- t.head;
+  n.owner <- t.self;
+  (match t.head with Some h -> h.prev <- n.link | None -> t.tail <- n.link);
+  t.head <- n.link;
+  t.len <- t.len + 1
+
+let append t n =
+  check_unlinked n;
+  n.prev <- t.tail;
+  n.owner <- t.self;
+  (match t.tail with Some l -> l.next <- n.link | None -> t.head <- n.link);
+  t.tail <- n.link;
+  t.len <- t.len + 1
 
 let push_head t v =
-  let n = { v; prev = None; next = t.head; owner = Some t } in
-  (match t.head with Some h -> h.prev <- Some n | None -> t.tail <- Some n);
-  t.head <- Some n;
-  t.len <- t.len + 1;
+  let n = node v in
+  prepend t n;
   n
 
 let push_tail t v =
-  let n = { v; prev = t.tail; next = None; owner = Some t } in
-  (match t.tail with Some l -> l.next <- Some n | None -> t.head <- Some n);
-  t.tail <- Some n;
-  t.len <- t.len + 1;
+  let n = node v in
+  append t n;
   n
 
 let remove t n =
@@ -58,17 +90,6 @@ let peek_head t = Option.map value t.head
 let head_node t = t.head
 let next_node n = n.next
 
-let iter f t =
-  let rec go = function
-    | None -> ()
-    | Some n ->
-        (* capture next before [f] possibly unlinks [n] *)
-        let nxt = n.next in
-        f n.v;
-        go nxt
-  in
-  go t.head
-
 let fold f acc t =
   let rec go acc = function
     | None -> acc
@@ -78,5 +99,4 @@ let fold f acc t =
   in
   go acc t.head
 
-let exists p t = fold (fun acc v -> acc || p v) false t
 let to_list t = List.rev (fold (fun acc v -> v :: acc) [] t)

@@ -25,11 +25,22 @@ val value : 'a node -> 'a
 val on_list : 'a node -> 'a t -> bool
 (** [on_list n t] is [true] iff [n] is currently linked on [t]. *)
 
+val node : 'a -> 'a node
+(** [node v] is a fresh node carrying [v], on no list.  A node may move
+    between lists any number of times: linking it allocates nothing. *)
+
+val linked : 'a node -> bool
+(** [linked n] is [true] iff [n] is on some list. *)
+
+val append : 'a t -> 'a node -> unit
+(** [append t n] links [n] at the tail of [t].
+    @raise Invalid_argument if [n] is already on a list. *)
+
 val push_head : 'a t -> 'a -> 'a node
-(** [push_head t v] prepends [v] and returns its node. *)
+(** [push_head t v] prepends [v] in a fresh node and returns it. *)
 
 val push_tail : 'a t -> 'a -> 'a node
-(** [push_tail t v] appends [v] and returns its node. *)
+(** [push_tail t v] appends [v] in a fresh node and returns it. *)
 
 val remove : 'a t -> 'a node -> unit
 (** [remove t n] unlinks [n] from [t].
@@ -45,10 +56,6 @@ val peek_head : 'a t -> 'a option
 
 val head_node : 'a t -> 'a node option
 val next_node : 'a node -> 'a node option
+(** Neither allocates: each returns the link the list already holds. *)
 
-val iter : ('a -> unit) -> 'a t -> unit
-(** [iter f t] applies [f] head-to-tail. *)
-
-val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
-val exists : ('a -> bool) -> 'a t -> bool
 val to_list : 'a t -> 'a list

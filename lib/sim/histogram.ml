@@ -7,16 +7,14 @@ let lambda = Float.pow 2.0 0.25
 let log_lambda = Float.log lambda
 let nbuckets = 200
 
-type t = {
-  mutable count : int;
-  mutable sum : float;
-  mutable vmin : float;
-  mutable vmax : float;
-  buckets : int array;
-}
+(* The float statistics sit in a float-only record, which OCaml stores
+   flat: an observation updates them in place, where float fields of [t]
+   itself would box on every store. *)
+type moments = { mutable sum : float; mutable vmin : float; mutable vmax : float }
+type t = { mutable count : int; m : moments; buckets : int array }
 
 let create () =
-  { count = 0; sum = 0.0; vmin = infinity; vmax = neg_infinity;
+  { count = 0; m = { sum = 0.0; vmin = infinity; vmax = neg_infinity };
     buckets = Array.make nbuckets 0 }
 
 let bucket_of v =
@@ -29,21 +27,22 @@ let bucket_mid i =
   if i = 0 then 0.5
   else Float.pow lambda (float_of_int i -. 0.5)
 
-let observe t v =
+let[@inline] observe t v =
   if Float.is_finite v && v >= 0.0 then begin
+    let m = t.m in
     t.count <- t.count + 1;
-    t.sum <- t.sum +. v;
-    if v < t.vmin then t.vmin <- v;
-    if v > t.vmax then t.vmax <- v;
+    m.sum <- m.sum +. v;
+    if v < m.vmin then m.vmin <- v;
+    if v > m.vmax then m.vmax <- v;
     let i = bucket_of v in
     t.buckets.(i) <- t.buckets.(i) + 1
   end
 
 let count t = t.count
-let sum t = t.sum
-let mean t = if t.count = 0 then 0.0 else t.sum /. float_of_int t.count
-let min_value t = if t.count = 0 then 0.0 else t.vmin
-let max_value t = if t.count = 0 then 0.0 else t.vmax
+let sum t = t.m.sum
+let mean t = if t.count = 0 then 0.0 else t.m.sum /. float_of_int t.count
+let min_value t = if t.count = 0 then 0.0 else t.m.vmin
+let max_value t = if t.count = 0 then 0.0 else t.m.vmax
 
 let percentile t p =
   if t.count = 0 then 0.0
@@ -59,7 +58,7 @@ let percentile t p =
       incr i
     done;
     let v = bucket_mid (!i - 1) in
-    Float.max t.vmin (Float.min t.vmax v)
+    Float.max t.m.vmin (Float.min t.m.vmax v)
   end
 
 let p50 t = percentile t 50.0
@@ -69,9 +68,9 @@ let p99 t = percentile t 99.0
 let merge ~into src =
   if src.count > 0 then begin
     into.count <- into.count + src.count;
-    into.sum <- into.sum +. src.sum;
-    if src.vmin < into.vmin then into.vmin <- src.vmin;
-    if src.vmax > into.vmax then into.vmax <- src.vmax;
+    into.m.sum <- into.m.sum +. src.m.sum;
+    if src.m.vmin < into.m.vmin then into.m.vmin <- src.m.vmin;
+    if src.m.vmax > into.m.vmax then into.m.vmax <- src.m.vmax;
     Array.iteri (fun i n -> into.buckets.(i) <- into.buckets.(i) + n) src.buckets
   end
 

@@ -49,7 +49,7 @@ type held_entry = { h_lock : lock; h_barrier : bool }
 
 type t = {
   now : unit -> float;
-  mutable enabled : bool;
+  enabled : bool;
   mutable spans : Span.t option;
   classes : (string, cls_stats) Hashtbl.t;
   mutable class_order : string list;  (** registration order, reversed *)
@@ -75,7 +75,6 @@ let create ?(enabled = false) ~now () =
   }
 
 let enabled t = t.enabled
-let set_enabled t v = t.enabled <- v
 let set_spans t v = t.spans <- v
 let set_observer t v = t.observer <- v
 

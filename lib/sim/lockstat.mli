@@ -32,7 +32,6 @@ val create : ?enabled:bool -> now:(unit -> float) -> unit -> t
 (** [now] supplies simulated-time timestamps (the machine clock). *)
 
 val enabled : t -> bool
-val set_enabled : t -> bool -> unit
 
 val set_spans : t -> Span.t option -> unit
 (** Span sink: each recorded hold opens a ["lock:<class>"] span (subsys =
@@ -71,9 +70,10 @@ val register : t -> cls:string -> string -> lock
     {!known_classes} (tests register synthetic classes). *)
 
 val instance : t -> cls:string -> id:int -> lock
-(** Memoised registration keyed by [(cls, id)] — for locks living in
-    structures the registry shouldn't invade (amaps, objects), looked up
-    on the fault path without allocating on repeat visits. *)
+(** Memoised registration keyed by [(cls, id)], named ["<cls>#<id>"], for
+    a lock off the fault path (an IPC channel's, the OOM policy's).  An
+    amap or object keeps its own handle instead, registered on the first
+    fault that takes it while the registry is {!active}. *)
 
 val acquire : t -> lock -> mode:mode -> unit
 (** Record an acquire: nesting edges are drawn from every lock held in

@@ -7,6 +7,11 @@
 
 type t
 
+type stamp = { mutable at : float }
+(** A time kept in a float-only record, which OCaml stores flat: setting
+    it boxes nothing, where storing to a float field of a mixed record
+    boxes a fresh float every time. *)
+
 val create : unit -> t
 (** A fresh clock at time 0. *)
 

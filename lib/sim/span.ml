@@ -20,7 +20,7 @@ type span = {
   mutable sdetail : (string * string) list;
 }
 
-let dummy_span =
+let dummy =
   {
     sid = 0;
     strace = 0;
@@ -51,7 +51,7 @@ let create ?(capacity = 4096) ?(enabled = false) () =
     next_id = 1;
     next_trace = 1;
     stack = [];
-    buf = Array.make capacity dummy_span;
+    buf = Array.make capacity dummy;
     next = 0;
     count = 0;
     total = 0;
@@ -62,7 +62,7 @@ let enabled t = t.on
 let set_enabled t b = t.on <- b
 
 let start t ~subsys ~ts name =
-  if not t.on then dummy_span
+  if not t.on then dummy
   else begin
     let sid = t.next_id in
     t.next_id <- sid + 1;
@@ -100,6 +100,8 @@ let push_finished t sp =
   t.total <- t.total + 1;
   Histogram.observe (Histogram.get t.lat sp.sname) sp.sdur
 
+let live sp = sp != dummy && sp.sdur < 0.0
+
 let close sp ~ts ~detail =
   sp.sdur <- ts -. sp.sts;
   if detail <> [] then sp.sdetail <- detail
@@ -110,7 +112,7 @@ let close sp ~ts ~detail =
    timestamp: their durations stay truthful up to the point control
    left them. *)
 let finish t sp ~ts ?(detail = []) () =
-  if sp != dummy_span && sp.sdur < 0.0 then begin
+  if live sp then begin
     let rec pop = function
       | [] -> []  (* [clear] ran between start and finish: drop it *)
       | top :: rest when top == sp ->
@@ -128,7 +130,7 @@ let finish t sp ~ts ?(detail = []) () =
 (* The detail thunk runs only for a live span, so an untraced run
    builds no detail strings at all. *)
 let finish_with t sp ~ts detail =
-  if sp != dummy_span && sp.sdur < 0.0 then
+  if live sp then
     finish t sp ~ts ~detail:(detail ()) ()
 
 let point t ~subsys ~ts name detail =

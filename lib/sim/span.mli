@@ -36,8 +36,17 @@ val set_enabled : t -> bool -> unit
 
 val start : t -> subsys:string -> ts:float -> string -> span
 (** Open a span as a child of the innermost open span, or as the root
-    of a fresh trace when none is open.  Returns a shared dummy when
-    the collector is disabled. *)
+    of a fresh trace when none is open.  Returns {!dummy} when the
+    collector is disabled. *)
+
+val dummy : span
+(** The shared span a disabled collector hands out; finishing it is a
+    no-op.  A hot cut point returns it itself when {!enabled} is false,
+    so it reads no timestamp. *)
+
+val live : span -> bool
+(** Whether finishing [span] records it: not {!dummy}, not finished
+    yet.  A hot cut point tests it before building a detail thunk. *)
 
 val finish : t -> span -> ts:float -> ?detail:(string * string) list -> unit -> unit
 (** Close [span] and append it to the finished ring.  If inner spans

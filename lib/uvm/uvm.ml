@@ -569,10 +569,10 @@ module Sys = struct
                     if
                       not
                         (match
-                           Uvm_object.find_page o ~pgno:(e.Uvm_map.objoff + d)
+                           Uvm_object.find o ~pgno:(e.Uvm_map.objoff + d)
                          with
-                        | Some p -> p == pte.Pmap.page
-                        | None -> false)
+                        | p -> p == pte.Pmap.page
+                        | exception Not_found -> false)
                     then
                       fail "pmap_vs_object"
                         (Printf.sprintf

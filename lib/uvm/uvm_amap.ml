@@ -6,6 +6,7 @@ type t = {
   mutable ppref : int array option;
   mutable nused : int;
   mutable shared : bool;
+  mutable lockh : Sim.Lockstat.lock option;
 }
 
 let create sys ~nslots =
@@ -21,7 +22,16 @@ let create sys ~nslots =
     ppref = None;
     nused = 0;
     shared = false;
+    lockh = None;
   }
+
+let lock_handle ls t =
+  match t.lockh with
+  | Some l -> l
+  | None ->
+      let l = Sim.Lockstat.register ls ~cls:"amap" ("amap#" ^ string_of_int t.id) in
+      t.lockh <- Some l;
+      l
 
 let check_slot t slot =
   if slot < 0 || slot >= t.nslots then

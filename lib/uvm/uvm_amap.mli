@@ -25,12 +25,19 @@ type t = {
   mutable ppref : int array option;  (** per-slot reference counts *)
   mutable nused : int;  (** occupied slots *)
   mutable shared : bool;  (** referenced by a shared (non-COW) mapping *)
+  mutable lockh : Sim.Lockstat.lock option;
+      (** lock-observatory handle, registered by {!lock_handle} *)
 }
 
 val create : Uvm_sys.t -> nslots:int -> t
 (** A fresh amap with one reference and empty slots. *)
 
 val lookup : t -> slot:int -> Uvm_anon.t option
+
+val lock_handle : Sim.Lockstat.t -> t -> Sim.Lockstat.lock
+(** The amap's lock in the registry (["amap#<id>"]), registered on first
+    use.  The fault path asks for it only while the registry is
+    active. *)
 
 val add : Uvm_sys.t -> t -> slot:int -> Uvm_anon.t -> unit
 (** Install an anon in an empty slot (takes over the caller's reference).

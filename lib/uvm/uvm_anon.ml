@@ -12,9 +12,12 @@ let alloc sys ~zero =
   stats.Sim.Stats.anons_allocated <- stats.Sim.Stats.anons_allocated + 1;
   Uvm_sys.charge_struct_alloc sys;
   let anon = { id = Uvm_sys.fresh_id sys; refs = 1; page = None; swslot = 0 } in
+  let physmem = Uvm_sys.physmem sys and owner = Anon_page anon in
+  (* Constant flags: passing the variable would box it for the optional
+     argument. *)
   let page =
-    Physmem.alloc (Uvm_sys.physmem sys) ~zero ~owner:(Anon_page anon)
-      ~offset:0 ()
+    if zero then Physmem.alloc physmem ~zero:true ~owner ~offset:0 ()
+    else Physmem.alloc physmem ~owner ~offset:0 ()
   in
   Physmem.activate (Uvm_sys.physmem sys) page;
   anon.page <- Some page;

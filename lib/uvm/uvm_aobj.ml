@@ -13,9 +13,9 @@ let make_ops sys swslots obj =
   let physmem = Uvm_sys.physmem sys in
   let swapdev = Uvm_sys.swapdev sys in
   let stats = Uvm_sys.stats sys in
-  let pgo_get ~center ~lo ~hi =
+  let pgo_get ~center =
     let status = ref (Ok ()) in
-    (if Uvm_object.find_page obj ~pgno:center = None then begin
+    (if not (Uvm_object.mem_page obj ~pgno:center) then begin
        let from_swap = Hashtbl.mem swslots center in
        (* A swap pagein may draw on the kernel reserve: it is the path that
           turns swap slots back into reclaimable frames. *)
@@ -58,11 +58,7 @@ let make_ops sys swslots obj =
      end);
     match !status with
     | Error _ as e -> e
-    | Ok () ->
-        Ok
-          (List.filter
-             (fun (pgno, _) -> pgno >= lo && pgno < hi)
-             (Uvm_object.resident obj))
+    | Ok () -> Uvm_object.got_centre obj ~center
   in
   (* Rebind the batch's pages to consecutive slots from [base], releasing
      any previous bindings.  Used both for the initial clustered

@@ -39,21 +39,18 @@ let npages dev = Array.length dev.frames
 let attach sys dev =
   let obj =
     Uvm_object.make sys (fun obj ->
-        let pgo_get ~center ~lo ~hi =
+        let pgo_get ~center =
           (* Hand out the device's own frame — no allocation, no I/O. *)
           (if
              center >= 0
              && center < Array.length dev.frames
-             && Uvm_object.find_page obj ~pgno:center = None
+             && not (Uvm_object.mem_page obj ~pgno:center)
            then
              let page = dev.frames.(center) in
              page.Physmem.Page.owner <- Uvm_object.Uobj_page obj;
              page.Physmem.Page.owner_offset <- center;
              Hashtbl.replace obj.Uvm_object.pages center page);
-          Ok
-            (List.filter
-               (fun (pgno, _) -> pgno >= lo && pgno < hi)
-               (Uvm_object.resident obj))
+          Uvm_object.got_centre obj ~center
         in
         let pgo_put _pages =
           (* ROM: nothing to write back. *)

@@ -10,10 +10,16 @@ module Core =
       let wire_marked_first = false
     end)
 
-let window sys = function
-  | Vmtypes.Adv_normal -> (sys.Uvm_sys.fault_behind, sys.Uvm_sys.fault_ahead)
-  | Vmtypes.Adv_random -> (0, 0)
-  | Vmtypes.Adv_sequential -> (0, 2 * sys.Uvm_sys.fault_ahead)
+(* The fault-ahead window, in pages behind and ahead of the fault (one
+   function each: a pair would be allocated on every fault). *)
+let window_behind sys = function
+  | Vmtypes.Adv_normal -> sys.Uvm_sys.fault_behind
+  | Vmtypes.Adv_random | Vmtypes.Adv_sequential -> 0
+
+let window_ahead sys = function
+  | Vmtypes.Adv_normal -> sys.Uvm_sys.fault_ahead
+  | Vmtypes.Adv_random -> 0
+  | Vmtypes.Adv_sequential -> 2 * sys.Uvm_sys.fault_ahead
 
 (* Clear the needs-copy flag of [entry] (paper Figure 3, lower row).  When
    the entry holds the only reference to its amap no copying is needed at
@@ -34,39 +40,47 @@ let amap_copy_entry sys entry =
       end);
   entry.needs_copy <- false
 
-(* Map a resident neighbour page read-only; never does I/O. *)
+(* Map a resident neighbour page read-only; never does I/O.  A fault
+   probes every page of its window, so the probes raise [Not_found]
+   rather than build options. *)
+let enter_neighbour map entry vpn (page : Physmem.Page.t) =
+  if not page.busy then begin
+    let sys = map.sys in
+    Pmap.enter map.pmap ~vpn ~page
+      ~prot:(Pmap.Prot.remove_write entry.prot)
+      ~wired:false;
+    (Uvm_sys.stats sys).Sim.Stats.fault_ahead_mapped <-
+      (Uvm_sys.stats sys).Sim.Stats.fault_ahead_mapped + 1;
+    Physmem.note_fault_ahead_mapped (Uvm_sys.physmem sys) page
+      ~madv:(Vmtypes.lifecycle_madv entry.advice)
+  end
+
 let map_neighbour map entry vpn =
-  let sys = map.sys in
-  match Pmap.lookup map.pmap ~vpn with
-  | Some _ -> ()
-  | None ->
+  match Pmap.find map.pmap ~vpn with
+  | _ -> ()
+  | exception Not_found -> (
       let anon =
         match entry.amap with
         | Some am ->
             Uvm_amap.lookup am ~slot:(entry.amapoff + (vpn - entry.spage))
         | None -> None
       in
-      let page =
-        match (anon, entry.obj) with
-        | Some anon, _ -> anon.Uvm_anon.page
-        | None, Some obj ->
-            Uvm_object.find_page obj ~pgno:(entry.objoff + (vpn - entry.spage))
-        | None, None -> None
-      in
-      (match page with
-      | Some page when not page.Physmem.Page.busy ->
-          Pmap.enter map.pmap ~vpn ~page
-            ~prot:(Pmap.Prot.remove_write entry.prot)
-            ~wired:false;
-          (Uvm_sys.stats sys).Sim.Stats.fault_ahead_mapped <-
-            (Uvm_sys.stats sys).Sim.Stats.fault_ahead_mapped + 1;
-          Physmem.note_fault_ahead_mapped (Uvm_sys.physmem sys) page
-            ~madv:(Vmtypes.lifecycle_madv entry.advice)
-      | Some _ | None -> ())
+      match (anon, entry.obj) with
+      | Some { Uvm_anon.page = Some page; _ }, _ ->
+          enter_neighbour map entry vpn page
+      | Some _, _ -> ()
+      | None, Some obj -> (
+          match
+            Uvm_object.find obj ~pgno:(entry.objoff + (vpn - entry.spage))
+          with
+          | page -> enter_neighbour map entry vpn page
+          | exception Not_found -> ())
+      | None, None -> ())
 
 let fault_ahead map entry ~vpn =
   let sys = map.sys in
-  let behind, ahead = window sys entry.advice in
+  let behind = window_behind sys entry.advice
+  and ahead = window_ahead sys entry.advice in
   if behind > 0 || ahead > 0 then
     for v = vpn - behind to vpn + ahead do
       if v <> vpn && v >= entry.spage && v < entry.epage then
@@ -146,59 +160,40 @@ let resolve_object_fault map entry ~vpn ~write ~wire obj =
   let sys = map.sys in
   let pgno = entry.objoff + (vpn - entry.spage) in
   Uvm_sys.charge sys (Uvm_sys.costs sys).Sim.Cost_model.object_search;
-  match
-    obj.Uvm_object.pgops.Uvm_object.pgo_get ~center:pgno ~lo:entry.objoff
-      ~hi:(entry.objoff + entry_npages entry)
-  with
+  match obj.Uvm_object.pgops.Uvm_object.pgo_get ~center:pgno with
   | Error _ as e -> e
-  | Ok resident -> (
-      let page =
-        match List.assoc_opt pgno resident with
-        | Some page -> Some page
-        | None ->
-            (* pgo_get guarantees the centre page; re-check directly in case
-               the pager reported a narrower window. *)
-            Uvm_object.find_page obj ~pgno
-      in
-      match page with
-      | None ->
-          (* A pager that reports success but supplies no centre page is
-             indistinguishable from failed backing store; deliver the typed
-             error rather than panicking the kernel. *)
-          Error Vmtypes.Pager_error
-      | Some page ->
-          if write && entry.cow then begin
-            (* Promote: anonymise the page so the object stays unmodified. *)
-            let am = Option.get entry.amap in
-            let slot = entry.amapoff + (vpn - entry.spage) in
-            let anon = Uvm_anon.alloc sys ~zero:false in
-            let anon_page = Option.get anon.Uvm_anon.page in
-            Core.cow_copy map ~src:page anon_page;
-            anon_page.Physmem.Page.dirty <- true;
-            Core.install map entry ~vpn anon_page ~prot:entry.prot ~wire
-              ~surgery:(fun () ->
-                (* Promoting into a *shared* amap changes what every
-                   sharer's entry resolves at this slot: sharers still
-                   mapping the object's page read-only would keep reading
-                   it and miss all writes through the new anon.  Shoot
-                   their translations down so they refault and find the
-                   anon. *)
-                if am.Uvm_amap.shared then
-                  Pmap.page_remove_unwired (Uvm_sys.pmap_ctx sys) page;
-                Uvm_amap.add sys am ~slot anon);
-            Ok anon_page
-          end
-          else begin
-            (* Re-publish: a direct-mapped collision may have evicted
-               this page's slot since insert; the locked path is where
-               the hash heals. *)
-            Physmem.Lookup.publish obj.Uvm_object.okey ~pgno page;
-            install_object_page map entry ~vpn ~write ~wire page
-          end)
+  | Ok page ->
+      if write && entry.cow then begin
+        (* Promote: anonymise the page so the object stays unmodified. *)
+        let am = Option.get entry.amap in
+        let slot = entry.amapoff + (vpn - entry.spage) in
+        let anon = Uvm_anon.alloc sys ~zero:false in
+        let anon_page = Option.get anon.Uvm_anon.page in
+        Core.cow_copy map ~src:page anon_page;
+        anon_page.Physmem.Page.dirty <- true;
+        Core.install map entry ~vpn anon_page ~prot:entry.prot ~wire
+          ~surgery:(fun () ->
+            (* Promoting into a *shared* amap changes what every
+               sharer's entry resolves at this slot: sharers still
+               mapping the object's page read-only would keep reading
+               it and miss all writes through the new anon.  Shoot
+               their translations down so they refault and find the
+               anon. *)
+            if am.Uvm_amap.shared then
+              Pmap.page_remove_unwired (Uvm_sys.pmap_ctx sys) page;
+            Uvm_amap.add sys am ~slot anon);
+        Ok anon_page
+      end
+      else begin
+        (* Re-publish: a direct-mapped collision may have evicted
+           this page's slot since insert; the locked path is where
+           the hash heals. *)
+        Physmem.Lookup.publish obj.Uvm_object.okey ~pgno page;
+        install_object_page map entry ~vpn ~write ~wire page
+      end
 
-let resolve_zero_fill map entry ~vpn ~write ~wire =
+let resolve_zero_fill map entry ~vpn ~write ~wire am =
   let sys = map.sys in
-  let am = Option.get entry.amap in
   let slot = entry.amapoff + (vpn - entry.spage) in
   let anon = Uvm_anon.alloc sys ~zero:true in
   let page = Option.get anon.Uvm_anon.page in
@@ -245,9 +240,9 @@ let resolve map entry ~vpn ~write ~wire =
   match anon with
   | Some anon ->
       let am = Option.get entry.amap in
-      Core.locked map ~cls:"amap" ~id:am.Uvm_amap.id
+      Core.locked map ~handle:Uvm_amap.lock_handle am
         ~mode:(if write then Sim.Lockstat.Write else Sim.Lockstat.Read)
-        (fun () -> resolve_anon_fault map entry ~vpn ~write ~wire anon)
+        resolve_anon_fault entry ~vpn ~write ~wire anon
   | None -> (
       match entry.obj with
       | Some obj -> (
@@ -263,14 +258,14 @@ let resolve map entry ~vpn ~write ~wire =
           match fast with
           | Some page -> install_object_page map entry ~vpn ~write ~wire page
           | None ->
-              Core.locked map ~cls:"object" ~id:obj.Uvm_object.id
-                ~mode:Sim.Lockstat.Read (fun () ->
-                  resolve_object_fault map entry ~vpn ~write ~wire obj))
+              Core.locked map ~handle:Uvm_object.lock_handle obj
+                ~mode:Sim.Lockstat.Read resolve_object_fault entry ~vpn ~write
+                ~wire obj)
       | None ->
           let am = Option.get entry.amap in
-          Core.locked map ~cls:"amap" ~id:am.Uvm_amap.id
-            ~mode:Sim.Lockstat.Write (fun () ->
-              resolve_zero_fill map entry ~vpn ~write ~wire))
+          Core.locked map ~handle:Uvm_amap.lock_handle am
+            ~mode:Sim.Lockstat.Write resolve_zero_fill entry ~vpn ~write ~wire
+            am)
 
 (* Step 3 runs in the core once the frame is referenced: opportunistically
    map resident neighbours. *)

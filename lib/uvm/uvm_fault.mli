@@ -34,6 +34,3 @@ val fault :
     page is additionally wired (and copy-on-write is resolved eagerly if
     the mapping is writable, so later writes cannot replace a wired
     page). *)
-
-val window : Uvm_sys.t -> Vmiface.Vmtypes.advice -> int * int
-(** [(behind, ahead)] fault-ahead window for the given advice. *)

@@ -8,15 +8,12 @@ type t = {
   mutable pgops : pager_ops;
   okey : Physmem.Lookup.okey;
   ext : ext;
+  mutable lockh : Sim.Lockstat.lock option;
 }
 
 and pager_ops = {
   pgo_name : string;
-  pgo_get :
-    center:int ->
-    lo:int ->
-    hi:int ->
-    ((int * Physmem.Page.t) list, Vmiface.Vmtypes.fault_error) result;
+  pgo_get : center:int -> (Physmem.Page.t, Vmiface.Vmtypes.fault_error) result;
   pgo_put : Physmem.Page.t list -> (unit, Vmiface.Vmtypes.fault_error) result;
   pgo_cache_spill : Physmem.Page.t -> unit;
   pgo_reference : unit -> unit;
@@ -28,7 +25,7 @@ type Physmem.Page.tag += Uobj_page of t
 let dummy_ops =
   {
     pgo_name = "uninitialized";
-    pgo_get = (fun ~center:_ ~lo:_ ~hi:_ -> assert false);
+    pgo_get = (fun ~center:_ -> assert false);
     pgo_put = (fun _ -> assert false);
     pgo_cache_spill = (fun _ -> assert false);
     pgo_reference = (fun () -> assert false);
@@ -44,12 +41,29 @@ let make ?(ext = No_ext) sys mk_ops =
       pgops = dummy_ops;
       okey = Physmem.Lookup.okey (Uvm_sys.physmem sys);
       ext;
+      lockh = None;
     }
   in
   t.pgops <- mk_ops t;
   t
 
-let find_page t ~pgno = Hashtbl.find_opt t.pages pgno
+let lock_handle ls t =
+  match t.lockh with
+  | Some l -> l
+  | None ->
+      let l =
+        Sim.Lockstat.register ls ~cls:"object" ("object#" ^ string_of_int t.id)
+      in
+      t.lockh <- Some l;
+      l
+
+let find t ~pgno = Hashtbl.find t.pages pgno
+let mem_page t ~pgno = Hashtbl.mem t.pages pgno
+
+let got_centre t ~center =
+  match find t ~pgno:center with
+  | page -> Ok page
+  | exception Not_found -> Error Vmiface.Vmtypes.Pager_error
 
 let insert_page _sys t ~pgno (page : Physmem.Page.t) =
   assert (not (Hashtbl.mem t.pages pgno));
@@ -62,7 +76,6 @@ let remove_page t ~pgno =
   Physmem.Lookup.revoke t.okey ~pgno;
   Hashtbl.remove t.pages pgno
 let resident_count t = Hashtbl.length t.pages
-let resident t = Hashtbl.fold (fun pgno page acc -> (pgno, page) :: acc) t.pages []
 
 let dirty_pages t =
   Hashtbl.fold

@@ -22,6 +22,8 @@ type t = {
       (** lockless-lookup identity: [insert_page]/[remove_page]
           publish/revoke through it, the fault path probes it *)
   ext : ext;
+  mutable lockh : Sim.Lockstat.lock option;
+      (** lock-observatory handle, registered by {!lock_handle} *)
 }
 
 (** The pager API (paper §6).  Unlike BSD VM, [pgo_get] allocates pages
@@ -29,16 +31,13 @@ type t = {
     the data. *)
 and pager_ops = {
   pgo_name : string;
-  pgo_get :
-    center:int ->
-    lo:int ->
-    hi:int ->
-    ((int * Physmem.Page.t) list, Vmiface.Vmtypes.fault_error) result;
+  pgo_get : center:int -> (Physmem.Page.t, Vmiface.Vmtypes.fault_error) result;
       (** Make the page at offset [center] resident (reading a cluster from
-          backing store if the pager chooses) and report every resident
-          page in [lo, hi) for the fault routine's fault-ahead window.
+          backing store if the pager chooses) and return it.  The fault
+          routine finds the neighbours it maps in the object itself.
           [Error Pager_error] when backing store I/O fails beyond the
-          retry budget; no half-filled pages are left behind. *)
+          retry budget, or when there is no page to supply; no
+          half-filled pages are left behind. *)
   pgo_put : Physmem.Page.t list -> (unit, Vmiface.Vmtypes.fault_error) result;
       (** Write the given dirty pages of this object back to backing store,
           clustering as the pager sees fit.  On [Error] the unwritten pages
@@ -58,11 +57,26 @@ val make : ?ext:ext -> Uvm_sys.t -> (t -> pager_ops) -> t
 (** [make sys mk_ops] builds an object whose pager closes over the object
     itself (refs starts at 1).  [ext] defaults to [No_ext]. *)
 
-val find_page : t -> pgno:int -> Physmem.Page.t option
+val lock_handle : Sim.Lockstat.t -> t -> Sim.Lockstat.lock
+(** The object's lock in the registry (["object#<id>"]), registered on
+    first use.  The fault path asks for it only while the registry is
+    active. *)
+
+val find : t -> pgno:int -> Physmem.Page.t
+(** The resident page at [pgno], found without building an option (a
+    fault probes every page of its fault-ahead window).
+    @raise Not_found if there is none. *)
+
+val mem_page : t -> pgno:int -> bool
+
+val got_centre :
+  t -> center:int -> (Physmem.Page.t, Vmiface.Vmtypes.fault_error) result
+(** A pager's answer once it has done its work: the resident page at
+    [center], or [Error Pager_error] if there is none. *)
+
 val insert_page : Uvm_sys.t -> t -> pgno:int -> Physmem.Page.t -> unit
 val remove_page : t -> pgno:int -> unit
 val resident_count : t -> int
-val resident : t -> (int * Physmem.Page.t) list
 val dirty_pages : t -> Physmem.Page.t list
 
 val free_all_pages : Uvm_sys.t -> t -> unit

@@ -96,7 +96,7 @@ let flush_object_batches sys batches =
       (* The pager already applied the retry/reassignment policy; whatever
          failed stays dirty and is reactivated below so it stops clogging
          the inactive queue. *)
-      let l = Sim.Lockstat.instance ls ~cls:"object" ~id:obj.Uvm_object.id in
+      let l = Uvm_object.lock_handle ls obj in
       Sim.Lockstat.acquire ls l ~mode:Sim.Lockstat.Write;
       (match
          Fun.protect

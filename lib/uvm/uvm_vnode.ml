@@ -34,14 +34,15 @@ let make_ops sys (vnode : Vfs.Vnode.t) (uvn_ref : uvn option ref) obj =
   let physmem = Uvm_sys.physmem sys in
   let vfs = Uvm_sys.vfs sys in
   let swap = Uvm_sys.swapdev sys in
-  let read_from_vnode ~center ~status =
+  (* Whether the read succeeded. *)
+  let read_from_vnode ~center =
     begin
        (* Clustered read: the run of non-resident pages starting at the
           center, capped at Uvm_sys.io_cluster. *)
        let max_run = Uvm_sys.io_cluster in
        let rec run_len k =
          if k >= max_run then k
-         else if Uvm_object.find_page obj ~pgno:(center + k) <> None then k
+         else if Uvm_object.mem_page obj ~pgno:(center + k) then k
          else run_len (k + 1)
        in
        let n = max 1 (run_len 0) in
@@ -51,61 +52,63 @@ let make_ops sys (vnode : Vfs.Vnode.t) (uvn_ref : uvn option ref) obj =
                ~offset:(center + i) ())
        in
        let span = Uvm_sys.span_start sys ~subsys:"pager" "pagein" in
-       (match
-          Uvm_sys.retry_transient sys (fun () ->
-              Vfs.read_pages vfs vnode ~start_page:center ~dsts:pages)
-        with
-       | Ok () ->
-           List.iteri
-             (fun i page ->
-               Physmem.note_fault_in physmem page
-                 ~fill:Sim.Lifecycle.Fill_file;
-               Uvm_object.insert_page sys obj ~pgno:(center + i) page;
-               Physmem.activate physmem page)
-             pages
-       | Error _ ->
-           (* Read failed for good: return the untouched frames and report
-              the typed error — the faulting process gets its SIGBUS, the
-              kernel does not panic. *)
-           List.iter (fun page -> Physmem.free_page physmem page) pages;
-           let stats = Uvm_sys.stats sys in
-           stats.Sim.Stats.pageins_failed <- stats.Sim.Stats.pageins_failed + 1;
-           status := Error Vmiface.Vmtypes.Pager_error);
+       let ok =
+         match
+           Uvm_sys.retry_transient sys (fun () ->
+               Vfs.read_pages vfs vnode ~start_page:center ~dsts:pages)
+         with
+         | Ok () ->
+             List.iteri
+               (fun i page ->
+                 Physmem.note_fault_in physmem page
+                   ~fill:Sim.Lifecycle.Fill_file;
+                 Uvm_object.insert_page sys obj ~pgno:(center + i) page;
+                 Physmem.activate physmem page)
+               pages;
+             true
+         | Error _ ->
+             (* Read failed for good: return the untouched frames and
+                report the typed error — the faulting process gets its
+                SIGBUS, the kernel does not panic. *)
+             List.iter (fun page -> Physmem.free_page physmem page) pages;
+             let stats = Uvm_sys.stats sys in
+             stats.Sim.Stats.pageins_failed <-
+               stats.Sim.Stats.pageins_failed + 1;
+             false
+       in
        Uvm_sys.span_finish sys span (fun () ->
            [
              ("pager", "vnode");
              ("pages", string_of_int n);
-             ("result", match !status with Ok () -> "ok" | Error _ -> "error");
-           ])
+             ("result", if ok then "ok" else "error");
+           ]);
+       ok
      end
   in
-  let pgo_get ~center ~lo ~hi =
-    let status = ref (Ok ()) in
-    (if Uvm_object.find_page obj ~pgno:center = None then begin
-       (* Swapcache first: a clean copy spilled to the fast swap tier at
-          reclaim time serves the re-fault without touching the vnode. *)
-       let page =
-         Physmem.alloc physmem ~owner:(Uvm_object.Uobj_page obj) ~offset:center
-           ()
-       in
-       if Swap.Swaptier.cache_lookup swap ~vid:vnode.vid ~pgno:center ~dst:page
-       then begin
-         Physmem.note_fault_in physmem page ~fill:Sim.Lifecycle.Fill_pagein;
-         Uvm_object.insert_page sys obj ~pgno:center page;
-         Physmem.activate physmem page
-       end
-       else begin
-         Physmem.free_page physmem page;
-         read_from_vnode ~center ~status
-       end
-     end);
-    match !status with
-    | Error _ as e -> e
-    | Ok () ->
-        Ok
-          (List.filter
-             (fun (pgno, _) -> pgno >= lo && pgno < hi)
-             (Uvm_object.resident obj))
+  let pgo_get ~center =
+    let ok =
+      Uvm_object.mem_page obj ~pgno:center
+      ||
+      (* Swapcache first: a clean copy spilled to the fast swap tier at
+         reclaim time serves the re-fault without touching the vnode. *)
+      let page =
+        Physmem.alloc physmem ~owner:(Uvm_object.Uobj_page obj) ~offset:center
+          ()
+      in
+      if Swap.Swaptier.cache_lookup swap ~vid:vnode.vid ~pgno:center ~dst:page
+      then begin
+        Physmem.note_fault_in physmem page ~fill:Sim.Lifecycle.Fill_pagein;
+        Uvm_object.insert_page sys obj ~pgno:center page;
+        Physmem.activate physmem page;
+        true
+      end
+      else begin
+        Physmem.free_page physmem page;
+        read_from_vnode ~center
+      end
+    in
+    if ok then Uvm_object.got_centre obj ~center
+    else Error Vmiface.Vmtypes.Pager_error
   in
   let pgo_put pages =
     (* Attempt every run even if one fails — maximise what gets cleaned —

@@ -27,38 +27,50 @@ module Make (M : Map_core.S) (K : KERNEL) = struct
   (* The one exit of a fault: release the map and close the span. *)
   let finish map span ~vpn ~access r =
     M.unlock map;
-    Machine.span_finish map.M.mach span (fun () ->
-        [
-          ("vpn", string_of_int vpn);
-          ( "access",
-            match access with Vmtypes.Read -> "read" | Vmtypes.Write -> "write"
-          );
-          ( "result",
-            match r with
-            | Ok () -> "ok"
-            | Error e -> Vmtypes.string_of_fault_error e );
-        ]);
+    (* Tested here, not only inside [span_finish], so an untraced fault
+       does not build the detail closure. *)
+    if Sim.Span.live span then
+      Machine.span_finish map.M.mach span (fun () ->
+          [
+            ("vpn", string_of_int vpn);
+            ( "access",
+              match access with
+              | Vmtypes.Read -> "read"
+              | Vmtypes.Write -> "write" );
+            ( "result",
+              match r with
+              | Ok () -> "ok"
+              | Error e -> Vmtypes.string_of_fault_error e );
+          ]);
     r
 
-  (** [locked map ~cls ~id ~mode f] runs [f] holding the lock of the
-      structure (amap or object) a fault resolves through, nested inside
-      the map lock: the two-level locking of paper §4, from which the
-      lock registry learns the map -> amap/object order.  The lock is
-      released on every exit, including the [Out_of_pages] unwind. *)
-  let locked map ~cls ~id ~mode f =
+  (** [locked map ~handle s ~mode step entry ~vpn ~write ~wire x] runs
+      the resolution step [step map entry ~vpn ~write ~wire x] holding
+      the lock of the structure [s] (amap or object) a fault resolves
+      through, nested inside the map lock: the two-level locking of paper
+      §4, from which the lock registry learns the map -> amap/object
+      order.  The lock is released on every exit, including the
+      [Out_of_pages] unwind.  An inactive registry records nothing, so
+      then the step runs bare and [s]'s handle ([handle registry s]) is
+      not even looked up.  The step comes with its arguments, not as a
+      closure, which every fault would allocate. *)
+  let locked map ~handle s ~mode step entry ~vpn ~write ~wire x =
     let ls = map.M.mach.Machine.locks in
-    let l = Sim.Lockstat.instance ls ~cls ~id in
-    Sim.Lockstat.acquire ls l ~mode;
-    (* Not [Fun.protect]: its two closures would be allocated on every
-       fault. *)
-    match f () with
-    | r ->
-        Sim.Lockstat.release ls l;
-        r
-    | exception e ->
-        let bt = Printexc.get_raw_backtrace () in
-        Sim.Lockstat.release ls l;
-        Printexc.raise_with_backtrace e bt
+    if not (Sim.Lockstat.active ls) then step map entry ~vpn ~write ~wire x
+    else begin
+      let l = handle ls s in
+      Sim.Lockstat.acquire ls l ~mode;
+      (* Not [Fun.protect]: its two closures would be allocated on every
+         fault. *)
+      match step map entry ~vpn ~write ~wire x with
+      | r ->
+          Sim.Lockstat.release ls l;
+          r
+      | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          Sim.Lockstat.release ls l;
+          Printexc.raise_with_backtrace e bt
+    end
 
   (** [cow_copy map ~src dst] fills the fresh frame [dst] with a copy of
       [src]: the copy-on-write step of both kernels. *)
@@ -80,12 +92,9 @@ module Make (M : Map_core.S) (K : KERNEL) = struct
     max 0 (entry.M.wired - if wire && K.wire_marked_first then 1 else 0)
 
   let unwire_displaced physmem prev ~transfer =
-    match prev with
-    | Some (pte : Pmap.pte) ->
-        for _ = 1 to transfer do
-          Physmem.unwire physmem pte.Pmap.page
-        done
-    | None -> ()
+    for _ = 1 to transfer do
+      Physmem.unwire physmem prev
+    done
 
   (** [install map entry ~vpn page ~prot ~wire] maps the resolved frame
       [page] at [vpn], activating it and moving the mapping's wirings
@@ -109,21 +118,26 @@ module Make (M : Map_core.S) (K : KERNEL) = struct
   let install ?loan_break ?surgery map (entry : M.entry) ~vpn page ~prot
       ~wire =
     let physmem = map.M.mach.Machine.physmem in
-    let prev = Pmap.lookup map.M.pmap ~vpn in
+    (* The displaced translation's frame and wired flag, read without
+       building an option ([page] and false when there is none). *)
+    let prev =
+      match Pmap.find map.M.pmap ~vpn with
+      | pte -> pte.Pmap.page
+      | exception Not_found -> page
+    and prev_wired =
+      match Pmap.find map.M.pmap ~vpn with
+      | pte -> pte.Pmap.wired
+      | exception Not_found -> false
+    in
     let transfer =
-      match prev with
-      | Some pte when pte.Pmap.wired && pte.Pmap.page != page -> (
-          match loan_break with
-          | Some (kept : Physmem.Page.t) when pte.Pmap.page == kept ->
-              kept.wire_count - kept.loan_count
-          | Some _ | None -> moving entry ~wire)
-      | Some _ | None -> 0
+      if prev_wired && prev != page then
+        match loan_break with
+        | Some (kept : Physmem.Page.t) when prev == kept ->
+            kept.wire_count - kept.loan_count
+        | Some _ | None -> moving entry ~wire
+      else 0
     in
-    let keep =
-      match prev with
-      | Some pte -> pte.Pmap.wired && pte.Pmap.page == page
-      | None -> false
-    in
+    let keep = prev_wired && prev == page in
     (match surgery with
     | None ->
         Physmem.activate physmem page;

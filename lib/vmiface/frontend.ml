@@ -102,20 +102,13 @@ module Make (K : KERNEL) = struct
       | None -> ()
     done
 
-  let wanted_prot = function
-    | Read -> { Pmap.Prot.r = true; w = false; x = false }
-    | Write -> Pmap.Prot.rw
-
   let touch sys vm ~vpn access =
     let m = machine sys in
-    Machine.charge m m.Machine.costs.Sim.Cost_model.mem_access;
-    let ok () =
-      match Pmap.lookup vm.pmap ~vpn with
-      | Some pte -> Pmap.Prot.subsumes pte.Pmap.prot (wanted_prot access)
-      | None -> false
-    in
-    if not (ok ()) then fault_or_segv vm ~vpn ~access ~wire:false;
-    Pmap.mark_access vm.pmap ~vpn ~write:(access = Write)
+    Machine.charge m m.Machine.access_cost;
+    let write = access = Write in
+    if not (Pmap.permits vm.pmap ~vpn ~write) then
+      fault_or_segv vm ~vpn ~access ~wire:false;
+    Pmap.mark_access vm.pmap ~vpn ~write
 
   let access_range sys vm ~vpn ~npages access =
     for v = vpn to vpn + npages - 1 do
@@ -124,9 +117,7 @@ module Make (K : KERNEL) = struct
 
   let page_of sys vm ~vpn access =
     touch sys vm ~vpn access;
-    match Pmap.lookup vm.pmap ~vpn with
-    | Some pte -> pte.Pmap.page
-    | None -> assert false
+    (Pmap.find vm.pmap ~vpn).Pmap.page
 
   (* Walk [len] bytes from [addr] page by page, faulting each page in for
      [access] and handing [f] the frame, the offset in it, the offset in

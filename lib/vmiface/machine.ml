@@ -106,6 +106,8 @@ type t = {
       (* per-CPU runnable count for the sampler; the SMP scheduler
          installs [Smp.runnable] here so vmstat's cpuK:runnable column
          reflects the storm in flight *)
+  access_cost : float;
+      (* [costs.mem_access], boxed once at boot *)
   mutable next_id : int;
   mutable next_kernel_id : int;
 }
@@ -161,7 +163,9 @@ let boot ?(config = default_config) () =
       physmem =
         Physmem.create ~page_size:config.page_size ~lifecycle
           ~ncpus:config.ncpus ~npages:config.ram_pages ~clock ~costs ~stats ();
-      pmap_ctx = Pmap.create_ctx ~lifecycle ~clock ~costs ~stats ();
+      pmap_ctx =
+        Pmap.create_ctx ~lifecycle ~npages:config.ram_pages ~clock ~costs
+          ~stats ();
       swap =
         (let specs =
            match config.swap_tiers with
@@ -187,6 +191,7 @@ let boot ?(config = default_config) () =
       locks;
       trace_source;
       runnable_probe = None;
+      access_cost = costs.Sim.Cost_model.mem_access;
       next_id = 0;
       next_kernel_id = 0;
     }
@@ -436,8 +441,17 @@ let fresh_id t =
 
 let page_size t = t.config.page_size
 let set_runnable_probe t f = t.runnable_probe <- f
-let now t = Sim.Simclock.now t.clock
-let charge t us = Sim.Simclock.advance t.clock us
-let span_start t ~subsys name = Sim.Span.start t.spans ~subsys ~ts:(now t) name
-let span_finish t sp detail = Sim.Span.finish_with t.spans sp ~ts:(now t) detail
+let[@inline] now t = Sim.Simclock.now t.clock
+let[@inline] charge t us = Sim.Simclock.advance t.clock us
+
+(* Both test the collector first, so an untraced run reads no timestamp:
+   without cross-module inlining, that read would box a float. *)
+let span_start t ~subsys name =
+  if Sim.Span.enabled t.spans then
+    Sim.Span.start t.spans ~subsys ~ts:(now t) name
+  else Sim.Span.dummy
+
+let span_finish t sp detail =
+  if Sim.Span.live sp then Sim.Span.finish_with t.spans sp ~ts:(now t) detail
+
 let set_label t label = t.trace_source.Sim.Trace_export.label <- label

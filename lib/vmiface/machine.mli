@@ -88,6 +88,11 @@ type t = {
   mutable runnable_probe : (int -> int) option;
       (** per-CPU runnable count read by the vmstat sampler's
           [cpuK:runnable] columns; installed via {!set_runnable_probe} *)
+  access_cost : float;
+      (** [costs.mem_access], boxed once at boot: a record of floats only
+          stores them flat, so passing one of its fields to {!charge}
+          boxes it afresh wherever the call is not inlined.  The resident
+          access path charges this one and allocates nothing. *)
   mutable next_id : int;  (** see {!fresh_id} *)
   mutable next_kernel_id : int;
       (** the booted kernel's own id supply (its objects, amaps, anons and
@@ -112,7 +117,7 @@ val charge : t -> float -> unit
 
 val span_start : t -> subsys:string -> string -> Sim.Span.span
 (** Open a span on the machine's collector at the current simulated
-    time. *)
+    time ({!Sim.Span.dummy}, reading no time, when it is off). *)
 
 val span_finish :
   t -> Sim.Span.span -> (unit -> (string * string) list) -> unit

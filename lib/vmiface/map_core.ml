@@ -75,9 +75,11 @@ module type S = sig
     mutable first : entry option;
     mutable nentries : int;
     mutable hint : entry option;
-    mutable locked_since : float option;
+    mutable locked : bool;
+    since : Sim.Simclock.stamp;  (** when the held lock was taken *)
     mutable lockh : Sim.Lockstat.lock option;
-        (** lock-observatory handle, registered on first {!lock} *)
+        (** lock-observatory handle, registered on the first {!lock}
+            while the registry is active *)
   }
 
   val create : sys -> pmap:Pmap.t -> lo:int -> hi:int -> kernel:bool -> t
@@ -246,7 +248,8 @@ struct
     mutable first : entry option;
     mutable nentries : int;
     mutable hint : entry option;
-    mutable locked_since : float option;
+    mutable locked : bool;
+    since : Sim.Simclock.stamp;
     mutable lockh : Sim.Lockstat.lock option;
   }
 
@@ -262,15 +265,17 @@ struct
       first = None;
       nentries = 0;
       hint = None;
-      locked_since = None;
+      locked = false;
+      since = { Sim.Simclock.at = 0.0 };
       lockh = None;
     }
 
   let stats t = t.mach.Machine.stats
   let costs t = t.mach.Machine.costs
-  let charge t us = Machine.charge t.mach us
+  let[@inline] charge t us = Machine.charge t.mach us
 
-  (* The map's entry in the lock observatory, registered on first lock.
+  (* The map's entry in the lock observatory, registered on the first
+     lock while the registry is active (an inactive one records nothing).
      The registry renders the lock:map span; the cost charge and the
      Stats counters stay here because they are always on. *)
   let lock_handle t =
@@ -285,25 +290,28 @@ struct
         l
 
   let lock t =
-    assert (t.locked_since = None);
+    assert (not t.locked);
     charge t (costs t).Sim.Cost_model.lock_acquire;
     (stats t).Sim.Stats.lock_acquisitions <-
       (stats t).Sim.Stats.lock_acquisitions + 1;
-    Sim.Lockstat.acquire t.mach.Machine.locks (lock_handle t)
-      ~mode:Sim.Lockstat.Write;
-    t.locked_since <- Some (Machine.now t.mach)
+    let ls = t.mach.Machine.locks in
+    if Sim.Lockstat.active ls then
+      Sim.Lockstat.acquire ls (lock_handle t) ~mode:Sim.Lockstat.Write;
+    t.locked <- true;
+    t.since.Sim.Simclock.at <- Machine.now t.mach
 
-  let is_locked t = t.locked_since <> None
+  let is_locked t = t.locked
 
   let unlock t =
-    match t.locked_since with
-    | None -> invalid_arg (K.name ^ ".unlock: not locked")
-    | Some since ->
-        let held = Machine.now t.mach -. since in
-        (stats t).Sim.Stats.map_lock_held_us <-
-          (stats t).Sim.Stats.map_lock_held_us +. held;
-        t.locked_since <- None;
-        Sim.Lockstat.release t.mach.Machine.locks (lock_handle t)
+    if not t.locked then invalid_arg (K.name ^ ".unlock: not locked");
+    let held = Machine.now t.mach -. t.since.Sim.Simclock.at in
+    (stats t).Sim.Stats.map_lock_held_us <-
+      (stats t).Sim.Stats.map_lock_held_us +. held;
+    t.locked <- false;
+    (* A handle that was never registered was never acquired. *)
+    match t.lockh with
+    | Some l -> Sim.Lockstat.release t.mach.Machine.locks l
+    | None -> ()
 
   let entry_npages e = e.epage - e.spage
   let entry_count t = t.nentries
@@ -381,17 +389,26 @@ struct
     (match t.hint with Some h when h == e -> t.hint <- None | _ -> ());
     t.nentries <- t.nentries - 1
 
-  let search t ~from ~vpn =
-    let search_cost = (costs t).Sim.Cost_model.map_entry_search in
-    let rec go prev = function
-      | None -> (prev, None)
-      | Some e ->
-          charge t search_cost;
-          if vpn < e.spage then (prev, None)
-          else if vpn < e.epage then (prev, Some e)
-          else go (Some e) e.next
-    in
-    go None from
+  (* Both walks hand back the links they arrived by ([Some e] boxes the
+     list already holds), so they build no option or closure. *)
+  let rec search_from t ~vpn prev = function
+    | None -> (prev, None)
+    | Some e as link ->
+        charge t (costs t).Sim.Cost_model.map_entry_search;
+        if vpn < e.spage then (prev, None)
+        else if vpn < e.epage then (prev, link)
+        else search_from t ~vpn link e.next
+
+  let search t ~from ~vpn = search_from t ~vpn None from
+
+  (* [search] without the insertion point. *)
+  let rec find_from t ~vpn = function
+    | None -> None
+    | Some e as link ->
+        charge t (costs t).Sim.Cost_model.map_entry_search;
+        if vpn < e.spage then None
+        else if vpn < e.epage then link
+        else find_from t ~vpn e.next
 
   (* Start from the hint when it does not overshoot [vpn], else from the
      head.  The hint is always a linked entry: unlink clears it. *)
@@ -399,8 +416,8 @@ struct
     let start =
       match t.hint with Some h when h.spage <= vpn -> t.hint | _ -> t.first
     in
-    let _, found = search t ~from:start ~vpn in
-    (match found with Some e -> t.hint <- Some e | None -> ());
+    let found = find_from t ~vpn start in
+    if found != None then t.hint <- found;
     found
 
   let range_free t ~spage ~npages =

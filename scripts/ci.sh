@@ -25,6 +25,14 @@ fi
 
 dune runtest
 
+# The allocation ledger again under the release profile, the build the
+# benchmark measures: dune runtest ran it under dev, which compiles every
+# module -opaque (no cross-module inlining), so both builds are gated.
+# It shares the benchmark's build directory.
+dune build --root . --build-dir .bench_build --profile release \
+  ./test/test_alloc.exe
+./.bench_build/default/test/test_alloc.exe
+
 # CLI error smoke: an unknown flag and a bad seed range must exit 2 with a
 # usage message, the status every invalid option value gets.
 for args in 'table2 --bogus' 'torture --seed 5-1'; do

@@ -56,6 +56,72 @@ module Stream (V : Vmiface.Vm_sig.VM_SYS) = struct
     I.close sys ch;
     V.audit sys;
     Buffer.contents out
+
+  (* The channel lock is released on every exit.  With tracing on, so
+     the registry records, a send from and a recv into an unmapped buffer
+     raise [Segv] from inside the locked section, plain and vslock'd, and
+     leave no lock held; the channel keeps working afterwards.  A
+     vslock'd recv into a read-only buffer wires it, then faults on the
+     copy-out: the buffer is unwired again on the way out. *)
+  let segv_releases_lock () =
+    let config =
+      { M.default_config with ram_pages = 512; swap_pages = 1024; trace_buf = Some 256 }
+    in
+    let sys = V.boot ~config () in
+    let locks = (V.machine sys).M.locks in
+    let tx = V.new_vmspace sys and rx = V.new_vmspace sys in
+    let src = V.mmap sys tx ~npages:2 ~prot:Pmap.Prot.rw ~share:Vt.Private Vt.Zero in
+    let dst = V.mmap sys rx ~npages:2 ~prot:Pmap.Prot.rw ~share:Vt.Private Vt.Zero in
+    V.munmap sys tx ~vpn:(src + 1) ~npages:1;
+    V.munmap sys rx ~vpn:(dst + 1) ~npages:1;
+    V.write_bytes sys tx ~addr:(src * ps) (pattern 300);
+    let ch = I.pipe sys () in
+    let segv f =
+      match f () with _ -> false | exception Vt.Segv _ -> true
+    in
+    let no_lock_held what =
+      Alcotest.(check (list (pair string string)))
+        (what ^ ": no lock held") [] (Sim.Lockstat.held locks)
+    in
+    Alcotest.(check bool) "lock registry recording" true
+      (Sim.Lockstat.active locks);
+    List.iter
+      (fun vslocked ->
+        let tag = if vslocked then "vslock'd " else "" in
+        Alcotest.(check bool) (tag ^ "send faults") true
+          (segv (fun () ->
+               I.send sys tx ~vslocked ch ~policy:Ipc.Copy
+                 ~addr:((src + 1) * ps) ~len:100));
+        no_lock_held (tag ^ "send");
+        Alcotest.(check int) (tag ^ "send after the fault") 100
+          (I.send sys tx ~vslocked ch ~policy:Ipc.Copy ~addr:(src * ps)
+             ~len:100);
+        Alcotest.(check bool) (tag ^ "recv faults") true
+          (segv (fun () ->
+               I.recv sys rx ~vslocked ch ~addr:((dst + 1) * ps) ~len:100));
+        no_lock_held (tag ^ "recv"))
+      [ false; true ];
+    let ro = V.mmap sys rx ~npages:1 ~prot:Pmap.Prot.read ~share:Vt.Private Vt.Zero in
+    let wired_frames () =
+      let n = ref 0 in
+      Physmem.iter_pages
+        (fun p -> if p.Physmem.Page.wire_count > 0 then incr n)
+        (V.machine sys).M.physmem;
+      !n
+    in
+    let wired = wired_frames () in
+    ignore (I.send sys tx ch ~policy:Ipc.Copy ~addr:(src * ps) ~len:100 : int);
+    Alcotest.(check bool) "vslock'd recv into a read-only buffer faults" true
+      (segv (fun () ->
+           I.recv sys rx ~vslocked:true ch ~addr:(ro * ps) ~len:100));
+    no_lock_held "read-only recv";
+    Alcotest.(check int) "buffer unwired" wired (wired_frames ());
+    ignore (I.send sys tx ch ~policy:Ipc.Copy ~addr:(src * ps) ~len:100 : int);
+    (match I.recv sys rx ch ~addr:(dst * ps) ~len:100 with
+    | I.Data n -> Alcotest.(check int) "recv after the faults" 100 n
+    | I.Mapped _ -> Alcotest.fail "unexpected mapped delivery");
+    no_lock_held "end";
+    V.audit sys
 end
 
 module SU = Stream (Uvm.Sys)
@@ -253,6 +319,13 @@ let () =
           Alcotest.test_case "backpressure policy-independent" `Quick
             test_backpressure_policy_independent;
           Alcotest.test_case "vslock'd streams" `Quick test_vslocked_stream;
+        ] );
+      ( "unwinding",
+        [
+          Alcotest.test_case "UVM: a Segv releases the channel lock" `Quick
+            SU.segv_releases_lock;
+          Alcotest.test_case "BSD VM: a Segv releases the channel lock"
+            `Quick SB.segv_releases_lock;
         ] );
       ( "mechanics",
         [

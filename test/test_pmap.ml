@@ -7,7 +7,9 @@ let mk () =
     Physmem.create ~page_size:256 ~npages:32 ~clock ~costs:Sim.Cost_model.zero
       ~stats ()
   in
-  let ctx = Pmap.create_ctx ~clock ~costs:Sim.Cost_model.zero ~stats () in
+  let ctx =
+    Pmap.create_ctx ~npages:32 ~clock ~costs:Sim.Cost_model.zero ~stats ()
+  in
   (pm, ctx)
 
 let page pm = Physmem.alloc pm ~owner:Physmem.Page.No_owner ~offset:0 ()
