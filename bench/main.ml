@@ -1,8 +1,12 @@
 (* The benchmark harness.
 
-   Part 1 regenerates every table and figure of the paper's evaluation
-   (simulated time / counts — the reproduction itself), plus an ablation
-   sweep of UVM's pageout clustering.
+   Part 1 runs every entry of [Experiments.Registry] that declares bench
+   knobs: the tables and figures of the paper's evaluation (simulated
+   time / counts — the reproduction itself) and the studies built on
+   them.  Three ablations of UVM's tunables follow.  BENCH_results.json
+   (schema uvm-bench/2) keeps each one's JSON document under
+   experiments.<name>; for an entry, that is the document
+   [uvm_sim <name> --out] writes.
 
    Part 2 runs Bechamel wall-clock micro-benchmarks of the simulator: one
    Test.make per paper artifact, each exercising the code path that the
@@ -14,41 +18,13 @@
 
 open Vmiface.Vmtypes
 
-(* ------------------------------------------------------------------ *)
-(* JSON emission for BENCH_results.json: tiny combinators over Buffer,
-   sharing the escaper with the simulator's trace exporters.            *)
-
-let js = Sim.Trace_export.json_string
-
-let obj buf fields =
-  Buffer.add_char buf '{';
-  List.iteri
-    (fun i (k, emit) ->
-      if i > 0 then Buffer.add_char buf ',';
-      js buf k;
-      Buffer.add_char buf ':';
-      emit buf)
-    fields;
-  Buffer.add_char buf '}'
-
-let arr emit items buf =
-  Buffer.add_char buf '[';
-  List.iteri
-    (fun i x ->
-      if i > 0 then Buffer.add_char buf ',';
-      emit x buf)
-    items;
-  Buffer.add_char buf ']'
-
-let jint n buf = Buffer.add_string buf (string_of_int n)
-let jfloat v buf = Buffer.add_string buf (Printf.sprintf "%.3f" v)
-let jstr s buf = js buf s
+module R = Experiments.Report
 
 (* ------------------------------------------------------------------ *)
 (* Part 1: the paper's evaluation.                                     *)
 
 let ablation_pageout_cluster () =
-  Experiments.Report.title
+  R.title
     "Ablation: pageout cluster size (48MB allocation, 32MB RAM; cluster=1 is BSD-style)";
   Printf.printf "%-10s %14s %12s\n" "cluster" "time" "write I/Os";
   List.map
@@ -79,11 +55,18 @@ let ablation_pageout_cluster () =
       Printf.printf "%-10d %12.3f s %12d\n" cluster (dt /. 1e6) writes;
       (cluster, dt, writes))
     [ 1; 2; 4; 8; 16; 32 ]
+  |> R.arr (fun (cluster, dt, writes) buf ->
+         R.obj buf
+           [
+             ("cluster", R.jint cluster);
+             ("time_us", R.jfloat dt);
+             ("write_ios", R.jint writes);
+           ])
 
 (* Ablation: the fault-ahead window (Table 2's mechanism), swept from
    disabled to double the paper's default, on the cc trace. *)
 let ablation_fault_ahead () =
-  Experiments.Report.title
+  R.title
     "Ablation: fault-ahead window (behind/ahead) on the cc trace (paper default 3/4)";
   Printf.printf "%-12s %10s\n" "window" "faults";
   List.map
@@ -122,13 +105,20 @@ let ablation_fault_ahead () =
       Printf.printf "%d/%-10d %10d\n" behind ahead faults;
       (behind, ahead, faults))
     [ (0, 0); (1, 2); (3, 4); (6, 8) ]
+  |> R.arr (fun (behind, ahead, faults) buf ->
+         R.obj buf
+           [
+             ("behind", R.jint behind);
+             ("ahead", R.jint ahead);
+             ("faults", R.jint faults);
+           ])
 
 (* Ablation: fault-rate sweep × pageout clustering.  At a fixed
    per-operation write-error rate, clustering is also an exposure
    reducer: fewer, larger writes meet fewer errors and so need fewer
    retries for the same workload. *)
 let ablation_fault_rate () =
-  Experiments.Report.title
+  R.title
     "Ablation: write-error rate x pageout clustering (24MB allocation, 16MB RAM)";
   Printf.printf "%-10s %-10s %12s %10s %10s %10s\n" "werr" "cluster" "time"
     "writes" "injected" "retries";
@@ -179,220 +169,41 @@ let ablation_fault_rate () =
             st.Sim.Stats.pageout_retries ))
         [ 1; 8; 16 ])
     [ 0.0; 0.01; 0.05 ]
+  |> R.arr (fun (rate, cluster, dt, writes, injected, retries) buf ->
+         R.obj buf
+           [
+             ("write_error_rate", R.jfloat rate);
+             ("cluster", R.jint cluster);
+             ("time_us", R.jfloat dt);
+             ("write_ios", R.jint writes);
+             ("injected", R.jint injected);
+             ("retries", R.jint retries);
+           ])
 
-(* Run every experiment exactly once: print the paper's tables/figures as
-   before AND return the per-experiment JSON emitters that populate
-   BENCH_results.json. *)
+(* Every registry entry the bench runs, at its bench knobs, then the
+   ablations: each printed, and each one's JSON document keyed by its name
+   for BENCH_results.json. *)
 let reproduce_paper () =
-  let count_rows rows =
-    arr
-      (fun (label, bsd, uvm) buf ->
-        obj buf [ ("label", jstr label); ("bsd", jint bsd); ("uvm", jint uvm) ])
-      rows
+  let registry =
+    List.filter_map
+      (fun (Experiments.Registry.Entry e) ->
+        Option.map
+          (fun settings ->
+            let r = e.run (Experiments.Registry.params e.knobs settings) in
+            e.print r;
+            (e.name, fun buf -> e.json buf r))
+          e.bench)
+      Experiments.Registry.entries
   in
-  let time_rows key rows =
-    arr
-      (fun (n, bsd, uvm) buf ->
-        obj buf [ (key, jint n); ("bsd_us", jfloat bsd); ("uvm_us", jfloat uvm) ])
-      rows
-  in
-  let t1 = Experiments.Table1.run () in
-  Experiments.Table1.print_result t1;
-  let t2 = Experiments.Table2.run () in
-  Experiments.Table2.print_result t2;
-  let t3 = Experiments.Table3.run () in
-  Experiments.Table3.print_result t3;
-  let f2 = Experiments.Fig2.run () in
-  Experiments.Fig2.print_result f2;
-  let f5 = Experiments.Fig5.run () in
-  Experiments.Fig5.print_result f5;
-  let f6 = Experiments.Fig6.run () in
-  Experiments.Fig6.print_result f6;
-  let dm = Experiments.Datamove.run () in
-  Experiments.Datamove.print_result dm;
-  let sl = Experiments.Swapleak.run () in
-  Experiments.Swapleak.print_result sl;
-  let rs = Experiments.Resilience.run () in
-  Experiments.Resilience.print_result rs;
-  let sv = Experiments.Serve.run () in
-  Experiments.Serve.print_result sv;
-  (* Quick profile: the full soak is a CI gate of its own (uvm_sim soak);
-     the bench row tracks the overload counters and p99 across commits. *)
-  let sk = Experiments.Soak.run ~quick:true () in
-  Experiments.Soak.print_result sk;
-  (* Lock observatory rows: per-class hold times, so the regression gate
-     catches a lock getting hotter. *)
-  let lk = Experiments.Lockstat.run () in
-  Experiments.Lockstat.print lk;
-  (* Simulated-SMP rows: measured contention, speedup and
-     fast-path hit rates at 4 CPUs, quick profile — the full storm is a
-     CI gate of its own (uvm_sim smp). *)
-  let sm = Experiments.Smp.run ~quick:true ~cpus:4 () in
-  Experiments.Smp.print sm;
   let ab_cluster = ablation_pageout_cluster () in
   let ab_ahead = ablation_fault_ahead () in
   let ab_rate = ablation_fault_rate () in
-  (* The ledger-derived efficacy report (DESIGN.md §10): printed like the
-     other artifacts and embedded whole in BENCH_results.json so the
-     bench trajectory tracks policy efficacy, not just timings. *)
-  let eff = Experiments.Effreport.run () in
-  Experiments.Effreport.print_result eff;
-  [
-    ("efficacy_report", fun buf -> Sim.Trace_export.report_json buf eff);
-    ("table1", count_rows t1);
-    ("table2", count_rows t2);
-    ( "table3",
-      arr
-        (fun (label, bsd, uvm) buf ->
-          obj buf
-            [ ("label", jstr label); ("bsd_us", jfloat bsd); ("uvm_us", jfloat uvm) ])
-        t3 );
-    ("fig2", time_rows "files" f2);
-    ("fig5", time_rows "mb" f5);
-    ( "fig6",
-      fun buf ->
-        obj buf
-          [
-            ("touched", time_rows "mb" f6.Experiments.Fig6.touched);
-            ("untouched", time_rows "mb" f6.Experiments.Fig6.untouched);
-          ] );
-    ( "datamove",
-      arr
-        (fun (r : Experiments.Datamove.row) buf ->
-          obj buf
-            [
-              ("pages", jint r.npages);
-              ("copy_us", jfloat r.copy_us);
-              ("loan_us", jfloat r.loan_us);
-              ("transfer_us", jfloat r.transfer_us);
-              ("mexp_us", jfloat r.mexp_us);
-            ])
-        dm );
-    ( "serve",
-      arr
-        (fun (r : Experiments.Serve.row) buf ->
-          obj buf
-            [
-              ("system", jstr r.sv_system);
-              ("policy", jstr r.sv_policy);
-              ("payload", jint r.sv_payload);
-              ("requests", jint r.sv_requests);
-              ("total_us", jfloat r.sv_total_us);
-              ("mb_s", jfloat r.sv_mb_s);
-              ("p50_us", jfloat r.sv_p50_us);
-              ("p95_us", jfloat r.sv_p95_us);
-              ("p99_us", jfloat r.sv_p99_us);
-            ])
-        sv );
-    ( "swapleak",
-      arr
-        (fun (s : Experiments.Swapleak.step) buf ->
-          obj buf
-            [
-              ("step", jstr s.step_name);
-              ("bsd_leak", jint s.bsd_leak);
-              ("uvm_leak", jint s.uvm_leak);
-            ])
-        sl );
-    ( "resilience",
-      arr
-        (fun (r : Experiments.Resilience.row) buf ->
-          obj buf
-            [
-              ("system", jstr r.rs_system);
-              ("survived", jint (if r.rs_survived then 1 else 0));
-              ("lost_pages", jint r.rs_lost_pages);
-              ("migrations", jint r.rs_migrations);
-              ("failovers", jint r.rs_failovers);
-              ("cache_fills", jint r.rs_cache_fills);
-              ("cache_hits", jint r.rs_cache_hits);
-              ("hit_rate_before", jfloat r.rs_hit_rate_before);
-              ("us_per_page_before", jfloat r.rs_us_per_page_before);
-              ("us_per_page_after", jfloat r.rs_us_per_page_after);
-              ("time_us", jfloat r.rs_time_us);
-            ])
-        rs );
-    ( "soak",
-      arr
-        (fun (s : Experiments.Soak.row) buf ->
-          obj buf
-            [
-              ("system", jstr s.Experiments.Soak.so_system);
-              ("passed", jint (if s.so_passed then 1 else 0));
-              ("epochs", jint s.so_epochs);
-              ("time_us", jfloat s.so_time_us);
-              ("audit_failures", jint s.so_audit_failures);
-              ("lost_pages", jint s.so_lost_pages);
-              ("p99_fault_us", jfloat s.so_p99_fault_us);
-              ("oom_kills", jint s.so_oom_kills);
-              ("rlimit_denials", jint s.so_rlimit_denials);
-              ("proc_swapouts", jint s.so_proc_swapouts);
-              ("proc_swapins", jint s.so_proc_swapins);
-              ("reserve_grabs", jint s.so_reserve_grabs);
-            ])
-        sk.Experiments.Soak.rows );
-    ( "lockstat",
-      arr
-        (fun (r : Experiments.Lockstat.bench_row) buf ->
-          obj buf
-            [
-              ("system", jstr r.br_system);
-              ("class", jstr r.br_cls);
-              ("acquires", jint r.br_acquires);
-              ("reads", jint r.br_reads);
-              ("writes", jint r.br_writes);
-              ("mean_hold_us", jfloat r.br_mean_hold_us);
-              ("max_hold_us", jfloat r.br_max_hold_us);
-            ])
-        (Experiments.Lockstat.bench_rows lk) );
-    ( "smp",
-      arr
-        (fun (r : Experiments.Smp.bench_row) buf ->
-          obj buf
-            [
-              ("system", jstr r.br_system);
-              ("cpus", jint r.br_cpus);
-              ("wall_us", jfloat r.br_wall_us);
-              ("lock_wait_us", jfloat r.br_wait_us);
-              ("line_bounces", jint r.br_bounces);
-              ("speedup", jfloat r.br_speedup);
-              ("fast_hit_rate", jfloat r.br_fast_hit_rate);
-            ])
-        (Experiments.Smp.bench_rows sm) );
-    ( "ablation_pageout_cluster",
-      arr
-        (fun (cluster, dt, writes) buf ->
-          obj buf
-            [
-              ("cluster", jint cluster);
-              ("time_us", jfloat dt);
-              ("write_ios", jint writes);
-            ])
-        ab_cluster );
-    ( "ablation_fault_ahead",
-      arr
-        (fun (behind, ahead, faults) buf ->
-          obj buf
-            [
-              ("behind", jint behind);
-              ("ahead", jint ahead);
-              ("faults", jint faults);
-            ])
-        ab_ahead );
-    ( "ablation_fault_rate",
-      arr
-        (fun (rate, cluster, dt, writes, injected, retries) buf ->
-          obj buf
-            [
-              ("write_error_rate", jfloat rate);
-              ("cluster", jint cluster);
-              ("time_us", jfloat dt);
-              ("write_ios", jint writes);
-              ("injected", jint injected);
-              ("retries", jint retries);
-            ])
-        ab_rate );
-  ]
+  registry
+  @ [
+      ("ablation_pageout_cluster", ab_cluster);
+      ("ablation_fault_ahead", ab_ahead);
+      ("ablation_fault_rate", ab_rate);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Part 2: Bechamel wall-clock micro-benchmarks of the simulator.      *)
@@ -523,7 +334,7 @@ let bechamel_tests =
 let run_bechamel () =
   let open Bechamel in
   let open Toolkit in
-  Experiments.Report.title
+  R.title
     "Bechamel: wall-clock cost of the simulator itself (ns per run)";
   let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.2) ~kde:None () in
   let raw = Benchmark.all cfg Instance.[ monotonic_clock ] bechamel_tests in
@@ -547,13 +358,14 @@ let results_file = "BENCH_results.json"
 
 let write_results ~experiments ~micro =
   let buf = Buffer.create 16384 in
-  obj buf
+  R.obj buf
     [
-      ("schema", jstr "uvm-bench/1");
-      ("experiments", fun buf -> obj buf experiments);
+      ("schema", R.jstr "uvm-bench/2");
+      ("experiments", fun buf -> R.obj buf experiments);
       ( "microbench_ns_per_run",
         fun buf ->
-          obj buf (List.map (fun (name, est) -> (name, jfloat est)) micro) );
+          R.obj buf
+            (List.map (fun (name, est) -> (name, R.jfloat est)) micro) );
     ];
   Buffer.add_char buf '\n';
   let oc = open_out results_file in

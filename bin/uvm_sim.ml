@@ -1,235 +1,184 @@
 (** uvm_sim — reproduce the tables and figures of "The UVM Virtual Memory
     System" (Cranor & Parulkar, USENIX 1999) on the simulated substrate.
 
-    Each subcommand regenerates one paper artifact, comparing UVM with the
+    Each subcommand but [torture] is one entry of
+    [Experiments.Registry], and takes exactly the knobs that entry
+    declares.  Most regenerate one paper artifact, comparing UVM with the
     BSD VM baseline on an identical simulated machine.
 
-    Every experiment can be run on failing hardware: the fault-injection
-    options install a default fault plan that every machine booted by the
-    experiment inherits (a fresh, identically-seeded plan per boot, so
-    UVM and BSD VM face the same error sequence). *)
+    An experiment that declares the fault knob can be run on failing
+    hardware: the fault-injection options install a default fault plan
+    that every machine booted by the experiment inherits (a fresh,
+    identically-seeded plan per boot, so UVM and BSD VM face the same
+    error sequence). *)
 
 open Cmdliner
+module Registry = Experiments.Registry
 
-let experiments =
-  [
-    ("table1", "Table 1: allocated map entries", Experiments.Table1.print);
-    ("table2", "Table 2: page fault counts", Experiments.Table2.print);
-    ("table3", "Table 3: single-page map-fault-unmap time", Experiments.Table3.print);
-    ("fig2", "Figure 2: object cache effect on file access", Experiments.Fig2.print);
-    ("fig5", "Figure 5: anonymous memory allocation time", Experiments.Fig5.print);
-    ("fig6", "Figure 6: fork+wait overhead", Experiments.Fig6.print);
-    ("datamove", "Section 7: loanout/transfer/mexp vs copy", Experiments.Datamove.print);
-    ("swapleak", "Section 5.3: swap leak demonstration", Experiments.Swapleak.print);
-  ]
+(* An option value outside its range is a usage error, which exits 2 like
+   every other command-line error. *)
+let checked conv ~expect ok =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "%s (got %s)" expect s))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let positive = checked Arg.int ~expect:"must be >= 1" (fun n -> n >= 1)
+
+let rate =
+  checked Arg.float ~expect:"must be in [0,1]" (fun r -> r >= 0.0 && r <= 1.0)
+
+let file_opt name doc =
+  Arg.(value & opt (some string) None & info [ name ] ~docv:"FILE" ~doc)
+
+(* One [--FLAG FILE] option per item, [flag_doc] naming it; the term is
+   the items given a file, each with its file. *)
+let files_term flag_doc items =
+  List.fold_right
+    (fun x rest ->
+      let flag, doc = flag_doc x in
+      Term.(const (fun f fs ->
+                match f with Some file -> (file, x) :: fs | None -> fs)
+            $ file_opt flag doc $ rest))
+    items (Term.const [])
+
+let write_file file what fill =
+  let buf = Buffer.create 16384 in
+  fill buf;
+  let oc = open_out file in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () -> Buffer.output_buffer oc buf);
+  Printf.printf "%s written to %s\n" what file
 
 (* -- fault-injection options ----------------------------------------- *)
 
-let read_error_rate =
-  let doc = "Fail each disk read with probability $(docv) (transient unless \
-             $(b,--permanent))." in
-  Arg.(value & opt float 0.0 & info [ "read-error-rate" ] ~docv:"RATE" ~doc)
-
-let write_error_rate =
-  let doc = "Fail each disk write with probability $(docv) (transient unless \
-             $(b,--permanent))." in
-  Arg.(value & opt float 0.0 & info [ "write-error-rate" ] ~docv:"RATE" ~doc)
-
-let permanent =
-  let doc = "Rate-injected errors are permanent (bad media) instead of \
-             transient." in
-  Arg.(value & flag & info [ "permanent" ] ~doc)
-
-let bad_slots =
-  let doc = "Treat swap slot $(docv) as bad media: every write to it fails \
-             permanently.  Repeatable." in
-  Arg.(value & opt_all int [] & info [ "bad-slot" ] ~docv:"SLOT" ~doc)
-
-let fault_seed =
-  let doc = "Seed for the fault plan's random number generator." in
-  Arg.(value & opt int 0xFA17 & info [ "fault-seed" ] ~docv:"SEED" ~doc)
-
-let install_faults read_rate write_rate permanent bad fault_seed =
-  let check_rate name r =
-    if r < 0.0 || r > 1.0 then begin
-      Printf.eprintf "uvm_sim: --%s must be in [0,1] (got %g)\n" name r;
-      exit 2
-    end
+let faults_term =
+  let read_rate =
+    Arg.(value & opt rate 0.0 & info [ "read-error-rate" ] ~docv:"RATE"
+           ~doc:"Fail each disk read with probability $(docv) (transient \
+                 unless $(b,--permanent)).")
   in
-  check_rate "read-error-rate" read_rate;
-  check_rate "write-error-rate" write_rate;
-  List.iter
-    (fun slot ->
-      if slot < 1 then begin
-        Printf.eprintf "uvm_sim: --bad-slot must be >= 1 (got %d)\n" slot;
-        exit 2
-      end)
-    bad;
-  if read_rate > 0.0 || write_rate > 0.0 || bad <> [] then
-    Vmiface.Machine.set_default_fault_plan
-      (Some
-         (fun () ->
-           let plan =
-             Sim.Fault_plan.create ~seed:fault_seed ~read_error_rate:read_rate
-               ~write_error_rate:write_rate
-               ~rate_severity:
-                 (if permanent then Sim.Fault_plan.Permanent
-                  else Sim.Fault_plan.Transient)
-               ()
-           in
-           List.iter
-             (fun slot ->
-               Sim.Fault_plan.fail_op plan ~slot Sim.Fault_plan.Write
-                 Sim.Fault_plan.Permanent)
-             bad;
-           plan))
+  let write_rate =
+    Arg.(value & opt rate 0.0 & info [ "write-error-rate" ] ~docv:"RATE"
+           ~doc:"Fail each disk write with probability $(docv) (transient \
+                 unless $(b,--permanent)).")
+  in
+  let permanent =
+    Arg.(value & flag & info [ "permanent" ]
+           ~doc:"Rate-injected errors are permanent (bad media) instead of \
+                 transient.")
+  in
+  let bad_slots =
+    Arg.(value & opt_all positive [] & info [ "bad-slot" ] ~docv:"SLOT"
+           ~doc:"Treat swap slot $(docv) as bad media: every write to it \
+                 fails permanently.  Repeatable.")
+  in
+  let fault_seed =
+    Arg.(value & opt int 0xFA17 & info [ "fault-seed" ] ~docv:"SEED"
+           ~doc:"Seed for the fault plan's random number generator.")
+  in
+  let install read_rate write_rate permanent bad fault_seed =
+    if read_rate > 0.0 || write_rate > 0.0 || bad <> [] then
+      Vmiface.Machine.set_default_fault_plan
+        (Some
+           (fun () ->
+             let plan =
+               Sim.Fault_plan.create ~seed:fault_seed
+                 ~read_error_rate:read_rate ~write_error_rate:write_rate
+                 ~rate_severity:
+                   (if permanent then Sim.Fault_plan.Permanent
+                    else Sim.Fault_plan.Transient)
+                 ()
+             in
+             List.iter
+               (fun slot ->
+                 Sim.Fault_plan.fail_op plan ~slot Sim.Fault_plan.Write
+                   Sim.Fault_plan.Permanent)
+               bad;
+             plan))
+  in
+  Term.(const install $ read_rate $ write_rate $ permanent $ bad_slots
+        $ fault_seed)
 
 (* -- observability options --------------------------------------------- *)
 
-let trace_out =
-  let doc = "Write a Chrome trace-event JSON file of every traced machine \
-             to $(docv) (open in Perfetto or chrome://tracing): every \
-             span, one track per subsystem.  Implies span collection." in
-  Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
+let artifact_doc = function
+  | Registry.Trace ->
+      "Write a Chrome trace-event JSON file of every traced machine to \
+       $(docv) (open in Perfetto or chrome://tracing): every span, one \
+       track per subsystem.  Implies span collection."
+  | Stats ->
+      "Write a JSON snapshot (schema uvm-sim-stats/2: counters and one \
+       latency histogram per span name) to $(docv)."
+  | Report ->
+      "Write the comparative efficacy report (schema uvm-sim-report/1: \
+       fault-ahead hit/waste per madvise mode, pageout cluster \
+       distributions, residency percentiles, map-entry census) of every \
+       system the experiment booted to $(docv)."
+  | Spans ->
+      "Write the causal span trees (schema uvm-sim-spans/1: every finished \
+       span with its trace/parent ids, plus any still-open stack) of every \
+       traced machine to $(docv).  Implies span collection."
+  | Metrics ->
+      "Write the vmstat-style time-series (schema uvm-sim-metrics/1: \
+       periodic gauge/counter samples and watchdog warnings) of every \
+       traced machine to $(docv).  Implies span collection."
+  | Lockstat ->
+      "Write the lock observatory (schema uvm-sim-lockstat/2: per-class \
+       hold-time histograms split by read/write mode and by holding \
+       subsystem, and the observed lock-order graph with any cycles) of \
+       every traced machine to $(docv).  Implies span collection."
 
-let trace_buf =
-  let doc = "Span ring capacity: each traced machine keeps its most \
-             recent $(docv) finished spans (latency histograms cover every \
-             span regardless)." in
-  Arg.(value & opt int 65536 & info [ "trace-buf" ] ~docv:"N" ~doc)
+let write_artifact file a sources =
+  write_file file (Registry.artifact_name a) (fun buf ->
+      Registry.write_artifact a buf sources)
 
-let stats_flag =
-  let doc = "After the experiment, print the full non-zero counter table \
-             and latency percentiles of every system it booted." in
-  Arg.(value & flag & info [ "stats" ] ~doc)
+type observe = {
+  files : (string * Registry.artifact) list;
+  stats : bool;  (* print the counter and percentile tables *)
+  trace_buf : int;
+}
 
-let stats_out =
-  let doc = "Write a JSON snapshot (schema uvm-sim-stats/2: counters and \
-             one latency histogram per span name) to $(docv)." in
-  Arg.(value & opt (some string) None & info [ "stats-out" ] ~docv:"FILE" ~doc)
-
-let report_out =
-  let doc = "Write the comparative efficacy report \
-             (schema uvm-sim-report/1: fault-ahead hit/waste per madvise \
-             mode, pageout cluster distributions, residency percentiles, \
-             map-entry census) of every system the experiment booted to \
-             $(docv)." in
-  Arg.(value & opt (some string) None & info [ "report-out" ] ~docv:"FILE" ~doc)
-
-let spans_out =
-  let doc = "Write the causal span trees (schema uvm-sim-spans/1: every \
-             finished span with its trace/parent ids, plus any still-open \
-             stack) of every traced machine to $(docv).  Implies span \
-             collection." in
-  Arg.(value & opt (some string) None & info [ "spans-out" ] ~docv:"FILE" ~doc)
-
-let metrics_out =
-  let doc = "Write the vmstat-style time-series (schema uvm-sim-metrics/1: \
-             periodic gauge/counter samples and watchdog warnings) of every \
-             traced machine to $(docv).  Implies span collection." in
-  Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc)
-
-let lockstat_out =
-  let doc = "Write the lock observatory (schema uvm-sim-lockstat/2: \
-             per-class hold-time histograms split by read/write mode and \
-             by holding subsystem, and the observed lock-order graph with \
-             any cycles) of every traced machine to $(docv).  Implies span \
-             collection." in
-  Arg.(value & opt (some string) None
-       & info [ "lockstat-out" ] ~docv:"FILE" ~doc)
-
-let with_file name f =
-  let oc = open_out name in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> f oc)
-
-let run_with_observability trace_out trace_buf stats stats_out report_out
-    spans_out metrics_out lockstat_out f =
-  if trace_buf < 1 then begin
-    Printf.eprintf "uvm_sim: --trace-buf must be >= 1 (got %d)\n" trace_buf;
-    exit 2
-  end;
-  let observing =
-    trace_out <> None || stats_out <> None || report_out <> None
-    || spans_out <> None || metrics_out <> None || lockstat_out <> None
-    || stats
+(* The options for [artifacts]: one [--NAME-out] per artifact, plus
+   [--stats] with the stats snapshot and [--trace-buf] with the trace. *)
+let observe_term artifacts =
+  let files =
+    files_term
+      (fun a -> (Registry.artifact_name a ^ "-out", artifact_doc a))
+      artifacts
   in
-  if observing then Vmiface.Machine.set_default_trace (Some trace_buf);
-  f ();
-  if observing then begin
-    let sources = Vmiface.Machine.traced () in
-    if stats then Sim.Trace_export.print_stats sources;
-    (match trace_out with
-    | Some file ->
-        let buf = Buffer.create 65536 in
-        Sim.Trace_export.chrome_json buf sources;
-        with_file file (fun oc -> Buffer.output_buffer oc buf);
-        Printf.printf "trace written to %s (%d spans)\n" file
-          (List.fold_left
-             (fun n s ->
-               n + List.length (Sim.Span.spans s.Sim.Trace_export.spans))
-             0 sources)
-    | None -> ());
-    (match stats_out with
-    | Some file ->
-        let buf = Buffer.create 4096 in
-        Sim.Trace_export.snapshot_json buf sources;
-        with_file file (fun oc -> Buffer.output_buffer oc buf)
-    | None -> ());
-    (match report_out with
-    | Some file ->
-        let buf = Buffer.create 8192 in
-        Sim.Trace_export.report_json buf sources;
-        with_file file (fun oc -> Buffer.output_buffer oc buf)
-    | None -> ());
-    (match spans_out with
-    | Some file ->
-        let buf = Buffer.create 16384 in
-        Sim.Trace_export.spans_json buf sources;
-        with_file file (fun oc -> Buffer.output_buffer oc buf)
-    | None -> ());
-    (match metrics_out with
-    | Some file ->
-        let buf = Buffer.create 16384 in
-        Sim.Trace_export.metrics_json buf sources;
-        with_file file (fun oc -> Buffer.output_buffer oc buf)
-    | None -> ());
-    (match lockstat_out with
-    | Some file ->
-        let buf = Buffer.create 16384 in
-        Sim.Trace_export.lockstat_json buf sources;
-        with_file file (fun oc -> Buffer.output_buffer oc buf)
-    | None -> ());
-    Vmiface.Machine.reset_traced ()
-  end
+  let stats =
+    if List.mem Registry.Stats artifacts then
+      Arg.(value & flag & info [ "stats" ]
+             ~doc:"After the experiment, print the full non-zero counter \
+                   table and latency percentiles of every system it booted.")
+    else Term.const false
+  in
+  let trace_buf =
+    if List.mem Registry.Trace artifacts then
+      Arg.(value & opt positive 65536 & info [ "trace-buf" ] ~docv:"N"
+             ~doc:"Span ring capacity: each traced machine keeps its most \
+                   recent $(docv) finished spans (latency histograms cover \
+                   every span regardless).")
+    else Term.const 65536
+  in
+  Term.(const (fun files stats trace_buf -> { files; stats; trace_buf })
+        $ files $ stats $ trace_buf)
 
-let with_faults f =
-  Term.(
-    const (fun rr wr perm bad seed tout tbuf st stout rout spout mout lout () ->
-        install_faults rr wr perm bad seed;
-        run_with_observability tout tbuf st stout rout spout mout lout f)
-    $ read_error_rate $ write_error_rate $ permanent $ bad_slots $ fault_seed
-    $ trace_out $ trace_buf $ stats_flag $ stats_out $ report_out $ spans_out
-    $ metrics_out $ lockstat_out $ const ())
-
-let write_lockstat file sources =
-  let buf = Buffer.create 16384 in
-  Sim.Trace_export.lockstat_json buf sources;
-  with_file file (fun oc -> Buffer.output_buffer oc buf);
-  Printf.printf "lockstat written to %s\n" file
-
-(* Serve and soak manage their own runs; this wraps them with just the
-   lock-observatory export (machines boot traced while the flag is set,
-   and the registry of every traced machine is written after). *)
-let with_lockstat lockstat_out f =
-  (match lockstat_out with
-  | Some _ -> Vmiface.Machine.set_default_trace (Some 65536)
-  | None -> ());
+(* Run [f] with every machine it boots traced when [o] asks for any
+   output, then print and write what [o] asks for. *)
+let observed o f =
+  if o.files <> [] || o.stats then
+    Vmiface.Machine.set_default_trace (Some o.trace_buf);
   let r = f () in
-  (match lockstat_out with
-  | Some file ->
-      write_lockstat file (Vmiface.Machine.traced ());
-      Vmiface.Machine.reset_traced ()
-  | None -> ());
+  let sources = Vmiface.Machine.traced () in
+  if o.stats then Sim.Trace_export.print_stats sources;
+  List.iter (fun (file, a) -> write_artifact file a sources) o.files;
+  Vmiface.Machine.reset_traced ();
   r
 
 (* -- torture ----------------------------------------------------------- *)
@@ -295,10 +244,11 @@ let run_torture (lo, hi) cfg_of_seed lockstat_out =
       (match failed with
       | [] -> ""
       | l -> " (" ^ String.concat " " (List.map string_of_int l) ^ ")");
-  (match lockstat_out with
-  | Some file ->
-      write_lockstat file (List.concat_map (fun (_, _, _, s) -> s) results)
-  | None -> ());
+  Option.iter
+    (fun file ->
+      write_artifact file Registry.Lockstat
+        (List.concat_map (fun (_, _, _, s) -> s) results))
+    lockstat_out;
   failed <> []
 
 (* "N" or an inclusive range "A-B". *)
@@ -416,318 +366,85 @@ let torture_cmd =
           in
           if run_torture seeds cfg_of_seed lout then Stdlib.exit 1)
       $ seed $ ops $ audit_every $ faults $ shrink $ artifact_dir $ corrupt
-      $ corrupt_at $ ram_pages $ swap_pages $ tiers $ lockstat_out)
+      $ corrupt_at $ ram_pages $ swap_pages $ tiers
+      $ file_opt "lockstat-out" (artifact_doc Registry.Lockstat))
 
-(* -- report ------------------------------------------------------------ *)
 
-let run_report quick out =
-  let sources = Experiments.Effreport.run ~quick () in
-  Sim.Trace_export.print_report sources;
-  match out with
-  | Some file ->
-      let buf = Buffer.create 8192 in
-      Sim.Trace_export.report_json buf sources;
-      with_file file (fun oc -> Buffer.output_buffer oc buf);
-      Printf.printf "report written to %s\n" file
-  | None -> ()
+(* -- registry commands --------------------------------------------------- *)
 
-let report_cmd =
-  let quick =
-    Arg.(value & flag & info [ "quick" ]
-           ~doc:"Quarter-size workload (CI smoke test).")
-  in
-  let out =
-    Arg.(value & opt (some string) None & info [ "out" ] ~docv:"FILE"
-           ~doc:"Also write the uvm-sim-report/1 JSON to $(docv).")
-  in
-  Cmd.v
-    (Cmd.info "report"
-       ~doc:"Comparative efficacy report: the page-lifecycle ledger's \
-             derived analytics (fault-ahead hit/waste per madvise mode, \
-             pageout cluster size/contiguity, swap reassignment distances, \
-             residency and inter-fault histograms, map-entry census) for \
-             UVM and BSD VM over one mixed paging workload")
-    Term.(
-      const (fun rr wr perm bad seed quick out ->
-          install_faults rr wr perm bad seed;
-          run_report quick out)
-      $ read_error_rate $ write_error_rate $ permanent $ bad_slots
-      $ fault_seed $ quick $ out)
-
-(* -- serve ------------------------------------------------------------- *)
-
-let run_serve quick out =
-  let rows = Experiments.Serve.run ~quick () in
-  Experiments.Serve.print_result rows;
-  match out with
-  | Some file ->
-      let buf = Buffer.create 4096 in
-      Experiments.Serve.json buf rows;
-      with_file file (fun oc -> Buffer.output_buffer oc buf);
-      Printf.printf "serve results written to %s\n" file
-  | None -> ()
-
-let serve_cmd =
-  let quick =
-    Arg.(value & flag & info [ "quick" ]
-           ~doc:"Smaller client count and payload sweep (CI smoke test).")
-  in
-  let out =
-    Arg.(value & opt (some string) None & info [ "out" ] ~docv:"FILE"
-           ~doc:"Also write the uvm-sim-serve/1 JSON to $(docv).")
-  in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:"Section 7 end-to-end: N clients request payloads from a server \
-             under memory pressure, once per IPC policy (copy, page loanout, \
-             map-entry passing) on both VM systems, reporting throughput and \
-             round-trip latency percentiles")
-    Term.(
-      const (fun rr wr perm bad seed quick out lout ->
-          install_faults rr wr perm bad seed;
-          with_lockstat lout (fun () -> run_serve quick out))
-      $ read_error_rate $ write_error_rate $ permanent $ bad_slots
-      $ fault_seed $ quick $ out $ lockstat_out)
-
-(* -- vmstat ------------------------------------------------------------ *)
-
-let run_vmstat quick cpus metrics_out spans_out =
-  if cpus < 1 then begin
-    Printf.eprintf "uvm_sim: --cpus must be >= 1 (got %d)\n" cpus;
-    exit 2
-  end;
-  (* vmstat IS the sampler's output, so event collection is always on
-     here — no flag needed to make the table non-empty. *)
-  Vmiface.Machine.set_default_trace (Some 4096);
-  Experiments.Vmstat.run ~quick ~cpus ();
-  let sources = Vmiface.Machine.traced () in
-  Experiments.Vmstat.print_sources sources;
-  (match metrics_out with
-  | Some file ->
-      let buf = Buffer.create 16384 in
-      Sim.Trace_export.metrics_json buf sources;
-      with_file file (fun oc -> Buffer.output_buffer oc buf);
-      Printf.printf "metrics written to %s\n" file
-  | None -> ());
-  (match spans_out with
-  | Some file ->
-      let buf = Buffer.create 16384 in
-      Sim.Trace_export.spans_json buf sources;
-      with_file file (fun oc -> Buffer.output_buffer oc buf);
-      Printf.printf "spans written to %s\n" file
-  | None -> ());
-  Vmiface.Machine.reset_traced ()
-
-let vmstat_cmd =
-  let quick =
-    Arg.(value & flag & info [ "quick" ]
-           ~doc:"Smaller working set and fewer sweeps (CI smoke test).")
-  in
-  let cpus =
-    Arg.(value & opt int 1 & info [ "cpus" ] ~docv:"N"
-           ~doc:"Boot the machines with $(docv) per-CPU page caches and \
-                 rotate the sweep over them; adds per-CPU runnable/steal/\
-                 hit-rate columns to the table.")
-  in
-  Cmd.v
-    (Cmd.info "vmstat"
-       ~doc:"Run an over-committed anonymous working set on both VM systems \
-             and print the periodic sampler's view of it: free/active/\
-             inactive pool levels, swap and swapcache occupancy, and \
-             fault/pagein/pageout/migration rates over simulated time, plus \
-             any watchdog warnings (pagedaemon thrash, stalled drain)")
-    Term.(
-      const (fun rr wr perm bad seed quick cpus mout spout ->
-          install_faults rr wr perm bad seed;
-          run_vmstat quick cpus mout spout)
-      $ read_error_rate $ write_error_rate $ permanent $ bad_slots
-      $ fault_seed $ quick $ cpus $ metrics_out $ spans_out)
-
-(* -- resilience -------------------------------------------------------- *)
-
-let run_resilience quick out =
-  let rows = Experiments.Resilience.run ~quick () in
-  Experiments.Resilience.print_result rows;
-  match out with
-  | Some file ->
-      let buf = Buffer.create 4096 in
-      Experiments.Resilience.json buf rows;
-      with_file file (fun oc -> Buffer.output_buffer oc buf);
-      Printf.printf "resilience results written to %s\n" file
-  | None -> ()
-
-let resilience_cmd =
-  let quick =
-    Arg.(value & flag & info [ "quick" ]
-           ~doc:"Smaller tiers and working set (CI smoke test).")
-  in
-  let out =
-    Arg.(value & opt (some string) None & info [ "out" ] ~docv:"FILE"
-           ~doc:"Also write the uvm-sim-resilience/1 JSON to $(docv).")
-  in
-  Cmd.v
-    (Cmd.info "resilience"
-       ~doc:"Tier failover: stream a file working set through a fast+slow \
-             swap pair, kill the fast device mid-stream, and report \
-             survival, migrations, swapcache hit rate and per-page latency \
-             before/after the death for both VM systems")
-    Term.(
-      const (fun rr wr perm bad seed quick out ->
-          install_faults rr wr perm bad seed;
-          run_resilience quick out)
-      $ read_error_rate $ write_error_rate $ permanent $ bad_slots
-      $ fault_seed $ quick $ out)
-
-(* -- soak -------------------------------------------------------------- *)
-
-let run_soak seed quick out =
-  let r = Experiments.Soak.run ~quick ~seed () in
-  Experiments.Soak.print_result r;
-  (match out with
-  | Some file ->
-      let buf = Buffer.create 4096 in
-      Experiments.Soak.json buf r;
-      with_file file (fun oc -> Buffer.output_buffer oc buf);
-      Printf.printf "soak results written to %s\n" file
-  | None -> ());
-  List.exists (fun s -> not s.Experiments.Soak.so_passed) r.rows
-
-let soak_cmd =
-  let seed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED"
-           ~doc:"Chaos scenario seed (phase magnitudes jitter with it).")
+(* The knob values an entry's flags set; a knob it does not honour gets
+   no flag, so passing one is a usage error. *)
+let params_term (k : Registry.knobs) =
+  let d = Registry.params k [] in
+  let int_knob name docv parse unset = function
+    | Some { Registry.default; doc } ->
+        Arg.(value & opt parse default & info [ name ] ~docv ~doc)
+    | None -> Term.const unset
   in
   let quick =
-    Arg.(value & flag & info [ "quick" ]
-           ~doc:"Shorter simulated span (CI smoke test).")
+    if k.quick then
+      Arg.(value & flag & info [ "quick" ]
+             ~doc:"Smaller workload (CI smoke test).")
+    else Term.const false
   in
-  let out =
-    Arg.(value & opt (some string) None & info [ "out" ] ~docv:"FILE"
-           ~doc:"Also write the uvm-sim-soak/1 JSON to $(docv).")
+  Term.(const (fun quick seed cpus -> { Registry.quick; seed; cpus })
+        $ quick
+        $ int_knob "seed" "SEED" Arg.int d.seed k.seed
+        $ int_knob "cpus" "N" positive d.cpus k.cpus)
+
+(* Every entry writes its [json] document behind [--out], and its own
+   extra outputs behind theirs. *)
+let cmd_of_entry (Registry.Entry e) =
+  let out : _ Registry.output =
+    {
+      flag = "out";
+      what = e.name ^ " results";
+      doc = "Also write the result as JSON to $(docv).";
+      write = e.json;
+    }
   in
-  Cmd.v
-    (Cmd.info "soak"
-       ~doc:"Chaos soak: run both kernels through a seeded scenario \
-             composing fork/exit churn, an I/O error storm, a memory \
-             pressure spike, a swap device death and an rlimit squeeze, \
-             auditing every epoch.  Gated on SLOs: zero audit failures, \
-             zero lost pages, bounded p99 fault latency, every OOM kill \
-             attributed to a scenario phase.  Exits nonzero on breach.")
-    Term.(
-      const (fun seed quick out lout ->
-          if with_lockstat lout (fun () -> run_soak seed quick out) then
-            Stdlib.exit 1)
-      $ seed $ quick $ out $ lockstat_out)
-
-(* -- lockstat ---------------------------------------------------------- *)
-
-let run_lockstat out folded_out =
-  let r = Experiments.Lockstat.run () in
-  Experiments.Lockstat.print r;
-  (match out with
-  | Some file ->
-      let buf = Buffer.create 16384 in
-      Experiments.Lockstat.json buf r;
-      with_file file (fun oc -> Buffer.output_buffer oc buf);
-      Printf.printf "lockstat written to %s\n" file
-  | None -> ());
-  match folded_out with
-  | Some file ->
-      with_file file (fun oc ->
-          output_string oc (Experiments.Lockstat.folded_string r));
-      Printf.printf "folded profile written to %s\n" file
-  | None -> ()
-
-let lockstat_cmd =
-  let out =
-    Arg.(value & opt (some string) None & info [ "out" ] ~docv:"FILE"
-           ~doc:"Also write the uvm-sim-lockstat/2 JSON to $(docv).")
+  let run () params observe outputs =
+    let ok =
+      observed observe (fun () ->
+          let r = e.run params in
+          e.print r;
+          List.iter
+            (fun (file, (o : _ Registry.output)) ->
+              write_file file o.what (fun buf -> o.write buf r))
+            outputs;
+          e.ok r)
+    in
+    if not ok then exit 1
   in
-  let folded_out =
-    Arg.(value & opt (some string) None & info [ "folded-out" ] ~docv:"FILE"
-           ~doc:"Also write the folded-stack profile (one \"path weight\" \
-                 line per stack, self-time weighted, lock spans as \
-                 lock:$(i,CLASS) frames) to $(docv) — feed it to \
-                 flamegraph.pl or speedscope.")
-  in
-  Cmd.v
-    (Cmd.info "lockstat"
-       ~doc:"Lock observatory: drive one paging+IPC workload through every \
-             registered lock class on both VM systems, then report \
-             per-class hold-time histograms, the observed lock-order graph \
-             (with lockdep-style cycle detection), and a flamegraph-ready \
-             folded profile whose self times telescope to the measured \
-             wall time.  Contention on several CPUs is measured by \
-             $(b,smp --cpus) $(i,N).")
-    Term.(
-      const (fun rr wr perm bad seed out fout ->
-          install_faults rr wr perm bad seed;
-          run_lockstat out fout)
-      $ read_error_rate $ write_error_rate $ permanent $ bad_slots
-      $ fault_seed $ out $ folded_out)
+  Cmd.v (Cmd.info e.name ~doc:e.doc)
+    Term.(const run
+          $ (if e.knobs.faults then faults_term else const ())
+          $ params_term e.knobs
+          $ observe_term e.knobs.artifacts
+          $ files_term
+              (fun (o : _ Registry.output) -> (o.flag, o.doc))
+              (out :: e.outputs))
 
-(* -- smp --------------------------------------------------------------- *)
-
-let run_smp cpus quick seed out =
-  if cpus < 1 then begin
-    Printf.eprintf "uvm_sim: --cpus must be >= 1 (got %d)\n" cpus;
-    exit 2
-  end;
-  let r = Experiments.Smp.run ~quick ~cpus ?seed () in
-  Experiments.Smp.print r;
-  (match out with
-  | Some file ->
-      let buf = Buffer.create 16384 in
-      Experiments.Smp.json buf r;
-      with_file file (fun oc -> Buffer.output_buffer oc buf);
-      Printf.printf "smp results written to %s\n" file
-  | None -> ());
-  List.exists
-    (fun (s : Experiments.Smp.system_result) ->
-      s.Experiments.Smp.ss_par.Experiments.Smp.kr_audit_failures <> [])
-    r.Experiments.Smp.sm_systems
-
-let smp_cmd =
-  let cpus =
-    Arg.(value & opt int 4 & info [ "cpus" ] ~docv:"N"
-           ~doc:"Virtual CPU count for the storm: the scheduler interleaves \
-                 the workers over $(docv) per-CPU virtual clocks and the \
-                 kernels boot with $(docv) per-CPU page caches.")
-  in
-  let quick =
-    Arg.(value & flag & info [ "quick" ] ~doc:"Smaller storm for CI smoke.")
-  in
-  let seed =
-    Arg.(value & opt (some int) None & info [ "seed" ] ~docv:"SEED"
-           ~doc:"Override the storm seed (default 42).")
-  in
-  let out =
-    Arg.(value & opt (some string) None & info [ "out" ] ~docv:"FILE"
-           ~doc:"Also write the uvm-sim-smp/1 JSON to $(docv).")
-  in
-  Cmd.v
-    (Cmd.info "smp"
-       ~doc:"Simulated SMP: run the same parallel fault storm through both \
-             VM systems on N virtual CPUs with sharded physmem, per-CPU \
-             page caches and the lockless lookup fast path, measuring \
-             per-CPU lock waits, cache-line bounces, fast-path \
-             hit rates and the 1-CPU-baseline speedup; mid-storm full \
-             audits gate the sharding invariants")
-    Term.(
-      const (fun cpus quick seed out ->
-          if run_smp cpus quick seed out then Stdlib.exit 1)
-      $ cpus $ quick $ seed $ out)
-
-(* -- commands --------------------------------------------------------- *)
-
-let run_all () =
-  List.iter (fun (_, _, f) -> f ()) experiments;
-  Experiments.Resilience.print ()
-let cmd_of (name, doc, f) = Cmd.v (Cmd.info name ~doc) (with_faults f)
-
+(* [all] runs every entry marked for it at its defaults, under the paper
+   experiments' fault and observability options. *)
 let all_cmd =
+  let run () observe =
+    let ok =
+      observed observe (fun () ->
+          List.fold_left
+            (fun ok (Registry.Entry e) ->
+              if not e.in_all then ok
+              else begin
+                let r = e.run (Registry.params e.knobs []) in
+                e.print r;
+                e.ok r && ok
+              end)
+            true Registry.entries)
+    in
+    if not ok then exit 1
+  in
   Cmd.v (Cmd.info "all" ~doc:"Run every experiment in sequence")
-    (with_faults run_all)
+    Term.(const run $ faults_term $ observe_term Registry.every_artifact)
 
 let () =
   let info =
@@ -737,10 +454,8 @@ let () =
   let code =
     Cmd.eval
       (Cmd.group info
-         (all_cmd :: torture_cmd :: report_cmd :: serve_cmd
-         :: resilience_cmd :: soak_cmd :: vmstat_cmd :: lockstat_cmd
-         :: smp_cmd :: List.map cmd_of experiments))
+         (all_cmd :: torture_cmd :: List.map cmd_of_entry Registry.entries))
   in
-  (* A command-line error (unknown flag, unparsable value) exits 2, like
-     the value checks above, rather than cmdliner's 124. *)
+  (* A command-line error (unknown flag, unparsable or out-of-range value)
+     exits 2 rather than cmdliner's 124. *)
   exit (if code = Cmd.Exit.cli_error then 2 else code)

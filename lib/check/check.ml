@@ -10,6 +10,7 @@ type subsystem =
   | Ledger
   | Lock
   | Smp
+  | Ipc
 
 let subsystem_name = function
   | Physmem -> "physmem"
@@ -23,6 +24,7 @@ let subsystem_name = function
   | Ledger -> "ledger"
   | Lock -> "lock"
   | Smp -> "smp"
+  | Ipc -> "ipc"
 
 type failure = {
   system : string;

@@ -25,6 +25,7 @@ type subsystem =
   | Ledger  (** per-page lifecycle provenance (DESIGN.md §10) *)
   | Lock  (** lock-order graph (DESIGN.md §15) *)
   | Smp  (** sharded queues, per-CPU caches, lockless lookup (§16) *)
+  | Ipc  (** channel byte accounting (checked by the torture harness) *)
 
 val subsystem_name : subsystem -> string
 

@@ -83,7 +83,7 @@ let run () = List.map measure sizes
 
 let improvement copy other = 100.0 *. (1.0 -. (other /. copy))
 
-let print_result rows =
+let print rows =
   Report.title
     "Section 7: data movement, n-page send (paper: loanout 26%% less than copy at 1 page, 78%% less at 256)";
   Printf.printf "%-8s %12s %12s %12s %12s %10s\n" "pages" "copy" "loanout"
@@ -96,4 +96,15 @@ let print_result rows =
         (improvement r.copy_us r.loan_us))
     rows
 
-let print () = print_result (run ())
+let json buf rows =
+  Report.arr
+    (fun r buf ->
+      Report.obj buf
+        [
+          ("pages", Report.jint r.npages);
+          ("copy_us", Report.jfloat r.copy_us);
+          ("loan_us", Report.jfloat r.loan_us);
+          ("transfer_us", Report.jfloat r.transfer_us);
+          ("mexp_us", Report.jfloat r.mexp_us);
+        ])
+    rows buf

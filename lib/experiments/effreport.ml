@@ -114,5 +114,4 @@ module U = Make (Uvm.Sys)
 type result = Sim.Trace_export.source list
 
 let run ?(quick = false) () : result = [ U.run ~quick (); B.run ~quick () ]
-let print_result (r : result) = Sim.Trace_export.print_report r
-let print () = print_result (run ())
+let print (r : result) = Sim.Trace_export.print_report r

@@ -64,7 +64,7 @@ let run () : result =
     (fun (n, bsd) (_, uvm) -> (n, bsd, uvm))
     (B.run ()) (U.run ())
 
-let print_result (r : result) =
+let print (r : result) =
   Report.title
     "Figure 2: time to mmap+read N 64KB files (paper: BSD jumps ~100x past 100 files; UVM flat)";
   Report.row4 "# of 64KB files" "BSD VM" "UVM" "ratio";
@@ -74,4 +74,4 @@ let print_result (r : result) =
         (Report.ratio bsd uvm))
     r
 
-let print () = print_result (run ())
+let json buf (r : result) = Report.time_rows "files" r buf

@@ -38,7 +38,7 @@ type result = (int * float * float) list
 let run () : result =
   List.map2 (fun (n, bsd) (_, uvm) -> (n, bsd, uvm)) (B.run ()) (U.run ())
 
-let print_result (r : result) =
+let print (r : result) =
   Report.title
     "Figure 5: anonymous memory allocation time, 32MB RAM (paper: curves split past RAM size, BSD ~2.5-3x slower at 48MB)";
   Report.row4 "allocation (MB)" "BSD VM" "UVM" "ratio";
@@ -48,4 +48,4 @@ let print_result (r : result) =
         (Report.ratio bsd uvm))
     r
 
-let print () = print_result (run ())
+let json buf (r : result) = Report.time_rows "mb" r buf

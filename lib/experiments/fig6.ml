@@ -58,7 +58,7 @@ let run () : result =
     untouched = zip (B.run ~touch:false) (U.run ~touch:false);
   }
 
-let print_result (r : result) =
+let print (r : result) =
   Report.title
     "Figure 6: fork+wait time vs anonymous memory (paper: linear, BSD above UVM, ~2000-5000us at 15MB)";
   print_endline "child writes once before exiting:";
@@ -76,4 +76,9 @@ let print_result (r : result) =
         (Report.ratio bsd uvm))
     r.untouched
 
-let print () = print_result (run ())
+let json buf (r : result) =
+  Report.obj buf
+    [
+      ("touched", Report.time_rows "mb" r.touched);
+      ("untouched", Report.time_rows "mb" r.untouched);
+    ]

@@ -160,41 +160,6 @@ let json buf r =
   Sim.Trace_export.lockstat_systems buf r.lk_sources;
   Buffer.add_string buf "}\n"
 
-(* Flat per-(system, class) rows for the bench harness: the regression
-   gate tracks hold times across commits. *)
-type bench_row = {
-  br_system : string;
-  br_cls : string;
-  br_acquires : int;
-  br_reads : int;
-  br_writes : int;
-  br_mean_hold_us : float;
-  br_max_hold_us : float;
-}
-
-let bench_rows r =
-  List.concat_map
-    (fun (src : Sim.Trace_export.source) ->
-      match src.Sim.Trace_export.locks with
-      | None -> []
-      | Some reg ->
-          List.filter_map
-            (fun (cv : Sim.Lockstat.class_view) ->
-              if cv.Sim.Lockstat.cv_acquires = 0 then None
-              else
-                Some
-                  {
-                    br_system = src.Sim.Trace_export.label;
-                    br_cls = cv.Sim.Lockstat.cv_cls;
-                    br_acquires = cv.Sim.Lockstat.cv_acquires;
-                    br_reads = cv.Sim.Lockstat.cv_reads;
-                    br_writes = cv.Sim.Lockstat.cv_writes;
-                    br_mean_hold_us = Sim.Histogram.mean cv.Sim.Lockstat.cv_hold;
-                    br_max_hold_us = cv.Sim.Lockstat.cv_max_hold_us;
-                  })
-            (Sim.Lockstat.views reg))
-    r.lk_sources
-
 let print r =
   Report.title "Lock observatory: per-class holds and lock order";
   Printf.printf "%d requests/system, wall %.0f us, folded %.0f us (%+.2f%%)\n"

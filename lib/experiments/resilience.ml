@@ -231,7 +231,7 @@ let run ?(quick = false) () : result =
   let cfg = if quick then quick_cfg else full_cfg in
   [ B.measure cfg; U.measure cfg ]
 
-let print_result (rows : result) =
+let print (rows : result) =
   Report.title
     "Resilience: fast swap tier dies mid-stream (all data verified, audit run \
      post-mortem)";
@@ -289,5 +289,3 @@ let json buf (rows : result) =
       Buffer.add_string buf "]}")
     rows;
   Buffer.add_string buf "]}"
-
-let print () = print_result (run ())

@@ -238,7 +238,7 @@ let breakdown_string r =
            Printf.sprintf "%s %.0f%%" subsys (100.0 *. self /. r.sv_p99_us))
     |> String.concat " | "
 
-let print_result rows =
+let print rows =
   Report.title
     "Serve: N clients / 1 server under memory pressure (vs same-system copy)";
   Printf.printf "%-8s %-8s %10s %6s %12s %10s %10s %10s %10s %8s\n" "system"
@@ -281,5 +281,3 @@ let json buf rows =
       Buffer.add_string buf "]}")
     rows;
   Buffer.add_string buf "]}"
-
-let print () = print_result (run ())

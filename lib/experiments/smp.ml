@@ -321,42 +321,6 @@ let json buf r =
        r.sm_systems);
   Buffer.add_string buf "}\n"
 
-(* Flat rows for the bench harness's regression gate. *)
-type bench_row = {
-  br_system : string;
-  br_cpus : int;
-  br_wall_us : float;
-  br_wait_us : float;
-  br_bounces : int;
-  br_speedup : float;
-  br_fast_hit_rate : float;
-}
-
-let bench_rows r =
-  List.concat_map
-    (fun s ->
-      [
-        {
-          br_system = s.ss_system;
-          br_cpus = 1;
-          br_wall_us = s.ss_base.kr_wall_us;
-          br_wait_us = s.ss_base.kr_total_wait_us;
-          br_bounces = s.ss_base.kr_total_bounces;
-          br_speedup = 1.0;
-          br_fast_hit_rate = fast_rate s.ss_base;
-        };
-        {
-          br_system = s.ss_system;
-          br_cpus = s.ss_par.kr_cpus;
-          br_wall_us = s.ss_par.kr_wall_us;
-          br_wait_us = s.ss_par.kr_total_wait_us;
-          br_bounces = s.ss_par.kr_total_bounces;
-          br_speedup = speedup s;
-          br_fast_hit_rate = fast_rate s.ss_par;
-        };
-      ])
-    r.sm_systems
-
 let print r =
   Report.title "Simulated SMP: measured contention at %d CPUs" r.sm_cpus;
   List.iter

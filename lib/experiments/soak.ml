@@ -511,7 +511,7 @@ let run ?(quick = false) ?(seed = 42) () : result =
     rows = [ B.measure cfg ~seed; U.measure cfg ~seed ];
   }
 
-let print_result (r : result) =
+let print (r : result) =
   Report.title
     "Chaos soak: %.1fs simulated, seed %d (device death + I/O storm + \
      pressure + rlimit squeeze + churn)"
@@ -556,7 +556,7 @@ let json buf (r : result) =
       js buf s.so_system;
       Buffer.add_string buf
         (Printf.sprintf
-           ",\"passed\":%b,\"epochs\":%d,\"time_us\":%.1f,\"slo\":{\"audit_failures\":%d,\"lost_pages\":%d,\"p99_fault_us\":%.3f,\"p99_bound_us\":%.1f,\"oom_kills\":%d,\"unattributed_ooms\":%d},\"counters\":{\"oom_kills\":%d,\"rlimit_denials\":%d,\"proc_swapouts\":%d,\"proc_swapins\":%d,\"reserve_grabs\":%d,\"send_timeouts\":%d,\"send_peer_dead\":%d},\"kills\":["
+           ",\"passed\":%b,\"epochs\":%d,\"time_us\":%.3f,\"slo\":{\"audit_failures\":%d,\"lost_pages\":%d,\"p99_fault_us\":%.3f,\"p99_bound_us\":%.1f,\"oom_kills\":%d,\"unattributed_ooms\":%d},\"counters\":{\"oom_kills\":%d,\"rlimit_denials\":%d,\"proc_swapouts\":%d,\"proc_swapins\":%d,\"reserve_grabs\":%d,\"send_timeouts\":%d,\"send_peer_dead\":%d},\"kills\":["
            s.so_passed s.so_epochs s.so_time_us s.so_audit_failures
            s.so_lost_pages s.so_p99_fault_us s.so_p99_bound_us s.so_oom_kills
            s.so_unattributed_ooms s.so_oom_kills s.so_rlimit_denials
@@ -594,5 +594,3 @@ let json buf (r : result) =
       Buffer.add_string buf "]}")
     r.rows;
   Buffer.add_string buf "]}"
-
-let print () = print_result (run ())

@@ -65,7 +65,7 @@ let run () =
     step_names
     (List.combine b u)
 
-let print_result steps =
+let print steps =
   Report.title
     "Section 5.3: inaccessible anonymous pages in the Figure 3 scenario (BSD leaks, UVM cannot)";
   Report.row4 "Step" "BSD leak" "UVM leak" "";
@@ -75,4 +75,13 @@ let print_result steps =
         (string_of_int s.uvm_leak) "")
     steps
 
-let print () = print_result (run ())
+let json buf steps =
+  Report.arr
+    (fun s buf ->
+      Report.obj buf
+        [
+          ("step", Report.jstr s.step_name);
+          ("bsd_leak", Report.jint s.bsd_leak);
+          ("uvm_leak", Report.jint s.uvm_leak);
+        ])
+    steps buf

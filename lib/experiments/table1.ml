@@ -95,7 +95,7 @@ let run () : result =
 
 let paper = [ (11, 6); (21, 12); (50, 26); (400, 242); (275, 186) ]
 
-let print_result (r : result) =
+let print (r : result) =
   Report.title "Table 1: allocated map entries (paper: BSD 11/21/50/400/275, UVM 6/12/26/242/186)";
   Report.row4 "Operation" "BSD VM" "UVM" "ratio";
   List.iter
@@ -104,4 +104,4 @@ let print_result (r : result) =
         (Report.ratio (float_of_int bsd) (float_of_int uvm)))
     r
 
-let print () = print_result (run ())
+let json buf (r : result) = Report.count_rows r buf

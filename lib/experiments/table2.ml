@@ -44,7 +44,7 @@ let run () : result =
 
 let paper = [ (59, 33); (128, 74); (1086, 590); (114, 64); (229, 127) ]
 
-let print_result (r : result) =
+let print (r : result) =
   Report.title "Table 2: page fault counts (paper: BSD 59/128/1086/114/229, UVM 33/74/590/64/127)";
   Report.row4 "Command" "BSD VM" "UVM" "ratio";
   List.iter
@@ -53,4 +53,4 @@ let print_result (r : result) =
         (Report.ratio (float_of_int bsd) (float_of_int uvm)))
     r
 
-let print () = print_result (run ())
+let json buf (r : result) = Report.count_rows r buf

@@ -94,7 +94,7 @@ let run () : result =
 let paper =
   [ (24., 21.); (48., 22.); (113., 100.); (80., 67.); (60., 49.); (60., 48.) ]
 
-let print_result (r : result) =
+let print (r : result) =
   Report.title "Table 3: single-page map-fault-unmap time (paper: see doc comment)";
   Report.row4 "Fault/mapping" "BSD VM" "UVM" "ratio";
   List.iter
@@ -103,4 +103,13 @@ let print_result (r : result) =
         (Report.ratio bsd uvm))
     r
 
-let print () = print_result (run ())
+let json buf (r : result) =
+  Report.arr
+    (fun (label, bsd, uvm) buf ->
+      Report.obj buf
+        [
+          ("label", Report.jstr label);
+          ("bsd_us", Report.jfloat bsd);
+          ("uvm_us", Report.jfloat uvm);
+        ])
+    r buf

@@ -46,6 +46,9 @@ module Run (V : Vmiface.Vm_sig.VM_SYS) = struct
         Machine.ram_pages = cfg.ram_pages;
         swap_pages = cfg.swap_pages;
         ncpus = cfg.ncpus;
+        (* vmstat IS the sampler's output, so its machines always boot
+           traced: no flag is needed to make the table non-empty. *)
+        trace_buf = Some 4096;
       }
     in
     let sys = V.boot ~config () in
@@ -74,16 +77,20 @@ module Run (V : Vmiface.Vm_sig.VM_SYS) = struct
     (* One last capture so the table's final row is the end state. *)
     let m = V.machine sys in
     Sim.Timeseries.sample_now m.Machine.series ~ts:(Machine.now m);
-    V.destroy_vmspace sys vm
+    V.destroy_vmspace sys vm;
+    m.Machine.trace_source
 end
 
 module Uvm_run = Run (Uvm.Sys)
 module Bsd_run = Run (Bsdvm.Sys)
 
-let run ?(quick = false) ?(cpus = 1) () =
+type result = Sim.Trace_export.source list
+
+let run ?(quick = false) ?(cpus = 1) () : result =
   let cfg = { (if quick then quick_cfg else full_cfg) with ncpus = cpus } in
-  Uvm_run.run cfg;
-  Bsd_run.run cfg
+  (* UVM boots first, as the table prints it first. *)
+  let u = Uvm_run.run cfg in
+  [ u; Bsd_run.run cfg ]
 
 (* -- rendering --------------------------------------------------------- *)
 
@@ -229,6 +236,6 @@ let print_source (src : Sim.Trace_export.source) =
                   w.Sim.Timeseries.w_detail)))
         warns
 
-let print_sources sources =
+let print (r : result) =
   Report.title "vmstat: periodic paging state over simulated time";
-  List.iter print_source sources
+  List.iter print_source r

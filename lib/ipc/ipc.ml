@@ -108,6 +108,10 @@ module Make (V : Vmiface.Vm_sig.VM_SYS) = struct
 
   let capacity ch = ch.cap
   let queued_bytes ch = ch.q_len
+
+  (* What the segment chain holds: [queued_bytes] must always equal it. *)
+  let held_bytes ch = Queue.fold (fun n seg -> n + seg_remaining seg) 0 ch.q
+
   let closed ch = ch.closed
   let set_rx_state ch st = ch.rx_state <- st
   let rx_state ch = ch.rx_state
@@ -300,34 +304,52 @@ module Make (V : Vmiface.Vm_sig.VM_SYS) = struct
         | None -> None)
     | _ -> None
 
-  (* Copy up to [len] queued bytes out of the chain.  The buffer is sized
-     to what the queue holds, so it comes back exactly full and goes to
-     the receiver as it is, without a second copy.  ([q_len] can only
-     overstate the queue after a delivery that faulted: then the buffer
-     is cut to what was taken.) *)
-  let take_bytes sys ch ~len =
-    let buf = Bytes.create (max 0 (min len ch.q_len)) in
-    let got = ref 0 in
-    while !got < len && not (Queue.is_empty ch.q) do
+  (* Copy [n] bytes of [seg], from its read offset, into [buf] at [pos]. *)
+  let seg_blit sys seg buf pos n =
+    match seg with
+    | S_bytes s -> Bytes.blit s.data s.off buf pos n
+    | S_stage s ->
+        let part = V.stage_read sys s.stage ~off:(s.start + s.off) ~len:n in
+        Bytes.blit part 0 buf pos n
+
+  (* Copy the first [Bytes.length buf] queued bytes into [buf] without
+     consuming them, so a copy-out that faults leaves the channel as it
+     was.  A receive the head segment covers, the common case, builds no
+     closure to walk the queue. *)
+  let peek_bytes sys ch buf =
+    let n = Bytes.length buf in
+    let head = Queue.peek ch.q in
+    if seg_remaining head >= n then seg_blit sys head buf 0 n
+    else
+      ignore
+        (Queue.fold
+           (fun got seg ->
+             let k = min (seg_remaining seg) (n - got) in
+             if k > 0 then seg_blit sys seg buf got k;
+             got + k)
+           0 ch.q)
+
+  (* Consume [n] bytes from the head of the chain, freeing each segment it
+     empties. *)
+  let drop_bytes sys ch n =
+    let left = ref n in
+    while !left > 0 do
       let seg = Queue.peek ch.q in
-      let n = min (seg_remaining seg) (len - !got) in
+      let k = min (seg_remaining seg) !left in
       (match seg with
-      | S_bytes s ->
-          Bytes.blit s.data s.off buf !got n;
-          s.off <- s.off + n
-      | S_stage s ->
-          let part = V.stage_read sys s.stage ~off:(s.start + s.off) ~len:n in
-          Bytes.blit part 0 buf !got n;
-          s.off <- s.off + n);
-      got := !got + n;
+      | S_bytes s -> s.off <- s.off + k
+      | S_stage s -> s.off <- s.off + k);
+      left := !left - k;
       if seg_remaining seg = 0 then begin
         ignore (Queue.pop ch.q);
         free_seg sys seg
       end
     done;
-    if !got = Bytes.length buf then buf else Bytes.sub buf 0 !got
+    ch.q_len <- ch.q_len - n
 
-  (* [recv] under the channel lock. *)
+  (* [recv] under the channel lock.  The queued bytes are copied out
+     before any is consumed: a receive into an unmapped or read-only
+     buffer raises [Segv] with the channel unchanged. *)
   let recv_locked sys vm ~vslocked ~accept_mapped ch ~addr ~len =
     let mapped =
       if accept_mapped then try_mapped_delivery sys vm ch ~len else None
@@ -335,18 +357,19 @@ module Make (V : Vmiface.Vm_sig.VM_SYS) = struct
     match mapped with
     | Some d -> d
     | None ->
-        let buf = take_bytes sys ch ~len in
-        let got = Bytes.length buf in
+        let got = max 0 (min len ch.q_len) in
         if got > 0 then begin
+          let buf = Bytes.create got in
+          peek_bytes sys ch buf;
           if vslocked then
             with_vslock sys vm ~addr ~len (fun () ->
                 V.write_bytes sys vm ~addr buf)
           else V.write_bytes sys vm ~addr buf;
+          drop_bytes sys ch got;
           charge_copy sys got;
           let m = V.machine sys in
           m.Machine.stats.Sim.Stats.ipc_bytes_copied <-
-            m.Machine.stats.Sim.Stats.ipc_bytes_copied + got;
-          ch.q_len <- ch.q_len - got
+            m.Machine.stats.Sim.Stats.ipc_bytes_copied + got
         end;
         Data got
 

@@ -197,7 +197,6 @@ type region = {
   fileoff : int;
   shared : bool;
   mapped : bool array;  (** per-page: not yet unmapped *)
-  writable : bool array;  (** per-page: current prot includes write *)
   mutable inh : inherit_mode;
   mutable wired : (int * int) list;  (** (off, len) multiset, from mlock *)
   mutable lineage_cow : bool;  (** was on either side of an Inh_copy fork *)
@@ -575,15 +574,17 @@ let resolve m op : action option =
         when k >= 0 && k < max_chans && m.chans.(k)
              && off >= 0 && len >= 1
              && off + len <= rg.npages * page_bytes ->
-          (* Delivery must not fault mid-write: the queue pops before the
-             copy-out, so a Segv there would leave the channel with bytes
-             popped but not delivered.  Requiring a fully mapped writable
-             destination keeps receives total. *)
+          (* The destination may be read-only or have holes: the copy-out
+             then raises Segv, and the channel keeps every queued byte (a
+             receive copies out before it consumes).  A vslock'd receive
+             still needs every page mapped: vslock over a hole leaves the
+             pages before it wired. *)
           let lo = off / page_bytes and hi = (off + len - 1) / page_bytes in
           let ok = ref true in
-          for i = lo to hi do
-            if not (rg.mapped.(i) && rg.writable.(i)) then ok := false
-          done;
+          if vsl then
+            for i = lo to hi do
+              if not rg.mapped.(i) then ok := false
+            done;
           if !ok then
             Some (A_pipe_read { k; p; vpn = rg.vpn; boff = off; len; vsl })
           else None
@@ -662,7 +663,6 @@ let apply m op a =
                   {
                     rg with
                     mapped = Array.copy rg.mapped;
-                    writable = Array.copy rg.writable;
                     wired = [];
                   }
             | _ -> None)
@@ -679,7 +679,7 @@ let apply m op a =
           m.total_wired <- m.total_wired - vlen
       | _ -> ());
       m.procs.(p) <- None
-  | Mmap { r; _ }, A_mmap { p; at; npages; prot; share; src_file; fileoff; _ }
+  | Mmap { r; _ }, A_mmap { p; at; npages; share; src_file; fileoff; _ }
     ->
       let pr = match m.procs.(p) with Some pr -> pr | None -> assert false in
       pr.regions.(r) <-
@@ -691,7 +691,6 @@ let apply m op a =
             fileoff;
             shared = share = Shared;
             mapped = Array.make npages true;
-            writable = Array.make npages prot.Prot.w;
             inh = (if share = Shared then Inh_shared else Inh_copy);
             wired = [];
             lineage_cow = false;
@@ -720,13 +719,6 @@ let apply m op a =
       | Some rg ->
           rg.wired <- remove_first (off, len) rg.wired;
           m.total_wired <- m.total_wired - len
-      | None -> assert false)
-  | Mprotect { r; off; len; _ }, A_mprotect { p; prot; _ } -> (
-      match region_at m p r with
-      | Some rg ->
-          for i = off to off + len - 1 do
-            rg.writable.(i) <- prot.Prot.w
-          done
       | None -> assert false)
   | Pipe_open _, A_pipe_open { k } -> m.chans.(k) <- true
   | Pipe_close _, A_pipe_close { k } -> m.chans.(k) <- false
@@ -765,7 +757,8 @@ let apply m op a =
           | Some rg -> rg.loan_src <- true
           | None -> assert false))
   | _ -> ()
-  (* madvise/read/write/msync/pressure/pipe reads leave the model alone *)
+  (* madvise/mprotect/read/write/msync/pressure/pipe reads leave the model
+     alone *)
 
 (* -- outcomes ----------------------------------------------------------- *)
 
@@ -820,7 +813,19 @@ module Exec (V : Vmiface.Vm_sig.VM_SYS) = struct
     }
 
   let name = V.name
-  let audit t = V.audit t.sys
+  (* The kernel's own audit, then each open channel's accounting: a
+     receive that faults must leave its queue as it was. *)
+  let audit t =
+    V.audit t.sys;
+    Array.iteri
+      (fun k -> function
+        | Some ch when I.queued_bytes ch <> I.held_bytes ch ->
+            Check.fail ~system:V.name ~subsys:Check.Ipc
+              ~invariant:"queued_bytes"
+              (Printf.sprintf "chan %d counts %d bytes, its segments hold %d" k
+                 (I.queued_bytes ch) (I.held_bytes ch))
+        | Some _ | None -> ())
+      t.chans
   let source t = (V.machine t.sys).Machine.trace_source
 
   (* Is this kernel measurably short on memory right now?  Free pages at

@@ -325,6 +325,8 @@ let json_lock_class buf (cv : Lockstat.class_view) =
   json_hist buf cv.Lockstat.cv_read_hold;
   Buffer.add_string buf ",\"write_hold_us\":";
   json_hist buf cv.Lockstat.cv_write_hold;
+  Buffer.add_string buf ",\"mean_hold_us\":";
+  json_float buf (Histogram.mean cv.Lockstat.cv_hold);
   Buffer.add_string buf ",\"max_hold_us\":";
   json_float buf cv.Lockstat.cv_max_hold_us;
   Buffer.add_string buf ",\"by_subsys\":[";

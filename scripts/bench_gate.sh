@@ -9,6 +9,9 @@
 #   - numeric leaves whose key ends in "_us"  fail when  new > old * (1 + TOL)
 #   - numeric leaves whose key ends in "mb_s" fail when  new < old * (1 - TOL)
 #
+# A key dropped from the results, a changed row count, or a node whose
+# type (dict, list, number, ...) differs between the two files also fails.
+#
 # The "microbench_ns_per_run" section is wall-clock (Bechamel) and is
 # excluded: it measures the host machine, not the simulated one.
 #
@@ -39,7 +42,7 @@ with open(results_path) as f:
     new = json.load(f)
 
 for artifact, name in ((base, baseline_path), (new, results_path)):
-    if artifact.get("schema") != "uvm-bench/1":
+    if artifact.get("schema") != "uvm-bench/2":
         sys.exit("bench_gate: %s: bad schema %r" % (name, artifact.get("schema")))
 
 failures = []
@@ -73,15 +76,30 @@ def gate(path, old, cur):
         )
 
 
+def kind(x):
+    if isinstance(x, dict):
+        return "dict"
+    if isinstance(x, list):
+        return "list"
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
+        return "number"
+    return type(x).__name__
+
+
 def walk(path, old, cur):
-    if isinstance(old, dict) and isinstance(cur, dict):
+    if kind(old) != kind(cur):
+        # A reshaped section would otherwise skip every leaf under it.
+        failures.append(
+            "  %s: type changed %s -> %s" % (path, kind(old), kind(cur))
+        )
+    elif isinstance(old, dict):
         missing = sorted(set(old) - set(cur))
         if missing:
             failures.append("  %s: keys dropped from results: %s" % (path, missing))
         for k in old:
             if k in cur:
                 walk("%s.%s" % (path, k) if path else k, old[k], cur[k])
-    elif isinstance(old, list) and isinstance(cur, list):
+    elif isinstance(old, list):
         if len(old) != len(cur):
             failures.append(
                 "  %s: row count changed %d -> %d" % (path, len(old), len(cur))

@@ -33,9 +33,12 @@ dune build --root . --build-dir .bench_build --profile release \
   ./test/test_alloc.exe
 ./.bench_build/default/test/test_alloc.exe
 
-# CLI error smoke: an unknown flag and a bad seed range must exit 2 with a
-# usage message, the status every invalid option value gets.
-for args in 'table2 --bogus' 'torture --seed 5-1'; do
+# CLI error smoke: an unknown flag, a bad seed range and a knob the
+# experiment does not honour must exit 2 with a usage message, the status
+# every invalid option value gets.
+for args in 'table2 --bogus' 'torture --seed 5-1' \
+  'serve --read-error-rate 0.1' 'smp --read-error-rate 0.1' \
+  'table1 --quick' 'lockstat --quick' 'soak --cpus 2'; do
   rc=0
   # shellcheck disable=SC2086 # split the argument list on purpose
   ./_build/default/bin/uvm_sim.exe $args > /dev/null 2>&1 || rc=$?
@@ -357,6 +360,41 @@ python3 simbench/run.py --self-test
 # the workflow can start accumulating the bench trajectory.
 dune exec bench/main.exe > /dev/null
 test -s BENCH_results.json
+
+# An experiment's --out document is its bench section: table2's rows must
+# equal the fresh run's experiments.table2.
+table2=$(mktemp /tmp/uvm-table2.XXXXXX.json)
+./_build/default/bin/uvm_sim.exe table2 --out "$table2" > /dev/null
+python3 - "$table2" BENCH_results.json <<'EOF'
+import json, sys
+with open(sys.argv[1]) as f:
+    rows = json.load(f)
+with open(sys.argv[2]) as f:
+    bench = json.load(f)["experiments"]["table2"]
+assert rows == bench, (rows, bench)
+print("ci: table2 --out matches the bench (%d rows)" % len(rows))
+EOF
+rm -f "$table2"
+
+# Gate self-check: a section whose type changes between the baseline and
+# the results must fail the gate rather than skip every leaf under it.
+# The doctored pair's fig5 row is gateable and unchanged, so only that
+# check can fail it.
+doctored=$(mktemp -d /tmp/uvm-gate.XXXXXX)
+fig5='"fig5":[{"mb":4,"bsd_us":1.5,"uvm_us":1.0}]'
+printf '{"schema":"uvm-bench/2","experiments":{%s,%s}}\n' "$fig5" \
+  '"serve":[{"total_us":2.0}]' > "$doctored/baseline.json"
+printf '{"schema":"uvm-bench/2","experiments":{%s,%s}}\n' "$fig5" \
+  '"serve":{"rows":[{"total_us":2.0}]}' > "$doctored/results.json"
+rc=0
+BENCH_GATE_TOLERANCE=0 sh scripts/bench_gate.sh "$doctored/baseline.json" \
+  "$doctored/results.json" > /dev/null || rc=$?
+rm -rf "$doctored"
+if [ "$rc" -ne 1 ]; then
+  echo "ci: bench gate exited $rc on a reshaped section, want 1" >&2
+  exit 1
+fi
+echo 'ci: bench gate fails a reshaped section'
 
 # Regression gate: the simulated-time metrics are deterministic, so fail
 # if any of them in the fresh bench run is worse than the committed

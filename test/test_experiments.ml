@@ -4,9 +4,25 @@
    the bench harness; here we assert the directions on the real ones that
    are cheap, and the component claims on the others. *)
 
+module Registry = Experiments.Registry
+
+(* The objects in an experiment's JSON document for [r]: one per row, as
+   every row the paper experiments write is a flat object. *)
+let json_objects json r =
+  let buf = Buffer.create 4096 in
+  json buf r;
+  String.fold_left
+    (fun n c -> if c = '{' then n + 1 else n)
+    0 (Buffer.contents buf)
+
+let check_json_rows what json r nrows =
+  Alcotest.(check int) (what ^ ": one JSON row per result row") nrows
+    (json_objects json r)
+
 let test_table1_direction () =
   let rows = Experiments.Table1.run () in
   Alcotest.(check int) "five rows" 5 (List.length rows);
+  check_json_rows "table1" Experiments.Table1.json rows (List.length rows);
   List.iter
     (fun (label, bsd, uvm) ->
       Alcotest.(check bool) (label ^ ": BSD uses more entries") true (bsd > uvm))
@@ -19,6 +35,7 @@ let test_table1_direction () =
 
 let test_table2_direction () =
   let rows = Experiments.Table2.run () in
+  check_json_rows "table2" Experiments.Table2.json rows (List.length rows);
   List.iter
     (fun (label, bsd, uvm) ->
       let r = float_of_int bsd /. float_of_int uvm in
@@ -31,6 +48,7 @@ let test_table2_direction () =
 let test_table3_direction () =
   let rows = Experiments.Table3.run () in
   Alcotest.(check int) "six cases" 6 (List.length rows);
+  check_json_rows "table3" Experiments.Table3.json rows (List.length rows);
   List.iter
     (fun (label, bsd, uvm) ->
       Alcotest.(check bool) (label ^ ": UVM no slower") true (uvm <= bsd +. 1e-9))
@@ -44,6 +62,8 @@ let test_table3_direction () =
 
 let test_swapleak () =
   let steps = Experiments.Swapleak.run () in
+  check_json_rows "swapleak" Experiments.Swapleak.json steps
+    (List.length steps);
   List.iter
     (fun s ->
       Alcotest.(check int)
@@ -56,6 +76,7 @@ let test_swapleak () =
 
 let test_datamove () =
   let rows = Experiments.Datamove.run () in
+  check_json_rows "datamove" Experiments.Datamove.json rows (List.length rows);
   let one = List.hd rows in
   let big = List.nth rows (List.length rows - 1) in
   let gain r =
@@ -74,6 +95,10 @@ let test_datamove () =
 
 let test_fig6_shape () =
   let r = Experiments.Fig6.run () in
+  (* One object wraps the two series. *)
+  check_json_rows "fig6" Experiments.Fig6.json r
+    (1 + List.length r.Experiments.Fig6.touched
+    + List.length r.Experiments.Fig6.untouched);
   (* Linear growth, BSD above UVM in the touched case. *)
   List.iter
     (fun (mb, bsd, uvm) ->
@@ -93,6 +118,7 @@ let test_fig2_cliff_components () =
      state; past it, BSD pays I/O.  Checked through the harness rows. *)
   let module F = Experiments.Fig2 in
   let rows = F.run () in
+  check_json_rows "fig2" F.json rows (List.length rows);
   let below = List.filter (fun (n, _, _) -> n <= 100) rows in
   let above = List.filter (fun (n, _, _) -> n > 100) rows in
   List.iter
@@ -111,6 +137,7 @@ let test_fig2_cliff_components () =
 
 let test_fig5_crossover () =
   let rows = Experiments.Fig5.run () in
+  check_json_rows "fig5" Experiments.Fig5.json rows (List.length rows);
   List.iter
     (fun (mb, bsd, uvm) ->
       if mb <= 28 then
@@ -124,9 +151,43 @@ let test_fig5_crossover () =
           true (bsd > 2.0 *. uvm))
     rows
 
+(* Each subcommand of uvm_sim is a registry entry, next to [all] and
+   [torture]: no two may share a name. *)
+let test_registry_names_unique () =
+  let names =
+    "all" :: "torture"
+    :: List.map (fun (Registry.Entry e) -> e.name) Registry.entries
+  in
+  Alcotest.(check (list string)) "no duplicates"
+    (List.sort compare names)
+    (List.sort_uniq compare names)
+
+(* The bench may only set knobs its entry honours: the CLI would reject
+   the same run. *)
+let test_registry_bench_knobs () =
+  List.iter
+    (fun (Registry.Entry e) ->
+      let honoured = function
+        | Registry.Quick -> e.knobs.quick
+        | Seed _ -> e.knobs.seed <> None
+        | Cpus _ -> e.knobs.cpus <> None
+      in
+      Option.iter
+        (List.iter (fun s ->
+             Alcotest.(check bool)
+               (e.name ^ ": bench knob honoured") true (honoured s)))
+        e.bench)
+    Registry.entries
+
 let () =
   Alcotest.run "experiments"
     [
+      ( "registry",
+        [
+          Alcotest.test_case "names unique" `Quick test_registry_names_unique;
+          Alcotest.test_case "bench knobs declared" `Quick
+            test_registry_bench_knobs;
+        ] );
       ( "tables",
         [
           Alcotest.test_case "table1" `Slow test_table1_direction;

@@ -122,6 +122,60 @@ module Stream (V : Vmiface.Vm_sig.VM_SYS) = struct
     | I.Mapped _ -> Alcotest.fail "unexpected mapped delivery");
     no_lock_held "end";
     V.audit sys
+
+  (* A receive whose copy-out faults consumes nothing: the queue keeps its
+     length, and the next receive returns the same bytes.  Covered for a
+     receive the head segment holds and for one that spans two segments,
+     plain and vslock'd, under each policy. *)
+  let faulting_recv_keeps_payload () =
+    let config = { M.default_config with ram_pages = 512; swap_pages = 1024 } in
+    let sys = V.boot ~config () in
+    let tx = V.new_vmspace sys and rx = V.new_vmspace sys in
+    let mmap vm prot = V.mmap sys vm ~npages:2 ~prot ~share:Vt.Private Vt.Zero in
+    let src = mmap tx Pmap.Prot.rw and dst = mmap rx Pmap.Prot.rw in
+    let ro = mmap rx Pmap.Prot.read in
+    let data = pattern (2 * ps) in
+    V.write_bytes sys tx ~addr:(src * ps) data;
+    let ch = I.pipe sys () in
+    List.iter
+      (fun (policy, vslocked, sends) ->
+        let tag =
+          Printf.sprintf "%s%s, %d segment(s)"
+            (if vslocked then "vslock'd " else "")
+            (Ipc.policy_name policy) (List.length sends)
+        in
+        List.iter
+          (fun (off, len) ->
+            ignore
+              (I.send sys tx ch ~policy ~addr:((src * ps) + off) ~len : int))
+          sends;
+        let queued = I.queued_bytes ch in
+        Alcotest.(check bool) (tag ^ ": recv faults") true
+          (match I.recv sys rx ~vslocked ch ~addr:(ro * ps) ~len:queued with
+          | _ -> false
+          | exception Vt.Segv _ -> true);
+        Alcotest.(check int) (tag ^ ": queue unchanged") queued
+          (I.queued_bytes ch);
+        (match I.recv sys rx ~vslocked ch ~addr:(dst * ps) ~len:queued with
+        | I.Data n ->
+            Alcotest.(check int) (tag ^ ": bytes received") queued n;
+            Alcotest.(check string) (tag ^ ": same bytes")
+              (String.concat ""
+                 (List.map (fun (off, len) -> Bytes.sub_string data off len) sends))
+              (Bytes.to_string (V.read_bytes sys rx ~addr:(dst * ps) ~len:n))
+        | I.Mapped _ -> Alcotest.fail "unexpected mapped delivery");
+        Alcotest.(check int) (tag ^ ": drained") 0 (I.queued_bytes ch);
+        V.audit sys)
+      (List.concat_map
+         (fun policy ->
+           List.concat_map
+             (fun vslocked ->
+               [
+                 (policy, vslocked, [ (0, 300) ]);
+                 (policy, vslocked, [ (0, 300); (300, ps) ]);
+               ])
+             [ false; true ])
+         [ Ipc.Copy; Ipc.Loan ])
 end
 
 module SU = Stream (Uvm.Sys)
@@ -326,6 +380,10 @@ let () =
             SU.segv_releases_lock;
           Alcotest.test_case "BSD VM: a Segv releases the channel lock"
             `Quick SB.segv_releases_lock;
+          Alcotest.test_case "UVM: a faulting recv keeps its payload" `Quick
+            SU.faulting_recv_keeps_payload;
+          Alcotest.test_case "BSD VM: a faulting recv keeps its payload"
+            `Quick SB.faulting_recv_keeps_payload;
         ] );
       ( "mechanics",
         [
