@@ -188,8 +188,9 @@ let reproduce_paper () =
     List.filter_map
       (fun (Experiments.Registry.Entry e) ->
         Option.map
-          (fun settings ->
-            let r = e.run (Experiments.Registry.params e.knobs settings) in
+          (fun b ->
+            let quick = b = Experiments.Registry.Quick in
+            let r = e.run (Experiments.Registry.params ~quick e.knobs) in
             e.print r;
             (e.name, fun buf -> e.json buf r))
           e.bench)

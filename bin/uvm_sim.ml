@@ -45,14 +45,15 @@ let files_term flag_doc items =
             $ file_opt flag doc $ rest))
     items (Term.const [])
 
-let write_file file what fill =
+let write_file file fill =
   let buf = Buffer.create 16384 in
   fill buf;
   let oc = open_out file in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> Buffer.output_buffer oc buf);
-  Printf.printf "%s written to %s\n" what file
+    (fun () -> Buffer.output_buffer oc buf)
+
+let written what file = Printf.printf "%s written to %s\n" what file
 
 (* -- fault-injection options ----------------------------------------- *)
 
@@ -106,51 +107,38 @@ let faults_term =
 
 (* -- observability options --------------------------------------------- *)
 
-let artifact_doc = function
+(* The trace's line always counts its spans; the other exports are named
+   only when [announce]. *)
+let write_artifact ~announce file a sources =
+  write_file file (fun buf -> Registry.write_artifact a buf sources);
+  match a with
   | Registry.Trace ->
-      "Write a Chrome trace-event JSON file of every traced machine to \
-       $(docv) (open in Perfetto or chrome://tracing): every span, one \
-       track per subsystem.  Implies span collection."
-  | Stats ->
-      "Write a JSON snapshot (schema uvm-sim-stats/2: counters and one \
-       latency histogram per span name) to $(docv)."
-  | Report ->
-      "Write the comparative efficacy report (schema uvm-sim-report/1: \
-       fault-ahead hit/waste per madvise mode, pageout cluster \
-       distributions, residency percentiles, map-entry census) of every \
-       system the experiment booted to $(docv)."
-  | Spans ->
-      "Write the causal span trees (schema uvm-sim-spans/1: every finished \
-       span with its trace/parent ids, plus any still-open stack) of every \
-       traced machine to $(docv).  Implies span collection."
-  | Metrics ->
-      "Write the vmstat-style time-series (schema uvm-sim-metrics/1: \
-       periodic gauge/counter samples and watchdog warnings) of every \
-       traced machine to $(docv).  Implies span collection."
-  | Lockstat ->
-      "Write the lock observatory (schema uvm-sim-lockstat/2: per-class \
-       hold-time histograms split by read/write mode and by holding \
-       subsystem, and the observed lock-order graph with any cycles) of \
-       every traced machine to $(docv).  Implies span collection."
-
-let write_artifact file a sources =
-  write_file file (Registry.artifact_name a) (fun buf ->
-      Registry.write_artifact a buf sources)
+      Printf.printf "trace written to %s (%d spans)\n" file
+        (List.fold_left
+           (fun n s ->
+             n + List.length (Sim.Span.spans s.Sim.Trace_export.spans))
+           0 sources)
+  | a -> if announce then written (Registry.artifact_name a) file
 
 type observe = {
   files : (string * Registry.artifact) list;
   stats : bool;  (* print the counter and percentile tables *)
   trace_buf : int;
+  announce : bool;  (* name each export written *)
 }
 
 (* The options for [artifacts]: one [--NAME-out] per artifact, plus
-   [--stats] with the stats snapshot and [--trace-buf] with the trace. *)
+   [--stats] with the stats snapshot and [--trace-buf] with the trace.
+   A command offering every export (a paper artifact, or [all]) writes
+   them without a line each, the trace's span count aside; one offering
+   a chosen few names each file it writes. *)
 let observe_term artifacts =
   let files =
     files_term
-      (fun a -> (Registry.artifact_name a ^ "-out", artifact_doc a))
+      (fun a -> (Registry.artifact_name a ^ "-out", Registry.artifact_doc a))
       artifacts
   in
+  let announce = artifacts <> Registry.every_artifact in
   let stats =
     if List.mem Registry.Stats artifacts then
       Arg.(value & flag & info [ "stats" ]
@@ -166,7 +154,8 @@ let observe_term artifacts =
                    every span regardless).")
     else Term.const 65536
   in
-  Term.(const (fun files stats trace_buf -> { files; stats; trace_buf })
+  Term.(const (fun files stats trace_buf ->
+            { files; stats; trace_buf; announce })
         $ files $ stats $ trace_buf)
 
 (* Run [f] with every machine it boots traced when [o] asks for any
@@ -177,7 +166,9 @@ let observed o f =
   let r = f () in
   let sources = Vmiface.Machine.traced () in
   if o.stats then Sim.Trace_export.print_stats sources;
-  List.iter (fun (file, a) -> write_artifact file a sources) o.files;
+  List.iter
+    (fun (file, a) -> write_artifact ~announce:o.announce file a sources)
+    o.files;
   Vmiface.Machine.reset_traced ();
   r
 
@@ -246,7 +237,7 @@ let run_torture (lo, hi) cfg_of_seed lockstat_out =
       | l -> " (" ^ String.concat " " (List.map string_of_int l) ^ ")");
   Option.iter
     (fun file ->
-      write_artifact file Registry.Lockstat
+      write_artifact ~announce:true file Registry.Lockstat
         (List.concat_map (fun (_, _, _, s) -> s) results))
     lockstat_out;
   failed <> []
@@ -367,7 +358,7 @@ let torture_cmd =
           if run_torture seeds cfg_of_seed lout then Stdlib.exit 1)
       $ seed $ ops $ audit_every $ faults $ shrink $ artifact_dir $ corrupt
       $ corrupt_at $ ram_pages $ swap_pages $ tiers
-      $ file_opt "lockstat-out" (artifact_doc Registry.Lockstat))
+      $ file_opt "lockstat-out" (Registry.artifact_doc Registry.Lockstat))
 
 
 (* -- registry commands --------------------------------------------------- *)
@@ -375,7 +366,7 @@ let torture_cmd =
 (* The knob values an entry's flags set; a knob it does not honour gets
    no flag, so passing one is a usage error. *)
 let params_term (k : Registry.knobs) =
-  let d = Registry.params k [] in
+  let d = Registry.params k in
   let int_knob name docv parse unset = function
     | Some { Registry.default; doc } ->
         Arg.(value & opt parse default & info [ name ] ~docv ~doc)
@@ -398,7 +389,7 @@ let cmd_of_entry (Registry.Entry e) =
   let out : _ Registry.output =
     {
       flag = "out";
-      what = e.name ^ " results";
+      what = e.out_what;
       doc = "Also write the result as JSON to $(docv).";
       write = e.json;
     }
@@ -410,7 +401,8 @@ let cmd_of_entry (Registry.Entry e) =
           e.print r;
           List.iter
             (fun (file, (o : _ Registry.output)) ->
-              write_file file o.what (fun buf -> o.write buf r))
+              write_file file (fun buf -> o.write buf r);
+              written o.what file)
             outputs;
           e.ok r)
     in
@@ -435,7 +427,7 @@ let all_cmd =
             (fun ok (Registry.Entry e) ->
               if not e.in_all then ok
               else begin
-                let r = e.run (Registry.params e.knobs []) in
+                let r = e.run (Registry.params e.knobs) in
                 e.print r;
                 e.ok r && ok
               end)

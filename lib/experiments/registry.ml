@@ -5,7 +5,7 @@
     values, and how its result is printed, serialised and judged.
     [uvm_sim] builds one subcommand per entry from these declarations and
     [all] folds over the entries marked [in_all]; the bench folds over the
-    entries that declare [bench] settings and embeds each one's [json]
+    entries that set [bench] and embeds each one's [json]
     document under [experiments.<name>]. *)
 
 (* -- observability artifacts -------------------------------------------- *)
@@ -22,6 +22,34 @@ let artifact_name = function
   | Spans -> "spans"
   | Metrics -> "metrics"
   | Lockstat -> "lockstat"
+
+(** The help text of [--NAME-out]. *)
+let artifact_doc = function
+  | Trace ->
+      "Write a Chrome trace-event JSON file of every traced machine to \
+       $(docv) (open in Perfetto or chrome://tracing): every span, one \
+       track per subsystem.  Implies span collection."
+  | Stats ->
+      "Write a JSON snapshot (schema uvm-sim-stats/2: counters and one \
+       latency histogram per span name) to $(docv)."
+  | Report ->
+      "Write the comparative efficacy report (schema uvm-sim-report/1: \
+       fault-ahead hit/waste per madvise mode, pageout cluster \
+       distributions, residency percentiles, map-entry census) of every \
+       system the experiment booted to $(docv)."
+  | Spans ->
+      "Write the causal span trees (schema uvm-sim-spans/1: every finished \
+       span with its trace/parent ids, plus any still-open stack) of every \
+       traced machine to $(docv).  Implies span collection."
+  | Metrics ->
+      "Write the vmstat-style time-series (schema uvm-sim-metrics/1: \
+       periodic gauge/counter samples and watchdog warnings) of every \
+       traced machine to $(docv).  Implies span collection."
+  | Lockstat ->
+      "Write the lock observatory (schema uvm-sim-lockstat/2: per-class \
+       hold-time histograms split by read/write mode and by holding \
+       subsystem, and the observed lock-order graph with any cycles) of \
+       every traced machine to $(docv).  Implies span collection."
 
 let write_artifact = function
   | Trace -> Sim.Trace_export.chrome_json
@@ -53,21 +81,18 @@ let no_knobs =
 let paper_knobs = { no_knobs with faults = true; artifacts = every_artifact }
 
 (** The knob values one run gets: an honoured knob the caller leaves
-    alone is at its default, an unhonoured one reads 0. *)
+    alone is at its default, an unhonoured one reads 0.  The entries
+    below hold the only defaults: the experiment modules take every knob
+    value as an argument. *)
 type params = { quick : bool; seed : int; cpus : int }
 
-(** A knob value the bench sets; each must be one its entry honours. *)
-type setting = Quick | Seed of int | Cpus of int
-
-let params (k : knobs) settings =
+let params ?(quick = false) (k : knobs) =
   let default = function Some (n : int_knob) -> n.default | None -> 0 in
-  List.fold_left
-    (fun p -> function
-      | Quick -> { p with quick = true }
-      | Seed s -> { p with seed = s }
-      | Cpus c -> { p with cpus = c })
-    { quick = false; seed = default k.seed; cpus = default k.cpus }
-    settings
+  { quick; seed = default k.seed; cpus = default k.cpus }
+
+(** How the bench runs an entry: at its defaults, or with [quick] set
+    (which the entry must honour). *)
+type bench = Defaults | Quick
 
 (* -- entries --------------------------------------------------------- *)
 
@@ -87,16 +112,20 @@ type t =
       run : params -> 'r;
       print : 'r -> unit;
       json : Buffer.t -> 'r -> unit;  (** the [--out] and bench document *)
+      out_what : string;  (** names the [--out] file when it is written *)
       ok : 'r -> bool;  (** false exits 1 *)
       outputs : 'r output list;
-      bench : setting list option;  (** [None]: the bench skips it *)
+      bench : bench option;  (** [None]: the bench skips it *)
       in_all : bool;  (** run by [uvm_sim all] *)
     }
       -> t
 
 let entry ?(knobs = paper_knobs) ?(ok = fun _ -> true) ?(outputs = [])
-    ?(bench = Some []) ?(in_all = false) ~name ~doc ~run ~print ~json () =
-  Entry { name; doc; knobs; run; print; json; ok; outputs; bench; in_all }
+    ?(bench = Some Defaults) ?(in_all = false) ?out_what ~name ~doc ~run
+    ~print ~json () =
+  let out_what = Option.value out_what ~default:(name ^ " results") in
+  Entry
+    { name; doc; knobs; run; print; json; out_what; ok; outputs; bench; in_all }
 
 (* A paper artifact: fixed size, run by [all] and by the bench. *)
 let paper ~name ~doc run ~print ~json =
@@ -165,7 +194,7 @@ let entries =
       ~run:(fun p -> Soak.run ~quick:p.quick ~seed:p.seed ())
       ~print:Soak.print ~json:Soak.json
       ~ok:(fun r -> List.for_all (fun s -> s.Soak.so_passed) r.Soak.rows)
-      ~bench:(Some [ Quick ]) ();
+      ~bench:(Some Quick) ();
     entry ~name:"lockstat"
       ~doc:
         "Lock observatory: drive one paging+IPC workload through every \
@@ -175,7 +204,7 @@ let entries =
          profile whose self times telescope to the measured wall time.  \
          Contention on several CPUs is measured by $(b,smp --cpus) $(i,N)."
       ~knobs:{ no_knobs with faults = true }
-      ~run:(fun _ -> Lockstat.run ())
+      ~out_what:"lockstat" ~run:(fun _ -> Lockstat.run ())
       ~print:Lockstat.print ~json:Lockstat.json
       ~outputs:
         [
@@ -225,7 +254,7 @@ let entries =
           (fun (s : Smp.system_result) ->
             s.Smp.ss_par.Smp.kr_audit_failures = [])
           r.Smp.sm_systems)
-      ~bench:(Some [ Quick; Cpus 4 ]) ();
+      ~bench:(Some Quick) ();
     (* The ledger-derived efficacy report (DESIGN.md §10): the bench embeds
        it whole, so the trajectory tracks policy efficacy, not just
        timings. *)
@@ -237,7 +266,7 @@ let entries =
          inter-fault histograms, map-entry census) for UVM and BSD VM over \
          one mixed paging workload"
       ~knobs:{ no_knobs with quick = true; faults = true }
-      ~run:(fun p -> Effreport.run ~quick:p.quick ())
+      ~out_what:"report" ~run:(fun p -> Effreport.run ~quick:p.quick ())
       ~print:Effreport.print ~json:Sim.Trace_export.report_json ();
     entry ~name:"vmstat"
       ~doc:

@@ -35,7 +35,7 @@ type cfg = {
   seed : int;
 }
 
-let profile ~quick ~cpus =
+let profile ~quick ~cpus ~seed =
   let procs = max 4 (2 * cpus) in
   if quick then
     {
@@ -49,7 +49,7 @@ let profile ~quick ~cpus =
       file_stride = 12;
       shared_pages = 8 * procs;
       audit_every = 200;
-      seed = 42;
+      seed;
     }
   else
     {
@@ -63,15 +63,15 @@ let profile ~quick ~cpus =
       file_stride = 12;
       shared_pages = 8 * procs;
       audit_every = 500;
-      seed = 42;
+      seed;
     }
 
 (* Swap grows with the storm: every worker's whole private region and
    the scoreboard may sit on swap at once, plus one RAM's worth of slack
    for the slot holes clustered pageout leaves behind.  Up to 4 CPUs the
    profile's fixed size already covers that. *)
-let cfg ?(quick = false) ~cpus () =
-  let c = profile ~quick ~cpus in
+let cfg ?(quick = false) ~cpus ~seed () =
+  let c = profile ~quick ~cpus ~seed in
   {
     c with
     swap_pages =
@@ -264,9 +264,8 @@ end
 module Uvm_run = Run (Uvm.Sys)
 module Bsd_run = Run (Bsdvm.Sys)
 
-let run ?(quick = false) ?(cpus = 4) ?seed () =
-  let c = cfg ~quick ~cpus () in
-  let c = match seed with Some s -> { c with seed = s } | None -> c in
+let run ?(quick = false) ~cpus ~seed () =
+  let c = cfg ~quick ~cpus ~seed () in
   Machine.reset_traced ();
   let sys_result measure =
     let base = measure c ~cpus:1 in

@@ -503,7 +503,7 @@ module B = Make (Bsdvm.Sys)
 
 type result = { seed : int; len_us : float; rows : row list }
 
-let run ?(quick = false) ?(seed = 42) () : result =
+let run ?(quick = false) ~seed () : result =
   let cfg = if quick then quick_cfg else full_cfg in
   {
     seed;

@@ -86,7 +86,7 @@ module Bsd_run = Run (Bsdvm.Sys)
 
 type result = Sim.Trace_export.source list
 
-let run ?(quick = false) ?(cpus = 1) () : result =
+let run ?(quick = false) ~cpus () : result =
   let cfg = { (if quick then quick_cfg else full_cfg) with ncpus = cpus } in
   (* UVM boots first, as the table prints it first. *)
   let u = Uvm_run.run cfg in
