@@ -235,9 +235,20 @@ module Sys = struct
   let madvise _sys vm ~vpn ~npages advice =
     Vm_map.set_advice vm.map ~spage:vpn ~npages advice
 
-  let mlock _sys vm ~vpn ~npages =
+  (* BSD records a wiring in the map before its wire faults run.  When
+     one fails (a hole raises [Segv]), [wire_pages] has unwired the pages
+     before it, and the range is unmarked again before the error
+     propagates. *)
+  let mark_and_wire sys vm ~vpn ~npages =
     Vm_map.mark_wired vm.map ~spage:vpn ~npages;
-    wire_pages vm ~vpn ~npages
+    match wire_pages sys vm ~vpn ~npages with
+    | () -> ()
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        Vm_map.mark_unwired vm.map ~spage:vpn ~npages;
+        Printexc.raise_with_backtrace e bt
+
+  let mlock sys vm ~vpn ~npages = mark_and_wire sys vm ~vpn ~npages
 
   let munlock sys vm ~vpn ~npages =
     Vm_map.mark_unwired vm.map ~spage:vpn ~npages;
@@ -248,9 +259,8 @@ module Sys = struct
   (* BSD records sysctl/physio buffer wiring in the process map: the range
      is clipped out of its entry, and the fragmentation persists after
      unwiring (paper §3.2 — the map-entry demand Table 1 measures). *)
-  let vslock _sys vm ~vpn ~npages =
-    Vm_map.mark_wired vm.map ~spage:vpn ~npages;
-    wire_pages vm ~vpn ~npages;
+  let vslock sys vm ~vpn ~npages =
+    mark_and_wire sys vm ~vpn ~npages;
     { wb_vpn = vpn; wb_npages = npages }
 
   let vsunlock sys vm wb =
@@ -279,15 +289,10 @@ module Sys = struct
                   (* One write per page, as ever.  A failed page stays
                      dirty for a later sync or pageout to retry. *)
                   match
-                    Bsd_sys.retry_transient bsys (fun () ->
-                        Vfs.write_pages (Bsd_sys.vfs bsys) vn
-                          ~start_page:p.owner_offset ~srcs:[ p ])
+                    Bsd_sys.write_file bsys vn ~start_page:p.owner_offset
+                      ~srcs:[ p ]
                   with
-                  | Ok () ->
-                      (* Any swapcache copy of this page is stale now. *)
-                      Swap.Swaptier.cache_invalidate (Bsd_sys.swapdev bsys)
-                        ~vid:vn.Vfs.Vnode.vid ~pgno:p.owner_offset
-                  | Error _ -> ())
+                  | Ok () | Error _ -> ())
               (Vm_object.dirty_pages obj)
         | Vm_object.Anon -> ())
 
@@ -299,7 +304,7 @@ module Sys = struct
       mmap sys sys.kernel ~npages ~prot:Pmap.Prot.rw ~share:Private Zero
     in
     Vm_map.mark_wired sys.kernel.map ~spage:vpn ~npages;
-    wire_pages sys.kernel ~vpn ~npages;
+    wire_pages sys sys.kernel ~vpn ~npages;
     vpn
 
   let kernel_free_wired sys ~vpn ~npages =
@@ -316,7 +321,7 @@ module Sys = struct
 
   let swapin_ustruct sys ~vpn ~npages =
     Vm_map.mark_wired sys.kernel.map ~spage:vpn ~npages;
-    wire_pages sys.kernel ~vpn ~npages
+    wire_pages sys sys.kernel ~vpn ~npages
 
   (* i386 page-table pages: BSD allocates them from the kernel map and
      records the wiring there too — one more kernel entry per process. *)

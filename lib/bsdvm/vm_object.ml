@@ -118,12 +118,18 @@ let reference obj = obj.refs <- obj.refs + 1
 
 let find_page obj ~pgno = Hashtbl.find_opt obj.pages pgno
 
-let insert_page obj ~pgno (page : Physmem.Page.t) =
+(* Make a frame allocated to [obj] resident at the offset it already
+   carries — the pager's install step. *)
+let adopt obj (page : Physmem.Page.t) =
+  let pgno = page.owner_offset in
   assert (not (Hashtbl.mem obj.pages pgno));
-  page.owner <- Obj_page obj;
-  page.owner_offset <- pgno;
   Hashtbl.replace obj.pages pgno page;
   Physmem.Lookup.publish obj.okey ~pgno page
+
+let insert_page obj ~pgno (page : Physmem.Page.t) =
+  page.owner <- Obj_page obj;
+  page.owner_offset <- pgno;
+  adopt obj page
 
 let remove_page obj ~pgno =
   Physmem.Lookup.revoke obj.okey ~pgno;
@@ -175,22 +181,6 @@ let free_resources sys obj =
    pagein fails beyond the retry budget. *)
 let rec find_in_chain sys obj ~off ~depth =
   Bsd_sys.charge sys (Bsd_sys.costs sys).Sim.Cost_model.object_search;
-  let fail_pagein page =
-    Physmem.free_page (Bsd_sys.physmem sys) page;
-    let stats = Bsd_sys.stats sys in
-    stats.Sim.Stats.pageins_failed <- stats.Sim.Stats.pageins_failed + 1;
-    Error Vmiface.Vmtypes.Pager_error
-  in
-  (* Every pagein here moves exactly one page; [pager] says which backing
-     store it came from, mirroring UVM's pagein spans. *)
-  let trace_pagein ~span ~pager ok =
-    Bsd_sys.span_finish sys span (fun () ->
-        [
-          ("pager", pager);
-          ("pages", "1");
-          ("result", if ok then "ok" else "error");
-        ])
-  in
   match find_page obj ~pgno:off with
   | Some page -> Ok (Some (obj, off, page, depth))
   | None -> (
@@ -210,21 +200,12 @@ let rec find_in_chain sys obj ~off ~depth =
             | Some s -> s
             | None -> slot
           in
-          let span = Bsd_sys.span_start sys ~subsys:"pager" "pagein" in
-          let r =
-            Swap.Swaptier.read_resilient (Bsd_sys.swapdev sys)
-              ~retries:Bsd_sys.io_retries
-              ~backoff_us:Bsd_sys.io_backoff_us ~slot ~dst:page
-          in
-          trace_pagein ~span ~pager:"swap" (Result.is_ok r);
-          match r with
-          | Ok () ->
-              Physmem.note_fault_in (Bsd_sys.physmem sys) page
-                ~fill:Sim.Lifecycle.Fill_pagein;
-              insert_page obj ~pgno:off page;
-              Physmem.activate (Bsd_sys.physmem sys) page;
-              Ok (Some (obj, off, page, depth))
-          | Error _ -> fail_pagein page)
+          match
+            Bsd_sys.pagein_swap sys ~pager:"swap" ~install:adopt obj ~slot
+              page
+          with
+          | Ok () -> Ok (Some (obj, off, page, depth))
+          | Error _ as e -> e)
       | None -> (
           match obj.kind with
           | Vnode vn -> (
@@ -237,31 +218,16 @@ let rec find_in_chain sys obj ~off ~depth =
                   ~offset:off ()
               in
               if
-                Swap.Swaptier.cache_lookup (Bsd_sys.swapdev sys)
-                  ~vid:vn.Vfs.Vnode.vid ~pgno:off ~dst:page
-              then begin
-                Physmem.note_fault_in (Bsd_sys.physmem sys) page
-                  ~fill:Sim.Lifecycle.Fill_pagein;
-                insert_page obj ~pgno:off page;
-                Physmem.activate (Bsd_sys.physmem sys) page;
-                Ok (Some (obj, off, page, depth))
-              end
+                Bsd_sys.cache_fill sys ~vid:vn.Vfs.Vnode.vid ~pgno:off
+                  ~install:adopt obj page
+              then Ok (Some (obj, off, page, depth))
               else
-                let span = Bsd_sys.span_start sys ~subsys:"pager" "pagein" in
-                let r =
-                  Bsd_sys.retry_transient sys (fun () ->
-                      Vfs.read_pages (Bsd_sys.vfs sys) vn ~start_page:off
-                        ~dsts:[ page ])
-                in
-                trace_pagein ~span ~pager:"vnode" (Result.is_ok r);
-                match r with
-                | Ok () ->
-                    Physmem.note_fault_in (Bsd_sys.physmem sys) page
-                      ~fill:Sim.Lifecycle.Fill_file;
-                    insert_page obj ~pgno:off page;
-                    Physmem.activate (Bsd_sys.physmem sys) page;
-                    Ok (Some (obj, off, page, depth))
-                | Error _ -> fail_pagein page)
+                match
+                  Bsd_sys.pagein_file sys vn ~start_page:off ~pager:"vnode"
+                    ~install:adopt obj [ page ]
+                with
+                | Ok () -> Ok (Some (obj, off, page, depth))
+                | Error _ as e -> e)
           | Anon -> (
               match obj.shadow with
               | Some backing ->

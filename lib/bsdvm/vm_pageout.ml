@@ -44,18 +44,10 @@ let pageout_one sys (obj : Vm_object.t) (page : Physmem.Page.t) =
   trace_pageout
   @@
   match obj.Vm_object.kind with
-  | Vm_object.Vnode vn -> (
-      match
-        Bsd_sys.retry_transient sys (fun () ->
-            Vfs.write_pages (Bsd_sys.vfs sys) vn ~start_page:page.owner_offset
-              ~srcs:[ page ])
-      with
-      | Ok () ->
-          (* The file just changed under any swapcache copy of this page. *)
-          Swap.Swaptier.cache_invalidate (Bsd_sys.swapdev sys)
-            ~vid:vn.Vfs.Vnode.vid ~pgno:page.owner_offset;
-          true
-      | Error _ -> false)
+  | Vm_object.Vnode vn ->
+      Result.is_ok
+        (Bsd_sys.write_file sys vn ~start_page:page.owner_offset
+           ~srcs:[ page ])
   | Vm_object.Anon ->
       (* BSD VM keeps fixed slots; only bad media moves a page. *)
       let pgno = page.owner_offset in

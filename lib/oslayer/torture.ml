@@ -575,19 +575,10 @@ let resolve m op : action option =
              && off >= 0 && len >= 1
              && off + len <= rg.npages * page_bytes ->
           (* The destination may be read-only or have holes: the copy-out
+             (or a vslock over the hole, which unwires what it wired)
              then raises Segv, and the channel keeps every queued byte (a
-             receive copies out before it consumes).  A vslock'd receive
-             still needs every page mapped: vslock over a hole leaves the
-             pages before it wired. *)
-          let lo = off / page_bytes and hi = (off + len - 1) / page_bytes in
-          let ok = ref true in
-          if vsl then
-            for i = lo to hi do
-              if not rg.mapped.(i) then ok := false
-            done;
-          if !ok then
-            Some (A_pipe_read { k; p; vpn = rg.vpn; boff = off; len; vsl })
-          else None
+             receive copies out before it consumes). *)
+          Some (A_pipe_read { k; p; vpn = rg.vpn; boff = off; len; vsl })
       | _ -> None)
   | Kwire { k; npages } ->
       if

@@ -39,7 +39,6 @@ type t = {
   mutable pmap_removes : int;
   mutable pmap_protects : int;
   mutable lock_acquisitions : int;
-  mutable map_lock_held_us : float;
   mutable io_errors_injected : int;
   mutable pageout_retries : int;
   mutable pageouts_recovered : int;
@@ -124,7 +123,6 @@ let create () =
     pmap_removes = 0;
     pmap_protects = 0;
     lock_acquisitions = 0;
-    map_lock_held_us = 0.0;
     io_errors_injected = 0;
     pageout_retries = 0;
     pageouts_recovered = 0;
@@ -271,8 +269,6 @@ let fields =
         t.pmap_protects <- v);
     int_field "lock_acquisitions" (fun t -> t.lock_acquisitions) (fun t v ->
         t.lock_acquisitions <- v);
-    float_field "map_lock_held_us" (fun t -> t.map_lock_held_us) (fun t v ->
-        t.map_lock_held_us <- v);
     int_field "io_errors_injected" (fun t -> t.io_errors_injected) (fun t v ->
         t.io_errors_injected <- v);
     int_field "pageout_retries" (fun t -> t.pageout_retries) (fun t v ->

@@ -46,7 +46,6 @@ type t = {
   mutable pmap_removes : int;
   mutable pmap_protects : int;
   mutable lock_acquisitions : int;
-  mutable map_lock_held_us : float;  (** total simulated time map locks were held *)
   mutable io_errors_injected : int;  (** disk transfers failed by the fault plan *)
   mutable pageout_retries : int;  (** pageout attempts repeated after a transient error *)
   mutable pageouts_recovered : int;  (** pageouts that succeeded after retry/reassignment *)

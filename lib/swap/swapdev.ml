@@ -32,7 +32,6 @@ let capture b = if is_zero b then Zero else Data (Bytes.copy b)
 type t = {
   map : Swapmap.t;
   disk : Sim.Disk.t;
-  clock : Sim.Simclock.t;
   page_size : int;
   store : (int, contents) Hashtbl.t;
   stats : Sim.Stats.t;
@@ -42,16 +41,13 @@ let create ~nslots ~page_size ~clock ~costs ~stats () =
   {
     map = Swapmap.create ~nslots;
     disk = Sim.Disk.create ~clock ~costs ~stats;
-    clock;
     page_size;
     store = Hashtbl.create 256;
     stats;
   }
 
-let capacity t = Swapmap.capacity t.map
 let slots_in_use t = Swapmap.in_use t.map
 let slots_usable t = Swapmap.usable t.map
-let bad_slot_count t = Swapmap.bad_count t.map
 let is_bad_slot t ~slot = Swapmap.is_bad t.map ~slot
 let is_allocated_slot t ~slot = Swapmap.is_allocated t.map ~slot
 let disk t = t.disk
@@ -170,80 +166,3 @@ let write_raw t ~slot c =
   | Ok () ->
       Hashtbl.replace t.store slot c;
       Ok ()
-
-(* Exponential backoff before retry attempt [attempt] (0-based), charged
-   to the simulated clock: the pagedaemon sleeps, it does not spin. *)
-let backoff_delay ~backoff_us attempt =
-  backoff_us *. (2.0 ** float_of_int attempt)
-
-let read_resilient t ~retries ~backoff_us ~slot ~dst =
-  let rec go attempt =
-    match read_slot t ~slot ~dst with
-    | Ok () -> Ok ()
-    | Error e -> (
-        match e.Sim.Fault_plan.severity with
-        | Sim.Fault_plan.Transient when attempt < retries ->
-            Sim.Simclock.advance t.clock (backoff_delay ~backoff_us attempt);
-            go (attempt + 1)
-        | _ -> Error e)
-  in
-  go 0
-
-type write_outcome =
-  | Written  (** on the original slots, possibly after transient retries *)
-  | Reassigned of int
-      (** permanent error: bad slot blacklisted, cluster rewritten at the
-          returned base slot *)
-  | No_space of Sim.Fault_plan.error
-      (** permanent error and no replacement slots available *)
-  | Failed of Sim.Fault_plan.error
-      (** transient error persisted through every retry *)
-
-let write_resilient t ~retries ~backoff_us ~slot ~assign ~pages =
-  let n = List.length pages in
-  let recovered = ref false in
-  let outcome = ref Written in
-  (* Termination: every transient retry decrements [attempt] budget, and
-     every permanent failure blacklists a slot, shrinking the usable pool
-     until allocation fails — the recursion cannot run forever. *)
-  let rec go base attempt =
-    match write_cluster t ~slot:base ~pages with
-    | Ok () ->
-        if !recovered then
-          t.stats.Sim.Stats.pageouts_recovered <-
-            t.stats.Sim.Stats.pageouts_recovered + 1;
-        !outcome
-    | Error e -> (
-        match e.Sim.Fault_plan.severity with
-        | Sim.Fault_plan.Transient when attempt < retries ->
-            t.stats.Sim.Stats.pageout_retries <-
-              t.stats.Sim.Stats.pageout_retries + 1;
-            Sim.Simclock.advance t.clock (backoff_delay ~backoff_us attempt);
-            recovered := true;
-            go base (attempt + 1)
-        | Sim.Fault_plan.Transient -> Failed e
-        | Sim.Fault_plan.Permanent -> (
-            (* Bad media.  Retrying the same slot is pointless: blacklist
-               it and move the whole cluster elsewhere — the paper's
-               swap-location reassignment doubling as error recovery. *)
-            let bad =
-              match e.Sim.Fault_plan.bad_slot with
-              | Some s when s >= base && s < base + n -> s
-              | _ -> base
-            in
-            ignore (mark_bad t ~slot:bad : bool);
-            match alloc_slots t ~n with
-            | None ->
-                t.stats.Sim.Stats.swap_full_events <-
-                  t.stats.Sim.Stats.swap_full_events + 1;
-                No_space e
-            | Some fresh ->
-                (* The caller rebinds its bookkeeping (anon swslots, object
-                   slot tables) to the fresh range, releasing the old slots
-                   — which permanently retires the blacklisted one. *)
-                assign fresh;
-                recovered := true;
-                outcome := Reassigned fresh;
-                go fresh 0))
-  in
-  go slot 0

@@ -11,9 +11,9 @@
 
     All transfers are fallible (see {!Sim.Fault_plan}); a failed write
     leaves the pages dirty and the stored bytes untouched, so callers can
-    retry or reassign without losing data.  The [_resilient] entry points
-    package the standard recovery policy: bounded exponential-backoff
-    retry for transient errors, blacklist-and-reassign for bad media. *)
+    retry or reassign without losing data.  The recovery policy lives
+    above the device: {!Swaptier.write_resilient} for writes, the kernels'
+    transient retry for reads. *)
 
 type contents =
   | Zero  (** an all-zero page, kept as a tag *)
@@ -37,13 +37,11 @@ val create :
 (** Device-level transfers are untraced: the tier layer ({!Swaptier})
     spans every read and write in the global slot namespace. *)
 
-val capacity : t -> int
 val slots_in_use : t -> int
 
 val slots_usable : t -> int
 (** Capacity net of blacklisted slots. *)
 
-val bad_slot_count : t -> int
 val is_bad_slot : t -> slot:int -> bool
 
 val is_allocated_slot : t -> slot:int -> bool
@@ -96,45 +94,5 @@ val write_raw : t -> slot:int -> contents -> (unit, Sim.Fault_plan.error) result
     without touching any page or the pageout counters.  The slot shares
     the value, not a copy of it; a failed write stores nothing.
     @raise Invalid_argument if the slot is not allocated. *)
-
-val read_resilient :
-  t ->
-  retries:int ->
-  backoff_us:float ->
-  slot:int ->
-  dst:Physmem.Page.t ->
-  (unit, Sim.Fault_plan.error) result
-(** [read_slot] with up to [retries] extra attempts on transient errors,
-    sleeping [backoff_us * 2^attempt] simulated microseconds between
-    attempts.  Permanent errors are returned immediately: the data is on
-    bad media and retrying cannot help. *)
-
-type write_outcome =
-  | Written  (** on the original slots, possibly after transient retries *)
-  | Reassigned of int
-      (** permanent error: bad slot blacklisted, cluster rewritten at the
-          returned base slot *)
-  | No_space of Sim.Fault_plan.error
-      (** permanent error and no replacement slots available *)
-  | Failed of Sim.Fault_plan.error
-      (** transient error persisted through every retry *)
-
-val write_resilient :
-  t ->
-  retries:int ->
-  backoff_us:float ->
-  slot:int ->
-  assign:(int -> unit) ->
-  pages:Physmem.Page.t list ->
-  write_outcome
-(** [write_cluster] under the full recovery policy.  Transient errors are
-    retried up to [retries] times with exponential backoff charged to the
-    simulated clock.  A permanent error blacklists the offending slot,
-    allocates a fresh contiguous range, and calls [assign base] so the
-    caller rebinds its bookkeeping (anon swslots / object slot tables) to
-    the new range — the caller must free the old slots in [assign], which
-    permanently retires the blacklisted one — then rewrites there.
-    Successful recovery (any path involving a retry or reassignment)
-    counts into [Stats.pageouts_recovered]. *)
 
 val disk : t -> Sim.Disk.t

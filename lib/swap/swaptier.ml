@@ -187,8 +187,6 @@ let slots_usable t =
       if d.alive && not d.offline then Swapdev.slots_usable d.dev else 0)
     t
 
-let bad_slot_count t = sum (fun d -> Swapdev.bad_slot_count d.dev) t
-
 let is_bad_slot t ~slot =
   let d = device_of t ~slot in
   (not d.alive) || Swapdev.is_bad_slot d.dev ~slot:(slot - d.base)
@@ -325,50 +323,20 @@ let read_slot t ~slot ~dst =
       ]);
   r
 
-let read_cluster t ~slot ~dsts =
-  with_tier_lock t ~mode:Sim.Lockstat.Read @@ fun () ->
-  let d = device_of t ~slot in
-  let sp = span_start t ~subsys:d.span_key "read" in
-  let r = Swapdev.read_cluster d.dev ~slot:(slot - d.base) ~dsts in
-  (match r with
-  | Ok () -> d.d_pageins <- d.d_pageins + List.length dsts
-  | Error _ -> ());
-  span_finish t sp (fun () ->
-      [
-        ("slot", string_of_int slot);
-        ("pages", string_of_int (List.length dsts));
-        ("result", result_str r);
-      ]);
-  r
-
-let backoff_delay ~backoff_us attempt =
-  backoff_us *. (2.0 ** float_of_int attempt)
-
-let read_resilient t ~retries ~backoff_us ~slot ~dst =
-  with_tier_lock t ~mode:Sim.Lockstat.Read @@ fun () ->
-  let rec go attempt =
-    match read_slot t ~slot ~dst with
-    | Ok () -> Ok ()
-    | Error e -> (
-        match e.Sim.Fault_plan.severity with
-        | Sim.Fault_plan.Transient when attempt < retries ->
-            Sim.Simclock.advance t.clock (backoff_delay ~backoff_us attempt);
-            go (attempt + 1)
-        | _ -> Error e)
-  in
-  go 0
-
-type write_outcome = Swapdev.write_outcome =
+type write_outcome =
   | Written
   | Reassigned of int
   | No_space of Sim.Fault_plan.error
   | Failed of Sim.Fault_plan.error
 
-(* The single-device recovery policy lifted across tiers: a permanent
-   error blacklists the slot (or hits an already-dead device) and the
-   replacement range comes from priority-ordered allocation over the
-   healthy devices — when it lands on a different device, that is a
-   failover, counted and traced as such. *)
+(* The pageout recovery policy.  Transient errors are retried with
+   exponential backoff.  A permanent error blacklists the slot (or hits
+   an already-dead device) and the replacement range comes from
+   priority-ordered allocation over the healthy devices — when it lands
+   on a different device, that is a failover, counted and traced as
+   such.  Termination: every transient retry spends the attempt budget,
+   and every permanent failure blacklists a slot, shrinking the usable
+   pool until allocation fails. *)
 let write_resilient t ~retries ~backoff_us ~slot ~assign ~pages =
   with_tier_lock t ~mode:Sim.Lockstat.Write @@ fun () ->
   let n = List.length pages in
@@ -386,7 +354,8 @@ let write_resilient t ~retries ~backoff_us ~slot ~assign ~pages =
         | Sim.Fault_plan.Transient when attempt < retries ->
             t.stats.Sim.Stats.pageout_retries <-
               t.stats.Sim.Stats.pageout_retries + 1;
-            Sim.Simclock.advance t.clock (backoff_delay ~backoff_us attempt);
+            Sim.Simclock.advance t.clock
+              (backoff_us *. (2.0 ** float_of_int attempt));
             recovered := true;
             go base (attempt + 1)
         | Sim.Fault_plan.Transient -> Failed e

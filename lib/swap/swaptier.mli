@@ -60,7 +60,6 @@ val slots_usable : t -> int
 (** Allocatable capacity: healthy in-pool devices net of blacklisted
     slots; dead or swapped-off devices contribute nothing. *)
 
-val bad_slot_count : t -> int
 val is_bad_slot : t -> slot:int -> bool
 (** Per-slot blacklist, or the whole device is dead. *)
 
@@ -73,7 +72,6 @@ val alloc_slots : t -> n:int -> int option
     degradation ladder. *)
 
 val free_slots : t -> slot:int -> n:int -> unit
-val mark_bad : t -> slot:int -> unit
 
 val write_cluster :
   t ->
@@ -88,25 +86,15 @@ val read_slot :
 (** Reads are served even from a dead device (dying media rejects writes
     but stays readable — the drain window). *)
 
-val read_cluster :
-  t ->
-  slot:int ->
-  dsts:Physmem.Page.t list ->
-  (unit, Sim.Fault_plan.error) result
-
-val read_resilient :
-  t ->
-  retries:int ->
-  backoff_us:float ->
-  slot:int ->
-  dst:Physmem.Page.t ->
-  (unit, Sim.Fault_plan.error) result
-
-type write_outcome = Swapdev.write_outcome =
-  | Written
+type write_outcome =
+  | Written  (** on the original slots, possibly after transient retries *)
   | Reassigned of int
+      (** permanent error: bad slot blacklisted, cluster rewritten at the
+          returned base slot *)
   | No_space of Sim.Fault_plan.error
+      (** permanent error and no replacement slots available *)
   | Failed of Sim.Fault_plan.error
+      (** transient error persisted through every retry *)
 
 val write_resilient :
   t ->
@@ -116,10 +104,18 @@ val write_resilient :
   assign:(int -> unit) ->
   pages:Physmem.Page.t list ->
   write_outcome
-(** {!Swapdev.write_resilient} lifted across tiers: the replacement range
-    may land on any healthy device (priority order).  A cross-device
-    reassignment counts into [Stats.swap_failovers] and records a
-    [failover] event. *)
+(** [write_cluster] under the full recovery policy.  Transient errors are
+    retried up to [retries] times with exponential backoff
+    ([backoff_us * 2^attempt]) charged to the simulated clock.  A
+    permanent error blacklists the offending slot, allocates a fresh
+    contiguous range on any healthy device (priority order) and calls
+    [assign base] so the caller rebinds its bookkeeping (anon swslots /
+    object slot tables) to the new range — the caller must free the old
+    slots in [assign], which permanently retires the blacklisted one —
+    then rewrites there.  A cross-device reassignment counts into
+    [Stats.swap_failovers] and records a [failover] event.  Successful
+    recovery (any path involving a retry or reassignment) counts into
+    [Stats.pageouts_recovered]. *)
 
 val disks : t -> Sim.Disk.t list
 (** Every device's disk, in creation order — for fault-plan install. *)

@@ -202,9 +202,8 @@ module Sys = struct
      [entry.wired] counts exactly the wirings already carried by mapped
      frames — the set a COW displacement must move to the new frame. *)
   let mlock sys vm ~vpn ~npages =
-    wire_pages vm ~vpn ~npages;
-    Uvm_map.mark_wired vm.map ~spage:vpn ~npages;
-    ignore sys
+    wire_pages sys vm ~vpn ~npages;
+    Uvm_map.mark_wired vm.map ~spage:vpn ~npages
 
   let munlock sys vm ~vpn ~npages =
     Uvm_map.mark_unwired vm.map ~spage:vpn ~npages;
@@ -215,8 +214,7 @@ module Sys = struct
   (* sysctl/physio buffer wiring: the wired state lives in this token (the
      "process kernel stack"), never in the map — no fragmentation. *)
   let vslock sys vm ~vpn ~npages =
-    ignore sys;
-    wire_pages vm ~vpn ~npages;
+    wire_pages sys vm ~vpn ~npages;
     { wb_vpn = vpn; wb_npages = npages }
 
   let vsunlock sys vm wb =
@@ -326,7 +324,7 @@ module Sys = struct
     let vpn =
       mmap sys sys.kernel ~npages ~prot:Pmap.Prot.rw ~share:Private Zero
     in
-    wire_pages sys.kernel ~vpn ~npages;
+    wire_pages sys sys.kernel ~vpn ~npages;
     vpn
 
   let kernel_free_wired sys ~vpn ~npages =
@@ -362,7 +360,7 @@ module Sys = struct
      second wiring case). *)
   let swapout_ustruct sys ~vpn ~npages = unwire_pages sys sys.kernel ~vpn ~npages
 
-  let swapin_ustruct sys ~vpn ~npages = wire_pages sys.kernel ~vpn ~npages
+  let swapin_ustruct sys ~vpn ~npages = wire_pages sys sys.kernel ~vpn ~npages
 
   (* ---- invariant auditor (DIAGNOSTIC-style, paper §5.3's oracle) ------ *)
 

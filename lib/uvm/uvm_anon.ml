@@ -73,6 +73,9 @@ let unref sys t =
 
 let is_resident t = t.page <> None
 
+(* The pager's install step: a paged-in frame becomes the anon's page. *)
+let adopt t page = t.page <- Some page
+
 let ensure_resident sys t =
   match t.page with
   | Some page -> Ok page
@@ -85,38 +88,13 @@ let ensure_resident sys t =
         Physmem.alloc (Uvm_sys.physmem sys) ~privileged:true
           ~owner:(Anon_page t) ~offset:0 ()
       in
-      let span = Uvm_sys.span_start sys ~subsys:"pager" "pagein" in
-      let r =
-        Swap.Swaptier.read_resilient (Uvm_sys.swapdev sys)
-          ~retries:Uvm_sys.io_retries ~backoff_us:Uvm_sys.io_backoff_us
-          ~slot:t.swslot ~dst:page
-      in
-      Uvm_sys.span_finish sys span (fun () ->
-          [
-            ("pager", "anon");
-            ("pages", "1");
-            ("result", match r with Ok () -> "ok" | Error _ -> "error");
-          ]);
-      match r with
-      | Ok () ->
-          Physmem.note_fault_in (Uvm_sys.physmem sys) page
-            ~fill:Sim.Lifecycle.Fill_pagein;
-          Physmem.activate (Uvm_sys.physmem sys) page;
-          t.page <- Some page;
-          Ok page
-      | Error _ ->
-          (* The pagein failed for good; give the frame back.  The anon
-             keeps its swslot — the data (possibly unreadable) is still
-             nominally there, and a later access may be retried. *)
-          Physmem.free_page (Uvm_sys.physmem sys) page;
-          let stats = Uvm_sys.stats sys in
-          stats.Sim.Stats.pageins_failed <- stats.Sim.Stats.pageins_failed + 1;
-          Error Vmiface.Vmtypes.Pager_error)
+      match
+        Uvm_sys.pagein_swap sys ~pager:"anon" ~install:adopt t ~slot:t.swslot
+          page
+      with
+      | Ok () -> Ok page
+      | Error _ as e -> e)
 
 let writable_in_place t =
   t.refs = 1
   && match t.page with Some p -> p.Physmem.Page.loan_count = 0 | None -> true
-
-let pp ppf t =
-  Format.fprintf ppf "anon#%d{refs=%d res=%b swslot=%d}" t.id t.refs
-    (is_resident t) t.swslot

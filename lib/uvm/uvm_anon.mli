@@ -51,5 +51,3 @@ val writable_in_place : t -> bool
 (** True when a write fault may write straight into the existing page:
     exactly one reference and no outstanding loans (paper §5.3's "middle
     page" optimisation). *)
-
-val pp : Format.formatter -> t -> unit

@@ -14,49 +14,29 @@ let make_ops sys swslots obj =
   let swapdev = Uvm_sys.swapdev sys in
   let stats = Uvm_sys.stats sys in
   let pgo_get ~center =
-    let status = ref (Ok ()) in
-    (if not (Uvm_object.mem_page obj ~pgno:center) then begin
-       let from_swap = Hashtbl.mem swslots center in
-       (* A swap pagein may draw on the kernel reserve: it is the path that
-          turns swap slots back into reclaimable frames. *)
-       let page =
-         Physmem.alloc physmem ~privileged:from_swap
-           ~owner:(Uvm_object.Uobj_page obj) ~offset:center ()
-       in
-       let filled =
-         match Hashtbl.find_opt swslots center with
-         | Some slot ->
-             let span = Uvm_sys.span_start sys ~subsys:"pager" "pagein" in
-             let r =
-               Swap.Swaptier.read_resilient swapdev
-                 ~retries:Uvm_sys.io_retries
-                 ~backoff_us:Uvm_sys.io_backoff_us ~slot ~dst:page
-             in
-             Uvm_sys.span_finish sys span (fun () ->
-                 [
-                   ("pager", "aobj");
-                   ("pages", "1");
-                   ("result", match r with Ok () -> "ok" | Error _ -> "error");
-                 ]);
-             r
-         | None ->
-             Physmem.zero_data physmem page;
-             Ok ()
-       in
-       match filled with
-       | Ok () ->
-           Physmem.note_fault_in physmem page
-             ~fill:
-               (if from_swap then Sim.Lifecycle.Fill_pagein
-                else Sim.Lifecycle.Fill_zero);
-           Uvm_object.insert_page sys obj ~pgno:center page;
-           Physmem.activate physmem page
-       | Error _ ->
-           Physmem.free_page physmem page;
-           stats.Sim.Stats.pageins_failed <- stats.Sim.Stats.pageins_failed + 1;
-           status := Error Vmiface.Vmtypes.Pager_error
-     end);
-    match !status with
+    let status =
+      if Uvm_object.mem_page obj ~pgno:center then Ok ()
+      else
+        (* A swap pagein may draw on the kernel reserve: it is the path
+           that turns swap slots back into reclaimable frames. *)
+        let page =
+          Physmem.alloc physmem
+            ~privileged:(Hashtbl.mem swslots center)
+            ~owner:(Uvm_object.Uobj_page obj) ~offset:center ()
+        in
+        (* The allocation may have driven the pagedaemon, whose tier
+           drain can rebind this page's slot: read the binding after it. *)
+        match Hashtbl.find_opt swslots center with
+        | Some slot ->
+            Uvm_sys.pagein_swap sys ~pager:"aobj" ~install:Uvm_object.adopt
+              obj ~slot page
+        | None ->
+            Physmem.zero_data physmem page;
+            Uvm_sys.put_in_service sys ~fill:Sim.Lifecycle.Fill_zero
+              Uvm_object.adopt obj page;
+            Ok ()
+    in
+    match status with
     | Error _ as e -> e
     | Ok () -> Uvm_object.got_centre obj ~center
   in

@@ -65,10 +65,9 @@ let got_centre t ~center =
   | page -> Ok page
   | exception Not_found -> Error Vmiface.Vmtypes.Pager_error
 
-let insert_page _sys t ~pgno (page : Physmem.Page.t) =
+let adopt t (page : Physmem.Page.t) =
+  let pgno = page.owner_offset in
   assert (not (Hashtbl.mem t.pages pgno));
-  page.owner <- Uobj_page t;
-  page.owner_offset <- pgno;
   Hashtbl.replace t.pages pgno page;
   Physmem.Lookup.publish t.okey ~pgno page
 

@@ -19,7 +19,7 @@ type t = {
   pages : (int, Physmem.Page.t) Hashtbl.t;  (** page offset -> resident page *)
   mutable pgops : pager_ops;
   okey : Physmem.Lookup.okey;
-      (** lockless-lookup identity: [insert_page]/[remove_page]
+      (** lockless-lookup identity: [adopt]/[remove_page]
           publish/revoke through it, the fault path probes it *)
   ext : ext;
   mutable lockh : Sim.Lockstat.lock option;
@@ -74,7 +74,10 @@ val got_centre :
 (** A pager's answer once it has done its work: the resident page at
     [center], or [Error Pager_error] if there is none. *)
 
-val insert_page : Uvm_sys.t -> t -> pgno:int -> Physmem.Page.t -> unit
+val adopt : t -> Physmem.Page.t -> unit
+(** Make a frame allocated to this object resident at the offset it
+    already carries — the pager's install step. *)
+
 val remove_page : t -> pgno:int -> unit
 val resident_count : t -> int
 val dirty_pages : t -> Physmem.Page.t list

@@ -14,7 +14,7 @@ end)
 (* Push a batch of dirty anonymous pages to swap.  UVM mode: reassign all
    their swap locations to one contiguous run and write a single cluster.
 
-   Failure handling: writes go through [Swapdev.write_resilient], so
+   Failure handling: writes go through [Swaptier.write_resilient], so
    transient disk errors are retried with backoff and a bad slot moves the
    whole cluster to a fresh range (the paper's reassignment machinery
    doubling as recovery).  If the write still fails — or swap is full —

@@ -34,81 +34,44 @@ let make_ops sys (vnode : Vfs.Vnode.t) (uvn_ref : uvn option ref) obj =
   let physmem = Uvm_sys.physmem sys in
   let vfs = Uvm_sys.vfs sys in
   let swap = Uvm_sys.swapdev sys in
-  (* Whether the read succeeded. *)
+  (* Clustered read: the run of non-resident pages starting at the
+     center, capped at Uvm_sys.io_cluster. *)
   let read_from_vnode ~center =
-    begin
-       (* Clustered read: the run of non-resident pages starting at the
-          center, capped at Uvm_sys.io_cluster. *)
-       let max_run = Uvm_sys.io_cluster in
-       let rec run_len k =
-         if k >= max_run then k
-         else if Uvm_object.mem_page obj ~pgno:(center + k) then k
-         else run_len (k + 1)
-       in
-       let n = max 1 (run_len 0) in
-       let pages =
-         List.init n (fun i ->
-             Physmem.alloc physmem ~owner:(Uvm_object.Uobj_page obj)
-               ~offset:(center + i) ())
-       in
-       let span = Uvm_sys.span_start sys ~subsys:"pager" "pagein" in
-       let ok =
-         match
-           Uvm_sys.retry_transient sys (fun () ->
-               Vfs.read_pages vfs vnode ~start_page:center ~dsts:pages)
-         with
-         | Ok () ->
-             List.iteri
-               (fun i page ->
-                 Physmem.note_fault_in physmem page
-                   ~fill:Sim.Lifecycle.Fill_file;
-                 Uvm_object.insert_page sys obj ~pgno:(center + i) page;
-                 Physmem.activate physmem page)
-               pages;
-             true
-         | Error _ ->
-             (* Read failed for good: return the untouched frames and
-                report the typed error — the faulting process gets its
-                SIGBUS, the kernel does not panic. *)
-             List.iter (fun page -> Physmem.free_page physmem page) pages;
-             let stats = Uvm_sys.stats sys in
-             stats.Sim.Stats.pageins_failed <-
-               stats.Sim.Stats.pageins_failed + 1;
-             false
-       in
-       Uvm_sys.span_finish sys span (fun () ->
-           [
-             ("pager", "vnode");
-             ("pages", string_of_int n);
-             ("result", if ok then "ok" else "error");
-           ]);
-       ok
-     end
+    let rec run_len k =
+      if k >= Uvm_sys.io_cluster then k
+      else if Uvm_object.mem_page obj ~pgno:(center + k) then k
+      else run_len (k + 1)
+    in
+    let pages =
+      List.init (max 1 (run_len 0)) (fun i ->
+          Physmem.alloc physmem ~owner:(Uvm_object.Uobj_page obj)
+            ~offset:(center + i) ())
+    in
+    Uvm_sys.pagein_file sys vnode ~start_page:center ~pager:"vnode"
+      ~install:Uvm_object.adopt obj pages
   in
   let pgo_get ~center =
-    let ok =
-      Uvm_object.mem_page obj ~pgno:center
-      ||
-      (* Swapcache first: a clean copy spilled to the fast swap tier at
-         reclaim time serves the re-fault without touching the vnode. *)
-      let page =
-        Physmem.alloc physmem ~owner:(Uvm_object.Uobj_page obj) ~offset:center
-          ()
-      in
-      if Swap.Swaptier.cache_lookup swap ~vid:vnode.vid ~pgno:center ~dst:page
-      then begin
-        Physmem.note_fault_in physmem page ~fill:Sim.Lifecycle.Fill_pagein;
-        Uvm_object.insert_page sys obj ~pgno:center page;
-        Physmem.activate physmem page;
-        true
-      end
-      else begin
-        Physmem.free_page physmem page;
-        read_from_vnode ~center
-      end
+    let status =
+      if Uvm_object.mem_page obj ~pgno:center then Ok ()
+      else
+        (* Swapcache first: a clean copy spilled to the fast swap tier at
+           reclaim time serves the re-fault without touching the vnode. *)
+        let page =
+          Physmem.alloc physmem ~owner:(Uvm_object.Uobj_page obj)
+            ~offset:center ()
+        in
+        if
+          Uvm_sys.cache_fill sys ~vid:vnode.vid ~pgno:center
+            ~install:Uvm_object.adopt obj page
+        then Ok ()
+        else begin
+          Physmem.free_page physmem page;
+          read_from_vnode ~center
+        end
     in
-    if ok then Uvm_object.got_centre obj ~center
-    else Error Vmiface.Vmtypes.Pager_error
+    match status with
+    | Error _ as e -> e
+    | Ok () -> Uvm_object.got_centre obj ~center
   in
   let pgo_put pages =
     (* Attempt every run even if one fails — maximise what gets cleaned —
@@ -120,12 +83,11 @@ let make_ops sys (vnode : Vfs.Vnode.t) (uvn_ref : uvn option ref) obj =
       (fun acc run ->
         match run with
         | [] -> acc
-        | (first : Physmem.Page.t) :: _ ->
+        | (first : Physmem.Page.t) :: _ -> (
             let span = Uvm_sys.span_start sys ~subsys:"pager" "pageout" in
             let r =
-              Uvm_sys.retry_transient sys (fun () ->
-                  Vfs.write_pages vfs vnode ~start_page:first.owner_offset
-                    ~srcs:run)
+              Uvm_sys.write_file sys vnode ~start_page:first.owner_offset
+                ~srcs:run
             in
             Uvm_sys.span_finish sys span (fun () ->
                 [
@@ -133,20 +95,7 @@ let make_ops sys (vnode : Vfs.Vnode.t) (uvn_ref : uvn option ref) obj =
                   ("pages", string_of_int (List.length run));
                   ("result", match r with Ok () -> "ok" | Error _ -> "error");
                 ]);
-            (match r with
-            | Ok () ->
-                (* The file just changed under any swapcache copies of
-                   these pages: they are stale now. *)
-                List.iter
-                  (fun (p : Physmem.Page.t) ->
-                    Swap.Swaptier.cache_invalidate swap ~vid:vnode.vid
-                      ~pgno:p.owner_offset)
-                  run;
-                acc
-            | Error _ -> (
-                match acc with
-                | Error _ -> acc
-                | Ok () -> Error Vmiface.Vmtypes.Pager_error)))
+            match (acc, r) with Ok (), Error _ -> r | _ -> acc))
       (Ok ()) runs
   in
   (* Reclaim-time spill: a clean vnode page copied to the fast swap tier
@@ -205,11 +154,6 @@ let attach sys (vnode : Vfs.Vnode.t) =
         (Uvm_sys.stats sys).Sim.Stats.obj_cache_misses + 1;
       obj
 
-let flush _sys obj =
-  match Uvm_object.dirty_pages obj with
-  | [] -> Ok ()
-  | dirty -> obj.Uvm_object.pgops.Uvm_object.pgo_put dirty
-
 let terminate sys (vnode : Vfs.Vnode.t) =
   match vnode.vm_private with
   | Uvn uvn ->
@@ -217,7 +161,11 @@ let terminate sys (vnode : Vfs.Vnode.t) =
       (* Best-effort writeback at teardown: an I/O error here cannot be
          reported to anyone, the data is simply lost (as when a real
          kernel's vnode flush hits EIO at reclaim time). *)
-      (match flush sys uvn.obj with Ok () | Error _ -> ());
+      (match Uvm_object.dirty_pages uvn.obj with
+      | [] -> ()
+      | dirty -> (
+          match uvn.obj.Uvm_object.pgops.Uvm_object.pgo_put dirty with
+          | Ok () | Error _ -> ()));
       Uvm_object.free_all_pages sys uvn.obj;
       Swap.Swaptier.cache_invalidate_obj (Uvm_sys.swapdev sys) ~vid:vnode.vid;
       vnode.vm_private <- Vfs.Vnode.No_vm

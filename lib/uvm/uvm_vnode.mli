@@ -9,8 +9,8 @@
     the object is mapped.  When the last mapping goes away the pages
     {e stay} in the object and the vnode moves to the vnode system's own
     free LRU — a single level of caching.  When the vnode subsystem decides
-    to recycle the vnode it calls {!terminate} through the hook installed
-    by {!install_recycle_hook}, which frees the pages. *)
+    to recycle the vnode, the hook installed by {!install_recycle_hook}
+    frees the pages. *)
 
 type uvn = {
   obj : Uvm_object.t;
@@ -26,14 +26,8 @@ val attach : Uvm_sys.t -> Vfs.Vnode.t -> Uvm_object.t
 
 val uvn_of_vnode : Vfs.Vnode.t -> uvn option
 
-val terminate : Uvm_sys.t -> Vfs.Vnode.t -> unit
-(** Drop the vnode's in-core VM state (called when the vnode is recycled);
-    requires that no mappings remain. *)
-
-val flush :
-  Uvm_sys.t -> Uvm_object.t -> (unit, Vmiface.Vmtypes.fault_error) result
-(** Write all dirty pages back to the file (msync), clustered.  On [Error]
-    at least one run could not be written and its pages stay dirty. *)
-
 val install_recycle_hook : Uvm_sys.t -> unit
-(** Register {!terminate} with the vfs layer; called once at boot. *)
+(** Register the object's termination with the vfs layer; called once at
+    boot.  When the vnode is recycled (no mappings remain), its dirty
+    pages are written back best-effort and its in-core VM state is
+    dropped. *)

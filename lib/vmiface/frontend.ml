@@ -89,17 +89,25 @@ module Make (K : KERNEL) = struct
     | Ok () -> ()
     | Error error -> raise (Segv { vpn; error })
 
-  let wire_pages vm ~vpn ~npages =
-    for v = vpn to vpn + npages - 1 do
-      fault_or_segv vm ~vpn:v ~access:Read ~wire:true
-    done
-
   let unwire_pages sys vm ~vpn ~npages =
     let physmem = (machine sys).Machine.physmem in
     for v = vpn to vpn + npages - 1 do
       match Pmap.lookup vm.pmap ~vpn:v with
       | Some pte -> Physmem.unwire physmem pte.Pmap.page
       | None -> ()
+    done
+
+  (* A wire fault per page.  When one fails (a hole raises [Segv]), the
+     pages already wired are unwired before the error propagates, as
+     uvm_vslock unwinds: a failed wiring leaves no frame wired. *)
+  let wire_pages sys vm ~vpn ~npages =
+    for v = vpn to vpn + npages - 1 do
+      match fault_or_segv vm ~vpn:v ~access:Read ~wire:true with
+      | () -> ()
+      | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          unwire_pages sys vm ~vpn ~npages:(v - vpn);
+          Printexc.raise_with_backtrace e bt
     done
 
   let touch sys vm ~vpn access =

@@ -76,7 +76,6 @@ module type S = sig
     mutable nentries : int;
     mutable hint : entry option;
     mutable locked : bool;
-    since : Sim.Simclock.stamp;  (** when the held lock was taken *)
     mutable lockh : Sim.Lockstat.lock option;
         (** lock-observatory handle, registered on the first {!lock}
             while the registry is active *)
@@ -89,7 +88,8 @@ module type S = sig
   (** Advance the map's machine clock. *)
 
   val lock : t -> unit
-  (** Acquire the map lock (charges lock cost, starts hold-time clock). *)
+  (** Acquire the map lock (charges lock cost).  The lock observatory,
+      when active, is the one recorder of its hold time. *)
 
   val unlock : t -> unit
 
@@ -249,7 +249,6 @@ struct
     mutable nentries : int;
     mutable hint : entry option;
     mutable locked : bool;
-    since : Sim.Simclock.stamp;
     mutable lockh : Sim.Lockstat.lock option;
   }
 
@@ -266,7 +265,6 @@ struct
       nentries = 0;
       hint = None;
       locked = false;
-      since = { Sim.Simclock.at = 0.0 };
       lockh = None;
     }
 
@@ -297,16 +295,12 @@ struct
     let ls = t.mach.Machine.locks in
     if Sim.Lockstat.active ls then
       Sim.Lockstat.acquire ls (lock_handle t) ~mode:Sim.Lockstat.Write;
-    t.locked <- true;
-    t.since.Sim.Simclock.at <- Machine.now t.mach
+    t.locked <- true
 
   let is_locked t = t.locked
 
   let unlock t =
     if not t.locked then invalid_arg (K.name ^ ".unlock: not locked");
-    let held = Machine.now t.mach -. t.since.Sim.Simclock.at in
-    (stats t).Sim.Stats.map_lock_held_us <-
-      (stats t).Sim.Stats.map_lock_held_us +. held;
     t.locked <- false;
     (* A handle that was never registered was never acquired. *)
     match t.lockh with

@@ -50,7 +50,8 @@ done
 echo 'ci: CLI errors exit 2'
 
 # Trace-export smoke test: a short experiment run must produce a valid
-# Chrome trace with fault and pagein events from both VM systems.
+# Chrome trace with fault and pagein events from both VM systems, every
+# pagein carrying its pager, page count and result.
 trace=$(mktemp /tmp/uvm-trace.XXXXXX.json)
 trap 'rm -f "$trace"' EXIT
 dune exec bin/uvm_sim.exe -- table2 --trace-out "$trace" > /dev/null
@@ -66,7 +67,16 @@ for want in ("fault", "pagein"):
     per_sys = {labels[e["pid"]] for e in events
                if e["ph"] != "M" and e["name"] == want}
     assert per_sys >= {"UVM", "BSD VM"}, (want, per_sys)
-print("ci: trace export valid (%d events)" % len(events))
+# The pager step both kernels share owns the pagein details: which
+# pager, how many pages (at least one) and the outcome.
+pageins = [e for e in events if e["ph"] != "M" and e["name"] == "pagein"]
+for e in pageins:
+    a = e["args"]
+    assert a.get("pager"), (labels[e["pid"]], a)
+    assert int(a.get("pages", "0")) >= 1, (labels[e["pid"]], a)
+    assert a.get("result") in ("ok", "error"), (labels[e["pid"]], a)
+print("ci: trace export valid (%d events, %d pagein details)"
+      % (len(events), len(pageins)))
 EOF
 
 # Stats-snapshot smoke: --stats-out must emit uvm-sim-stats/2 for both

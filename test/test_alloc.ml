@@ -8,14 +8,16 @@
    [-opaque] (no cross-module inlining, so each float passed across a
    module boundary is boxed), and a fortiori under the release profile.
    A fault bound is the dev-profile measurement with 25% headroom.  The
-   words per fault measured when the bounds were set (and, for scale,
-   before the fault path stopped allocating what it does not keep):
+   words per fault measured when the bounds were set (and, in
+   parentheses, before both kernels' pagers shared one I/O path and the
+   map lock stopped timing its own holds):
 
-   | case                  | UVM dev | UVM release | BSD dev | BSD release |
-   |-----------------------|---------|-------------|---------|-------------|
-   | zero-fill write fault |      51 |   33 (202)  |      58 |   38 (189)  |
-   | vnode read fault      |     246 |  206 (1052) |     126 |  108 (280)  |
-   | COW write fault       |      85 |   63 (258)  |      81 |   59 (222)  |
+   | case                  |   UVM dev | UVM release |   BSD dev | BSD release |
+   |-----------------------|-----------|-------------|-----------|-------------|
+   | zero-fill write fault |   45 (51) |     31 (33) |   47 (58) |     31 (38) |
+   | vnode read fault      | 206 (246) |   170 (206) |  94 (126) |    80 (108) |
+   | COW write fault       |   79 (85) |     61 (63) |   65 (81) |     47 (59) |
+   | swap pagein fault     |  78 (104) |     64 (86) |  99 (134) |    83 (114) |
 
    Every case prints its measurement to its test log; [--verbose]
    shows them. *)
@@ -125,13 +127,38 @@ module Ledger (V : Vmiface.Vm_sig.VM_SYS) = struct
     Alcotest.(check int) "one fault per page" npages n;
     check_bound (V.name ^ " COW write fault") ~bound w
 
-  let cases ~zero_fill:zb ~vnode_read:vb ~cow_write:cb =
+  (* Every page of the region is on swap when it is read back: its
+     frames are deactivated, a second process's pressure makes the
+     daemon page them out, and that process's exit frees the memory the
+     pageins land in, so the daemon stays idle while they are measured. *)
+  let swap_pagein ~bound () =
+    let sys, vm = fresh () in
+    let vpn = zero_region sys vm in
+    touch_all sys vm ~vpn Vt.Write ();
+    ignore (V.deactivate_resident sys vm : int);
+    let hog = V.new_vmspace sys in
+    let ram = (V.machine sys).Machine.config.Machine.ram_pages in
+    let big =
+      V.mmap sys hog ~npages:ram ~prot:Pmap.Prot.rw ~share:Vt.Private Vt.Zero
+    in
+    V.access_range sys hog ~vpn:big ~npages:ram Vt.Write;
+    V.destroy_vmspace sys hog;
+    let stats = (V.machine sys).Machine.stats in
+    let pageins = stats.Sim.Stats.pageins in
+    let w, n = per_fault sys (touch_all sys vm ~vpn Vt.Read) in
+    Alcotest.(check int) "one fault per page" npages n;
+    Alcotest.(check int) "one swap pagein per fault" n
+      (stats.Sim.Stats.pageins - pageins);
+    check_bound (V.name ^ " swap pagein fault") ~bound w
+
+  let cases ~zero_fill:zb ~vnode_read:vb ~cow_write:cb ~swap_pagein:sb =
     [
       Alcotest.test_case "resident touch allocates nothing" `Quick
         resident_touch;
       Alcotest.test_case "zero-fill write fault" `Quick (zero_fill ~bound:zb);
       Alcotest.test_case "vnode read fault" `Quick (vnode_read ~bound:vb);
       Alcotest.test_case "COW write fault" `Quick (cow_write ~bound:cb);
+      Alcotest.test_case "swap pagein fault" `Quick (swap_pagein ~bound:sb);
     ]
 end
 
@@ -142,6 +169,10 @@ let () =
   Alcotest.run "alloc"
     [
       ("clock", [ Alcotest.test_case "advance allocates nothing" `Quick test_clock ]);
-      ("uvm", U.cases ~zero_fill:64.0 ~vnode_read:308.0 ~cow_write:107.0);
-      ("bsd", B.cases ~zero_fill:73.0 ~vnode_read:158.0 ~cow_write:102.0);
+      ( "uvm",
+        U.cases ~zero_fill:57.0 ~vnode_read:258.0 ~cow_write:99.0
+          ~swap_pagein:98.0 );
+      ( "bsd",
+        B.cases ~zero_fill:59.0 ~vnode_read:118.0 ~cow_write:82.0
+          ~swap_pagein:124.0 );
     ]

@@ -137,11 +137,54 @@ struct
     if words >= 1000. then
       Alcotest.failf "daemon pass at the free target allocated %.0f words" words
 
+  (* On a tiered boot, a clean file page the daemon reclaims is spilled
+     to the fast tier.  Its refault is a swapcache hit: the file's bytes
+     come back without a vnode read. *)
+  let test_swapcache_refault () =
+    let config =
+      Vmiface.Machine.tiered ~fast_pages:512 ~slow_pages:2048 small_config
+    in
+    let sys = S.boot ~config () in
+    let vfs = (S.machine sys).Vmiface.Machine.vfs in
+    let n = 16 in
+    let vn = Vfs.create_file vfs ~name:"/cached" ~size:(n * 4096) in
+    let vm = S.new_vmspace sys in
+    let vpn =
+      S.mmap sys vm ~npages:n ~prot:Pmap.Prot.read ~share:Vt.Shared
+        (Vt.File (vn, 0))
+    in
+    S.access_range sys vm ~vpn ~npages:n Vt.Read;
+    ignore (S.deactivate_resident sys vm : int);
+    (* Pressure from a second process reclaims the inactive file pages
+       first; its exit leaves memory free for the refaults. *)
+    let hog = S.new_vmspace sys in
+    let big =
+      S.mmap sys hog ~npages:200 ~prot:Pmap.Prot.rw ~share:Vt.Private Vt.Zero
+    in
+    S.access_range sys hog ~vpn:big ~npages:200 Vt.Write;
+    S.destroy_vmspace sys hog;
+    let hits = (stats sys).Sim.Stats.swap_cache_hits in
+    let vnode_reads = Sim.Disk.read_ops (Vfs.disk vfs) in
+    let got = S.read_bytes sys vm ~addr:(vpn * 4096) ~len:(n * 4096) in
+    Alcotest.(check int) "every refault is a swapcache hit" n
+      ((stats sys).Sim.Stats.swap_cache_hits - hits);
+    Alcotest.(check int) "no vnode read" vnode_reads
+      (Sim.Disk.read_ops (Vfs.disk vfs));
+    Bytes.iteri
+      (fun off c ->
+        if c <> Vfs.file_byte ~name:"/cached" ~off then
+          Alcotest.failf "byte %d: got %C, file has %C" off c
+            (Vfs.file_byte ~name:"/cached" ~off))
+      got;
+    S.destroy_vmspace sys vm;
+    S.audit sys
+
   let paging =
     [
       ("pressure roundtrip", test_pressure_roundtrip);
       ("aobj shared paging", test_aobj_shared_paging);
       ("swap exhaustion", test_swap_exhaustion_raises);
+      ("swapcache refault", test_swapcache_refault);
     ]
 
   let policy =

@@ -23,14 +23,13 @@ let field_value (t : Sim.Stats.t) i =
   if Obj.is_int f then float_of_int (Obj.obj f : int) else (Obj.obj f : float)
 
 let test_field_count () =
-  (* Two boxed fields: map_lock_held_us and lock_wait_us.  The rest are
-     immediate ints. *)
+  (* One boxed field: lock_wait_us.  The rest are immediate ints. *)
   let boxed = ref 0 in
   let r = Obj.repr (Sim.Stats.create ()) in
   for i = 0 to nfields - 1 do
     if not (Obj.is_int (Obj.field r i)) then incr boxed
   done;
-  Alcotest.(check int) "exactly two float fields" 2 !boxed
+  Alcotest.(check int) "exactly one float field" 1 !boxed
 
 let test_to_rows_complete () =
   let t = Sim.Stats.create () in

@@ -3,9 +3,14 @@
 
 module Vt = Vmiface.Vmtypes
 
-let mk () =
+let mk ?trace_buf () =
   let config =
-    { Vmiface.Machine.default_config with ram_pages = 256; swap_pages = 512 }
+    {
+      Vmiface.Machine.default_config with
+      ram_pages = 256;
+      swap_pages = 512;
+      trace_buf;
+    }
   in
   let sys = Uvm.State.create (Vmiface.Machine.boot ~config ()) in
   let pmap = Pmap.create (Uvm.State.pmap_ctx sys) in
@@ -97,16 +102,18 @@ let test_unmap_partial () =
 
 let test_two_phase_unmap_lock_hold () =
   (* The reference drops (object detach) happen after the map lock is
-     released: lock-hold time must not include the pager work. *)
-  let sys, map = mk () in
+     released: lock-hold time must not include the pager work.  The lock
+     observatory records holds only on a traced boot. *)
+  let sys, map = mk ~trace_buf:64 () in
   let vfs = Uvm.State.vfs sys in
   let vn = Vfs.create_file vfs ~name:"/f" ~size:40960 in
   let obj = Uvm.Vnode_pager.attach sys vn in
   ignore (insert map ~spage:0 ~npages:10 ~obj ~cow:false ~needs_copy:false);
-  let stats = Uvm.State.stats sys in
-  let held_before = stats.Sim.Stats.map_lock_held_us in
+  let locks = Uvm.State.locks sys in
+  let held_before = Sim.Lockstat.class_hold_us locks "map" in
   Uvm.Map.unmap map ~spage:0 ~npages:10;
-  let held = stats.Sim.Stats.map_lock_held_us -. held_before in
+  let held = Sim.Lockstat.class_hold_us locks "map" -. held_before in
+  Alcotest.(check bool) "hold recorded" true (held > 0.0);
   Alcotest.(check bool) "short hold" true (held < 50.0);
   Alcotest.(check int) "object detached" 0 obj.Uvm.Object.refs
 

@@ -9,6 +9,9 @@ module Conformance (V : sig
   include Vmiface.Vm_sig.VM_SYS
 
   val pmap : vmspace -> Pmap.t
+
+  val wired_entries : vmspace -> int
+  (** Map entries whose wire count is nonzero. *)
 end) =
 struct
   let mk () =
@@ -152,6 +155,37 @@ struct
     V.munlock sys vm ~vpn ~npages:1;
     Alcotest.(check int) "unwired" 0 pte2.Pmap.page.Physmem.Page.wire_count
 
+  (* Wiring a range with a hole in it raises Segv at the hole and
+     leaves nothing behind: the pages wired before it are unwired again
+     and no map entry stays marked wired, so the process can still exit
+     with a clean audit. *)
+  let test_wire_over_hole_unwinds () =
+    let sys, vm = mk () in
+    let vpn =
+      V.mmap sys vm ~npages:4 ~prot:Pmap.Prot.rw ~share:Vt.Private Vt.Zero
+    in
+    write sys vm ~vpn "resident";
+    V.munmap sys vm ~vpn:(vpn + 2) ~npages:1;
+    let wired_frames () =
+      List.length
+        (List.filter
+           (fun (_, (pte : Pmap.pte)) ->
+             pte.Pmap.page.Physmem.Page.wire_count > 0)
+           (Pmap.translations (V.pmap vm)))
+    in
+    let expect_segv what f =
+      (match f () with
+      | () -> Alcotest.failf "%s over a hole: expected Segv" what
+      | exception Vt.Segv { vpn = at; error = Vt.No_entry } ->
+          Alcotest.(check int) (what ^ " faults at the hole") (vpn + 2) at);
+      Alcotest.(check int) (what ^ ": no frame wired") 0 (wired_frames ());
+      Alcotest.(check int) (what ^ ": no entry wired") 0 (V.wired_entries vm)
+    in
+    expect_segv "vslock" (fun () -> ignore (V.vslock sys vm ~vpn ~npages:4));
+    expect_segv "mlock" (fun () -> V.mlock sys vm ~vpn ~npages:4);
+    V.destroy_vmspace sys vm;
+    V.audit sys
+
   let suite =
     [
       Alcotest.test_case "straddling write" `Quick test_boundary_straddling_write;
@@ -161,6 +195,8 @@ struct
       Alcotest.test_case "file offset" `Quick test_mmap_offset_within_file;
       Alcotest.test_case "fixed address" `Quick test_fixed_address_mapping;
       Alcotest.test_case "wire resolves cow" `Quick test_wire_fault_resolves_cow;
+      Alcotest.test_case "wire over hole unwinds" `Quick
+        test_wire_over_hole_unwinds;
       QCheck_alcotest.to_alcotest prop_oracle;
     ]
 end
@@ -169,12 +205,20 @@ module U = Conformance (struct
   include Uvm.Sys
 
   let pmap vm = vm.pmap
+
+  let wired_entries vm =
+    List.length
+      (List.filter (fun e -> e.Uvm.Map.wired > 0) (Uvm.Map.entries vm.map))
 end)
 
 module B = Conformance (struct
   include Bsdvm.Sys
 
   let pmap vm = vm.pmap
+
+  let wired_entries vm =
+    List.length
+      (List.filter (fun e -> e.Bsdvm.Map.wired > 0) (Bsdvm.Map.entries vm.map))
 end)
 
 (* Cross-system comparison: both systems, same workload, identical
