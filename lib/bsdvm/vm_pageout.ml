@@ -18,44 +18,67 @@ module Core = Vmiface.Pdaemon_core.Make (struct
     match page.owner with
     | Vm_object.Obj_page obj -> Vm_object.remove_page obj ~pgno:page.owner_offset
     | _ -> ()
+
+  (* An anonymous object's pages keep fixed slots in its table. *)
+  let swslot (page : Physmem.Page.t) =
+    match page.owner with
+    | Vm_object.Obj_page obj -> (
+        match Hashtbl.find obj.Vm_object.swslots page.owner_offset with
+        | slot -> slot
+        | exception Not_found -> 0)
+    | _ -> 0
+
+  let set_swslot (page : Physmem.Page.t) slot =
+    match page.owner with
+    | Vm_object.Obj_page obj ->
+        Hashtbl.replace obj.Vm_object.swslots page.owner_offset slot
+    | _ -> invalid_arg "Vm_pageout.set_swslot: not an object page"
 end)
+
+(* Always one page per I/O here — the contrast with UVM's clustered
+   pageout is exactly what the trace should show. *)
+let written () = [ ("pages", "1"); ("result", "ok") ]
+let not_written () = [ ("pages", "1"); ("result", "error") ]
 
 (* Returns true when the page was written and may be reclaimed.  Failed
    writes (after the shared retry/blacklist-reassign policy) leave the
    page dirty in core — the daemon degrades to reclaiming clean pages. *)
-let pageout_one sys (obj : Vm_object.t) (page : Physmem.Page.t) =
-  (* The object's lock is held across the write-out, nested inside the
-     pagedaemon lock — the registry's pdaemon -> object -> swap chain. *)
-  let ls = Bsd_sys.locks sys in
-  let ol = Vm_object.lock_handle ls obj in
-  Sim.Lockstat.acquire ls ol ~mode:Sim.Lockstat.Write;
-  Fun.protect ~finally:(fun () -> Sim.Lockstat.release ls ol) @@ fun () ->
+let pageout d (obj : Vm_object.t) (page : Physmem.Page.t) =
+  let sys = d.Core.sys in
   (* Every BSD pageout is a singleton cluster — the ledger records the
      size-1 distribution Figure 5 contrasts with UVM's. *)
-  Physmem.note_cluster (Bsd_sys.physmem sys) ~pages:[ page ] ~runs:1;
+  Physmem.note_cluster (Bsd_sys.physmem sys) ~pages:(Core.as_batch d page)
+    ~n:1 ~runs:1;
   let span = Bsd_sys.span_start sys ~subsys:"pdaemon" "pageout" in
-  (* Always one page per I/O here — the contrast with UVM's clustered
-     pageout is exactly what the trace should show. *)
-  let trace_pageout cleaned =
-    Bsd_sys.span_finish sys span (fun () ->
-        [ ("pages", "1"); ("result", if cleaned then "ok" else "error") ]);
-    cleaned
+  let cleaned =
+    match obj.Vm_object.kind with
+    | Vm_object.Vnode vn ->
+        Result.is_ok
+          (Bsd_sys.write_file sys vn ~start_page:page.owner_offset
+             ~srcs:[ page ])
+    | Vm_object.Anon ->
+        (* BSD VM keeps fixed slots; only bad media moves a page. *)
+        Core.write_fixed_slot d page
   in
-  trace_pageout
-  @@
-  match obj.Vm_object.kind with
-  | Vm_object.Vnode vn ->
-      Result.is_ok
-        (Bsd_sys.write_file sys vn ~start_page:page.owner_offset
-           ~srcs:[ page ])
-  | Vm_object.Anon ->
-      (* BSD VM keeps fixed slots; only bad media moves a page. *)
-      let pgno = page.owner_offset in
-      Core.write_fixed_slot sys page
-        ~slot:(fun () -> Hashtbl.find_opt obj.Vm_object.swslots pgno)
-        ~set_slot:(Hashtbl.replace obj.Vm_object.swslots pgno)
+  Bsd_sys.span_finish sys span (if cleaned then written else not_written);
+  cleaned
 
-let visit sys (page : Physmem.Page.t) =
+(* The object's lock is held across the write-out, nested inside the
+   pagedaemon lock — the registry's pdaemon -> object -> swap chain. *)
+let pageout_one d obj page =
+  let ls = Bsd_sys.locks d.Core.sys in
+  let ol = Vm_object.lock_handle ls obj in
+  Sim.Lockstat.acquire ls ol ~mode:Sim.Lockstat.Write;
+  match pageout d obj page with
+  | cleaned ->
+      Sim.Lockstat.release ls ol;
+      cleaned
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Sim.Lockstat.release ls ol;
+      Printexc.raise_with_backtrace e bt
+
+let visit d (page : Physmem.Page.t) =
   match page.owner with
   | Vm_object.Obj_page obj ->
       let has_backing_copy =
@@ -70,15 +93,16 @@ let visit sys (page : Physmem.Page.t) =
            swapcache so a re-fault is a fast-tier read. *)
         (match obj.Vm_object.kind with
         | Vm_object.Vnode vn when not page.dirty ->
-            Swap.Swaptier.cache_put (Bsd_sys.swapdev sys)
+            Swap.Swaptier.cache_put (Bsd_sys.swapdev d.Core.sys)
               ~vid:vn.Vfs.Vnode.vid ~pgno:page.owner_offset ~page
         | _ -> ());
-        Core.reclaim sys page
+        Core.reclaim d.Core.sys page
       end
-      else Core.settle sys page ~cleaned:(pageout_one sys obj page)
+      else Core.settle d.Core.sys page ~cleaned:(pageout_one d obj page)
   | _ -> assert false
 
-let run sys =
-  Core.run sys ~pending:(fun () -> 0) ~visit:(visit sys) ~flush:ignore
-
-let install sys = Core.install sys run
+let install sys =
+  let d = Core.create sys in
+  let visit = visit d in
+  Core.install sys (fun () ->
+      Core.run sys ~pending:(fun () -> 0) ~visit ~flush:ignore)

@@ -918,11 +918,12 @@ let note_demand_fault t page =
 let note_unmapped ~stats ~lifecycle page =
   fa_resolve ~stats ~lifecycle page ~used:false
 
-let note_cluster t ~pages ~runs =
-  Sim.Lifecycle.note_cluster t.lifecycle ~size:(List.length pages) ~runs;
-  List.iter
-    (fun (p : Page.t) -> p.Page.l_clusters <- p.Page.l_clusters + 1)
-    pages
+let note_cluster t ~pages ~n ~runs =
+  Sim.Lifecycle.note_cluster t.lifecycle ~size:n ~runs;
+  for i = 0 to n - 1 do
+    let p : Page.t = pages.(i) in
+    p.Page.l_clusters <- p.Page.l_clusters + 1
+  done
 
 let note_reassign t (page : Page.t) ~dist =
   page.Page.l_reassigns <- page.Page.l_reassigns + 1;

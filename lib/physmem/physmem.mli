@@ -109,6 +109,10 @@ val set_pagedaemon : t -> (unit -> unit) -> unit
     free pages are scarce and must try to move clean/cleaned pages to the
     free list. *)
 
+val run_pagedaemon : t -> unit
+(** Run one pass of the installed pageout routine now, unless a pass is
+    already running. *)
+
 val set_lockstat : t -> Sim.Lockstat.t option -> unit
 (** Register the page-queue locks with the machine's lock observatory:
     queue surgery (unlink/enqueue/refill/drain) is then recorded as
@@ -252,10 +256,10 @@ val note_unmapped :
   stats:Sim.Stats.t -> lifecycle:Sim.Lifecycle.t -> Page.t -> unit
 (** A translation to the frame was removed; a pending premap is wasted. *)
 
-val note_cluster : t -> pages:Page.t list -> runs:int -> unit
-(** The pages went out in one pageout cluster laid out in [runs]
-    contiguous swap-slot runs (1 = fully contiguous, the paper's §6
-    ideal; |pages| = one seek per page, the BSD baseline). *)
+val note_cluster : t -> pages:Page.t array -> n:int -> runs:int -> unit
+(** [pages.(0 .. n-1)] went out in one pageout cluster laid out in
+    [runs] contiguous swap-slot runs (1 = fully contiguous, the paper's
+    §6 ideal; [n] = one seek per page, the BSD baseline). *)
 
 val note_reassign : t -> Page.t -> dist:int -> unit
 (** The frame's swap slot moved [dist] slots away during clustering. *)

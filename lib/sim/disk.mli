@@ -18,25 +18,27 @@ val create : clock:Simclock.t -> costs:Cost_model.t -> stats:Stats.t -> t
 val set_fault_plan : t -> Fault_plan.t option -> unit
 (** Install (or clear) the fault plan consulted on every transfer. *)
 
-val fault_plan : t -> Fault_plan.t option
+val no_slot : int
+(** The [~slot] of a transfer on a slotless device (the file system):
+    0, which no swap device slot uses (they number from 1). *)
 
 val read :
   ?sequential:bool ->
-  ?slots:int list ->
   t ->
+  slot:int ->
   npages:int ->
   (unit, Fault_plan.error) result
-(** One read operation transferring [npages] contiguous pages; advances the
-    simulated clock and counts the op.  With [sequential:true] the fixed
-    per-operation latency is waived — the filesystem's read-ahead already
-    has the head positioned (UFS-style streaming).  [~slots] names the
-    device slots touched, so per-slot scripted faults can target them.
-    [npages] must be >= 1. *)
+(** One read operation transferring [npages] contiguous pages, the device
+    slots [slot .. slot + npages - 1]; advances the simulated clock and
+    counts the op.  With [sequential:true] the fixed per-operation latency
+    is waived — the filesystem's read-ahead already has the head
+    positioned (UFS-style streaming).  The slots let per-slot scripted
+    faults target the transfer.  [npages] must be >= 1. *)
 
-val write : ?slots:int list -> t -> npages:int -> (unit, Fault_plan.error) result
-(** One write operation transferring [npages] contiguous pages. *)
+val write : t -> slot:int -> npages:int -> (unit, Fault_plan.error) result
+(** One write operation transferring [npages] contiguous pages from device
+    slot [slot]. *)
 
 val read_ops : t -> int
 val write_ops : t -> int
 val pages_read : t -> int
-val pages_written : t -> int

@@ -79,47 +79,50 @@ let fail_op t ?slot ?(after = 0) ?count op severity =
     @ [ { rule_op = Some op; rule_slot = slot; rule_severity = severity;
           skip = after; remaining } ]
 
-let rule_matches rule ~op ~slots =
+let rule_matches rule ~op ~first ~count =
   (match rule.rule_op with Some o -> o = op | None -> true)
   && match rule.rule_slot with
-     | Some s -> List.mem s slots
+     | Some s -> s >= first && s < first + count
      | None -> true
 
-(* Decide the fate of one operation touching [slots] (empty for slotless
-   devices, e.g. file-system transfers).  Scripted rules are consulted in
-   order; the rate check runs only if no rule fires, and always draws from
-   the RNG-stream position determined solely by prior rate checks, so
-   scripted rules do not perturb rate-based decisions. *)
-let check t ~op ~slots =
-  let fired = ref None in
-  List.iter
-    (fun rule ->
-      if !fired = None && rule.remaining > 0 && rule_matches rule ~op ~slots
-      then
-        if rule.skip > 0 then rule.skip <- rule.skip - 1
+let rate_error t ~op ~first ~count =
+  let rate =
+    match op with Read -> t.read_error_rate | Write -> t.write_error_rate
+  in
+  if rate > 0.0 && Rng.float t.rng 1.0 < rate then
+    (* Blame the first slot so permanent rate errors are recoverable
+       by the same blacklist-and-reassign path as scripted ones. *)
+    let bad_slot = if count = 0 then None else Some first in
+    Some { failed_op = op; severity = t.rate_severity; bad_slot }
+  else None
+
+(* The first live matching rule fires (or spends one of its skips);
+   the walk allocates nothing until a rule fires. *)
+let rec check_rules t rules ~op ~first ~count =
+  match rules with
+  | [] -> rate_error t ~op ~first ~count
+  | rule :: rest ->
+      if rule.remaining > 0 && rule_matches rule ~op ~first ~count then
+        if rule.skip > 0 then begin
+          rule.skip <- rule.skip - 1;
+          check_rules t rest ~op ~first ~count
+        end
         else begin
           if rule.remaining <> max_int then
             rule.remaining <- rule.remaining - 1;
-          fired :=
-            Some
-              {
-                failed_op = op;
-                severity = rule.rule_severity;
-                bad_slot = rule.rule_slot;
-              }
-        end)
-    t.rules;
-  match !fired with
-  | Some _ as e -> e
-  | None ->
-      let rate =
-        match op with
-        | Read -> t.read_error_rate
-        | Write -> t.write_error_rate
-      in
-      if rate > 0.0 && Rng.float t.rng 1.0 < rate then
-        (* Blame the first slot so permanent rate errors are recoverable
-           by the same blacklist-and-reassign path as scripted ones. *)
-        let bad_slot = match slots with [] -> None | s :: _ -> Some s in
-        Some { failed_op = op; severity = t.rate_severity; bad_slot }
-      else None
+          Some
+            {
+              failed_op = op;
+              severity = rule.rule_severity;
+              bad_slot = rule.rule_slot;
+            }
+        end
+      else check_rules t rest ~op ~first ~count
+
+(* Decide the fate of one operation touching slots [first .. first +
+   count - 1] ([count = 0] for slotless devices, e.g. file-system
+   transfers).  Scripted rules are consulted in order; the rate check
+   runs only if no rule fires, and always draws from the RNG-stream
+   position determined solely by prior rate checks, so scripted rules do
+   not perturb rate-based decisions. *)
+let check t ~op ~first ~count = check_rules t t.rules ~op ~first ~count

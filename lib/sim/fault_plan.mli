@@ -48,9 +48,11 @@ val fail_op :
     bad media does not heal).  With [slot], only operations touching that
     device slot match. *)
 
-val check : t -> op:op -> slots:int list -> error option
-(** Decide the fate of one operation touching [slots] (empty for slotless
-    devices, e.g. file-system transfers).  Scripted rules are consulted in
-    declaration order; the rate check runs only when no rule fires, and its
+val check : t -> op:op -> first:int -> count:int -> error option
+(** Decide the fate of one operation touching the [count] consecutive
+    slots from [first] ([count = 0] for slotless devices, e.g.
+    file-system transfers).  Scripted rules are consulted in declaration
+    order; the rate check runs only when no rule fires, and its
     RNG-stream position depends solely on prior rate checks, so scripted
-    rules do not perturb rate-based decisions. *)
+    rules do not perturb rate-based decisions.  A rate error blames
+    [first].  Nothing is allocated unless the operation fails. *)

@@ -17,7 +17,9 @@ let create () =
   { count = 0; m = { sum = 0.0; vmin = infinity; vmax = neg_infinity };
     buckets = Array.make nbuckets 0 }
 
-let bucket_of v =
+(* Inlined into [observe], and with it across modules, so that a sample
+   is not boxed to reach it. *)
+let[@inline] bucket_of v =
   if v < 1.0 then 0
   else min (nbuckets - 1) (1 + int_of_float (Float.log v /. log_lambda))
 

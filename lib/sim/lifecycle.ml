@@ -88,13 +88,15 @@ let note_fa_used t m = t.fa_used.(madv_index m) <- t.fa_used.(madv_index m) + 1
 let note_fa_wasted t m = t.fa_wasted.(madv_index m) <- t.fa_wasted.(madv_index m) + 1
 let note_fill t k = t.fills.(fill_index k) <- t.fills.(fill_index k) + 1
 
-let note_cluster t ~size ~runs =
+(* Inlined, with [Histogram.observe], so that the sample is not boxed to
+   cross a call where cross-module inlining is on. *)
+let[@inline] note_cluster t ~size ~runs =
   Histogram.observe t.cluster_size (float_of_int size);
   Histogram.observe t.cluster_runs (float_of_int runs)
 
-let note_reassign t ~dist = Histogram.observe t.reassign_dist (float_of_int (abs dist))
-(* Inlined, with [Histogram.observe], so that the sample is not boxed to
-   cross a call where cross-module inlining is on. *)
+let[@inline] note_reassign t ~dist =
+  Histogram.observe t.reassign_dist (float_of_int (abs dist))
+
 let[@inline] note_residency t us = Histogram.observe t.residency_us us
 let[@inline] note_interfault t us = Histogram.observe t.interfault_us us
 

@@ -33,16 +33,22 @@ type t = {
   map : Swapmap.t;
   disk : Sim.Disk.t;
   page_size : int;
-  store : (int, contents) Hashtbl.t;
+  store : contents array;
+      (** indexed by device slot (1..nslots, like the map); [absent] where
+          the slot holds no data *)
   stats : Sim.Stats.t;
 }
+
+(* The store's empty cell.  It is told apart by physical equality, so no
+   stored page can be taken for it. *)
+let absent = Data (Bytes.create 0)
 
 let create ~nslots ~page_size ~clock ~costs ~stats () =
   {
     map = Swapmap.create ~nslots;
     disk = Sim.Disk.create ~clock ~costs ~stats;
     page_size;
-    store = Hashtbl.create 256;
+    store = Array.make (nslots + 1) absent;
     stats;
   }
 
@@ -63,9 +69,7 @@ let alloc_slots t ~n =
 
 let free_slots t ~slot ~n =
   Swapmap.free t.map ~slot ~n;
-  for i = slot to slot + n - 1 do
-    Hashtbl.remove t.store i
-  done;
+  Array.fill t.store slot n absent;
   t.stats.Sim.Stats.swap_slots_freed <- t.stats.Sim.Stats.swap_slots_freed + n
 
 let mark_bad t ~slot =
@@ -73,10 +77,18 @@ let mark_bad t ~slot =
   else begin
     Swapmap.mark_bad t.map ~slot;
     (* Whatever the bad slot held is unreadable now. *)
-    Hashtbl.remove t.store slot;
+    t.store.(slot) <- absent;
     t.stats.Sim.Stats.bad_slots <- t.stats.Sim.Stats.bad_slots + 1;
     true
   end
+
+let has_data t ~slot =
+  slot >= 1 && slot < Array.length t.store && t.store.(slot) != absent
+
+(* What [slot] stores; [fn] names the caller in the error. *)
+let stored t ~slot fn =
+  if has_data t ~slot then t.store.(slot)
+  else invalid_arg (fn ^ ": slot holds no data")
 
 let restore t c ~(dst : Physmem.Page.t) =
   (match c with
@@ -84,66 +96,53 @@ let restore t c ~(dst : Physmem.Page.t) =
   | Data d -> Bytes.blit d 0 dst.data 0 t.page_size);
   dst.dirty <- false
 
-let slot_range slot n = List.init n (fun i -> slot + i)
-
 (* The disk decides the fate of the transfer before any bytes move: a
    failed write leaves the pages dirty and the store untouched, so the
    caller can retry or reassign without losing data. *)
-let write_cluster t ~slot ~pages =
-  let n = List.length pages in
-  if n = 0 then invalid_arg "Swapdev.write_cluster: no pages";
-  List.iteri
-    (fun i (_ : Physmem.Page.t) ->
-      if not (Swapmap.is_allocated t.map ~slot:(slot + i)) then
-        invalid_arg "Swapdev.write_cluster: slot not allocated")
-    pages;
-  match Sim.Disk.write t.disk ~slots:(slot_range slot n) ~npages:n with
+let write_cluster t ~slot ~pages ~n =
+  if n < 1 then invalid_arg "Swapdev.write_cluster: no pages";
+  for s = slot to slot + n - 1 do
+    if not (Swapmap.is_allocated t.map ~slot:s) then
+      invalid_arg "Swapdev.write_cluster: slot not allocated"
+  done;
+  match Sim.Disk.write t.disk ~slot ~npages:n with
   | Error _ as e -> e
   | Ok () ->
-      List.iteri
-        (fun i (page : Physmem.Page.t) ->
-          let c = capture page.data in
-          (match c with
-          | Zero ->
-              t.stats.Sim.Stats.swap_zero_pageouts <-
-                t.stats.Sim.Stats.swap_zero_pageouts + 1
-          | Data _ -> ());
-          Hashtbl.replace t.store (slot + i) c;
-          page.dirty <- false)
-        pages;
+      for i = 0 to n - 1 do
+        let page : Physmem.Page.t = pages.(i) in
+        let c = capture page.data in
+        (match c with
+        | Zero ->
+            t.stats.Sim.Stats.swap_zero_pageouts <-
+              t.stats.Sim.Stats.swap_zero_pageouts + 1
+        | Data _ -> ());
+        t.store.(slot + i) <- c;
+        page.dirty <- false
+      done;
       t.stats.Sim.Stats.pageouts <- t.stats.Sim.Stats.pageouts + n;
       Ok ()
 
 let read_slot t ~slot ~dst =
-  match Hashtbl.find_opt t.store slot with
-  | None -> invalid_arg "Swapdev.read_slot: slot holds no data"
-  | Some c ->
-      match Sim.Disk.read t.disk ~slots:[ slot ] ~npages:1 with
-      | Error _ as e -> e
-      | Ok () ->
-          restore t c ~dst;
-          t.stats.Sim.Stats.pageins <- t.stats.Sim.Stats.pageins + 1;
-          Ok ()
+  let c = stored t ~slot "Swapdev.read_slot" in
+  match Sim.Disk.read t.disk ~slot ~npages:1 with
+  | Error _ as e -> e
+  | Ok () ->
+      restore t c ~dst;
+      t.stats.Sim.Stats.pageins <- t.stats.Sim.Stats.pageins + 1;
+      Ok ()
 
 let read_cluster t ~slot ~dsts =
   let n = List.length dsts in
   if n = 0 then invalid_arg "Swapdev.read_cluster: no pages";
-  let stored =
-    List.mapi
-      (fun i (_ : Physmem.Page.t) ->
-        match Hashtbl.find_opt t.store (slot + i) with
-        | None -> invalid_arg "Swapdev.read_cluster: slot holds no data"
-        | Some c -> c)
-      dsts
-  in
-  match Sim.Disk.read t.disk ~slots:(slot_range slot n) ~npages:n with
+  for s = slot to slot + n - 1 do
+    ignore (stored t ~slot:s "Swapdev.read_cluster" : contents)
+  done;
+  match Sim.Disk.read t.disk ~slot ~npages:n with
   | Error _ as e -> e
   | Ok () ->
-      List.iter2 (fun c dst -> restore t c ~dst) stored dsts;
+      List.iteri (fun i dst -> restore t t.store.(slot + i) ~dst) dsts;
       t.stats.Sim.Stats.pageins <- t.stats.Sim.Stats.pageins + n;
       Ok ()
-
-let has_data t ~slot = Hashtbl.mem t.store slot
 
 (* Raw slot transfers for the tier layer: swapcache fills/hits and
    cross-device drain migration move contents without touching page
@@ -151,18 +150,16 @@ let has_data t ~slot = Hashtbl.mem t.store slot
    accounting.  Stored contents are never mutated, so both directions
    share the value instead of copying it. *)
 let read_raw t ~slot =
-  match Hashtbl.find_opt t.store slot with
-  | None -> invalid_arg "Swapdev.read_raw: slot holds no data"
-  | Some c ->
-      match Sim.Disk.read t.disk ~slots:[ slot ] ~npages:1 with
-      | Error e -> Error e
-      | Ok () -> Ok c
+  let c = stored t ~slot "Swapdev.read_raw" in
+  match Sim.Disk.read t.disk ~slot ~npages:1 with
+  | Error e -> Error e
+  | Ok () -> Ok c
 
 let write_raw t ~slot c =
   if not (Swapmap.is_allocated t.map ~slot) then
     invalid_arg "Swapdev.write_raw: slot not allocated";
-  match Sim.Disk.write t.disk ~slots:[ slot ] ~npages:1 with
+  match Sim.Disk.write t.disk ~slot ~npages:1 with
   | Error _ as e -> e
   | Ok () ->
-      Hashtbl.replace t.store slot c;
+      t.store.(slot) <- c;
       Ok ()

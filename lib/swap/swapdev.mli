@@ -25,6 +25,8 @@ val capture : bytes -> contents
     word-wise scan that allocates nothing), else [Data] of a copy. *)
 
 type t
+(** The slot map plus a store indexed by slot: a read or write finds its
+    slot's contents by index, with no hashing. *)
 
 val create :
   nslots:int ->
@@ -60,11 +62,16 @@ val mark_bad : t -> slot:int -> bool
     marked the slot (it was not bad already). *)
 
 val write_cluster :
-  t -> slot:int -> pages:Physmem.Page.t list -> (unit, Sim.Fault_plan.error) result
-(** Write the pages to consecutive slots starting at [slot] as a single
-    I/O operation (this is UVM's clustered pageout: one seek, n transfers).
-    Marks the pages clean on success; on [Error] the pages stay dirty and
-    no slot contents change. *)
+  t ->
+  slot:int ->
+  pages:Physmem.Page.t array ->
+  n:int ->
+  (unit, Sim.Fault_plan.error) result
+(** Write [pages.(0 .. n-1)] to consecutive slots starting at [slot] as a
+    single I/O operation (this is UVM's clustered pageout: one seek, n
+    transfers).  Marks the pages clean on success; on [Error] the pages
+    stay dirty and no slot contents change.  Allocates nothing but the
+    copy of a page that is not all zeros. *)
 
 val read_slot :
   t -> slot:int -> dst:Physmem.Page.t -> (unit, Sim.Fault_plan.error) result

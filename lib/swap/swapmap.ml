@@ -26,39 +26,44 @@ let usable t = t.usable
 let bad_count t = t.bad_count
 
 let run_free_at t start n =
-  let rec check i =
-    i >= n || ((not t.used.(start + i)) && (not t.bad.(start + i)) && check (i + 1))
-  in
-  start + n - 1 <= t.nslots && check 0
+  start + n - 1 <= t.nslots
+  &&
+  let i = ref 0 in
+  while !i < n && (not t.used.(start + !i)) && not t.bad.(start + !i) do
+    incr i
+  done;
+  !i = n
 
 let alloc t ~n =
   if n < 1 then invalid_arg "Swapmap.alloc: n must be >= 1";
   if t.in_use + n > t.usable then None
   else begin
-    (* First fit, scanning from the hint and wrapping once. *)
-    let found = ref None in
+    (* First fit, scanning from the hint and wrapping once; slot 0 is
+       never handed out, so it stands for "not found". *)
+    let found = ref 0 in
     let pos = ref t.hint in
     let scanned = ref 0 in
-    while !found = None && !scanned <= t.nslots do
+    while !found = 0 && !scanned <= t.nslots do
       if !pos + n - 1 > t.nslots then begin
         scanned := !scanned + (t.nslots - !pos + 1);
         pos := 1
       end
-      else if run_free_at t !pos n then found := Some !pos
+      else if run_free_at t !pos n then found := !pos
       else begin
         incr pos;
         incr scanned
       end
     done;
-    match !found with
-    | None -> None
-    | Some slot ->
-        for i = slot to slot + n - 1 do
-          t.used.(i) <- true
-        done;
-        t.in_use <- t.in_use + n;
-        t.hint <- (if slot + n > t.nslots then 1 else slot + n);
-        Some slot
+    let slot = !found in
+    if slot = 0 then None
+    else begin
+      for i = slot to slot + n - 1 do
+        t.used.(i) <- true
+      done;
+      t.in_use <- t.in_use + n;
+      t.hint <- (if slot + n > t.nslots then 1 else slot + n);
+      Some slot
+    end
   end
 
 let free t ~slot ~n =

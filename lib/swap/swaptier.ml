@@ -116,33 +116,51 @@ let set_lockstat t reg =
       reg
 
 (* Every public tier entry point holds the swap-tier lock for its
-   duration.  Nested calls (write_resilient -> write_cluster, drain ->
+   duration: [lock] on entry, [unlock] on every exit, an exception's
+   included.  Nested calls (write_resilient -> write_cluster, drain ->
    migrate_slot) re-enter the same handle; the registry's recursion
-   depth makes that one recorded outer hold, not two. *)
-let with_tier_lock t ~mode f =
+   depth makes that one recorded outer hold, not two.  The slot and
+   paging entry points, which every pageout and pagein take, spell the
+   pair out so that they build no closure; the others use
+   [with_tier_lock]. *)
+let lock t ~mode =
   match t.lockq with
-  | None -> f ()
-  | Some (ls, l) ->
-      Sim.Lockstat.acquire ls l ~mode;
-      Fun.protect ~finally:(fun () -> Sim.Lockstat.release ls l) f
+  | None -> ()
+  | Some (ls, l) -> Sim.Lockstat.acquire ls l ~mode
+
+let unlock t =
+  match t.lockq with None -> () | Some (ls, l) -> Sim.Lockstat.release ls l
+
+let unlock_reraise t e =
+  let bt = Printexc.get_raw_backtrace () in
+  unlock t;
+  Printexc.raise_with_backtrace e bt
+
+let with_tier_lock t ~mode f =
+  lock t ~mode;
+  match f () with
+  | r ->
+      unlock t;
+      r
+  | exception e -> unlock_reraise t e
 
 (* Device I/O spans carry the tier in the subsystem key ("swap:slow"),
    so the critical-path breakdown attributes tail latency to the tier
    that caused it, not just "swap".  These wrappers stay local rather
    than using [Machine.span_start]: the tier sits below the machine, its
    collector is optional ([None] in standalone tests) and it reads its
-   own clock. *)
+   own clock.  A call site builds a span's detail only when
+   [Sim.Span.live] says the span records. *)
 let span_start t ~subsys name =
   match t.spans with
   | Some c when Sim.Span.enabled c ->
-      Some (Sim.Span.start c ~subsys ~ts:(Sim.Simclock.now t.clock) name)
-  | _ -> None
+      Sim.Span.start c ~subsys ~ts:(Sim.Simclock.now t.clock) name
+  | _ -> Sim.Span.dummy
 
 let span_finish t sp detail =
-  match (t.spans, sp) with
-  | Some c, Some sp ->
-      Sim.Span.finish_with c sp ~ts:(Sim.Simclock.now t.clock) detail
-  | _ -> ()
+  match t.spans with
+  | Some c -> Sim.Span.finish_with c sp ~ts:(Sim.Simclock.now t.clock) detail
+  | None -> ()
 
 (* Tier events that take no time (a device dying, a slot blacklisted)
    are zero-length spans inside whatever span caused them. *)
@@ -154,16 +172,25 @@ let span_point t name detail =
 
 let result_str = function Ok () -> "ok" | Error _ -> "error"
 
-let device_of t ~slot =
-  let rec go i =
-    if i >= Array.length t.devices then
-      invalid_arg "Swaptier: slot outside every device"
-    else
-      let d = t.devices.(i) in
-      if slot > d.base && slot <= d.base + d.spec.tier_pages then d
-      else go (i + 1)
-  in
-  go 0
+(* A device read or write span: its global slot, page count and result. *)
+let io_span_finish t sp ~slot ~n r =
+  if Sim.Span.live sp then
+    span_finish t sp (fun () ->
+        [
+          ("slot", string_of_int slot);
+          ("pages", string_of_int n);
+          ("result", result_str r);
+        ])
+
+let rec device_from devices ~slot i =
+  if i >= Array.length devices then
+    invalid_arg "Swaptier: slot outside every device"
+  else
+    let d = devices.(i) in
+    if slot > d.base && slot <= d.base + d.spec.tier_pages then d
+    else device_from devices ~slot (i + 1)
+
+let device_of t ~slot = device_from t.devices ~slot 0
 
 let find_device t name =
   Array.to_list t.devices
@@ -230,47 +257,55 @@ let allocatable d = d.alive && not d.offline
 
 (* Priority-ordered first fit: walk bands best-first; within a band,
    rotate the starting device per successful allocation so equal-priority
-   devices stripe.  Contiguous clusters never span devices. *)
+   devices stripe.  Contiguous clusters never span devices.  Returns the
+   global slot, 0 when no willing device has room. *)
 let raw_alloc t ~n ~pred =
-  let found = ref None in
-  Array.iter
-    (fun band ->
-      if !found = None then begin
-        let len = Array.length band in
-        let start = t.rr mod len in
-        let i = ref 0 in
-        while !found = None && !i < len do
-          let d = band.((start + !i) mod len) in
-          (if pred d then
-             match Swapdev.alloc_slots d.dev ~n with
-             | Some local -> found := Some (d.base + local, d)
-             | None -> ());
-          incr i
-        done
-      end)
-    t.bands;
-  (match !found with Some _ -> t.rr <- t.rr + 1 | None -> ());
+  let found = ref 0 in
+  let b = ref 0 in
+  while !found = 0 && !b < Array.length t.bands do
+    let band = t.bands.(!b) in
+    let len = Array.length band in
+    let start = t.rr mod len in
+    let i = ref 0 in
+    while !found = 0 && !i < len do
+      let d = band.((start + !i) mod len) in
+      (if pred d then
+         match Swapdev.alloc_slots d.dev ~n with
+         | Some local -> found := d.base + local
+         | None -> ());
+      incr i
+    done;
+    incr b
+  done;
+  if !found <> 0 then t.rr <- t.rr + 1;
   !found
 
 (* Degradation ladder, first rung: when no device can satisfy the
    allocation, sacrifice swapcache entries — they are redundant copies of
    clean file pages — and retry until it fits or the cache is dry. *)
-let alloc_where t ~n ~pred =
-  let rec go () =
-    match raw_alloc t ~n ~pred with
-    | Some (g, _) -> Some g
-    | None -> if shed_one t then go () else None
-  in
-  go ()
+let rec alloc_where t ~n ~pred =
+  let g = raw_alloc t ~n ~pred in
+  if g <> 0 then g else if shed_one t then alloc_where t ~n ~pred else 0
 
 let alloc_slots t ~n =
-  with_tier_lock t ~mode:Sim.Lockstat.Write @@ fun () ->
-  alloc_where t ~n ~pred:allocatable
+  lock t ~mode:Sim.Lockstat.Write;
+  match alloc_where t ~n ~pred:allocatable with
+  | 0 ->
+      unlock t;
+      None
+  | g ->
+      unlock t;
+      Some g
+  | exception e -> unlock_reraise t e
 
 let free_slots t ~slot ~n =
-  with_tier_lock t ~mode:Sim.Lockstat.Write @@ fun () ->
-  let d = device_of t ~slot in
-  Swapdev.free_slots d.dev ~slot:(slot - d.base) ~n
+  lock t ~mode:Sim.Lockstat.Write;
+  match
+    let d = device_of t ~slot in
+    Swapdev.free_slots d.dev ~slot:(slot - d.base) ~n
+  with
+  | () -> unlock t
+  | exception e -> unlock_reraise t e
 
 let mark_bad t ~slot =
   let d = device_of t ~slot in
@@ -286,42 +321,45 @@ let dead_write_error slot =
     bad_slot = Some slot;
   }
 
-let write_cluster t ~slot ~pages =
-  with_tier_lock t ~mode:Sim.Lockstat.Write @@ fun () ->
-  let d = device_of t ~slot in
-  let sp = span_start t ~subsys:d.span_key "write" in
-  let r =
-    if not d.alive then Error (dead_write_error slot)
-    else begin
-      let r = Swapdev.write_cluster d.dev ~slot:(slot - d.base) ~pages in
-      (match r with
-      | Ok () -> d.d_pageouts <- d.d_pageouts + List.length pages
-      | Error _ -> ());
+let write_device d ~slot ~pages ~n =
+  if not d.alive then Error (dead_write_error slot)
+  else begin
+    let r = Swapdev.write_cluster d.dev ~slot:(slot - d.base) ~pages ~n in
+    (match r with Ok () -> d.d_pageouts <- d.d_pageouts + n | Error _ -> ());
+    r
+  end
+
+let write_cluster t ~slot ~pages ~n =
+  lock t ~mode:Sim.Lockstat.Write;
+  match
+    let d = device_of t ~slot in
+    let sp = span_start t ~subsys:d.span_key "write" in
+    let r = write_device d ~slot ~pages ~n in
+    io_span_finish t sp ~slot ~n r;
+    r
+  with
+  | r ->
+      unlock t;
       r
-    end
-  in
-  span_finish t sp (fun () ->
-      [
-        ("slot", string_of_int slot);
-        ("pages", string_of_int (List.length pages));
-        ("result", result_str r);
-      ]);
-  r
+  | exception e -> unlock_reraise t e
 
 (* Reads are still served from a dead device: the failure model is dying
    media that rejects writes — that readability window is exactly what
    lets the pagedaemon drain survivors to healthy tiers. *)
 let read_slot t ~slot ~dst =
-  with_tier_lock t ~mode:Sim.Lockstat.Read @@ fun () ->
-  let d = device_of t ~slot in
-  let sp = span_start t ~subsys:d.span_key "read" in
-  let r = Swapdev.read_slot d.dev ~slot:(slot - d.base) ~dst in
-  (match r with Ok () -> d.d_pageins <- d.d_pageins + 1 | Error _ -> ());
-  span_finish t sp (fun () ->
-      [
-        ("slot", string_of_int slot); ("pages", "1"); ("result", result_str r);
-      ]);
-  r
+  lock t ~mode:Sim.Lockstat.Read;
+  match
+    let d = device_of t ~slot in
+    let sp = span_start t ~subsys:d.span_key "read" in
+    let r = Swapdev.read_slot d.dev ~slot:(slot - d.base) ~dst in
+    (match r with Ok () -> d.d_pageins <- d.d_pageins + 1 | Error _ -> ());
+    io_span_finish t sp ~slot ~n:1 r;
+    r
+  with
+  | r ->
+      unlock t;
+      r
+  | exception e -> unlock_reraise t e
 
 type write_outcome =
   | Written
@@ -329,69 +367,81 @@ type write_outcome =
   | No_space of Sim.Fault_plan.error
   | Failed of Sim.Fault_plan.error
 
-(* The pageout recovery policy.  Transient errors are retried with
-   exponential backoff.  A permanent error blacklists the slot (or hits
-   an already-dead device) and the replacement range comes from
+(* The pageout recovery policy, entered at the first failed write of
+   the cluster at [base].  Transient errors are retried with exponential
+   backoff.  A permanent error blacklists the slot (or hits an
+   already-dead device) and the replacement range comes from
    priority-ordered allocation over the healthy devices — when it lands
    on a different device, that is a failover, counted and traced as
-   such.  Termination: every transient retry spends the attempt budget,
-   and every permanent failure blacklists a slot, shrinking the usable
-   pool until allocation fails. *)
-let write_resilient t ~retries ~backoff_us ~slot ~assign ~pages =
-  with_tier_lock t ~mode:Sim.Lockstat.Write @@ fun () ->
-  let n = List.length pages in
-  let recovered = ref false in
-  let outcome = ref Written in
-  let rec go base attempt =
-    match write_cluster t ~slot:base ~pages with
-    | Ok () ->
-        if !recovered then
-          t.stats.Sim.Stats.pageouts_recovered <-
-            t.stats.Sim.Stats.pageouts_recovered + 1;
-        !outcome
-    | Error e -> (
-        match e.Sim.Fault_plan.severity with
-        | Sim.Fault_plan.Transient when attempt < retries ->
-            t.stats.Sim.Stats.pageout_retries <-
-              t.stats.Sim.Stats.pageout_retries + 1;
-            Sim.Simclock.advance t.clock
-              (backoff_us *. (2.0 ** float_of_int attempt));
-            recovered := true;
-            go base (attempt + 1)
-        | Sim.Fault_plan.Transient -> Failed e
-        | Sim.Fault_plan.Permanent -> (
-            let d = device_of t ~slot:base in
-            let bad =
-              match e.Sim.Fault_plan.bad_slot with
-              | Some s when s >= base && s < base + n -> s
-              | _ -> base
-            in
-            mark_bad t ~slot:bad;
-            match alloc_slots t ~n with
-            | None ->
-                t.stats.Sim.Stats.swap_full_events <-
-                  t.stats.Sim.Stats.swap_full_events + 1;
-                No_space e
-            | Some fresh ->
-                let d' = device_of t ~slot:fresh in
-                if d'.dev_id <> d.dev_id then begin
-                  t.stats.Sim.Stats.swap_failovers <-
-                    t.stats.Sim.Stats.swap_failovers + 1;
-                  span_point t "failover" (fun () ->
-                      [
-                        ("from", d.spec.tier_name);
-                        ("to", d'.spec.tier_name);
-                        ("slot", string_of_int fresh);
-                      ])
-                end;
-                span_point t "reassign" (fun () ->
-                    [ ("slot", string_of_int fresh) ]);
-                assign fresh;
-                recovered := true;
-                outcome := Reassigned fresh;
-                go fresh 0))
-  in
-  go slot 0
+   such.  Any later successful write is a recovery; [outcome] is what it
+   reports.  Termination: every transient retry spends the attempt
+   budget, and every permanent failure blacklists a slot, shrinking the
+   usable pool until allocation fails. *)
+let rec recover t ~retries ~backoff_us ~assign ~pages ~n ~outcome base attempt
+    (e : Sim.Fault_plan.error) =
+  match e.severity with
+  | Sim.Fault_plan.Transient when attempt < retries ->
+      t.stats.Sim.Stats.pageout_retries <-
+        t.stats.Sim.Stats.pageout_retries + 1;
+      Sim.Simclock.advance t.clock
+        (backoff_us *. (2.0 ** float_of_int attempt));
+      rewrite t ~retries ~backoff_us ~assign ~pages ~n ~outcome base
+        (attempt + 1)
+  | Sim.Fault_plan.Transient -> Failed e
+  | Sim.Fault_plan.Permanent -> (
+      let d = device_of t ~slot:base in
+      let bad =
+        match e.bad_slot with
+        | Some s when s >= base && s < base + n -> s
+        | _ -> base
+      in
+      mark_bad t ~slot:bad;
+      match alloc_slots t ~n with
+      | None ->
+          t.stats.Sim.Stats.swap_full_events <-
+            t.stats.Sim.Stats.swap_full_events + 1;
+          No_space e
+      | Some fresh ->
+          let d' = device_of t ~slot:fresh in
+          if d'.dev_id <> d.dev_id then begin
+            t.stats.Sim.Stats.swap_failovers <-
+              t.stats.Sim.Stats.swap_failovers + 1;
+            span_point t "failover" (fun () ->
+                [
+                  ("from", d.spec.tier_name);
+                  ("to", d'.spec.tier_name);
+                  ("slot", string_of_int fresh);
+                ])
+          end;
+          span_point t "reassign" (fun () -> [ ("slot", string_of_int fresh) ]);
+          assign fresh;
+          rewrite t ~retries ~backoff_us ~assign ~pages ~n
+            ~outcome:(Reassigned fresh) fresh 0)
+
+and rewrite t ~retries ~backoff_us ~assign ~pages ~n ~outcome base attempt =
+  match write_cluster t ~slot:base ~pages ~n with
+  | Ok () ->
+      t.stats.Sim.Stats.pageouts_recovered <-
+        t.stats.Sim.Stats.pageouts_recovered + 1;
+      outcome
+  | Error e ->
+      recover t ~retries ~backoff_us ~assign ~pages ~n ~outcome base attempt e
+
+(* The first attempt builds no recovery state: a write that succeeds
+   allocates nothing here. *)
+let write_resilient t ~retries ~backoff_us ~slot ~assign ~pages ~n =
+  lock t ~mode:Sim.Lockstat.Write;
+  match
+    match write_cluster t ~slot ~pages ~n with
+    | Ok () -> Written
+    | Error e ->
+        recover t ~retries ~backoff_us ~assign ~pages ~n ~outcome:Written slot
+          0 e
+  with
+  | r ->
+      unlock t;
+      r
+  | exception e -> unlock_reraise t e
 
 (* -- device death, swapoff and drain --------------------------------- *)
 
@@ -464,8 +514,8 @@ let migrate_data t ~slot ~src =
     | Ok c -> (
         let pred d = allocatable d && d.dev_id <> src.dev_id in
         match alloc_where t ~n:1 ~pred with
-        | None -> None
-        | Some g -> (
+        | 0 -> None
+        | g -> (
             let dst = device_of t ~slot:g in
             match Swapdev.write_raw dst.dev ~slot:(g - dst.base) c with
             | Error _ ->

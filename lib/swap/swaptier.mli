@@ -76,9 +76,11 @@ val free_slots : t -> slot:int -> n:int -> unit
 val write_cluster :
   t ->
   slot:int ->
-  pages:Physmem.Page.t list ->
+  pages:Physmem.Page.t array ->
+  n:int ->
   (unit, Sim.Fault_plan.error) result
-(** Fails permanently (without touching the media) when the device is
+(** {!Swapdev.write_cluster} of [pages.(0 .. n-1)] at global [slot].
+    Fails permanently (without touching the media) when the device is
     dead. *)
 
 val read_slot :
@@ -102,7 +104,8 @@ val write_resilient :
   backoff_us:float ->
   slot:int ->
   assign:(int -> unit) ->
-  pages:Physmem.Page.t list ->
+  pages:Physmem.Page.t array ->
+  n:int ->
   write_outcome
 (** [write_cluster] under the full recovery policy.  Transient errors are
     retried up to [retries] times with exponential backoff
@@ -115,7 +118,9 @@ val write_resilient :
     then rewrites there.  A cross-device reassignment counts into
     [Stats.swap_failovers] and records a [failover] event.  Successful
     recovery (any path involving a retry or reassignment) counts into
-    [Stats.pageouts_recovered]. *)
+    [Stats.pageouts_recovered].  A first attempt that succeeds allocates
+    nothing beyond {!write_cluster}'s copies; a caller that keeps
+    [assign] across calls allocates nothing for it either. *)
 
 val disks : t -> Sim.Disk.t list
 (** Every device's disk, in creation order — for fault-plan install. *)

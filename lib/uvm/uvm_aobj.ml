@@ -45,7 +45,7 @@ let make_ops sys swslots obj =
      assignment and by [write_resilient] when a bad slot forces the
      cluster elsewhere (freeing the old binding retires the bad slot). *)
   let rebind_cluster pages base =
-    List.iteri
+    Array.iteri
       (fun i (page : Physmem.Page.t) ->
         let pgno = page.owner_offset in
         (match Hashtbl.find_opt swslots pgno with
@@ -62,7 +62,7 @@ let make_ops sys swslots obj =
       match
         Swap.Swaptier.write_resilient swapdev ~retries:Uvm_sys.io_retries
           ~backoff_us:Uvm_sys.io_backoff_us ~slot:base
-          ~assign:(rebind_cluster pages) ~pages
+          ~assign:(rebind_cluster pages) ~pages ~n:(Array.length pages)
       with
       | Swap.Swaptier.Written | Swap.Swaptier.Reassigned _ -> Ok ()
       | Swap.Swaptier.No_space _ -> Error Vmiface.Vmtypes.Out_of_swap
@@ -71,7 +71,7 @@ let make_ops sys swslots obj =
     Uvm_sys.span_finish sys span (fun () ->
         [
           ("pager", "aobj");
-          ("pages", string_of_int (List.length pages));
+          ("pages", string_of_int (Array.length pages));
           ("result", match r with Ok () -> "ok" | Error _ -> "error");
         ]);
     r
@@ -90,7 +90,7 @@ let make_ops sys swslots obj =
     match slot with
     | Some slot ->
         Hashtbl.replace swslots pgno slot;
-        write_batch_at [ page ] slot
+        write_batch_at [| page |] slot
     | None ->
         stats.Sim.Stats.swap_full_events <-
           stats.Sim.Stats.swap_full_events + 1;
@@ -105,22 +105,25 @@ let make_ops sys swslots obj =
     | _ when Uvm_sys.aggressive_clustering sys -> (
         (* Reassign swap locations so the whole batch is one contiguous
            write (paper §6). *)
-        let n = List.length pages in
+        let batch = Array.of_list pages in
+        let n = Array.length batch in
         match Swap.Swaptier.alloc_slots swapdev ~n with
         | Some base ->
-            Physmem.note_cluster physmem ~pages ~runs:1;
-            rebind_cluster pages base;
-            write_batch_at pages base
+            Physmem.note_cluster physmem ~pages:batch ~n ~runs:1;
+            rebind_cluster batch base;
+            write_batch_at batch base
         | None ->
             (* No contiguous run of n; write page-at-a-time into whatever
                slots remain. *)
-            Physmem.note_cluster physmem ~pages ~runs:n;
+            Physmem.note_cluster physmem ~pages:batch ~n ~runs:n;
             List.fold_left
               (fun acc page -> combine acc (write_single page))
               (Ok ()) pages)
     | _ ->
         (* Ablation mode: BSD-style fixed slots, one I/O per page. *)
-        Physmem.note_cluster physmem ~pages ~runs:(List.length pages);
+        let batch = Array.of_list pages in
+        let n = Array.length batch in
+        Physmem.note_cluster physmem ~pages:batch ~n ~runs:n;
         List.fold_left
           (fun acc page -> combine acc (write_single page))
           (Ok ()) pages

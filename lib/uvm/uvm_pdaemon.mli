@@ -21,10 +21,10 @@
     degrades to BSD VM's one-I/O-per-page behaviour, through the core's
     fixed-slot write. *)
 
-val run : Uvm_sys.t -> unit
-(** One daemon pass: reclaim/clean until the free target is met or the
-    inactive queue is exhausted, then refill the inactive queue from the
-    active queue if still short. *)
-
 val install : Uvm_sys.t -> unit
-(** Register {!run} as the physmem pagedaemon callback (done at boot). *)
+(** Make the daemon's state (the anon batch, [pageout_cluster] slots,
+    and its rebinding) and register its pass as the physmem pagedaemon
+    callback (done at boot; {!Physmem.run_pagedaemon} runs one).  A pass
+    reclaims and cleans until the free target is met or the inactive
+    queue is exhausted, then refills the inactive queue from the active
+    queue if still short. *)

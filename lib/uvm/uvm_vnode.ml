@@ -77,8 +77,11 @@ let make_ops sys (vnode : Vfs.Vnode.t) (uvn_ref : uvn option ref) obj =
     (* Attempt every run even if one fails — maximise what gets cleaned —
        then report the first failure.  Failed runs stay dirty. *)
     let runs = runs_of_pages pages in
-    if pages <> [] then
-      Physmem.note_cluster physmem ~pages ~runs:(List.length runs);
+    if pages <> [] then begin
+      let batch = Array.of_list pages in
+      Physmem.note_cluster physmem ~pages:batch ~n:(Array.length batch)
+        ~runs:(List.length runs)
+    end;
     List.fold_left
       (fun acc run ->
         match run with

@@ -176,7 +176,7 @@ let read_pages t (vn : Vnode.t) ~start_page ~dsts =
   (* UFS-style read-ahead: a read continuing where the previous one ended
      streams off the platter without paying the seek again. *)
   let sequential = start_page = vn.last_read_end in
-  match Sim.Disk.read ~sequential t.disk ~npages:n with
+  match Sim.Disk.read ~sequential t.disk ~slot:Sim.Disk.no_slot ~npages:n with
   | Error _ as e -> e
   | Ok () ->
       List.iteri
@@ -191,7 +191,7 @@ let read_pages t (vn : Vnode.t) ~start_page ~dsts =
 let write_pages t (vn : Vnode.t) ~start_page ~srcs =
   let n = List.length srcs in
   if n = 0 then invalid_arg "Vfs.write_pages: no pages";
-  match Sim.Disk.write t.disk ~npages:n with
+  match Sim.Disk.write t.disk ~slot:Sim.Disk.no_slot ~npages:n with
   | Error _ as e -> e
   | Ok () ->
       List.iteri

@@ -89,11 +89,17 @@ module Make (K : KERNEL) = struct
     | Ok () -> ()
     | Error error -> raise (Segv { vpn; error })
 
+  (* The translation stops counting as wired when its frame's last
+     wiring goes: [u_wired] falls and whole-process swapout may evict
+     the page again. *)
   let unwire_pages sys vm ~vpn ~npages =
     let physmem = (machine sys).Machine.physmem in
     for v = vpn to vpn + npages - 1 do
       match Pmap.lookup vm.pmap ~vpn:v with
-      | Some pte -> Physmem.unwire physmem pte.Pmap.page
+      | Some pte ->
+          let page = pte.Pmap.page in
+          Physmem.unwire physmem page;
+          if page.Physmem.Page.wire_count = 0 then pte.Pmap.wired <- false
       | None -> ()
     done
 

@@ -22,9 +22,54 @@ module type KERNEL = sig
 
   val detach : Physmem.Page.t -> unit
   (** Drop the owner's hold on a page whose frame is about to be freed. *)
+
+  val swslot : Physmem.Page.t -> int
+  (** The swap slot an anonymous page is bound to; 0 when it has none. *)
+
+  val set_swslot : Physmem.Page.t -> int -> unit
+  (** Bind an anonymous page to a swap slot.  Whatever it was bound to
+      before is the caller's to free. *)
 end
 
 module Make (K : KERNEL) = struct
+  (* One daemon's reusable pageout state, made once at boot: the page
+     [write_fixed_slot] is writing, as a batch of one, and the rebinding
+     [write_resilient] applies to it when bad media moves it.  A page
+     write allocates neither. *)
+  type daemon = {
+    sys : K.sys;
+    mutable single : Physmem.Page.t array;
+    rebind_single : int -> unit;
+  }
+
+  (* [page] as a batch of one, in the daemon's array. *)
+  let as_batch d page =
+    if Array.length d.single = 0 then d.single <- [| page |]
+    else d.single.(0) <- page;
+    d.single
+
+  (* Bad media moved the page to [fresh]: release its old slot (which
+     retires a blacklisted one) and rebind. *)
+  let rebind_single d fresh =
+    let m = K.mach d.sys in
+    let page = d.single.(0) in
+    let old = K.swslot page in
+    if old <> 0 && old <> fresh then begin
+      Physmem.note_reassign m.Machine.physmem page ~dist:(abs (fresh - old));
+      Swap.Swaptier.free_slots m.Machine.swap ~slot:old ~n:1
+    end;
+    K.set_swslot page fresh
+
+  let create sys =
+    let rec d =
+      {
+        sys;
+        single = [||];
+        rebind_single = (fun fresh -> rebind_single d fresh);
+      }
+    in
+    d
+
   (* Reclaim a page whose data is safe elsewhere (or nowhere needed). *)
   let reclaim sys (page : Physmem.Page.t) =
     let m = K.mach sys in
@@ -43,46 +88,37 @@ module Make (K : KERNEL) = struct
       Physmem.activate (K.mach sys).Machine.physmem page
 
   (* Write one page to its fixed swap slot: BSD VM's anonymous pageout,
-     and UVM's when it does not cluster.  [slot] reads the page's slot
-     and [set_slot] records a new one; a page without a slot gets one
-     here.  Bad media still forces a move: the [assign] handed to
-     [write_resilient] rebinds the page to the fresh slot.  Returns true
-     when the page was written.  If the write still fails, or swap is
-     full, the page stays dirty in core. *)
-  let write_fixed_slot sys (page : Physmem.Page.t) ~slot ~set_slot =
-    let m = K.mach sys in
+     and UVM's when it does not cluster.  A page without a slot gets one
+     here.  Bad media still forces a move: [write_resilient] rebinds the
+     page to the fresh slot through [rebind_single].  Returns true when
+     the page was written.  If the write still fails, or swap is full,
+     the page stays dirty in core. *)
+  let write_fixed_slot d (page : Physmem.Page.t) =
+    let m = K.mach d.sys in
     let swapdev = m.Machine.swap in
     let target =
-      match slot () with
-      | Some _ as s -> s
-      | None ->
-          let fresh = Swap.Swaptier.alloc_slots swapdev ~n:1 in
-          Option.iter set_slot fresh;
-          fresh
+      match K.swslot page with
+      | 0 -> (
+          match Swap.Swaptier.alloc_slots swapdev ~n:1 with
+          | Some fresh ->
+              K.set_swslot page fresh;
+              fresh
+          | None -> 0)
+      | slot -> slot
     in
-    match target with
-    | None ->
-        let stats = m.Machine.stats in
-        stats.Sim.Stats.swap_full_events <-
-          stats.Sim.Stats.swap_full_events + 1;
-        false
-    | Some target -> (
-        let assign fresh =
-          (match slot () with
-          | Some old when old <> fresh ->
-              Physmem.note_reassign m.Machine.physmem page
-                ~dist:(abs (fresh - old));
-              Swap.Swaptier.free_slots swapdev ~slot:old ~n:1
-          | Some _ | None -> ());
-          set_slot fresh
-        in
-        match
-          Swap.Swaptier.write_resilient swapdev ~retries:Kernel.io_retries
-            ~backoff_us:Kernel.io_backoff_us ~slot:target ~assign
-            ~pages:[ page ]
-        with
-        | Swap.Swaptier.Written | Swap.Swaptier.Reassigned _ -> true
-        | Swap.Swaptier.No_space _ | Swap.Swaptier.Failed _ -> false)
+    if target = 0 then begin
+      let stats = m.Machine.stats in
+      stats.Sim.Stats.swap_full_events <- stats.Sim.Stats.swap_full_events + 1;
+      false
+    end
+    else
+      match
+        Swap.Swaptier.write_resilient swapdev ~retries:Kernel.io_retries
+          ~backoff_us:Kernel.io_backoff_us ~slot:target
+          ~assign:d.rebind_single ~pages:(as_batch d page) ~n:1
+      with
+      | Swap.Swaptier.Written | Swap.Swaptier.Reassigned _ -> true
+      | Swap.Swaptier.No_space _ | Swap.Swaptier.Failed _ -> false
 
   (* One daemon pass: reclaim and clean until the free target is met or
      the inactive queue is exhausted, then refill the inactive queue from
@@ -150,7 +186,7 @@ module Make (K : KERNEL) = struct
           ("target", string_of_int target);
         ])
 
-  (* Done at boot: the allocator kicks [run] when memory is scarce. *)
-  let install sys run =
-    Physmem.set_pagedaemon (K.mach sys).Machine.physmem (fun () -> run sys)
+  (* Done at boot: the allocator kicks [pass] when memory is scarce. *)
+  let install sys pass =
+    Physmem.set_pagedaemon (K.mach sys).Machine.physmem pass
 end

@@ -12,6 +12,9 @@
 # A key dropped from the results, a changed row count, or a node whose
 # type (dict, list, number, ...) differs between the two files also fails.
 #
+# Every verdict also reports how many gated leaves changed value in either
+# direction, so "every simulated leaf is identical" reads "0 changed".
+#
 # The "microbench_ns_per_run" section is wall-clock (Bechamel) and is
 # excluded: it measures the host machine, not the simulated one.
 #
@@ -47,6 +50,7 @@ for artifact, name in ((base, baseline_path), (new, results_path)):
 
 failures = []
 checked = [0]
+changed = [0]
 worst = [0.0, None]  # (relative slowdown, path)
 
 
@@ -60,6 +64,8 @@ def gate(path, old, cur):
     if not isinstance(old, (int, float)) or not isinstance(cur, (int, float)):
         return
     checked[0] += 1
+    if cur != old:
+        changed[0] += 1
     if old == 0:
         return  # no baseline signal; nothing to scale a tolerance from
     if lower_is_better:
@@ -118,15 +124,16 @@ if not checked[0]:
     sys.exit("bench_gate: no gateable metrics found; baseline malformed?")
 
 if failures:
-    print("bench_gate: FAIL (%d of %d metrics beyond %.0f%% tolerance)"
-          % (len(failures), checked[0], 100.0 * tol))
+    print("bench_gate: FAIL (%d of %d metrics beyond %.0f%% tolerance, %d changed)"
+          % (len(failures), checked[0], 100.0 * tol, changed[0]))
     for line in failures:
         print(line)
     sys.exit(1)
 
 if worst[1] is None:
-    print("bench_gate: OK (%d metrics, none slower than baseline)" % checked[0])
+    print("bench_gate: OK (%d metrics, none slower than baseline, %d changed)"
+          % (checked[0], changed[0]))
 else:
-    print("bench_gate: OK (%d metrics within %.0f%%; worst %+.1f%% at %s)"
-          % (checked[0], 100.0 * tol, 100.0 * worst[0], worst[1]))
+    print("bench_gate: OK (%d metrics within %.0f%%; worst %+.1f%% at %s; %d changed)"
+          % (checked[0], 100.0 * tol, 100.0 * worst[0], worst[1], changed[0]))
 EOF

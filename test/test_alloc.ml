@@ -1,23 +1,30 @@
 (* Allocation ledger: minor-heap words per operation, measured on fresh
    state for both kernels.  The simulator's hot paths are the clock, the
-   resident access and the fault routine; these bounds keep them from
-   growing allocations back.  The counts are deterministic, so a bound
-   only moves when the code on the path changes.
+   resident access, the fault routine and the pageout path; these bounds
+   keep them from growing allocations back.  The counts are
+   deterministic, so a bound only moves when the code on the path
+   changes.
 
    The bounds hold under the dev profile, which compiles every module
    [-opaque] (no cross-module inlining, so each float passed across a
    module boundary is boxed), and a fortiori under the release profile.
-   A fault bound is the dev-profile measurement with 25% headroom.  The
-   words per fault measured when the bounds were set (and, in
-   parentheses, before both kernels' pagers shared one I/O path and the
-   map lock stopped timing its own holds):
+   A fault or pageout bound is the dev-profile measurement with 25%
+   headroom.  The words per operation before and after the swap store
+   became a slot-indexed array and the pageout path stopped building
+   closures, lists and tuples (the fault rows moved with the store and
+   with histogram buckets computed inline):
 
-   | case                  |   UVM dev | UVM release |   BSD dev | BSD release |
-   |-----------------------|-----------|-------------|-----------|-------------|
-   | zero-fill write fault |   45 (51) |     31 (33) |   47 (58) |     31 (38) |
-   | vnode read fault      | 206 (246) |   170 (206) |  94 (126) |    80 (108) |
-   | COW write fault       |   79 (85) |     61 (63) |   65 (81) |     47 (59) |
-   | swap pagein fault     |  78 (104) |     64 (86) |  99 (134) |    83 (114) |
+   | case                    |   UVM dev | UVM release |   BSD dev | BSD release |
+   |-------------------------|-----------|-------------|-----------|-------------|
+   | zero-fill write fault   |   45 → 45 |     31 → 29 |   47 → 47 |     31 → 29 |
+   | vnode read fault        | 206 → 190 |   170 → 140 |   94 → 78 |     80 → 58 |
+   | COW write fault         |   79 → 79 |     61 → 59 |   65 → 65 |     47 → 45 |
+   | swap pagein fault       |   78 → 46 |     64 → 30 |   99 → 67 |     83 → 49 |
+   | pageout, per page       |   73 → 16 |     70 → 11 |  195 → 23 |    191 → 13 |
+
+   The swap device's zero-page transfers are shared by both kernels:
+   [write_cluster] 26 → 2 words (dev) and 24 → 0 (release), [read_slot]
+   9 → 2 and 7 → 0.  What is left under dev is the boxed clock charge.
 
    Every case prints its measurement to its test log; [--verbose]
    shows them. *)
@@ -55,6 +62,53 @@ let test_clock () =
   in
   check_zero "Simclock.advance" (w /. float_of_int n);
   Alcotest.(check (float 0.0)) "time advanced" 250.0 (Sim.Simclock.now c)
+
+(* Words a computed float costs to cross into another module: none
+   where cross-module inlining is on, one boxed float under the dev
+   profile's [-opaque]. *)
+let boxed_float =
+  let c = Sim.Simclock.create () in
+  let x = Sys.opaque_identity 0.5 in
+  words (fun () -> Sim.Simclock.advance c (x +. 0.25))
+
+(* The swap device's own transfers of an all-zero page: the store keeps
+   a tag in the slot's array cell, so neither direction allocates beyond
+   the disk's clock charge, which is boxed only under [-opaque]. *)
+let swapdev_zero () =
+  let clock = Sim.Simclock.create () in
+  let stats = Sim.Stats.create () in
+  let costs = Sim.Cost_model.default in
+  let page_size = 4096 in
+  let dev = Swap.Swapdev.create ~nslots:8 ~page_size ~clock ~costs ~stats () in
+  let pm = Physmem.create ~page_size ~npages:16 ~clock ~costs ~stats () in
+  let page = Physmem.alloc pm ~owner:Physmem.Page.No_owner ~offset:0 () in
+  Bytes.fill page.Physmem.Page.data 0 page_size '\000';
+  let pages = [| page |] in
+  let slot = Option.get (Swap.Swapdev.alloc_slots dev ~n:1) in
+  let n = 1000 in
+  let failed = ref 0 in
+  let write () =
+    for _ = 1 to n do
+      match Swap.Swapdev.write_cluster dev ~slot ~pages ~n:1 with
+      | Ok () -> ()
+      | Error _ -> incr failed
+    done
+  and read () =
+    for _ = 1 to n do
+      match Swap.Swapdev.read_slot dev ~slot ~dst:page with
+      | Ok () -> ()
+      | Error _ -> incr failed
+    done
+  in
+  let ww = words write in
+  let wr = words read in
+  Alcotest.(check int) "no transfer failed" 0 !failed;
+  Alcotest.(check int) "every write a zero tag" n
+    stats.Sim.Stats.swap_zero_pageouts;
+  check_bound "Swapdev.write_cluster, zero page" ~bound:boxed_float
+    (ww /. float_of_int n);
+  check_bound "Swapdev.read_slot, zero page" ~bound:boxed_float
+    (wr /. float_of_int n)
 
 module Ledger (V : Vmiface.Vm_sig.VM_SYS) = struct
   let npages = 64
@@ -151,7 +205,59 @@ module Ledger (V : Vmiface.Vm_sig.VM_SYS) = struct
       (stats.Sim.Stats.pageins - pageins);
     check_bound (V.name ^ " swap pagein fault") ~bound w
 
-  let cases ~zero_fill:zb ~vnode_read:vb ~cow_write:cb ~swap_pagein:sb =
+  (* Daemon passes over a region of dirty zero-fill pages.  The region
+     is deactivated; before each pass a second process takes memory to
+     just above the wakeup threshold, and the pass pages out what it
+     needs to reach its free target.  The first pass registers what a
+     machine's first pageout registers (the daemon's lock, the object's)
+     and is not measured.  The words are per page the second pass
+     writes, the pass's own overhead included.  Every page is all
+     zeros, so the swap store keeps a tag and no copy.  UVM writes
+     clusters of [pageout_cluster] pages with reassigned slots, BSD one
+     page per fixed slot. *)
+  let pageout ~bound ~per_write () =
+    let sys, vm = fresh () in
+    let m = V.machine sys in
+    let physmem = m.Machine.physmem in
+    let npages = 4 * npages in
+    let vpn =
+      V.mmap sys vm ~npages ~prot:Pmap.Prot.rw ~share:Vt.Private Vt.Zero
+    in
+    V.access_range sys vm ~vpn ~npages Vt.Write;
+    ignore (V.deactivate_resident sys vm : int);
+    let hog = V.new_vmspace sys in
+    let ram = m.Machine.config.Machine.ram_pages in
+    let next =
+      ref
+        (V.mmap sys hog ~npages:ram ~prot:Pmap.Prot.rw ~share:Vt.Private
+           Vt.Zero)
+    in
+    let squeeze () =
+      while Physmem.free_count physmem > Physmem.freemin physmem + 2 do
+        V.touch sys hog ~vpn:!next Vt.Write;
+        incr next
+      done
+    in
+    squeeze ();
+    Physmem.run_pagedaemon physmem;
+    squeeze ();
+    let stats = m.Machine.stats in
+    let disk = List.hd (Swap.Swaptier.disks m.Machine.swap) in
+    let pageouts = stats.Sim.Stats.pageouts in
+    let zeros = stats.Sim.Stats.swap_zero_pageouts in
+    let writes = Sim.Disk.write_ops disk in
+    let w = words (fun () -> Physmem.run_pagedaemon physmem) in
+    let n = stats.Sim.Stats.pageouts - pageouts in
+    if n < 2 * per_write then Alcotest.failf "the pass wrote %d pages" n;
+    Alcotest.(check int) "every page a zero tag" n
+      (stats.Sim.Stats.swap_zero_pageouts - zeros);
+    Alcotest.(check int) "pages per write"
+      ((n + per_write - 1) / per_write)
+      (Sim.Disk.write_ops disk - writes);
+    check_bound (V.name ^ " pageout, per page") ~bound (w /. float_of_int n)
+
+  let cases ~zero_fill:zb ~vnode_read:vb ~cow_write:cb ~swap_pagein:sb
+      ~pageout:(pb, per_write) =
     [
       Alcotest.test_case "resident touch allocates nothing" `Quick
         resident_touch;
@@ -159,6 +265,7 @@ module Ledger (V : Vmiface.Vm_sig.VM_SYS) = struct
       Alcotest.test_case "vnode read fault" `Quick (vnode_read ~bound:vb);
       Alcotest.test_case "COW write fault" `Quick (cow_write ~bound:cb);
       Alcotest.test_case "swap pagein fault" `Quick (swap_pagein ~bound:sb);
+      Alcotest.test_case "pageout" `Quick (pageout ~bound:pb ~per_write);
     ]
 end
 
@@ -169,10 +276,15 @@ let () =
   Alcotest.run "alloc"
     [
       ("clock", [ Alcotest.test_case "advance allocates nothing" `Quick test_clock ]);
+      ( "swapdev",
+        [
+          Alcotest.test_case "zero-page transfers allocate nothing" `Quick
+            swapdev_zero;
+        ] );
       ( "uvm",
-        U.cases ~zero_fill:57.0 ~vnode_read:258.0 ~cow_write:99.0
-          ~swap_pagein:98.0 );
+        U.cases ~zero_fill:57.0 ~vnode_read:238.0 ~cow_write:99.0
+          ~swap_pagein:58.0 ~pageout:(21.0, 4) );
       ( "bsd",
-        B.cases ~zero_fill:59.0 ~vnode_read:118.0 ~cow_write:82.0
-          ~swap_pagein:124.0 );
+        B.cases ~zero_fill:59.0 ~vnode_read:98.0 ~cow_write:82.0
+          ~swap_pagein:84.0 ~pageout:(30.0, 1) );
     ]

@@ -32,7 +32,7 @@ let test_anon_swap_roundtrip () =
   Bytes.fill page.Physmem.Page.data 0 4096 'q';
   let slot = Option.get (Swap.Swaptier.alloc_slots (Uvm.State.swapdev sys) ~n:1) in
   Uvm.Anon.set_swslot sys anon slot;
-  (match Swap.Swaptier.write_cluster (Uvm.State.swapdev sys) ~slot ~pages:[ page ] with
+  (match Swap.Swaptier.write_cluster (Uvm.State.swapdev sys) ~slot ~pages:[| page |] ~n:1 with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "unexpected swap write error");
   (* Simulate pageout completion. *)

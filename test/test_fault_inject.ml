@@ -15,7 +15,7 @@ module Fp = Sim.Fault_plan
 let decisions plan ~n =
   List.init n (fun i ->
       let op = if i mod 2 = 0 then Fp.Read else Fp.Write in
-      match Fp.check plan ~op ~slots:[ i ] with
+      match Fp.check plan ~op ~first:i ~count:1 with
       | None -> "ok"
       | Some e -> Fp.string_of_error e)
 
@@ -32,25 +32,39 @@ let test_plan_scripting () =
   let plan = Fp.create () in
   (* Fire on the second write touching slot 5, twice; reads never fail. *)
   Fp.fail_op plan ~slot:5 ~after:1 ~count:2 Fp.Write Fp.Transient;
-  let write slots = Fp.check plan ~op:Fp.Write ~slots in
-  Alcotest.(check bool) "slot mismatch passes" true (write [ 9 ] = None);
-  Alcotest.(check bool) "first match skipped" true (write [ 5 ] = None);
-  (match write [ 4; 5; 6 ] with
+  let write first count = Fp.check plan ~op:Fp.Write ~first ~count in
+  Alcotest.(check bool) "slot mismatch passes" true (write 9 1 = None);
+  Alcotest.(check bool) "range ending below the slot passes" true
+    (write 2 3 = None);
+  Alcotest.(check bool) "range starting above the slot passes" true
+    (write 6 3 = None);
+  Alcotest.(check bool) "slotless op passes" true (write 5 0 = None);
+  Alcotest.(check bool) "first match skipped" true (write 5 1 = None);
+  (match write 4 3 with
   | Some { failed_op = Fp.Write; severity = Fp.Transient; bad_slot = Some 5 } ->
       ()
   | _ -> Alcotest.fail "expected transient write error at slot 5");
-  Alcotest.(check bool) "fires again" true (write [ 5 ] <> None);
-  Alcotest.(check bool) "then exhausted" true (write [ 5 ] = None);
+  Alcotest.(check bool) "fires again" true (write 5 1 <> None);
+  Alcotest.(check bool) "then exhausted" true (write 5 1 = None);
   Alcotest.(check bool) "reads unaffected" true
-    (Fp.check plan ~op:Fp.Read ~slots:[ 5 ] = None);
+    (Fp.check plan ~op:Fp.Read ~first:5 ~count:1 = None);
   (* Permanent errors do not heal: the rule fires forever. *)
   let perm = Fp.create () in
   Fp.fail_op perm ~slot:3 Fp.Read Fp.Permanent;
   for _ = 1 to 50 do
-    match Fp.check perm ~op:Fp.Read ~slots:[ 3 ] with
+    match Fp.check perm ~op:Fp.Read ~first:3 ~count:1 with
     | Some { severity = Fp.Permanent; _ } -> ()
     | _ -> Alcotest.fail "permanent error healed"
-  done
+  done;
+  (* A rate error blames the first slot of the range, none when the
+     operation is slotless. *)
+  let always = Fp.create ~write_error_rate:1.0 () in
+  (match Fp.check always ~op:Fp.Write ~first:7 ~count:3 with
+  | Some { bad_slot = Some 7; _ } -> ()
+  | _ -> Alcotest.fail "rate error must blame the first slot");
+  match Fp.check always ~op:Fp.Write ~first:0 ~count:0 with
+  | Some { bad_slot = None; _ } -> ()
+  | _ -> Alcotest.fail "slotless rate error must blame no slot"
 
 let test_swapmap_blacklist () =
   let m = Swap.Swapmap.create ~nslots:8 in

@@ -13,12 +13,13 @@ module Cases (S : sig
   include Vmiface.Vm_sig.VM_SYS
 
   val pmap : vmspace -> Pmap.t
-
-  val pagedaemon : sys -> unit
-  (** One pass of the kernel's pagedaemon. *)
 end) =
 struct
   let stats sys = (S.machine sys).Vmiface.Machine.stats
+
+  (* One pass of the kernel's pagedaemon. *)
+  let pagedaemon sys =
+    Physmem.run_pagedaemon (S.machine sys).Vmiface.Machine.physmem
 
   let fill sys vm ~vpn ~npages =
     for i = 0 to npages - 1 do
@@ -108,6 +109,34 @@ struct
      with Vt.Segv { error = Vt.Out_of_memory; _ } -> ());
     Alcotest.(check bool) "swap nearly full" true (S.swap_slots_in_use sys > 0)
 
+  (* vsunlock drops each frame's last wiring, so the translations stop
+     counting as wired and whole-process swapout evicts the pages. *)
+  let test_vsunlock_unwires () =
+    let sys = S.boot ~config:small_config () in
+    let vm = S.new_vmspace sys in
+    let n = 4 in
+    let vpn = S.mmap sys vm ~npages:n ~prot:Pmap.Prot.rw ~share:Vt.Private Vt.Zero in
+    fill sys vm ~vpn ~npages:n;
+    let wb = S.vslock sys vm ~vpn ~npages:n in
+    Alcotest.(check int) "wired while locked" n (S.vmspace_usage sys vm).Vt.u_wired;
+    S.vsunlock sys vm wb;
+    Alcotest.(check int) "nothing wired after vsunlock" 0
+      (S.vmspace_usage sys vm).Vt.u_wired;
+    Alcotest.(check int) "swapout deactivates every page" n
+      (S.deactivate_resident sys vm);
+    (* A second process's pressure pages the inactive pages out. *)
+    let hog = S.new_vmspace sys in
+    let big =
+      S.mmap sys hog ~npages:200 ~prot:Pmap.Prot.rw ~share:Vt.Private Vt.Zero
+    in
+    S.access_range sys hog ~vpn:big ~npages:200 Vt.Write;
+    S.destroy_vmspace sys hog;
+    Alcotest.(check int) "every page evicted to swap" n
+      (S.vmspace_usage sys vm).Vt.u_swap;
+    verify sys vm ~vpn ~npages:n;
+    S.destroy_vmspace sys vm;
+    S.audit sys
+
   (* A pass that finds the free target already met stops at once: it
      must not copy either queue, however deep they are. *)
   let test_pass_at_target_allocates_little () =
@@ -132,7 +161,7 @@ struct
     Alcotest.(check bool) "free target met" true
       (Physmem.free_count physmem >= Physmem.freetarg physmem);
     let before = Gc.minor_words () in
-    S.pagedaemon sys;
+    pagedaemon sys;
     let words = Gc.minor_words () -. before in
     if words >= 1000. then
       Alcotest.failf "daemon pass at the free target allocated %.0f words" words
@@ -192,6 +221,7 @@ struct
       ("wired never paged", test_wired_pages_never_paged);
       ("clean reclaim", test_clean_page_with_swap_copy_reclaimed_without_io);
       ("pass at target allocates little", test_pass_at_target_allocates_little);
+      ("vsunlock unwires", test_vsunlock_unwires);
     ]
 end
 
@@ -199,14 +229,12 @@ module U = Cases (struct
   include Uvm.Sys
 
   let pmap (vm : vmspace) = vm.pmap
-  let pagedaemon sys = Uvm.Pdaemon.run sys.usys
 end)
 
 module B = Cases (struct
   include Bsdvm.Sys
 
   let pmap (vm : vmspace) = vm.pmap
-  let pagedaemon sys = Bsdvm.Pageout.run sys.bsys
 end)
 
 let test_clustering_reduces_ops () =

@@ -79,13 +79,13 @@ let test_disk_costs () =
   let stats = Sim.Stats.create () in
   let d = Sim.Disk.create ~clock ~costs:Sim.Cost_model.default ~stats in
   let c = Sim.Cost_model.default in
-  io_ok (Sim.Disk.read d ~npages:1);
+  io_ok (Sim.Disk.read d ~slot:Sim.Disk.no_slot ~npages:1);
   let one = Sim.Simclock.now clock in
   Alcotest.(check (float 1e-6))
     "1-page read"
     (c.Sim.Cost_model.disk_op_latency +. c.Sim.Cost_model.disk_page_transfer)
     one;
-  io_ok (Sim.Disk.read d ~npages:16);
+  io_ok (Sim.Disk.read d ~slot:Sim.Disk.no_slot ~npages:16);
   Alcotest.(check (float 1e-6))
     "16-page clustered read"
     (c.Sim.Cost_model.disk_op_latency
@@ -98,7 +98,7 @@ let test_disk_sequential () =
   let clock = Sim.Simclock.create () in
   let stats = Sim.Stats.create () in
   let d = Sim.Disk.create ~clock ~costs:Sim.Cost_model.default ~stats in
-  io_ok (Sim.Disk.read ~sequential:true d ~npages:4);
+  io_ok (Sim.Disk.read ~sequential:true d ~slot:Sim.Disk.no_slot ~npages:4);
   let c = Sim.Cost_model.default in
   Alcotest.(check (float 1e-6))
     "no seek when sequential"

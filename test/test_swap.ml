@@ -95,10 +95,10 @@ let test_swapdev_roundtrip () =
     p.Physmem.Page.dirty <- true;
     p
   in
-  let pages = [ mkpage 'a'; mkpage 'b'; mkpage 'c' ] in
+  let pages = [| mkpage 'a'; mkpage 'b'; mkpage 'c' |] in
   let slot = Option.get (Swap.Swapdev.alloc_slots dev ~n:3) in
-  io_ok (Swap.Swapdev.write_cluster dev ~slot ~pages);
-  List.iter
+  io_ok (Swap.Swapdev.write_cluster dev ~slot ~pages ~n:3);
+  Array.iter
     (fun (p : Physmem.Page.t) ->
       Alcotest.(check bool) "cleaned by write" false p.dirty)
     pages;
@@ -118,11 +118,11 @@ let test_swapdev_roundtrip () =
 let test_swapdev_cluster_is_one_op () =
   let dev, pm, clock, _ = mk_dev () in
   let pages =
-    List.init 8 (fun _ -> Physmem.alloc pm ~owner:Physmem.Page.No_owner ~offset:0 ())
+    Array.init 8 (fun _ -> Physmem.alloc pm ~owner:Physmem.Page.No_owner ~offset:0 ())
   in
   let slot = Option.get (Swap.Swapdev.alloc_slots dev ~n:8) in
   let t0 = Sim.Simclock.now clock in
-  io_ok (Swap.Swapdev.write_cluster dev ~slot ~pages);
+  io_ok (Swap.Swapdev.write_cluster dev ~slot ~pages ~n:8);
   let c = Sim.Cost_model.default in
   Alcotest.(check (float 1e-6)) "one op + 8 transfers"
     (c.Sim.Cost_model.disk_op_latency +. (8.0 *. c.Sim.Cost_model.disk_page_transfer))
@@ -133,7 +133,7 @@ let test_swapdev_free_discards () =
   let dev, pm, _, _ = mk_dev () in
   let p = Physmem.alloc pm ~owner:Physmem.Page.No_owner ~offset:0 () in
   let slot = Option.get (Swap.Swapdev.alloc_slots dev ~n:1) in
-  io_ok (Swap.Swapdev.write_cluster dev ~slot ~pages:[ p ]);
+  io_ok (Swap.Swapdev.write_cluster dev ~slot ~pages:[| p |] ~n:1);
   Swap.Swapdev.free_slots dev ~slot ~n:1;
   Alcotest.check_raises "data discarded"
     (Invalid_argument "Swapdev.read_slot: slot holds no data") (fun () ->
@@ -160,7 +160,7 @@ let test_zero_page_restores_into_dirty_frame () =
   let src = Physmem.alloc pm ~owner:Physmem.Page.No_owner ~offset:0 () in
   Bytes.fill src.Physmem.Page.data 0 256 '\000';
   let slot = Option.get (Sd.alloc_slots dev ~n:2) in
-  io_ok (Sd.write_cluster dev ~slot ~pages:[ src; src ]);
+  io_ok (Sd.write_cluster dev ~slot ~pages:[| src; src |] ~n:2);
   Alcotest.(check int) "both counted as zero pageouts" 2
     stats.Sim.Stats.swap_zero_pageouts;
   (match Sd.read_raw dev ~slot with
@@ -190,7 +190,7 @@ let test_last_byte_is_data () =
       Bytes.fill src.Physmem.Page.data 0 page_size '\000';
       Bytes.set src.Physmem.Page.data (page_size - 1) '\x01';
       let slot = Option.get (Sd.alloc_slots dev ~n:1) in
-      io_ok (Sd.write_cluster dev ~slot ~pages:[ src ]);
+      io_ok (Sd.write_cluster dev ~slot ~pages:[| src |] ~n:1);
       Alcotest.(check int) "not a zero pageout" 0 stats.Sim.Stats.swap_zero_pageouts;
       (match Sd.read_raw dev ~slot with
       | Ok (Sd.Data _) -> ()
@@ -221,14 +221,14 @@ let test_failed_write_keeps_contents () =
   let data = Physmem.alloc pm ~owner:Physmem.Page.No_owner ~offset:0 () in
   Bytes.fill data.Physmem.Page.data 0 256 'd';
   let slot = Option.get (Sd.alloc_slots dev ~n:2) in
-  io_ok (Sd.write_cluster dev ~slot ~pages:[ zero; data ]);
+  io_ok (Sd.write_cluster dev ~slot ~pages:[| zero; data |] ~n:2);
   let plan = Sim.Fault_plan.create () in
   Sim.Disk.set_fault_plan (Sd.disk dev) (Some plan);
   (* Swap the two: the zero slot would become data and vice versa. *)
   zero.Physmem.Page.dirty <- true;
   data.Physmem.Page.dirty <- true;
   Sim.Fault_plan.fail_op plan Sim.Fault_plan.Write Sim.Fault_plan.Transient;
-  (match Sd.write_cluster dev ~slot ~pages:[ data; zero ] with
+  (match Sd.write_cluster dev ~slot ~pages:[| data; zero |] ~n:2 with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "scripted write failure did not fire");
   Alcotest.(check bool) "pages stay dirty" true
@@ -376,7 +376,10 @@ let prop_store_matches_model =
                     kinds
                 in
                 let zeros0 = stats.Sim.Stats.swap_zero_pageouts in
-                (match Sd.write_cluster dev ~slot:base ~pages with
+                (match
+                   Sd.write_cluster dev ~slot:base ~pages:(Array.of_list pages)
+                     ~n:(List.length pages)
+                 with
                 | Error _ -> fail "write_cluster failed with no fault plan"
                 | Ok () -> ());
                 let nzero =
@@ -477,6 +480,162 @@ let prop_store_matches_model =
         ops;
       true)
 
+(* The slot-indexed store against the hash table it replaced: the
+   reference keeps each slot's stored value in a [Hashtbl], as the device
+   once did, and after every operation the device and the reference
+   agree on every slot, the two just outside the device included.  A raw
+   write shares its value, so a raw read returns that very value. *)
+type hop =
+  | H_alloc of int
+  | H_write of int * bool list  (** run index; per page, whether all zeros *)
+  | H_free of int  (** run index *)
+  | H_bad of int
+  | H_write_raw of int * bool
+  | H_read_raw of int
+
+let string_of_hop = function
+  | H_alloc n -> Printf.sprintf "alloc %d" n
+  | H_write (r, zs) ->
+      Printf.sprintf "write run%d [%s]" r
+        (String.concat "," (List.map (fun z -> if z then "Z" else "D") zs))
+  | H_free r -> Printf.sprintf "free run%d" r
+  | H_bad s -> Printf.sprintf "bad %d" s
+  | H_write_raw (s, z) -> Printf.sprintf "write_raw %d %s" s (if z then "Z" else "D")
+  | H_read_raw s -> Printf.sprintf "read_raw %d" s
+
+let same_contents a b =
+  match (a, b) with
+  | Sd.Zero, Sd.Zero -> true
+  | Sd.Data x, Sd.Data y -> Bytes.equal x y
+  | _ -> false
+
+let prop_store_matches_hashtbl =
+  let ps = 256 in
+  let gen =
+    QCheck.Gen.(
+      let slot = int_range 0 (nslots + 1) in
+      let op =
+        frequency
+          [
+            (3, int_range 1 4 >|= fun n -> H_alloc n);
+            ( 4,
+              pair (int_bound 7) (list_size (int_range 1 4) bool) >|= fun (r, zs) ->
+              H_write (r, zs) );
+            (2, int_bound 7 >|= fun r -> H_free r);
+            (1, int_range 1 nslots >|= fun s -> H_bad s);
+            (2, pair slot bool >|= fun (s, z) -> H_write_raw (s, z));
+            (3, slot >|= fun s -> H_read_raw s);
+          ]
+      in
+      list_size (int_range 1 50) op)
+  in
+  let print ops = String.concat "; " (List.map string_of_hop ops) in
+  QCheck.Test.make ~name:"array store matches a Hashtbl store" ~count:300
+    (QCheck.make ~print gen) (fun ops ->
+      let clock = Sim.Simclock.create () in
+      let stats = Sim.Stats.create () in
+      let costs = Sim.Cost_model.zero in
+      let dev = Sd.create ~nslots ~page_size:ps ~clock ~costs ~stats () in
+      let pm = Physmem.create ~page_size:ps ~npages:16 ~clock ~costs ~stats () in
+      let srcs =
+        Array.init 4 (fun _ -> Physmem.alloc pm ~owner:Physmem.Page.No_owner ~offset:0 ())
+      in
+      let reference : (int, Sd.contents) Hashtbl.t = Hashtbl.create 16 in
+      let runs = ref [] in
+      let stamp = ref 0 in
+      (* A page's bytes: all zeros, or a fresh nonzero byte throughout. *)
+      let fill b zero =
+        incr stamp;
+        Bytes.fill b 0 ps (if zero then '\000' else Char.chr (1 + (!stamp mod 255)))
+      in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      let read_raw s =
+        match Sd.read_raw dev ~slot:s with
+        | Ok c -> c
+        | Error _ -> fail "read_raw %d failed with no fault plan" s
+      in
+      let step = function
+        | H_alloc n -> (
+            match Sd.alloc_slots dev ~n with
+            | None -> ()
+            | Some base -> runs := !runs @ [ (base, n) ])
+        | H_write (r, zeros) -> (
+            match List.nth_opt !runs r with
+            | None -> ()
+            | Some (base, len) ->
+                let zeros = List.filteri (fun i _ -> i < len) zeros in
+                List.iteri
+                  (fun i z ->
+                    fill srcs.(i).Physmem.Page.data z;
+                    srcs.(i).Physmem.Page.dirty <- true)
+                  zeros;
+                let n = List.length zeros in
+                (match Sd.write_cluster dev ~slot:base ~pages:srcs ~n with
+                | Error _ -> fail "write_cluster failed with no fault plan"
+                | Ok () -> ());
+                for i = 0 to n - 1 do
+                  Hashtbl.replace reference (base + i)
+                    (Sd.capture srcs.(i).Physmem.Page.data)
+                done)
+        | H_free r -> (
+            match List.nth_opt !runs r with
+            | None -> ()
+            | Some (base, n) ->
+                Sd.free_slots dev ~slot:base ~n;
+                for s = base to base + n - 1 do
+                  Hashtbl.remove reference s
+                done;
+                runs := List.filter (fun (b, _) -> b <> base) !runs)
+        | H_bad s -> if Sd.mark_bad dev ~slot:s then Hashtbl.remove reference s
+        | H_write_raw (s, z) ->
+            let c =
+              if z then Sd.Zero
+              else begin
+                let b = Bytes.create ps in
+                fill b false;
+                Sd.Data b
+              end
+            in
+            if Sd.is_allocated_slot dev ~slot:s then begin
+              (match Sd.write_raw dev ~slot:s c with
+              | Error _ -> fail "write_raw failed with no fault plan"
+              | Ok () -> ());
+              Hashtbl.replace reference s c;
+              if read_raw s != c then fail "slot %d: a raw write is not shared" s
+            end
+            else begin
+              match Sd.write_raw dev ~slot:s c with
+              | exception Invalid_argument _ -> ()
+              | _ -> fail "write_raw %d: an unallocated slot took data" s
+            end
+        | H_read_raw s -> (
+            match Hashtbl.find_opt reference s with
+            | Some c ->
+                if not (same_contents (read_raw s) c) then
+                  fail "slot %d: read_raw differs from the reference" s
+            | None -> (
+                match Sd.read_raw dev ~slot:s with
+                | exception Invalid_argument _ -> ()
+                | _ -> fail "read_raw %d: an empty slot returned data" s))
+      in
+      List.iter
+        (fun op ->
+          step op;
+          for s = 0 to nslots + 1 do
+            match Hashtbl.find_opt reference s with
+            | None ->
+                if Sd.has_data dev ~slot:s then
+                  fail "after %s: slot %d has data the reference lacks"
+                    (string_of_hop op) s
+            | Some c ->
+                if not (Sd.has_data dev ~slot:s && same_contents (read_raw s) c)
+                then
+                  fail "after %s: slot %d differs from the reference"
+                    (string_of_hop op) s
+          done)
+        ops;
+      true)
+
 (* ------------------------------------------------------------------ *)
 (* Swaptier: priority allocation, device death, drain, swapcache      *)
 (* ------------------------------------------------------------------ *)
@@ -525,9 +684,9 @@ let test_tier_priority_and_striping () =
 
 let test_tier_death_failover () =
   let t, pm, stats = mk_tiers [ spec "fast" 8 0; spec "slow" 16 1 ] in
-  let pages = [ tier_page pm 'a'; tier_page pm 'b' ] in
+  let pages = [| tier_page pm 'a'; tier_page pm 'b' |] in
   let slot = Option.get (St.alloc_slots t ~n:2) in
-  io_ok (St.write_cluster t ~slot ~pages);
+  io_ok (St.write_cluster t ~slot ~pages ~n:2);
   St.kill_device t ~name:"fast";
   St.kill_device t ~name:"fast" (* idempotent *);
   Alcotest.(check bool) "dead" false (St.device_alive t ~name:"fast");
@@ -535,7 +694,7 @@ let test_tier_death_failover () =
   Alcotest.(check int) "only the slow tier allocates" 16 (St.slots_usable t);
   Alcotest.(check bool) "whole device blacklisted" true (St.is_bad_slot t ~slot);
   (* Dying media: writes fail permanently, reads still served. *)
-  (match St.write_cluster t ~slot ~pages with
+  (match St.write_cluster t ~slot ~pages ~n:2 with
   | Error { Sim.Fault_plan.severity = Sim.Fault_plan.Permanent; _ } -> ()
   | _ -> Alcotest.fail "write to dead device must fail permanently");
   let dst = tier_page pm ' ' in
@@ -546,7 +705,7 @@ let test_tier_death_failover () =
   (match
      St.write_resilient t ~retries:2 ~backoff_us:10.0 ~slot
        ~assign:(fun s -> bound := s)
-       ~pages
+       ~pages ~n:2
    with
   | St.Reassigned fresh ->
       Alcotest.(check int) "owner rebound" fresh !bound;
@@ -560,16 +719,16 @@ let test_tier_death_failover () =
 (* The No_space rung: reassignment with no healthy slot anywhere. *)
 let test_tier_no_space () =
   let t, pm, stats = mk_tiers [ spec "fast" 4 0; spec "slow" 4 1 ] in
-  let pages = [ tier_page pm 'x' ] in
+  let pages = [| tier_page pm 'x' |] in
   let slot = Option.get (St.alloc_slots t ~n:1) in
-  io_ok (St.write_cluster t ~slot ~pages);
+  io_ok (St.write_cluster t ~slot ~pages ~n:1);
   (* Exhaust every remaining slot, then kill the device holding ours. *)
   while St.alloc_slots t ~n:1 <> None do () done;
   St.kill_device t ~name:"fast";
   (match
      St.write_resilient t ~retries:2 ~backoff_us:10.0 ~slot
        ~assign:(fun _ -> Alcotest.fail "no slot to assign")
-       ~pages
+       ~pages ~n:1
    with
   | St.No_space { Sim.Fault_plan.severity = Sim.Fault_plan.Permanent; _ } -> ()
   | _ -> Alcotest.fail "expected No_space");
@@ -581,8 +740,8 @@ let test_tier_drain_migration () =
   let s1 = Option.get (St.alloc_slots t ~n:1) in
   let s2 = Option.get (St.alloc_slots t ~n:1) in
   let s3 = Option.get (St.alloc_slots t ~n:1) in
-  io_ok (St.write_cluster t ~slot:s1 ~pages:[ tier_page pm 'p' ]);
-  io_ok (St.write_cluster t ~slot:s2 ~pages:[ tier_page pm 'q' ]);
+  io_ok (St.write_cluster t ~slot:s1 ~pages:[| tier_page pm 'p' |] ~n:1);
+  io_ok (St.write_cluster t ~slot:s2 ~pages:[| tier_page pm 'q' |] ~n:1);
   (* s3 was never written: the drain drops it (owner rewrites later). *)
   let owned = ref [ s1; s2; s3 ] in
   St.set_drain_hook t
@@ -623,7 +782,7 @@ let test_tier_drain_migration () =
 let test_swapoff_drains () =
   let t, pm, _ = mk_tiers [ spec "fast" 8 0; spec "slow" 16 1 ] in
   let slot = Option.get (St.alloc_slots t ~n:1) in
-  io_ok (St.write_cluster t ~slot ~pages:[ tier_page pm 'v' ]);
+  io_ok (St.write_cluster t ~slot ~pages:[| tier_page pm 'v' |] ~n:1);
   let bound = ref slot in
   St.set_drain_hook t
     (Some
@@ -711,6 +870,7 @@ let () =
           Alcotest.test_case "failed write keeps contents" `Quick
             test_failed_write_keeps_contents;
           QCheck_alcotest.to_alcotest prop_store_matches_model;
+          QCheck_alcotest.to_alcotest prop_store_matches_hashtbl;
         ] );
       ( "swaptier",
         [
