@@ -23,6 +23,9 @@ module R = Experiments.Report
 (* ------------------------------------------------------------------ *)
 (* Part 1: the paper's evaluation.                                     *)
 
+(* An ablation's document: one object per swept setting. *)
+let rows fields = Sim.Json.list (fun x -> Sim.Json.Object (fields x))
+
 let ablation_pageout_cluster () =
   R.title
     "Ablation: pageout cluster size (48MB allocation, 32MB RAM; cluster=1 is BSD-style)";
@@ -55,13 +58,9 @@ let ablation_pageout_cluster () =
       Printf.printf "%-10d %12.3f s %12d\n" cluster (dt /. 1e6) writes;
       (cluster, dt, writes))
     [ 1; 2; 4; 8; 16; 32 ]
-  |> R.arr (fun (cluster, dt, writes) buf ->
-         R.obj buf
-           [
-             ("cluster", R.jint cluster);
-             ("time_us", R.jfloat dt);
-             ("write_ios", R.jint writes);
-           ])
+  |> rows (fun (cluster, dt, writes) ->
+         [ ("cluster", Int cluster); ("time_us", Sim.Json.float dt);
+           ("write_ios", Int writes) ])
 
 (* Ablation: the fault-ahead window (Table 2's mechanism), swept from
    disabled to double the paper's default, on the cc trace. *)
@@ -105,13 +104,8 @@ let ablation_fault_ahead () =
       Printf.printf "%d/%-10d %10d\n" behind ahead faults;
       (behind, ahead, faults))
     [ (0, 0); (1, 2); (3, 4); (6, 8) ]
-  |> R.arr (fun (behind, ahead, faults) buf ->
-         R.obj buf
-           [
-             ("behind", R.jint behind);
-             ("ahead", R.jint ahead);
-             ("faults", R.jint faults);
-           ])
+  |> rows (fun (behind, ahead, faults) ->
+         [ ("behind", Int behind); ("ahead", Int ahead); ("faults", Int faults) ])
 
 (* Ablation: fault-rate sweep × pageout clustering.  At a fixed
    per-operation write-error rate, clustering is also an exposure
@@ -169,16 +163,10 @@ let ablation_fault_rate () =
             st.Sim.Stats.pageout_retries ))
         [ 1; 8; 16 ])
     [ 0.0; 0.01; 0.05 ]
-  |> R.arr (fun (rate, cluster, dt, writes, injected, retries) buf ->
-         R.obj buf
-           [
-             ("write_error_rate", R.jfloat rate);
-             ("cluster", R.jint cluster);
-             ("time_us", R.jfloat dt);
-             ("write_ios", R.jint writes);
-             ("injected", R.jint injected);
-             ("retries", R.jint retries);
-           ])
+  |> rows (fun (rate, cluster, dt, writes, injected, retries) ->
+         [ ("write_error_rate", Sim.Json.float rate); ("cluster", Int cluster);
+           ("time_us", Sim.Json.float dt); ("write_ios", Int writes);
+           ("injected", Int injected); ("retries", Int retries) ])
 
 (* Every registry entry the bench runs, at its bench knobs, then the
    ablations: each printed, and each one's JSON document keyed by its name
@@ -192,7 +180,7 @@ let reproduce_paper () =
             let quick = b = Experiments.Registry.Quick in
             let r = e.run (Experiments.Registry.params ~quick e.knobs) in
             e.print r;
-            (e.name, fun buf -> e.json buf r))
+            (e.name, e.json r))
           e.bench)
       Experiments.Registry.entries
   in
@@ -358,21 +346,11 @@ let run_bechamel () =
 let results_file = "BENCH_results.json"
 
 let write_results ~experiments ~micro =
-  let buf = Buffer.create 16384 in
-  R.obj buf
-    [
-      ("schema", R.jstr "uvm-bench/2");
-      ("experiments", fun buf -> R.obj buf experiments);
-      ( "microbench_ns_per_run",
-        fun buf ->
-          R.obj buf
-            (List.map (fun (name, est) -> (name, R.jfloat est)) micro) );
-    ];
-  Buffer.add_char buf '\n';
-  let oc = open_out results_file in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> Buffer.output_buffer oc buf)
+  let micro = List.map (fun (name, est) -> (name, Sim.Json.float est)) micro in
+  Sim.Json.to_file results_file
+    (Object
+       [ ("schema", String "uvm-bench/2"); ("experiments", Object experiments);
+         ("microbench_ns_per_run", Object micro) ])
 
 let () =
   let experiments = reproduce_paper () in

@@ -14,6 +14,7 @@
 
 open Cmdliner
 module Registry = Experiments.Registry
+module Trace_export = Sim.Trace_export
 
 (* An option value outside its range is a usage error, which exits 2 like
    every other command-line error. *)
@@ -44,14 +45,6 @@ let files_term flag_doc items =
                 match f with Some file -> (file, x) :: fs | None -> fs)
             $ file_opt flag doc $ rest))
     items (Term.const [])
-
-let write_file file fill =
-  let buf = Buffer.create 16384 in
-  fill buf;
-  let oc = open_out file in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> Buffer.output_buffer oc buf)
 
 let written what file = Printf.printf "%s written to %s\n" what file
 
@@ -110,18 +103,17 @@ let faults_term =
 (* The trace's line always counts its spans; the other exports are named
    only when [announce]. *)
 let write_artifact ~announce file a sources =
-  write_file file (fun buf -> Registry.write_artifact a buf sources);
+  Sim.Json.to_file file (Trace_export.export a sources);
   match a with
-  | Registry.Trace ->
+  | Trace_export.Trace ->
       Printf.printf "trace written to %s (%d spans)\n" file
         (List.fold_left
-           (fun n s ->
-             n + List.length (Sim.Span.spans s.Sim.Trace_export.spans))
+           (fun n s -> n + List.length (Sim.Span.spans s.Trace_export.spans))
            0 sources)
-  | a -> if announce then written (Registry.artifact_name a) file
+  | a -> if announce then written (Trace_export.artifact_name a) file
 
 type observe = {
-  files : (string * Registry.artifact) list;
+  files : (string * Trace_export.artifact) list;
   stats : bool;  (* print the counter and percentile tables *)
   trace_buf : int;
   announce : bool;  (* name each export written *)
@@ -135,19 +127,19 @@ type observe = {
 let observe_term artifacts =
   let files =
     files_term
-      (fun a -> (Registry.artifact_name a ^ "-out", Registry.artifact_doc a))
+      (fun a -> (Trace_export.artifact_name a ^ "-out", Registry.artifact_doc a))
       artifacts
   in
-  let announce = artifacts <> Registry.every_artifact in
+  let announce = artifacts <> Trace_export.every_artifact in
   let stats =
-    if List.mem Registry.Stats artifacts then
+    if List.mem Trace_export.Stats artifacts then
       Arg.(value & flag & info [ "stats" ]
              ~doc:"After the experiment, print the full non-zero counter \
                    table and latency percentiles of every system it booted.")
     else Term.const false
   in
   let trace_buf =
-    if List.mem Registry.Trace artifacts then
+    if List.mem Trace_export.Trace artifacts then
       Arg.(value & opt positive 65536 & info [ "trace-buf" ] ~docv:"N"
              ~doc:"Span ring capacity: each traced machine keeps its most \
                    recent $(docv) finished spans (latency histograms cover \
@@ -165,7 +157,7 @@ let observed o f =
     Vmiface.Machine.set_default_trace (Some o.trace_buf);
   let r = f () in
   let sources = Vmiface.Machine.traced () in
-  if o.stats then Sim.Trace_export.print_stats sources;
+  if o.stats then Trace_export.print_stats sources;
   List.iter
     (fun (file, a) -> write_artifact ~announce:o.announce file a sources)
     o.files;
@@ -237,7 +229,7 @@ let run_torture (lo, hi) cfg_of_seed lockstat_out =
       | l -> " (" ^ String.concat " " (List.map string_of_int l) ^ ")");
   Option.iter
     (fun file ->
-      write_artifact ~announce:true file Registry.Lockstat
+      write_artifact ~announce:true file Trace_export.Lockstat
         (List.concat_map (fun (_, _, _, s) -> s) results))
     lockstat_out;
   failed <> []
@@ -358,7 +350,7 @@ let torture_cmd =
           if run_torture seeds cfg_of_seed lout then Stdlib.exit 1)
       $ seed $ ops $ audit_every $ faults $ shrink $ artifact_dir $ corrupt
       $ corrupt_at $ ram_pages $ swap_pages $ tiers
-      $ file_opt "lockstat-out" (Registry.artifact_doc Registry.Lockstat))
+      $ file_opt "lockstat-out" (Registry.artifact_doc Trace_export.Lockstat))
 
 
 (* -- registry commands --------------------------------------------------- *)
@@ -391,7 +383,7 @@ let cmd_of_entry (Registry.Entry e) =
       flag = "out";
       what = e.out_what;
       doc = "Also write the result as JSON to $(docv).";
-      write = e.json;
+      write = (fun file r -> Sim.Json.to_file file (e.json r));
     }
   in
   let run () params observe outputs =
@@ -401,7 +393,7 @@ let cmd_of_entry (Registry.Entry e) =
           e.print r;
           List.iter
             (fun (file, (o : _ Registry.output)) ->
-              write_file file (fun buf -> o.write buf r);
+              o.write file r;
               written o.what file)
             outputs;
           e.ok r)
@@ -436,7 +428,7 @@ let all_cmd =
     if not ok then exit 1
   in
   Cmd.v (Cmd.info "all" ~doc:"Run every experiment in sequence")
-    Term.(const run $ faults_term $ observe_term Registry.every_artifact)
+    Term.(const run $ faults_term $ observe_term Trace_export.every_artifact)
 
 let () =
   let info =

@@ -96,15 +96,12 @@ let print rows =
         (improvement r.copy_us r.loan_us))
     rows
 
-let json buf rows =
-  Report.arr
-    (fun r buf ->
-      Report.obj buf
-        [
-          ("pages", Report.jint r.npages);
-          ("copy_us", Report.jfloat r.copy_us);
-          ("loan_us", Report.jfloat r.loan_us);
-          ("transfer_us", Report.jfloat r.transfer_us);
-          ("mexp_us", Report.jfloat r.mexp_us);
-        ])
-    rows buf
+let json rows =
+  let f = Sim.Json.float in
+  Sim.Json.list
+    (fun r ->
+      Sim.Json.Object
+        [ ("pages", Int r.npages); ("copy_us", f r.copy_us);
+          ("loan_us", f r.loan_us); ("transfer_us", f r.transfer_us);
+          ("mexp_us", f r.mexp_us) ])
+    rows

@@ -74,4 +74,4 @@ let print (r : result) =
         (Report.ratio bsd uvm))
     r
 
-let json buf (r : result) = Report.time_rows "files" r buf
+let json (r : result) = Report.time_rows "files" r

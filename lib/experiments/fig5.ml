@@ -48,4 +48,4 @@ let print (r : result) =
         (Report.ratio bsd uvm))
     r
 
-let json buf (r : result) = Report.time_rows "mb" r buf
+let json (r : result) = Report.time_rows "mb" r

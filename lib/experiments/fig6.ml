@@ -76,8 +76,8 @@ let print (r : result) =
         (Report.ratio bsd uvm))
     r.untouched
 
-let json buf (r : result) =
-  Report.obj buf
+let json (r : result) =
+  Sim.Json.Object
     [
       ("touched", Report.time_rows "mb" r.touched);
       ("untouched", Report.time_rows "mb" r.untouched);

@@ -152,13 +152,12 @@ let folded_string r =
 
 (* uvm-sim-lockstat/2 with the profile's reconciliation totals on top:
    consumers can assert folded_total_us ~ wall_us without re-summing. *)
-let json buf r =
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"schema\":\"uvm-sim-lockstat/2\",\"requests\":%d,\"wall_us\":%.3f,\"folded_total_us\":%.3f,\"systems\":"
-       r.lk_requests r.lk_wall_us r.lk_folded_us);
-  Sim.Trace_export.lockstat_systems buf r.lk_sources;
-  Buffer.add_string buf "}\n"
+let json r =
+  Sim.Json.Object
+    [ ("schema", String "uvm-sim-lockstat/2"); ("requests", Int r.lk_requests);
+      ("wall_us", Sim.Json.float r.lk_wall_us);
+      ("folded_total_us", Sim.Json.float r.lk_folded_us);
+      ("systems", Sim.Trace_export.lockstat_systems r.lk_sources) ]
 
 let print r =
   Report.title "Lock observatory: per-class holds and lock order";

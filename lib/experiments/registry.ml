@@ -10,21 +10,9 @@
 
 (* -- observability artifacts -------------------------------------------- *)
 
-(** A file the CLI can write from every machine traced during a run. *)
-type artifact = Trace | Stats | Report | Spans | Metrics | Lockstat
-
-let every_artifact = [ Trace; Stats; Report; Spans; Metrics; Lockstat ]
-
-let artifact_name = function
-  | Trace -> "trace"
-  | Stats -> "stats"
-  | Report -> "report"
-  | Spans -> "spans"
-  | Metrics -> "metrics"
-  | Lockstat -> "lockstat"
-
-(** The help text of [--NAME-out]. *)
-let artifact_doc = function
+(** The help text of [--NAME-out], which writes one
+    {!Sim.Trace_export.artifact} of every machine traced during a run. *)
+let artifact_doc : Sim.Trace_export.artifact -> string = function
   | Trace ->
       "Write a Chrome trace-event JSON file of every traced machine to \
        $(docv) (open in Perfetto or chrome://tracing): every span, one \
@@ -51,14 +39,6 @@ let artifact_doc = function
        subsystem, and the observed lock-order graph with any cycles) of \
        every traced machine to $(docv).  Implies span collection."
 
-let write_artifact = function
-  | Trace -> Sim.Trace_export.chrome_json
-  | Stats -> Sim.Trace_export.snapshot_json
-  | Report -> Sim.Trace_export.report_json
-  | Spans -> Sim.Trace_export.spans_json
-  | Metrics -> Sim.Trace_export.metrics_json
-  | Lockstat -> Sim.Trace_export.lockstat_json
-
 (* -- knobs ----------------------------------------------------------- *)
 
 type int_knob = { default : int; doc : string }
@@ -70,7 +50,7 @@ type knobs = {
   seed : int_knob option;
   cpus : int_knob option;
   faults : bool;  (** the fault-injection flags *)
-  artifacts : artifact list;
+  artifacts : Sim.Trace_export.artifact list;
 }
 
 let no_knobs =
@@ -78,7 +58,8 @@ let no_knobs =
 
 (* The paper's artifacts run on failing hardware and under every
    observability export. *)
-let paper_knobs = { no_knobs with faults = true; artifacts = every_artifact }
+let paper_knobs =
+  { no_knobs with faults = true; artifacts = Sim.Trace_export.every_artifact }
 
 (** The knob values one run gets: an honoured knob the caller leaves
     alone is at its default, an unhonoured one reads 0.  The entries
@@ -101,7 +82,7 @@ type 'r output = {
   flag : string;
   what : string;  (** named in the "written to" line *)
   doc : string;
-  write : Buffer.t -> 'r -> unit;
+  write : string -> 'r -> unit;  (** to the file named *)
 }
 
 type t =
@@ -111,7 +92,7 @@ type t =
       knobs : knobs;
       run : params -> 'r;
       print : 'r -> unit;
-      json : Buffer.t -> 'r -> unit;  (** the [--out] and bench document *)
+      json : 'r -> Sim.Json.t;  (** the [--out] and bench document *)
       out_what : string;  (** names the [--out] file when it is written *)
       ok : 'r -> bool;  (** false exits 1 *)
       outputs : 'r output list;
@@ -217,7 +198,9 @@ let entries =
                lock:$(i,CLASS) frames) to $(docv) — feed it to \
                flamegraph.pl or speedscope.";
             write =
-              (fun buf r -> Buffer.add_string buf (Lockstat.folded_string r));
+              (fun file r ->
+                Out_channel.with_open_text file (fun oc ->
+                    output_string oc (Lockstat.folded_string r)));
           };
         ]
       ();
@@ -267,7 +250,7 @@ let entries =
          one mixed paging workload"
       ~knobs:{ no_knobs with quick = true; faults = true }
       ~out_what:"report" ~run:(fun p -> Effreport.run ~quick:p.quick ())
-      ~print:Effreport.print ~json:Sim.Trace_export.report_json ();
+      ~print:Effreport.print ~json:Sim.Trace_export.(export Report) ();
     entry ~name:"vmstat"
       ~doc:
         "Run an over-committed anonymous working set on both VM systems and \
@@ -292,5 +275,5 @@ let entries =
           artifacts = [ Metrics; Spans ];
         }
       ~run:(fun p -> Vmstat.run ~quick:p.quick ~cpus:p.cpus ())
-      ~print:Vmstat.print ~json:Sim.Trace_export.metrics_json ~bench:None ();
+      ~print:Vmstat.print ~json:Sim.Trace_export.(export Metrics) ~bench:None ();
   ]

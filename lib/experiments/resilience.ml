@@ -260,32 +260,32 @@ let print (rows : result) =
         r.rs_tiers)
     rows
 
-let json buf (rows : result) =
-  let js = Sim.Trace_export.json_string in
-  Buffer.add_string buf "{\"schema\":\"uvm-sim-resilience/1\",\"rows\":[";
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf "{\"system\":";
-      js buf r.rs_system;
-      Buffer.add_string buf
-        (Printf.sprintf
-           ",\"survived\":%b,\"lost_pages\":%d,\"migrations\":%d,\"failovers\":%d,\"devices_dead\":%d,\"cache_fills\":%d,\"cache_hits_before\":%d,\"cache_hits\":%d,\"cache_evictions\":%d,\"hit_rate_before\":%.4f,\"us_per_page_before\":%.3f,\"us_per_page_after\":%.3f,\"time_us\":%.3f,\"tiers\":["
-           r.rs_survived r.rs_lost_pages r.rs_migrations r.rs_failovers
-           r.rs_devices_dead r.rs_cache_fills r.rs_cache_hits_before
-           r.rs_cache_hits r.rs_cache_evictions r.rs_hit_rate_before
-           r.rs_us_per_page_before r.rs_us_per_page_after r.rs_time_us);
-      List.iteri
-        (fun j t ->
-          if j > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf "{\"name\":";
-          js buf t.tr_name;
-          Buffer.add_string buf
-            (Printf.sprintf
-               ",\"priority\":%d,\"capacity\":%d,\"in_use\":%d,\"alive\":%b,\"draining\":%b,\"pageouts\":%d,\"pageins\":%d,\"migrated_out\":%d,\"cache_slots\":%d}"
-               t.tr_priority t.tr_capacity t.tr_in_use t.tr_alive t.tr_draining
-               t.tr_pageouts t.tr_pageins t.tr_migrated_out t.tr_cache_slots))
-        r.rs_tiers;
-      Buffer.add_string buf "]}")
-    rows;
-  Buffer.add_string buf "]}"
+let json (rows : result) =
+  let f = Sim.Json.float in
+  let tier t =
+    Sim.Json.Object
+      [ ("name", String t.tr_name); ("priority", Int t.tr_priority);
+        ("capacity", Int t.tr_capacity); ("in_use", Int t.tr_in_use);
+        ("alive", Bool t.tr_alive); ("draining", Bool t.tr_draining);
+        ("pageouts", Int t.tr_pageouts); ("pageins", Int t.tr_pageins);
+        ("migrated_out", Int t.tr_migrated_out);
+        ("cache_slots", Int t.tr_cache_slots) ]
+  in
+  let row r =
+    Sim.Json.Object
+      [ ("system", String r.rs_system); ("survived", Bool r.rs_survived);
+        ("lost_pages", Int r.rs_lost_pages); ("migrations", Int r.rs_migrations);
+        ("failovers", Int r.rs_failovers);
+        ("devices_dead", Int r.rs_devices_dead);
+        ("cache_fills", Int r.rs_cache_fills);
+        ("cache_hits_before", Int r.rs_cache_hits_before);
+        ("cache_hits", Int r.rs_cache_hits);
+        ("cache_evictions", Int r.rs_cache_evictions);
+        ("hit_rate_before", Sim.Json.float ~decimals:4 r.rs_hit_rate_before);
+        ("us_per_page_before", f r.rs_us_per_page_before);
+        ("us_per_page_after", f r.rs_us_per_page_after);
+        ("time_us", f r.rs_time_us); ("tiers", Sim.Json.list tier r.rs_tiers) ]
+  in
+  Sim.Json.Object
+    [ ("schema", String "uvm-sim-resilience/1");
+      ("rows", Sim.Json.list row rows) ]

@@ -256,28 +256,19 @@ let print rows =
       Printf.printf "%17s p99 = %s\n" "" (breakdown_string r))
     rows
 
-let json buf rows =
-  let js = Sim.Trace_export.json_string in
-  Buffer.add_string buf "{\"schema\":\"uvm-sim-serve/1\",\"rows\":[";
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf "{\"system\":";
-      js buf r.sv_system;
-      Buffer.add_string buf ",\"policy\":";
-      js buf r.sv_policy;
-      Buffer.add_string buf
-        (Printf.sprintf
-           ",\"payload\":%d,\"requests\":%d,\"total_us\":%.3f,\"mb_s\":%.3f,\"p50_us\":%.3f,\"p95_us\":%.3f,\"p99_us\":%.3f,\"p99_breakdown\":["
-           r.sv_payload r.sv_requests r.sv_total_us r.sv_mb_s r.sv_p50_us
-           r.sv_p95_us r.sv_p99_us);
-      List.iteri
-        (fun j (subsys, self) ->
-          if j > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf "{\"subsys\":";
-          js buf subsys;
-          Buffer.add_string buf (Printf.sprintf ",\"self_us\":%.3f}" self))
-        r.sv_p99_breakdown;
-      Buffer.add_string buf "]}")
-    rows;
-  Buffer.add_string buf "]}"
+let json rows =
+  let f = Sim.Json.float in
+  let part (subsys, self) =
+    Sim.Json.Object [ ("subsys", String subsys); ("self_us", f self) ]
+  in
+  let row r =
+    Sim.Json.Object
+      [ ("system", String r.sv_system); ("policy", String r.sv_policy);
+        ("payload", Int r.sv_payload); ("requests", Int r.sv_requests);
+        ("total_us", f r.sv_total_us); ("mb_s", f r.sv_mb_s);
+        ("p50_us", f r.sv_p50_us); ("p95_us", f r.sv_p95_us);
+        ("p99_us", f r.sv_p99_us);
+        ("p99_breakdown", Sim.Json.list part r.sv_p99_breakdown) ]
+  in
+  Sim.Json.Object
+    [ ("schema", String "uvm-sim-serve/1"); ("rows", Sim.Json.list row rows) ]

@@ -279,46 +279,49 @@ let run ?(quick = false) ~cpus ~seed () =
 
 (* -- exports ------------------------------------------------------------ *)
 
-let jstr s = Printf.sprintf "%S" s
-
-let jlist f xs = "[" ^ String.concat "," (List.map f xs) ^ "]"
+let json_waits =
+  Sim.Json.list (fun (c, w) ->
+      Sim.Json.Object [ ("class", String c); ("wait_us", Sim.Json.float w) ])
 
 let json_run (r : kernel_run) =
-  Printf.sprintf
-    "{\"cpus\":%d,\"wall_us\":%.3f,\"quanta\":%d,\"lock_wait_us\":%.3f,\"line_bounces\":%d,\"faults\":%d,\"lookup_fast_hits\":%d,\"lookup_locked\":%d,\"fast_hit_rate\":%.4f,\"audits\":%d,\"audit_failures\":%s,\"wait_by_class\":%s,\"cpus_detail\":%s}"
-    r.kr_cpus r.kr_wall_us r.kr_quanta r.kr_total_wait_us r.kr_total_bounces
-    r.kr_faults r.kr_fast_hits r.kr_locked_lookups (fast_rate r) r.kr_audits
-    (jlist jstr r.kr_audit_failures)
-    (jlist
-       (fun (c, w) -> Printf.sprintf "{\"class\":%s,\"wait_us\":%.3f}" (jstr c) w)
-       r.kr_wait_by_class)
-    (jlist
-       (fun row ->
-         Printf.sprintf
-           "{\"cpu\":%d,\"now_us\":%.3f,\"quanta\":%d,\"wait_us\":%.3f,\"bounces\":%d,\"faults\":%d,\"cache_hits\":%d,\"cache_misses\":%d,\"refills\":%d,\"steals\":%d,\"wait_by_class\":%s}"
-           row.sc_cpu row.sc_now_us row.sc_quanta row.sc_wait_us row.sc_bounces
-           row.sc_faults row.sc_cache_hits row.sc_cache_misses row.sc_refills
-           row.sc_steals
-           (jlist
-              (fun (c, w) ->
-                Printf.sprintf "{\"class\":%s,\"wait_us\":%.3f}" (jstr c) w)
-              row.sc_wait_by_class))
-       r.kr_cpu_rows)
+  let f = Sim.Json.float in
+  let cpu row =
+    Sim.Json.Object
+      [ ("cpu", Int row.sc_cpu); ("now_us", f row.sc_now_us);
+        ("quanta", Int row.sc_quanta); ("wait_us", f row.sc_wait_us);
+        ("bounces", Int row.sc_bounces); ("faults", Int row.sc_faults);
+        ("cache_hits", Int row.sc_cache_hits);
+        ("cache_misses", Int row.sc_cache_misses);
+        ("refills", Int row.sc_refills); ("steals", Int row.sc_steals);
+        ("wait_by_class", json_waits row.sc_wait_by_class) ]
+  in
+  Sim.Json.Object
+    [ ("cpus", Int r.kr_cpus); ("wall_us", f r.kr_wall_us);
+      ("quanta", Int r.kr_quanta); ("lock_wait_us", f r.kr_total_wait_us);
+      ("line_bounces", Int r.kr_total_bounces); ("faults", Int r.kr_faults);
+      ("lookup_fast_hits", Int r.kr_fast_hits);
+      ("lookup_locked", Int r.kr_locked_lookups);
+      ("fast_hit_rate", Sim.Json.float ~decimals:4 (fast_rate r));
+      ("audits", Int r.kr_audits);
+      ( "audit_failures",
+        Sim.Json.list (fun s -> Sim.Json.String s) r.kr_audit_failures );
+      ("wait_by_class", json_waits r.kr_wait_by_class);
+      ("cpus_detail", Sim.Json.list cpu r.kr_cpu_rows) ]
 
-let json buf r =
-  Buffer.add_string buf
-    (Printf.sprintf "{\"schema\":\"uvm-sim-smp/1\",\"cpus\":%d,\"seed\":%d,\"systems\":"
-       r.sm_cpus r.sm_seed);
-  Buffer.add_string buf
-    (jlist
-       (fun s ->
-         let top_cls, top_us = top_wait s.ss_par in
-         Printf.sprintf
-           "{\"system\":%s,\"speedup\":%.4f,\"top_wait_class\":%s,\"top_wait_us\":%.3f,\"fast_hit_rate\":%.4f,\"baseline\":%s,\"parallel\":%s}"
-           (jstr s.ss_system) (speedup s) (jstr top_cls) top_us
-           (fast_rate s.ss_par) (json_run s.ss_base) (json_run s.ss_par))
-       r.sm_systems);
-  Buffer.add_string buf "}\n"
+let json r =
+  let system s =
+    let top_cls, top_us = top_wait s.ss_par in
+    Sim.Json.Object
+      [ ("system", String s.ss_system);
+        ("speedup", Sim.Json.float ~decimals:4 (speedup s));
+        ("top_wait_class", String top_cls);
+        ("top_wait_us", Sim.Json.float top_us);
+        ("fast_hit_rate", Sim.Json.float ~decimals:4 (fast_rate s.ss_par));
+        ("baseline", json_run s.ss_base); ("parallel", json_run s.ss_par) ]
+  in
+  Sim.Json.Object
+    [ ("schema", String "uvm-sim-smp/1"); ("cpus", Int r.sm_cpus);
+      ("seed", Int r.sm_seed); ("systems", Sim.Json.list system r.sm_systems) ]
 
 let print r =
   Report.title "Simulated SMP: measured contention at %d CPUs" r.sm_cpus;

@@ -544,53 +544,50 @@ let print (r : result) =
         s.so_phases)
     r.rows
 
-let json buf (r : result) =
-  let js = Sim.Trace_export.json_string in
-  Buffer.add_string buf
-    (Printf.sprintf "{\"schema\":\"uvm-sim-soak/1\",\"seed\":%d,\"len_us\":%.1f,\"systems\":["
-       r.seed r.len_us);
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf "{\"label\":";
-      js buf s.so_system;
-      Buffer.add_string buf
-        (Printf.sprintf
-           ",\"passed\":%b,\"epochs\":%d,\"time_us\":%.3f,\"slo\":{\"audit_failures\":%d,\"lost_pages\":%d,\"p99_fault_us\":%.3f,\"p99_bound_us\":%.1f,\"oom_kills\":%d,\"unattributed_ooms\":%d},\"counters\":{\"oom_kills\":%d,\"rlimit_denials\":%d,\"proc_swapouts\":%d,\"proc_swapins\":%d,\"reserve_grabs\":%d,\"send_timeouts\":%d,\"send_peer_dead\":%d},\"kills\":["
-           s.so_passed s.so_epochs s.so_time_us s.so_audit_failures
-           s.so_lost_pages s.so_p99_fault_us s.so_p99_bound_us s.so_oom_kills
-           s.so_unattributed_ooms s.so_oom_kills s.so_rlimit_denials
-           s.so_proc_swapouts s.so_proc_swapins s.so_reserve_grabs
-           s.so_send_timeouts s.so_send_peer_dead);
-      List.iteri
-        (fun j k ->
-          if j > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf
-            (Printf.sprintf "{\"pid\":%d,\"badness\":%d,\"phase\":" k.kr_pid
-               k.kr_badness);
-          js buf k.kr_phase;
-          Buffer.add_char buf '}')
-        s.so_kills;
-      Buffer.add_string buf "],\"phases\":[";
-      List.iteri
-        (fun j p ->
-          if j > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf "{\"name\":";
-          js buf p.pr_name;
-          Buffer.add_string buf
-            (Printf.sprintf
-               ",\"start_us\":%.1f,\"len_us\":%.1f,\"modes\":[%s],\"epochs\":%d,\"oom_kills\":%d,\"rlimit_denials\":%d,\"faults\":%d,\"pageouts\":%d,\"proc_swapouts\":%d,\"audit_failures\":%d}"
-               p.pr_start_us p.pr_len_us
-               (String.concat ","
-                  (List.map
-                     (fun m ->
-                       let b = Buffer.create 16 in
-                       js b (Chaos.mode_name m);
-                       Buffer.contents b)
-                     p.pr_modes))
-               p.pr_epochs p.pr_oom_kills p.pr_rlimit_denials p.pr_faults
-               p.pr_pageouts p.pr_swapouts p.pr_audit_failures))
-        s.so_phases;
-      Buffer.add_string buf "]}")
-    r.rows;
-  Buffer.add_string buf "]}"
+let json (r : result) =
+  let f1 = Sim.Json.float ~decimals:1 in
+  let kill k =
+    Sim.Json.Object
+      [ ("pid", Int k.kr_pid); ("badness", Int k.kr_badness);
+        ("phase", String k.kr_phase) ]
+  in
+  let phase p =
+    Sim.Json.Object
+      [ ("name", String p.pr_name); ("start_us", f1 p.pr_start_us);
+        ("len_us", f1 p.pr_len_us);
+        ( "modes",
+          Sim.Json.list
+            (fun m -> Sim.Json.String (Chaos.mode_name m))
+            p.pr_modes );
+        ("epochs", Int p.pr_epochs); ("oom_kills", Int p.pr_oom_kills);
+        ("rlimit_denials", Int p.pr_rlimit_denials); ("faults", Int p.pr_faults);
+        ("pageouts", Int p.pr_pageouts); ("proc_swapouts", Int p.pr_swapouts);
+        ("audit_failures", Int p.pr_audit_failures) ]
+  in
+  let system s =
+    Sim.Json.Object
+      [ ("label", String s.so_system); ("passed", Bool s.so_passed);
+        ("epochs", Int s.so_epochs); ("time_us", Sim.Json.float s.so_time_us);
+        ( "slo",
+          Object
+            [ ("audit_failures", Int s.so_audit_failures);
+              ("lost_pages", Int s.so_lost_pages);
+              ("p99_fault_us", Sim.Json.float s.so_p99_fault_us);
+              ("p99_bound_us", f1 s.so_p99_bound_us);
+              ("oom_kills", Int s.so_oom_kills);
+              ("unattributed_ooms", Int s.so_unattributed_ooms) ] );
+        ( "counters",
+          Object
+            [ ("oom_kills", Int s.so_oom_kills);
+              ("rlimit_denials", Int s.so_rlimit_denials);
+              ("proc_swapouts", Int s.so_proc_swapouts);
+              ("proc_swapins", Int s.so_proc_swapins);
+              ("reserve_grabs", Int s.so_reserve_grabs);
+              ("send_timeouts", Int s.so_send_timeouts);
+              ("send_peer_dead", Int s.so_send_peer_dead) ] );
+        ("kills", Sim.Json.list kill s.so_kills);
+        ("phases", Sim.Json.list phase s.so_phases) ]
+  in
+  Sim.Json.Object
+    [ ("schema", String "uvm-sim-soak/1"); ("seed", Int r.seed);
+      ("len_us", f1 r.len_us); ("systems", Sim.Json.list system r.rows) ]

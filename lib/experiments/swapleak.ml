@@ -75,13 +75,10 @@ let print steps =
         (string_of_int s.uvm_leak) "")
     steps
 
-let json buf steps =
-  Report.arr
-    (fun s buf ->
-      Report.obj buf
-        [
-          ("step", Report.jstr s.step_name);
-          ("bsd_leak", Report.jint s.bsd_leak);
-          ("uvm_leak", Report.jint s.uvm_leak);
-        ])
-    steps buf
+let json steps =
+  Sim.Json.list
+    (fun s ->
+      Sim.Json.Object
+        [ ("step", String s.step_name); ("bsd_leak", Int s.bsd_leak);
+          ("uvm_leak", Int s.uvm_leak) ])
+    steps

@@ -104,4 +104,4 @@ let print (r : result) =
         (Report.ratio (float_of_int bsd) (float_of_int uvm)))
     r
 
-let json buf (r : result) = Report.count_rows r buf
+let json (r : result) = Report.count_rows r

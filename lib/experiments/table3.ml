@@ -103,13 +103,10 @@ let print (r : result) =
         (Report.ratio bsd uvm))
     r
 
-let json buf (r : result) =
-  Report.arr
-    (fun (label, bsd, uvm) buf ->
-      Report.obj buf
-        [
-          ("label", Report.jstr label);
-          ("bsd_us", Report.jfloat bsd);
-          ("uvm_us", Report.jfloat uvm);
-        ])
-    r buf
+let json (r : result) =
+  Sim.Json.list
+    (fun (label, bsd, uvm) ->
+      Sim.Json.Object
+        [ ("label", String label); ("bsd_us", Sim.Json.float bsd);
+          ("uvm_us", Sim.Json.float uvm) ])
+    r

@@ -1688,111 +1688,70 @@ let rec mkdirs dir =
     try Sys.mkdir dir 0o755 with Sys_error _ -> ()
   end
 
-let with_file name f =
-  let oc = open_out name in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> f oc)
+let op_json (i, op) =
+  Sim.Json.Object
+    (("i", Sim.Json.Int i) :: ("op", String (op_name op))
+    :: List.map (fun (k, v) -> (k, Sim.Json.Int v)) (op_fields op))
 
-let op_json buf (i, op) =
-  Buffer.add_string buf (Printf.sprintf "{\"i\":%d,\"op\":" i);
-  Sim.Trace_export.json_string buf (op_name op);
-  List.iter
-    (fun (k, v) -> Buffer.add_string buf (Printf.sprintf ",\"%s\":%d" k v))
-    (op_fields op);
-  Buffer.add_char buf '}'
-
-let ops_json buf ops =
-  Buffer.add_char buf '[';
-  List.iteri
-    (fun k iop ->
-      if k > 0 then Buffer.add_char buf ',';
-      op_json buf iop)
-    ops;
-  Buffer.add_char buf ']'
-
-let bug_json buf = function
+let bug_json = function
   | Audit_bug { op_index; f } ->
-      Buffer.add_string buf
-        (Printf.sprintf "{\"kind\":\"audit\",\"op_index\":%d,\"system\":"
-           op_index);
-      Sim.Trace_export.json_string buf f.Check.system;
-      Buffer.add_string buf ",\"subsystem\":";
-      Sim.Trace_export.json_string buf (Check.subsystem_name f.Check.subsys);
-      Buffer.add_string buf ",\"invariant\":";
-      Sim.Trace_export.json_string buf f.Check.invariant;
-      Buffer.add_string buf ",\"detail\":";
-      Sim.Trace_export.json_string buf f.Check.detail;
-      Buffer.add_char buf '}'
+      Sim.Json.Object
+        [ ("kind", String "audit"); ("op_index", Int op_index);
+          ("system", String f.Check.system);
+          ("subsystem", String (Check.subsystem_name f.Check.subsys));
+          ("invariant", String f.Check.invariant);
+          ("detail", String f.Check.detail) ]
   | Mismatch { op_index; op; uvm; bsd } ->
-      Buffer.add_string buf
-        (Printf.sprintf "{\"kind\":\"mismatch\",\"op_index\":%d,\"op\":"
-           op_index);
-      op_json buf (op_index, op);
-      Buffer.add_string buf ",\"uvm\":";
-      Sim.Trace_export.json_string buf (outcome_to_string uvm);
-      Buffer.add_string buf ",\"bsd\":";
-      Sim.Trace_export.json_string buf (outcome_to_string bsd);
-      Buffer.add_char buf '}'
+      Sim.Json.Object
+        [ ("kind", String "mismatch"); ("op_index", Int op_index);
+          ("op", op_json (op_index, op));
+          ("uvm", String (outcome_to_string uvm));
+          ("bsd", String (outcome_to_string bsd)) ]
   | Crash { op_index; op; system; exn } ->
-      Buffer.add_string buf
-        (Printf.sprintf "{\"kind\":\"crash\",\"op_index\":%d,\"op\":" op_index);
-      op_json buf (op_index, op);
-      Buffer.add_string buf ",\"system\":";
-      Sim.Trace_export.json_string buf system;
-      Buffer.add_string buf ",\"exn\":";
-      Sim.Trace_export.json_string buf exn;
-      Buffer.add_char buf '}'
+      Sim.Json.Object
+        [ ("kind", String "crash"); ("op_index", Int op_index);
+          ("op", op_json (op_index, op)); ("system", String system);
+          ("exn", String exn) ]
 
 let crash_json ~cfg ~bug ~trace ~minimal =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"schema\":\"uvm-sim-torture/1\",\"seed\":%d,\"nops\":%d,\"audit_every\":%d,\"faults\":%b"
-       cfg.seed cfg.nops cfg.audit_every cfg.faults);
-  (match cfg.corrupt with
-  | Some (at, c) ->
-      Buffer.add_string buf
-        (Printf.sprintf ",\"corrupt\":{\"kind\":\"%s\",\"at\":%d}"
-           (corruption_name c) at)
-  | None -> ());
-  Buffer.add_string buf ",\"failure\":";
-  bug_json buf bug;
-  Buffer.add_string buf ",\"trace\":";
-  ops_json buf trace;
-  (match minimal with
-  | Some ops ->
-      Buffer.add_string buf ",\"minimal\":";
-      ops_json buf ops
-  | None -> ());
-  Buffer.add_string buf "}\n";
-  buf
+  let corrupt (at, c) =
+    ( "corrupt",
+      Sim.Json.Object [ ("kind", String (corruption_name c)); ("at", Int at) ] )
+  in
+  Sim.Json.Object
+    ([ ("schema", Sim.Json.String "uvm-sim-torture/1"); ("seed", Int cfg.seed);
+       ("nops", Int cfg.nops); ("audit_every", Int cfg.audit_every);
+       ("faults", Bool cfg.faults) ]
+    @ Option.to_list (Option.map corrupt cfg.corrupt)
+    @ [ ("failure", bug_json bug); ("trace", Sim.Json.list op_json trace) ]
+    @ Option.to_list
+        (Option.map (fun m -> ("minimal", Sim.Json.list op_json m)) minimal))
+
+(* The observability files, each written by the exporter behind the CLI's
+   --NAME-out flag: the span ring, the stats, the causal view of the crash
+   (finished span trees plus the span stack that was open when the op
+   died), the last stretch of periodic samples leading up to it, and the
+   lock observatory at the moment of death (what was held, in what order
+   classes were seen nested, and whether the order graph cycled). *)
+let artifact_files =
+  Sim.Trace_export.
+    [
+      (Trace, "trace.chrome.json");
+      (Stats, "stats.json");
+      (Spans, "spans.json");
+      (Metrics, "metrics.json");
+      (Lockstat, "lockstat.json");
+    ]
 
 let write_artifacts ~dir ~cfg ~bug ~trace ~minimal ~sources =
   mkdirs dir;
   let path name = Filename.concat dir name in
-  with_file (path "crash.json") (fun oc ->
-      Buffer.output_buffer oc (crash_json ~cfg ~bug ~trace ~minimal));
-  let chrome = Buffer.create 65536 in
-  Sim.Trace_export.chrome_json chrome sources;
-  with_file (path "trace.chrome.json") (fun oc ->
-      Buffer.output_buffer oc chrome);
-  let stats = Buffer.create 4096 in
-  Sim.Trace_export.snapshot_json stats sources;
-  with_file (path "stats.json") (fun oc -> Buffer.output_buffer oc stats);
-  (* The causal view of the crash: finished span trees plus the span
-     stack that was open when the op died, and the last stretch of
-     periodic samples leading up to it. *)
-  let spans = Buffer.create 16384 in
-  Sim.Trace_export.spans_json spans sources;
-  with_file (path "spans.json") (fun oc -> Buffer.output_buffer oc spans);
-  let metrics = Buffer.create 16384 in
-  Sim.Trace_export.metrics_json metrics sources;
-  with_file (path "metrics.json") (fun oc -> Buffer.output_buffer oc metrics);
-  (* The lock observatory at the moment of death: what was held, in what
-     order classes were seen nested, and whether the order graph cycled. *)
-  let locks = Buffer.create 16384 in
-  Sim.Trace_export.lockstat_json locks sources;
-  with_file (path "lockstat.json") (fun oc -> Buffer.output_buffer oc locks);
-  with_file (path "events.txt") (fun oc ->
+  Sim.Json.to_file (path "crash.json") (crash_json ~cfg ~bug ~trace ~minimal);
+  List.iter
+    (fun (a, name) ->
+      Sim.Json.to_file (path name) (Sim.Trace_export.export a sources))
+    artifact_files;
+  Out_channel.with_open_text (path "events.txt") (fun oc ->
       let fmt = Format.formatter_of_out_channel oc in
       Sim.Trace_export.pp_dump fmt sources;
       Format.pp_print_flush fmt ())

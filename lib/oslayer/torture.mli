@@ -64,6 +64,10 @@ type op =
 
 val op_to_string : op -> string
 
+val op_fields : op -> (string * int) list
+(** The operands of an op by name, in the order [op_to_string] and the
+    crash file's op objects list them (a flag reads 0 or 1). *)
+
 (** Observable result of one operation, compared across the two systems.
     [Oom] is a {e conditional} wildcard: page-reclamation timing may
     legitimately differ between the kernels, so an out-of-memory outcome
@@ -78,8 +82,6 @@ type outcome =
   | Fault of string
   | Oom
 
-val outcome_to_string : outcome -> string
-
 (** Deliberate state corruptions, applied mid-run to the UVM instance so
     tests can prove the auditor catches each class of bug and attributes
     it to the right subsystem. *)
@@ -90,18 +92,12 @@ type corruption =
   | Leak_loan
   | Leak_swapcache
 
-val corruption_name : corruption -> string
 val corruption_of_string : string -> corruption option
 
 type bug =
   | Audit_bug of { op_index : int; f : Check.failure }
   | Mismatch of { op_index : int; op : op; uvm : outcome; bsd : outcome }
   | Crash of { op_index : int; op : op; system : string; exn : string }
-
-val bug_key : bug -> string
-(** Stable identity of a bug — (system, subsystem, invariant) for audit
-    failures — used by the shrinker to decide whether a candidate subset
-    reproduces {e the same} failure. *)
 
 val string_of_bug : bug -> string
 

@@ -6,16 +6,11 @@
     sources so one run of an experiment — which boots both VM systems,
     possibly several times — lands in a single artifact:
 
-    - {!chrome_json}: Chrome trace-event JSON, loadable in Perfetto or
-      [chrome://tracing].  Each source becomes a process, each span
-      subsystem a thread; every span is a complete ("X") event.
-    - {!snapshot_json}: counters + histogram summaries, machine-readable.
+    - {!export}: every machine-readable artifact, one {!Json.t} per
+      {!artifact} kind, printed by {!Json}.
     - {!pp_dump}: flat human-readable span listing.
     - {!print_stats}: the per-label counter/percentile tables behind the
-      CLI's [--stats] flag.
-
-    JSON is emitted by hand: the toolchain deliberately has no JSON
-    dependency, and the two fixed schemas here do not justify one. *)
+      CLI's [--stats] flag. *)
 
 type source = {
   mutable label : string;
@@ -29,128 +24,95 @@ type source = {
          installed by Machine.boot, called before any counter export *)
 }
 
-(* -- JSON primitives --------------------------------------------------- *)
+(* The distinct keys of [xs] in first-seen order. *)
+let first_seen key xs =
+  List.rev
+    (List.fold_left
+       (fun acc x ->
+         let k = key x in
+         if List.mem k acc then acc else k :: acc)
+       [] xs)
 
-let json_string buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
+(* Several boots of the same system (a sweep experiment) share a label;
+   the aggregating exporters fold each label's sources into one logical
+   system. *)
+let by_label sources =
+  List.map
+    (fun label -> (label, List.filter (fun s -> s.label = label) sources))
+    (first_seen (fun s -> s.label) sources)
 
-let json_float buf v =
-  if Float.is_finite v then
-    (* %.17g round-trips but is noisy; microsecond values need no more
-       than nanosecond precision. *)
-    Buffer.add_string buf (Printf.sprintf "%.3f" v)
-  else Buffer.add_string buf "0"
+(* Label-value details (span details, warning details) as JSON fields. *)
+let strings kvs = List.map (fun (k, v) -> (k, Json.String v)) kvs
 
-let json_sep buf first = if !first then first := false else Buffer.add_char buf ','
+(* An artifact: its schema tag over one object per system. *)
+let document schema f systems =
+  Json.Object [ ("schema", String schema); ("systems", Json.list f systems) ]
 
 (* -- Chrome trace-event format ----------------------------------------- *)
 
-let chrome_metadata buf ~pid ~tid ~name ~value =
-  Buffer.add_string buf
-    (Printf.sprintf "{\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"name\":" pid tid);
-  json_string buf name;
-  Buffer.add_string buf ",\"args\":{\"name\":";
-  json_string buf value;
-  Buffer.add_string buf "}}"
+let chrome_metadata ~pid ~tid ~name ~value =
+  Json.Object
+    [ ("ph", String "M"); ("pid", Int pid); ("tid", Int tid);
+      ("name", String name); ("args", Object (strings [ ("name", value) ])) ]
 
 (* Spans land on tracks, one per span subsystem, numbered from 1 in
    first-seen order.  Flow arrows ("s"/"f" pairs keyed by the child's
    span id) link each child back to its parent so Perfetto draws the
    causal tree across tracks. *)
-let chrome_flow buf ~pid ~tid ~id ~ts ~ph =
-  Buffer.add_string buf
-    (Printf.sprintf "{\"name\":\"cause\",\"cat\":\"span\",\"ph\":\"%s\"%s" ph
-       (if ph = "f" then ",\"bp\":\"e\"" else ""));
-  Buffer.add_string buf (Printf.sprintf ",\"id\":%d,\"pid\":%d,\"tid\":%d,\"ts\":" id pid tid);
-  json_float buf ts;
-  Buffer.add_string buf ",\"args\":{}}"
+let chrome_flow ~pid ~tid ~id ~ts ~ph =
+  Json.Object
+    ([ ("name", Json.String "cause"); ("cat", String "span"); ("ph", String ph) ]
+    @ (if ph = "f" then [ ("bp", Json.String "e") ] else [])
+    @ [ ("id", Int id); ("pid", Int pid); ("tid", Int tid);
+        ("ts", Json.float ts); ("args", Object []) ])
 
-let chrome_spans buf ~pid ~first spans =
-  let tracks =
-    List.fold_left
-      (fun acc (sp : Span.span) ->
-        if List.mem sp.ssubsys acc then acc else acc @ [ sp.ssubsys ])
-      [] spans
+let chrome_spans ~pid spans =
+  let tids =
+    List.mapi (fun i s -> (s, i + 1))
+      (first_seen (fun (sp : Span.span) -> sp.ssubsys) spans)
   in
-  let track_tid s =
-    let rec idx i = function
-      | [] -> 1
-      | x :: _ when x = s -> i
-      | _ :: tl -> idx (i + 1) tl
-    in
-    idx 1 tracks
-  in
-  List.iter
-    (fun s ->
-      json_sep buf first;
-      chrome_metadata buf ~pid ~tid:(track_tid s) ~name:"thread_name"
-        ~value:("span:" ^ s))
-    tracks;
+  let track_tid s = List.assoc s tids in
   let by_id = Hashtbl.create 64 in
   List.iter (fun (sp : Span.span) -> Hashtbl.replace by_id sp.sid sp) spans;
-  List.iter
-    (fun (sp : Span.span) ->
-      json_sep buf first;
-      Buffer.add_string buf "{\"name\":";
-      json_string buf sp.sname;
-      Buffer.add_string buf ",\"cat\":\"span\"";
-      Buffer.add_string buf
-        (Printf.sprintf ",\"pid\":%d,\"tid\":%d,\"ts\":" pid
-           (track_tid sp.ssubsys));
-      json_float buf sp.sts;
-      Buffer.add_string buf ",\"ph\":\"X\",\"dur\":";
-      json_float buf (Float.max sp.sdur 0.0);
-      Buffer.add_string buf
-        (Printf.sprintf ",\"args\":{\"trace\":%d,\"span\":%d,\"parent\":%d"
-           sp.strace sp.sid sp.sparent);
-      List.iter
-        (fun (k, v) ->
-          Buffer.add_char buf ',';
-          json_string buf k;
-          Buffer.add_char buf ':';
-          json_string buf v)
-        sp.sdetail;
-      Buffer.add_string buf "}}";
-      match Hashtbl.find_opt by_id sp.sparent with
-      | None -> ()  (* root, or the parent was overwritten in the ring *)
-      | Some parent ->
-          json_sep buf first;
-          chrome_flow buf ~pid ~tid:(track_tid parent.ssubsys) ~id:sp.sid
-            ~ts:sp.sts ~ph:"s";
-          json_sep buf first;
-          chrome_flow buf ~pid ~tid:(track_tid sp.ssubsys) ~id:sp.sid
-            ~ts:sp.sts ~ph:"f")
-    spans
+  List.map
+    (fun (s, tid) ->
+      chrome_metadata ~pid ~tid ~name:"thread_name" ~value:("span:" ^ s))
+    tids
+  @ List.concat_map
+      (fun (sp : Span.span) ->
+        let tid = track_tid sp.ssubsys in
+        let args =
+          [ ("trace", Json.Int sp.strace); ("span", Int sp.sid);
+            ("parent", Int sp.sparent) ]
+          @ strings sp.sdetail
+        in
+        let event =
+          Json.Object
+            [ ("name", String sp.sname); ("cat", String "span");
+              ("pid", Int pid); ("tid", Int tid); ("ts", Json.float sp.sts);
+              ("ph", String "X"); ("dur", Json.float (Float.max sp.sdur 0.0));
+              ("args", Object args) ]
+        in
+        match Hashtbl.find_opt by_id sp.sparent with
+        | None -> [ event ]  (* root, or the parent was overwritten in the ring *)
+        | Some parent ->
+            let flow ~tid ~ph = chrome_flow ~pid ~tid ~id:sp.sid ~ts:sp.sts ~ph in
+            [ event; flow ~tid:(track_tid parent.ssubsys) ~ph:"s";
+              flow ~tid ~ph:"f" ])
+      spans
 
-let chrome_json buf sources =
-  Buffer.add_string buf "{\"traceEvents\":[";
-  let first = ref true in
-  List.iteri
-    (fun i src ->
-      let pid = i + 1 in
-      json_sep buf first;
-      chrome_metadata buf ~pid ~tid:0 ~name:"process_name" ~value:src.label;
-      chrome_spans buf ~pid ~first (Span.spans src.spans))
-    sources;
-  Buffer.add_string buf "],\"displayTimeUnit\":\"ms\"}\n"
+let chrome_json sources =
+  let process i src =
+    let pid = i + 1 in
+    chrome_metadata ~pid ~tid:0 ~name:"process_name" ~value:src.label
+    :: chrome_spans ~pid (Span.spans src.spans)
+  in
+  Json.Object
+    [ ("traceEvents", List (List.concat (List.mapi process sources)));
+      ("displayTimeUnit", String "ms") ]
 
 (* -- per-label aggregation --------------------------------------------- *)
 
-(* Several boots of the same system (a sweep experiment) share a label;
-   exporters fold them into one logical system. *)
 type agg = {
   agg_label : string;
   counters : (string * float) list;  (* declaration order, summed *)
@@ -162,14 +124,8 @@ type agg = {
 
 let aggregate sources =
   List.iter (fun s -> s.sync ()) sources;
-  let labels =
-    List.fold_left
-      (fun acc s -> if List.mem s.label acc then acc else acc @ [ s.label ])
-      [] sources
-  in
   List.map
-    (fun label ->
-      let group = List.filter (fun s -> s.label = label) sources in
+    (fun (label, group) ->
       let counters =
         match group with
         | [] -> []
@@ -203,279 +159,141 @@ let aggregate sources =
         agg_dropped =
           List.fold_left (fun n s -> n + Span.dropped s.spans) 0 group;
       })
-    labels
+    (by_label sources)
 
 (* -- stats/histogram snapshot ------------------------------------------ *)
 
-let json_hist buf h =
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"count\":%d,\"sum\":%.3f,\"mean\":%.3f,\"min\":%.3f,\
-        \"max\":%.3f,\"p50\":%.3f,\"p95\":%.3f,\"p99\":%.3f}"
-       (Histogram.count h) (Histogram.sum h) (Histogram.mean h)
-       (Histogram.min_value h) (Histogram.max_value h) (Histogram.p50 h)
-       (Histogram.p95 h) (Histogram.p99 h))
+let json_hist h =
+  let f = Json.float in
+  Json.Object
+    [ ("count", Int (Histogram.count h)); ("sum", f (Histogram.sum h));
+      ("mean", f (Histogram.mean h)); ("min", f (Histogram.min_value h));
+      ("max", f (Histogram.max_value h)); ("p50", f (Histogram.p50 h));
+      ("p95", f (Histogram.p95 h)); ("p99", f (Histogram.p99 h)) ]
 
-let snapshot_json buf sources =
-  Buffer.add_string buf "{\"schema\":\"uvm-sim-stats/2\",\"systems\":[";
-  let first_sys = ref true in
-  List.iter
+let hists rows =
+  Json.Object (List.map (fun (name, h) -> (name, json_hist h)) rows)
+
+let snapshot_json sources =
+  document "uvm-sim-stats/2"
     (fun a ->
-      json_sep buf first_sys;
-      Buffer.add_string buf "{\"label\":";
-      json_string buf a.agg_label;
-      Buffer.add_string buf ",\"counters\":{";
-      let first = ref true in
-      List.iter
-        (fun (name, v) ->
-          if v <> 0.0 then begin
-            json_sep buf first;
-            json_string buf name;
-            Buffer.add_char buf ':';
-            json_float buf v
-          end)
-        a.counters;
-      Buffer.add_string buf "},\"histograms\":{";
-      let first = ref true in
-      List.iter
-        (fun (name, h) ->
-          json_sep buf first;
-          json_string buf name;
-          Buffer.add_char buf ':';
-          json_hist buf h)
-        a.hists;
-      Buffer.add_string buf
-        (Printf.sprintf "},\"trace\":{\"recorded\":%d,\"dropped\":%d}}"
-           a.agg_recorded a.agg_dropped))
-    (aggregate sources);
-  Buffer.add_string buf "]}\n"
+      let nonzero (name, v) =
+        if v <> 0.0 then Some (name, Json.float v) else None
+      in
+      Json.Object
+        [ ("label", String a.agg_label);
+          ("counters", Object (List.filter_map nonzero a.counters));
+          ("histograms", hists a.hists);
+          ( "trace",
+            Object
+              [ ("recorded", Int a.agg_recorded); ("dropped", Int a.agg_dropped) ]
+          ) ])
+    (aggregate sources)
 
 (* -- span export -------------------------------------------------------- *)
 
-let json_span buf (sp : Span.span) =
-  Buffer.add_string buf
-    (Printf.sprintf "{\"span\":%d,\"trace\":%d,\"parent\":%d,\"name\":" sp.sid
-       sp.strace sp.sparent);
-  json_string buf sp.sname;
-  Buffer.add_string buf ",\"subsys\":";
-  json_string buf sp.ssubsys;
-  Buffer.add_string buf ",\"ts\":";
-  json_float buf sp.sts;
-  if sp.sdur >= 0.0 then begin
-    Buffer.add_string buf ",\"dur\":";
-    json_float buf sp.sdur
-  end;
-  Buffer.add_string buf ",\"detail\":{";
-  let first = ref true in
-  List.iter
-    (fun (k, v) ->
-      json_sep buf first;
-      json_string buf k;
-      Buffer.add_char buf ':';
-      json_string buf v)
-    sp.sdetail;
-  Buffer.add_string buf "}}"
+let json_span (sp : Span.span) =
+  Json.Object
+    ([ ("span", Json.Int sp.sid); ("trace", Int sp.strace);
+       ("parent", Int sp.sparent); ("name", String sp.sname);
+       ("subsys", String sp.ssubsys); ("ts", Json.float sp.sts) ]
+    @ (if sp.sdur >= 0.0 then [ ("dur", Json.float sp.sdur) ] else [])
+    @ [ ("detail", Object (strings sp.sdetail)) ])
 
 (* Spans are exported per source, not folded per label: span and trace
    ids are only unique within one collector, so merging sweeps under a
    label would alias unrelated trees. *)
-let spans_json buf sources =
-  Buffer.add_string buf "{\"schema\":\"uvm-sim-spans/1\",\"systems\":[";
-  let first_sys = ref true in
-  List.iter
+let spans_json sources =
+  document "uvm-sim-spans/1"
     (fun src ->
-      json_sep buf first_sys;
-      Buffer.add_string buf "{\"label\":";
-      json_string buf src.label;
-      Buffer.add_string buf ",\"spans\":[";
-      let first = ref true in
-      List.iter
-        (fun sp ->
-          json_sep buf first;
-          json_span buf sp)
-        (Span.spans src.spans);
-      (* Spans still open at export time: the active causal tree,
-         outermost first (what a crash artifact wants). *)
-      Buffer.add_string buf "],\"open\":[";
-      let first = ref true in
-      List.iter
-        (fun sp ->
-          json_sep buf first;
-          json_span buf sp)
-        (Span.open_spans src.spans);
-      Buffer.add_string buf
-        (Printf.sprintf "],\"recorded\":%d,\"dropped\":%d}"
-           (Span.recorded src.spans) (Span.dropped src.spans)))
-    sources;
-  Buffer.add_string buf "]}\n"
+      Json.Object
+        [ ("label", String src.label);
+          ("spans", Json.list json_span (Span.spans src.spans));
+          (* Spans still open at export time: the active causal tree,
+             outermost first (what a crash artifact wants). *)
+          ("open", Json.list json_span (Span.open_spans src.spans));
+          ("recorded", Int (Span.recorded src.spans));
+          ("dropped", Int (Span.dropped src.spans)) ])
+    sources
 
 (* -- lock observatory export -------------------------------------------- *)
 
-let json_lock_class buf (cv : Lockstat.class_view) =
-  Buffer.add_string buf "{\"class\":";
-  json_string buf cv.Lockstat.cv_cls;
-  Buffer.add_string buf
-    (Printf.sprintf
-       ",\"instances\":%d,\"acquires\":%d,\"reads\":%d,\"writes\":%d"
-       cv.Lockstat.cv_instances cv.Lockstat.cv_acquires cv.Lockstat.cv_reads
-       cv.Lockstat.cv_writes);
-  Buffer.add_string buf ",\"hold_us\":";
-  json_hist buf cv.Lockstat.cv_hold;
-  Buffer.add_string buf ",\"read_hold_us\":";
-  json_hist buf cv.Lockstat.cv_read_hold;
-  Buffer.add_string buf ",\"write_hold_us\":";
-  json_hist buf cv.Lockstat.cv_write_hold;
-  Buffer.add_string buf ",\"mean_hold_us\":";
-  json_float buf (Histogram.mean cv.Lockstat.cv_hold);
-  Buffer.add_string buf ",\"max_hold_us\":";
-  json_float buf cv.Lockstat.cv_max_hold_us;
-  Buffer.add_string buf ",\"by_subsys\":[";
-  let first = ref true in
-  List.iter
-    (fun (subsys, holds, total) ->
-      json_sep buf first;
-      Buffer.add_string buf "{\"subsys\":";
-      json_string buf subsys;
-      Buffer.add_string buf (Printf.sprintf ",\"holds\":%d,\"total_us\":" holds);
-      json_float buf total;
-      Buffer.add_string buf "}")
-    cv.Lockstat.cv_by_subsys;
-  Buffer.add_string buf "]}"
+let json_lock_class (cv : Lockstat.class_view) =
+  let by_subsys (subsys, holds, total) =
+    Json.Object
+      [ ("subsys", String subsys); ("holds", Int holds);
+        ("total_us", Json.float total) ]
+  in
+  Json.Object
+    [ ("class", String cv.cv_cls); ("instances", Int cv.cv_instances);
+      ("acquires", Int cv.cv_acquires); ("reads", Int cv.cv_reads);
+      ("writes", Int cv.cv_writes); ("hold_us", json_hist cv.cv_hold);
+      ("read_hold_us", json_hist cv.cv_read_hold);
+      ("write_hold_us", json_hist cv.cv_write_hold);
+      ("mean_hold_us", Json.float (Histogram.mean cv.cv_hold));
+      ("max_hold_us", Json.float cv.cv_max_hold_us);
+      ("by_subsys", Json.list by_subsys cv.cv_by_subsys) ]
 
 (* The "systems" array of the uvm-sim-lockstat/2 schema: sources sharing
    a label (several boots of one system in a sweep) are merged into one
    registry — histograms, attribution and order edges sum. *)
-let lockstat_systems buf sources =
-  let labels =
-    List.fold_left
-      (fun acc s -> if List.mem s.label acc then acc else acc @ [ s.label ])
-      [] sources
-  in
-  Buffer.add_char buf '[';
-  let first_sys = ref true in
-  List.iter
-    (fun label ->
-      let group = List.filter (fun s -> s.label = label) sources in
+let lockstat_systems sources =
+  Json.list
+    (fun (label, group) ->
       let regs = List.filter_map (fun s -> s.locks) group in
       let merged = Lockstat.create ~now:(fun () -> 0.0) () in
       List.iter (fun r -> Lockstat.merge ~into:merged r) regs;
-      json_sep buf first_sys;
-      Buffer.add_string buf "{\"label\":";
-      json_string buf label;
-      Buffer.add_string buf ",\"classes\":[";
-      let first = ref true in
-      List.iter
-        (fun cv ->
-          json_sep buf first;
-          json_lock_class buf cv)
-        (Lockstat.views merged);
-      Buffer.add_string buf "],\"order_edges\":[";
-      let first = ref true in
-      List.iter
-        (fun (a, b, n) ->
-          json_sep buf first;
-          Buffer.add_string buf "{\"from\":";
-          json_string buf a;
-          Buffer.add_string buf ",\"to\":";
-          json_string buf b;
-          Buffer.add_string buf (Printf.sprintf ",\"count\":%d}" n))
-        (Lockstat.order_edges merged);
-      Buffer.add_string buf "],\"cycles\":[";
-      let first = ref true in
-      List.iter
-        (fun cyc ->
-          json_sep buf first;
-          Buffer.add_char buf '[';
-          let fc = ref true in
-          List.iter
-            (fun cls ->
-              json_sep buf fc;
-              json_string buf cls)
-            cyc;
-          Buffer.add_char buf ']')
-        (Lockstat.cycles merged);
-      (* Locks still held right now (crash artifacts): per live
-         registry, innermost first — merge does not carry hold state. *)
-      Buffer.add_string buf "],\"held\":[";
-      let first = ref true in
-      List.iter
-        (fun reg ->
-          List.iter
-            (fun (cls, name) ->
-              json_sep buf first;
-              Buffer.add_string buf "{\"class\":";
-              json_string buf cls;
-              Buffer.add_string buf ",\"instance\":";
-              json_string buf name;
-              Buffer.add_string buf "}")
-            (Lockstat.held reg))
-        regs;
-      Buffer.add_string buf "]}")
-    labels;
-  Buffer.add_char buf ']'
+      let edge (a, b, n) =
+        Json.Object [ ("from", String a); ("to", String b); ("count", Int n) ]
+      in
+      let held reg =
+        List.map
+          (fun (cls, name) ->
+            Json.Object [ ("class", String cls); ("instance", String name) ])
+          (Lockstat.held reg)
+      in
+      Json.Object
+        [ ("label", String label);
+          ("classes", Json.list json_lock_class (Lockstat.views merged));
+          ("order_edges", Json.list edge (Lockstat.order_edges merged));
+          ( "cycles",
+            Json.list
+              (Json.list (fun c -> Json.String c))
+              (Lockstat.cycles merged) );
+          (* Locks still held right now (crash artifacts): per live
+             registry, innermost first — merge does not carry hold
+             state. *)
+          ("held", List (List.concat_map held regs)) ])
+    (by_label sources)
 
-let lockstat_json buf sources =
-  Buffer.add_string buf "{\"schema\":\"uvm-sim-lockstat/2\",\"systems\":";
-  lockstat_systems buf sources;
-  Buffer.add_string buf "}\n"
+let lockstat_json sources =
+  Json.Object
+    [ ("schema", String "uvm-sim-lockstat/2");
+      ("systems", lockstat_systems sources) ]
 
 (* -- time-series export ------------------------------------------------- *)
 
-let metrics_json buf sources =
+let metrics_json sources =
   List.iter (fun s -> s.sync ()) sources;
-  Buffer.add_string buf "{\"schema\":\"uvm-sim-metrics/1\",\"systems\":[";
-  let first_sys = ref true in
-  List.iter
+  let sample (s : Timeseries.sample) =
+    Json.Object
+      [ ("ts", Json.float s.s_ts);
+        ("values", Json.list Json.float (Array.to_list s.s_values)) ]
+  in
+  let warning (w : Timeseries.warning) =
+    Json.Object
+      [ ("ts", Json.float w.w_ts); ("rule", String w.w_rule);
+        ("detail", Object (strings w.w_detail)) ]
+  in
+  document "uvm-sim-metrics/1"
     (fun src ->
-      json_sep buf first_sys;
-      Buffer.add_string buf "{\"label\":";
-      json_string buf src.label;
-      Buffer.add_string buf ",\"columns\":[";
-      let first = ref true in
-      List.iter
-        (fun c ->
-          json_sep buf first;
-          json_string buf c)
-        (Timeseries.columns src.series);
-      Buffer.add_string buf "],\"samples\":[";
-      let first = ref true in
-      List.iter
-        (fun (s : Timeseries.sample) ->
-          json_sep buf first;
-          Buffer.add_string buf "{\"ts\":";
-          json_float buf s.s_ts;
-          Buffer.add_string buf ",\"values\":[";
-          let fv = ref true in
-          Array.iter
-            (fun v ->
-              json_sep buf fv;
-              json_float buf v)
-            s.s_values;
-          Buffer.add_string buf "]}")
-        (Timeseries.samples src.series);
-      Buffer.add_string buf "],\"warnings\":[";
-      let first = ref true in
-      List.iter
-        (fun (w : Timeseries.warning) ->
-          json_sep buf first;
-          Buffer.add_string buf "{\"ts\":";
-          json_float buf w.w_ts;
-          Buffer.add_string buf ",\"rule\":";
-          json_string buf w.w_rule;
-          Buffer.add_string buf ",\"detail\":{";
-          let fd = ref true in
-          List.iter
-            (fun (k, v) ->
-              json_sep buf fd;
-              json_string buf k;
-              Buffer.add_char buf ':';
-              json_string buf v)
-            w.w_detail;
-          Buffer.add_string buf "}}")
-        (Timeseries.warnings src.series);
-      Buffer.add_string buf "]}")
-    sources;
-  Buffer.add_string buf "]}\n"
+      Json.Object
+        [ ("label", String src.label);
+          ( "columns",
+            Json.list (fun c -> Json.String c) (Timeseries.columns src.series) );
+          ("samples", Json.list sample (Timeseries.samples src.series));
+          ("warnings", Json.list warning (Timeseries.warnings src.series)) ])
+    sources
 
 (* -- human-readable ----------------------------------------------------- *)
 
@@ -541,57 +359,59 @@ let hit_rate used wasted =
   if resolved = 0 then 0.0
   else 100.0 *. float_of_int used /. float_of_int resolved
 
-let report_json buf sources =
-  Buffer.add_string buf "{\"schema\":\"uvm-sim-report/1\",\"systems\":[";
-  let first_sys = ref true in
-  List.iter
+let report_json sources =
+  document "uvm-sim-report/1"
     (fun a ->
       let life = a.agg_life in
-      json_sep buf first_sys;
-      Buffer.add_string buf "{\"label\":";
-      json_string buf a.agg_label;
-      Buffer.add_string buf ",\"fault_ahead\":{";
-      let first = ref true in
-      List.iter
-        (fun m ->
-          json_sep buf first;
-          json_string buf (Lifecycle.madv_name m);
-          let used = Lifecycle.fa_used life m
-          and wasted = Lifecycle.fa_wasted life m in
-          Buffer.add_string buf
-            (Printf.sprintf
-               ":{\"mapped\":%d,\"used\":%d,\"wasted\":%d,\"hit_rate\":%.1f}"
-               (Lifecycle.fa_mapped life m) used wasted (hit_rate used wasted)))
-        all_madv;
-      Buffer.add_string buf "},\"fills\":{";
-      let first = ref true in
-      List.iter
-        (fun k ->
-          json_sep buf first;
-          json_string buf (Lifecycle.fill_name k);
-          Buffer.add_string buf
-            (Printf.sprintf ":%d" (Lifecycle.fill_count life k)))
-        all_fills;
-      Buffer.add_string buf "},\"distributions\":{";
-      let first = ref true in
-      List.iter
-        (fun (name, h) ->
-          json_sep buf first;
-          json_string buf name;
-          Buffer.add_char buf ':';
-          json_hist buf h)
-        (Lifecycle.hist_rows life);
-      Buffer.add_string buf
-        (Printf.sprintf
-           "},\"fragmentation\":{\"live_entries\":%d,\"peak_entries\":%d}"
-           (Lifecycle.frag_live life) (Lifecycle.frag_peak life));
-      Buffer.add_string buf
-        (Printf.sprintf ",\"ledger\":{\"illegal_transitions\":%d}}"
-           (Lifecycle.illegal_transitions life)))
-    (aggregate sources);
-  Buffer.add_string buf "]}\n"
+      let fault_ahead m =
+        let used = Lifecycle.fa_used life m
+        and wasted = Lifecycle.fa_wasted life m in
+        ( Lifecycle.madv_name m,
+          Json.Object
+            [ ("mapped", Int (Lifecycle.fa_mapped life m)); ("used", Int used);
+              ("wasted", Int wasted);
+              ("hit_rate", Json.float ~decimals:1 (hit_rate used wasted)) ] )
+      in
+      let fill k =
+        (Lifecycle.fill_name k, Json.Int (Lifecycle.fill_count life k))
+      in
+      Json.Object
+        [ ("label", String a.agg_label);
+          ("fault_ahead", Object (List.map fault_ahead all_madv));
+          ("fills", Object (List.map fill all_fills));
+          ("distributions", hists (Lifecycle.hist_rows life));
+          ( "fragmentation",
+            Object
+              [ ("live_entries", Int (Lifecycle.frag_live life));
+                ("peak_entries", Int (Lifecycle.frag_peak life)) ] );
+          ( "ledger",
+            Object
+              [ ("illegal_transitions", Int (Lifecycle.illegal_transitions life)) ]
+          ) ])
+    (aggregate sources)
 
-(* Side-by-side human tables: one column per aggregated label. *)
+(* -- the artifact table ------------------------------------------------- *)
+
+type artifact = Trace | Stats | Report | Spans | Metrics | Lockstat
+
+let every_artifact = [ Trace; Stats; Report; Spans; Metrics; Lockstat ]
+
+let artifact_name = function
+  | Trace -> "trace"
+  | Stats -> "stats"
+  | Report -> "report"
+  | Spans -> "spans"
+  | Metrics -> "metrics"
+  | Lockstat -> "lockstat"
+
+let export = function
+  | Trace -> chrome_json
+  | Stats -> snapshot_json
+  | Report -> report_json
+  | Spans -> spans_json
+  | Metrics -> metrics_json
+  | Lockstat -> lockstat_json
+
 let print_report sources =
   let aggs = aggregate sources in
   if aggs <> [] then begin

@@ -7,9 +7,7 @@
     which boots both VM systems, possibly several times — lands in a
     single artifact.  Sources sharing a label (several boots in a sweep)
     are folded into one logical system by the aggregating exporters.
-
-    JSON is emitted by hand: the toolchain deliberately has no JSON
-    dependency, and the fixed schemas here do not justify one. *)
+    Every machine-readable artifact is a {!Json.t}, printed by {!Json}. *)
 
 type source = {
   mutable label : string;
@@ -23,48 +21,54 @@ type source = {
           installed by the machine, called before any counter export *)
 }
 
-val json_string : Buffer.t -> string -> unit
-(** Append a JSON string literal, escaping as required. *)
+(** The machine-readable artifacts, one per kind. *)
+type artifact =
+  | Trace
+      (** Chrome trace-event JSON, loadable in Perfetto or
+          [chrome://tracing].  Each source becomes a process and each
+          span subsystem a track (tids from 1, named ["span:<subsys>"]);
+          every span is a complete ("X") event — point events are
+          zero-length — with flow arrows ("s"/"f" pairs keyed by the
+          child's span id) linking each child span to its parent. *)
+  | Stats
+      (** Counters + histogram summaries (schema ["uvm-sim-stats/2"]):
+          per label, the non-zero counters, one duration histogram per
+          span name (["fault"], ["pagein"], ["lock:map"], ...; simulated
+          µs), and the span ring's recorded/dropped counts. *)
+  | Report
+      (** The comparative efficacy report (schema ["uvm-sim-report/1"]):
+          per aggregated label, fault-ahead hit/waste per madvise mode,
+          fault-in kind counts, pageout cluster size/contiguity and
+          reassignment-distance distributions, residency and
+          inter-fault histograms, the map-entry fragmentation census,
+          and the count of illegal ledger transitions. *)
+  | Spans
+      (** Causal span trees (schema ["uvm-sim-spans/1"]): per source (not
+          label-folded — span ids are collector-local), the finished
+          spans oldest first, the still-open span stack, and ring
+          accounting. *)
+  | Metrics
+      (** Time-series telemetry (schema ["uvm-sim-metrics/1"]): per
+          source, the sampler's column names, retained samples and
+          watchdog warnings. *)
+  | Lockstat
+      (** The lock observatory (schema ["uvm-sim-lockstat/2"]): the
+          {!lockstat_systems} array under its schema tag. *)
 
-val json_float : Buffer.t -> float -> unit
-(** Append a finite float with millisecond-grade precision; non-finite
-    values become [0]. *)
+val every_artifact : artifact list
 
-val chrome_json : Buffer.t -> source list -> unit
-(** Chrome trace-event JSON, loadable in Perfetto or [chrome://tracing].
-    Each source becomes a process and each span subsystem a track (tids
-    from 1, named ["span:<subsys>"]); every span is a complete ("X")
-    event — point events are zero-length — with flow arrows ("s"/"f"
-    pairs keyed by the child's span id) linking each child span to its
-    parent. *)
+val artifact_name : artifact -> string
+(** ["trace"], ["stats"], ...: the [NAME] of the CLI's [--NAME-out]. *)
 
-val spans_json : Buffer.t -> source list -> unit
-(** Causal span trees (schema ["uvm-sim-spans/1"]): per source (not
-    label-folded — span ids are collector-local), the finished spans
-    oldest first, the still-open span stack, and ring accounting. *)
+val export : artifact -> source list -> Json.t
+(** The artifact of one kind over every source given. *)
 
-val lockstat_systems : Buffer.t -> source list -> unit
+val lockstat_systems : source list -> Json.t
 (** The ["systems"] array of the lockstat schema: per label (sweeps
     merged via {!Lockstat.merge}), every class's acquire counts, hold
     histograms (total/read/write), per-subsystem attribution, the
     observed lock-order edges, any order cycles, and the locks held at
     export time.  Measured contention lives in the smp artifact. *)
-
-val lockstat_json : Buffer.t -> source list -> unit
-(** The full lock-observatory artifact
-    (schema ["uvm-sim-lockstat/2"]). *)
-
-val metrics_json : Buffer.t -> source list -> unit
-(** Time-series telemetry (schema ["uvm-sim-metrics/1"]): per source,
-    the sampler's column names, retained samples and watchdog
-    warnings. *)
-
-val snapshot_json : Buffer.t -> source list -> unit
-(** Counters + histogram summaries, machine-readable
-    (schema ["uvm-sim-stats/2"]): per label, the non-zero counters, one
-    duration histogram per span name (["fault"], ["pagein"],
-    ["lock:map"], ...; simulated µs), and the span ring's
-    recorded/dropped counts. *)
 
 val pp_dump : Format.formatter -> source list -> unit
 (** Flat human-readable listing of every retained span. *)
@@ -73,14 +77,6 @@ val print_stats : source list -> unit
 (** The per-label counter/percentile tables behind the CLI's [--stats]
     flag, on stdout. *)
 
-val report_json : Buffer.t -> source list -> unit
-(** The comparative efficacy report (schema ["uvm-sim-report/1"]):
-    per aggregated label, fault-ahead hit/waste per madvise mode,
-    fault-in kind counts, pageout cluster size/contiguity and
-    reassignment-distance distributions, residency and inter-fault
-    histograms, the map-entry fragmentation census, and the count of
-    illegal ledger transitions. *)
-
 val print_report : source list -> unit
-(** Human rendering of {!report_json}: side-by-side tables with one
+(** Human rendering of the {!Report} artifact: side-by-side tables with one
     column per aggregated label ("UVM" vs "BSD VM"), on stdout. *)

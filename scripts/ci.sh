@@ -122,6 +122,38 @@ EOF
 dune exec bin/uvm_sim.exe -- torture --seed 42 --ops 2000 --audit-every 50 \
   --shrink --artifact-dir artifacts/torture
 
+# Crash-artifact smoke: a run corrupted on purpose must fail (exit 1) and
+# leave its seven crash files, every .json one valid, the crash file
+# naming the audit failure and a shrunk repro.
+crash=$(mktemp -d /tmp/uvm-crash.XXXXXX)
+trap 'rm -rf "$trace" "$stats" "$swapstats" "$crash"' EXIT
+rc=0
+./_build/default/bin/uvm_sim.exe torture --seed 42 --ops 600 --audit-every 10 \
+  --corrupt overref-anon --corrupt-at 300 --shrink --artifact-dir "$crash" \
+  > /dev/null || rc=$?
+if [ "$rc" -ne 1 ]; then
+  echo "ci: corrupted torture run exited $rc, want 1" >&2
+  exit 1
+fi
+python3 - "$crash/seed-42" <<'EOF'
+import json, os, sys
+d = sys.argv[1]
+names = sorted(f for f in os.listdir(d) if f.endswith(".json"))
+assert names == ["crash.json", "lockstat.json", "metrics.json", "spans.json",
+                 "stats.json", "trace.chrome.json"], names
+docs = {}
+for n in names:
+    with open(os.path.join(d, n)) as f:
+        docs[n] = json.load(f)
+assert os.path.getsize(os.path.join(d, "events.txt")) > 0
+crash = docs["crash.json"]
+assert crash["schema"] == "uvm-sim-torture/1", crash.get("schema")
+assert crash["failure"]["kind"] == "audit", crash["failure"]
+assert crash["minimal"], "no shrunk repro"
+print("ci: crash artifacts valid (%d files, %d-op repro)"
+      % (len(names) + 1, len(crash["minimal"])))
+EOF
+
 # Multi-seed torture sweep: seeds 1-60 x 6000 ops, audited every 50 ops,
 # must all run clean on both kernels.  The seeds run in parallel on a
 # pool of OCaml domains; a failing seed leaves its crash artifact in

@@ -140,6 +140,69 @@ let corruption_case ?(tiers = false) kind subsys () =
       if List.length ops > 20 then
         Alcotest.failf "repro not minimal: %d ops" (List.length ops)
 
+(* A failing run writes its crash file, and the file reads back: the
+   same run as [uvm_sim torture --seed 42 --ops 600 --audit-every 10
+   --corrupt overref-anon --corrupt-at 300 --shrink], whose repro shrinks
+   to two ops.  Every op object holds its index, its name and exactly the
+   operands [op_fields] lists. *)
+let test_crash_artifact () =
+  let dir = Filename.temp_dir "uvm-torture" "" in
+  let r =
+    T.run
+      {
+        (cfg ~seed:42 ~nops:600 ~audit_every:10) with
+        T.corrupt = Some (300, T.Overref_anon);
+        shrink = true;
+        artifact_dir = Some dir;
+      }
+  in
+  let seed_dir = Filename.concat dir "seed-42" in
+  let files = List.sort compare (Array.to_list (Sys.readdir seed_dir)) in
+  let read f =
+    In_channel.with_open_bin (Filename.concat seed_dir f) In_channel.input_all
+  in
+  (* Every .json file parses. *)
+  let docs =
+    List.filter_map
+      (fun f ->
+        if Filename.check_suffix f ".json" then Some (f, Sim.Json.parse (read f))
+        else None)
+      files
+  in
+  List.iter (fun f -> Sys.remove (Filename.concat seed_dir f)) files;
+  Sys.rmdir seed_dir;
+  Sys.rmdir dir;
+  Alcotest.(check (list string)) "seven files"
+    [ "crash.json"; "events.txt"; "lockstat.json"; "metrics.json";
+      "spans.json"; "stats.json"; "trace.chrome.json" ]
+    files;
+  let crash = List.assoc "crash.json" docs in
+  let field path = List.fold_left (fun v k -> Sim.Json.member k v) crash path in
+  Alcotest.(check string) "schema" "uvm-sim-torture/1"
+    (Sim.Json.to_str (field [ "schema" ]));
+  Alcotest.(check string) "failure kind" "audit"
+    (Sim.Json.to_str (field [ "failure"; "kind" ]));
+  let check_ops what ops =
+    let expected =
+      List.map (fun (i, op) -> ("i", i) :: T.op_fields op) ops
+    in
+    let got =
+      List.map
+        (function
+          | Sim.Json.Object (("i", i) :: ("op", String _) :: operands) ->
+              List.map
+                (fun (k, v) -> (k, int_of_float (Sim.Json.to_number v)))
+                (("i", i) :: operands)
+          | o -> Alcotest.failf "%s: malformed op %s" what (Sim.Json.to_string o))
+        (Sim.Json.to_list (field [ what ]))
+    in
+    Alcotest.(check (list (list (pair string int)))) what expected got
+  in
+  check_ops "trace" r.T.r_trace;
+  Alcotest.(check bool) "minimal repro recorded" true
+    (Sim.Json.to_list (field [ "minimal" ]) <> []);
+  check_ops "minimal" (Option.value r.T.r_minimal ~default:[])
+
 let () =
   Alcotest.run "audit"
     [
@@ -156,6 +219,8 @@ let () =
             test_vslock_loan_unwire;
           Alcotest.test_case "vslock + mexp + write unwires" `Quick
             test_vslock_mexp_write;
+          Alcotest.test_case "crash artifact reads back" `Quick
+            test_crash_artifact;
         ] );
       ( "corruption oracle",
         [

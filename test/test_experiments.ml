@@ -6,18 +6,15 @@
 
 module Registry = Experiments.Registry
 
-(* The objects in an experiment's JSON document for [r]: one per row, as
-   every row the paper experiments write is a flat object. *)
-let json_objects json r =
-  let buf = Buffer.create 4096 in
-  json buf r;
-  String.fold_left
-    (fun n c -> if c = '{' then n + 1 else n)
-    0 (Buffer.contents buf)
+(* An experiment's JSON document for [r], as printed and parsed back. *)
+let json_doc json r = Sim.Json.parse (Sim.Json.to_string (json r))
 
-let check_json_rows what json r nrows =
+(* [doc] is an array with one element per result row. *)
+let check_rows what doc nrows =
   Alcotest.(check int) (what ^ ": one JSON row per result row") nrows
-    (json_objects json r)
+    (List.length (Sim.Json.to_list doc))
+
+let check_json_rows what json r nrows = check_rows what (json_doc json r) nrows
 
 let test_table1_direction () =
   let rows = Experiments.Table1.run () in
@@ -96,9 +93,13 @@ let test_datamove () =
 let test_fig6_shape () =
   let r = Experiments.Fig6.run () in
   (* One object wraps the two series. *)
-  check_json_rows "fig6" Experiments.Fig6.json r
-    (1 + List.length r.Experiments.Fig6.touched
-    + List.length r.Experiments.Fig6.untouched);
+  let doc = json_doc Experiments.Fig6.json r in
+  check_rows "fig6 touched"
+    (Sim.Json.member "touched" doc)
+    (List.length r.Experiments.Fig6.touched);
+  check_rows "fig6 untouched"
+    (Sim.Json.member "untouched" doc)
+    (List.length r.Experiments.Fig6.untouched);
   (* Linear growth, BSD above UVM in the touched case. *)
   List.iter
     (fun (mb, bsd, uvm) ->

@@ -1,9 +1,6 @@
 (* The observability layer: latency histograms, the span-derived latency
-   series and the exporters over the single span stream.
-
-   The exporter test round-trips through a minimal JSON parser written
-   here — the repo deliberately carries no JSON dependency, and parsing
-   the two fixed schemas needs thirty lines, not a library. *)
+   series, the JSON codec, and the exporters over the single span stream,
+   each round-tripped through the codec's parser. *)
 
 module Vmtypes = Vmiface.Vmtypes
 
@@ -80,132 +77,90 @@ let test_histogram_merge () =
   if not (within_bucket_error 500.0 got) then
     Alcotest.failf "merged p50: got %.1f, want 500 +-19%%" got
 
-(* -- a minimal JSON parser for the exporter round-trips ----------------- *)
+(* -- the JSON codec ------------------------------------------------------ *)
 
-type json =
-  | Jnull
-  | Jbool of bool
-  | Jnum of float
-  | Jstr of string
-  | Jarr of json list
-  | Jobj of (string * json) list
+module J = Sim.Json
 
-let parse_json (s : string) : json =
-  let pos = ref 0 in
-  let len = String.length s in
-  let peek () = if !pos < len then Some s.[!pos] else None in
-  let next () =
-    if !pos >= len then failwith "json: unexpected end";
-    let c = s.[!pos] in
-    incr pos;
-    c
+(* Strings are built from pieces that exercise every escape: the quote,
+   the backslash, named and numbered control bytes, and raw UTF-8. *)
+let json_gen =
+  let open QCheck.Gen in
+  let piece =
+    oneof
+      [
+        oneofl [ "\""; "\\"; "\n"; "\t"; "\r"; "\000"; "\031"; "\127"; "/" ];
+        map (String.make 1) printable;
+        oneofl [ "\xc3\xa9"; "\xc2\xb5s"; "\xe2\x86\x92"; "\xf0\x9f\x98\x80" ];
+      ]
   in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        incr pos;
-        skip_ws ()
-    | _ -> ()
+  let str = map (String.concat "") (list_size (int_bound 6) piece) in
+  (* A float already equal to its printed rounding. *)
+  let rounded =
+    map2
+      (fun v d -> J.Float (float_of_string (Printf.sprintf "%.*f" d v), d))
+      (float_range (-1e6) 1e6) (int_range 1 6)
   in
-  let expect c =
-    let got = next () in
-    if got <> c then failwith (Printf.sprintf "json: want %c, got %c" c got)
+  let leaf =
+    oneof
+      [
+        return J.Null;
+        map (fun b -> J.Bool b) bool;
+        map (fun n -> J.Int n) int;
+        rounded;
+        map (fun s -> J.String s) str;
+      ]
   in
-  let literal word v =
-    String.iter expect word;
-    v
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match next () with
-      | '"' -> Buffer.contents b
-      | '\\' -> (
-          (match next () with
-          | '"' -> Buffer.add_char b '"'
-          | '\\' -> Buffer.add_char b '\\'
-          | '/' -> Buffer.add_char b '/'
-          | 'n' -> Buffer.add_char b '\n'
-          | 't' -> Buffer.add_char b '\t'
-          | 'r' -> Buffer.add_char b '\r'
-          | 'b' -> Buffer.add_char b '\b'
-          | 'f' -> Buffer.add_char b '\012'
-          | 'u' ->
-              let hex = String.init 4 (fun _ -> next ()) in
-              let code = int_of_string ("0x" ^ hex) in
-              if code < 0x80 then Buffer.add_char b (Char.chr code)
-              else Buffer.add_char b '?'
-          | c -> failwith (Printf.sprintf "json: bad escape \\%c" c));
-          go ())
-      | c -> Buffer.add_char b c; go ()
-    in
-    go ()
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while !pos < len && is_num_char s.[!pos] do
-      incr pos
-    done;
-    Jnum (float_of_string (String.sub s start (!pos - start)))
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '"' -> Jstr (parse_string ())
-    | Some '{' ->
-        expect '{';
-        skip_ws ();
-        if peek () = Some '}' then (incr pos; Jobj [])
-        else
-          let rec members acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match next () with
-            | ',' -> members ((k, v) :: acc)
-            | '}' -> Jobj (List.rev ((k, v) :: acc))
-            | c -> failwith (Printf.sprintf "json: bad object char %c" c)
-          in
-          members []
-    | Some '[' ->
-        expect '[';
-        skip_ws ();
-        if peek () = Some ']' then (incr pos; Jarr [])
-        else
-          let rec elements acc =
-            let v = parse_value () in
-            skip_ws ();
-            match next () with
-            | ',' -> elements (v :: acc)
-            | ']' -> Jarr (List.rev (v :: acc))
-            | c -> failwith (Printf.sprintf "json: bad array char %c" c)
-          in
-          elements []
-    | Some 't' -> literal "true" (Jbool true)
-    | Some 'f' -> literal "false" (Jbool false)
-    | Some 'n' -> literal "null" Jnull
-    | _ -> parse_number ()
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> len then failwith "json: trailing garbage";
-  v
+  sized
+    (fix (fun self n ->
+         if n <= 1 then leaf
+         else
+           frequency
+             [
+               (1, leaf);
+               (2, map (fun l -> J.List l) (list_size (int_bound 4) (self (n / 4))));
+               ( 2,
+                 map
+                   (fun l -> J.Object l)
+                   (list_size (int_bound 4) (pair str (self (n / 4)))) );
+             ]))
 
-let member k = function
-  | Jobj fields -> ( try List.assoc k fields with Not_found -> Jnull)
-  | _ -> Jnull
+let prop_json_round_trip =
+  QCheck.Test.make ~name:"parse (to_string v) = v" ~count:500
+    (QCheck.make ~print:J.to_string json_gen)
+    (fun v -> J.parse (J.to_string v) = v)
 
-let jstr_exn = function Jstr s -> s | _ -> failwith "json: not a string"
-let jarr_exn = function Jarr l -> l | _ -> failwith "json: not an array"
-let jnum_exn = function Jnum n -> n | _ -> failwith "json: not a number"
+(* The printer's fixed formats, and a document another writer spaced out. *)
+let test_json_formats () =
+  Alcotest.(check string)
+    "number formats" "[1,true,0.125,2.5000,3.1,0,null]"
+    (J.to_string
+       (J.List
+          [
+            J.Int 1;
+            J.Bool true;
+            J.float 0.125;
+            J.float ~decimals:4 2.5;
+            J.float ~decimals:1 3.14;
+            J.float Float.nan;
+            J.Null;
+          ]));
+  Alcotest.(check string)
+    "escapes" "\"a\\\"b\\\\c\\n\\t\\r\\u0001\\u001f\xc3\xa9\""
+    (J.to_string (J.String "a\"b\\c\n\t\r\001\031\xc3\xa9"));
+  Alcotest.(check bool)
+    "whitespace, exponents and \\u escapes" true
+    (J.parse " { \"a\" : [ 1 , -2.50e1 ] ,\n \"b\":\"\\u00e9\\/\" } "
+    = J.Object
+        [ ("a", J.List [ J.Int 1; J.Float (-25.0, 2) ]); ("b", J.String "\xc3\xa9/") ]);
+  List.iter
+    (fun bad ->
+      match J.parse bad with
+      | _ -> Alcotest.failf "parsed malformed %S" bad
+      | exception Failure _ -> ())
+    [ ""; "[1,]"; "{\"a\" 1}"; "[1] x"; "\"open"; "tru"; "-" ]
+
+(* An exporter's artifact, as printed and parsed back. *)
+let export a srcs = J.parse (J.to_string (Sim.Trace_export.export a srcs))
 
 (* -- exporters against live VM systems ---------------------------------- *)
 
@@ -330,22 +285,20 @@ module Bsd_count = Fault_count (Bsdvm.Sys)
 
 let test_chrome_export () =
   let srcs = run_both () in
-  let buf = Buffer.create 4096 in
-  Sim.Trace_export.chrome_json buf srcs;
-  let root = parse_json (Buffer.contents buf) in
-  let events = jarr_exn (member "traceEvents" root) in
+  let root = export Trace srcs in
+  let events = J.to_list (J.member "traceEvents" root) in
   Alcotest.(check bool) "trace has events" true (List.length events > 0);
   (* process_name metadata maps pid -> system label. *)
   let pid_label =
     List.filter_map
       (fun e ->
         if
-          member "ph" e = Jstr "M"
-          && member "name" e = Jstr "process_name"
+          J.member "ph" e = J.String "M"
+          && J.member "name" e = J.String "process_name"
         then
           Some
-            ( int_of_float (jnum_exn (member "pid" e)),
-              jstr_exn (member "name" (member "args" e)) )
+            ( int_of_float (J.to_number (J.member "pid" e)),
+              J.to_str (J.member "name" (J.member "args" e)) )
         else None)
       events
   in
@@ -359,8 +312,8 @@ let test_chrome_export () =
   let events_for label name =
     List.exists
       (fun e ->
-        member "name" e = Jstr name
-        && List.assoc_opt (int_of_float (jnum_exn (member "pid" e))) pid_label
+        J.member "name" e = J.String name
+        && List.assoc_opt (int_of_float (J.to_number (J.member "pid" e))) pid_label
            = Some label)
       events
   in
@@ -376,16 +329,16 @@ let test_chrome_export () =
   (* Spans are well-formed complete events; flow arrows carry ids. *)
   List.iter
     (fun e ->
-      match member "ph" e with
-      | Jstr "X" ->
+      match J.member "ph" e with
+      | J.String "X" ->
           Alcotest.(check bool) "span has dur >= 0" true
-            (jnum_exn (member "dur" e) >= 0.0);
+            (J.to_number (J.member "dur" e) >= 0.0);
           Alcotest.(check bool) "span has ts >= 0" true
-            (jnum_exn (member "ts" e) >= 0.0)
-      | Jstr ("s" | "f") ->
+            (J.to_number (J.member "ts" e) >= 0.0)
+      | J.String ("s" | "f") ->
           Alcotest.(check bool) "flow event has an id" true
-            (member "id" e <> Jnull)
-      | Jstr "M" -> ()
+            (J.member "id" e <> J.Null)
+      | J.String "M" -> ()
       | _ -> Alcotest.fail "unexpected event phase")
     events
 
@@ -394,27 +347,25 @@ let test_chrome_export () =
    "f", and land on a span track (tid >= 1, cat "span"). *)
 let test_flow_event_round_trip () =
   let srcs = run_both () in
-  let buf = Buffer.create 4096 in
-  Sim.Trace_export.chrome_json buf srcs;
-  let root = parse_json (Buffer.contents buf) in
-  let events = jarr_exn (member "traceEvents" root) in
+  let root = export Trace srcs in
+  let events = J.to_list (J.member "traceEvents" root) in
   let span_events =
-    List.filter (fun e -> member "cat" e = Jstr "span") events
+    List.filter (fun e -> J.member "cat" e = J.String "span") events
   in
   Alcotest.(check bool) "span tracks exported" true
-    (List.exists (fun e -> member "ph" e = Jstr "X") span_events);
+    (List.exists (fun e -> J.member "ph" e = J.String "X") span_events);
   List.iter
     (fun e ->
       Alcotest.(check bool) "span events live on tids >= 1" true
-        (jnum_exn (member "tid" e) >= 1.0))
+        (J.to_number (J.member "tid" e) >= 1.0))
     span_events;
   let flows ph =
     List.filter_map
       (fun e ->
-        if member "ph" e = Jstr ph && member "cat" e = Jstr "span" then
+        if J.member "ph" e = J.String ph && J.member "cat" e = J.String "span" then
           Some
-            ( int_of_float (jnum_exn (member "pid" e)),
-              int_of_float (jnum_exn (member "id" e)) )
+            ( int_of_float (J.to_number (J.member "pid" e)),
+              int_of_float (J.to_number (J.member "id" e)) )
         else None)
       events
   in
@@ -431,9 +382,9 @@ let test_flow_event_round_trip () =
      enclosing slice rather than the next one. *)
   List.iter
     (fun e ->
-      if member "ph" e = Jstr "f" then
+      if J.member "ph" e = J.String "f" then
         Alcotest.(check string) "finish binds enclosing" "e"
-          (jstr_exn (member "bp" e)))
+          (J.to_str (J.member "bp" e)))
     events
 
 (* -- the periodic sampler ----------------------------------------------- *)
@@ -509,57 +460,53 @@ let test_metrics_export_round_trip () =
   (* The machine-level probe: boot traced, do paging work, and check the
      uvm-sim-metrics/1 JSON carries monotonic samples of real gauges. *)
   let srcs = run_both () in
-  let buf = Buffer.create 4096 in
-  Sim.Trace_export.metrics_json buf srcs;
-  let root = parse_json (Buffer.contents buf) in
+  let root = export Metrics srcs in
   Alcotest.(check string)
     "schema tag" "uvm-sim-metrics/1"
-    (jstr_exn (member "schema" root));
+    (J.to_str (J.member "schema" root));
   List.iter
     (fun s ->
-      let columns = List.map jstr_exn (jarr_exn (member "columns" s)) in
+      let columns = List.map J.to_str (J.to_list (J.member "columns" s)) in
       Alcotest.(check bool) "free_pages column" true
         (List.mem "free_pages" columns);
       Alcotest.(check bool) "faults column" true (List.mem "faults" columns);
-      let samples = jarr_exn (member "samples" s) in
+      let samples = J.to_list (J.member "samples" s) in
       Alcotest.(check bool) "samples captured" true (List.length samples >= 2);
       let ncols = List.length columns in
       let last_ts = ref (-1.0) in
       List.iter
         (fun smp ->
-          let ts = jnum_exn (member "ts" smp) in
+          let ts = J.to_number (J.member "ts" smp) in
           Alcotest.(check bool) "sample timestamps strictly increase" true
             (ts > !last_ts);
           last_ts := ts;
           Alcotest.(check int) "one value per column" ncols
-            (List.length (jarr_exn (member "values" smp))))
+            (List.length (J.to_list (J.member "values" smp))))
         samples)
-    (jarr_exn (member "systems" root))
+    (J.to_list (J.member "systems" root))
 
 let test_snapshot_export () =
   let srcs = run_both () in
-  let buf = Buffer.create 4096 in
-  Sim.Trace_export.snapshot_json buf srcs;
-  let root = parse_json (Buffer.contents buf) in
+  let root = export Stats srcs in
   Alcotest.(check string)
     "schema tag" "uvm-sim-stats/2"
-    (jstr_exn (member "schema" root));
-  let systems = jarr_exn (member "systems" root) in
+    (J.to_str (J.member "schema" root));
+  let systems = J.to_list (J.member "systems" root) in
   Alcotest.(check (list string))
     "one entry per label" [ "UVM"; "BSD VM" ]
-    (List.map (fun s -> jstr_exn (member "label" s)) systems);
+    (List.map (fun s -> J.to_str (J.member "label" s)) systems);
   List.iter
     (fun s ->
-      let faults = member "fault" (member "histograms" s) in
+      let faults = J.member "fault" (J.member "histograms" s) in
       Alcotest.(check bool)
         "fault histogram exported" true
-        (jnum_exn (member "count" faults) > 0.0);
+        (J.to_number (J.member "count" faults) > 0.0);
       Alcotest.(check bool)
         "p99 >= p50" true
-        (jnum_exn (member "p99" faults) >= jnum_exn (member "p50" faults));
+        (J.to_number (J.member "p99" faults) >= J.to_number (J.member "p50" faults));
       Alcotest.(check bool)
         "spans recorded" true
-        (jnum_exn (member "recorded" (member "trace" s)) > 0.0))
+        (J.to_number (J.member "recorded" (J.member "trace" s)) > 0.0))
     systems
 
 (* Tier events (device_dead, migrate, drain_complete, …) are spans like
@@ -594,38 +541,36 @@ let test_tier_event_export () =
   done;
   let src = mach.Vmiface.Machine.trace_source in
   Vmiface.Machine.reset_traced ();
-  let buf = Buffer.create 4096 in
-  Sim.Trace_export.chrome_json buf [ src ];
-  let root = parse_json (Buffer.contents buf) in
-  let events = jarr_exn (member "traceEvents" root) in
+  let root = export Trace [ src ] in
+  let events = J.to_list (J.member "traceEvents" root) in
   let named name =
     List.filter
-      (fun e -> member "name" e = Jstr name && member "ph" e = Jstr "X")
+      (fun e -> J.member "name" e = J.String name && J.member "ph" e = J.String "X")
       events
   in
   (match named "device_dead" with
   | [ e ] ->
       Alcotest.(check string)
         "death names the device" "fast"
-        (jstr_exn (member "device" (member "args" e)));
+        (J.to_str (J.member "device" (J.member "args" e)));
       Alcotest.(check (float 0.0))
         "death is a zero-length span" 0.0
-        (jnum_exn (member "dur" e))
+        (J.to_number (J.member "dur" e))
   | l -> Alcotest.failf "expected 1 device_dead span, got %d" (List.length l));
   (* A migrate span that found no room carries no destination. *)
   let migrations =
     List.filter
-      (fun e -> member "to" (member "args" e) <> Jnull)
+      (fun e -> J.member "to" (J.member "args" e) <> J.Null)
       (named "migrate")
   in
   Alcotest.(check bool) "drain migrations exported" true (migrations <> []);
   List.iter
     (fun e ->
-      let args = member "args" e in
+      let args = J.member "args" e in
       Alcotest.(check string) "migrate from the dead tier" "fast"
-        (jstr_exn (member "from" args));
+        (J.to_str (J.member "from" args));
       Alcotest.(check string) "migrate to the healthy tier" "slow"
-        (jstr_exn (member "to" args)))
+        (J.to_str (J.member "to" args)))
     migrations;
   Alcotest.(check int)
     "exported migrations match the counter"
@@ -665,6 +610,11 @@ let () =
             test_histogram_percentiles;
           Alcotest.test_case "edge cases" `Quick test_histogram_edge_cases;
           Alcotest.test_case "merge" `Quick test_histogram_merge;
+        ] );
+      ( "json",
+        [
+          QCheck_alcotest.to_alcotest prop_json_round_trip;
+          Alcotest.test_case "formats and parsing" `Quick test_json_formats;
         ] );
       ( "export",
         [
