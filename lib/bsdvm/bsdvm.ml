@@ -273,7 +273,7 @@ module Sys = struct
 
   let stage_loan _sys _vm ~vpn:_ ~npages:_ = None
   let stage_mexp _sys _vm ~vpn:_ ~npages:_ = None
-  let stage_read _sys () ~off:_ ~len:_ = assert false
+  let stage_blit _sys () ~off:_ _ _ _ = assert false
   let stage_map _sys _vm () = None
   let stage_free _sys () = ()
 

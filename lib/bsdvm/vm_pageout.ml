@@ -64,19 +64,24 @@ let pageout d (obj : Vm_object.t) (page : Physmem.Page.t) =
   cleaned
 
 (* The object's lock is held across the write-out, nested inside the
-   pagedaemon lock — the registry's pdaemon -> object -> swap chain. *)
+   pagedaemon lock — the registry's pdaemon -> object -> swap chain.  An
+   inactive registry records nothing, so then the object's lock is not
+   even registered, as on the fault path. *)
 let pageout_one d obj page =
   let ls = Bsd_sys.locks d.Core.sys in
-  let ol = Vm_object.lock_handle ls obj in
-  Sim.Lockstat.acquire ls ol ~mode:Sim.Lockstat.Write;
-  match pageout d obj page with
-  | cleaned ->
-      Sim.Lockstat.release ls ol;
-      cleaned
-  | exception e ->
-      let bt = Printexc.get_raw_backtrace () in
-      Sim.Lockstat.release ls ol;
-      Printexc.raise_with_backtrace e bt
+  if not (Sim.Lockstat.active ls) then pageout d obj page
+  else begin
+    let ol = Vm_object.lock_handle ls obj in
+    Sim.Lockstat.acquire ls ol ~mode:Sim.Lockstat.Write;
+    match pageout d obj page with
+    | cleaned ->
+        Sim.Lockstat.release ls ol;
+        cleaned
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        Sim.Lockstat.release ls ol;
+        Printexc.raise_with_backtrace e bt
+  end
 
 let visit d (page : Physmem.Page.t) =
   match page.owner with

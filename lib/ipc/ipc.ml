@@ -33,12 +33,6 @@ type policy = Copy | Loan | Mexp
 
 let policy_name = function Copy -> "copy" | Loan -> "loan" | Mexp -> "mexp"
 
-let policy_of_string = function
-  | "copy" -> Some Copy
-  | "loan" -> Some Loan
-  | "mexp" -> Some Mexp
-  | _ -> None
-
 let all_policies = [ Copy; Loan; Mexp ]
 
 (** Receiver liveness as the channel sees it, maintained by the process
@@ -52,10 +46,6 @@ type rx_state = Rx_alive | Rx_swapped | Rx_dead
     process swapping composed with bounded queues). *)
 type send_error = Timed_out | Peer_dead
 
-let send_error_name = function
-  | Timed_out -> "timed_out"
-  | Peer_dead -> "peer_dead"
-
 module Machine = Vmiface.Machine
 
 module Make (V : Vmiface.Vm_sig.VM_SYS) = struct
@@ -68,6 +58,7 @@ module Make (V : Vmiface.Vm_sig.VM_SYS) = struct
         start : int;  (* byte offset of the payload within the stage *)
         len : int;  (* payload bytes *)
         mutable off : int;  (* bytes already consumed *)
+        mexp : bool;  (* a kernel-map extraction, not a loan *)
       }
 
   let seg_remaining = function
@@ -77,7 +68,7 @@ module Make (V : Vmiface.Vm_sig.VM_SYS) = struct
   type chan = {
     id : int;
     cap : int;  (* byte capacity: the socket buffer high-water mark *)
-    q : segment Queue.t;
+    mutable segs : segment list;  (* the queue, oldest first *)
     mutable q_len : int;  (* queued payload bytes *)
     mutable closed : bool;
     mutable rx_state : rx_state;  (* receiver liveness, set by the OS layer *)
@@ -96,7 +87,7 @@ module Make (V : Vmiface.Vm_sig.VM_SYS) = struct
     {
       id = Machine.fresh_id m;
       cap;
-      q = Queue.create ();
+      segs = [];
       q_len = 0;
       closed = false;
       rx_state = Rx_alive;
@@ -106,15 +97,13 @@ module Make (V : Vmiface.Vm_sig.VM_SYS) = struct
     let a = pipe sys ?cap_bytes () and b = pipe sys ?cap_bytes () in
     ({ tx = a; rx = b }, { tx = b; rx = a })
 
-  let capacity ch = ch.cap
   let queued_bytes ch = ch.q_len
 
   (* What the segment chain holds: [queued_bytes] must always equal it. *)
-  let held_bytes ch = Queue.fold (fun n seg -> n + seg_remaining seg) 0 ch.q
+  let held_bytes ch =
+    List.fold_left (fun n seg -> n + seg_remaining seg) 0 ch.segs
 
-  let closed ch = ch.closed
   let set_rx_state ch st = ch.rx_state <- st
-  let rx_state ch = ch.rx_state
 
   let free_seg sys = function
     | S_bytes _ -> ()
@@ -123,8 +112,8 @@ module Make (V : Vmiface.Vm_sig.VM_SYS) = struct
   let close sys ch =
     if not ch.closed then begin
       ch.closed <- true;
-      Queue.iter (free_seg sys) ch.q;
-      Queue.clear ch.q;
+      List.iter (free_seg sys) ch.segs;
+      ch.segs <- [];
       ch.q_len <- 0
     end
 
@@ -153,26 +142,23 @@ module Make (V : Vmiface.Vm_sig.VM_SYS) = struct
           ("chan", string_of_int chan);
         ])
 
-  (* Wire the user buffer for a physio-style transfer.  The unwinding
-     below is written out rather than left to [Fun.protect], whose two
-     closures every call would allocate. *)
-  let with_vslock sys vm ~addr ~len f =
-    if len <= 0 then f ()
-    else begin
-      let m = V.machine sys in
-      let ps = Machine.page_size m in
-      m.Machine.stats.Sim.Stats.vslock_ios <-
-        m.Machine.stats.Sim.Stats.vslock_ios + 1;
-      let vpn = addr / ps in
-      let npages = ((addr + len - 1) / ps) - vpn + 1 in
-      let wb = V.vslock sys vm ~vpn ~npages in
-      match f () with
-      | () -> V.vsunlock sys vm wb
-      | exception e ->
-          let bt = Printexc.get_raw_backtrace () in
-          V.vsunlock sys vm wb;
-          Printexc.raise_with_backtrace e bt
-    end
+  (* Wire the user buffer of a physio-style transfer ([len] > 0). *)
+  let vslock_buffer sys vm ~addr ~len =
+    let m = V.machine sys in
+    let ps = Machine.page_size m in
+    m.Machine.stats.Sim.Stats.vslock_ios <-
+      m.Machine.stats.Sim.Stats.vslock_ios + 1;
+    let vpn = addr / ps in
+    let npages = ((addr + len - 1) / ps) - vpn + 1 in
+    V.vslock sys vm ~vpn ~npages
+
+  (* Unwire the buffer of a transfer that raised [e], and re-raise it.
+     The unwinding is written out rather than left to [Fun.protect],
+     whose two closures every call would allocate. *)
+  let vsunlock_reraise sys vm wb e =
+    let bt = Printexc.get_raw_backtrace () in
+    V.vsunlock sys vm wb;
+    Printexc.raise_with_backtrace e bt
 
   (* The channel lock covers admission and the data move. *)
   let chan_lock m ch =
@@ -183,8 +169,9 @@ module Make (V : Vmiface.Vm_sig.VM_SYS) = struct
 
   (* -- send -------------------------------------------------------------- *)
 
+  (* A queue holds a few segments: a channel's capacity is a few pages. *)
   let enqueue ch seg n =
-    Queue.push seg ch.q;
+    ch.segs <- ch.segs @ [ seg ];
     ch.q_len <- ch.q_len + n
 
   let send_copy sys vm ch ~addr ~n =
@@ -205,7 +192,10 @@ module Make (V : Vmiface.Vm_sig.VM_SYS) = struct
     | Some stage ->
         m.Machine.stats.Sim.Stats.ipc_bytes_loaned <-
           m.Machine.stats.Sim.Stats.ipc_bytes_loaned + n;
-        enqueue ch (S_stage { stage; start = addr mod ps; len = n; off = 0 }) n
+        enqueue ch
+          (S_stage
+             { stage; start = addr mod ps; len = n; off = 0; mexp = false })
+          n
 
   let send_mexp sys vm ch ~addr ~n =
     let m = V.machine sys in
@@ -219,7 +209,9 @@ module Make (V : Vmiface.Vm_sig.VM_SYS) = struct
       | Some stage ->
           m.Machine.stats.Sim.Stats.ipc_bytes_mapped <-
             m.Machine.stats.Sim.Stats.ipc_bytes_mapped + n;
-          enqueue ch (S_stage { stage; start = 0; len = n; off = 0 }) n
+          enqueue ch
+            (S_stage { stage; start = 0; len = n; off = 0; mexp = true })
+            n
 
   let move sys vm ch ~policy ~addr ~n =
     match policy with
@@ -235,10 +227,12 @@ module Make (V : Vmiface.Vm_sig.VM_SYS) = struct
     let n = min len (ch.cap - ch.q_len) in
     let n = max n 0 in
     if n > 0 then begin
-      if vslocked then
-        with_vslock sys vm ~addr ~len (fun () ->
-            move sys vm ch ~policy ~addr ~n)
-      else move sys vm ch ~policy ~addr ~n;
+      (if not vslocked then move sys vm ch ~policy ~addr ~n
+       else
+         let wb = vslock_buffer sys vm ~addr ~len in
+         match move sys vm ch ~policy ~addr ~n with
+         | () -> V.vsunlock sys vm wb
+         | exception e -> vsunlock_reraise sys vm wb e);
       m.Machine.stats.Sim.Stats.ipc_sends <-
         m.Machine.stats.Sim.Stats.ipc_sends + 1
     end;
@@ -293,64 +287,92 @@ module Make (V : Vmiface.Vm_sig.VM_SYS) = struct
      system can donate its entries into the receiver. *)
   let try_mapped_delivery sys vm ch ~len =
     let ps = Machine.page_size (V.machine sys) in
-    match Queue.peek_opt ch.q with
-    | Some (S_stage s)
+    match ch.segs with
+    | S_stage s :: rest
       when s.off = 0 && s.start = 0 && s.len mod ps = 0 && s.len <= len -> (
         match V.stage_map sys vm s.stage with
         | Some vpn ->
-            ignore (Queue.pop ch.q);
+            ch.segs <- rest;
             ch.q_len <- ch.q_len - s.len;
             Some (Mapped { vpn; npages = s.len / ps; len = s.len })
         | None -> None)
     | _ -> None
 
-  (* Copy [n] bytes of [seg], from its read offset, into [buf] at [pos]. *)
-  let seg_blit sys seg buf pos n =
-    match seg with
-    | S_bytes s -> Bytes.blit s.data s.off buf pos n
-    | S_stage s ->
-        let part = V.stage_read sys s.stage ~off:(s.start + s.off) ~len:n in
-        Bytes.blit part 0 buf pos n
-
-  (* Copy the first [Bytes.length buf] queued bytes into [buf] without
-     consuming them, so a copy-out that faults leaves the channel as it
-     was.  A receive the head segment covers builds no closure to walk
-     the queue: that is every one of the 1667 receives of a simbench
-     [shell] run, where the fold's closure would add 9 words each. *)
-  let peek_bytes sys ch buf =
-    let n = Bytes.length buf in
-    let head = Queue.peek ch.q in
-    if seg_remaining head >= n then seg_blit sys head buf 0 n
+  (* The segments a copy-out of [n] bytes reads from, in order.  A mexp
+     stage among them is read through the kernel map here, before the
+     copy-out touches the destination, so its pageins come first; it
+     stands in the list as the bytes that read returned.  Without one,
+     the channel's own list comes back and nothing is allocated. *)
+  let rec copy_source sys segs n =
+    if n <= 0 then segs
     else
-      ignore
-        (Queue.fold
-           (fun got seg ->
-             let k = min (seg_remaining seg) (n - got) in
-             if k > 0 then seg_blit sys seg buf got k;
-             got + k)
-           0 ch.q)
+      match segs with
+      | [] -> []
+      | (S_stage ({ mexp = true; _ } as s) as seg) :: rest ->
+          let k = min (seg_remaining seg) n in
+          let data = Bytes.create k in
+          V.stage_blit sys s.stage ~off:(s.start + s.off) data 0 k;
+          S_bytes { data; off = 0 } :: copy_source sys rest (n - k)
+      | seg :: rest ->
+          let rest' = copy_source sys rest (n - seg_remaining seg) in
+          if rest' == rest then segs else seg :: rest'
+
+  (* Where a receive's copy-out stands in its source: the segments not
+     yet used up, and how many bytes of the first of them it has read. *)
+  type cursor = {
+    csys : V.sys;
+    mutable rest : segment list;
+    mutable read : int;
+  }
+
+  (* [V.copyout]'s fill: the next [n] bytes of the queue, blitted from
+     mbuf data or a loaned frame straight into the frame [dst]. *)
+  let fill cur dst dpos _ n =
+    let got = ref 0 in
+    while !got < n do
+      match cur.rest with
+      | [] -> assert false
+      | seg :: rest ->
+          let avail = seg_remaining seg - cur.read in
+          let k = min avail (n - !got) in
+          (match seg with
+          | S_bytes s -> Bytes.blit s.data (s.off + cur.read) dst (dpos + !got) k
+          | S_stage s ->
+              V.stage_blit cur.csys s.stage
+                ~off:(s.start + s.off + cur.read)
+                dst (dpos + !got) k);
+          got := !got + k;
+          if k = avail then begin
+            cur.rest <- rest;
+            cur.read <- 0
+          end
+          else cur.read <- cur.read + k
+    done
 
   (* Consume [n] bytes from the head of the chain, freeing each segment it
      empties. *)
   let drop_bytes sys ch n =
     let left = ref n in
     while !left > 0 do
-      let seg = Queue.peek ch.q in
-      let k = min (seg_remaining seg) !left in
-      (match seg with
-      | S_bytes s -> s.off <- s.off + k
-      | S_stage s -> s.off <- s.off + k);
-      left := !left - k;
-      if seg_remaining seg = 0 then begin
-        ignore (Queue.pop ch.q);
-        free_seg sys seg
-      end
+      match ch.segs with
+      | [] -> assert false
+      | seg :: rest ->
+          let k = min (seg_remaining seg) !left in
+          (match seg with
+          | S_bytes s -> s.off <- s.off + k
+          | S_stage s -> s.off <- s.off + k);
+          left := !left - k;
+          if seg_remaining seg = 0 then begin
+            ch.segs <- rest;
+            free_seg sys seg
+          end
     done;
     ch.q_len <- ch.q_len - n
 
-  (* [recv] under the channel lock.  The queued bytes are copied out
-     before any is consumed: a receive into an unmapped or read-only
-     buffer raises [Segv] with the channel unchanged. *)
+  (* [recv] under the channel lock.  The queued bytes go straight into
+     the receiver's frames, and only once all of them are there is any
+     consumed: a receive into an unmapped or read-only buffer raises
+     [Segv] with the channel unchanged. *)
   let recv_locked sys vm ~vslocked ~accept_mapped ch ~addr ~len =
     let mapped =
       if accept_mapped then try_mapped_delivery sys vm ch ~len else None
@@ -360,12 +382,14 @@ module Make (V : Vmiface.Vm_sig.VM_SYS) = struct
     | None ->
         let got = max 0 (min len ch.q_len) in
         if got > 0 then begin
-          let buf = Bytes.create got in
-          peek_bytes sys ch buf;
-          if vslocked then
-            with_vslock sys vm ~addr ~len (fun () ->
-                V.write_bytes sys vm ~addr buf)
-          else V.write_bytes sys vm ~addr buf;
+          let rest = copy_source sys ch.segs got in
+          let cur = { csys = sys; rest; read = 0 } in
+          (if not vslocked then V.copyout sys vm ~addr ~len:got fill cur
+           else
+             let wb = vslock_buffer sys vm ~addr ~len in
+             match V.copyout sys vm ~addr ~len:got fill cur with
+             | () -> V.vsunlock sys vm wb
+             | exception e -> vsunlock_reraise sys vm wb e);
           drop_bytes sys ch got;
           charge_copy sys got;
           let m = V.machine sys in

@@ -269,26 +269,24 @@ module Sys = struct
       in
       Some (St_mexp { kvpn; npages })
 
-  let stage_read sys stage ~off ~len =
+  let stage_blit sys stage ~off dst dpos len =
     let page_size = Machine.page_size (machine sys) in
     match stage with
     | St_loan loan ->
-        (* Loaned frames are wired: read straight out of them. *)
-        let pages = Array.of_list (Uvm_loan.pages loan) in
-        let out = Bytes.create len in
+        (* Loaned frames are wired: copy straight out of them. *)
         let copied = ref 0 in
         while !copied < len do
           let o = off + !copied in
-          let i = o / page_size and po = o mod page_size in
+          let po = o mod page_size in
           let n = min (len - !copied) (page_size - po) in
-          Bytes.blit pages.(i).Physmem.Page.data po out !copied n;
+          let page = List.nth (Uvm_loan.pages loan) (o / page_size) in
+          Bytes.blit page.Physmem.Page.data po dst (dpos + !copied) n;
           copied := !copied + n
-        done;
-        out
+        done
     | St_mexp { kvpn; _ } ->
         (* Through the kernel mapping: pages that were paged out since
            staging fault back in here. *)
-        read_bytes sys sys.kernel ~addr:((kvpn * page_size) + off) ~len
+        read_into sys sys.kernel ~addr:((kvpn * page_size) + off) dst dpos len
 
   let stage_map sys dst = function
     | St_loan _ -> None

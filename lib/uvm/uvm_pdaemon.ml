@@ -141,6 +141,25 @@ let flush_anon_batch d =
     !stuck
   end
 
+(* Write an object's batch out under the object's lock.  An inactive
+   registry records nothing, so then the lock is not even registered, as
+   on the fault path. *)
+let put_locked ls obj pages =
+  let put = obj.Uvm_object.pgops.Uvm_object.pgo_put in
+  if not (Sim.Lockstat.active ls) then put pages
+  else begin
+    let l = Uvm_object.lock_handle ls obj in
+    Sim.Lockstat.acquire ls l ~mode:Sim.Lockstat.Write;
+    match put pages with
+    | r ->
+        Sim.Lockstat.release ls l;
+        r
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        Sim.Lockstat.release ls l;
+        Printexc.raise_with_backtrace e bt
+  end
+
 let flush_object_batches sys batches =
   let ls = Uvm_sys.locks sys in
   Hashtbl.iter
@@ -148,14 +167,7 @@ let flush_object_batches sys batches =
       (* The pager already applied the retry/reassignment policy; whatever
          failed stays dirty and is reactivated below so it stops clogging
          the inactive queue. *)
-      let l = Uvm_object.lock_handle ls obj in
-      Sim.Lockstat.acquire ls l ~mode:Sim.Lockstat.Write;
-      (match
-         Fun.protect
-           ~finally:(fun () -> Sim.Lockstat.release ls l)
-           (fun () -> obj.Uvm_object.pgops.Uvm_object.pgo_put pages)
-       with
-      | Ok () | Error _ -> ());
+      (match put_locked ls obj pages with Ok () | Error _ -> ());
       List.iter
         (fun (page : Physmem.Page.t) ->
           Core.settle sys page ~cleaned:(not page.dirty))

@@ -133,29 +133,45 @@ module Make (K : KERNEL) = struct
     touch sys vm ~vpn access;
     (Pmap.find vm.pmap ~vpn).Pmap.page
 
-  (* Walk [len] bytes from [addr] page by page, faulting each page in for
-     [access] and handing [f] the frame, the offset in it, the offset in
-     the caller's buffer and the byte count. *)
-  let iter_bytes sys vm ~addr ~len access f =
+  (* Read [len] bytes from [addr] into [dst] at [dpos], page by page,
+     faulting each page in for read. *)
+  let read_into sys vm ~addr dst dpos len =
     let page_size = Machine.page_size (machine sys) in
     let copied = ref 0 in
     while !copied < len do
       let a = addr + !copied in
       let vpn = a / page_size and off = a mod page_size in
       let n = min (len - !copied) (page_size - off) in
-      f (page_of sys vm ~vpn access) off !copied n;
+      let page = page_of sys vm ~vpn Read in
+      Bytes.blit page.Physmem.Page.data off dst (dpos + !copied) n;
       copied := !copied + n
     done
 
   let read_bytes sys vm ~addr ~len =
     let out = Bytes.create len in
-    iter_bytes sys vm ~addr ~len Read (fun page off pos n ->
-        Bytes.blit page.Physmem.Page.data off out pos n);
+    read_into sys vm ~addr out 0 len;
     out
 
+  (* Walk [len] bytes from [addr] page by page in address order, faulting
+     each page in for write and marking it dirty, and let [fill src data
+     off pos n] put bytes [pos, pos + n) of the caller's source into the
+     frame's [data] at [off].  [fill] and [src] come apart so that a
+     caller with a static [fill] builds no closure. *)
+  let copyout sys vm ~addr ~len fill src =
+    let page_size = Machine.page_size (machine sys) in
+    let copied = ref 0 in
+    while !copied < len do
+      let a = addr + !copied in
+      let vpn = a / page_size and off = a mod page_size in
+      let n = min (len - !copied) (page_size - off) in
+      let page = page_of sys vm ~vpn Write in
+      fill src page.Physmem.Page.data off !copied n;
+      page.Physmem.Page.dirty <- true;
+      copied := !copied + n
+    done
+
+  let blit_from data dst off pos n = Bytes.blit data pos dst off n
+
   let write_bytes sys vm ~addr data =
-    iter_bytes sys vm ~addr ~len:(Bytes.length data) Write
-      (fun page off pos n ->
-        Bytes.blit data pos page.Physmem.Page.data off n;
-        page.Physmem.Page.dirty <- true)
+    copyout sys vm ~addr ~len:(Bytes.length data) blit_from data
 end

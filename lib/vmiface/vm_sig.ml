@@ -118,10 +118,15 @@ module type VM_SYS = sig
       to the copy path so both kernels fail identically on bad
       ranges. *)
 
-  val stage_read : sys -> stage -> off:int -> len:int -> bytes
-  (** Copy [len] bytes starting at byte offset [off] out of the staged
-      data: the receive-side delivery copy.  May fault staged pages
-      back in (a mexp stage's pages can be paged out mid-transfer). *)
+  val stage_blit : sys -> stage -> off:int -> bytes -> int -> int -> unit
+  (** [stage_blit sys stage ~off dst dpos len] copies [len] bytes of the
+      staged data, from byte offset [off], into [dst] at [dpos]: the
+      receive side's delivery copy.  A loan stage is read straight out
+      of its loaned frames, which are wired, and charges nothing.  A mexp
+      stage is read through the kernel mapping, so its pages fault back
+      in if they were paged out since staging; a receiver reads such a
+      stage before it touches its own buffer.  The BSD baseline never
+      stages, so it has no stage to read. *)
 
   val stage_map : sys -> vmspace -> stage -> int option
   (** Deliver the whole stage by donating its map entries into the
@@ -145,6 +150,23 @@ module type VM_SYS = sig
       tests to verify mapping contents. *)
 
   val write_bytes : sys -> vmspace -> addr:int -> bytes -> unit
+
+  val copyout :
+    sys ->
+    vmspace ->
+    addr:int ->
+    len:int ->
+    ('src -> bytes -> int -> int -> int -> unit) ->
+    'src ->
+    unit
+  (** [copyout sys vm ~addr ~len fill src] writes [len] bytes at [addr]
+      page by page, in address order: each page is faulted in for write
+      and marked dirty, and [fill src data off pos n] puts bytes [pos,
+      pos + n) of [src] into the frame's [data] at [off].  It is
+      {!write_bytes} for a source that is not one buffer; the IPC layer
+      receives through it straight into the receiver's frames.
+      @raise Vmtypes.Segv on unresolvable faults, with the pages before
+      the hole already written. *)
 
   val access_range : sys -> vmspace -> vpn:int -> npages:int -> access -> unit
   (** Touch every page in the range once. *)

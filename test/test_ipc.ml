@@ -217,6 +217,182 @@ let test_vslocked_stream () =
     "vslock'd BSD copy stream" reference
     (SB.run ~policy:Ipc.Copy ~vslocked:true ())
 
+(* -- a byte-queue model ---------------------------------------------------- *)
+
+(* Random traffic through one pipe, checked against a model that is just
+   the queued bytes as a string.  Sends mix the policies and take
+   unaligned or page-aligned ranges (mexp stages whole pages only); the
+   sender may scribble over its buffer after a send, which the queued
+   bytes must not see.  Receives take part of the queue at unaligned
+   destinations, with or without mapped delivery and vslock, and some go
+   into a buffer with an unmapped middle page: one that reaches the hole
+   raises [Segv] and leaves the queue as it was. *)
+type model_op =
+  | Send of { off : int; len : int; pol : int; vsl : bool }
+  | Scribble of { off : int; len : int; seed : int }
+  | Recv of { off : int; len : int; mapped : bool; vsl : bool }
+  | Recv_holey of { off : int; len : int; vsl : bool }
+
+let show_model_op = function
+  | Send { off; len; pol; vsl } ->
+      Printf.sprintf "send %d+%d %s%s" off len
+        (Ipc.policy_name (List.nth Ipc.all_policies pol))
+        (if vsl then " vsl" else "")
+  | Scribble { off; len; seed } -> Printf.sprintf "scribble %d+%d #%d" off len seed
+  | Recv { off; len; mapped; vsl } ->
+      Printf.sprintf "recv %d+%d%s%s" off len
+        (if mapped then " mapped" else "")
+        (if vsl then " vsl" else "")
+  | Recv_holey { off; len; vsl } ->
+      Printf.sprintf "recv-holey %d+%d%s" off len (if vsl then " vsl" else "")
+
+let model_src_pages = 8
+let model_cap = (3 * ps) + 123
+
+let gen_model_op =
+  let open QCheck.Gen in
+  let bool = map (fun n -> n = 0) (int_bound 3) in
+  let range ~pages =
+    (* Page-aligned half of the time, so mexp stages. *)
+    frequency
+      [
+        ( 1,
+          map2
+            (fun p n -> (p * ps, n * ps))
+            (int_bound (pages - 3))
+            (int_range 1 2) );
+        ( 1,
+          map2
+            (fun off len -> (off, len))
+            (int_bound ((pages - 3) * ps))
+            (int_range 1 (2 * ps)) );
+      ]
+  in
+  frequency
+    [
+      ( 5,
+        map3
+          (fun (off, len) pol vsl -> Send { off; len; pol; vsl })
+          (range ~pages:model_src_pages)
+          (int_bound (List.length Ipc.all_policies - 1))
+          bool );
+      ( 1,
+        map2
+          (fun (off, len) seed -> Scribble { off; len; seed })
+          (range ~pages:model_src_pages) (int_bound 255) );
+      ( 3,
+        map3
+          (fun off len (mapped, vsl) -> Recv { off; len; mapped; vsl })
+          (int_bound (4 * ps))
+          (int_range 1 (2 * ps))
+          (pair QCheck.Gen.bool bool) );
+      ( 1,
+        map3
+          (fun off len vsl -> Recv_holey { off; len; vsl })
+          (int_range 1 (ps - 1))
+          (int_range 1 (3 * ps))
+          bool );
+    ]
+
+let arb_model_ops =
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map show_model_op ops))
+    ~shrink:QCheck.Shrink.list
+    QCheck.Gen.(list_size (int_range 1 40) gen_model_op)
+
+module Model (V : Vmiface.Vm_sig.VM_SYS) = struct
+  module I = Ipc.Make (V)
+
+  let fail fmt = QCheck.Test.fail_reportf ("%s: " ^^ fmt) V.name
+
+  let run ops =
+    let config = { M.default_config with ram_pages = 512; swap_pages = 1024 } in
+    let sys = V.boot ~config () in
+    let tx = V.new_vmspace sys and rx = V.new_vmspace sys in
+    let mmap vm npages =
+      V.mmap sys vm ~npages ~prot:Pmap.Prot.rw ~share:Vt.Private Vt.Zero
+    in
+    let src = mmap tx model_src_pages * ps in
+    let dst = mmap rx 8 * ps in
+    let holey = mmap rx 3 in
+    V.munmap sys rx ~vpn:(holey + 1) ~npages:1;
+    let bytes ~seed n = Bytes.init n (fun i -> Char.chr ((seed + (i * 31)) land 0xff)) in
+    V.write_bytes sys tx ~addr:src (bytes ~seed:7 (model_src_pages * ps));
+    let ch = I.pipe sys ~cap_bytes:model_cap () in
+    let model = ref "" in
+    let check_received what ~addr n =
+      let want = String.sub !model 0 n in
+      let got = Bytes.to_string (V.read_bytes sys rx ~addr ~len:n) in
+      if got <> want then fail "%s: received bytes differ from the model" what;
+      model := String.sub !model n (String.length !model - n)
+    in
+    List.iter
+      (fun op ->
+        let what = show_model_op op in
+        (match op with
+        | Send { off; len; pol; vsl } ->
+            let policy = List.nth Ipc.all_policies pol in
+            let payload = V.read_bytes sys tx ~addr:(src + off) ~len in
+            let n = I.send sys tx ~vslocked:vsl ch ~policy ~addr:(src + off) ~len in
+            let want = min len (model_cap - String.length !model) in
+            if n <> want then fail "%s: accepted %d, want %d" what n want;
+            model := !model ^ Bytes.sub_string payload 0 n
+        | Scribble { off; len; seed } ->
+            V.write_bytes sys tx ~addr:(src + off) (bytes ~seed len)
+        | Recv { off; len; mapped; vsl } -> (
+            let expect = min len (String.length !model) in
+            match
+              I.recv sys rx ~vslocked:vsl ~accept_mapped:mapped ch
+                ~addr:(dst + off) ~len
+            with
+            | I.Data n ->
+                if n <> expect then fail "%s: received %d, want %d" what n expect;
+                check_received what ~addr:(dst + off) n
+            | I.Mapped { vpn; npages; len = n } ->
+                if not mapped then fail "%s: unrequested mapped delivery" what;
+                if n > expect then fail "%s: mapped %d of %d bytes" what n expect;
+                check_received what ~addr:(vpn * ps) n;
+                V.munmap sys rx ~vpn ~npages)
+        | Recv_holey { off; len; vsl } -> (
+            let queued = I.queued_bytes ch in
+            let expect = min len (String.length !model) in
+            let addr = (holey * ps) + off in
+            (* An empty queue touches nothing; a vslock'd receive wires
+               the whole buffer, a plain one writes what it takes. *)
+            let reaches_hole =
+              expect > 0 && off + (if vsl then len else expect) > ps
+            in
+            match I.recv sys rx ~vslocked:vsl ch ~addr ~len with
+            | I.Data n ->
+                if reaches_hole then
+                  fail "%s: a receive across the hole returned" what;
+                if n <> expect then fail "%s: received %d, want %d" what n expect;
+                check_received what ~addr n
+            | I.Mapped _ -> fail "%s: unrequested mapped delivery" what
+            | exception Vt.Segv _ ->
+                if not reaches_hole then
+                  fail "%s: Segv without reaching the hole" what;
+                if I.queued_bytes ch <> queued then
+                  fail "%s: a faulting receive consumed bytes" what));
+        let q = I.queued_bytes ch in
+        if q <> I.held_bytes ch then
+          fail "%s: queued_bytes %d, segments hold %d" what q (I.held_bytes ch);
+        if q <> String.length !model then
+          fail "%s: queued_bytes %d, model %d" what q (String.length !model))
+      ops;
+    I.close sys ch;
+    V.audit sys;
+    true
+end
+
+module MU = Model (Uvm.Sys)
+module MB = Model (Bsdvm.Sys)
+
+let prop_byte_queue_model =
+  QCheck.Test.make ~name:"pipe traffic matches a byte-queue model" ~count:150
+    arb_model_ops
+    (fun ops -> MU.run ops && MB.run ops)
+
 (* -- UVM-specific mechanics --------------------------------------------- *)
 
 module S = Uvm.Sys
@@ -373,6 +549,7 @@ let () =
           Alcotest.test_case "backpressure policy-independent" `Quick
             test_backpressure_policy_independent;
           Alcotest.test_case "vslock'd streams" `Quick test_vslocked_stream;
+          QCheck_alcotest.to_alcotest prop_byte_queue_model;
         ] );
       ( "unwinding",
         [

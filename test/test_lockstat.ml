@@ -169,6 +169,51 @@ let test_disabled_registry_is_inert () =
   Sim.Lockstat.release reg a;
   Alcotest.(check int) "nothing recorded" 0 (Sim.Lockstat.total_acquires reg)
 
+(* An untraced machine's registry is inactive, so nothing registers an
+   object's lock: not the fault path, and not the pageout of a dirty
+   file page (UVM's object batch, BSD's per-page write) or, on BSD, of an
+   anonymous object's page. *)
+module Untraced_pageout (V : Vmiface.Vm_sig.VM_SYS) = struct
+  module M = Vmiface.Machine
+  module Vt = Vmiface.Vmtypes
+
+  let run () =
+    let config = { M.default_config with ram_pages = 128; swap_pages = 1024 } in
+    let sys = V.boot ~config () in
+    let m = V.machine sys in
+    Alcotest.(check bool) "registry inactive" false
+      (Sim.Lockstat.active m.M.locks);
+    let vm = V.new_vmspace sys in
+    let npages = 48 in
+    let vn =
+      Vfs.create_file m.M.vfs ~name:"dirty" ~size:(npages * M.page_size m)
+    in
+    let file =
+      V.mmap sys vm ~npages ~prot:Pmap.Prot.rw ~share:Vt.Shared (Vt.File (vn, 0))
+    in
+    V.access_range sys vm ~vpn:file ~npages Vt.Write;
+    let anon =
+      V.mmap sys vm ~npages:256 ~prot:Pmap.Prot.rw ~share:Vt.Private Vt.Zero
+    in
+    V.access_range sys vm ~vpn:anon ~npages:256 Vt.Write;
+    let stats = m.M.stats in
+    Alcotest.(check bool) "pages written out" true
+      (stats.Sim.Stats.pageouts > 0);
+    Alcotest.(check bool) "file pages written back" true
+      (stats.Sim.Stats.pageouts > stats.Sim.Stats.swap_zero_pageouts);
+    Alcotest.(check (list string)) "no object lock registered" []
+      (List.filter_map
+         (fun v ->
+           if v.Sim.Lockstat.cv_cls = "object" then
+             Some (Printf.sprintf "%d instances" v.Sim.Lockstat.cv_instances)
+           else None)
+         (Sim.Lockstat.views m.M.locks));
+    V.audit sys
+end
+
+module UP = Untraced_pageout (Uvm.Sys)
+module BP = Untraced_pageout (Bsdvm.Sys)
+
 (* -- folded profiles ---------------------------------------------------- *)
 
 let test_fold_paths_telescopes () =
@@ -326,6 +371,10 @@ let () =
             test_mode_split_and_attribution;
           Alcotest.test_case "disabled registry is inert" `Quick
             test_disabled_registry_is_inert;
+          Alcotest.test_case "UVM: untraced pageout registers no object lock"
+            `Quick UP.run;
+          Alcotest.test_case
+            "BSD VM: untraced pageout registers no object lock" `Quick BP.run;
         ] );
       ( "profiles",
         [
