@@ -112,6 +112,10 @@ let entry ?(knobs = paper_knobs) ?(ok = fun _ -> true) ?(outputs = [])
 let paper ~name ~doc run ~print ~json =
   entry ~name ~doc ~in_all:true ~run:(fun _ -> run ()) ~print ~json ()
 
+(* An ablation of one UVM tunable: fixed size, benched, not run by [all]. *)
+let ablation ~name ~doc run ~print ~json =
+  entry ~name ~doc ~knobs:no_knobs ~run:(fun _ -> run ()) ~print ~json ()
+
 let entries =
   [
     paper ~name:"table1" ~doc:"Table 1: allocated map entries" Table1.run
@@ -276,4 +280,25 @@ let entries =
         }
       ~run:(fun p -> Vmstat.run ~quick:p.quick ~cpus:p.cpus ())
       ~print:Vmstat.print ~json:Sim.Trace_export.(export Metrics) ~bench:None ();
+    ablation ~name:"ablation_pageout_cluster"
+      ~doc:
+        "Ablation (Section 6): UVM's pageout cluster size swept from 1 \
+         (BSD-style one page per write) to 32 over a 48MB anonymous fill \
+         of 32MB of RAM, reporting simulated time and swap write I/Os"
+      Ablation.Pageout_cluster.run ~print:Ablation.Pageout_cluster.print
+      ~json:Ablation.Pageout_cluster.json;
+    ablation ~name:"ablation_fault_ahead"
+      ~doc:
+        "Ablation (Section 5.4): UVM's fault-ahead window (behind/ahead) \
+         swept from disabled to twice the paper's 3/4 over the cc trace's \
+         text accesses, reporting the faults taken"
+      Ablation.Fault_ahead.run ~print:Ablation.Fault_ahead.print
+      ~json:Ablation.Fault_ahead.json;
+    ablation ~name:"ablation_fault_rate"
+      ~doc:
+        "Ablation: transient write-error rate x UVM's pageout cluster size \
+         over a 24MB anonymous fill of 16MB of RAM, reporting write I/Os, \
+         injected errors and pageout retries"
+      Ablation.Fault_rate.run ~print:Ablation.Fault_rate.print
+      ~json:Ablation.Fault_rate.json;
   ]

@@ -18,15 +18,16 @@ let micros us = Printf.sprintf "%.1f us" us
 let ratio bsd uvm =
   if uvm = 0.0 then "-" else Printf.sprintf "%.2fx" (bsd /. uvm)
 
+(* A table's document: one object per row, its fields built by [fields]. *)
+let rows fields = Sim.Json.list (fun x -> Sim.Json.Object (fields x))
+
 (* The rows of Tables 1 and 2: one count per system. *)
 let count_rows =
-  Sim.Json.list (fun (label, bsd, uvm) ->
-      Sim.Json.Object
-        [ ("label", String label); ("bsd", Int bsd); ("uvm", Int uvm) ])
+  rows (fun (label, bsd, uvm) ->
+      [ ("label", String label); ("bsd", Int bsd); ("uvm", Int uvm) ])
 
 (* A sweep of simulated times, keyed by its swept parameter. *)
 let time_rows key =
-  Sim.Json.list (fun (n, bsd, uvm) ->
-      Sim.Json.Object
-        [ (key, Int n); ("bsd_us", Sim.Json.float bsd);
-          ("uvm_us", Sim.Json.float uvm) ])
+  rows (fun (n, bsd, uvm) ->
+      [ (key, Int n); ("bsd_us", Sim.Json.float bsd);
+        ("uvm_us", Sim.Json.float uvm) ])

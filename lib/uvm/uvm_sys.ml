@@ -1,7 +1,9 @@
 (** Global UVM state: the machine plus UVM's tunables.
 
-    The tunables expose the paper's design knobs so the ablation benchmarks
-    can turn individual UVM improvements off:
+    The tunables expose the paper's design knobs so the experiment
+    registry's ablation entries ([ablation_pageout_cluster],
+    [ablation_fault_ahead] and [ablation_fault_rate], run by
+    [Experiments.Ablation]) can turn individual UVM improvements off:
     - [fault_ahead]/[fault_behind]: the fault routine's window for mapping
       resident neighbour pages (paper default: 4 ahead, 3 behind);
     - [pageout_cluster]: how many dirty anonymous pages the pagedaemon

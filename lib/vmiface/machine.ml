@@ -117,6 +117,36 @@ type t = {
    within the sampler's ring. *)
 let sample_interval_us = 1_000.0
 
+(* The sampler's fixed columns, in order: each one's name and how it is
+   read, once the gauges are synced. *)
+let fixed_columns =
+  let count f t = float_of_int (f t.stats) in
+  Sim.Stats.
+    [
+      ("free_pages", count (fun s -> s.free_pages));
+      ("active_pages", count (fun s -> s.active_pages));
+      ("inactive_pages", count (fun s -> s.inactive_pages));
+      ("swap_slots_used", count (fun s -> s.swap_slots_used));
+      ("swapcache_pages", count (fun s -> s.swapcache_pages));
+      ( "drain_pending",
+        fun t -> if Swap.Swaptier.drain_pending t.swap then 1.0 else 0.0 );
+      ("faults", count (fun s -> s.faults));
+      ("pageins", count (fun s -> s.pageins));
+      ("pageouts", count (fun s -> s.pageouts));
+      ("disk_pages_read", count (fun s -> s.disk_pages_read));
+      ("disk_pages_written", count (fun s -> s.disk_pages_written));
+      ("swap_migrations", count (fun s -> s.swap_migrations));
+      ("oom_kills", count (fun s -> s.oom_kills));
+      ("rlimit_denials", count (fun s -> s.rlimit_denials));
+      ("proc_swapouts", count (fun s -> s.proc_swapouts));
+      ("proc_swapins", count (fun s -> s.proc_swapins));
+    ]
+
+(* Top-level, so a sample builds no closure to read them. *)
+let rec read_columns t = function
+  | [] -> []
+  | (_, read) :: rest -> read t :: read_columns t rest
+
 let boot ?(config = default_config) () =
   let session = session () in
   let clock = Sim.Simclock.create () in
@@ -218,24 +248,7 @@ let boot ?(config = default_config) () =
       List.map (fun ti -> ti.Swap.Swaptier.ti_name) (Swap.Swaptier.tiers t.swap)
     in
     let columns =
-      [
-        "free_pages";
-        "active_pages";
-        "inactive_pages";
-        "swap_slots_used";
-        "swapcache_pages";
-        "drain_pending";
-        "faults";
-        "pageins";
-        "pageouts";
-        "disk_pages_read";
-        "disk_pages_written";
-        "swap_migrations";
-        "oom_kills";
-        "rlimit_denials";
-        "proc_swapouts";
-        "proc_swapins";
-      ]
+      List.map fst fixed_columns
       @ List.map (fun n -> "tier:" ^ n) tier_names
       @ [ "lock_acquires"; "lock_maxhold_us" ]
       @ List.map (fun c -> "lockheld:" ^ c) Sim.Lockstat.known_classes
@@ -249,26 +262,7 @@ let boot ?(config = default_config) () =
     in
     let probe () =
       sync ();
-      let fixed =
-        [
-          float_of_int stats.Sim.Stats.free_pages;
-          float_of_int stats.Sim.Stats.active_pages;
-          float_of_int stats.Sim.Stats.inactive_pages;
-          float_of_int stats.Sim.Stats.swap_slots_used;
-          float_of_int stats.Sim.Stats.swapcache_pages;
-          (if Swap.Swaptier.drain_pending t.swap then 1.0 else 0.0);
-          float_of_int stats.Sim.Stats.faults;
-          float_of_int stats.Sim.Stats.pageins;
-          float_of_int stats.Sim.Stats.pageouts;
-          float_of_int stats.Sim.Stats.disk_pages_read;
-          float_of_int stats.Sim.Stats.disk_pages_written;
-          float_of_int stats.Sim.Stats.swap_migrations;
-          float_of_int stats.Sim.Stats.oom_kills;
-          float_of_int stats.Sim.Stats.rlimit_denials;
-          float_of_int stats.Sim.Stats.proc_swapouts;
-          float_of_int stats.Sim.Stats.proc_swapins;
-        ]
-      in
+      let fixed = read_columns t fixed_columns in
       let tiers =
         List.map
           (fun ti -> float_of_int ti.Swap.Swaptier.ti_in_use)
@@ -307,10 +301,12 @@ let boot ?(config = default_config) () =
       Array.of_list (fixed @ tiers @ lock_cols @ cpu_cols)
     in
     Sim.Timeseries.set_probe series ~columns probe;
-    (* Watchdogs over a 4-sample window.  Column indexes match the
-       [columns] list above. *)
-    let c_free = 0 and c_drain = 5 and c_pageouts = 8 and c_migrations = 11 in
-    let c_swapouts = 14 and c_swapins = 15 in
+    (* Watchdogs over a 4-sample window, each reading the columns it
+       names. *)
+    let col name = Option.get (Sim.Timeseries.col_index series name) in
+    let c_free = col "free_pages" and c_drain = col "drain_pending" in
+    let c_pageouts = col "pageouts" and c_migrations = col "swap_migrations" in
+    let c_swapouts = col "proc_swapouts" and c_swapins = col "proc_swapins" in
     let delta (w : Sim.Timeseries.sample array) col =
       let n = Array.length w in
       w.(n - 1).Sim.Timeseries.s_values.(col)
@@ -359,7 +355,11 @@ let boot ?(config = default_config) () =
     (* One lock class soaking up most of the window's simulated time is
        the serialization the SMP sharding work must break; surface it as
        it happens rather than waiting for the post-run profile. *)
-    let c_lockheld0 = 18 + List.length tier_names in
+    let c_held =
+      List.map
+        (fun cls -> (cls, col ("lockheld:" ^ cls)))
+        Sim.Lockstat.known_classes
+    in
     let lock_hog_share = 0.9 in
     Sim.Timeseries.add_rule series ~name:"lock_hog" ~window:4 (fun w ->
         let wall =
@@ -369,15 +369,15 @@ let boot ?(config = default_config) () =
         if wall <= 0.0 then None
         else
           let hog = ref None in
-          List.iteri
-            (fun i cls ->
-              let held = delta w (c_lockheld0 + i) in
+          List.iter
+            (fun (cls, c) ->
+              let held = delta w c in
               let share = held /. wall in
               if share > lock_hog_share then
                 match !hog with
                 | Some (_, _, best) when best >= share -> ()
                 | _ -> hog := Some (cls, held, share))
-            Sim.Lockstat.known_classes;
+            c_held;
           match !hog with
           | Some (cls, held, share) ->
               Some
@@ -392,14 +392,15 @@ let boot ?(config = default_config) () =
        the target refill cadence — the cache is too small or the colored
        queues too empty for the access pattern. *)
     if config.ncpus > 1 then begin
-      let c_cpu0 =
-        c_lockheld0 + List.length Sim.Lockstat.known_classes
+      let c_refills =
+        Array.init config.ncpus (fun k ->
+            col (Printf.sprintf "cpu%d:refills" k))
       in
       let starve_refills = 8.0 in
       Sim.Timeseries.add_rule series ~name:"cache_starved" ~window:4 (fun w ->
           let worst = ref None in
           for k = 0 to config.ncpus - 1 do
-            let refills = delta w (c_cpu0 + (4 * k) + 3) in
+            let refills = delta w c_refills.(k) in
             if refills > starve_refills then
               match !worst with
               | Some (_, best) when best >= refills -> ()

@@ -15,8 +15,8 @@
 # Every verdict also reports how many gated leaves changed value in either
 # direction, so "every simulated leaf is identical" reads "0 changed".
 #
-# The "microbench_ns_per_run" section is wall-clock (Bechamel) and is
-# excluded: it measures the host machine, not the simulated one.
+# Only the "experiments" object is walked: any other top-level key is
+# outside the gate.
 #
 # Usage: scripts/bench_gate.sh [baseline] [results]
 # Env:   BENCH_GATE_TOLERANCE  fractional tolerance (default 0.15)
@@ -116,8 +116,7 @@ def walk(path, old, cur):
         gate(path, old, cur)
 
 
-# Gate only the deterministic simulated-time experiments; Bechamel
-# wall-clock numbers vary with the host and are reported, not gated.
+# Gate only the deterministic simulated-time experiments.
 walk("experiments", base.get("experiments", {}), new.get("experiments", {}))
 
 if not checked[0]:

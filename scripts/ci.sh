@@ -397,26 +397,30 @@ EOF
 # which makes it the end-to-end guard for the generated file store.
 python3 simbench/run.py --self-test
 
-# Full bench: reproduces every paper table/figure, the ablations and the
-# embedded efficacy report; leaves BENCH_results.json at the repo root so
+# Full bench: the fold over the registry's benched entries (every paper
+# table/figure, the ablations and the embedded efficacy report); leaves BENCH_results.json at the repo root so
 # the workflow can start accumulating the bench trajectory.
 dune exec bench/main.exe > /dev/null
 test -s BENCH_results.json
 
-# An experiment's --out document is its bench section: table2's rows must
-# equal the fresh run's experiments.table2.
-table2=$(mktemp /tmp/uvm-table2.XXXXXX.json)
-./_build/default/bin/uvm_sim.exe table2 --out "$table2" > /dev/null
-python3 - "$table2" BENCH_results.json <<'EOF'
+# An experiment's --out document is its bench section: the CLI and the
+# bench's fold over the registry write one document.  table2 is a paper
+# artifact, ablation_fault_ahead an ablation entry.
+for cmd in table2 ablation_fault_ahead; do
+  out=$(mktemp /tmp/uvm-$cmd.XXXXXX.json)
+  ./_build/default/bin/uvm_sim.exe "$cmd" --out "$out" > /dev/null
+  python3 - "$cmd" "$out" BENCH_results.json <<'EOF'
 import json, sys
-with open(sys.argv[1]) as f:
-    rows = json.load(f)
+cmd = sys.argv[1]
 with open(sys.argv[2]) as f:
-    bench = json.load(f)["experiments"]["table2"]
-assert rows == bench, (rows, bench)
-print("ci: table2 --out matches the bench (%d rows)" % len(rows))
+    rows = json.load(f)
+with open(sys.argv[3]) as f:
+    bench = json.load(f)["experiments"][cmd]
+assert rows == bench, (cmd, rows, bench)
+print("ci: %s --out matches the bench (%d rows)" % (cmd, len(rows)))
 EOF
-rm -f "$table2"
+  rm -f "$out"
+done
 
 # Gate self-check: a section whose type changes between the baseline and
 # the results must fail the gate rather than skip every leaf under it.

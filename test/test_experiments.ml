@@ -152,6 +152,115 @@ let test_fig5_crossover () =
           true (bsd > 2.0 *. uvm))
     rows
 
+(* The ablations are judged through their registry entries, on the JSON
+   document the bench and [--out] record. *)
+let entry_rows name =
+  match
+    List.find (fun (Registry.Entry e) -> e.name = name) Registry.entries
+  with
+  | Registry.Entry e ->
+      Sim.Json.to_list (json_doc e.json (e.run (Registry.params e.knobs)))
+
+let num key row = Sim.Json.to_number (Sim.Json.member key row)
+
+let rec falls = function
+  | a :: (b :: _ as rest) -> a > b && falls rest
+  | _ -> true
+
+(* Section 6: bigger pageout clusters mean fewer, larger swap writes, and
+   less time spent in them. *)
+let test_ablation_pageout_cluster () =
+  let rows = entry_rows "ablation_pageout_cluster" in
+  let col key = List.map (num key) rows in
+  let w = col "write_ios" in
+  Alcotest.(check (list (float 0.))) "clusters swept"
+    [ 1.; 2.; 4.; 8.; 16.; 32. ] (col "cluster");
+  Alcotest.(check bool) "write I/Os fall as the cluster grows" true (falls w);
+  Alcotest.(check bool) "time falls as the cluster grows" true
+    (falls (col "time_us"));
+  Alcotest.(check bool) "cluster 32 writes 16x fewer I/Os than cluster 1"
+    true
+    (List.hd w > 16. *. List.nth w 5)
+
+(* Section 5.4: with no window every text page the trace touches faults;
+   a wider window maps more resident neighbours per fault. *)
+let test_ablation_fault_ahead () =
+  let rows = entry_rows "ablation_fault_ahead" in
+  let faults behind ahead =
+    num "faults"
+      (List.find
+         (fun r -> num "behind" r = behind && num "ahead" r = ahead)
+         rows)
+  in
+  let touched =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun (seg, page, _) ->
+           if
+             seg = Oslayer.Trace.Seg_text
+             && page < Experiments.Ablation.Fault_ahead.text_pages
+           then Some page
+           else None)
+         (Oslayer.Trace.command_trace Oslayer.Programs.cc))
+  in
+  Alcotest.(check (float 0.)) "0/0: one fault per touched text page"
+    (float_of_int (List.length touched))
+    (faults 0. 0.);
+  Alcotest.(check bool) "1/2 takes fewer faults than 0/0" true
+    (faults 1. 2. < faults 0. 0.);
+  Alcotest.(check bool) "3/4 takes fewer faults than 1/2" true
+    (faults 3. 4. < faults 1. 2.)
+
+(* Every injected write error is retried; none without a fault plan; and
+   clustering cuts the writes at every error rate. *)
+let test_ablation_fault_rate () =
+  let rows = entry_rows "ablation_fault_rate" in
+  List.iter
+    (fun r ->
+      let what =
+        Printf.sprintf "rate %g cluster %g" (num "write_error_rate" r)
+          (num "cluster" r)
+      in
+      Alcotest.(check (float 0.)) (what ^ ": retries = injected")
+        (num "injected" r) (num "retries" r);
+      if num "write_error_rate" r = 0. then
+        Alcotest.(check (float 0.)) (what ^ ": nothing injected") 0.
+          (num "injected" r))
+    rows;
+  List.iter
+    (fun rate ->
+      let at_rate =
+        List.filter (fun r -> num "write_error_rate" r = rate) rows
+      in
+      Alcotest.(check int) (Printf.sprintf "rate %g: three clusters" rate) 3
+        (List.length at_rate);
+      Alcotest.(check bool)
+        (Printf.sprintf "rate %g: write I/Os fall as the cluster grows" rate)
+        true
+        (falls (List.map (num "write_ios") at_rate)))
+    [ 0.0; 0.01; 0.05 ]
+
+(* The sampler's watchdogs on the over-committed 4-CPU vmstat run: both
+   kernels hog a lock class and starve a per-CPU cache; only BSD VM's
+   pagedaemon pages out while the free pool stays under freemin. *)
+let test_vmstat_watchdogs () =
+  let fired =
+    List.map
+      (fun (src : Sim.Trace_export.source) ->
+        ( src.label,
+          List.sort_uniq compare
+            (List.map
+               (fun w -> w.Sim.Timeseries.w_rule)
+               (Sim.Timeseries.warnings src.series)) ))
+      (Experiments.Vmstat.run ~quick:true ~cpus:4 ())
+  in
+  Alcotest.(check (list (pair string (list string)))) "rules fired"
+    [
+      ("UVM", [ "cache_starved"; "lock_hog" ]);
+      ("BSD VM", [ "cache_starved"; "lock_hog"; "pdaemon_thrash" ]);
+    ]
+    fired
+
 (* Each subcommand of uvm_sim is a registry entry, next to [all] and
    [torture]: no two may share a name. *)
 let test_registry_names_unique () =
@@ -200,5 +309,14 @@ let () =
         [
           Alcotest.test_case "swap leak" `Quick test_swapleak;
           Alcotest.test_case "data movement" `Quick test_datamove;
+          Alcotest.test_case "vmstat watchdogs" `Quick test_vmstat_watchdogs;
+        ] );
+      ( "ablations",
+        [
+          Alcotest.test_case "pageout cluster" `Slow
+            test_ablation_pageout_cluster;
+          Alcotest.test_case "fault-ahead window" `Quick
+            test_ablation_fault_ahead;
+          Alcotest.test_case "write-error rate" `Slow test_ablation_fault_rate;
         ] );
     ]
