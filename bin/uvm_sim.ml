@@ -288,10 +288,10 @@ let torture_cmd =
                  $(docv)/seed-N/.")
   in
   let corrupt =
-    Arg.(value & opt (some string) None & info [ "corrupt" ] ~docv:"KIND"
-           ~doc:"Deliberately corrupt kernel state mid-run to exercise the \
-                 auditor: leak-swap-slot, overref-anon, queue-double-insert, \
-                 leak-loan or leak-swapcache.")
+    let kinds = Oslayer.Torture.corruptions in
+    Arg.(value & opt (some (enum kinds)) None & info [ "corrupt" ] ~docv:"KIND"
+           ~doc:("Deliberately corrupt kernel state mid-run to exercise the \
+                  auditor: " ^ doc_alts_enum kinds ^ "."))
   in
   let corrupt_at =
     Arg.(value & opt int 0 & info [ "corrupt-at" ] ~docv:"N"
@@ -318,20 +318,7 @@ let torture_cmd =
     Term.(
       const (fun seeds ops audit_every faults shrink artifact_dir corrupt
                  corrupt_at ram_pages swap_pages tiers lout ->
-          let corrupt =
-            match corrupt with
-            | None -> None
-            | Some name -> (
-                match Oslayer.Torture.corruption_of_string name with
-                | Some c -> Some (corrupt_at, c)
-                | None ->
-                    Printf.eprintf
-                      "uvm_sim: unknown --corrupt kind %S (expected \
-                       leak-swap-slot, overref-anon, queue-double-insert, \
-                       leak-loan or leak-swapcache)\n"
-                      name;
-                    Stdlib.exit 2)
-          in
+          let corrupt = Option.map (fun c -> (corrupt_at, c)) corrupt in
           let cfg_of_seed seed =
             {
               Oslayer.Torture.default_cfg with

@@ -11,7 +11,6 @@
 
 type rlimits = {
   rl_resident : int;  (** max resident pages *)
-  rl_swap : int;  (** max swap slots reachable from the space *)
   rl_wired : int;  (** max wired pages (mlock + vslock) *)
   rl_backlog : int;  (** max queued bytes across owned IPC channels *)
 }
@@ -19,7 +18,6 @@ type rlimits = {
 let unlimited =
   {
     rl_resident = max_int;
-    rl_swap = max_int;
     rl_wired = max_int;
     rl_backlog = max_int;
   }

@@ -182,7 +182,6 @@ module Make (V : Vmiface.Vm_sig.VM_SYS) = struct
 
   (* -- IPC syscalls (lib/ipc over this VM system) --------------------- *)
 
-  let pipe sys ?cap_bytes () = I.pipe sys ?cap_bytes ()
   let socketpair sys ?cap_bytes () = I.socketpair sys ?cap_bytes ()
 
   let send sys proc ?vslocked ch ~policy ~addr ~len =
@@ -190,8 +189,6 @@ module Make (V : Vmiface.Vm_sig.VM_SYS) = struct
 
   let recv sys proc ?vslocked ?accept_mapped ch ~addr ~len =
     I.recv sys proc.vm ?vslocked ?accept_mapped ch ~addr ~len
-
-  let close_chan sys ch = I.close sys ch
 
   (* -- overload manager: rlimits, OOM victim policy, process swapout --
 
@@ -245,14 +242,10 @@ module Make (V : Vmiface.Vm_sig.VM_SYS) = struct
     if V.resident_pages proc.vm + extra > proc.limits.Overload.rl_resident
     then deny mgr proc "resident"
 
-  (* Walking checks, used at the rarer wire/map/epoch points. *)
+  (* A walking check, used at the rarer wire points. *)
   let check_wired mgr proc ~extra =
     if (usage mgr proc).Vmtypes.u_wired + extra > proc.limits.Overload.rl_wired
     then deny mgr proc "wired"
-
-  let check_swap mgr proc =
-    if (usage mgr proc).Vmtypes.u_swap > proc.limits.Overload.rl_swap then
-      deny mgr proc "swap"
 
   let chan_backlog proc =
     List.fold_left
@@ -427,21 +420,10 @@ module Make (V : Vmiface.Vm_sig.VM_SYS) = struct
         check_resident mgr proc ~extra:1;
         V.touch mgr.msys proc.vm ~vpn access)
 
-  let mmap_r mgr proc ?fixed_at ~npages ~prot ~share source =
-    run_as mgr proc (fun () ->
-        check_resident mgr proc ~extra:0;
-        check_swap mgr proc;
-        V.mmap mgr.msys proc.vm ?fixed_at ~npages ~prot ~share source)
-
   let vslock_r mgr proc ~vpn ~npages =
     run_as mgr proc (fun () ->
         check_wired mgr proc ~extra:npages;
         V.vslock mgr.msys proc.vm ~vpn ~npages)
-
-  let mlock_r mgr proc ~vpn ~npages =
-    run_as mgr proc (fun () ->
-        check_wired mgr proc ~extra:npages;
-        V.mlock mgr.msys proc.vm ~vpn ~npages)
 
   (* Channel ownership: the receiving process' liveness drives the
      channel's backpressure state, and its backlog rlimit bounds what

@@ -103,9 +103,3 @@ let finger = dynamic ~work:30 "/usr/bin/finger" ~text:52 ~data:4 ~bss:2 ~libs:[ 
 let cc = dynamic ~work:260 "/usr/bin/cc" ~text:640 ~data:40 ~bss:24 ()
 let man = dynamic ~work:25 "/usr/bin/man" ~text:38 ~data:4 ~bss:2 ()
 let newaliases = dynamic ~work:60 "/usr/sbin/newaliases" ~text:100 ~data:10 ~bss:6 ()
-
-let total_image_pages p =
-  p.text_pages + p.data_pages
-  + List.fold_left
-      (fun acc l -> acc + l.lib_text + l.lib_data)
-      0 p.libs

@@ -21,7 +21,8 @@
     machines) and can delta-debug the trace down to a minimal failing
     sequence: ddmin over the op list, where a candidate subset reproduces
     iff a fresh replay fails with the same (system, subsystem, invariant)
-    key.
+    key.  The crash file records the whole config, so {!read_crash} and
+    {!replay} run it again.
 
     The {!corruption} hooks seed deliberate bugs (a leaked swap slot, an
     over-counted anon reference, a frame linked on two paging queues) so
@@ -109,84 +110,107 @@ let prots = [| Prot.rw; Prot.read; Prot.rwx; Prot.rx |]
 let inhs = [| Inh_copy; Inh_shared; Inh_none |]
 let advs = [| Adv_normal; Adv_random; Adv_sequential |]
 
-let op_name = function
-  | Spawn _ -> "spawn"
-  | Exit _ -> "exit"
-  | Fork _ -> "fork"
-  | Mmap _ -> "mmap"
-  | Munmap _ -> "munmap"
-  | Mprotect _ -> "mprotect"
-  | Minherit _ -> "minherit"
-  | Madvise _ -> "madvise"
-  | Read _ -> "read"
-  | Write _ -> "write"
-  | Mlock _ -> "mlock"
-  | Munlock _ -> "munlock"
-  | Msync _ -> "msync"
-  | Pressure _ -> "pressure"
-  | Pipe_open _ -> "pipe_open"
-  | Pipe_close _ -> "pipe_close"
-  | Pipe_write _ -> "pipe_write"
-  | Pipe_read _ -> "pipe_read"
-  | Kwire _ -> "kwire"
-  | Kunwire _ -> "kunwire"
-  | Vsl_grab _ -> "vsl_grab"
-  | Vsl_drop _ -> "vsl_drop"
+(* -- the op codec ---------------------------------------------------------- *)
 
-let op_fields = function
-  | Spawn { p } | Exit { p } -> [ ("p", p) ]
-  | Fork { parent; child } -> [ ("parent", parent); ("child", child) ]
+(* An op is its name and its operands by name; a flag reads 0 or 1.  This
+   is the one encoding: the span an op runs under, [op_to_string] and the
+   crash file's op objects all read it, and [decode] is its inverse. *)
+let encode op =
+  let flag b = if b then 1 else 0 in
+  match op with
+  | Spawn { p } -> ("spawn", [ ("p", p) ])
+  | Exit { p } -> ("exit", [ ("p", p) ])
+  | Fork { parent; child } -> ("fork", [ ("parent", parent); ("child", child) ])
   | Mmap { p; r; npages; prot_ix; shared; src_file; fileoff } ->
-      [
-        ("p", p);
-        ("r", r);
-        ("npages", npages);
-        ("prot", prot_ix);
-        ("shared", if shared then 1 else 0);
-        ("src", src_file);
-        ("fileoff", fileoff);
-      ]
-  | Munmap { p; r; off; len } | Mlock { p; r; off; len }
-  | Munlock { p; r; off; len } | Msync { p; r; off; len } ->
-      [ ("p", p); ("r", r); ("off", off); ("len", len) ]
+      ( "mmap",
+        [ ("p", p); ("r", r); ("npages", npages); ("prot", prot_ix);
+          ("shared", flag shared); ("src", src_file); ("fileoff", fileoff) ] )
+  | Munmap { p; r; off; len } ->
+      ("munmap", [ ("p", p); ("r", r); ("off", off); ("len", len) ])
   | Mprotect { p; r; off; len; prot_ix } ->
-      [ ("p", p); ("r", r); ("off", off); ("len", len); ("prot", prot_ix) ]
-  | Minherit { p; r; inh_ix } -> [ ("p", p); ("r", r); ("inh", inh_ix) ]
-  | Madvise { p; r; adv_ix } -> [ ("p", p); ("r", r); ("adv", adv_ix) ]
-  | Read { p; r; page } -> [ ("p", p); ("r", r); ("page", page) ]
+      ( "mprotect",
+        [ ("p", p); ("r", r); ("off", off); ("len", len); ("prot", prot_ix) ] )
+  | Minherit { p; r; inh_ix } ->
+      ("minherit", [ ("p", p); ("r", r); ("inh", inh_ix) ])
+  | Madvise { p; r; adv_ix } ->
+      ("madvise", [ ("p", p); ("r", r); ("adv", adv_ix) ])
+  | Read { p; r; page } -> ("read", [ ("p", p); ("r", r); ("page", page) ])
   | Write { p; r; page; byte } ->
-      [ ("p", p); ("r", r); ("page", page); ("byte", byte) ]
-  | Pressure { npages } -> [ ("npages", npages) ]
-  | Pipe_open { k } | Pipe_close { k } -> [ ("k", k) ]
+      ("write", [ ("p", p); ("r", r); ("page", page); ("byte", byte) ])
+  | Mlock { p; r; off; len } ->
+      ("mlock", [ ("p", p); ("r", r); ("off", off); ("len", len) ])
+  | Munlock { p; r; off; len } ->
+      ("munlock", [ ("p", p); ("r", r); ("off", off); ("len", len) ])
+  | Msync { p; r; off; len } ->
+      ("msync", [ ("p", p); ("r", r); ("off", off); ("len", len) ])
+  | Pressure { npages } -> ("pressure", [ ("npages", npages) ])
+  | Pipe_open { k } -> ("pipe_open", [ ("k", k) ])
+  | Pipe_close { k } -> ("pipe_close", [ ("k", k) ])
   | Pipe_write { k; p; r; off; len; pol_ix; vsl } ->
-      [
-        ("k", k);
-        ("p", p);
-        ("r", r);
-        ("off", off);
-        ("len", len);
-        ("pol", pol_ix);
-        ("vsl", if vsl then 1 else 0);
-      ]
+      ( "pipe_write",
+        [ ("k", k); ("p", p); ("r", r); ("off", off); ("len", len);
+          ("pol", pol_ix); ("vsl", flag vsl) ] )
   | Pipe_read { k; p; r; off; len; vsl } ->
-      [
-        ("k", k);
-        ("p", p);
-        ("r", r);
-        ("off", off);
-        ("len", len);
-        ("vsl", if vsl then 1 else 0);
-      ]
-  | Kwire { k; npages } -> [ ("k", k); ("npages", npages) ]
-  | Kunwire { k } -> [ ("k", k) ]
+      ( "pipe_read",
+        [ ("k", k); ("p", p); ("r", r); ("off", off); ("len", len);
+          ("vsl", flag vsl) ] )
+  | Kwire { k; npages } -> ("kwire", [ ("k", k); ("npages", npages) ])
+  | Kunwire { k } -> ("kunwire", [ ("k", k) ])
   | Vsl_grab { p; r; off; len } ->
-      [ ("p", p); ("r", r); ("off", off); ("len", len) ]
-  | Vsl_drop { p } -> [ ("p", p) ]
+      ("vsl_grab", [ ("p", p); ("r", r); ("off", off); ("len", len) ])
+  | Vsl_drop { p } -> ("vsl_drop", [ ("p", p) ])
+
+let decode name operands =
+  let v k =
+    match List.assoc_opt k operands with
+    | Some n -> n
+    | None -> failwith (Printf.sprintf "%s: missing operand %S" name k)
+  in
+  match name with
+  | "spawn" -> Spawn { p = v "p" }
+  | "exit" -> Exit { p = v "p" }
+  | "fork" -> Fork { parent = v "parent"; child = v "child" }
+  | "mmap" ->
+      Mmap
+        { p = v "p"; r = v "r"; npages = v "npages"; prot_ix = v "prot";
+          shared = v "shared" <> 0; src_file = v "src"; fileoff = v "fileoff" }
+  | "munmap" -> Munmap { p = v "p"; r = v "r"; off = v "off"; len = v "len" }
+  | "mprotect" ->
+      Mprotect
+        { p = v "p"; r = v "r"; off = v "off"; len = v "len";
+          prot_ix = v "prot" }
+  | "minherit" -> Minherit { p = v "p"; r = v "r"; inh_ix = v "inh" }
+  | "madvise" -> Madvise { p = v "p"; r = v "r"; adv_ix = v "adv" }
+  | "read" -> Read { p = v "p"; r = v "r"; page = v "page" }
+  | "write" -> Write { p = v "p"; r = v "r"; page = v "page"; byte = v "byte" }
+  | "mlock" -> Mlock { p = v "p"; r = v "r"; off = v "off"; len = v "len" }
+  | "munlock" -> Munlock { p = v "p"; r = v "r"; off = v "off"; len = v "len" }
+  | "msync" -> Msync { p = v "p"; r = v "r"; off = v "off"; len = v "len" }
+  | "pressure" -> Pressure { npages = v "npages" }
+  | "pipe_open" -> Pipe_open { k = v "k" }
+  | "pipe_close" -> Pipe_close { k = v "k" }
+  | "pipe_write" ->
+      Pipe_write
+        { k = v "k"; p = v "p"; r = v "r"; off = v "off"; len = v "len";
+          pol_ix = v "pol"; vsl = v "vsl" <> 0 }
+  | "pipe_read" ->
+      Pipe_read
+        { k = v "k"; p = v "p"; r = v "r"; off = v "off"; len = v "len";
+          vsl = v "vsl" <> 0 }
+  | "kwire" -> Kwire { k = v "k"; npages = v "npages" }
+  | "kunwire" -> Kunwire { k = v "k" }
+  | "vsl_grab" ->
+      Vsl_grab { p = v "p"; r = v "r"; off = v "off"; len = v "len" }
+  | "vsl_drop" -> Vsl_drop { p = v "p" }
+  | _ -> failwith (Printf.sprintf "unknown op %S" name)
+
+let op_name op = fst (encode op)
 
 let op_to_string op =
-  Printf.sprintf "%s(%s)" (op_name op)
+  let name, operands = encode op in
+  Printf.sprintf "%s(%s)" name
     (String.concat ","
-       (List.map (fun (k, v) -> k ^ "=" ^ string_of_int v) (op_fields op)))
+       (List.map (fun (k, v) -> k ^ "=" ^ string_of_int v) operands))
 
 (* -- the placement model ------------------------------------------------ *)
 
@@ -319,29 +343,13 @@ type action =
   | A_vsl_grab of { p : int; vpn : int; npages : int }
   | A_vsl_drop of { p : int }
 
-let action_name = function
-  | A_spawn _ -> "spawn"
-  | A_exit _ -> "exit"
-  | A_fork _ -> "fork"
-  | A_mmap _ -> "mmap"
-  | A_munmap _ -> "munmap"
-  | A_mprotect _ -> "mprotect"
-  | A_minherit _ -> "minherit"
-  | A_madvise _ -> "madvise"
-  | A_read _ -> "read"
-  | A_write _ -> "write"
-  | A_mlock _ -> "mlock"
-  | A_munlock _ -> "munlock"
-  | A_msync _ -> "msync"
-  | A_pressure _ -> "pressure"
-  | A_pipe_open _ -> "pipe_open"
-  | A_pipe_close _ -> "pipe_close"
-  | A_pipe_write _ -> "pipe_write"
-  | A_pipe_read _ -> "pipe_read"
-  | A_kwire _ -> "kwire"
-  | A_kunwire _ -> "kunwire"
-  | A_vsl_grab _ -> "vsl_grab"
-  | A_vsl_drop _ -> "vsl_drop"
+(* [off, off + len) is a non-empty run inside [0, size). *)
+let fits ~off ~len size = off >= 0 && len >= 1 && off + len <= size
+
+(* Pages [lo, hi] of the region are all still mapped. *)
+let all_mapped rg lo hi =
+  let rec go i = i > hi || (rg.mapped.(i) && go (i + 1)) in
+  go lo
 
 (* Validate [op] against the model and compute absolute addresses.  Pure:
    generation probes candidates with it, and replay of a shrunken trace
@@ -424,8 +432,7 @@ let resolve m op : action option =
   | Munmap { p; r; off; len } -> (
       match (proc_at m p, region_at m p r) with
       | Some pr, Some rg
-        when off >= 0 && len >= 1
-             && off + len <= rg.npages
+        when fits ~off ~len rg.npages
              && (not (overlaps_wired rg ~off ~len))
              && not (overlaps_vsl pr ~r ~off ~len) ->
           Some (A_munmap { p; vpn = rg.vpn + off; npages = len })
@@ -437,8 +444,7 @@ let resolve m op : action option =
          change — exactly the interaction worth generating. *)
       match region_at m p r with
       | Some rg
-        when off >= 0 && len >= 1
-             && off + len <= rg.npages
+        when fits ~off ~len rg.npages
              && prot_ix >= 0
              && prot_ix < Array.length prots ->
           Some
@@ -493,15 +499,10 @@ let resolve m op : action option =
   | Mlock { p; r; off; len } -> (
       match region_at m p r with
       | Some rg
-        when off >= 0 && len >= 1
-             && off + len <= rg.npages
-             && m.total_wired + len <= m.wired_cap ->
-          let all_mapped = ref true in
-          for i = off to off + len - 1 do
-            if not rg.mapped.(i) then all_mapped := false
-          done;
-          if !all_mapped then Some (A_mlock { p; vpn = rg.vpn + off; npages = len })
-          else None
+        when fits ~off ~len rg.npages
+             && m.total_wired + len <= m.wired_cap
+             && all_mapped rg off (off + len - 1) ->
+          Some (A_mlock { p; vpn = rg.vpn + off; npages = len })
       | _ -> None)
   | Munlock { p; r; off; len } -> (
       match region_at m p r with
@@ -514,7 +515,7 @@ let resolve m op : action option =
          the outcome is always Done and the oracle stays sound even under
          fault injection. *)
       match region_at m p r with
-      | Some rg when off >= 0 && len >= 1 && off + len <= rg.npages ->
+      | Some rg when fits ~off ~len rg.npages ->
           Some (A_msync { p; vpn = rg.vpn + off; npages = len })
       | _ -> None)
   | Pressure { npages } ->
@@ -533,8 +534,7 @@ let resolve m op : action option =
         when k >= 0 && k < max_chans && m.chans.(k)
              && pol_ix >= 0
              && pol_ix < List.length Ipc.all_policies
-             && off >= 0 && len >= 1
-             && off + len <= rg.npages * page_bytes
+             && fits ~off ~len (rg.npages * page_bytes)
              (* Shared mappings are object-backed: sharers write the
                 loaned frame in place, so a post-send write would reach
                 the borrower under UVM but not under the copy baseline.
@@ -546,34 +546,28 @@ let resolve m op : action option =
                 sharer cannot see wirings another sharer's map entries
                 carry on the displaced frame. *)
              && (not rg.shared)
-             && not rg.lineage_shared ->
-          let lo = off / page_bytes and hi = (off + len - 1) / page_bytes in
-          let all_mapped = ref true in
-          for i = lo to hi do
-            if not rg.mapped.(i) then all_mapped := false
-          done;
-          (* A hole would fault mid-loan and leak the pages already wired,
-             so sends need full source coverage. *)
-          if !all_mapped then
-            Some
-              (A_pipe_write
-                 {
-                   k;
-                   p;
-                   vpn = rg.vpn;
-                   boff = off;
-                   len;
-                   policy = List.nth Ipc.all_policies pol_ix;
-                   vsl;
-                 })
-          else None
+             && (not rg.lineage_shared)
+             (* A hole would fault mid-loan and leak the pages already
+                wired, so sends need full source coverage. *)
+             && all_mapped rg (off / page_bytes) ((off + len - 1) / page_bytes)
+        ->
+          Some
+            (A_pipe_write
+               {
+                 k;
+                 p;
+                 vpn = rg.vpn;
+                 boff = off;
+                 len;
+                 policy = List.nth Ipc.all_policies pol_ix;
+                 vsl;
+               })
       | _ -> None)
   | Pipe_read { k; p; r; off; len; vsl } -> (
       match region_at m p r with
       | Some rg
         when k >= 0 && k < max_chans && m.chans.(k)
-             && off >= 0 && len >= 1
-             && off + len <= rg.npages * page_bytes ->
+             && fits ~off ~len (rg.npages * page_bytes) ->
           (* The destination may be read-only or have holes: the copy-out
              (or a vslock over the hole, which unwires what it wired)
              then raises Segv, and the channel keeps every queued byte (a
@@ -608,16 +602,10 @@ let resolve m op : action option =
         when pr.vsl = None
              && rg.src_file = 0
              && (not rg.lineage_cow)
-             && off >= 0 && len >= 1
-             && off + len <= rg.npages
-             && m.total_wired + len <= m.wired_cap ->
-          let all_mapped = ref true in
-          for i = off to off + len - 1 do
-            if not rg.mapped.(i) then all_mapped := false
-          done;
-          if !all_mapped then
-            Some (A_vsl_grab { p; vpn = rg.vpn + off; npages = len })
-          else None
+             && fits ~off ~len rg.npages
+             && m.total_wired + len <= m.wired_cap
+             && all_mapped rg off (off + len - 1) ->
+          Some (A_vsl_grab { p; vpn = rg.vpn + off; npages = len })
       | _ -> None)
   | Vsl_drop { p } -> (
       match proc_at m p with
@@ -634,9 +622,6 @@ let apply m op a =
   | Spawn _, A_spawn { p } ->
       m.procs.(p) <- Some { regions = Array.make max_regions None; vsl = None }
   | Fork _, A_fork { parent; child } ->
-      let pp =
-        match m.procs.(parent) with Some pr -> pr | None -> assert false
-      in
       let regions =
         Array.map
           (function
@@ -657,7 +642,7 @@ let apply m op a =
                     wired = [];
                   }
             | _ -> None)
-          pp.regions
+          (Option.get m.procs.(parent)).regions
       in
       m.procs.(child) <- Some { regions; vsl = None }
   | Exit _, A_exit { p; unlocks } ->
@@ -672,8 +657,7 @@ let apply m op a =
       m.procs.(p) <- None
   | Mmap { r; _ }, A_mmap { p; at; npages; share; src_file; fileoff; _ }
     ->
-      let pr = match m.procs.(p) with Some pr -> pr | None -> assert false in
-      pr.regions.(r) <-
+      (Option.get m.procs.(p)).regions.(r) <-
         Some
           {
             vpn = at;
@@ -689,67 +673,47 @@ let apply m op a =
             loan_src = false;
           }
   | Munmap { r; off; len; _ }, A_munmap { p; _ } ->
-      let pr = match m.procs.(p) with Some pr -> pr | None -> assert false in
-      let rg = match pr.regions.(r) with Some rg -> rg | None -> assert false in
+      let pr = Option.get m.procs.(p) in
+      let rg = Option.get pr.regions.(r) in
       for i = off to off + len - 1 do
         rg.mapped.(i) <- false
       done;
       if Array.for_all (fun b -> not b) rg.mapped then pr.regions.(r) <- None
-  | Minherit { r; _ }, A_minherit { p; inh; _ } -> (
-      match region_at m p r with
-      | Some rg -> rg.inh <- inh
-      | None -> assert false)
-  | Mlock { r; off; len; _ }, A_mlock { p; _ } -> (
-      match region_at m p r with
-      | Some rg ->
-          rg.wired <- (off, len) :: rg.wired;
-          m.total_wired <- m.total_wired + len
-      | None -> assert false)
-  | Munlock { r; off; len; _ }, A_munlock { p; _ } -> (
-      match region_at m p r with
-      | Some rg ->
-          rg.wired <- remove_first (off, len) rg.wired;
-          m.total_wired <- m.total_wired - len
-      | None -> assert false)
+  | Minherit { r; _ }, A_minherit { p; inh; _ } ->
+      (Option.get (region_at m p r)).inh <- inh
+  | Mlock { r; off; len; _ }, A_mlock { p; _ } ->
+      let rg = Option.get (region_at m p r) in
+      rg.wired <- (off, len) :: rg.wired;
+      m.total_wired <- m.total_wired + len
+  | Munlock { r; off; len; _ }, A_munlock { p; _ } ->
+      let rg = Option.get (region_at m p r) in
+      rg.wired <- remove_first (off, len) rg.wired;
+      m.total_wired <- m.total_wired - len
   | Pipe_open _, A_pipe_open { k } -> m.chans.(k) <- true
   | Pipe_close _, A_pipe_close { k } -> m.chans.(k) <- false
   | Kwire _, A_kwire { k; npages } ->
       m.kwires.(k) <- Some npages;
       m.total_wired <- m.total_wired + npages
-  | Kunwire _, A_kunwire { k } -> (
-      match m.kwires.(k) with
-      | Some npages ->
-          m.kwires.(k) <- None;
-          m.total_wired <- m.total_wired - npages
-      | None -> assert false)
-  | Vsl_grab { r; off; len; _ }, A_vsl_grab { p; _ } -> (
-      match proc_at m p with
-      | Some pr ->
-          pr.vsl <- Some (r, off, len);
-          m.total_wired <- m.total_wired + len
-      | None -> assert false)
-  | Vsl_drop _, A_vsl_drop { p } -> (
-      match proc_at m p with
-      | Some pr -> (
-          match pr.vsl with
-          | Some (_, _, len) ->
-              pr.vsl <- None;
-              m.total_wired <- m.total_wired - len
-          | None -> assert false)
-      | None -> assert false)
-  | Pipe_write { r; _ }, A_pipe_write { p; policy; _ } -> (
-      match policy with
-      | Ipc.Copy -> ()
-      | Ipc.Loan | Ipc.Mexp -> (
-          (* Zero-copy staging may hold the source frames until the reader
-             drains the channel; mark the region so it is never offered to
-             Inh_shared while a loan could be live. *)
-          match region_at m p r with
-          | Some rg -> rg.loan_src <- true
-          | None -> assert false))
+  | Kunwire _, A_kunwire { k } ->
+      m.total_wired <- m.total_wired - Option.get m.kwires.(k);
+      m.kwires.(k) <- None
+  | Vsl_grab { r; off; len; _ }, A_vsl_grab { p; _ } ->
+      (Option.get (proc_at m p)).vsl <- Some (r, off, len);
+      m.total_wired <- m.total_wired + len
+  | Vsl_drop _, A_vsl_drop { p } ->
+      let pr = Option.get (proc_at m p) in
+      let _, _, len = Option.get pr.vsl in
+      pr.vsl <- None;
+      m.total_wired <- m.total_wired - len
+  | Pipe_write { r; _ }, A_pipe_write { p; policy = Ipc.Loan | Ipc.Mexp; _ }
+    ->
+      (* Zero-copy staging may hold the source frames until the reader
+         drains the channel; mark the region so it is never offered to
+         Inh_shared while a loan could be live. *)
+      (Option.get (region_at m p r)).loan_src <- true
   | _ -> ()
-  (* madvise/mprotect/read/write/msync/pressure/pipe reads leave the model
-     alone *)
+  (* madvise/mprotect/read/write/msync/pressure/copy sends/pipe reads leave
+     the model alone *)
 
 (* -- outcomes ----------------------------------------------------------- *)
 
@@ -850,9 +814,21 @@ module Exec (V : Vmiface.Vm_sig.VM_SYS) = struct
     done;
     !sum
 
-  let fault_outcome = function
-    | Out_of_memory | Out_of_swap -> Oom
-    | e -> Fault (string_of_fault_error e)
+  (* A user access that faults or runs short of pages is an outcome. *)
+  let user f =
+    try f () with
+    | Segv { error = Out_of_memory | Out_of_swap; _ } | Physmem.Out_of_pages ->
+        Oom
+    | Segv { error; _ } -> Fault (string_of_fault_error error)
+
+  (* The model budgets wiring well below RAM, so a wiring failure is a
+     harness bug, not a kernel one: fail loudly rather than leave the two
+     systems half-wired. *)
+  let wire what f =
+    (try f ()
+     with Segv _ | Physmem.Out_of_pages ->
+       failwith ("Torture: out of memory " ^ what));
+    Done
 
   let exec_action t (a : action) : outcome =
     match a with
@@ -864,11 +840,8 @@ module Exec (V : Vmiface.Vm_sig.VM_SYS) = struct
         Done
     | A_exit { p; unlocks } ->
         let vm = proc t p in
-        (match t.vsls.(p) with
-        | Some wb ->
-            V.vsunlock t.sys vm wb;
-            t.vsls.(p) <- None
-        | None -> ());
+        Option.iter (V.vsunlock t.sys vm) t.vsls.(p);
+        t.vsls.(p) <- None;
         List.iter (fun (vpn, npages) -> V.munlock t.sys vm ~vpn ~npages) unlocks;
         V.destroy_vmspace t.sys vm;
         t.procs.(p) <- None;
@@ -894,31 +867,20 @@ module Exec (V : Vmiface.Vm_sig.VM_SYS) = struct
     | A_madvise { p; vpn; npages; adv } ->
         V.madvise t.sys (proc t p) ~vpn ~npages adv;
         Done
-    | A_read { p; vpn } -> (
-        try
-          let b =
-            V.read_bytes t.sys (proc t p) ~addr:(vpn * t.page_size) ~len:1
-          in
-          Byte (Char.code (Bytes.get b 0))
-        with
-        | Segv { error; _ } -> fault_outcome error
-        | Physmem.Out_of_pages -> Oom)
-    | A_write { p; vpn; byte } -> (
-        try
-          V.write_bytes t.sys (proc t p) ~addr:(vpn * t.page_size)
-            (Bytes.make 1 (Char.chr byte));
-          Done
-        with
-        | Segv { error; _ } -> fault_outcome error
-        | Physmem.Out_of_pages -> Oom)
+    | A_read { p; vpn } ->
+        user (fun () ->
+            let b =
+              V.read_bytes t.sys (proc t p) ~addr:(vpn * t.page_size) ~len:1
+            in
+            Byte (Char.code (Bytes.get b 0)))
+    | A_write { p; vpn; byte } ->
+        user (fun () ->
+            V.write_bytes t.sys (proc t p) ~addr:(vpn * t.page_size)
+              (Bytes.make 1 (Char.chr byte));
+            Done)
     | A_mlock { p; vpn; npages } ->
-        (* The model capped total wiring well below RAM, so a wiring
-           fault here means the harness budget is wrong, not the kernel:
-           fail loudly rather than leave the two systems half-wired. *)
-        (try V.mlock t.sys (proc t p) ~vpn ~npages
-         with Segv _ | Physmem.Out_of_pages ->
-           failwith "Torture: out of memory while wiring; wired cap too high");
-        Done
+        wire "while wiring; wired cap too high" (fun () ->
+            V.mlock t.sys (proc t p) ~vpn ~npages)
     | A_munlock { p; vpn; npages } ->
         V.munlock t.sys (proc t p) ~vpn ~npages;
         Done
@@ -943,66 +905,49 @@ module Exec (V : Vmiface.Vm_sig.VM_SYS) = struct
         I.close t.sys (chan t k);
         t.chans.(k) <- None;
         Done
-    | A_pipe_write { k; p; vpn; boff; len; policy; vsl } -> (
+    | A_pipe_write { k; p; vpn; boff; len; policy; vsl } ->
         let addr = (vpn * t.page_size) + boff in
-        try
-          let n =
-            I.send t.sys (proc t p) ~vslocked:vsl (chan t k) ~policy ~addr ~len
-          in
-          Io { n; sum = 0 }
-        with
-        | Segv { error; _ } -> fault_outcome error
-        | Physmem.Out_of_pages -> Oom)
-    | A_pipe_read { k; p; vpn; boff; len; vsl } -> (
+        user (fun () ->
+            let n =
+              I.send t.sys (proc t p) ~vslocked:vsl (chan t k) ~policy ~addr
+                ~len
+            in
+            Io { n; sum = 0 })
+    | A_pipe_read { k; p; vpn; boff; len; vsl } ->
         let addr = (vpn * t.page_size) + boff in
         let vm = proc t p in
-        try
-          match I.recv t.sys vm ~vslocked:vsl (chan t k) ~addr ~len with
-          | I.Data n ->
-              let data =
-                if n > 0 then V.read_bytes t.sys vm ~addr ~len:n else Bytes.empty
-              in
-              Io { n; sum = checksum data n }
-          | I.Mapped _ -> assert false (* never requested *)
-        with
-        | Segv { error; _ } -> fault_outcome error
-        | Physmem.Out_of_pages -> Oom)
+        user (fun () ->
+            match I.recv t.sys vm ~vslocked:vsl (chan t k) ~addr ~len with
+            | I.Data n ->
+                let data =
+                  if n > 0 then V.read_bytes t.sys vm ~addr ~len:n
+                  else Bytes.empty
+                in
+                Io { n; sum = checksum data n }
+            | I.Mapped _ -> assert false (* never requested *))
     | A_kwire { k; npages } ->
-        (* The model budgets kernel wiring under the same cap as mlock,
-           so an allocation failure here is a harness bug, not a kernel
-           one: fail loudly rather than leave the slots out of sync. *)
-        (try t.kwires.(k) <- Some (V.kernel_alloc_wired t.sys ~npages, npages)
-         with Segv _ | Physmem.Out_of_pages ->
-           failwith "Torture: out of memory in kernel_alloc_wired");
-        Done
+        wire "in kernel_alloc_wired" (fun () ->
+            t.kwires.(k) <- Some (V.kernel_alloc_wired t.sys ~npages, npages))
     | A_kunwire { k } ->
-        (match t.kwires.(k) with
-        | Some (vpn, npages) ->
-            V.kernel_free_wired t.sys ~vpn ~npages;
-            t.kwires.(k) <- None
-        | None -> invalid_arg "Torture.exec: kunwire on empty slot (harness bug)");
+        let vpn, npages = Option.get t.kwires.(k) in
+        V.kernel_free_wired t.sys ~vpn ~npages;
+        t.kwires.(k) <- None;
         Done
     | A_vsl_grab { p; vpn; npages } ->
-        (try t.vsls.(p) <- Some (V.vslock t.sys (proc t p) ~vpn ~npages)
-         with Segv _ | Physmem.Out_of_pages ->
-           failwith "Torture: out of memory in vslock");
-        Done
+        wire "in vslock" (fun () ->
+            t.vsls.(p) <- Some (V.vslock t.sys (proc t p) ~vpn ~npages))
     | A_vsl_drop { p } ->
-        (match t.vsls.(p) with
-        | Some wb ->
-            V.vsunlock t.sys (proc t p) wb;
-            t.vsls.(p) <- None
-        | None ->
-            invalid_arg "Torture.exec: vsl_drop with no held buffer (harness bug)");
+        V.vsunlock t.sys (proc t p) (Option.get t.vsls.(p));
+        t.vsls.(p) <- None;
         Done
 
   (* Each op runs under a root span, so everything the kernel did for it
      hangs off one tree.  A crash deliberately does NOT finish the span:
      the open stack at that instant is the active causal tree, and the
      artifact writer dumps it as-is. *)
-  let exec t (a : action) : outcome =
+  let exec t op (a : action) : outcome =
     let m = V.machine t.sys in
-    let sp = Machine.span_start m ~subsys:"torture" (action_name a) in
+    let sp = Machine.span_start m ~subsys:"torture" (op_name op) in
     let o = exec_action t a in
     Machine.span_finish m sp (fun () -> [ ("outcome", outcome_to_string o) ]);
     o
@@ -1020,20 +965,15 @@ type corruption =
   | Leak_loan  (** bump a live page's loan count with no borrower *)
   | Leak_swapcache  (** swapcache claims a slot the allocator never gave it *)
 
-let corruption_name = function
-  | Leak_swap_slot -> "leak-swap-slot"
-  | Overref_anon -> "overref-anon"
-  | Queue_double_insert -> "queue-double-insert"
-  | Leak_loan -> "leak-loan"
-  | Leak_swapcache -> "leak-swapcache"
-
-let corruption_of_string = function
-  | "leak-swap-slot" -> Some Leak_swap_slot
-  | "overref-anon" -> Some Overref_anon
-  | "queue-double-insert" -> Some Queue_double_insert
-  | "leak-loan" -> Some Leak_loan
-  | "leak-swapcache" -> Some Leak_swapcache
-  | _ -> None
+(* Each corruption under the name the CLI and the crash file give it. *)
+let corruptions =
+  [
+    ("leak-swap-slot", Leak_swap_slot);
+    ("overref-anon", Overref_anon);
+    ("queue-double-insert", Queue_double_insert);
+    ("leak-loan", Leak_loan);
+    ("leak-swapcache", Leak_swapcache);
+  ]
 
 (* Corruptions target the UVM instance (the machine-level ones could hit
    either; the anon one needs UVM internals).  Returns false when the
@@ -1149,29 +1089,16 @@ let pick_list rng = function
   | [] -> None
   | l -> Some (List.nth l (Sim.Rng.int rng (List.length l)))
 
-let live_proc_slots m =
-  let out = ref [] in
-  for p = max_procs - 1 downto 0 do
-    if m.procs.(p) <> None then out := p :: !out
-  done;
-  !out
-
-let free_proc_slots m =
-  let out = ref [] in
-  for p = max_procs - 1 downto 0 do
-    if m.procs.(p) = None then out := p :: !out
-  done;
-  !out
+(* The slots of [0, n) that [keep] accepts, ascending.  The order is part
+   of a trace: [pick_list] draws an index into it. *)
+let slots n keep = List.filter keep (List.init n Fun.id)
+let live_proc_slots m = slots max_procs (fun p -> m.procs.(p) <> None)
+let free_proc_slots m = slots max_procs (fun p -> m.procs.(p) = None)
 
 let region_slots m p ~live =
   match proc_at m p with
   | None -> []
-  | Some pr ->
-      let out = ref [] in
-      for r = max_regions - 1 downto 0 do
-        if (pr.regions.(r) <> None) = live then out := r :: !out
-      done;
-      !out
+  | Some pr -> slots max_regions (fun r -> (pr.regions.(r) <> None) = live)
 
 (* Draw one op.  Candidates are sampled with field values that are
    usually valid for the current model and verified with {!resolve}; if
@@ -1180,33 +1107,26 @@ let region_slots m p ~live =
    never stalls. *)
 let gen rng m ~faults : op =
   let pick_live_region () =
-    match pick_list rng (live_proc_slots m) with
-    | None -> None
-    | Some p -> (
-        match pick_list rng (region_slots m p ~live:true) with
-        | None -> None
-        | Some r -> (
-            match region_at m p r with
-            | Some rg -> Some (p, r, rg)
-            | None -> None))
+    Option.bind (pick_list rng (live_proc_slots m)) (fun p ->
+        Option.bind (pick_list rng (region_slots m p ~live:true)) (fun r ->
+            Option.map (fun rg -> (p, r, rg)) (region_at m p r)))
   in
   let cand_read () =
-    match pick_live_region () with
-    | Some (p, r, rg) -> Some (Read { p; r; page = Sim.Rng.int rng rg.npages })
-    | None -> None
+    Option.map
+      (fun (p, r, rg) -> Read { p; r; page = Sim.Rng.int rng rg.npages })
+      (pick_live_region ())
   in
   let cand_write () =
-    match pick_live_region () with
-    | Some (p, r, rg) ->
-        Some
-          (Write
-             {
-               p;
-               r;
-               page = Sim.Rng.int rng rg.npages;
-               byte = 1 + Sim.Rng.int rng 255;
-             })
-    | None -> None
+    Option.map
+      (fun (p, r, rg) ->
+        Write
+          {
+            p;
+            r;
+            page = Sim.Rng.int rng rg.npages;
+            byte = 1 + Sim.Rng.int rng 255;
+          })
+      (pick_live_region ())
   in
   let cand_mmap () =
     match pick_list rng (live_proc_slots m) with
@@ -1225,11 +1145,15 @@ let gen rng m ~faults : op =
             let shared = (not use_file) && Sim.Rng.int rng 4 = 0 in
             Some (Mmap { p; r; npages; prot_ix; shared; src_file; fileoff }))
   in
-  let cand_range mk =
+  (* A page run of the region, at most [cap] pages long. *)
+  let draw_range ?(cap = max_int) rg =
+    let off = Sim.Rng.int rng rg.npages in
+    (off, 1 + Sim.Rng.int rng (min cap (rg.npages - off)))
+  in
+  let cand_range ?cap mk =
     match pick_live_region () with
     | Some (p, r, rg) ->
-        let off = Sim.Rng.int rng rg.npages in
-        let len = 1 + Sim.Rng.int rng (rg.npages - off) in
+        let off, len = draw_range ?cap rg in
         Some (mk p r off len)
     | None -> None
   in
@@ -1242,24 +1166,19 @@ let gen rng m ~faults : op =
           { p; r; off; len; prot_ix = Sim.Rng.int rng (Array.length prots) })
   in
   let cand_minherit () =
-    match pick_live_region () with
-    | Some (p, r, _) ->
-        Some (Minherit { p; r; inh_ix = Sim.Rng.int rng (Array.length inhs) })
-    | None -> None
+    Option.map
+      (fun (p, r, _) ->
+        Minherit { p; r; inh_ix = Sim.Rng.int rng (Array.length inhs) })
+      (pick_live_region ())
   in
   let cand_madvise () =
-    match pick_live_region () with
-    | Some (p, r, _) ->
-        Some (Madvise { p; r; adv_ix = Sim.Rng.int rng (Array.length advs) })
-    | None -> None
+    Option.map
+      (fun (p, r, _) ->
+        Madvise { p; r; adv_ix = Sim.Rng.int rng (Array.length advs) })
+      (pick_live_region ())
   in
   let cand_mlock () =
-    match pick_live_region () with
-    | Some (p, r, rg) ->
-        let off = Sim.Rng.int rng rg.npages in
-        let len = 1 + Sim.Rng.int rng (min 4 (rg.npages - off)) in
-        Some (Mlock { p; r; off; len })
-    | None -> None
+    cand_range ~cap:4 (fun p r off len -> Mlock { p; r; off; len })
   in
   let cand_msync () =
     cand_range (fun p r off len -> Msync { p; r; off; len })
@@ -1302,53 +1221,37 @@ let gen rng m ~faults : op =
       m.procs;
     match pick_list rng !shared with
     | Some (p, r, rg) ->
-        let off = Sim.Rng.int rng rg.npages in
-        let len = 1 + Sim.Rng.int rng (min 4 (rg.npages - off)) in
+        let off, len = draw_range ~cap:4 rg in
         Some (Mlock { p; r; off; len })
     | None -> None
   in
   let cand_munlock () =
-    match pick_live_region () with
-    | Some (p, r, rg) -> (
-        match pick_list rng rg.wired with
-        | Some (off, len) -> Some (Munlock { p; r; off; len })
-        | None -> None)
-    | None -> None
+    Option.bind (pick_live_region ()) (fun (p, r, rg) ->
+        Option.map
+          (fun (off, len) -> Munlock { p; r; off; len })
+          (pick_list rng rg.wired))
+  in
+  (* Descending: a trace depends on the order [pick_list] draws from. *)
+  let kwire_slots ~held =
+    List.rev (slots max_kwires (fun k -> (m.kwires.(k) <> None) = held))
   in
   let cand_kwire () =
-    let free = ref [] in
-    Array.iteri (fun k h -> if h = None then free := k :: !free) m.kwires;
-    match pick_list rng !free with
-    | Some k -> Some (Kwire { k; npages = 1 + Sim.Rng.int rng max_kwire_pages })
-    | None -> None
+    Option.map
+      (fun k -> Kwire { k; npages = 1 + Sim.Rng.int rng max_kwire_pages })
+      (pick_list rng (kwire_slots ~held:false))
   in
   let cand_kunwire () =
-    let held = ref [] in
-    Array.iteri (fun k h -> if h <> None then held := k :: !held) m.kwires;
-    match pick_list rng !held with
-    | Some k -> Some (Kunwire { k })
-    | None -> None
+    Option.map (fun k -> Kunwire { k }) (pick_list rng (kwire_slots ~held:true))
   in
   let cand_vsl_grab () =
-    match pick_live_region () with
-    | Some (p, r, rg) ->
-        let off = Sim.Rng.int rng rg.npages in
-        let len = 1 + Sim.Rng.int rng (min 4 (rg.npages - off)) in
-        Some (Vsl_grab { p; r; off; len })
-    | None -> None
+    cand_range ~cap:4 (fun p r off len -> Vsl_grab { p; r; off; len })
   in
   let cand_vsl_drop () =
     let holders =
-      List.filter
-        (fun p ->
-          match proc_at m p with
-          | Some pr -> pr.vsl <> None
-          | None -> false)
-        (live_proc_slots m)
+      slots max_procs (fun p ->
+          match m.procs.(p) with Some pr -> pr.vsl <> None | None -> false)
     in
-    match pick_list rng holders with
-    | Some p -> Some (Vsl_drop { p })
-    | None -> None
+    Option.map (fun p -> Vsl_drop { p }) (pick_list rng holders)
   in
   let cand_fork () =
     match
@@ -1358,32 +1261,22 @@ let gen rng m ~faults : op =
     | _ -> None
   in
   let cand_exit () =
-    match pick_list rng (live_proc_slots m) with
-    | Some p -> Some (Exit { p })
-    | None -> None
+    Option.map (fun p -> Exit { p }) (pick_list rng (live_proc_slots m))
   in
   let cand_spawn () =
-    match pick_list rng (free_proc_slots m) with
-    | Some p -> Some (Spawn { p })
-    | None -> None
+    Option.map (fun p -> Spawn { p }) (pick_list rng (free_proc_slots m))
   in
   let cand_pressure () = Some (Pressure { npages = 8 + Sim.Rng.int rng 41 }) in
-  let chan_slots ~live =
-    let out = ref [] in
-    for k = max_chans - 1 downto 0 do
-      if m.chans.(k) = live then out := k :: !out
-    done;
-    !out
-  in
+  let chan_slots ~live = slots max_chans (fun k -> m.chans.(k) = live) in
   let cand_pipe_open () =
-    match pick_list rng (chan_slots ~live:false) with
-    | Some k -> Some (Pipe_open { k })
-    | None -> None
+    Option.map
+      (fun k -> Pipe_open { k })
+      (pick_list rng (chan_slots ~live:false))
   in
   let cand_pipe_close () =
-    match pick_list rng (chan_slots ~live:true) with
-    | Some k -> Some (Pipe_close { k })
-    | None -> None
+    Option.map
+      (fun k -> Pipe_close { k })
+      (pick_list rng (chan_slots ~live:true))
   in
   let pick_byte_range rg =
     (* Bias toward page alignment so mexp can actually pass map entries,
@@ -1544,8 +1437,9 @@ type drive_source = Fresh of int | Replay of (int * op) list
 
 (* One full run: boot both systems, feed them the same resolved actions,
    audit every [audit_every] executed ops and once at the end.  Stops at
-   the first bug.  Returns the trace actually fed (with original
-   indices) and both machines' observability sources for artifacts. *)
+   the first bug.  Returns the bug, the trace actually fed (with original
+   indices), how many of its ops resolved and ran, and both machines'
+   observability sources for artifacts. *)
 let drive cfg src =
   let config = machine_config cfg in
   let eu = Exec_uvm.boot ~config () in
@@ -1584,11 +1478,11 @@ let drive cfg src =
           | o -> Ok o
           | exception e -> Error (name, Printexc.to_string e)
         in
-        (match side Exec_uvm.name (fun () -> Exec_uvm.exec eu a) with
+        (match side Exec_uvm.name (fun () -> Exec_uvm.exec eu op a) with
         | Error (system, exn) ->
             bug := Some (Crash { op_index = i; op; system; exn })
         | Ok ou -> (
-            match side Exec_bsd.name (fun () -> Exec_bsd.exec eb a) with
+            match side Exec_bsd.name (fun () -> Exec_bsd.exec eb op a) with
             | Error (system, exn) ->
                 bug := Some (Crash { op_index = i; op; system; exn })
             | Ok ob ->
@@ -1628,7 +1522,11 @@ let drive cfg src =
       List.iter (fun iop -> if !bug = None then step iop) ops;
       trace := ops);
   if !bug = None then audit_both (max 0 (!executed - 1));
-  (!bug, !trace, [ Exec_uvm.source eu; Exec_bsd.source eb ])
+  (!bug, !trace, !executed, [ Exec_uvm.source eu; Exec_bsd.source eb ])
+
+let replay cfg ops =
+  let bug, _, executed, _ = drive cfg (Replay ops) in
+  (bug, executed)
 
 (* -- trace shrinking (ddmin) -------------------------------------------- *)
 
@@ -1666,10 +1564,7 @@ let ddmin ~test ops =
    to the earliest op that causes it. *)
 let shrink_trace cfg trace bug0 =
   let rcfg = { cfg with audit_every = 1; shrink = false; artifact_dir = None } in
-  let run_subset subset =
-    let b, _, _ = drive rcfg (Replay subset) in
-    b
-  in
+  let run_subset subset = fst (replay rcfg subset) in
   let key =
     match run_subset trace with Some b -> bug_key b | None -> bug_key bug0
   in
@@ -1688,10 +1583,29 @@ let rec mkdirs dir =
     try Sys.mkdir dir 0o755 with Sys_error _ -> ()
   end
 
+(* An op object: its trace index ["i"], its name ["op"] and its operands. *)
 let op_json (i, op) =
+  let name, operands = encode op in
   Sim.Json.Object
-    (("i", Sim.Json.Int i) :: ("op", String (op_name op))
-    :: List.map (fun (k, v) -> (k, Sim.Json.Int v)) (op_fields op))
+    (("i", Sim.Json.Int i) :: ("op", String name)
+    :: List.map (fun (k, v) -> (k, Sim.Json.Int v)) operands)
+
+let op_of_json j =
+  let int (k, v) =
+    match v with
+    | Sim.Json.Int n -> (k, n)
+    | _ -> failwith (Printf.sprintf "operand %S is not an int" k)
+  in
+  match j with
+  | Sim.Json.Object fields -> (
+      match List.partition (fun (k, _) -> k = "op") fields with
+      | [ (_, String name) ], rest -> (
+          let operands = List.map int rest in
+          match List.assoc_opt "i" operands with
+          | Some i -> (i, decode name operands)
+          | None -> failwith "missing index \"i\"")
+      | _ -> failwith "missing op name")
+  | _ -> failwith "op is not an object"
 
 let bug_json = function
   | Audit_bug { op_index; f } ->
@@ -1713,19 +1627,65 @@ let bug_json = function
           ("op", op_json (op_index, op)); ("system", String system);
           ("exn", String exn) ]
 
+let schema = "uvm-sim-torture/1"
+
+(* A crash file records every [cfg] field a replay depends on. *)
 let crash_json ~cfg ~bug ~trace ~minimal =
   let corrupt (at, c) =
-    ( "corrupt",
-      Sim.Json.Object [ ("kind", String (corruption_name c)); ("at", Int at) ] )
+    let kind = fst (List.find (fun (_, c') -> c' = c) corruptions) in
+    ("corrupt", Sim.Json.Object [ ("kind", String kind); ("at", Int at) ])
   in
   Sim.Json.Object
-    ([ ("schema", Sim.Json.String "uvm-sim-torture/1"); ("seed", Int cfg.seed);
+    ([ ("schema", Sim.Json.String schema); ("seed", Int cfg.seed);
        ("nops", Int cfg.nops); ("audit_every", Int cfg.audit_every);
-       ("faults", Bool cfg.faults) ]
+       ("faults", Bool cfg.faults); ("tiers", Bool cfg.tiers);
+       ("ram_pages", Int cfg.ram_pages); ("swap_pages", Int cfg.swap_pages);
+       ("trace_buf", Int cfg.trace_buf) ]
     @ Option.to_list (Option.map corrupt cfg.corrupt)
     @ [ ("failure", bug_json bug); ("trace", Sim.Json.list op_json trace) ]
     @ Option.to_list
         (Option.map (fun m -> ("minimal", Sim.Json.list op_json m)) minimal))
+
+let read_crash doc =
+  let field k get =
+    match get (Sim.Json.member k doc) with
+    | Some v -> v
+    | None -> failwith (Printf.sprintf "crash file: bad or missing %S" k)
+  in
+  let int k = field k (function Sim.Json.Int n -> Some n | _ -> None) in
+  let bool k = field k (function Sim.Json.Bool b -> Some b | _ -> None) in
+  if field "schema" (function String s -> Some s | _ -> None) <> schema then
+    failwith ("crash file: schema is not " ^ schema);
+  let corrupt =
+    match Sim.Json.member "corrupt" doc with
+    | Null -> None
+    | c -> (
+        match (Sim.Json.member "at" c, Sim.Json.member "kind" c) with
+        | Int at, String kind when List.mem_assoc kind corruptions ->
+            Some (at, List.assoc kind corruptions)
+        | _ -> failwith "crash file: bad \"corrupt\"")
+  in
+  let ops key =
+    List.mapi
+      (fun n j ->
+        try op_of_json j
+        with Failure e ->
+          failwith (Printf.sprintf "crash file: %s op %d: %s" key n e))
+      (field key (function List l -> Some l | _ -> None))
+  in
+  ( {
+      default_cfg with
+      seed = int "seed";
+      nops = int "nops";
+      audit_every = int "audit_every";
+      faults = bool "faults";
+      tiers = bool "tiers";
+      ram_pages = int "ram_pages";
+      swap_pages = int "swap_pages";
+      trace_buf = int "trace_buf";
+      corrupt;
+    },
+    ops (if Sim.Json.member "minimal" doc = Null then "trace" else "minimal") )
 
 (* The observability files, each written by the exporter behind the CLI's
    --NAME-out flag: the span ring, the stats, the causal view of the crash
@@ -1766,7 +1726,7 @@ type result = {
 }
 
 let run cfg =
-  let bug, trace, sources = drive cfg (Fresh cfg.nops) in
+  let bug, trace, _, sources = drive cfg (Fresh cfg.nops) in
   let minimal =
     match bug with
     | Some b when cfg.shrink -> Some (shrink_trace cfg trace b)

@@ -5,68 +5,37 @@
     machines, runs both kernels' invariant auditors every K operations,
     and compares each operation's observable outcome.  A failure produces
     a structured {!bug}, a crash artifact on disk, and (optionally) a
-    ddmin-minimized replay of the trace.
+    ddmin-minimized replay of the trace.  The crash file reads back with
+    {!read_crash} and runs again with {!replay}: copied into
+    [test/regress/], it is a regression test.
 
     Placement is decided by the harness itself (first fit over a shared
     model) and passed to both systems via [fixed_at], so a trace denotes
     the same address-space history under both kernels and under replay of
     any subsequence — the property the shrinker relies on. *)
 
-(** One serializable operation.  All operands are small integers: process
+(** One operation of a trace.  Every operand is a small integer: process
     and region {e slots} rather than addresses, so a prefix- or
     subset-replay re-resolves them against the model and skips ops whose
-    preconditions no longer hold. *)
-type op =
-  | Spawn of { p : int }
-  | Exit of { p : int }
-  | Fork of { parent : int; child : int }
-  | Mmap of {
-      p : int;
-      r : int;
-      npages : int;
-      prot_ix : int;
-      shared : bool;
-      src_file : int;
-      fileoff : int;
-    }
-  | Munmap of { p : int; r : int; off : int; len : int }
-  | Mprotect of { p : int; r : int; off : int; len : int; prot_ix : int }
-  | Minherit of { p : int; r : int; inh_ix : int }
-  | Madvise of { p : int; r : int; adv_ix : int }
-  | Read of { p : int; r : int; page : int }
-  | Write of { p : int; r : int; page : int; byte : int }
-  | Mlock of { p : int; r : int; off : int; len : int }
-  | Munlock of { p : int; r : int; off : int; len : int }
-  | Msync of { p : int; r : int; off : int; len : int }
-  | Pressure of { npages : int }
-  | Pipe_open of { k : int }
-  | Pipe_close of { k : int }
-  | Pipe_write of {
-      k : int;
-      p : int;
-      r : int;
-      off : int;  (** byte offset within the region *)
-      len : int;  (** byte count *)
-      pol_ix : int;  (** index into {!Ipc.all_policies} *)
-      vsl : bool;  (** wire the user buffer around the transfer *)
-    }
-  | Pipe_read of { k : int; p : int; r : int; off : int; len : int; vsl : bool }
-  | Kwire of { k : int; npages : int }
-      (** wired kernel allocation into global slot [k] — the §3.2 kernel
-          wiring cases (user structures, page-table pages) as first-class
-          trace ops *)
-  | Kunwire of { k : int }
-  | Vsl_grab of { p : int; r : int; off : int; len : int }
-      (** vslock a page range and hold it across later ops (a long physio
-          buffer); at most one held buffer per process, dropped implicitly
-          on [Exit] *)
-  | Vsl_drop of { p : int }
+    preconditions no longer hold.  A trace is data: {!encode} names each
+    op and its operands, and a crash file stores it as op objects. *)
+type op
 
 val op_to_string : op -> string
+(** [name(k=v,...)], the operands in {!encode}'s order. *)
 
-val op_fields : op -> (string * int) list
-(** The operands of an op by name, in the order [op_to_string] and the
-    crash file's op objects list them (a flag reads 0 or 1). *)
+val encode : op -> string * (string * int) list
+(** The op's name and its operands by name (a flag reads 0 or 1), as a
+    crash file's op object lists them after its ["i"] and ["op"] keys. *)
+
+val decode : string -> (string * int) list -> op
+(** The inverse of {!encode}; an operand it does not read is ignored.
+    @raise Failure on an unknown name or a missing operand. *)
+
+val op_of_json : Sim.Json.t -> int * op
+(** An op object of a crash file: its trace index and its op.
+    @raise Failure on an unknown name, a missing operand or index, or a
+    value that is not an int. *)
 
 (** Observable result of one operation, compared across the two systems.
     [Oom] is a {e conditional} wildcard: page-reclamation timing may
@@ -92,7 +61,9 @@ type corruption =
   | Leak_loan
   | Leak_swapcache
 
-val corruption_of_string : string -> corruption option
+val corruptions : (string * corruption) list
+(** Each corruption under the name [--corrupt] and the crash file give
+    it. *)
 
 type bug =
   | Audit_bug of { op_index : int; f : Check.failure }
@@ -135,14 +106,14 @@ type result = {
 
 val run : cfg -> result
 
-type drive_source =
-  | Fresh of int  (** generate this many ops from [cfg.seed] *)
-  | Replay of (int * op) list  (** feed a recorded trace *)
+val read_crash : Sim.Json.t -> cfg * (int * op) list
+(** The config a [uvm-sim-torture/1] crash file records, and its
+    [minimal] repro when it has one, else its [trace].  [shrink] is off
+    and [artifact_dir] is [None].
+    @raise Failure when a config field is missing or mistyped, and on a
+    malformed op, naming the op's position in its list. *)
 
-val drive :
-  cfg ->
-  drive_source ->
-  bug option * (int * op) list * Sim.Trace_export.source list
-(** One run through fresh boots of both systems: [run] composes this with
-    the shrinker and artifact writer; tests can use it directly to replay
-    a shrunken repro. *)
+val replay : cfg -> (int * op) list -> bug option * int
+(** Feed a recorded trace to fresh boots of both systems, auditing every
+    [cfg.audit_every] ops and at the end: the first bug, if any, and how
+    many ops resolved and ran. *)

@@ -10,8 +10,6 @@
 
 type seg_id = Seg_text | Seg_data | Seg_bss | Seg_stack | Seg_heap | Seg_lib of int
 
-type event = seg_id * int * Vmiface.Vmtypes.access
-
 (* Split [0, n) into runs: [single_fraction] of the pages are visited as
    isolated single-page accesses, the rest in sequential runs of 4-7
    pages; run order is shuffled. *)

@@ -33,10 +33,10 @@ dune build --root . --build-dir .bench_build --profile release \
   ./test/test_alloc.exe
 ./.bench_build/default/test/test_alloc.exe
 
-# CLI error smoke: an unknown flag, a bad seed range and a knob the
-# experiment does not honour must exit 2 with a usage message, the status
-# every invalid option value gets.
-for args in 'table2 --bogus' 'torture --seed 5-1' \
+# CLI error smoke: an unknown flag, a bad seed range, an unknown
+# corruption kind and a knob the experiment does not honour must exit 2
+# with a usage message, the status every invalid option value gets.
+for args in 'table2 --bogus' 'torture --seed 5-1' 'torture --corrupt bogus' \
   'serve --read-error-rate 0.1' 'smp --read-error-rate 0.1' \
   'table1 --quick' 'lockstat --quick' 'soak --cpus 2'; do
   rc=0
@@ -124,7 +124,8 @@ dune exec bin/uvm_sim.exe -- torture --seed 42 --ops 2000 --audit-every 50 \
 
 # Crash-artifact smoke: a run corrupted on purpose must fail (exit 1) and
 # leave its seven crash files, every .json one valid, the crash file
-# naming the audit failure and a shrunk repro.
+# naming the audit failure and a shrunk repro, and recording the swap
+# layout and machine size a replay boots with.
 crash=$(mktemp -d /tmp/uvm-crash.XXXXXX)
 trap 'rm -rf "$trace" "$stats" "$swapstats" "$crash"' EXIT
 rc=0
@@ -150,6 +151,8 @@ crash = docs["crash.json"]
 assert crash["schema"] == "uvm-sim-torture/1", crash.get("schema")
 assert crash["failure"]["kind"] == "audit", crash["failure"]
 assert crash["minimal"], "no shrunk repro"
+assert crash["tiers"] is False, crash.get("tiers")
+assert crash["ram_pages"] == 256 and crash["swap_pages"] == 2048, crash
 print("ci: crash artifacts valid (%d files, %d-op repro)"
       % (len(names) + 1, len(crash["minimal"])))
 EOF

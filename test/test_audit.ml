@@ -38,83 +38,79 @@ let test_trace_reproducible () =
   let r2 = T.run (cfg ~seed:11 ~nops:500 ~audit_every:50) in
   Alcotest.(check bool) "same trace" true (r1.T.r_trace = r2.T.r_trace)
 
-(* Replay a shrunk trace, auditing after every op: no bug, and no op
-   skipped as inapplicable. *)
-let replay_clean ~seed ops =
-  let bug, fed, _ = T.drive (cfg ~seed ~nops:0 ~audit_every:1) (T.Replay ops) in
-  (match bug with
-  | None -> ()
-  | Some b -> Alcotest.failf "unexpected bug: %s" (T.string_of_bug b));
-  Alcotest.(check int) "every op executed" (List.length ops) (List.length fed)
+let regress_dir = Filename.concat (Filename.dirname Sys.executable_name) "regress"
+
+(* Replay one crash file of [regress/] with an audit after each op: no
+   bug, and no op skipped as inapplicable. *)
+let replay_file f =
+  let text =
+    In_channel.with_open_bin (Filename.concat regress_dir f) In_channel.input_all
+  in
+  let cfg, ops = T.read_crash (Sim.Json.parse text) in
+  match T.replay { cfg with T.audit_every = 1 } ops with
+  | Some b, _ -> Alcotest.failf "%s: %s" f (T.string_of_bug b)
+  | None, executed ->
+      Alcotest.(check int) (f ^ ": every op executed") (List.length ops) executed
 
 (* Shrunk from seed 53: a vslock'd anon range is loaned to a pipe, made
    inaccessible, written (the fault fails), and then unlocked.  The
    loaned, wired frames must keep every wiring the token holds, so the
    final vsunlock finds each page still wired on both kernels. *)
-let test_vslock_loan_unwire () =
-  let ops =
-    [
-      (1, T.Spawn { p = 0 });
-      ( 6,
-        T.Mmap
-          {
-            p = 0;
-            r = 3;
-            npages = 4;
-            prot_ix = 3;
-            shared = false;
-            src_file = 0;
-            fileoff = 0;
-          } );
-      (11, T.Pipe_open { k = 0 });
-      (12, T.Vsl_grab { p = 0; r = 3; off = 1; len = 3 });
-      ( 29,
-        T.Pipe_write
-          {
-            k = 0;
-            p = 0;
-            r = 3;
-            off = 8192;
-            len = 8192;
-            pol_ix = 1;
-            vsl = false;
-          }
-      );
-      (40, T.Mprotect { p = 0; r = 3; off = 1; len = 3; prot_ix = 0 });
-      (43, T.Write { p = 0; r = 3; page = 3; byte = 112 });
-      (70, T.Vsl_drop { p = 0 });
-    ]
-  in
-  replay_clean ~seed:53 ops
+let test_vslock_loan_unwire () = replay_file "seed-53-vslock-loan.json"
 
 (* Shrunk from seed 32: a vslock'd page is sent by map-entry passing and
    then written.  Mexp declines wired translations and copies instead,
    so the write fault leaves the vslock wiring on the sender's frame and
    closing the pipe frees an unwired kernel copy. *)
-let test_vslock_mexp_write () =
-  replay_clean ~seed:32
-    [
-      (0, T.Pipe_open { k = 1 });
-      (5, T.Spawn { p = 4 });
-      ( 6,
-        T.Mmap
-          {
-            p = 4;
-            r = 7;
-            npages = 1;
-            prot_ix = 0;
-            shared = false;
-            src_file = 0;
-            fileoff = 0;
-          } );
-      (7, T.Vsl_grab { p = 4; r = 7; off = 0; len = 1 });
-      ( 11,
-        T.Pipe_write
-          { k = 1; p = 4; r = 7; off = 0; len = 4096; pol_ix = 2; vsl = true }
-      );
-      (18, T.Write { p = 4; r = 7; page = 0; byte = 111 });
-      (285, T.Pipe_close { k = 1 });
-    ]
+let test_vslock_mexp_write () = replay_file "seed-32-vslock-mexp.json"
+
+(* Every crash file in [regress/] replays clean: a torture crash, once
+   fixed, stays fixed by dropping its crash.json there. *)
+let test_regress_corpus () =
+  let files =
+    List.sort compare
+      (List.filter
+         (fun f -> Filename.check_suffix f ".json")
+         (Array.to_list (Sys.readdir regress_dir)))
+  in
+  Alcotest.(check bool) "corpus not empty" true (files <> []);
+  List.iter replay_file files
+
+(* The op codec over generated traces, with faults on and off: every op
+   round-trips through [encode] and [decode], and through its crash-file
+   object; an object with an unknown name, a missing operand or index, or
+   a non-int operand raises [Failure] and nothing else. *)
+let codec_property =
+  QCheck.Test.make ~name:"op codec round-trips" ~count:25
+    QCheck.(triple (int_range 1 100_000) bool (int_bound 1_000))
+    (fun (seed, faults, pick) ->
+      let r = T.run { (cfg ~seed ~nops:150 ~audit_every:0) with T.faults } in
+      let fails fields =
+        match T.op_of_json (Sim.Json.Object fields) with
+        | _ -> false
+        | exception Failure _ -> true
+      in
+      let non_ints = Sim.Json.[ String "1"; Float (1.0, 1); Bool true; Null ] in
+      let set key v fields =
+        List.map (fun (k, v') -> (k, if k = key then v else v')) fields
+      in
+      List.for_all
+        (fun (i, op) ->
+          let name, operands = T.encode op in
+          let fields =
+            ("i", Sim.Json.Int i) :: ("op", String name)
+            :: List.map (fun (k, v) -> (k, Sim.Json.Int v)) operands
+          in
+          (* [pick] and the index choose the operand to break, and how. *)
+          let nth l = List.nth l ((pick + i) mod List.length l) in
+          let k = fst (nth operands) and bad = nth non_ints in
+          T.decode name operands = op
+          && T.op_of_json (Object fields) = (i, op)
+          && fails (set "op" (Sim.Json.String ("no_" ^ name)) fields)
+          && fails (List.remove_assoc k fields)
+          && fails (List.remove_assoc "i" fields)
+          && fails (set k bad fields))
+        r.T.r_trace)
 
 let corruption_case ?(tiers = false) kind subsys () =
   let c =
@@ -140,22 +136,22 @@ let corruption_case ?(tiers = false) kind subsys () =
       if List.length ops > 20 then
         Alcotest.failf "repro not minimal: %d ops" (List.length ops)
 
-(* A failing run writes its crash file, and the file reads back: the
-   same run as [uvm_sim torture --seed 42 --ops 600 --audit-every 10
-   --corrupt overref-anon --corrupt-at 300 --shrink], whose repro shrinks
-   to two ops.  Every op object holds its index, its name and exactly the
-   operands [op_fields] lists. *)
+(* A failing run writes its crash file, and the file replays: the same
+   run as [uvm_sim torture --seed 42 --ops 600 --audit-every 10 --corrupt
+   overref-anon --corrupt-at 300 --shrink], whose repro shrinks to two
+   ops.  The file decodes to the run's config, trace and repro, and the
+   decoded repro fails again in the same place. *)
 let test_crash_artifact () =
   let dir = Filename.temp_dir "uvm-torture" "" in
-  let r =
-    T.run
-      {
-        (cfg ~seed:42 ~nops:600 ~audit_every:10) with
-        T.corrupt = Some (300, T.Overref_anon);
-        shrink = true;
-        artifact_dir = Some dir;
-      }
+  let c =
+    {
+      (cfg ~seed:42 ~nops:600 ~audit_every:10) with
+      T.corrupt = Some (300, T.Overref_anon);
+      shrink = true;
+      artifact_dir = Some dir;
+    }
   in
+  let r = T.run c in
   let seed_dir = Filename.concat dir "seed-42" in
   let files = List.sort compare (Array.to_list (Sys.readdir seed_dir)) in
   let read f =
@@ -177,31 +173,32 @@ let test_crash_artifact () =
       "spans.json"; "stats.json"; "trace.chrome.json" ]
     files;
   let crash = List.assoc "crash.json" docs in
-  let field path = List.fold_left (fun v k -> Sim.Json.member k v) crash path in
+  let field k = Sim.Json.member k crash in
   Alcotest.(check string) "schema" "uvm-sim-torture/1"
-    (Sim.Json.to_str (field [ "schema" ]));
+    (Sim.Json.to_str (field "schema"));
   Alcotest.(check string) "failure kind" "audit"
-    (Sim.Json.to_str (field [ "failure"; "kind" ]));
-  let check_ops what ops =
-    let expected =
-      List.map (fun (i, op) -> ("i", i) :: T.op_fields op) ops
-    in
-    let got =
-      List.map
-        (function
-          | Sim.Json.Object (("i", i) :: ("op", String _) :: operands) ->
-              List.map
-                (fun (k, v) -> (k, int_of_float (Sim.Json.to_number v)))
-                (("i", i) :: operands)
-          | o -> Alcotest.failf "%s: malformed op %s" what (Sim.Json.to_string o))
-        (Sim.Json.to_list (field [ what ]))
-    in
-    Alcotest.(check (list (list (pair string int)))) what expected got
+    (Sim.Json.to_str (Sim.Json.member "kind" (field "failure")));
+  let shown = List.map (fun (i, op) -> (i, T.op_to_string op)) in
+  let ops = Alcotest.(list (pair int string)) in
+  let rcfg, minimal = T.read_crash crash in
+  Alcotest.(check bool) "config" true
+    (rcfg = { c with T.shrink = false; artifact_dir = None });
+  Alcotest.check ops "minimal"
+    (shown (Option.get r.T.r_minimal))
+    (shown minimal);
+  let whole =
+    match crash with
+    | Object fields -> Sim.Json.Object (List.remove_assoc "minimal" fields)
+    | _ -> Alcotest.fail "crash.json is no object"
   in
-  check_ops "trace" r.T.r_trace;
-  Alcotest.(check bool) "minimal repro recorded" true
-    (Sim.Json.to_list (field [ "minimal" ]) <> []);
-  check_ops "minimal" (Option.value r.T.r_minimal ~default:[])
+  Alcotest.check ops "trace" (shown r.T.r_trace)
+    (shown (snd (T.read_crash whole)));
+  match T.replay rcfg minimal with
+  | Some (T.Audit_bug { f; _ }), _ ->
+      Alcotest.(check (pair string string)) "same failure" ("UVM", "anon")
+        (f.Check.system, Check.subsystem_name f.Check.subsys)
+  | Some b, _ -> Alcotest.failf "repro fails otherwise: %s" (T.string_of_bug b)
+  | None, _ -> Alcotest.fail "repro replays clean"
 
 let () =
   Alcotest.run "audit"
@@ -219,6 +216,9 @@ let () =
             test_vslock_loan_unwire;
           Alcotest.test_case "vslock + mexp + write unwires" `Quick
             test_vslock_mexp_write;
+          Alcotest.test_case "regress corpus replays clean" `Quick
+            test_regress_corpus;
+          QCheck_alcotest.to_alcotest codec_property;
           Alcotest.test_case "crash artifact reads back" `Quick
             test_crash_artifact;
         ] );

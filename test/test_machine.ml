@@ -105,11 +105,11 @@ let test_pool_matches_serial () =
   let module T = Oslayer.Torture in
   let run seed =
     let cfg = { T.default_cfg with T.seed; nops = 400; audit_every = 50 } in
-    let bug, trace, _ = T.drive cfg (T.Fresh cfg.T.nops) in
+    let r = T.run cfg in
     Vmiface.Machine.reset_traced ();
-    ( Option.map T.string_of_bug bug,
+    ( Option.map T.string_of_bug r.T.r_bug,
       List.map (fun (i, op) -> Printf.sprintf "%d %s" i (T.op_to_string op))
-        trace )
+        r.T.r_trace )
   in
   let seeds = [ 1; 2; 3; 4; 5; 6 ] in
   let serial = List.map run seeds in
